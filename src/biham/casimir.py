@@ -16,8 +16,8 @@ from fractions import Fraction
 
 from .errors import InternalInconsistency, PoleAtPoint, ValidationError
 from .exactalg import RationalFunction, parse_rational, stack_rows
-from .pencil import action_dimension, corank_profile, decompose, generic_corank
-from .poisson import BihamStructure, Certificate, as_point
+from .pencil import action_dimension, generic_corank
+from .poisson import BihamStructure, Certificate
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,13 @@ def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     """Exact identity (lam*P1 + P2) grad F_lam = 0, coefficient-wise in lam.
 
     The lambda coefficients are the chain relations: P2 grad f_0 = 0,
-    P1 grad f_{k-1} + P2 grad f_k = 0, and P1 grad f_d = 0.
+    P1 grad f_{k-1} + P2 grad f_k = 0, and P1 grad f_d = 0.  The
+    certificate is proved once per structure and family coefficients.
     """
+    return b.certificate(("family", fam.coeffs), lambda: _prove_family(b, fam))
+
+
+def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     d = fam.degree
     for k in range(d + 2):
         prev = fam.coeff(k - 1)
@@ -152,22 +157,22 @@ class CriterionVerdict:
 def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
     """Criterion run at one point, cross-validated against decompose.
 
-    The single-family corank-1 route is theorem strength; the multi-family
+    ``point`` is coordinates or the point's ``PointAnalysis``.  The
+    single-family corank-1 route is theorem strength; the multi-family
     route rests on the conjectural type formula and is flagged as such.
     """
-    point = as_point(point, b.dim)
     for fam in families:
         cert = family_check(b, fam)
         if not cert.ok:
             raise ValidationError(f"family failed its certificate: {cert.detail}")
-    pencil = b.pencil_at(point)
-    r = generic_corank(pencil)
-    ptype = decompose(pencil)
+    at = b.point_analysis(point)
+    r = at.generic_corank
+    ptype = at.ptype
     cross = ptype.label()
-    w1 = w1_span_dim(families, point)
+    w1 = w1_span_dim(families, at.point)
     degrees = tuple(f.degree for f in families)
     n = b.dim
-    prof = corank_profile(pencil)
+    prof = at.corank_profile
 
     common = dict(n=n, r=r, w1_dim=w1, degrees=degrees, corank_profile=prof,
                   cross_check=cross)
@@ -234,32 +239,34 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, point,
     to be submersive at the point with action dimension equal to the rank.
     The corank-1 hypothesis is sampled at the point and at nearby rational
     offsets (magnitude <= 1/10, seed-controlled) before concluding the
-    Kronecker type of dimension 2n - 1.
+    Kronecker type of dimension 2n - 1.  ``point`` is coordinates or the
+    point's ``PointAnalysis``.
     """
-    point = as_point(point, b.dim)
     n_rank = fam.degree + 1
     cert = family_check(b, fam)
     if not cert.ok:
         return LaxVerdict("NotApplicable", n_rank, 0, None,
                           detail=f"family identity fails: {cert.detail}")
-    grad_rank = w1_span_dim([fam], point)
-    ptype = decompose(b.pencil_at(point))
-    adim = action_dimension(ptype)
+    at = b.point_analysis(point)
+    grad_rank = w1_span_dim([fam], at.point)
+    adim = action_dimension(at.ptype)
     if grad_rank != n_rank or adim != n_rank:
         return LaxVerdict("WeakLax", n_rank, grad_rank, adim,
                           detail="submersion or action-dimension condition fails")
-    rng = random.Random(seed)
-    samples = [point]
-    for _ in range(nearby):
-        offset = tuple(Fraction(rng.randint(-10, 10), 100) for _ in range(b.dim))
-        samples.append(tuple(x + o for x, o in zip(point, offset)))
-    for m in samples:
-        try:
-            pc = b.pencil_at(m)
-        except PoleAtPoint:
-            continue
-        if generic_corank(pc) != 1:
-            return LaxVerdict("Lax", n_rank, grad_rank, adim,
-                              detail="corank-1 hypothesis failed at a sampled point")
+    if at.generic_corank != 1 or any(
+            c != 1 for c in _nearby_coranks(b, at.point, seed, nearby)):
+        return LaxVerdict("Lax", n_rank, grad_rank, adim,
+                          detail="corank-1 hypothesis failed at a sampled point")
     return LaxVerdict("KroneckerConcluded", n_rank, grad_rank, adim,
                       concluded_dim=2 * n_rank - 1)
+
+
+def _nearby_coranks(b: BihamStructure, point, seed: int, nearby: int):
+    """Generic coranks at seeded rational offsets of the point, poles skipped."""
+    rng = random.Random(seed)
+    for _ in range(nearby):
+        offset = tuple(Fraction(rng.randint(-10, 10), 100) for _ in range(b.dim))
+        try:
+            yield generic_corank(b.pencil_at(tuple(x + o for x, o in zip(point, offset))))
+        except PoleAtPoint:
+            continue

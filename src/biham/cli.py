@@ -34,8 +34,14 @@ def _parse_params(text: str) -> dict:
         key, value = item.split("=", 1)
         key = key.strip()
         value = value.strip()
+        if key in params:
+            raise ValidationError(f"parameter {key!r} given twice")
         if key in ("k", "order", "steps"):
-            params[key] = int(value)
+            try:
+                params[key] = int(value)
+            except ValueError as exc:
+                raise ValidationError(f"parameter {key!r} needs an integer, "
+                                      f"got {value!r}") from exc
         elif key == "mu":
             params[key] = "inf" if value == "inf" else rat(value)
         elif key == "alpha":
@@ -213,17 +219,12 @@ def _dispatch(args) -> int:
 
     if args.command == "report":
         with open(args.file, encoding="utf-8") as fh:
-            data = json.load(fh)
-        report = AnalysisReport(
-            structure=data["structure"], dim=data["dim"], variables=data["vars"],
-            seed=data["seed"], version=data["version"],
-            certificates=data["certificates"], families=data["families"],
-            chains=data["chains"], points=data["points"],
-            modal_type=data["modal_type"], criterion=data["criterion"],
-            lax=data["lax"], integrability=data["integrability"],
-            expectations=data.get("expectations", {}),
-            mismatches=data.get("mismatches", []))
-        sys.stdout.write(emit_report(report, args.format))
+            report = AnalysisReport.from_json(fh.read())
+        try:
+            text = emit_report(report, args.format)
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed report {args.file}: {exc!r}") from exc
+        sys.stdout.write(text)
         return 0
 
     raise ValidationError(f"unknown command {args.command!r}")

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .casimir import LambdaFamily
 from .errors import ValidationError
 from .exactalg import parse_rational, stack_rows
-from .pencil import action_dimension, decompose
-from .poisson import BihamStructure, Certificate, as_point
+from .pencil import action_dimension
+from .poisson import BihamStructure, Certificate
 
 
 @dataclass(frozen=True)
@@ -106,15 +106,16 @@ def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerd
 
     A Jordan block in the pointwise pencil absorbs no chain gradients, so a
     shortfall in the presence of Jordan blocks is reported as the
-    obstruction rather than plain insufficiency.
+    obstruction rather than plain insufficiency.  ``point`` is coordinates
+    or the point's ``PointAnalysis``.
     """
-    point = as_point(point, b.dim)
+    at = b.point_analysis(point)
     rows = []
     for chain in chains:
         for f in chain.functions:
-            rows.append(tuple(f.diff(v).eval(point) for v in b.variables))
+            rows.append(tuple(f.diff(v).eval(at.point) for v in b.variables))
     count = stack_rows(rows).rank() if rows else 0
-    ptype = decompose(b.pencil_at(point))
+    ptype = at.ptype
     adim = action_dimension(ptype)
     if count == adim:
         outcome = "StrictlyLenardIntegrable"

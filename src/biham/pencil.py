@@ -7,6 +7,14 @@ polynomial kernel of lam*A + B) and even-dimensional Jordan blocks J_{2k,mu}
 computations are exact and deterministic: genericity is certified by
 evaluating coranks at n+1 rational parameter values plus the reversed
 pencil, which a degree argument makes sufficient.
+
+The minimal indices need only the nullity of each staircase system, so
+they are counted as columns minus rank; a kernel basis is solved for only
+where one is wanted (``kernel_family``).  When the Kronecker blocks already
+fill dimension n the Jordan part is empty by the Kronecker structure
+theorem, and ``decompose`` skips the Smith form.  ``PointAnalysis`` holds
+one point's pencil, coranks and type, so every verdict at that point reads
+a single decomposition.
 """
 
 import json
@@ -192,10 +200,7 @@ def generic_corank(p: SkewPencil) -> int:
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
     """
-    n = p.n
-    coranks = [n - p.at(lam).rank() for lam in range(n + 1)]
-    coranks.append(n - p.A.rank())
-    return min(coranks)
+    return min(corank_profile(p).values())
 
 
 def corank_profile(p: SkewPencil) -> dict:
@@ -205,8 +210,8 @@ def corank_profile(p: SkewPencil) -> dict:
     return prof
 
 
-def _convolution_nullity(p: SkewPencil, d: int) -> tuple:
-    """Nullity of the degree-d polynomial-kernel system and a basis.
+def _staircase(p: SkewPencil, d: int) -> Matrix:
+    """The linear system of the degree-d polynomial kernel vectors.
 
     A vector v(lam) = v_0 + ... + v_d lam^d satisfies (lam*A + B) v = 0 iff
     B v_0 = 0, A v_{i-1} + B v_i = 0 for i = 1..d, and A v_d = 0; the
@@ -224,17 +229,24 @@ def _convolution_nullity(p: SkewPencil, d: int) -> tuple:
                 for j in range(n):
                     row[(block_row - 1) * n + j] += p.A[i, j]
             rows.append(row)
-    big = Matrix.from_rows(rows)
-    return big.nullspace()
+    return Matrix.from_rows(rows)
 
 
-def minimal_indices(p: SkewPencil) -> list:
+def _convolution_nullity(p: SkewPencil, d: int) -> list:
+    """A basis of the degree-d polynomial kernel vectors (see ``_staircase``)."""
+    return _staircase(p, d).nullspace()
+
+
+def minimal_indices(p: SkewPencil, r: int | None = None) -> list:
     """Right minimal indices of the pencil, one per Kronecker block.
 
-    Computed from the nullity sequence nu_d of the staircase systems: the
-    number of indices equal to e is (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).
+    Computed from the nullity sequence nu_d = n(d+1) - rank of the
+    staircase systems: the number of indices equal to e is
+    (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  ``r`` is the generic
+    corank, computed here unless the caller already has it.
     """
-    r = generic_corank(p)
+    if r is None:
+        r = generic_corank(p)
     if r == 0:
         return []
     indices = []
@@ -242,7 +254,7 @@ def minimal_indices(p: SkewPencil) -> list:
     nu_prev = 0
     found = 0
     for d in range(p.n + 1):
-        nu = len(_convolution_nullity(p, d))
+        nu = p.n * (d + 1) - _staircase(p, d).rank()
         count = (nu - nu_prev) - (nu_prev - nu_prev2)
         indices.extend([d] * count)
         found = nu - nu_prev
@@ -300,19 +312,49 @@ def jordan_part(p: SkewPencil) -> list:
     return blocks
 
 
-def decompose(p: SkewPencil) -> PencilType:
-    """Full block decomposition with exact dimension bookkeeping."""
-    indices = minimal_indices(p)
+def decompose(p: SkewPencil, r: int | None = None) -> PencilType:
+    """Full block decomposition with exact dimension bookkeeping.
+
+    ``r`` is the generic corank, computed here unless the caller already
+    has it.  The Smith form runs only when the Kronecker blocks leave part
+    of dimension n to the Jordan blocks.
+    """
+    if r is None:
+        r = generic_corank(p)
+    indices = minimal_indices(p, r)
     kron = [Block("kronecker", e + 1) for e in indices]
-    jordan = jordan_part(p)
+    filled = sum(2 * e + 1 for e in indices)
+    jordan = jordan_part(p) if filled != p.n else []
     blocks = tuple(kron + jordan)
     total = sum(b.dimension() for b in blocks)
     if total != p.n:
         raise InternalInconsistency(
             f"block dimensions sum to {total}, expected {p.n}")
-    if len(kron) != generic_corank(p):
+    if len(kron) != r:
         raise InternalInconsistency("Kronecker block count differs from generic corank")
     return PencilType(p.n, blocks)
+
+
+@dataclass(frozen=True, eq=False)
+class PointAnalysis:
+    """The pointwise pencil at one point with its coranks and block type.
+
+    Built once per sample point; the criterion, the Lax check, the
+    integrability verdict and the report all read it instead of
+    re-deriving the pencil or its decomposition.
+    """
+
+    point: tuple
+    pencil: SkewPencil
+    ptype: PencilType
+    corank_profile: dict
+    generic_corank: int
+
+    @classmethod
+    def of(cls, pencil: SkewPencil, point) -> "PointAnalysis":
+        profile = corank_profile(pencil)
+        r = min(profile.values())
+        return cls(tuple(point), pencil, decompose(pencil, r), profile, r)
 
 
 def kernel_family(p: SkewPencil) -> KernelFamily:

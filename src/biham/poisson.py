@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactalg import Matrix, Poly, RationalFunction, parse_rational, rat, rat_str
-from .pencil import SkewPencil
+from .pencil import PointAnalysis, SkewPencil
 
 
 @dataclass(frozen=True)
@@ -286,17 +286,19 @@ class BihamStructure:
         self.dim = p1.dim
         self._certificates: dict = {}
 
-    def jacobi(self, which: int) -> Certificate:
-        key = f"jacobi{which}"
+    def certificate(self, key, prove) -> Certificate:
+        """The certificate stored under ``key``, proved by ``prove()`` on first use."""
         if key not in self._certificates:
-            p = self.p1 if which == 1 else self.p2
-            self._certificates[key] = p.jacobi_check()
+            self._certificates[key] = prove()
         return self._certificates[key]
 
+    def jacobi(self, which: int) -> Certificate:
+        p = self.p1 if which == 1 else self.p2
+        return self.certificate(f"jacobi{which}", p.jacobi_check)
+
     def compatibility(self) -> Certificate:
-        if "compatibility" not in self._certificates:
-            self._certificates["compatibility"] = compatibility_check(self.p1, self.p2)
-        return self._certificates["compatibility"]
+        return self.certificate("compatibility",
+                                lambda: compatibility_check(self.p1, self.p2))
 
     def verify(self) -> dict:
         """Run and cache all three certificates."""
@@ -310,6 +312,16 @@ class BihamStructure:
         a = self.p1.bivector_at(point)
         b = self.p2.bivector_at(point)
         return SkewPencil(self.dim, a, b)
+
+    def point_analysis(self, point) -> PointAnalysis:
+        """Pencil, coranks and block type at a point; a record passes through.
+
+        Nothing is kept on the structure: the caller owns the record.
+        """
+        if isinstance(point, PointAnalysis):
+            return point
+        point = as_point(point, self.dim)
+        return PointAnalysis.of(self.pencil_at(point), point)
 
     def to_json(self) -> dict:
         return {

@@ -11,12 +11,12 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from . import __version__
-from .casimir import kronecker_criterion, lax_check, w1_span_dim
+from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
 from .exactalg import rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, involution_check, verify_chain
 from .models import ModelSpec
-from .pencil import decompose, generic_corank
+from .pencil import INF
 from .sampling import model_inequations, sample_points
 
 
@@ -61,13 +61,39 @@ class AnalysisReport:
             "mismatches": self.mismatches,
         }
 
+    @classmethod
+    def from_json(cls, data) -> "AnalysisReport":
+        """A stored report, as written by ``emit_report(..., "json")``."""
+        if isinstance(data, str):
+            try:
+                data = json.loads(data)
+            except json.JSONDecodeError as exc:
+                raise ValidationError(f"report is not JSON: {exc}") from exc
+        try:
+            return cls(
+                structure=data["structure"], dim=data["dim"], variables=data["vars"],
+                seed=data["seed"], version=data["version"],
+                certificates=data["certificates"], families=data["families"],
+                chains=data["chains"], points=data["points"],
+                modal_type=data["modal_type"], criterion=data["criterion"],
+                lax=data["lax"], integrability=data["integrability"],
+                expectations=data.get("expectations", {}),
+                mismatches=data.get("mismatches", []))
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"not an analysis report: missing or bad field {exc}") from exc
+
 
 def run_analyze(model: ModelSpec, points=None, samples: int = 20,
                 seed: int = 0) -> AnalysisReport:
-    """Certificates, seeded sampling, pointwise decomposition, verdicts."""
+    """Certificates, seeded sampling, pointwise decomposition, verdicts.
+
+    Each sample point is decomposed once; its ``PointAnalysis`` feeds the
+    criterion, the integrability verdict, the Lax check and the coranks.
+    """
+    if points is None and samples < 1:
+        raise ValidationError(f"samples must be positive, got {samples}")
     b = model.structure
     certs = {k: v.to_json() for k, v in b.verify().items()}
-    from .casimir import family_check
 
     family_records = []
     for fam in model.families:
@@ -93,49 +119,46 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         points = [tuple(rat(x) for x in p) for p in points]
 
     point_records = []
+    analyses = []                     # one PointAnalysis per pole-free point
     type_counter = Counter()
     criterion_counter = Counter()
     integrability_counter = Counter()
     criterion_sample = None
     integrability_sample = None
-    lax_sample = None
     for pt in sorted(points):
         record = {"point": [rat_str(x) for x in pt]}
         try:
-            pencil = b.pencil_at(pt)
+            at = b.point_analysis(pt)
         except PoleAtPoint as exc:
             record["error"] = str(exc)
             point_records.append(record)
             continue
-        ptype = decompose(pencil)
-        record["pencil_type"] = ptype.label()
-        record["coranks"] = {"bracket1": b.p1.corank_at(pt),
-                             "bracket2": b.p2.corank_at(pt),
-                             "generic": generic_corank(pencil)}
-        type_counter[ptype.label()] += 1
+        analyses.append(at)
+        label = at.ptype.label()
+        record["pencil_type"] = label
+        record["coranks"] = {"bracket1": at.corank_profile[INF],
+                             "bracket2": at.corank_profile["0"],
+                             "generic": at.generic_corank}
+        type_counter[label] += 1
         if model.families:
-            record["w1_dim"] = w1_span_dim(model.families, pt)
-            verdict = kronecker_criterion(b, model.families, pt)
+            verdict = kronecker_criterion(b, model.families, at)
+            record["w1_dim"] = verdict.w1_dim
             record["criterion"] = verdict.to_json()
             criterion_counter[verdict.outcome] += 1
             if criterion_sample is None:
                 criterion_sample = verdict
         if chains:
-            iv = integrability_verdict(b, chains, pt)
+            iv = integrability_verdict(b, chains, at)
             record["integrability"] = iv.to_json()
             integrability_counter[iv.outcome] += 1
             if integrability_sample is None:
                 integrability_sample = iv
         point_records.append(record)
 
-    if model.families and point_records:
+    record_lax = None
+    if model.families and analyses:
         best_fam = max(model.families, key=lambda f: f.degree)
-        for pt, record in zip(sorted(points), point_records):
-            if "error" in record:
-                continue
-            lax_sample = lax_check(b, best_fam, pt, seed=seed)
-            break
-    record_lax = lax_sample.to_json() if lax_sample is not None else None
+        record_lax = lax_check(b, best_fam, analyses[0], seed=seed).to_json()
 
     modal_type = type_counter.most_common(1)[0][0] if type_counter else ""
     criterion_summary = None
@@ -150,16 +173,13 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         integrability_summary = dict(integrability_sample.to_json())
         integrability_summary["modal_outcome"] = outcome
         integrability_summary["outcomes"] = dict(sorted(integrability_counter.items()))
-    elif b.dim and point_records and not chains:
+    elif b.dim and analyses and not chains:
         # no chains supplied: run the verdict with an empty collection so
         # Jordan obstructions still surface
-        first = next((p for p, rec in zip(sorted(points), point_records)
-                      if "error" not in rec), None)
-        if first is not None:
-            iv = integrability_verdict(b, [], first)
-            integrability_summary = iv.to_json()
-            integrability_summary["modal_outcome"] = iv.outcome
-            integrability_summary["outcomes"] = {iv.outcome: 1}
+        iv = integrability_verdict(b, [], analyses[0])
+        integrability_summary = iv.to_json()
+        integrability_summary["modal_outcome"] = iv.outcome
+        integrability_summary["outcomes"] = {iv.outcome: 1}
 
     mismatches = []
     exp = dict(model.expectations)

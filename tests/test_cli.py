@@ -168,6 +168,39 @@ def test_cli_bad_input_is_exit_2(capsys):
     assert main(["decompose", "/nonexistent/file.json"]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["analyze", "open_toda:k=2", "--samples", "0"],
+    ["analyze", "open_toda:k=2", "--samples", "-3"],
+    ["analyze", "open_toda:k=2,k=3"],
+    ["analyze", "open_toda:k=x"],
+])
+def test_cli_bad_analyze_arguments_are_exit_2(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_parse_params_rejects_repeated_key():
+    with pytest.raises(ValidationError, match="twice"):
+        resolve_target("open_toda:k=2,k=3")
+
+
+@pytest.mark.parametrize("text", ['{"structure": "x"}', "[1, 2]", "{not json",
+                                  '{"structure": "x", "dim": 1, "vars": [], '
+                                  '"seed": 0, "version": "0", "certificates": 3, '
+                                  '"families": [], "chains": [], "points": [], '
+                                  '"modal_type": "", "criterion": null, '
+                                  '"lax": null, "integrability": null}'])
+def test_cli_report_on_non_report_is_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "other.json"
+    path.write_text(text)
+    assert main(["report", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_cli_report_roundtrip(tmp_path, capsys):
     report = run_analyze(flat_kronecker(2), samples=2, seed=9)
     path = tmp_path / "report.json"

@@ -6,8 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from biham.exactalg import Matrix, Poly, parse_poly, poly_gcd, exact_div
 from biham.models import open_toda
-from biham.pencil import (decompose, epsilon_adjacency_pencil,
-                          generic_corank, jordan_pencil, kronecker_pencil)
+from biham.pencil import (Block, PencilType, _convolution_nullity, decompose,
+                          epsilon_adjacency_pencil, generic_corank, jordan_part,
+                          jordan_pencil, kronecker_pencil)
+
+from oracles import gauss_rank
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -109,6 +112,60 @@ def test_generic_corank_congruence_invariant(idx, data):
     pencil = CATALOG[idx]
     p = data.draw(invertible_change(pencil.n))
     assert generic_corank(pencil.congruence(p)) == generic_corank(pencil)
+
+
+def slow_decompose(p):
+    """The exact path the rank-only decomposition replaced, kept as its oracle.
+
+    Nullities come from solved kernel bases, the generic corank from plain
+    Gaussian elimination, and the Smith form always runs.
+    """
+    r = min(p.n - gauss_rank(m.to_rows())
+            for m in [p.at(lam) for lam in range(p.n + 1)] + [p.A])
+    indices, nu_prev2, nu_prev = [], 0, 0
+    for d in range(p.n + 1):
+        if len(indices) == r:
+            break
+        nu = len(_convolution_nullity(p, d))
+        indices += [d] * ((nu - nu_prev) - (nu_prev - nu_prev2))
+        nu_prev2, nu_prev = nu_prev, nu
+    kron = [Block("kronecker", e + 1) for e in indices]
+    return PencilType(p.n, tuple(kron + jordan_part(p)))
+
+
+SOUP_BLOCKS = [
+    kronecker_pencil(1), kronecker_pencil(2), kronecker_pencil(3),
+    jordan_pencil(1, 0), jordan_pencil(1, 2), jordan_pencil(1, "inf"),
+    jordan_pencil(1, Fraction(-1, 2)), jordan_pencil(2, 2), jordan_pencil(2, "inf"),
+]
+
+
+@st.composite
+def block_soups(draw, max_dim=8):
+    """A direct sum of catalog blocks, at most max_dim in total."""
+    parts = draw(st.lists(st.sampled_from(SOUP_BLOCKS), min_size=1, max_size=4))
+    soup = parts[0]
+    for part in parts[1:]:
+        if soup.n + part.n <= max_dim:
+            soup = soup.direct_sum(part)
+    return soup
+
+
+@given(block_soups(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
+    congruent = soup.congruence(data.draw(invertible_change(soup.n)))
+    expected = slow_decompose(soup)
+    assert slow_decompose(congruent) == expected
+    assert decompose(congruent) == expected
+    assert decompose(congruent).label() == expected.label()
+
+
+def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
+    for eps, label in ((0, "{K1, K5}"), (1, "{K3, K3}")):
+        p = epsilon_adjacency_pencil(eps)
+        assert decompose(p) == slow_decompose(p)
+        assert decompose(p).label() == label
 
 
 @given(polys(max_terms=2, max_exp=1), polys(max_terms=2, max_exp=1))

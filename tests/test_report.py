@@ -1,10 +1,16 @@
 """End-to-end analyze runs across the whole catalog."""
 
+import sys
+from dataclasses import replace
+
 import pytest
 
+from biham import casimir, pencil
+from biham.errors import ValidationError
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
+from biham.poisson import BihamStructure
 from biham.report import emit_report, run_analyze
 
 CATALOG = [
@@ -47,3 +53,43 @@ def test_explicit_points_bypass_sampling():
     report = run_analyze(open_toda(1), points=[(1, 1, 1), (2, 1, 3)], seed=0)
     assert len(report.points) == 2
     assert report.modal_type == "{K3}"
+
+
+def _count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` at every biham binding; returns the list of call args."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "biham" and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_analyze_decomposes_each_point_once(monkeypatch):
+    model = open_toda(3)
+    b = BihamStructure(model.structure.p1, model.structure.p2, name=model.name)
+    model = replace(model, structure=b)
+    decomposed = _count_calls(monkeypatch, pencil, "decompose")
+    proved = _count_calls(monkeypatch, casimir, "_prove_family")
+    attributes = set(vars(b))
+    report = run_analyze(model, samples=5, seed=0)
+    assert report.matched
+    assert len(report.points) == 5
+    assert len(decomposed) == 5
+    assert len({args[0] for args in decomposed}) == 5
+    assert [args[1] for args in proved] == model.families
+    # nothing per point is left behind on the structure
+    assert set(vars(b)) == attributes
+    families = {("family", fam.coeffs) for fam in model.families}
+    assert set(b._certificates) == {"jacobi1", "jacobi2", "compatibility"} | families
+
+
+@pytest.mark.parametrize("samples", [0, -3])
+def test_analyze_rejects_nonpositive_samples(samples):
+    with pytest.raises(ValidationError):
+        run_analyze(open_toda(1), samples=samples, seed=0)
