@@ -8,7 +8,8 @@ coefficient), which makes equality a plain component comparison.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd
+from math import gcd as int_gcd, lcm
+from operator import add
 
 from ..errors import PoleAtPoint, ValidationError
 from .rational import rat
@@ -145,16 +146,15 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s == 0:
-                    terms.pop(e, None)
-                else:
-                    terms[e] = s
-        return Poly(self.variables, terms)
+        den1, num1 = _integer_terms(self.terms)
+        den2, num2 = _integer_terms(other.terms)
+        acc: dict = {}
+        for e1, c1 in num1:
+            for e2, c2 in num2:
+                e = tuple(map(add, e1, e2))
+                acc[e] = acc.get(e, 0) + c1 * c2
+        den = den1 * den2
+        return Poly(self.variables, {e: Fraction(s, den) for e, s in acc.items() if s})
 
     __rmul__ = __mul__
 
@@ -274,6 +274,12 @@ class Poly:
         return s
 
     __repr__ = __str__
+
+
+def _integer_terms(terms):
+    """(d, [(exponent, d*c)]) with d the lcm of the coefficient denominators."""
+    den = lcm(*(c.denominator for c in terms.values()))
+    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
 def _coeff_str(c: Fraction) -> str:

@@ -94,28 +94,24 @@ class PoissonStructure:
     def hamiltonian_covector(self, f) -> tuple:
         """Component j is {f, x_j} = sum_i Pi^{ij} d_i f."""
         grad = self.gradient(f)
-        out = []
-        for j in range(self.dim):
-            acc = self.zero_function()
-            for i in range(self.dim):
-                if i != j:
-                    c = self.coeff(i, j)
-                    if not c.is_zero() and not grad[i].is_zero():
-                        acc = acc + c * grad[i]
-            out.append(acc)
+        out = [self.zero_function() for _ in range(self.dim)]
+        for (i, j), c in self.table.items():
+            if not grad[i].is_zero():
+                out[j] = out[j] + c * grad[i]
+            if not grad[j].is_zero():
+                out[i] = out[i] - c * grad[j]
         return tuple(out)
 
     def bracket(self, f, g) -> RationalFunction:
-        """{f, g} = sum_{i,j} Pi^{ij} d_i f d_j g, exact."""
-        f = self._coerce(f)
-        g = self._coerce(g)
-        df = self.gradient(f)
-        dg = self.gradient(g)
+        """{f, g} = sum_j {f, x_j} d_j g, exact."""
+        return self.pairing(self.hamiltonian_covector(f), self.gradient(g))
+
+    def pairing(self, covector, grad) -> RationalFunction:
+        """sum_j covector_j grad_j; with f's covector and g's gradient, {f, g}."""
         acc = self.zero_function()
-        for (i, j), c in self.table.items():
-            term = df[i] * dg[j] - df[j] * dg[i]
-            if not term.is_zero():
-                acc = acc + c * term
+        for u, v in zip(covector, grad):
+            if not u.is_zero() and not v.is_zero():
+                acc = acc + u * v
         return acc
 
     def bivector_at(self, point) -> Matrix:
@@ -131,30 +127,9 @@ class PoissonStructure:
         return self.dim - self.bivector_at(point).rank()
 
     def jacobi_check(self) -> Certificate:
-        """Exact Jacobi identity for every coordinate triple i < j < k."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                for k in range(j + 1, self.dim):
-                    residual = self._jacobiator(i, j, k)
-                    if not residual.is_zero():
-                        return Certificate(
-                            False, "jacobi",
-                            f"triple ({self.variables[i]},{self.variables[j]},"
-                            f"{self.variables[k]}): residual {residual}")
-        return Certificate(True, "jacobi")
-
-    def _jacobiator(self, i: int, j: int, k: int) -> RationalFunction:
-        acc = self.zero_function()
-        for l in range(self.dim):
-            dl = self.variables[l]
-            for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                pla = self.coeff(l, a)
-                if pla.is_zero():
-                    continue
-                dbc = self.coeff(b, c).diff(dl)
-                if not dbc.is_zero():
-                    acc = acc + pla * dbc
-        return acc
+        """Exact Jacobi identity [P, P] = 0 for every coordinate triple i < j < k."""
+        failure = _schouten_failure(((self, self),), self.variables)
+        return Certificate(failure is None, "jacobi", failure or "")
 
     def is_casimir(self, f) -> Certificate:
         """{F, x_j} = 0 for every coordinate, exactly."""
@@ -197,47 +172,80 @@ class PoissonStructure:
         return cls(variables, table, name=name)
 
 
-def compatibility_check(p1: PoissonStructure, p2: PoissonStructure) -> Certificate:
+def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
+                        own=None) -> Certificate:
     """Mixed Jacobi identity, equivalent to the whole pencil being Poisson.
 
     The Jacobiator is quadratic in the bivector, so with both summands
     Poisson the pencil lam1*P1 + lam2*P2 satisfies Jacobi for all lam iff
-    the bilinear mixed term vanishes identically.  Each summand must be
-    Poisson on its own, so that is checked first.
+    the bilinear mixed term [P1, P2] + [P2, P1] vanishes identically.  Each
+    summand must be Poisson on its own, so that is checked first; ``own``
+    passes the two Jacobi certificates when the caller already holds them.
     """
     if p1.variables != p2.variables:
         raise ValidationError("structures live on different variable tuples")
     for which, p in ((1, p1), (2, p2)):
-        own = p.jacobi_check()
-        if not own.ok:
+        cert = own[which - 1] if own is not None else p.jacobi_check()
+        if not cert.ok:
             return Certificate(False, "compatibility",
                                f"bracket {which} fails its own Jacobi identity "
-                               f"({own.detail})")
-    n = p1.dim
-    zero = p1.zero_function()
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                acc = zero
-                for l in range(n):
-                    dl = p1.variables[l]
-                    for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
-                        p1la = p1.coeff(l, a)
-                        p2la = p2.coeff(l, a)
-                        if not p1la.is_zero():
-                            d2 = p2.coeff(b, c).diff(dl)
-                            if not d2.is_zero():
-                                acc = acc + p1la * d2
-                        if not p2la.is_zero():
-                            d1 = p1.coeff(b, c).diff(dl)
-                            if not d1.is_zero():
-                                acc = acc + p2la * d1
-                if not acc.is_zero():
-                    return Certificate(
-                        False, "compatibility",
-                        f"triple ({p1.variables[i]},{p1.variables[j]},"
-                        f"{p1.variables[k]}): residual {acc}")
-    return Certificate(True, "compatibility")
+                               f"({cert.detail})")
+    failure = _schouten_failure(((p1, p2), (p2, p1)), p1.variables)
+    return Certificate(failure is None, "compatibility", failure or "")
+
+
+def _schouten_residual(pairs) -> dict:
+    """Factors of sum over (P, Q) in pairs of sum_cyc sum_l P^{la} d_l Q^{bc}.
+
+    Keyed by the sorted triple (i, j, k); the cyclic sum runs over the even
+    permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c), their
+    nonzero derivatives and the nonzero P^{la} contribute, each once, as
+    ``(order, +-P^{la}, d_l Q^{bc})``: the sign is that of (a, b, c) as a
+    permutation of the sorted triple, and ``order`` (l, position of a in the
+    triple, pair) is the order of the coordinate-by-coordinate sum, whose
+    partial sums of rational functions stay small.  [P, P] is the
+    Jacobiator; (P1, P2) with (P2, P1) is the mixed term of the pencil.
+    """
+    terms: dict = {}
+    for pair, (p, q) in enumerate(pairs):
+        rows: dict = {}
+        for (i, j), c in p.table.items():
+            rows.setdefault(i, []).append((j, c))
+            rows.setdefault(j, []).append((i, -c))
+        for (b, c), entry in q.table.items():
+            for l, name in enumerate(q.variables):
+                if l not in rows:
+                    continue
+                dl = entry.diff(name)
+                if dl.is_zero():
+                    continue
+                for a, pla in rows[l]:
+                    if a < b:
+                        key, order = (a, b, c), (l, 0, pair)
+                    elif b < a < c:
+                        key, order, pla = (b, a, c), (l, 1, pair), -pla
+                    elif a > c:
+                        key, order = (b, c, a), (l, 2, pair)
+                    else:
+                        continue
+                    terms.setdefault(key, []).append((order, pla, dl))
+    return terms
+
+
+def _schouten_failure(pairs, variables):
+    """Detail of the first triple, in sorted order, whose residual is nonzero, else None.
+
+    Products are formed triple by triple, so a failure stops the work early.
+    """
+    terms = _schouten_residual(pairs)
+    for key in sorted(terms):
+        parts = [pla * dl for _, pla, dl in sorted(terms[key], key=lambda t: t[0])]
+        residual = sum(parts[1:], parts[0])
+        if not residual.is_zero():
+            i, j, k = key
+            return (f"triple ({variables[i]},{variables[j]},{variables[k]}): "
+                    f"residual {residual}")
+    return None
 
 
 def pencil_structure(p1: PoissonStructure, p2: PoissonStructure, lam) -> PoissonStructure:
@@ -248,29 +256,6 @@ def pencil_structure(p1: PoissonStructure, p2: PoissonStructure, lam) -> Poisson
     for key in keys:
         table[key] = p1.coeff(*key) * lam + p2.coeff(*key)
     return PoissonStructure(p1.variables, table, name=f"{rat_str(lam)}*P1+P2")
-
-
-# function-style aliases for the method surface
-
-
-def bivector_at(p: PoissonStructure, point) -> Matrix:
-    return p.bivector_at(point)
-
-
-def bracket_of(p: PoissonStructure, f, g) -> RationalFunction:
-    return p.bracket(f, g)
-
-
-def jacobi_check(p: PoissonStructure) -> Certificate:
-    return p.jacobi_check()
-
-
-def is_casimir(p: PoissonStructure, f) -> Certificate:
-    return p.is_casimir(f)
-
-
-def corank_at(p: PoissonStructure, point) -> int:
-    return p.corank_at(point)
 
 
 class BihamStructure:
@@ -297,8 +282,8 @@ class BihamStructure:
         return self.certificate(f"jacobi{which}", p.jacobi_check)
 
     def compatibility(self) -> Certificate:
-        return self.certificate("compatibility",
-                                lambda: compatibility_check(self.p1, self.p2))
+        return self.certificate("compatibility", lambda: compatibility_check(
+            self.p1, self.p2, own=(self.jacobi(1), self.jacobi(2))))
 
     def verify(self) -> dict:
         """Run and cache all three certificates."""
@@ -340,6 +325,3 @@ class BihamStructure:
         p2 = PoissonStructure.from_json({**base, "brackets": data.get("brackets2", [])})
         return cls(p1, p2, name=name)
 
-
-def pencil_at(b: BihamStructure, point):
-    return b.pencil_at(point)

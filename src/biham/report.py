@@ -14,7 +14,7 @@ from . import __version__
 from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
 from .exactalg import rat, rat_str
-from .lenard import chain_from_family, integrability_verdict, involution_check, verify_chain
+from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
 from .sampling import model_inequations, sample_points
@@ -102,15 +102,11 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
                                "certificate": cert.to_json()})
     chains = [chain_from_family(b, fam) for fam in model.families]
     chain_records = []
-    all_chain_functions = []
     for chain in chains:
         cert = verify_chain(chain)
         chain_records.append({"name": chain.name, "anchored": chain.anchored,
                               "length": len(chain.functions),
                               "certificate": cert.to_json()})
-        all_chain_functions.extend(chain.functions)
-    involution = (involution_check(all_chain_functions, b).to_json()
-                  if all_chain_functions else None)
 
     if points is None:
         points = sample_points(model.dim, samples, seed,

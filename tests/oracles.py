@@ -9,6 +9,8 @@ the package is evidence and not tautology.
 from fractions import Fraction
 from itertools import permutations
 
+from biham.poisson import Certificate
+
 
 def gauss_rank(rows) -> int:
     """Rank by plain fraction Gaussian elimination."""
@@ -71,3 +73,111 @@ def minor_rank(rows) -> int:
                 if perm_det(sub) != 0:
                     return size
     return 0
+
+
+# -- dense certificate paths -------------------------------------------------
+#
+# The coordinate-by-coordinate forms of the Poisson certificates, kept as the
+# reference for the sparse residuals in biham.poisson and biham.lenard: every
+# triple i<j<k, every l and every cyclic term is visited through the
+# skew-extended ``coeff``, and brackets pair the two full gradients entry by
+# entry.  Details are worded exactly as the library words them.
+
+
+def dense_jacobiator(p, i, j, k):
+    """sum_l sum_cyc Pi^{la} d_l Pi^{bc} over (a,b,c) in the cyclic shifts of (i,j,k)."""
+    acc = p.zero_function()
+    for l in range(p.dim):
+        dl = p.variables[l]
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            pla = p.coeff(l, a)
+            if pla.is_zero():
+                continue
+            dbc = p.coeff(b, c).diff(dl)
+            if not dbc.is_zero():
+                acc = acc + pla * dbc
+    return acc
+
+
+def dense_mixed_term(p1, p2, i, j, k):
+    """The bilinear part of the Jacobiator of P1 + P2 at the triple (i,j,k)."""
+    acc = p1.zero_function()
+    for l in range(p1.dim):
+        dl = p1.variables[l]
+        for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
+            p1la = p1.coeff(l, a)
+            p2la = p2.coeff(l, a)
+            if not p1la.is_zero():
+                d2 = p2.coeff(b, c).diff(dl)
+                if not d2.is_zero():
+                    acc = acc + p1la * d2
+            if not p2la.is_zero():
+                d1 = p1.coeff(b, c).diff(dl)
+                if not d1.is_zero():
+                    acc = acc + p2la * d1
+    return acc
+
+
+def _first_failing_triple(p, residual):
+    for i in range(p.dim):
+        for j in range(i + 1, p.dim):
+            for k in range(j + 1, p.dim):
+                r = residual(i, j, k)
+                if not r.is_zero():
+                    return (f"triple ({p.variables[i]},{p.variables[j]},"
+                            f"{p.variables[k]}): residual {r}")
+    return None
+
+
+def dense_jacobi_check(p):
+    failure = _first_failing_triple(p, lambda i, j, k: dense_jacobiator(p, i, j, k))
+    return Certificate(failure is None, "jacobi", failure or "")
+
+
+def dense_compatibility_check(p1, p2):
+    for which, p in ((1, p1), (2, p2)):
+        own = dense_jacobi_check(p)
+        if not own.ok:
+            return Certificate(False, "compatibility",
+                               f"bracket {which} fails its own Jacobi identity "
+                               f"({own.detail})")
+    failure = _first_failing_triple(p1, lambda i, j, k: dense_mixed_term(p1, p2, i, j, k))
+    return Certificate(failure is None, "compatibility", failure or "")
+
+
+def pairwise_bracket(p, f, g):
+    """{f, g} = sum_{i<j} Pi^{ij} (d_i f d_j g - d_j f d_i g), each pair differentiated afresh."""
+    df = p.gradient(f)
+    dg = p.gradient(g)
+    acc = p.zero_function()
+    for (i, j), c in p.table.items():
+        term = df[i] * dg[j] - df[j] * dg[i]
+        if not term.is_zero():
+            acc = acc + c * term
+    return acc
+
+
+def pairwise_involution_check(funcs, b):
+    funcs = list(funcs)
+    for a in range(len(funcs)):
+        for c in range(a + 1, len(funcs)):
+            for which, p in ((1, b.p1), (2, b.p2)):
+                res = pairwise_bracket(p, funcs[a], funcs[c])
+                if not res.is_zero():
+                    return Certificate(False, "involution",
+                                       f"{{H_{a}, H_{c}}}_{which} = {res}")
+    return Certificate(True, "involution")
+
+
+def schoolbook_product(p, q):
+    """Terms of p*q by Fraction products, dropping a term whenever it cancels."""
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = terms.get(e, Fraction(0)) + c1 * c2
+            if s == 0:
+                terms.pop(e, None)
+            else:
+                terms[e] = s
+    return terms

@@ -1,0 +1,142 @@
+"""Sparse Poisson certificates and integer-numerator products against dense oracles.
+
+Each certificate must agree with its coordinate-by-coordinate form in
+``oracles`` on the verdict and, byte for byte, on the failure detail.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from biham.exactalg import Poly, RationalFunction
+from biham.lenard import involution_check
+from biham.models import open_toda, sl2_shift
+from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
+
+from oracles import (dense_compatibility_check, dense_jacobi_check,
+                     pairwise_bracket, pairwise_involution_check, schoolbook_product)
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def polys(draw, variables, max_terms=2, max_deg=2):
+    """Up to ``max_terms`` monomials of total degree at most ``max_deg``."""
+    terms = {}
+    for _ in range(draw(st.integers(1, max_terms))):
+        e = [0] * len(variables)
+        for i in draw(st.lists(st.integers(0, len(variables) - 1), max_size=max_deg)):
+            e[i] += 1
+        terms[tuple(e)] = draw(rationals)
+    return Poly(variables, terms)
+
+
+@st.composite
+def functions(draw, variables, den):
+    """A polynomial, or a polynomial over ``den``."""
+    num = draw(polys(variables))
+    return RationalFunction(num, den if draw(st.booleans()) else None)
+
+
+@st.composite
+def tables(draw, variables, den):
+    n = len(variables)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
+    return PoissonStructure(variables, {key: draw(functions(variables, den)) for key in keys})
+
+
+@st.composite
+def structure_pairs(draw):
+    """Two random tables on 3 to 5 coordinates.
+
+    Entries have total degree at most 2 and rational ones share one
+    denominator 1 + c*x_i: with larger numerators or several distinct
+    denominators the multivariate gcd is too slow for a test.
+    """
+    n = draw(st.integers(3, 5))
+    variables = tuple(f"x{i}" for i in range(n))
+    den = (Poly.constant(1, variables) + Poly.variable(
+        variables[draw(st.integers(0, n - 1))], variables) * draw(st.integers(1, 3)))
+    return draw(tables(variables, den)), draw(tables(variables, den))
+
+
+def _same(got, want):
+    assert (got.ok, got.kind, got.detail) == (want.ok, want.kind, want.detail)
+
+
+@given(structure_pairs())
+@settings(max_examples=40, deadline=None)
+def test_jacobi_and_compatibility_match_dense_oracle(pair):
+    p1, p2 = pair
+    _same(p1.jacobi_check(), dense_jacobi_check(p1))
+    _same(compatibility_check(p1, p2), dense_compatibility_check(p1, p2))
+
+
+@given(structure_pairs(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_bracket_and_involution_match_pairwise_oracle(pair, data):
+    p1, p2 = pair
+    funcs = data.draw(st.lists(polys(p1.variables), min_size=1, max_size=4))
+    for f in funcs:
+        for g in funcs:
+            assert p1.bracket(f, g) == pairwise_bracket(p1, f, g)
+    b = BihamStructure(p1, p2)
+    _same(involution_check(funcs, b), pairwise_involution_check(funcs, b))
+
+
+def _flipped(p, key):
+    table = dict(p.table)
+    table[key] = -table[key]
+    return PoissonStructure(p.variables, table)
+
+
+TODA = open_toda(2).structure
+SL2 = sl2_shift((0, 1, 0)).structure
+
+# Sign flips of one entry of a compatible Poisson pair, each of which breaks
+# the bracket's own Jacobi identity (flips of P2) or only compatibility (P1).
+FLIPS = [("toda", 2, key) for key in ((0, 1), (1, 2), (1, 3), (2, 3), (3, 4))]
+FLIPS += [("toda", 1, key) for key in ((1, 2), (2, 3))]
+FLIPS += [("sl2", 2, key) for key in ((0, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("model,which,key", FLIPS)
+def test_sign_flipped_tables_fail_as_the_oracle_does(model, which, key):
+    b = {"toda": TODA, "sl2": SL2}[model]
+    flipped = _flipped(b.p1 if which == 1 else b.p2, key)
+    p1, p2 = (flipped, b.p2) if which == 1 else (b.p1, flipped)
+    own = flipped.jacobi_check()
+    _same(own, dense_jacobi_check(flipped))
+    assert own.ok == (which == 1)
+    got = compatibility_check(p1, p2)
+    assert not got.ok
+    _same(got, dense_compatibility_check(p1, p2))
+
+
+def test_catalog_chains_are_in_involution_like_the_oracle():
+    model = open_toda(2)
+    funcs = [f for fam in model.families for f in fam.coeffs]
+    _same(involution_check(funcs, model.structure),
+          pairwise_involution_check(funcs, model.structure))
+    assert involution_check(funcs, model.structure).ok
+
+
+V = ("x", "y", "z")
+
+
+@given(polys(V, max_terms=6, max_deg=4), polys(V, max_terms=6, max_deg=4))
+@settings(max_examples=80, deadline=None)
+def test_poly_product_matches_schoolbook_fractions(p, q):
+    product = p * q
+    assert product.terms == schoolbook_product(p, q)
+    assert all(isinstance(c, Fraction) and c != 0 for c in product.terms.values())
+
+
+def test_poly_product_cancels_to_zero():
+    x = Poly.variable("x", V)
+    y = Poly.variable("y", V)
+    half = Fraction(1, 2)
+    assert ((x * half + y) * (x * half - y) - (x * x * Fraction(1, 4) - y * y)).is_zero()
+    assert (Poly.zero(V) * (x + y)).is_zero()

@@ -140,6 +140,29 @@ def test_compatibility_mixed_term_failure():
     assert not cert.ok and "residual" in cert.detail
 
 
+def test_verify_proves_each_jacobi_identity_once(monkeypatch):
+    model = open_toda(2)
+    b = BihamStructure(model.structure.p1, model.structure.p2)
+    proved = []
+    original = PoissonStructure.jacobi_check
+
+    def counted(self):
+        proved.append(self)
+        return original(self)
+
+    monkeypatch.setattr(PoissonStructure, "jacobi_check", counted)
+    assert all(cert.ok for cert in b.verify().values())
+    assert proved == [b.p1, b.p2]
+    # a failing bracket still names itself in the compatibility detail
+    table = dict(b.p2.table)
+    table[(0, 1)] = -table[(0, 1)]
+    broken = BihamStructure(b.p1, PoissonStructure(b.variables, table))
+    certs = broken.verify()
+    assert len(proved) == 4
+    assert certs["compatibility"] == compatibility_check(broken.p1, broken.p2)
+    assert "bracket 2 fails its own Jacobi identity" in certs["compatibility"].detail
+
+
 def test_compatibility_implies_pencil_jacobi():
     s = V3.structure
     for lam in (1, 2, 3):

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import pytest
 
-from biham import casimir, pencil
+from biham import casimir, lenard, pencil
 from biham.errors import ValidationError
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
@@ -87,6 +87,14 @@ def test_analyze_decomposes_each_point_once(monkeypatch):
     assert set(vars(b)) == attributes
     families = {("family", fam.coeffs) for fam in model.families}
     assert set(b._certificates) == {"jacobi1", "jacobi2", "compatibility"} | families
+
+
+def test_analyze_does_not_prove_involution(monkeypatch):
+    # the report carries no involution certificate, so none is proved
+    proved = _count_calls(monkeypatch, lenard, "involution_check")
+    report = run_analyze(open_toda(2), samples=2, seed=0)
+    assert report.chains
+    assert proved == []
 
 
 @pytest.mark.parametrize("samples", [0, -3])
