@@ -172,16 +172,6 @@ def _integerize(vec) -> tuple:
     return tuple(Fraction(v) for v in ints)
 
 
-def mat_rank(m: Matrix) -> int:
-    """Rank over the rationals (fraction-free elimination, deterministic)."""
-    return m.rank()
-
-
-def mat_nullspace(m: Matrix) -> list:
-    """Basis of the right null space; empty for full column rank."""
-    return m.nullspace()
-
-
 def stack_rows(vectors) -> Matrix:
     """Matrix whose rows are the given vectors (gradients, differentials...)."""
     vectors = [tuple(v) for v in vectors]

@@ -4,6 +4,11 @@ Accepted tokens: integers, variable names ``[A-Za-z_][A-Za-z0-9_]*``,
 operators ``+ - * / ^`` and parentheses; whitespace is insignificant.
 Rational literals like ``3/4`` are just division, so ``poly/poly`` strings
 parse to rational functions with the same grammar.
+
+Input limits: an exponent is at most ``MAX_EXPONENT``, checked before the
+power is computed, and parentheses and unary minus signs nest at most
+``MAX_DEPTH`` deep, well inside the interpreter's recursion limit.  Input
+beyond them raises ``ValidationError``.
 """
 
 import re
@@ -11,6 +16,9 @@ from fractions import Fraction
 
 from ..errors import ValidationError
 from .poly import Poly, RationalFunction
+
+MAX_EXPONENT = 64
+MAX_DEPTH = 64
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
 
@@ -38,7 +46,12 @@ class _Lexer:
                 raise ValidationError(
                     f"unexpected character {self.text[pos:].strip()[0]!r} at {self._location(pos)}")
             if m.group(1):
-                self.tokens.append(("int", int(m.group(1)), m.start(1)))
+                try:
+                    value = int(m.group(1))
+                except ValueError as exc:   # more digits than int() converts
+                    raise ValidationError(
+                        f"integer literal too long at {self._location(m.start(1))}") from exc
+                self.tokens.append(("int", value, m.start(1)))
             elif m.group(2):
                 self.tokens.append(("name", m.group(2), m.start(2)))
             else:
@@ -61,6 +74,12 @@ class _Parser:
     def __init__(self, text: str, variables):
         self.lex = _Lexer(text)
         self.variables = tuple(variables)
+        self.depth = 0
+
+    def _descend(self, tok):
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            self.lex.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
 
     def parse(self) -> RationalFunction:
         value = self.expr()
@@ -102,7 +121,10 @@ class _Parser:
         tok = self.lex.peek()
         if tok[:2] == ("op", "-"):
             self.lex.next()
-            return -self.unary()
+            self._descend(tok)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self) -> RationalFunction:
@@ -114,6 +136,8 @@ class _Parser:
             if etok[0] != "int":
                 self.lex.error("exponent must be a nonnegative integer", etok)
             n = etok[1]
+            if n > MAX_EXPONENT:
+                self.lex.error(f"exponent {n} exceeds the maximum {MAX_EXPONENT}", etok)
             out = RationalFunction.constant(1, self.variables)
             for _ in range(n):
                 out = out * base
@@ -129,10 +153,12 @@ class _Parser:
                 self.lex.error(f"unknown variable {tok[1]!r}", tok)
             return RationalFunction.from_poly(Poly.variable(tok[1], self.variables))
         if tok[:2] == ("op", "("):
+            self._descend(tok)
             value = self.expr()
             closing = self.lex.next()
             if closing[:2] != ("op", ")"):
                 self.lex.error("expected ')'", closing)
+            self.depth -= 1
             return value
         self.lex.error(f"unexpected token {tok[1]!r}", tok)
 

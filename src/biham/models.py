@@ -545,11 +545,12 @@ def normal_form_phi(f, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
 
     The coordinate changes x = A(x'), y = B(y'), f' = C(f) are solved so
     the reduced germ phi satisfies: phi(0, y') = y', d(phi)/dx' = 1 along
-    x' = 0, and the two first partials agree along y' = 0.  The residual
-    simultaneous scaling of (x', y', phi) is fixed by making the mixed
-    second derivative 1 when possible; when it vanishes for a non-additive
-    phi the result is raised inside ScalingUnfixed with the verdict
-    attached.  Flat means phi = x' + y' through the truncation order.
+    x' = 0, and the two first partials agree along y' = 0.  Flat means
+    phi = x' + y' through the truncation order, and the result is returned.
+    A non-additive phi is determined only up to the residual simultaneous
+    scaling of (x', y', phi): the normalization forces every coefficient of
+    x' y'^j (j >= 1) to vanish, so the mixed second derivative cannot fix
+    it, and ScalingUnfixed is raised with the result attached.
     """
     if isinstance(f, Poly):
         f = Series.from_poly(f, order)
@@ -614,14 +615,7 @@ def normal_form_phi(f, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
     phi = Cs.compose({"s": inner})
     _check_normalization(phi, n)
 
-    mixed = phi.coeff(1, 1)
     changes = {"A": As, "B": Bs, "C": Cs}
-    if mixed != 0:
-        scale = 1 / mixed
-        phi = Series(bivars, n,
-                     {e: c * scale ** (sum(e) - 1) for e, c in phi.terms.items()})
-        flat = _is_additive(phi, n)
-        return NormalFormResult(phi, flat, True, changes)
     flat = _is_additive(phi, n)
     if flat:
         return NormalFormResult(phi, flat, True, changes)

@@ -8,23 +8,32 @@ computations are exact and deterministic: genericity is certified by
 evaluating coranks at n+1 rational parameter values plus the reversed
 pencil, which a degree argument makes sufficient.
 
-The minimal indices need only the nullity of each staircase system, so
-they are counted as columns minus rank; a kernel basis is solved for only
-where one is wanted (``kernel_family``).  When the Kronecker blocks already
-fill dimension n the Jordan part is empty by the Kronecker structure
-theorem, and ``decompose`` skips the Smith form.  ``PointAnalysis`` holds
-one point's pencil, coranks and type, so every verdict at that point reads
-a single decomposition.
+The rank side works on integer pencils: A and B are scaled to integer
+rows over one common denominator, and the corank profile and the
+staircase systems are built from those integers for the fraction-free
+kernel ``row_echelon_ff``.  The minimal indices need only the nullity of
+each staircase system S_d.  Every S_d is the leading block of S_D with
+D = (n - r) // 2, which bounds every minimal index, so one elimination of
+S_D gives every nullity: rank(S_d) is the number of pivot columns left of
+n(d+1).  A kernel basis is solved for only where one is wanted
+(``kernel_family``).  When the Kronecker blocks already fill dimension n
+the Jordan part is empty by the Kronecker structure theorem, and
+``decompose`` skips the Smith form.  ``PointAnalysis`` holds one point's
+pencil, coranks and type, so every verdict at that point reads a single
+decomposition.  The per-d rational staircases and the Gaussian corank
+profile stay as the test oracles in ``tests/oracles.py``.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
 from .exactalg import (Matrix, UPoly, block_diag, factor_monic, rat, rat_str,
                        smith_invariant_factors, stack_rows)
+from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
 
@@ -203,38 +212,52 @@ def generic_corank(p: SkewPencil) -> int:
     return min(corank_profile(p).values())
 
 
+def _integer_rows(p: SkewPencil) -> tuple:
+    """Rows of A and of B times the lcm of all their denominators, as ints.
+
+    One common scale keeps lam*A + B and every staircase built from the
+    pair at the ranks of the rational originals.
+    """
+    n = p.n
+    scale = lcm(*(x.denominator for x in p.A.entries + p.B.entries))
+    pair = []
+    for m in (p.A, p.B):
+        ints = [x.numerator * (scale // x.denominator) for x in m.entries]
+        pair.append([ints[i * n:(i + 1) * n] for i in range(n)])
+    return tuple(pair)
+
+
 def corank_profile(p: SkewPencil) -> dict:
     """Corank at each sampled parameter value (including the reversed pencil)."""
-    prof = {str(lam): p.n - p.at(lam).rank() for lam in range(p.n + 1)}
-    prof[INF] = p.n - p.A.rank()
+    a, b = _integer_rows(p)
+    prof = {}
+    for lam in range(p.n + 1):
+        rows = [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        prof[str(lam)] = p.n - row_echelon_ff(rows)[0]
+    prof[INF] = p.n - row_echelon_ff(a)[0]
     return prof
 
 
-def _staircase(p: SkewPencil, d: int) -> Matrix:
-    """The linear system of the degree-d polynomial kernel vectors.
+def _staircase(p: SkewPencil, d: int) -> list:
+    """Integer rows of the linear system of the degree-d polynomial kernel vectors.
 
     A vector v(lam) = v_0 + ... + v_d lam^d satisfies (lam*A + B) v = 0 iff
     B v_0 = 0, A v_{i-1} + B v_i = 0 for i = 1..d, and A v_d = 0; the
-    stacked block matrix has n(d+2) rows and n(d+1) columns.
+    stacked block matrix has n(d+2) rows and n(d+1) columns and is built
+    from ``_integer_rows``, so it is the rational system times one scalar.
     """
     n = p.n
+    a, b = _integer_rows(p)
     rows = []
     for block_row in range(d + 2):
         for i in range(n):
-            row = [Fraction(0)] * (n * (d + 1))
+            row = [0] * (n * (d + 1))
             if block_row <= d:       # B acting on v_{block_row}
-                for j in range(n):
-                    row[block_row * n + j] += p.B[i, j]
-            if block_row >= 1 and block_row - 1 <= d:   # A acting on v_{block_row-1}
-                for j in range(n):
-                    row[(block_row - 1) * n + j] += p.A[i, j]
+                row[block_row * n:(block_row + 1) * n] = b[i]
+            if block_row >= 1:       # A acting on v_{block_row-1}
+                row[(block_row - 1) * n:block_row * n] = a[i]
             rows.append(row)
-    return Matrix.from_rows(rows)
-
-
-def _convolution_nullity(p: SkewPencil, d: int) -> list:
-    """A basis of the degree-d polynomial kernel vectors (see ``_staircase``)."""
-    return _staircase(p, d).nullspace()
+    return rows
 
 
 def minimal_indices(p: SkewPencil, r: int | None = None) -> list:
@@ -242,19 +265,26 @@ def minimal_indices(p: SkewPencil, r: int | None = None) -> list:
 
     Computed from the nullity sequence nu_d = n(d+1) - rank of the
     staircase systems: the number of indices equal to e is
-    (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  ``r`` is the generic
+    (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  The r Kronecker blocks
+    K_{2e+1} fit in n, so no index exceeds D = (n - r) // 2; S_d is the
+    leading block of S_D with zero rows below it, and the elimination
+    runs column by column, so one elimination of S_D gives rank(S_d) as
+    the number of pivot columns left of n(d+1).  ``r`` is the generic
     corank, computed here unless the caller already has it.
     """
     if r is None:
         r = generic_corank(p)
     if r == 0:
         return []
+    top = (p.n - r) // 2
+    _, pivot_cols = row_echelon_ff(_staircase(p, top))
     indices = []
     nu_prev2 = 0
     nu_prev = 0
     found = 0
-    for d in range(p.n + 1):
-        nu = p.n * (d + 1) - _staircase(p, d).rank()
+    for d in range(top + 1):
+        width = p.n * (d + 1)
+        nu = width - sum(1 for c in pivot_cols if c < width)
         count = (nu - nu_prev) - (nu_prev - nu_prev2)
         indices.extend([d] * count)
         found = nu - nu_prev
@@ -372,7 +402,7 @@ def kernel_family(p: SkewPencil) -> KernelFamily:
     chosen: list = []       # (degree, coefficient vectors v_0..v_d)
     for d in sorted(set(indices)):
         want = indices.count(d)
-        null_basis = _convolution_nullity(p, d)
+        null_basis = Matrix.from_rows(_staircase(p, d)).nullspace()
         span_rows = []
         for deg, vecs in chosen:
             for shift in range(d - deg + 1):

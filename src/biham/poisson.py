@@ -160,6 +160,9 @@ class PoissonStructure:
             raise ValidationError(f"bad structure JSON: {exc}") from exc
         if len(variables) != dim:
             raise ValidationError("vars length disagrees with dim")
+        for k, var in enumerate(variables):
+            if var in variables[:k]:
+                raise ValidationError(f"variable {var!r} declared twice")
         table = {}
         for entry in entries:
             try:

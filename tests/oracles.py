@@ -9,6 +9,7 @@ the package is evidence and not tautology.
 from fractions import Fraction
 from itertools import permutations
 
+from biham.exactalg import Matrix
 from biham.poisson import Certificate
 
 
@@ -73,6 +74,52 @@ def minor_rank(rows) -> int:
                 if perm_det(sub) != 0:
                     return size
     return 0
+
+
+# -- rational pencil paths ---------------------------------------------------
+#
+# The per-degree rational staircase and the Gaussian corank profile, kept as
+# the reference for biham.pencil's integer pencils: every staircase S_d is
+# built from the Fraction entries and solved on its own, and every corank
+# comes from a fresh Gaussian elimination of lam*A + B.
+
+
+def fraction_staircase(p, d):
+    """The degree-d kernel system of lam*A + B over the Fraction entries.
+
+    A vector v(lam) = v_0 + ... + v_d lam^d satisfies (lam*A + B) v = 0 iff
+    B v_0 = 0, A v_{i-1} + B v_i = 0 for i = 1..d, and A v_d = 0; the
+    stacked block matrix has n(d+2) rows and n(d+1) columns.
+    """
+    n = p.n
+    rows = []
+    for block_row in range(d + 2):
+        for i in range(n):
+            row = [Fraction(0)] * (n * (d + 1))
+            if block_row <= d:       # B acting on v_{block_row}
+                for j in range(n):
+                    row[block_row * n + j] += p.B[i, j]
+            if block_row >= 1 and block_row - 1 <= d:   # A acting on v_{block_row-1}
+                for j in range(n):
+                    row[(block_row - 1) * n + j] += p.A[i, j]
+            rows.append(row)
+    return Matrix.from_rows(rows)
+
+
+def convolution_nullity(p, d):
+    """A basis of the degree-d polynomial kernel vectors.
+
+    Solved by ``Matrix.nullspace`` on this d's rational staircase alone, the
+    path that the single integer elimination in ``minimal_indices`` replaced.
+    """
+    return fraction_staircase(p, d).nullspace()
+
+
+def gauss_corank_profile(p):
+    """Corank of lam*A + B at lam = 0..n and of A (key "inf"), by ``gauss_rank``."""
+    prof = {str(lam): p.n - gauss_rank(p.at(lam).to_rows()) for lam in range(p.n + 1)}
+    prof["inf"] = p.n - gauss_rank(p.A.to_rows())
+    return prof
 
 
 # -- dense certificate paths -------------------------------------------------

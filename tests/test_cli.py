@@ -181,6 +181,30 @@ def test_cli_bad_analyze_arguments_are_exit_2(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("function", [
+    "x^999999999 + y",
+    "(" * 5000 + "x" + ")" * 5000 + " + y",
+    "-" * 5000 + "x + y",
+    "1" * 5000 + "*x + y",
+], ids=["exponent", "parentheses", "unary_minus", "long_literal"])
+def test_cli_normalform_input_limits_are_exit_2(function, capsys):
+    assert main(["normalform", "--function", function]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_duplicate_variable_is_exit_2(tmp_path, capsys):
+    data = export_model(open_toda(1))
+    data["vars"] = [data["vars"][0]] * len(data["vars"])
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path), "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "declared twice" in captured.err
+
+
 def test_parse_params_rejects_repeated_key():
     with pytest.raises(ValidationError, match="twice"):
         resolve_target("open_toda:k=2,k=3")

@@ -5,12 +5,15 @@ from fractions import Fraction
 
 import pytest
 
+import biham.pencil as pencil_module
 from biham.errors import NotPureKronecker, NotSkewCanonical, ValidationError
 from biham.exactalg import Matrix, UPoly
+from biham.models import open_toda
 from biham.pencil import (SkewPencil, action_dimension, corank_profile,
                           decompose, epsilon_adjacency_pencil, generic_corank,
                           jordan_part, jordan_pencil, kernel_family,
                           kronecker_pencil, minimal_indices)
+from biham.sampling import model_inequations, sample_points
 
 from oracles import perm_det
 
@@ -43,6 +46,26 @@ def test_minimal_indices_examples():
     assert minimal_indices(K3) == [1]
     assert minimal_indices(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == [0, 0]
     assert minimal_indices(J22) == []
+
+
+def test_minimal_indices_runs_one_elimination(monkeypatch):
+    # every staircase nullity comes from one elimination of the largest
+    # staircase, not one elimination per degree
+    model = open_toda(4)
+    point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
+    p = model.structure.pencil_at(point)
+    r = generic_corank(p)
+    calls = []
+    kernel = pencil_module.row_echelon_ff
+
+    def counting(rows):
+        calls.append(len(rows))
+        return kernel(rows)
+
+    monkeypatch.setattr(pencil_module, "row_echelon_ff", counting)
+    assert minimal_indices(p, r) == [4]
+    # n = 9, r = 1: the staircase S_D with D = (n - r) // 2 = 4 has n(D+2) rows
+    assert calls == [9 * 6]
 
 
 def test_jordan_part_examples():

@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from biham.exactalg import Matrix, Poly, parse_poly, poly_gcd, exact_div
 from biham.models import open_toda
-from biham.pencil import (Block, PencilType, _convolution_nullity, decompose,
+from biham.pencil import (Block, PencilType, corank_profile, decompose,
                           epsilon_adjacency_pencil, generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil)
 
-from oracles import gauss_rank
+from oracles import convolution_nullity, gauss_corank_profile
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -86,16 +86,24 @@ CATALOG = [
 
 
 @st.composite
-def invertible_change(draw, n):
+def invertible_change(draw, n, entries=st.integers(-2, 2),
+                      diagonal=st.sampled_from([1, -1, 2, 3])):
     # unit lower-triangular times upper-triangular with nonzero diagonal:
     # always invertible, no rejection loop
     lower = [[Fraction(1) if i == j else
-              (Fraction(draw(st.integers(-2, 2))) if i > j else Fraction(0))
+              (Fraction(draw(entries)) if i > j else Fraction(0))
               for j in range(n)] for i in range(n)]
-    upper = [[Fraction(draw(st.sampled_from([1, -1, 2, 3]))) if i == j else
-              (Fraction(draw(st.integers(-2, 2))) if i < j else Fraction(0))
+    upper = [[Fraction(draw(diagonal)) if i == j else
+              (Fraction(draw(entries)) if i < j else Fraction(0))
               for j in range(n)] for i in range(n)]
     return Matrix.from_rows(lower) @ Matrix.from_rows(upper)
+
+
+def rational_change(n):
+    """An invertible change whose (0, 0) entry, the first upper pivot, is never an integer."""
+    return invertible_change(
+        n, entries=st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        diagonal=st.sampled_from([Fraction(1, 2), Fraction(-2, 3), Fraction(3, 2)]))
 
 
 @given(st.integers(0, len(CATALOG) - 1), st.data())
@@ -117,16 +125,16 @@ def test_generic_corank_congruence_invariant(idx, data):
 def slow_decompose(p):
     """The exact path the rank-only decomposition replaced, kept as its oracle.
 
-    Nullities come from solved kernel bases, the generic corank from plain
-    Gaussian elimination, and the Smith form always runs.
+    Nullities come from kernel bases solved one rational staircase at a
+    time, the generic corank from plain Gaussian elimination, and the Smith
+    form always runs.
     """
-    r = min(p.n - gauss_rank(m.to_rows())
-            for m in [p.at(lam) for lam in range(p.n + 1)] + [p.A])
+    r = min(gauss_corank_profile(p).values())
     indices, nu_prev2, nu_prev = [], 0, 0
     for d in range(p.n + 1):
         if len(indices) == r:
             break
-        nu = len(_convolution_nullity(p, d))
+        nu = len(convolution_nullity(p, d))
         indices += [d] * ((nu - nu_prev) - (nu_prev - nu_prev2))
         nu_prev2, nu_prev = nu_prev, nu
     kron = [Block("kronecker", e + 1) for e in indices]
@@ -154,16 +162,19 @@ def block_soups(draw, max_dim=8):
 @given(block_soups(), st.data())
 @settings(max_examples=30, deadline=None)
 def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
-    congruent = soup.congruence(data.draw(invertible_change(soup.n)))
     expected = slow_decompose(soup)
-    assert slow_decompose(congruent) == expected
-    assert decompose(congruent) == expected
-    assert decompose(congruent).label() == expected.label()
+    for change in (invertible_change(soup.n), rational_change(soup.n)):
+        congruent = soup.congruence(data.draw(change))
+        assert corank_profile(congruent) == gauss_corank_profile(congruent)
+        assert slow_decompose(congruent) == expected
+        assert decompose(congruent) == expected
+        assert decompose(congruent).label() == expected.label()
 
 
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
     for eps, label in ((0, "{K1, K5}"), (1, "{K3, K3}")):
         p = epsilon_adjacency_pencil(eps)
+        assert corank_profile(p) == gauss_corank_profile(p)
         assert decompose(p) == slow_decompose(p)
         assert decompose(p).label() == label
 
