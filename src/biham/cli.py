@@ -19,7 +19,7 @@ from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, make_model, normal_form_phi,
                      DEFAULT_TRUNCATION)
 from .pencil import SkewPencil, decompose
-from .poisson import BihamStructure
+from .poisson import BihamStructure, load_json
 from .report import AnalysisReport, emit_report, run_analyze
 
 
@@ -70,12 +70,7 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
     else:
         text = path_or_text
         name = "<inline>"
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
+    data = load_json(text)
     structure = BihamStructure.from_json(data, name=name)
     model = ModelSpec(name=data.get("name", name), params={},
                       structure=structure)

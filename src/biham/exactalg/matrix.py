@@ -2,12 +2,14 @@
 
 Construction is cheap and immutable; rank and nullspace clear denominators
 row by row and hand the integer rows to the fraction-free elimination
-kernel, so no rational arithmetic happens inside the O(n^3) loop.
+kernel, and a product multiplies the integer numerators over each factor's
+common denominator, so no rational arithmetic happens inside an O(n^3) loop.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from .kernels import row_echelon_ff
 from .rational import rat
@@ -75,12 +77,20 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
+        a, a_scale = self._integer_entries()
+        b, b_scale = other._integer_entries()
+        scale = a_scale * b_scale
+        columns = [b[j::other.cols] for j in range(other.cols)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                out.append(sum((ri[k] * other[k, j] for k in range(self.cols)), Fraction(0)))
+            ri = a[i * self.cols:(i + 1) * self.cols]
+            out.extend(Fraction(sum(map(mul, ri, col)), scale) for col in columns)
         return Matrix(self.rows, other.cols, tuple(out))
+
+    def _integer_entries(self) -> tuple:
+        """Entries times the lcm of all their denominators, as ints, and that lcm."""
+        scale = lcm(*(x.denominator for x in self.entries))
+        return [x.numerator * (scale // x.denominator) for x in self.entries], scale
 
     def apply(self, vec):
         """Matrix times column vector (tuple of rationals)."""

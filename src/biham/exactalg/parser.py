@@ -7,8 +7,13 @@ parse to rational functions with the same grammar.
 
 Input limits: an exponent is at most ``MAX_EXPONENT``, checked before the
 power is computed, and parentheses and unary minus signs nest at most
-``MAX_DEPTH`` deep, well inside the interpreter's recursion limit.  Input
-beyond them raises ``ValidationError``.
+``MAX_DEPTH`` deep, well inside the interpreter's recursion limit.  Before
+each product, quotient, power step or sum over unequal denominators the
+parser bounds the terms of the result by the product of the operands'
+term counts (the larger of numerator and denominator each); a bound above
+``MAX_TERMS`` stops the parse, so a short input such as a power of a long
+sum cannot expand into millions of terms.  Input beyond any limit raises
+``ValidationError``.
 """
 
 import re
@@ -19,6 +24,7 @@ from .poly import Poly, RationalFunction
 
 MAX_EXPONENT = 64
 MAX_DEPTH = 64
+MAX_TERMS = 10000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
 
@@ -81,6 +87,14 @@ class _Parser:
         if self.depth > MAX_DEPTH:
             self.lex.error(f"expression nested deeper than {MAX_DEPTH} levels", tok)
 
+    def _bound(self, left, right, tok):
+        """Refuse a product of left and right that could exceed MAX_TERMS terms."""
+        size = (max(len(left.num.terms), len(left.den.terms))
+                * max(len(right.num.terms), len(right.den.terms)))
+        if size > MAX_TERMS:
+            self.lex.error(f"expression may expand to {size} terms, "
+                           f"more than the maximum {MAX_TERMS}", tok)
+
     def parse(self) -> RationalFunction:
         value = self.expr()
         tok = self.lex.peek()
@@ -92,14 +106,13 @@ class _Parser:
         value = self.term()
         while True:
             tok = self.lex.peek()
-            if tok[:2] == ("op", "+"):
-                self.lex.next()
-                value = value + self.term()
-            elif tok[:2] == ("op", "-"):
-                self.lex.next()
-                value = value - self.term()
-            else:
+            if tok[:2] not in (("op", "+"), ("op", "-")):
                 return value
+            self.lex.next()
+            other = self.term()
+            if value.den != other.den:
+                self._bound(value, other, tok)
+            value = value + other if tok[1] == "+" else value - other
 
     def term(self) -> RationalFunction:
         value = self.unary()
@@ -107,12 +120,15 @@ class _Parser:
             tok = self.lex.peek()
             if tok[:2] == ("op", "*"):
                 self.lex.next()
-                value = value * self.unary()
+                factor = self.unary()
+                self._bound(value, factor, tok)
+                value = value * factor
             elif tok[:2] == ("op", "/"):
                 self.lex.next()
                 divisor = self.unary()
                 if divisor.is_zero():
                     self.lex.error("division by zero", tok)
+                self._bound(value, divisor, tok)
                 value = value / divisor
             else:
                 return value
@@ -140,6 +156,7 @@ class _Parser:
                 self.lex.error(f"exponent {n} exceeds the maximum {MAX_EXPONENT}", etok)
             out = RationalFunction.constant(1, self.variables)
             for _ in range(n):
+                self._bound(out, base, tok)
                 out = out * base
             return out
         return base

@@ -3,36 +3,50 @@
 A pair (A, B) of skew matrices decomposes uniquely into odd-dimensional
 Kronecker blocks K_{2k-1} (detected through the minimal indices of the
 polynomial kernel of lam*A + B) and even-dimensional Jordan blocks J_{2k,mu}
-(detected through paired elementary divisors of the Smith form).  All
-computations are exact and deterministic: genericity is certified by
-evaluating coranks at n+1 rational parameter values plus the reversed
-pencil, which a degree argument makes sufficient.
+(detected through paired elementary divisors).  All computations are exact
+and deterministic: genericity is certified by evaluating coranks at n+1
+rational parameter values plus the reversed pencil, which a degree argument
+makes sufficient.
 
-The rank side works on integer pencils: A and B are scaled to integer
-rows over one common denominator, and the corank profile and the
-staircase systems are built from those integers for the fraction-free
-kernel ``row_echelon_ff``.  The minimal indices need only the nullity of
-each staircase system S_d.  Every S_d is the leading block of S_D with
-D = (n - r) // 2, which bounds every minimal index, so one elimination of
-S_D gives every nullity: rank(S_d) is the number of pivot columns left of
-n(d+1).  A kernel basis is solved for only where one is wanted
-(``kernel_family``).  When the Kronecker blocks already fill dimension n
-the Jordan part is empty by the Kronecker structure theorem, and
-``decompose`` skips the Smith form.  ``PointAnalysis`` holds one point's
-pencil, coranks and type, so every verdict at that point reads a single
-decomposition.  The per-d rational staircases and the Gaussian corank
-profile stay as the test oracles in ``tests/oracles.py``.
+Everything runs on integer pencils: A and B are scaled to integer rows over
+one common denominator, and every matrix below is built from those integers
+for the fraction-free kernel ``row_echelon_ff``.
+
+- Minimal indices need only the nullity of each staircase system S_d.
+  Every S_d is the leading block of S_D with D = (n - r) // 2, which bounds
+  every minimal index, so one elimination of S_D gives every nullity:
+  rank(S_d) is the number of pivot columns left of n(d+1).  A kernel basis
+  is solved for only where one is wanted (``kernel_family``).
+- The Jordan part reads block sizes from the Weyr characteristic, the
+  number of Jordan chains of length >= k at each divisor, which is the
+  growth of the nullity of a block Toeplitz matrix less the r per step that
+  the Kronecker blocks add; one elimination of the largest Toeplitz matrix
+  gives every nullity, as for S_D.  The finite divisors are the irreducible
+  factors of D_rho (rho = n - r), the gcd of the principal rho-minors, each
+  evaluated at integer points and interpolated; the gcd is certified once
+  its degree is the dimension left to finite Jordan blocks.  A divisor of
+  degree d enters the Toeplitz matrix through its companion matrix, as the
+  Kronecker product A (x) C_q + B (x) I_d, so no polynomial matrix is ever
+  reduced.
+
+When the Kronecker blocks already fill dimension n the Jordan part is empty
+by the Kronecker structure theorem, and ``decompose`` skips it.
+``PointAnalysis`` holds one point's pencil, coranks and type, so every
+verdict at that point reads a single decomposition.  The per-d rational
+staircases, the Gaussian corank profile and the Smith-form Jordan part stay
+as the test oracles in ``tests/oracles.py``.
 """
 
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
 
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
 from .exactalg import (Matrix, UPoly, block_diag, factor_monic, rat, rat_str,
-                       smith_invariant_factors, stack_rows)
+                       stack_rows, ugcd)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -297,64 +311,213 @@ def minimal_indices(p: SkewPencil, r: int | None = None) -> list:
     return sorted(indices)
 
 
-def _pencil_upoly_rows(p: SkewPencil, reversed_chart: bool = False) -> list:
-    rows = []
-    for i in range(p.n):
-        row = []
-        for j in range(p.n):
-            if reversed_chart:
-                row.append(UPoly([p.A[i, j], p.B[i, j]]))   # A + mu B
-            else:
-                row.append(UPoly([p.B[i, j], p.A[i, j]]))   # B + lam A
-        rows.append(row)
-    return rows
+def _weyr_characteristic(diag, above, depth, r, degree) -> list:
+    """Chain counts w_1..w_depth of one divisor from one Toeplitz elimination.
 
-
-def jordan_part(p: SkewPencil) -> list:
-    """Jordan blocks as a sorted list of Block objects.
-
-    Finite eigenvalues come from the Smith form of lam*A + B, the
-    eigenvalue visible only at lam = infinity from the Smith form of
-    A + mu B at mu = 0.  Elementary divisors of a skew pencil pair up; odd
-    multiplicity signals corrupted input.
+    T_k is the k x k block upper-bidiagonal matrix with ``diag`` on the
+    diagonal and ``above`` on the superdiagonal (integer rows, m x m); its
+    kernel holds the Jordan chains of length at most k.  T_k is the leading
+    block of T_depth with zero rows below it, so one elimination of
+    T_depth gives rank(T_k) as the number of pivot columns left of m*k.
+    Each of the r Kronecker blocks adds ``degree`` to the nullity per step,
+    each chain of length >= k adds ``degree`` at step k, so w_k =
+    (nullity(T_k) - nullity(T_{k-1})) / degree - r.
     """
-    divisors: dict = {}
-    for factor in smith_invariant_factors(_pencil_upoly_rows(p)):
-        for irr, mult in factor_monic(factor):
-            key = ("finite", irr)
-            divisors[(key, mult)] = divisors.get((key, mult), 0) + 1
-    mu = UPoly.x()
-    for factor in smith_invariant_factors(_pencil_upoly_rows(p, reversed_chart=True)):
-        power = 0
-        while not factor.is_zero() and factor[0] == 0:
-            factor = factor.exact_div(mu)
-            power += 1
-        if power:
-            key = ("at_lam_infinity",)
-            divisors[(key, power)] = divisors.get((key, power), 0) + 1
+    m = len(diag)
+    width = m * depth
+    rows = []
+    for block_row in range(depth):
+        for row_d, row_u in zip(diag, above):
+            row = [0] * width
+            row[block_row * m:(block_row + 1) * m] = row_d
+            if block_row + 1 < depth:
+                row[(block_row + 1) * m:(block_row + 2) * m] = row_u
+            rows.append(row)
+    _, pivot_cols = row_echelon_ff(rows)
+    weyr = []
+    nu_prev = 0
+    for k in range(1, depth + 1):
+        nu = m * k - sum(1 for c in pivot_cols if c < m * k)
+        step, rest = divmod(nu - nu_prev, degree)
+        if rest or step < r or (weyr and step - r > weyr[-1]):
+            raise InternalInconsistency(
+                f"Toeplitz nullities {nu_prev} -> {nu} do not fit a Weyr characteristic")
+        weyr.append(step - r)
+        nu_prev = nu
+    return weyr
+
+
+def _chain_blocks(weyr, key) -> list:
+    """Blocks from a Weyr characteristic: w_s - w_{s+1} chains of length s.
+
+    Chains of a skew pencil come in pairs, one pair per block J_{2s*deg};
+    an odd count signals corrupted input.
+    """
     blocks = []
-    for (key, mult), count in sorted(divisors.items(),
-                                     key=lambda kv: (kv[0][1], str(kv[0][0]))):
+    for s, (w, w_next) in enumerate(zip(weyr, weyr[1:] + [0]), start=1):
+        count = w - w_next
         if count % 2 != 0:
             raise NotSkewCanonical(
-                f"elementary divisor {key} with exponent {mult} occurs {count} times")
-        blocks.extend([Block("jordan", mult, key)] * (count // 2))
+                f"elementary divisor {key} with exponent {s} occurs {count} times")
+        blocks.extend([Block("jordan", s, key)] * (count // 2))
     return blocks
+
+
+def _principal_minor(a, b, cols) -> UPoly:
+    """det of the principal submatrix of lam*A + B on ``cols``, as a polynomial.
+
+    Evaluated by integer elimination at lam = 0..len(cols) and interpolated.
+    A skew minor has determinant Pf^2 >= 0, which is the absolute value of
+    the last Bareiss pivot whatever rows were swapped.
+    """
+    size = len(cols)
+    values = []
+    for lam in range(size + 1):
+        rows = [[lam * a[i][j] + b[i][j] for j in cols] for i in cols]
+        rank, _ = row_echelon_ff(rows)
+        values.append(abs(rows[-1][-1]) if rank == size else 0)
+    # Newton's forward differences on the nodes 0..size
+    poly = UPoly.zero()
+    basis = UPoly.constant(1)
+    factorial = 1
+    for k in range(size + 1):
+        if k:
+            basis = basis * UPoly((-(k - 1), 1))
+            factorial *= k
+            values = [y - x for x, y in zip(values, values[1:])]
+        if values[0]:
+            poly = poly + basis * Fraction(values[0], factorial)
+    return poly
+
+
+def _principal_column_sets(a, b, n, rho):
+    """Index sets of rank rho to take principal minors on, most promising first.
+
+    A skew matrix of rank rho has a nonzero principal minor on every set of
+    rho independent columns, so the pivot columns of lam*A + B at a sample
+    of full rank rho come first, then those found with the columns visited
+    in each rotated order; every rho-subset follows, so the gcd of all
+    principal minors is always reached.
+    """
+    if rho == n:
+        yield tuple(range(n))
+        return
+    for lam in range(n + 1):
+        sample = [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        rank, _ = row_echelon_ff([row[:] for row in sample])
+        if rank == rho:
+            break
+    else:
+        raise InternalInconsistency(f"no sample of lam*A + B reaches rank {rho}")
+    seen = set()
+    for shift in range(n):
+        order = list(range(shift, n)) + list(range(shift))
+        _, pivots = row_echelon_ff([[row[j] for j in order] for row in sample])
+        cols = tuple(sorted(order[c] for c in pivots))
+        if cols not in seen:
+            seen.add(cols)
+            yield cols
+    yield from (cols for cols in combinations(range(n), rho) if cols not in seen)
+
+
+def _companion_rows(q: UPoly) -> tuple:
+    """An integer multiple c*C_q of the companion matrix of q, and c."""
+    d = q.degree()
+    c = lcm(*(x.denominator for x in q.coeffs))
+    comp = [[0] * d for _ in range(d)]
+    for i in range(1, d):
+        comp[i][i - 1] = c
+    for i in range(d):
+        comp[i][d - 1] = -q[i] * c
+    return [[int(x) for x in row] for row in comp], c
+
+
+def jordan_part(p: SkewPencil, r: int | None = None,
+                jordan_dim: int | None = None) -> list:
+    """Jordan blocks as a sorted list of Block objects, from integer eliminations.
+
+    ``r`` is the generic corank and ``jordan_dim`` the dimension left to
+    the Jordan blocks once the Kronecker blocks are counted; both are
+    computed here unless the caller already has them.
+
+    Block sizes come from the Weyr characteristic: w_k, the number of
+    Jordan chains of length >= k at a divisor, is the growth of the nullity
+    of the block Toeplitz matrix of the pencil and its derivative there,
+    less the r per step that the Kronecker blocks add.  The eigenvalue at
+    lam = infinity is the eigenvalue 0 of the reversed pencil A + mu*B.
+    The finite divisors are the irreducible factors of D_rho, the gcd of
+    the rho x rho minors (rho = n - r).  For a skew pencil each minor on
+    rows I and columns J is Pf_I * Pf_J, so D_rho is also the gcd of the
+    principal minors Pf_I^2; minors are taken until their gcd has the
+    degree the finite Jordan blocks fill, at which point it is D_rho.  A
+    divisor q of degree d is handled by substituting its companion matrix
+    C_q for lam: lam*A + B becomes A (x) C_q + B (x) I_d, whose Toeplitz
+    nullities are d times those at each root of q, so irrational divisors
+    take the same integer path as rational ones.  Elementary divisors of a
+    skew pencil pair up; odd multiplicity signals corrupted input.
+    """
+    n = p.n
+    if r is None:
+        r = generic_corank(p)
+    if jordan_dim is None:
+        jordan_dim = n - sum(2 * e + 1 for e in minimal_indices(p, r))
+    if jordan_dim == 0:
+        return []
+    rho = n - r
+    a, b = _integer_rows(p)
+    column_sets = _principal_column_sets(a, b, n, rho)
+    first = _principal_minor(a, b, next(column_sets))
+    # D_rho divides every principal minor, and mu^(infinite degree) divides
+    # it in the homogeneous chart, which bounds the chains at infinity
+    blocks = []
+    inf_degree = 0
+    depth = min(jordan_dim, rho - first.degree()) // 2
+    if depth:
+        key = ("at_lam_infinity",)
+        weyr = _weyr_characteristic(a, b, depth, r, 1)
+        inf_degree = sum(weyr)
+        blocks += _chain_blocks(weyr, key)
+    finite_degree = jordan_dim - inf_degree
+    d_rho = first.monic()
+    for cols in column_sets:
+        if d_rho.degree() <= finite_degree:
+            break
+        d_rho = ugcd(d_rho, _principal_minor(a, b, cols))
+    if d_rho.degree() != finite_degree:
+        raise InternalInconsistency(
+            f"principal minors have a gcd of degree {d_rho.degree()}, "
+            f"expected {finite_degree}")
+    for q, mult in factor_monic(d_rho):
+        d = q.degree()
+        comp, c = _companion_rows(q)
+        diag = [[a[i][j] * comp[s][t] + (c * b[i][j] if s == t else 0)
+                 for j in range(n) for t in range(d)]
+                for i in range(n) for s in range(d)]
+        above = [[a[i][j] if s == t else 0 for j in range(n) for t in range(d)]
+                 for i in range(n) for s in range(d)]
+        key = ("finite", q)
+        weyr = _weyr_characteristic(diag, above, mult // 2, r, d)
+        if sum(weyr) != mult:
+            raise NotSkewCanonical(
+                f"elementary divisor {key}: chains of total length {sum(weyr)} "
+                f"cannot pair up to multiplicity {mult}")
+        blocks += _chain_blocks(weyr, key)
+    return sorted(blocks, key=lambda blk: (blk.k, str(blk.divisor)))
 
 
 def decompose(p: SkewPencil, r: int | None = None) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
     ``r`` is the generic corank, computed here unless the caller already
-    has it.  The Smith form runs only when the Kronecker blocks leave part
-    of dimension n to the Jordan blocks.
+    has it.  The Jordan part runs only when the Kronecker blocks leave part
+    of dimension n to the Jordan blocks, and is handed r and that dimension.
     """
     if r is None:
         r = generic_corank(p)
     indices = minimal_indices(p, r)
     kron = [Block("kronecker", e + 1) for e in indices]
     filled = sum(2 * e + 1 for e in indices)
-    jordan = jordan_part(p) if filled != p.n else []
+    jordan = jordan_part(p, r, p.n - filled) if filled != p.n else []
     blocks = tuple(kron + jordan)
     total = sum(b.dimension() for b in blocks)
     if total != p.n:

@@ -31,6 +31,22 @@ class Certificate:
         return {"kind": self.kind, "ok": self.ok, "detail": self.detail}
 
 
+def load_json(text: str):
+    """json.loads with every malformed text reported as a ValidationError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError("JSON nested too deeply") from exc
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def as_point(values, dim: int) -> tuple:
     pt = tuple(rat(v) for v in values)
     if len(pt) != dim:
@@ -150,17 +166,24 @@ class PoissonStructure:
 
     @classmethod
     def from_json(cls, data, name: str = "") -> "PoissonStructure":
+        """Structure from its JSON text or object; any malformed input is a ValidationError.
+
+        Variables are strings, bracket indices integers and coefficients
+        expression strings or integers.
+        """
         if isinstance(data, str):
-            data = json.loads(data)
+            data = load_json(data)
         try:
             variables = tuple(data["vars"])
-            entries = data["brackets"]
+            entries = list(data["brackets"])
             dim = data["dim"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad structure JSON: {exc}") from exc
         if len(variables) != dim:
             raise ValidationError("vars length disagrees with dim")
         for k, var in enumerate(variables):
+            if not isinstance(var, str):
+                raise ValidationError(f"variable {var!r} is not a string")
             if var in variables[:k]:
                 raise ValidationError(f"variable {var!r} declared twice")
         table = {}
@@ -169,6 +192,11 @@ class PoissonStructure:
                 i, j, coeff = entry["i"], entry["j"], entry["coeff"]
             except (KeyError, TypeError) as exc:
                 raise ValidationError(f"bad bracket entry {entry!r}") from exc
+            if not (_is_int(i) and _is_int(j)):
+                raise ValidationError(f"bracket indices ({i!r}, {j!r}) are not integers")
+            if not (isinstance(coeff, str) or _is_int(coeff)):
+                raise ValidationError(f"bracket coefficient {coeff!r} is neither "
+                                      f"an expression string nor an integer")
             if (i, j) in table:
                 raise ValidationError(f"bracket entry ({i},{j}) defined twice")
             table[(i, j)] = coeff
@@ -322,7 +350,9 @@ class BihamStructure:
     @classmethod
     def from_json(cls, data, name: str = "") -> "BihamStructure":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = load_json(data)
+        if not isinstance(data, dict):
+            raise ValidationError("structure JSON must be an object")
         base = {"dim": data.get("dim"), "vars": data.get("vars")}
         p1 = PoissonStructure.from_json({**base, "brackets": data.get("brackets1", [])})
         p2 = PoissonStructure.from_json({**base, "brackets": data.get("brackets2", [])})

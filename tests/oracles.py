@@ -9,7 +9,9 @@ the package is evidence and not tautology.
 from fractions import Fraction
 from itertools import permutations
 
-from biham.exactalg import Matrix
+from biham.errors import NotSkewCanonical
+from biham.exactalg import Matrix, UPoly, factor_monic, smith_invariant_factors
+from biham.pencil import Block
 from biham.poisson import Certificate
 
 
@@ -228,3 +230,48 @@ def schoolbook_product(p, q):
             else:
                 terms[e] = s
     return terms
+
+
+# -- Smith-form Jordan part --------------------------------------------------
+#
+# The elementary divisors read off the Smith forms of the two charts, kept as
+# the reference for biham.pencil.jordan_part's integer Toeplitz eliminations.
+
+
+def _pencil_upoly_rows(p, reversed_chart=False):
+    """lam*A + B (or A + mu*B) as rows of univariate polynomials."""
+    if reversed_chart:
+        return [[UPoly([p.A[i, j], p.B[i, j]]) for j in range(p.n)] for i in range(p.n)]
+    return [[UPoly([p.B[i, j], p.A[i, j]]) for j in range(p.n)] for i in range(p.n)]
+
+
+def smith_jordan_part(p):
+    """Jordan blocks from the Smith forms of lam*A + B and of A + mu*B.
+
+    Finite eigenvalues come from the invariant factors of lam*A + B, the
+    eigenvalue visible only at lam = infinity from the power of mu in the
+    invariant factors of A + mu*B.  Elementary divisors of a skew pencil pair
+    up; odd multiplicity signals corrupted input.
+    """
+    divisors = {}
+    for factor in smith_invariant_factors(_pencil_upoly_rows(p)):
+        for irr, mult in factor_monic(factor):
+            key = ("finite", irr)
+            divisors[(key, mult)] = divisors.get((key, mult), 0) + 1
+    mu = UPoly.x()
+    for factor in smith_invariant_factors(_pencil_upoly_rows(p, reversed_chart=True)):
+        power = 0
+        while not factor.is_zero() and factor[0] == 0:
+            factor = factor.exact_div(mu)
+            power += 1
+        if power:
+            key = ("at_lam_infinity",)
+            divisors[(key, power)] = divisors.get((key, power), 0) + 1
+    blocks = []
+    for (key, mult), count in sorted(divisors.items(),
+                                     key=lambda kv: (kv[0][1], str(kv[0][0]))):
+        if count % 2 != 0:
+            raise NotSkewCanonical(
+                f"elementary divisor {key} with exponent {mult} occurs {count} times")
+        blocks.extend([Block("jordan", mult, key)] * (count // 2))
+    return blocks

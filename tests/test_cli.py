@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -189,6 +190,36 @@ def test_cli_bad_analyze_arguments_are_exit_2(argv, capsys):
 ], ids=["exponent", "parentheses", "unary_minus", "long_literal"])
 def test_cli_normalform_input_limits_are_exit_2(function, capsys):
     assert main(["normalform", "--function", function]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+def test_cli_term_limit_is_exit_2(tmp_path, capsys):
+    # the 64th power of a six-variable sum has C(69, 5) = 11.2M terms; the
+    # parser refuses it once a product may exceed MAX_TERMS terms
+    data = {"dim": 6, "vars": [f"x{i}" for i in range(6)],
+            "brackets1": [{"i": 0, "j": 1, "coeff": "1"}], "brackets2": []}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(data))
+    start = time.perf_counter()
+    code = main(["check", "casimir", str(path), "--function",
+                 "(x0+x1+x2+x3+x4+x5)^64", "--bracket", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "maximum 10000" in captured.err
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", '"vars"', "null",
+                                  "[" * 100000 + "]" * 100000],
+                         ids=["list", "string", "null", "deep_nesting"])
+def test_cli_non_object_structure_is_exit_2(tmp_path, capsys, text):
+    path = tmp_path / "list.json"
+    path.write_text(text)
+    assert main(["analyze", str(path), "--samples", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")

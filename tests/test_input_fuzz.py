@@ -1,0 +1,70 @@
+"""Fuzzing the input boundary: every call returns or raises BihamError, in time.
+
+Coefficient text goes through ``parse_rational`` and structure files through
+``PoissonStructure.from_json``; anything else escaping them would reach the
+CLI as a traceback instead of exit code 2.  The per-example deadline is
+generous: it catches hangs, not slow machines.
+"""
+
+import json
+from datetime import timedelta
+
+from hypothesis import given, settings, strategies as st
+
+from biham.errors import BihamError
+from biham.exactalg import parse_rational
+from biham.poisson import PoissonStructure
+
+VARIABLES = ("x", "y", "z")
+TOKENS = ["x", "y", "z", "w", "x1", "0", "1", "2", "3", "10", "64", "65", "99999",
+          "+", "-", "*", "/", "^", "(", ")", " ", "\n", ".", "3/4", "1e3", "x^2"]
+DEADLINE = timedelta(seconds=5)
+
+token_strings = st.lists(st.sampled_from(TOKENS), max_size=24).map("".join)
+texts = st.one_of(token_strings, st.text(max_size=24))
+
+json_scalars = st.one_of(st.none(), st.booleans(), st.integers(-3, 5),
+                         st.floats(allow_nan=False, allow_infinity=False),
+                         token_strings)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.text(max_size=5), inner, max_size=3)),
+    max_leaves=8)
+
+
+@st.composite
+def structure_objects(draw):
+    """Small structure-shaped objects: mostly well-typed, often not."""
+    variables = draw(st.one_of(st.lists(st.sampled_from(["x", "y", "z", "v0", ""]),
+                                        max_size=3),
+                               json_values))
+    dim = draw(st.one_of(st.just(len(variables)) if isinstance(variables, list)
+                         else json_values, st.integers(0, 3), json_values))
+    index = st.one_of(st.integers(-1, 3), json_values)
+    entry = st.one_of(st.fixed_dictionaries({"i": index, "j": index,
+                                             "coeff": st.one_of(token_strings,
+                                                                json_values)}),
+                      json_values)
+    brackets = draw(st.one_of(st.lists(entry, max_size=3), json_values))
+    return {"dim": dim, "vars": variables, "brackets": brackets}
+
+
+@given(texts)
+@settings(max_examples=400, deadline=DEADLINE)
+def test_parse_rational_returns_or_raises_biham_error(text):
+    try:
+        parse_rational(text, VARIABLES)
+    except BihamError:
+        pass
+
+
+@given(st.one_of(structure_objects(), json_values, st.text(max_size=24)))
+@settings(max_examples=300, deadline=DEADLINE)
+def test_structure_from_json_returns_or_raises_biham_error(data):
+    forms = [data] if isinstance(data, str) else [data, json.dumps(data)]
+    for form in forms:
+        try:
+            PoissonStructure.from_json(form)
+        except BihamError:
+            pass

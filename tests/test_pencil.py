@@ -1,6 +1,7 @@
 """Pencil classification: coranks, minimal indices, Jordan parts, decompose."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,27 @@ def test_jordan_part_examples():
     assert b.divisor == ("finite", UPoly([Fraction(1, 2), 1]))
     assert b.mu_label() == 2
     assert jordan_part(K3) == []
+
+
+def test_jordan_part_runs_no_smith_form(monkeypatch):
+    # the Jordan part comes from integer eliminations only: wrap the Smith
+    # form wherever a biham module has bound it and count the calls
+    from biham.exactalg import smith
+
+    original = smith.smith_invariant_factors
+    calls = []
+
+    def counting(rows):
+        calls.append(len(rows))
+        return original(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("biham") and getattr(module, "smith_invariant_factors", None) is original:
+            monkeypatch.setattr(module, "smith_invariant_factors", counting)
+    base = jordan_pencil(3, 0)
+    p = base.congruence(_random_congruence(random.Random(6), base.n))
+    assert decompose(p).label() == "{J6(mu=0)}"
+    assert calls == []
 
 
 def test_jordan_part_symplectic_vs_zero():

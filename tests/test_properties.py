@@ -6,11 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from biham.exactalg import Matrix, Poly, parse_poly, poly_gcd, exact_div
 from biham.models import open_toda
-from biham.pencil import (Block, PencilType, corank_profile, decompose,
-                          epsilon_adjacency_pencil, generic_corank, jordan_part,
-                          jordan_pencil, kronecker_pencil)
+from biham.pencil import (Block, PencilType, SkewPencil, corank_profile,
+                          decompose, epsilon_adjacency_pencil, generic_corank,
+                          jordan_part, jordan_pencil, kronecker_pencil)
 
-from oracles import convolution_nullity, gauss_corank_profile
+from oracles import convolution_nullity, gauss_corank_profile, smith_jordan_part
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -126,8 +126,8 @@ def slow_decompose(p):
     """The exact path the rank-only decomposition replaced, kept as its oracle.
 
     Nullities come from kernel bases solved one rational staircase at a
-    time, the generic corank from plain Gaussian elimination, and the Smith
-    form always runs.
+    time, the generic corank from plain Gaussian elimination, and the Jordan
+    part always comes from the Smith form.
     """
     r = min(gauss_corank_profile(p).values())
     indices, nu_prev2, nu_prev = [], 0, 0
@@ -138,13 +138,19 @@ def slow_decompose(p):
         indices += [d] * ((nu - nu_prev) - (nu_prev - nu_prev2))
         nu_prev2, nu_prev = nu_prev, nu
     kron = [Block("kronecker", e + 1) for e in indices]
-    return PencilType(p.n, tuple(kron + jordan_part(p)))
+    return PencilType(p.n, tuple(kron + smith_jordan_part(p)))
 
+
+# the realified pair of test_irreducible_quadratic_divisor: divisor lam^2 + 1
+QUADRATIC_PAIR = SkewPencil.from_rows(
+    [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+    [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]])
 
 SOUP_BLOCKS = [
     kronecker_pencil(1), kronecker_pencil(2), kronecker_pencil(3),
     jordan_pencil(1, 0), jordan_pencil(1, 2), jordan_pencil(1, "inf"),
     jordan_pencil(1, Fraction(-1, 2)), jordan_pencil(2, 2), jordan_pencil(2, "inf"),
+    QUADRATIC_PAIR, jordan_pencil(1, -3), jordan_pencil(3, 2), jordan_pencil(2, 0),
 ]
 
 
@@ -169,6 +175,14 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
+
+
+@given(block_soups(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
+    for change in (invertible_change(soup.n), rational_change(soup.n)):
+        congruent = soup.congruence(data.draw(change))
+        assert jordan_part(congruent) == smith_jordan_part(congruent)
 
 
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
