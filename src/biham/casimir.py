@@ -106,14 +106,9 @@ def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     return Certificate(True, "family")
 
 
-def coefficient_gradients(families, point) -> list:
-    """Rows grad f_{l,k}(m) over all families l and coefficients k."""
-    rows = []
-    for fam in families:
-        variables = fam.coeffs[0].variables
-        for c in fam.coeffs:
-            rows.append(tuple(c.diff(v).eval(point) for v in variables))
-    return rows
+def gradient_rows(functions, point) -> list:
+    """Rows grad f(m), one per function, each over the function's own variables."""
+    return [tuple(f.diff(v).eval(point) for v in f.variables) for f in functions]
 
 
 def w1_span_dim(families, point) -> int:
@@ -121,7 +116,8 @@ def w1_span_dim(families, point) -> int:
 
     The coefficients span the same space as dF_lam over varying lam.
     """
-    return stack_rows(coefficient_gradients(families, point)).rank()
+    return stack_rows(gradient_rows([c for fam in families for c in fam.coeffs],
+                                    point)).rank()
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Exact arithmetic foundation: rationals, matrices, polynomials, series."""
 
 from .kernels import BACKEND
-from .matrix import Matrix, block_diag, stack_rows
+from .matrix import Matrix, block_diag, clear_denominators, stack_rows
 from .parser import parse_poly, parse_rational
 from .poly import Poly, RationalFunction, exact_div, poly_det, poly_gcd
 from .rational import Rational, rat, rat_str
@@ -11,8 +11,8 @@ from .upoly import UPoly, factor_monic, squarefree_decomposition, ugcd
 
 __all__ = [
     "BACKEND", "Matrix", "Poly", "Rational", "RationalFunction", "Series",
-    "UPoly", "block_diag", "exact_div", "factor_monic", "parse_poly",
-    "parse_rational", "poly_det", "poly_gcd",
+    "UPoly", "block_diag", "clear_denominators", "exact_div", "factor_monic",
+    "parse_poly", "parse_rational", "poly_det", "poly_gcd",
     "rat", "rat_str", "series_invert", "smith_invariant_factors",
     "squarefree_decomposition", "stack_rows", "ugcd",
 ]

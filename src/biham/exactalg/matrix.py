@@ -1,9 +1,12 @@
 """Dense matrices over exact rationals.
 
-Construction is cheap and immutable; rank and nullspace clear denominators
-row by row and hand the integer rows to the fraction-free elimination
-kernel, and a product multiplies the integer numerators over each factor's
-common denominator, so no rational arithmetic happens inside an O(n^3) loop.
+Construction is cheap and immutable.  ``clear_denominators`` is the one
+routine that turns rationals into integers over a common denominator: rank
+and nullspace apply it row by row and hand the integer rows to the
+fraction-free elimination kernel, a product multiplies the integer
+numerators over each factor's common denominator, and ``biham.pencil``
+scales each pencil with it once.  No rational arithmetic happens inside an
+O(n^3) loop.
 """
 
 from dataclasses import dataclass
@@ -77,8 +80,8 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in product")
-        a, a_scale = self._integer_entries()
-        b, b_scale = other._integer_entries()
+        a, a_scale = clear_denominators(self.entries)
+        b, b_scale = clear_denominators(other.entries)
         scale = a_scale * b_scale
         columns = [b[j::other.cols] for j in range(other.cols)]
         out = []
@@ -86,11 +89,6 @@ class Matrix:
             ri = a[i * self.cols:(i + 1) * self.cols]
             out.extend(Fraction(sum(map(mul, ri, col)), scale) for col in columns)
         return Matrix(self.rows, other.cols, tuple(out))
-
-    def _integer_entries(self) -> tuple:
-        """Entries times the lcm of all their denominators, as ints, and that lcm."""
-        scale = lcm(*(x.denominator for x in self.entries))
-        return [x.numerator * (scale // x.denominator) for x in self.entries], scale
 
     def apply(self, vec):
         """Matrix times column vector (tuple of rationals)."""
@@ -115,22 +113,11 @@ class Matrix:
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch")
 
-    def _integer_rows(self) -> list:
-        """Rows scaled to integers (each row by the lcm of its denominators)."""
-        out = []
-        for i in range(self.rows):
-            row = self.row(i)
-            scale = 1
-            for x in row:
-                d = x.denominator
-                scale = scale // gcd(scale, d) * d
-            out.append([int(x * scale) for x in row])
-        return out
-
     def rank(self) -> int:
         if self.rows == 0 or self.cols == 0:
             return 0
-        rank, _ = row_echelon_ff(self._integer_rows())
+        rank, _ = row_echelon_ff([clear_denominators(self.row(i))[0]
+                                  for i in range(self.rows)])
         return rank
 
     def nullspace(self) -> list:
@@ -148,7 +135,7 @@ class Matrix:
                 v[f] = Fraction(1)
                 basis.append(tuple(v))
             return basis
-        m = self._integer_rows()
+        m = [clear_denominators(self.row(i))[0] for i in range(self.rows)]
         rank, pivot_cols = row_echelon_ff(m)
         pivot_set = set(pivot_cols)
         free_cols = [c for c in range(self.cols) if c not in pivot_set]
@@ -160,7 +147,9 @@ class Matrix:
                 pc = pivot_cols[r]
                 s = sum((Fraction(m[r][j]) * v[j] for j in range(pc + 1, self.cols)), Fraction(0))
                 v[pc] = -s / m[r][pc]
-            basis.append(_integerize(v))
+            ints, _ = clear_denominators(v)
+            g = gcd(*ints)
+            basis.append(tuple(Fraction(x // g) for x in ints))
         return basis
 
     def __str__(self):
@@ -168,18 +157,10 @@ class Matrix:
                          for i in range(self.rows))
 
 
-def _integerize(vec) -> tuple:
-    scale = 1
-    for x in vec:
-        d = x.denominator
-        scale = scale // gcd(scale, d) * d
-    ints = [int(x * scale) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g > 1:
-        ints = [v // g for v in ints]
-    return tuple(Fraction(v) for v in ints)
+def clear_denominators(values) -> tuple:
+    """The rationals times the lcm of all their denominators, as ints, and that lcm."""
+    scale = lcm(*(x.denominator for x in values))
+    return [x.numerator * (scale // x.denominator) for x in values], scale
 
 
 def stack_rows(vectors) -> Matrix:

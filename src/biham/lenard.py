@@ -9,7 +9,7 @@ which bridges the lambda-polynomial convention of the criteria and the
 import json
 from dataclasses import dataclass
 
-from .casimir import LambdaFamily
+from .casimir import LambdaFamily, gradient_rows
 from .errors import ValidationError
 from .exactalg import parse_rational, stack_rows
 from .pencil import action_dimension
@@ -117,10 +117,7 @@ def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerd
     or the point's ``PointAnalysis``.
     """
     at = b.point_analysis(point)
-    rows = []
-    for chain in chains:
-        for f in chain.functions:
-            rows.append(tuple(f.diff(v).eval(at.point) for v in b.variables))
+    rows = gradient_rows([f for chain in chains for f in chain.functions], at.point)
     count = stack_rows(rows).rank() if rows else 0
     ptype = at.ptype
     adim = action_dimension(ptype)

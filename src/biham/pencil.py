@@ -8,45 +8,52 @@ and deterministic: genericity is certified by evaluating coranks at n+1
 rational parameter values plus the reversed pencil, which a degree argument
 makes sufficient.
 
-Everything runs on integer pencils: A and B are scaled to integer rows over
-one common denominator, and every matrix below is built from those integers
-for the fraction-free kernel ``row_echelon_ff``.
+Everything runs on integer pencils: ``decompose`` scales A and B to integer
+rows over one common denominator once (``integer_pair``), computes the
+corank profile once, and hands the pair, the profile and the generic corank
+r down to ``minimal_indices`` and ``jordan_part``; every matrix below is
+built from those integers for the fraction-free kernel ``row_echelon_ff``,
+and ``_pencil_rows`` is the one builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
   Every S_d is the leading block of S_D with D = (n - r) // 2, which bounds
-  every minimal index, so one elimination of S_D gives every nullity:
-  rank(S_d) is the number of pivot columns left of n(d+1).  A kernel basis
-  is solved for only where one is wanted (``kernel_family``).
+  every minimal index, so one elimination of S_D gives every nullity.  A
+  kernel basis is solved for only where one is wanted (``kernel_family``).
 - The Jordan part reads block sizes from the Weyr characteristic, the
   number of Jordan chains of length >= k at each divisor, which is the
   growth of the nullity of a block Toeplitz matrix less the r per step that
   the Kronecker blocks add; one elimination of the largest Toeplitz matrix
-  gives every nullity, as for S_D.  The finite divisors are the irreducible
-  factors of D_rho (rho = n - r), the gcd of the principal rho-minors, each
-  evaluated at integer points and interpolated; the gcd is certified once
-  its degree is the dimension left to finite Jordan blocks.  A divisor of
-  degree d enters the Toeplitz matrix through its companion matrix, as the
-  Kronecker product A (x) C_q + B (x) I_d, so no polynomial matrix is ever
-  reduced.
+  gives every nullity, as for S_D.  ``_leading_nullities`` is the one
+  routine that reads these leading-block nullities off the pivot columns.
+  The finite divisors are the irreducible factors of D_rho (rho = n - r),
+  the gcd of the principal rho-minors, each evaluated at integer points and
+  interpolated; the gcd is certified once its degree is the dimension left
+  to finite Jordan blocks.  A divisor of degree d enters the Toeplitz
+  matrix through its companion matrix, as the Kronecker product
+  A (x) C_q + B (x) I_d, so no polynomial matrix is ever reduced.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
-``PointAnalysis`` holds one point's pencil, coranks and type, so every
-verdict at that point reads a single decomposition.  The per-d rational
-staircases, the Gaussian corank profile and the Smith-form Jordan part stay
-as the test oracles in ``tests/oracles.py``.
+``PointAnalysis`` holds one point's pencil, coranks and type from that one
+pass, so every verdict at that point reads a single decomposition.
+An ``InternalInconsistency`` or ``NotSkewCanonical`` raised while
+decomposing carries the integer pencil as ``exc.pencil``, in the shape of
+``SkewPencil.to_json()``.  The per-d rational staircases, the Gaussian
+corank profile and the Smith-form Jordan part stay as the test oracles in
+``tests/oracles.py``.
 """
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
-from math import lcm
 
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
-from .exactalg import (Matrix, UPoly, block_diag, factor_monic, rat, rat_str,
-                       stack_rows, ugcd)
+from .exactalg import (Matrix, UPoly, block_diag, clear_denominators,
+                       factor_monic, rat, rat_str, stack_rows, ugcd)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -169,10 +176,16 @@ class Block:
 
 @dataclass(frozen=True)
 class PencilType:
-    """Multiset of blocks; the decomposition certificate."""
+    """Multiset of blocks; the decomposition certificate.
+
+    ``corank_profile`` is the corank at each sampled parameter value that
+    ``decompose`` read the generic corank from.  Equality compares the
+    blocks only.
+    """
 
     n: int
     blocks: tuple
+    corank_profile: dict | None = None
 
     def __post_init__(self):
         if sum(b.dimension() for b in self.blocks) != self.n:
@@ -223,45 +236,57 @@ def generic_corank(p: SkewPencil) -> int:
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
     """
-    return min(corank_profile(p).values())
+    return min(corank_profile(*integer_pair(p)).values())
 
 
-def _integer_rows(p: SkewPencil) -> tuple:
+def integer_pair(p: SkewPencil) -> tuple:
     """Rows of A and of B times the lcm of all their denominators, as ints.
 
     One common scale keeps lam*A + B and every staircase built from the
-    pair at the ranks of the rational originals.
+    pair at the ranks of the rational originals.  The functions below take
+    this pair, never the rational pencil, so each decomposition scales once.
     """
     n = p.n
-    scale = lcm(*(x.denominator for x in p.A.entries + p.B.entries))
-    pair = []
-    for m in (p.A, p.B):
-        ints = [x.numerator * (scale // x.denominator) for x in m.entries]
-        pair.append([ints[i * n:(i + 1) * n] for i in range(n)])
-    return tuple(pair)
+    ints, _ = clear_denominators(p.A.entries + p.B.entries)
+    rows = [ints[i * n:(i + 1) * n] for i in range(2 * n)]
+    return rows[:n], rows[n:]
 
 
-def corank_profile(p: SkewPencil) -> dict:
+def _pencil_rows(a, b, lam) -> list:
+    """Integer rows of lam*A + B, a fresh list for the in-place kernel."""
+    return [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+
+
+def corank_profile(a, b) -> dict:
     """Corank at each sampled parameter value (including the reversed pencil)."""
-    a, b = _integer_rows(p)
-    prof = {}
-    for lam in range(p.n + 1):
-        rows = [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        prof[str(lam)] = p.n - row_echelon_ff(rows)[0]
-    prof[INF] = p.n - row_echelon_ff(a)[0]
+    n = len(a)
+    prof = {str(lam): n - row_echelon_ff(_pencil_rows(a, b, lam))[0]
+            for lam in range(n + 1)}
+    prof[INF] = n - row_echelon_ff([row[:] for row in a])[0]
     return prof
 
 
-def _staircase(p: SkewPencil, d: int) -> list:
+def _leading_nullities(rows, width, count) -> list:
+    """Nullities of the leading 1..count column blocks of ``rows``, from one elimination.
+
+    Each block is ``width`` columns wide, and the rows below the leading k
+    blocks vanish on their columns, so those columns are the leading system
+    with zero rows appended.  The elimination runs column by column, so its
+    rank is the number of pivot columns left of width*k.
+    """
+    _, pivot_cols = row_echelon_ff(rows)
+    return [width * k - bisect_left(pivot_cols, width * k) for k in range(1, count + 1)]
+
+
+def _staircase(a, b, d: int) -> list:
     """Integer rows of the linear system of the degree-d polynomial kernel vectors.
 
     A vector v(lam) = v_0 + ... + v_d lam^d satisfies (lam*A + B) v = 0 iff
     B v_0 = 0, A v_{i-1} + B v_i = 0 for i = 1..d, and A v_d = 0; the
     stacked block matrix has n(d+2) rows and n(d+1) columns and is built
-    from ``_integer_rows``, so it is the rational system times one scalar.
+    from ``integer_pair``, so it is the rational system times one scalar.
     """
-    n = p.n
-    a, b = _integer_rows(p)
+    n = len(a)
     rows = []
     for block_row in range(d + 2):
         for i in range(n):
@@ -274,41 +299,29 @@ def _staircase(p: SkewPencil, d: int) -> list:
     return rows
 
 
-def minimal_indices(p: SkewPencil, r: int | None = None) -> list:
-    """Right minimal indices of the pencil, one per Kronecker block.
+def minimal_indices(a, b, r: int) -> list:
+    """Right minimal indices of the integer pencil, one per Kronecker block.
 
     Computed from the nullity sequence nu_d = n(d+1) - rank of the
     staircase systems: the number of indices equal to e is
     (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  The r Kronecker blocks
-    K_{2e+1} fit in n, so no index exceeds D = (n - r) // 2; S_d is the
-    leading block of S_D with zero rows below it, and the elimination
-    runs column by column, so one elimination of S_D gives rank(S_d) as
-    the number of pivot columns left of n(d+1).  ``r`` is the generic
-    corank, computed here unless the caller already has it.
+    K_{2e+1} fit in n, so no index exceeds D = (n - r) // 2, and S_d is the
+    leading block of S_D, so every nu_d comes from one elimination of S_D.
+    ``r`` is the generic corank.
     """
-    if r is None:
-        r = generic_corank(p)
     if r == 0:
         return []
-    top = (p.n - r) // 2
-    _, pivot_cols = row_echelon_ff(_staircase(p, top))
+    n = len(a)
+    top = (n - r) // 2
     indices = []
-    nu_prev2 = 0
-    nu_prev = 0
-    found = 0
-    for d in range(top + 1):
-        width = p.n * (d + 1)
-        nu = width - sum(1 for c in pivot_cols if c < width)
-        count = (nu - nu_prev) - (nu_prev - nu_prev2)
-        indices.extend([d] * count)
-        found = nu - nu_prev
+    nu_prev2 = nu_prev = 0
+    for d, nu in enumerate(_leading_nullities(_staircase(a, b, top), n, top + 1)):
+        indices += [d] * ((nu - nu_prev) - (nu_prev - nu_prev2))
         nu_prev2, nu_prev = nu_prev, nu
-        if found == r and len(indices) == r:
-            break
     if len(indices) != r:
         raise InternalInconsistency(
             f"found {len(indices)} minimal indices for generic corank {r}")
-    return sorted(indices)
+    return indices
 
 
 def _weyr_characteristic(diag, above, depth, r, degree) -> list:
@@ -317,8 +330,7 @@ def _weyr_characteristic(diag, above, depth, r, degree) -> list:
     T_k is the k x k block upper-bidiagonal matrix with ``diag`` on the
     diagonal and ``above`` on the superdiagonal (integer rows, m x m); its
     kernel holds the Jordan chains of length at most k.  T_k is the leading
-    block of T_depth with zero rows below it, so one elimination of
-    T_depth gives rank(T_k) as the number of pivot columns left of m*k.
+    block of T_depth, so one elimination of T_depth gives every nullity.
     Each of the r Kronecker blocks adds ``degree`` to the nullity per step,
     each chain of length >= k adds ``degree`` at step k, so w_k =
     (nullity(T_k) - nullity(T_{k-1})) / degree - r.
@@ -333,11 +345,9 @@ def _weyr_characteristic(diag, above, depth, r, degree) -> list:
             if block_row + 1 < depth:
                 row[(block_row + 1) * m:(block_row + 2) * m] = row_u
             rows.append(row)
-    _, pivot_cols = row_echelon_ff(rows)
     weyr = []
     nu_prev = 0
-    for k in range(1, depth + 1):
-        nu = m * k - sum(1 for c in pivot_cols if c < m * k)
+    for nu in _leading_nullities(rows, m, depth):
         step, rest = divmod(nu - nu_prev, degree)
         if rest or step < r or (weyr and step - r > weyr[-1]):
             raise InternalInconsistency(
@@ -371,9 +381,11 @@ def _principal_minor(a, b, cols) -> UPoly:
     the last Bareiss pivot whatever rows were swapped.
     """
     size = len(cols)
+    sub_a = [[a[i][j] for j in cols] for i in cols]
+    sub_b = [[b[i][j] for j in cols] for i in cols]
     values = []
     for lam in range(size + 1):
-        rows = [[lam * a[i][j] + b[i][j] for j in cols] for i in cols]
+        rows = _pencil_rows(sub_a, sub_b, lam)
         rank, _ = row_echelon_ff(rows)
         values.append(abs(rows[-1][-1]) if rank == size else 0)
     # Newton's forward differences on the nodes 0..size
@@ -390,25 +402,23 @@ def _principal_minor(a, b, cols) -> UPoly:
     return poly
 
 
-def _principal_column_sets(a, b, n, rho):
-    """Index sets of rank rho to take principal minors on, most promising first.
+def _principal_column_sets(a, b, profile, r):
+    """Index sets of rank rho = n - r to take principal minors on, most promising first.
 
     A skew matrix of rank rho has a nonzero principal minor on every set of
-    rho independent columns, so the pivot columns of lam*A + B at a sample
-    of full rank rho come first, then those found with the columns visited
-    in each rotated order; every rho-subset follows, so the gcd of all
-    principal minors is always reached.
+    rho independent columns, so the pivot columns of lam*A + B at the first
+    sample of the corank profile with corank r come first, then those found
+    with the columns visited in each rotated order; every rho-subset
+    follows, so the gcd of all principal minors is always reached.
     """
-    if rho == n:
+    n = len(a)
+    if r == 0:
         yield tuple(range(n))
         return
-    for lam in range(n + 1):
-        sample = [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-        rank, _ = row_echelon_ff([row[:] for row in sample])
-        if rank == rho:
-            break
-    else:
-        raise InternalInconsistency(f"no sample of lam*A + B reaches rank {rho}")
+    lam = next((lam for lam in range(n + 1) if profile[str(lam)] == r), None)
+    if lam is None:
+        raise InternalInconsistency(f"no sample of lam*A + B reaches rank {n - r}")
+    sample = _pencil_rows(a, b, lam)
     seen = set()
     for shift in range(n):
         order = list(range(shift, n)) + list(range(shift))
@@ -417,28 +427,25 @@ def _principal_column_sets(a, b, n, rho):
         if cols not in seen:
             seen.add(cols)
             yield cols
-    yield from (cols for cols in combinations(range(n), rho) if cols not in seen)
+    yield from (cols for cols in combinations(range(n), n - r) if cols not in seen)
 
 
 def _companion_rows(q: UPoly) -> tuple:
     """An integer multiple c*C_q of the companion matrix of q, and c."""
     d = q.degree()
-    c = lcm(*(x.denominator for x in q.coeffs))
-    comp = [[0] * d for _ in range(d)]
-    for i in range(1, d):
-        comp[i][i - 1] = c
+    coeffs, c = clear_denominators(q.coeffs)
+    comp = [[c if i == j + 1 else 0 for j in range(d)] for i in range(d)]
     for i in range(d):
-        comp[i][d - 1] = -q[i] * c
-    return [[int(x) for x in row] for row in comp], c
+        comp[i][d - 1] = -coeffs[i]
+    return comp, c
 
 
-def jordan_part(p: SkewPencil, r: int | None = None,
-                jordan_dim: int | None = None) -> list:
-    """Jordan blocks as a sorted list of Block objects, from integer eliminations.
+def jordan_part(a, b, profile, jordan_dim: int) -> list:
+    """Jordan blocks of the integer pencil as a sorted list of Block objects.
 
-    ``r`` is the generic corank and ``jordan_dim`` the dimension left to
-    the Jordan blocks once the Kronecker blocks are counted; both are
-    computed here unless the caller already has them.
+    ``profile`` is the corank profile, whose minimum is the generic corank
+    r, and ``jordan_dim`` the dimension left to the Jordan blocks once the
+    Kronecker blocks are counted.
 
     Block sizes come from the Weyr characteristic: w_k, the number of
     Jordan chains of length >= k at a divisor, is the growth of the nullity
@@ -456,22 +463,17 @@ def jordan_part(p: SkewPencil, r: int | None = None,
     take the same integer path as rational ones.  Elementary divisors of a
     skew pencil pair up; odd multiplicity signals corrupted input.
     """
-    n = p.n
-    if r is None:
-        r = generic_corank(p)
-    if jordan_dim is None:
-        jordan_dim = n - sum(2 * e + 1 for e in minimal_indices(p, r))
     if jordan_dim == 0:
         return []
-    rho = n - r
-    a, b = _integer_rows(p)
-    column_sets = _principal_column_sets(a, b, n, rho)
+    n = len(a)
+    r = min(profile.values())
+    column_sets = _principal_column_sets(a, b, profile, r)
     first = _principal_minor(a, b, next(column_sets))
     # D_rho divides every principal minor, and mu^(infinite degree) divides
     # it in the homogeneous chart, which bounds the chains at infinity
     blocks = []
     inf_degree = 0
-    depth = min(jordan_dim, rho - first.degree()) // 2
+    depth = min(jordan_dim, n - r - first.degree()) // 2
     if depth:
         key = ("at_lam_infinity",)
         weyr = _weyr_characteristic(a, b, depth, r, 1)
@@ -505,27 +507,41 @@ def jordan_part(p: SkewPencil, r: int | None = None,
     return sorted(blocks, key=lambda blk: (blk.k, str(blk.divisor)))
 
 
-def decompose(p: SkewPencil, r: int | None = None) -> PencilType:
+def _carries_pencil(fn):
+    """Attach the integer pencil to an internal failure of ``fn(p)``, as ``exc.pencil``.
+
+    The dict has the shape of ``SkewPencil.to_json()``, so the failing
+    pencil can become a test case as it stands.
+    """
+    @wraps(fn)
+    def wrapped(p):
+        try:
+            return fn(p)
+        except (InternalInconsistency, NotSkewCanonical) as exc:
+            a, b = integer_pair(p)
+            exc.pencil = {"n": p.n, "A": [[str(x) for x in row] for row in a],
+                          "B": [[str(x) for x in row] for row in b]}
+            raise
+    return wrapped
+
+
+@_carries_pencil
+def decompose(p: SkewPencil) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
-    ``r`` is the generic corank, computed here unless the caller already
-    has it.  The Jordan part runs only when the Kronecker blocks leave part
-    of dimension n to the Jordan blocks, and is handed r and that dimension.
+    Each step runs once: A and B are scaled to integers once, the corank
+    profile is computed once and kept on the result, and the integer pair,
+    the profile and the generic corank r are handed down.  The Jordan part
+    runs only when the Kronecker blocks leave part of dimension n to the
+    Jordan blocks.
     """
-    if r is None:
-        r = generic_corank(p)
-    indices = minimal_indices(p, r)
-    kron = [Block("kronecker", e + 1) for e in indices]
+    a, b = integer_pair(p)
+    profile = corank_profile(a, b)
+    indices = minimal_indices(a, b, min(profile.values()))
     filled = sum(2 * e + 1 for e in indices)
-    jordan = jordan_part(p, r, p.n - filled) if filled != p.n else []
-    blocks = tuple(kron + jordan)
-    total = sum(b.dimension() for b in blocks)
-    if total != p.n:
-        raise InternalInconsistency(
-            f"block dimensions sum to {total}, expected {p.n}")
-    if len(kron) != r:
-        raise InternalInconsistency("Kronecker block count differs from generic corank")
-    return PencilType(p.n, blocks)
+    jordan = jordan_part(a, b, profile, p.n - filled) if filled != p.n else []
+    kron = [Block("kronecker", e + 1) for e in indices]
+    return PencilType(p.n, tuple(kron + jordan), profile)
 
 
 @dataclass(frozen=True, eq=False)
@@ -545,11 +561,12 @@ class PointAnalysis:
 
     @classmethod
     def of(cls, pencil: SkewPencil, point) -> "PointAnalysis":
-        profile = corank_profile(pencil)
-        r = min(profile.values())
-        return cls(tuple(point), pencil, decompose(pencil, r), profile, r)
+        ptype = decompose(pencil)
+        profile = ptype.corank_profile
+        return cls(tuple(point), pencil, ptype, profile, min(profile.values()))
 
 
+@_carries_pencil
 def kernel_family(p: SkewPencil) -> KernelFamily:
     """A minimal polynomial basis of the kernel of lam*A + B.
 
@@ -557,15 +574,15 @@ def kernel_family(p: SkewPencil) -> KernelFamily:
     degree equal to the block's minimal index, verified by the exact
     identity (lam*A + B) w(lam) = 0.
     """
-    ptype = decompose(p)
-    if not ptype.is_pure_kronecker():
-        raise NotPureKronecker("kernel families require a pencil without Jordan blocks")
-    indices = sorted(b.k - 1 for b in ptype.kronecker_blocks())
     n = p.n
+    a, b = integer_pair(p)
+    indices = minimal_indices(a, b, min(corank_profile(a, b).values()))
+    if sum(2 * e + 1 for e in indices) != n:
+        raise NotPureKronecker("kernel families require a pencil without Jordan blocks")
     chosen: list = []       # (degree, coefficient vectors v_0..v_d)
     for d in sorted(set(indices)):
         want = indices.count(d)
-        null_basis = Matrix.from_rows(_staircase(p, d)).nullspace()
+        null_basis = Matrix.from_rows(_staircase(a, b, d)).nullspace()
         span_rows = []
         for deg, vecs in chosen:
             for shift in range(d - deg + 1):

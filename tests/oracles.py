@@ -63,6 +63,12 @@ def perm_det(rows) -> Fraction:
     return total
 
 
+def schoolbook_matrix_product(a, b) -> list:
+    """Rows of the product of two Matrix objects, each entry a sum of Fraction products."""
+    return [[sum((a[i, k] * b[k, j] for k in range(a.cols)), Fraction(0))
+             for j in range(b.cols)] for i in range(a.rows)]
+
+
 def minor_rank(rows) -> int:
     """Rank as the largest size of a nonvanishing minor (exponential; tiny inputs only)."""
     from itertools import combinations

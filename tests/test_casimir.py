@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from biham.casimir import (LambdaFamily, CriterionVerdict, coefficient_gradients,
-                           family_check, kronecker_criterion, lax_check,
+from biham.casimir import (LambdaFamily, CriterionVerdict, family_check,
+                           gradient_rows, kronecker_criterion, lax_check,
                            w1_span_dim)
 from biham.errors import ValidationError
 from biham.exactalg import RationalFunction, parse_rational
@@ -90,7 +90,7 @@ def test_w1_span_dim_toda():
     # by an independent minor-rank oracle
     degenerate = _pt(1, 0, 1, 0, 1)
     assert not s_generic(2, degenerate)
-    rows = coefficient_gradients(V5.families, degenerate)
+    rows = gradient_rows([c for fam in V5.families for c in fam.coeffs], degenerate)
     oracle = minor_rank(rows)
     got = w1_span_dim(V5.families, degenerate)
     assert got == oracle

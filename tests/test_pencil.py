@@ -10,10 +10,11 @@ import biham.pencil as pencil_module
 from biham.errors import NotPureKronecker, NotSkewCanonical, ValidationError
 from biham.exactalg import Matrix, UPoly
 from biham.models import open_toda
-from biham.pencil import (SkewPencil, action_dimension, corank_profile,
-                          decompose, epsilon_adjacency_pencil, generic_corank,
-                          jordan_part, jordan_pencil, kernel_family,
-                          kronecker_pencil, minimal_indices)
+from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
+                          corank_profile, decompose, epsilon_adjacency_pencil,
+                          generic_corank, integer_pair, jordan_part,
+                          jordan_pencil, kernel_family, kronecker_pencil,
+                          minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
 from oracles import perm_det
@@ -21,6 +22,18 @@ from oracles import perm_det
 
 K3 = kronecker_pencil(2)
 J22 = jordan_pencil(1, 2)
+
+
+def _minimal_indices(p):
+    return minimal_indices(*integer_pair(p), generic_corank(p))
+
+
+def _jordan_part(p):
+    # the integer pair, corank profile and Jordan dimension decompose hands down
+    a, b = integer_pair(p)
+    profile = corank_profile(a, b)
+    kron = minimal_indices(a, b, min(profile.values()))
+    return jordan_part(a, b, profile, p.n - sum(2 * e + 1 for e in kron))
 
 
 def test_pencil_validation():
@@ -39,14 +52,14 @@ def test_generic_corank_examples():
 
 
 def test_corank_profile_k3_constant_one():
-    prof = corank_profile(K3)
+    prof = corank_profile(*integer_pair(K3))
     assert set(prof.values()) == {1}
 
 
 def test_minimal_indices_examples():
-    assert minimal_indices(K3) == [1]
-    assert minimal_indices(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == [0, 0]
-    assert minimal_indices(J22) == []
+    assert _minimal_indices(K3) == [1]
+    assert _minimal_indices(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == [0, 0]
+    assert _minimal_indices(J22) == []
 
 
 def test_minimal_indices_runs_one_elimination(monkeypatch):
@@ -56,6 +69,7 @@ def test_minimal_indices_runs_one_elimination(monkeypatch):
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
     p = model.structure.pencil_at(point)
     r = generic_corank(p)
+    a, b = integer_pair(p)
     calls = []
     kernel = pencil_module.row_echelon_ff
 
@@ -64,19 +78,41 @@ def test_minimal_indices_runs_one_elimination(monkeypatch):
         return kernel(rows)
 
     monkeypatch.setattr(pencil_module, "row_echelon_ff", counting)
-    assert minimal_indices(p, r) == [4]
+    assert minimal_indices(a, b, r) == [4]
     # n = 9, r = 1: the staircase S_D with D = (n - r) // 2 = 4 has n(D+2) rows
     assert calls == [9 * 6]
 
 
+def test_decompose_scales_the_pencil_once(monkeypatch):
+    # A and B are scaled to integers once per decomposition, and the pair is
+    # handed down to the corank profile, the minimal indices and the Jordan part
+    scaled = []
+    original = pencil_module.integer_pair
+
+    def counting(p):
+        scaled.append(p)
+        return original(p)
+
+    monkeypatch.setattr(pencil_module, "integer_pair", counting)
+    p = jordan_pencil(2, "inf").direct_sum(kronecker_pencil(2)).direct_sum(jordan_pencil(1, 2))
+    assert decompose(p).label() == "{K3, J2(mu=2), J4(mu=inf)}"
+    assert scaled == [p]
+    model = open_toda(3)
+    point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
+    at_point = model.structure.pencil_at(point)
+    scaled.clear()
+    assert PointAnalysis.of(at_point, point).ptype.label() == "{K7}"
+    assert scaled == [at_point]
+
+
 def test_jordan_part_examples():
-    blocks = jordan_part(J22)
+    blocks = _jordan_part(J22)
     assert len(blocks) == 1
     b = blocks[0]
     assert b.k == 1 and b.dimension() == 2
     assert b.divisor == ("finite", UPoly([Fraction(1, 2), 1]))
     assert b.mu_label() == 2
-    assert jordan_part(K3) == []
+    assert _jordan_part(K3) == []
 
 
 def test_jordan_part_runs_no_smith_form(monkeypatch):
@@ -104,10 +140,10 @@ def test_jordan_part_symplectic_vs_zero():
     # (A symplectic, B = 0) is the eigenvalue-infinity pair: divisors lam^1
     # twice in the finite chart, so mu = inf
     p = SkewPencil.from_rows([[0, 1], [-1, 0]], [[0, 0], [0, 0]])
-    blocks = jordan_part(p)
+    blocks = _jordan_part(p)
     assert len(blocks) == 1 and blocks[0].mu_label() == "inf"
     # the swapped pair (0, symplectic) carries the eigenvalue-zero label
-    blocks = jordan_part(p.swap())
+    blocks = _jordan_part(p.swap())
     assert len(blocks) == 1 and blocks[0].mu_label() == 0
 
 
@@ -129,8 +165,11 @@ def test_jordan_odd_multiplicity_rejected():
     stub = SimpleNamespace(n=2,
                            A=Matrix.from_rows([[1, 0], [0, 0]]),
                            B=Matrix.zero(2))
-    with pytest.raises(NotSkewCanonical):
-        jordan_part(stub)
+    with pytest.raises(NotSkewCanonical) as caught:
+        decompose(stub)
+    # the failure carries the integer pencil it failed on, ready for a test
+    assert caught.value.pencil == {"n": 2, "A": [["1", "0"], ["0", "0"]],
+                                   "B": [["0", "0"], ["0", "0"]]}
 
 
 def test_decompose_epsilon_adjacency():
@@ -252,7 +291,7 @@ def test_pure_kronecker_constant_corank():
     for p in (kronecker_pencil(2), kronecker_pencil(3),
               K3.direct_sum(kronecker_pencil(1))):
         r = generic_corank(p)
-        assert set(corank_profile(p).values()) == {r}
+        assert set(corank_profile(*integer_pair(p)).values()) == {r}
 
 
 def test_pencil_json_roundtrip():

@@ -8,9 +8,11 @@ from biham.exactalg import Matrix, Poly, parse_poly, poly_gcd, exact_div
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, corank_profile,
                           decompose, epsilon_adjacency_pencil, generic_corank,
-                          jordan_part, jordan_pencil, kronecker_pencil)
+                          integer_pair, jordan_part, jordan_pencil,
+                          kronecker_pencil)
 
-from oracles import convolution_nullity, gauss_corank_profile, smith_jordan_part
+from oracles import (convolution_nullity, gauss_corank_profile,
+                     schoolbook_matrix_product, smith_jordan_part)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -36,6 +38,25 @@ def test_nullspace_dimension_and_exactness(m):
     assert len(basis) == m.cols - m.rank()
     for v in basis:
         assert all(x == 0 for x in m.apply(v))
+
+
+@st.composite
+def product_pairs(draw, max_dim=4):
+    """Two matrices that multiply, any dimension zero included, rational entries."""
+    rows, inner, cols = (draw(st.integers(0, max_dim)) for _ in range(3))
+    entries = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+    def matrix(r, c):
+        return Matrix(r, c, tuple(draw(st.lists(entries, min_size=r * c, max_size=r * c))))
+
+    return matrix(rows, inner), matrix(inner, cols)
+
+
+@given(product_pairs())
+@settings(max_examples=80, deadline=None)
+def test_matmul_matches_schoolbook_matrix_product(pair):
+    a, b = pair
+    assert (a @ b).to_rows() == schoolbook_matrix_product(a, b)
 
 
 V = ("x", "y")
@@ -171,7 +192,7 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
     expected = slow_decompose(soup)
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
-        assert corank_profile(congruent) == gauss_corank_profile(congruent)
+        assert corank_profile(*integer_pair(congruent)) == gauss_corank_profile(congruent)
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
@@ -182,13 +203,16 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
 def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
-        assert jordan_part(congruent) == smith_jordan_part(congruent)
+        expected = smith_jordan_part(congruent)
+        a, b = integer_pair(congruent)
+        jordan_dim = sum(blk.dimension() for blk in expected)
+        assert jordan_part(a, b, corank_profile(a, b), jordan_dim) == expected
 
 
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
     for eps, label in ((0, "{K1, K5}"), (1, "{K3, K3}")):
         p = epsilon_adjacency_pencil(eps)
-        assert corank_profile(p) == gauss_corank_profile(p)
+        assert corank_profile(*integer_pair(p)) == gauss_corank_profile(p)
         assert decompose(p) == slow_decompose(p)
         assert decompose(p).label() == label
 
