@@ -9,13 +9,12 @@ as conjectural and always cross-validated against a direct pencil
 decomposition.
 """
 
-import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency, PoleAtPoint, ValidationError
-from .exactalg import RationalFunction, parse_rational, stack_rows
+from .exactalg import RationalFunction, load_json, parse_rational, stack_rows
 from .pencil import action_dimension, generic_corank
 from .poisson import BihamStructure, Certificate
 
@@ -65,7 +64,7 @@ class LambdaFamily:
     @classmethod
     def from_json(cls, data, variables, name: str = "") -> "LambdaFamily":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = load_json(data)
         try:
             coeffs = tuple(parse_rational(c, variables) for c in data["coeffs"])
         except (KeyError, TypeError) as exc:
@@ -81,28 +80,20 @@ def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:
 
     The lambda coefficients are the chain relations: P2 grad f_0 = 0,
     P1 grad f_{k-1} + P2 grad f_k = 0, and P1 grad f_d = 0.  The
-    certificate is proved once per structure and family coefficients.
+    certificate is proved once per structure and family coefficients, and
+    each relation once per structure (``BihamStructure.relation``).
     """
     return b.certificate(("family", fam.coeffs), lambda: _prove_family(b, fam))
 
 
 def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
-    d = fam.degree
-    for k in range(d + 2):
-        prev = fam.coeff(k - 1)
-        cur = fam.coeff(k)
-        cov1 = b.p1.hamiltonian_covector(prev) if not prev.is_zero() else None
-        cov2 = b.p2.hamiltonian_covector(cur) if not cur.is_zero() else None
-        for j in range(b.dim):
-            acc = b.p1.zero_function()
-            if cov1 is not None:
-                acc = acc + cov1[j]
-            if cov2 is not None:
-                acc = acc + cov2[j]
-            if not acc.is_zero():
-                return Certificate(
-                    False, "family",
-                    f"lambda^{k} coefficient fails at {b.variables[j]}: {acc}")
+    for k in range(fam.degree + 2):
+        failure = b.relation(fam.coeff(k - 1), fam.coeff(k))
+        if failure is not None:
+            j, residual = failure
+            return Certificate(
+                False, "family",
+                f"lambda^{k} coefficient fails at {b.variables[j]}: {residual}")
     return Certificate(True, "family")
 
 

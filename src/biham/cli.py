@@ -14,12 +14,12 @@ import sys
 
 from .casimir import LambdaFamily, family_check
 from .errors import BihamError, ScalingUnfixed, ValidationError
-from .exactalg import parse_poly, parse_rational, rat
+from .exactalg import load_json, parse_poly, parse_rational, rat
 from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, make_model, normal_form_phi,
                      DEFAULT_TRUNCATION)
 from .pencil import SkewPencil, decompose
-from .poisson import BihamStructure, load_json
+from .poisson import BihamStructure
 from .report import AnalysisReport, emit_report, run_analyze
 
 

@@ -2,7 +2,7 @@
 
 from .kernels import BACKEND
 from .matrix import Matrix, block_diag, clear_denominators, stack_rows
-from .parser import parse_poly, parse_rational
+from .parser import load_json, parse_poly, parse_rational
 from .poly import Poly, RationalFunction, exact_div, poly_det, poly_gcd
 from .rational import Rational, rat, rat_str
 from .series import Series, series_invert
@@ -12,7 +12,7 @@ from .upoly import UPoly, factor_monic, squarefree_decomposition, ugcd
 __all__ = [
     "BACKEND", "Matrix", "Poly", "Rational", "RationalFunction", "Series",
     "UPoly", "block_diag", "clear_denominators", "exact_div", "factor_monic",
-    "parse_poly", "parse_rational", "poly_det", "poly_gcd",
+    "load_json", "parse_poly", "parse_rational", "poly_det", "poly_gcd",
     "rat", "rat_str", "series_invert", "smith_invariant_factors",
     "squarefree_decomposition", "stack_rows", "ugcd",
 ]

@@ -14,6 +14,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
+from ..errors import ValidationError
 from .kernels import row_echelon_ff
 from .rational import rat
 
@@ -34,7 +35,7 @@ class Matrix:
         n = len(rows)
         m = len(rows[0]) if n else 0
         if any(len(r) != m for r in rows):
-            raise ValueError("ragged rows")
+            raise ValidationError("ragged rows")
         return cls(n, m, tuple(rat(x) for r in rows for x in r))
 
     @classmethod

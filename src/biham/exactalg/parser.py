@@ -14,8 +14,13 @@ term counts (the larger of numerator and denominator each); a bound above
 ``MAX_TERMS`` stops the parse, so a short input such as a power of a long
 sum cannot expand into millions of terms.  Input beyond any limit raises
 ``ValidationError``.
+
+``load_json`` is the one reader of JSON input text (structures, families,
+chains, pencils, reports), with the same contract: malformed or too deeply
+nested text raises ``ValidationError``.
 """
 
+import json
 import re
 from fractions import Fraction
 
@@ -27,6 +32,18 @@ MAX_DEPTH = 64
 MAX_TERMS = 10000
 
 _TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
+
+
+def load_json(text: str):
+    """json.loads with every malformed text reported as a ValidationError."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: "
+            f"{exc.msg}") from exc
+    except RecursionError as exc:
+        raise ValidationError("JSON nested too deeply") from exc
 
 
 class _Lexer:

@@ -12,7 +12,7 @@ from math import gcd as int_gcd, lcm
 from operator import add
 
 from ..errors import PoleAtPoint, ValidationError
-from .rational import rat
+from .rational import rat, rat_str
 
 
 def _grlex_key(expo):
@@ -78,9 +78,6 @@ class Poly:
         if not self.is_constant():
             raise ValidationError("not a constant polynomial")
         return next(iter(self.terms.values()))
-
-    def total_degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def degree_in(self, name) -> int:
         i = self.variables.index(name)
@@ -261,13 +258,13 @@ class Poly:
                     factors.append(f"{name}^{p}")
             mono = "*".join(factors)
             if not mono:
-                parts.append(_coeff_str(c))
+                parts.append(rat_str(c))
             elif c == 1:
                 parts.append(mono)
             elif c == -1:
                 parts.append("-" + mono)
             else:
-                parts.append(f"{_coeff_str(c)}*{mono}")
+                parts.append(f"{rat_str(c)}*{mono}")
         s = parts[0]
         for p in parts[1:]:
             s += " - " + p[1:] if p.startswith("-") else " + " + p
@@ -280,10 +277,6 @@ def _integer_terms(terms):
     """(d, [(exponent, d*c)]) with d the lcm of the coefficient denominators."""
     den = lcm(*(c.denominator for c in terms.values()))
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
-
-
-def _coeff_str(c: Fraction) -> str:
-    return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
 
 
 # -- division and gcd ----------------------------------------------------
@@ -321,18 +314,6 @@ def _upoly_view(f: Poly, i: int) -> dict:
         ne[i] = 0
         buckets.setdefault(d, {})[tuple(ne)] = c
     return {d: Poly(f.variables, t) for d, t in buckets.items()}
-
-
-def _from_upoly_view(view: dict, variables, i: int) -> Poly:
-    out = Poly.zero(variables)
-    for d, coeff in view.items():
-        shift = {}
-        for e, c in coeff.terms.items():
-            ne = list(e)
-            ne[i] += d
-            shift[tuple(ne)] = c
-        out = out + Poly(variables, shift)
-    return out
 
 
 def _content_in(f: Poly, i: int) -> Poly:

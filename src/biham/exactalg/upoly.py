@@ -9,7 +9,7 @@ stripped; the zero polynomial has empty coefficient list.
 from fractions import Fraction
 
 from ..errors import ValidationError
-from .rational import rat
+from .rational import rat, rat_str
 
 
 class UPoly:
@@ -32,13 +32,6 @@ class UPoly:
     @classmethod
     def x(cls) -> "UPoly":
         return cls((0, 1))
-
-    @classmethod
-    def from_roots(cls, roots) -> "UPoly":
-        out = cls.constant(1)
-        for r in roots:
-            out = out * cls((-rat(r), 1))
-        return out
 
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
@@ -147,16 +140,6 @@ class UPoly:
             total = total * x + c
         return total
 
-    def comp_shift(self, a) -> "UPoly":
-        """p(x + a)."""
-        out = UPoly.zero()
-        shift = UPoly((rat(a), 1))
-        power = UPoly.constant(1)
-        for c in self.coeffs:
-            out = out + power * c
-            power = power * shift
-        return out
-
     def __str__(self, var: str = "t") -> str:
         if self.is_zero():
             return "0"
@@ -171,7 +154,7 @@ class UPoly:
                 mono = var
             else:
                 mono = f"{var}^{k}"
-            cs = str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
+            cs = rat_str(c)
             if mono and c == 1:
                 parts.append(mono)
             elif mono and c == -1:

@@ -6,12 +6,11 @@ which bridges the lambda-polynomial convention of the criteria and the
 1/lambda expansion convention of the recursion scheme exactly.
 """
 
-import json
 from dataclasses import dataclass
 
 from .casimir import LambdaFamily, gradient_rows
 from .errors import ValidationError
-from .exactalg import parse_rational, stack_rows
+from .exactalg import load_json, parse_rational, stack_rows
 from .pencil import action_dimension
 from .poisson import BihamStructure, Certificate
 
@@ -35,7 +34,7 @@ class LenardChain:
     @classmethod
     def from_json(cls, data, structure: BihamStructure, name: str = "") -> "LenardChain":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = load_json(data)
         try:
             funcs = tuple(parse_rational(f, structure.variables)
                           for f in data["functions"])
@@ -46,30 +45,36 @@ class LenardChain:
 
 
 def chain_from_family(b: BihamStructure, fam: LambdaFamily, name: str = "") -> LenardChain:
-    """H_i := f_{d-i}; reversal maps the polynomial family to the 1/lambda expansion."""
+    """H_i := f_{d-i}; reversal maps the polynomial family to the 1/lambda expansion.
+
+    The anchor P1 grad H_0 = 0 is the family's top relation (f_d, 0).
+    """
     funcs = tuple(reversed(fam.coeffs))
-    anchored = b.p1.is_casimir(funcs[0]).ok
+    anchored = b.relation(funcs[0], None) is None
     return LenardChain(funcs, b, anchored, name=name or fam.name)
 
 
 def verify_chain(chain: LenardChain) -> Certificate:
-    """Exact recurrence P2 grad H_i + P1 grad H_{i+1} = 0 for consecutive pairs."""
+    """Exact recurrence P2 grad H_i + P1 grad H_{i+1} = 0 for consecutive pairs.
+
+    These are the relations of ``BihamStructure.relation``, so a chain read
+    off a family whose certificate is already proved computes nothing new.
+    """
     b = chain.structure
+    fs = chain.functions
     if chain.anchored:
-        cov = b.p1.hamiltonian_covector(chain.functions[0])
-        for j, entry in enumerate(cov):
-            if not entry.is_zero():
-                return Certificate(False, "chain",
-                                   f"anchor fails: {{H0, {b.variables[j]}}}_1 = {entry}")
-    for i in range(len(chain.functions) - 1):
-        cov2 = b.p2.hamiltonian_covector(chain.functions[i])
-        cov1 = b.p1.hamiltonian_covector(chain.functions[i + 1])
-        for j in range(b.dim):
-            acc = cov2[j] + cov1[j]
-            if not acc.is_zero():
-                return Certificate(
-                    False, "chain",
-                    f"recurrence fails at i={i}, coordinate {b.variables[j]}: {acc}")
+        failure = b.relation(fs[0], None)
+        if failure is not None:
+            j, residual = failure
+            return Certificate(False, "chain",
+                               f"anchor fails: {{H0, {b.variables[j]}}}_1 = {residual}")
+    for i in range(len(fs) - 1):
+        failure = b.relation(fs[i + 1], fs[i])
+        if failure is not None:
+            j, residual = failure
+            return Certificate(
+                False, "chain",
+                f"recurrence fails at i={i}, coordinate {b.variables[j]}: {residual}")
     return Certificate(True, "chain")
 
 

@@ -536,9 +536,6 @@ class NormalFormResult:
     scaling_fixed: bool
     changes: dict
 
-    def as_tuple(self):
-        return self.phi, self.flat
-
 
 def normal_form_phi(f, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
     """Reduce a two-variable germ to the normalized shape order by order.

@@ -43,7 +43,6 @@ corank profile and the Smith-form Jordan part stay as the test oracles in
 ``tests/oracles.py``.
 """
 
-import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +52,7 @@ from itertools import combinations
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
 from .exactalg import (Matrix, UPoly, block_diag, clear_denominators,
-                       factor_monic, rat, rat_str, stack_rows, ugcd)
+                       factor_monic, load_json, rat, rat_str, stack_rows, ugcd)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -102,7 +101,7 @@ class SkewPencil:
     @classmethod
     def from_json(cls, data) -> "SkewPencil":
         if isinstance(data, str):
-            data = json.loads(data)
+            data = load_json(data)
         try:
             n = data["n"]
             a = [[rat(x) for x in row] for row in data["A"]]

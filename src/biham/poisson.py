@@ -5,14 +5,18 @@ Pi^{ij} = {x_i, x_j} for i < j, skew-extended by construction.  All
 identity-level checks (Jacobi, compatibility, Casimir) clear denominators
 and compare numerators exactly; point evaluations are a secondary layer
 and refuse points on recorded denominator zero loci.
+
+``relation_failure`` proves every Hamiltonian relation sum P grad f = 0 (a
+Casimir, a family's lambda coefficient, a Lenard step); a structure keeps
+each result of P1 grad f + P2 grad g = 0 (``BihamStructure.relation``).
 """
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactalg import Matrix, Poly, RationalFunction, parse_rational, rat, rat_str
+from .exactalg import (Matrix, Poly, RationalFunction, load_json, parse_rational,
+                       rat, rat_str)
 from .pencil import PointAnalysis, SkewPencil
 
 
@@ -29,18 +33,6 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {"kind": self.kind, "ok": self.ok, "detail": self.detail}
-
-
-def load_json(text: str):
-    """json.loads with every malformed text reported as a ValidationError."""
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"JSON syntax error at line {exc.lineno}, column {exc.colno}: "
-            f"{exc.msg}") from exc
-    except RecursionError as exc:
-        raise ValidationError("JSON nested too deeply") from exc
 
 
 def _is_int(x) -> bool:
@@ -149,12 +141,11 @@ class PoissonStructure:
 
     def is_casimir(self, f) -> Certificate:
         """{F, x_j} = 0 for every coordinate, exactly."""
-        cov = self.hamiltonian_covector(f)
-        for j, entry in enumerate(cov):
-            if not entry.is_zero():
-                return Certificate(False, "casimir",
-                                   f"{{F, {self.variables[j]}}} = {entry}")
-        return Certificate(True, "casimir")
+        failure = relation_failure(((self, f),))
+        if failure is None:
+            return Certificate(True, "casimir")
+        j, residual = failure
+        return Certificate(False, "casimir", f"{{F, {self.variables[j]}}} = {residual}")
 
     def to_json(self) -> dict:
         return {
@@ -201,6 +192,30 @@ class PoissonStructure:
                 raise ValidationError(f"bracket entry ({i},{j}) defined twice")
             table[(i, j)] = coeff
         return cls(variables, table, name=name)
+
+
+def _present(p: PoissonStructure, f):
+    """f as a rational function, or None when it is absent or zero."""
+    if f is None:
+        return None
+    f = p._coerce(f)
+    return None if f.is_zero() else f
+
+
+def relation_failure(terms):
+    """First (coordinate index, residual) where sum over (P, f) of P grad f is nonzero.
+
+    Returns None when the sum vanishes identically.  An absent (None) or
+    zero f contributes nothing and its covector is never computed; each
+    coordinate's sum starts from the first present term, not from zero.
+    """
+    present = ((p, _present(p, f)) for p, f in terms)
+    covectors = [p.hamiltonian_covector(f) for p, f in present if f is not None]
+    for j, parts in enumerate(zip(*covectors)):
+        residual = sum(parts[1:], parts[0])
+        if not residual.is_zero():
+            return j, residual
+    return None
 
 
 def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
@@ -302,11 +317,22 @@ class BihamStructure:
         self.dim = p1.dim
         self._certificates: dict = {}
 
-    def certificate(self, key, prove) -> Certificate:
-        """The certificate stored under ``key``, proved by ``prove()`` on first use."""
+    def certificate(self, key, prove):
+        """The result stored under ``key``, proved by ``prove()`` on first use."""
         if key not in self._certificates:
             self._certificates[key] = prove()
         return self._certificates[key]
+
+    def relation(self, f, g):
+        """``relation_failure`` of P1 grad f + P2 grad g, proved once per structure.
+
+        An absent or zero side is None in the key, so a family's top
+        relation (f_d, 0) and a chain's anchor (H_0, None) share one result.
+        Only the result is kept, never a covector.
+        """
+        f, g = _present(self.p1, f), _present(self.p1, g)
+        return self.certificate(("relation", f, g), lambda: relation_failure(
+            ((self.p1, f), (self.p2, g))))
 
     def jacobi(self, which: int) -> Certificate:
         p = self.p1 if which == 1 else self.p2

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from . import __version__
 from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import rat, rat_str
+from .exactalg import load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
@@ -65,10 +65,7 @@ class AnalysisReport:
     def from_json(cls, data) -> "AnalysisReport":
         """A stored report, as written by ``emit_report(..., "json")``."""
         if isinstance(data, str):
-            try:
-                data = json.loads(data)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"report is not JSON: {exc}") from exc
+            data = load_json(data)
         try:
             return cls(
                 structure=data["structure"], dim=data["dim"], variables=data["vars"],
@@ -157,25 +154,13 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         record_lax = lax_check(b, best_fam, analyses[0], seed=seed).to_json()
 
     modal_type = type_counter.most_common(1)[0][0] if type_counter else ""
-    criterion_summary = None
-    if criterion_counter:
-        outcome = criterion_counter.most_common(1)[0][0]
-        criterion_summary = dict(criterion_sample.to_json())
-        criterion_summary["modal_outcome"] = outcome
-        criterion_summary["outcomes"] = dict(sorted(criterion_counter.items()))
-    integrability_summary = None
-    if integrability_counter:
-        outcome = integrability_counter.most_common(1)[0][0]
-        integrability_summary = dict(integrability_sample.to_json())
-        integrability_summary["modal_outcome"] = outcome
-        integrability_summary["outcomes"] = dict(sorted(integrability_counter.items()))
-    elif b.dim and analyses and not chains:
+    criterion_summary = _modal_summary(criterion_sample, criterion_counter)
+    integrability_summary = _modal_summary(integrability_sample, integrability_counter)
+    if integrability_summary is None and b.dim and analyses and not chains:
         # no chains supplied: run the verdict with an empty collection so
         # Jordan obstructions still surface
         iv = integrability_verdict(b, [], analyses[0])
-        integrability_summary = iv.to_json()
-        integrability_summary["modal_outcome"] = iv.outcome
-        integrability_summary["outcomes"] = {iv.outcome: 1}
+        integrability_summary = _modal_summary(iv, Counter([iv.outcome]))
 
     mismatches = []
     exp = dict(model.expectations)
@@ -209,6 +194,16 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         expectations=exp,
         mismatches=mismatches,
     )
+
+
+def _modal_summary(sample, outcomes: Counter) -> dict | None:
+    """The first point's verdict with the modal outcome and the outcome counts."""
+    if not outcomes:
+        return None
+    summary = dict(sample.to_json())
+    summary["modal_outcome"] = outcomes.most_common(1)[0][0]
+    summary["outcomes"] = dict(sorted(outcomes.items()))
+    return summary
 
 
 def emit_report(report: AnalysisReport, fmt: str = "json") -> str:

@@ -224,6 +224,63 @@ def pairwise_involution_check(funcs, b):
     return Certificate(True, "involution")
 
 
+# -- Hamiltonian relations ----------------------------------------------------
+#
+# The three covector-sum loops that biham.poisson.relation_failure replaced,
+# kept as the reference for the family, chain and Casimir certificates.  Each
+# proves every relation afresh, from freshly computed covectors.
+
+
+def loop_family_check(b, fam):
+    """(lam*P1 + P2) grad F_lam = 0 one lambda power at a time, sums from zero."""
+    for k in range(fam.degree + 2):
+        prev = fam.coeff(k - 1)
+        cur = fam.coeff(k)
+        cov1 = b.p1.hamiltonian_covector(prev) if not prev.is_zero() else None
+        cov2 = b.p2.hamiltonian_covector(cur) if not cur.is_zero() else None
+        for j in range(b.dim):
+            acc = b.p1.zero_function()
+            if cov1 is not None:
+                acc = acc + cov1[j]
+            if cov2 is not None:
+                acc = acc + cov2[j]
+            if not acc.is_zero():
+                return Certificate(
+                    False, "family",
+                    f"lambda^{k} coefficient fails at {b.variables[j]}: {acc}")
+    return Certificate(True, "family")
+
+
+def loop_verify_chain(chain):
+    """The anchor, then P2 grad H_i + P1 grad H_{i+1} = 0 for consecutive pairs."""
+    b = chain.structure
+    if chain.anchored:
+        cov = b.p1.hamiltonian_covector(chain.functions[0])
+        for j, entry in enumerate(cov):
+            if not entry.is_zero():
+                return Certificate(False, "chain",
+                                   f"anchor fails: {{H0, {b.variables[j]}}}_1 = {entry}")
+    for i in range(len(chain.functions) - 1):
+        cov2 = b.p2.hamiltonian_covector(chain.functions[i])
+        cov1 = b.p1.hamiltonian_covector(chain.functions[i + 1])
+        for j in range(b.dim):
+            acc = cov2[j] + cov1[j]
+            if not acc.is_zero():
+                return Certificate(
+                    False, "chain",
+                    f"recurrence fails at i={i}, coordinate {b.variables[j]}: {acc}")
+    return Certificate(True, "chain")
+
+
+def loop_is_casimir(p, f):
+    """{F, x_j} = 0 for every coordinate, from F's whole covector."""
+    cov = p.hamiltonian_covector(f)
+    for j, entry in enumerate(cov):
+        if not entry.is_zero():
+            return Certificate(False, "casimir", f"{{F, {p.variables[j]}}} = {entry}")
+    return Certificate(True, "casimir")
+
+
 def schoolbook_product(p, q):
     """Terms of p*q by Fraction products, dropping a term whenever it cancels."""
     terms = {}

@@ -1,21 +1,26 @@
 """Sparse Poisson certificates and integer-numerator products against dense oracles.
 
 Each certificate must agree with its coordinate-by-coordinate form in
-``oracles`` on the verdict and, byte for byte, on the failure detail.
+``oracles`` on the verdict and, byte for byte, on the failure detail.  The
+family, chain and Casimir certificates, which share one relation routine
+and one stored result per relation, are compared with the three loops that
+routine replaced.
 """
 
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from biham.casimir import LambdaFamily, family_check
 from biham.exactalg import Poly, RationalFunction
-from biham.lenard import involution_check
+from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import open_toda, sl2_shift
 from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
 
-from oracles import (dense_compatibility_check, dense_jacobi_check,
-                     pairwise_bracket, pairwise_involution_check, schoolbook_product)
+from oracles import (dense_compatibility_check, dense_jacobi_check, loop_family_check,
+                     loop_is_casimir, loop_verify_chain, pairwise_bracket,
+                     pairwise_involution_check, schoolbook_product)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -92,8 +97,9 @@ def _flipped(p, key):
     return PoissonStructure(p.variables, table)
 
 
-TODA = open_toda(2).structure
-SL2 = sl2_shift((0, 1, 0)).structure
+MODELS = {"toda": open_toda(2), "sl2": sl2_shift((0, 1, 0))}
+TODA = MODELS["toda"].structure
+SL2 = MODELS["sl2"].structure
 
 # Sign flips of one entry of a compatible Poisson pair, each of which breaks
 # the bracket's own Jacobi identity (flips of P2) or only compatibility (P1).
@@ -113,6 +119,71 @@ def test_sign_flipped_tables_fail_as_the_oracle_does(model, which, key):
     got = compatibility_check(p1, p2)
     assert not got.ok
     _same(got, dense_compatibility_check(p1, p2))
+
+
+def _relation_certificates(b, families):
+    """(library, loop oracle) certificate pairs for each family, its chain and coefficients.
+
+    The chain is read off after the family is proved on the same structure,
+    so its relations are the family's stored results.
+    """
+    for fam in families:
+        yield family_check(b, fam), loop_family_check(b, fam)
+        chain = chain_from_family(b, fam)
+        assert chain.anchored == loop_is_casimir(b.p1, chain.functions[0]).ok
+        yield verify_chain(chain), loop_verify_chain(chain)
+        for c in fam.coeffs:
+            for p in (b.p1, b.p2):
+                yield p.is_casimir(c), loop_is_casimir(p, c)
+
+
+@pytest.mark.parametrize("model,which,key", FLIPS)
+def test_sign_flipped_relations_match_the_loop_oracles(model, which, key):
+    b = MODELS[model].structure
+    flipped = _flipped(b.p1 if which == 1 else b.p2, key)
+    b = BihamStructure(*((flipped, b.p2) if which == 1 else (b.p1, flipped)))
+    pairs = list(_relation_certificates(b, MODELS[model].families))
+    for got, want in pairs:
+        _same(got, want)
+    assert any(not got.ok for got, _ in pairs)
+
+
+def _fresh(model):
+    """The model's brackets with an empty certificate store."""
+    return BihamStructure(model.structure.p1, model.structure.p2)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_perturbed_families_match_the_loop_oracles(data):
+    model = MODELS[data.draw(st.sampled_from(sorted(MODELS)))]
+    b = _fresh(model)
+    fam = data.draw(st.sampled_from(model.families))
+    k = data.draw(st.integers(0, fam.degree))
+    coeffs = list(fam.coeffs)
+    coeffs[k] = coeffs[k] + RationalFunction.from_poly(data.draw(polys(b.variables)))
+    assume(not coeffs[-1].is_zero())
+    for got, want in _relation_certificates(b, [LambdaFamily(tuple(coeffs))]):
+        _same(got, want)
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_mutated_chains_match_the_loop_oracle(data):
+    model = MODELS[data.draw(st.sampled_from(sorted(MODELS)))]
+    b = _fresh(model)
+    fam = data.draw(st.sampled_from(model.families))
+    if data.draw(st.booleans()):       # relations already stored by the family
+        assert family_check(b, fam).ok
+    funcs = list(reversed(fam.coeffs))
+    i = data.draw(st.integers(0, len(funcs) - 1))
+    extra = RationalFunction.from_poly(data.draw(polys(b.variables)))
+    funcs[i] = data.draw(st.sampled_from([extra, funcs[i] + extra]))
+    if data.draw(st.booleans()):
+        del funcs[data.draw(st.integers(0, len(funcs) - 1))]
+    assume(funcs)
+    chain = LenardChain(tuple(funcs), b, anchored=data.draw(st.booleans()))
+    _same(verify_chain(chain), loop_verify_chain(chain))
 
 
 def test_catalog_chains_are_in_involution_like_the_oracle():

@@ -225,6 +225,41 @@ def test_cli_non_object_structure_is_exit_2(tmp_path, capsys, text):
     assert captured.err.startswith("error: ")
 
 
+DEEP = "[" * 100000 + "]" * 100000
+
+
+@pytest.mark.parametrize("command,text", [
+    ("decompose", '{"n": 2, "A": [[0, 1], [-1, 0]'),
+    ("decompose", '{"n": 2, "A": [[0, 1], [-1]], "B": [[0, 0], [0, 0]]}'),
+    ("decompose", DEEP),
+    ("decompose", '{"n": 2, "A": [[0, true], [-1, 0]], "B": [[0, 0], [0, 0]]}'),
+    ("report", DEEP),
+], ids=["decompose_malformed", "decompose_ragged", "decompose_deep_nesting",
+        "decompose_bool_entry", "report_deep_nesting"])
+def test_cli_malformed_input_file_is_exit_2(tmp_path, capsys, command, text):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("spec", ["sl2_shift:alpha=1e99999999;1;0",
+                                  "jordan_model:k=1,mu=1e99999999",
+                                  "jordan_model:k=1,mu=0.5"])
+def test_cli_rational_beyond_integer_or_fraction_is_exit_2(capsys, spec):
+    # only an integer or p/q is a rational; exponent notation would build the power
+    start = time.perf_counter()
+    code = main(["analyze", spec, "--samples", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "as a rational" in captured.err
+    assert elapsed < 1.0
+
+
 def test_cli_duplicate_variable_is_exit_2(tmp_path, capsys):
     data = export_model(open_toda(1))
     data["vars"] = [data["vars"][0]] * len(data["vars"])

@@ -2,12 +2,13 @@
 
 from fractions import Fraction
 
-from biham.casimir import LambdaFamily
+from biham.casimir import LambdaFamily, family_check
 from biham.exactalg import parse_rational
 from biham.lenard import (LenardChain, chain_from_family, integrability_verdict,
                           involution_check, telescoping_check, verify_chain)
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda)
+from biham.poisson import BihamStructure, PoissonStructure
 
 
 K5 = flat_kronecker(3)
@@ -47,6 +48,19 @@ def test_chain_certified_families_always_verify():
             chain = chain_from_family(model.structure, fam)
             assert chain.anchored
             assert verify_chain(chain).ok
+
+
+def test_chain_after_its_family_computes_no_covector(monkeypatch):
+    b = BihamStructure(V5.structure.p1, V5.structure.p2)
+    fam = V5.families[0]
+    assert family_check(b, fam).ok
+    calls = []
+    monkeypatch.setattr(PoissonStructure, "hamiltonian_covector",
+                        lambda self, f: calls.append(f))
+    chain = chain_from_family(b, fam)
+    assert chain.anchored
+    assert verify_chain(chain).ok
+    assert calls == []
 
 
 def test_verify_chain_mutation():

@@ -10,7 +10,7 @@ from biham.errors import ValidationError
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
-from biham.poisson import BihamStructure
+from biham.poisson import BihamStructure, PoissonStructure
 from biham.report import emit_report, run_analyze
 
 CATALOG = [
@@ -86,7 +86,33 @@ def test_analyze_decomposes_each_point_once(monkeypatch):
     # nothing per point is left behind on the structure
     assert set(vars(b)) == attributes
     families = {("family", fam.coeffs) for fam in model.families}
-    assert set(b._certificates) == {"jacobi1", "jacobi2", "compatibility"} | families
+    # each family relation P1 grad f_{k-1} + P2 grad f_k = 0, a zero side as None;
+    # the chain's anchor and recurrence steps are among them
+    relations = set()
+    for fam in model.families:
+        sides = (None,) + tuple(None if c.is_zero() else c for c in fam.coeffs) + (None,)
+        relations |= {("relation", f, g) for f, g in zip(sides, sides[1:])}
+    assert set(b._certificates) == ({"jacobi1", "jacobi2", "compatibility"}
+                                    | families | relations)
+
+
+def test_analyze_computes_each_covector_once(monkeypatch):
+    # family, anchor and chain share one stored result per relation, so each
+    # bracket contracts each function once
+    model = open_toda(3)
+    b = BihamStructure(model.structure.p1, model.structure.p2, name=model.name)
+    calls = []
+    original = PoissonStructure.hamiltonian_covector
+
+    def counted(self, f):
+        calls.append((self is b.p1, f))
+        return original(self, f)
+
+    monkeypatch.setattr(PoissonStructure, "hamiltonian_covector", counted)
+    report = run_analyze(replace(model, structure=b), samples=3, seed=0)
+    assert report.matched
+    assert len(calls) == 2 * sum(len(fam.coeffs) for fam in model.families)
+    assert len(set(calls)) == len(calls)
 
 
 def test_analyze_does_not_prove_involution(monkeypatch):
