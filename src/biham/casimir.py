@@ -97,17 +97,21 @@ def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     return Certificate(True, "family")
 
 
-def gradient_rows(functions, point) -> list:
-    """Rows grad f(m), one per function, each over the function's own variables."""
-    return [tuple(f.diff(v).eval(point) for v in f.variables) for f in functions]
+def gradient_rows(b: BihamStructure, functions, point) -> list:
+    """Rows grad f(m), one per function, each over the function's own variables.
+
+    The symbolic gradients are b's (``BihamStructure.gradient``), so each
+    function is differentiated once per structure, not once per point.
+    """
+    return [tuple(d.eval(point) for d in b.gradient(f)) for f in functions]
 
 
-def w1_span_dim(families, point) -> int:
+def w1_span_dim(b: BihamStructure, families, point) -> int:
     """Dimension of the span of the family differentials at a point.
 
     The coefficients span the same space as dF_lam over varying lam.
     """
-    return stack_rows(gradient_rows([c for fam in families for c in fam.coeffs],
+    return stack_rows(gradient_rows(b, [c for fam in families for c in fam.coeffs],
                                     point)).rank()
 
 
@@ -156,7 +160,7 @@ def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
     r = at.generic_corank
     ptype = at.ptype
     cross = ptype.label()
-    w1 = w1_span_dim(families, at.point)
+    w1 = w1_span_dim(b, families, at.point)
     degrees = tuple(f.degree for f in families)
     n = b.dim
     prof = at.corank_profile
@@ -235,7 +239,7 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, point,
         return LaxVerdict("NotApplicable", n_rank, 0, None,
                           detail=f"family identity fails: {cert.detail}")
     at = b.point_analysis(point)
-    grad_rank = w1_span_dim([fam], at.point)
+    grad_rank = w1_span_dim(b, [fam], at.point)
     adim = action_dimension(at.ptype)
     if grad_rank != n_rank or adim != n_rank:
         return LaxVerdict("WeakLax", n_rank, grad_rank, adim,

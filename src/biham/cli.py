@@ -74,15 +74,39 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
     structure = BihamStructure.from_json(data, name=name)
     model = ModelSpec(name=data.get("name", name), params={},
                       structure=structure)
-    for fam_data in data.get("families", []):
+    for k, fam_data in enumerate(_field(data, "families", list)):
+        where = f"families[{k}]"
+        if not isinstance(fam_data, dict):
+            raise ValidationError(f"structure field {where} is not an object")
+        _expressions(fam_data.get("coeffs", []), f"{where}.coeffs")
         fam = LambdaFamily.from_json(fam_data, structure.variables,
                                      name=fam_data.get("name", ""))
         model.families.append(fam)
-    model.chains_data = data.get("chains", [])
-    for g in data.get("genericity", []):
-        model.genericity.append(parse_poly(g, structure.variables))
-    model.expectations = data.get("expectations", {})
+    model.chains_data = _field(data, "chains", list)
+    genericity = _expressions(_field(data, "genericity", list), "genericity")
+    model.genericity.extend(parse_poly(g, structure.variables) for g in genericity)
+    model.expectations = _field(data, "expectations", dict)
     return model
+
+
+def _field(data: dict, key: str, kind: type):
+    """data[key], empty when absent; any other type is an input error."""
+    value = data.get(key, kind())
+    if not isinstance(value, kind):
+        raise ValidationError(f"structure field {key!r} is not "
+                              f"{'a list' if kind is list else 'an object'}")
+    return value
+
+
+def _expressions(values, where: str):
+    """values when it is a list of expression strings, else an input error naming the field."""
+    if not isinstance(values, list):
+        raise ValidationError(f"structure field {where} is not a list")
+    for v in values:
+        if not isinstance(v, str):
+            raise ValidationError(f"structure field {where} entry {v!r} is not "
+                                  f"an expression string")
+    return values
 
 
 def export_model(model: ModelSpec) -> dict:

@@ -5,10 +5,17 @@ canonically ordered by graded lexicographic order on a declared variable
 tuple.  Rational functions are stored gcd-reduced with a content-normalized
 denominator (integer coprime coefficients, positive graded-lex leading
 coefficient), which makes equality a plain component comparison.
+
+Products and sums of products run on integer numerators: ``Poly.__mul__``
+scales each factor to integers once, and ``RationalFunction.sum_of_products``
+sums many products in one integer accumulator per denominator, reduced once.
+``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
+answer is proved by exact division on integers (``exact_div``); the
+primitive PRS gcd is the fallback.
 """
 
 from fractions import Fraction
-from math import gcd as int_gcd, lcm
+from math import gcd as int_gcd, isqrt, lcm
 from operator import add
 
 from ..errors import PoleAtPoint, ValidationError
@@ -146,10 +153,7 @@ class Poly:
         den1, num1 = _integer_terms(self.terms)
         den2, num2 = _integer_terms(other.terms)
         acc: dict = {}
-        for e1, c1 in num1:
-            for e2, c2 in num2:
-                e = tuple(map(add, e1, e2))
-                acc[e] = acc.get(e, 0) + c1 * c2
+        _add_product(acc, num1, num2, 1)
         den = den1 * den2
         return Poly(self.variables, {e: Fraction(s, den) for e, s in acc.items() if s})
 
@@ -279,30 +283,64 @@ def _integer_terms(terms):
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
+def _add_product(acc: dict, num1, num2, k: int):
+    """acc += k * num1 * num2, all three integer polynomials (``_integer_terms`` lists)."""
+    for e1, c1 in num1:
+        c1 *= k
+        for e2, c2 in num2:
+            e = tuple(map(add, e1, e2))
+            acc[e] = acc.get(e, 0) + c1 * c2
+
+
 # -- division and gcd ----------------------------------------------------
 
 
 def exact_div(f: Poly, g: Poly):
-    """f / g when the division is exact, else None."""
+    """f / g when the division is exact, else None.
+
+    Runs on integers: f = F/df and g = cg*G/dg with F, G integer and G
+    primitive, and by Gauss's lemma G divides F over Q exactly when it does
+    over Z, so f / g = (F / G) * dg / (df * cg).
+    """
     f._check(g)
     if g.is_zero():
         raise ZeroDivisionError("polynomial division by zero")
     if f.is_zero():
         return f
-    q_terms: dict = {}
-    r = f
-    ge, gc = g.leading()
-    while not r.is_zero():
-        re, rc = r.leading()
-        qe = tuple(a - b for a, b in zip(re, ge))
-        if any(x < 0 for x in qe):
+    df, num_f = _integer_terms(f.terms)
+    dg, num_g = _integer_terms(g.terms)
+    cg = int_gcd(*(c for _, c in num_g))
+    q = _int_div(dict(num_f), {e: c // cg for e, c in num_g})
+    if q is None:
+        return None
+    scale = Fraction(dg, df * cg)
+    return Poly(f.variables, {e: c * scale for e, c in q.items()})
+
+
+def _int_div(a: dict, d: dict):
+    """a / d for integer polynomials (exponent -> int) when exact in Z[x], else None.
+
+    Consumes a.  Graded lex is a monomial order, so every step cancels the
+    leading term of the remainder and adds only smaller ones.
+    """
+    lead = max(d, key=_grlex_key)
+    lc = d[lead]
+    q = {}
+    while a:
+        e = max(a, key=_grlex_key)
+        qe = tuple(x - y for x, y in zip(e, lead))
+        if min(qe) < 0 or a[e] % lc:
             return None
-        qc = rc / gc
-        q_terms[qe] = q_terms.get(qe, Fraction(0)) + qc
-        r = r - Poly(f.variables, {qe: qc}) * g
-        if not r.is_zero() and _grlex_key(r.leading()[0]) >= _grlex_key(re):
-            return None
-    return Poly(f.variables, q_terms)
+        qc = a[e] // lc
+        q[qe] = qc
+        for de, dc in d.items():
+            k = tuple(map(add, qe, de))
+            v = a.get(k, 0) - qc * dc
+            if v:
+                a[k] = v
+            else:
+                del a[k]
+    return q
 
 
 def _upoly_view(f: Poly, i: int) -> dict:
@@ -347,8 +385,20 @@ def _pseudo_rem(a: Poly, b: Poly, i: int):
         r = r * lb - b * Poly(variables, shift)
 
 
+def _uses(f: Poly, i: int) -> bool:
+    return any(e[i] for e in f.terms)
+
+
 def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Gcd over Q[variables], primitive with positive leading coefficient."""
+    """Gcd over Q[variables], primitive with positive leading coefficient.
+
+    Shortcuts first: a zero or constant argument, and a variable that only
+    one argument contains, which the gcd cannot contain either, so the gcd
+    is that of the other argument and the coefficients of the first in that
+    variable.  Then the heuristic gcd (``_heuristic_gcd``), whose answer is
+    proved by exact division; the primitive PRS runs only when the
+    heuristic gives up.
+    """
     f._check(g)
     if f.is_zero():
         return g.normalized()
@@ -356,11 +406,22 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
         return f.normalized()
     if f.is_constant() or g.is_constant():
         return Poly.constant(1, f.variables)
-    main = None
     for i in range(len(f.variables)):
-        if any(e[i] for e in f.terms) or any(e[i] for e in g.terms):
-            main = i
-            break
+        in_f = _uses(f, i)
+        if in_f != _uses(g, i):
+            h, other = (g, f) if in_f else (f, g)
+            for coeff in _upoly_view(other, i).values():
+                h = poly_gcd(h, coeff)
+                if h.is_constant():
+                    break
+            return h
+    h = _heuristic_gcd(f, g)
+    return h if h is not None else _prs_gcd(f, g)
+
+
+def _prs_gcd(f: Poly, g: Poly) -> Poly:
+    """Primitive PRS gcd of two nonconstant polynomials."""
+    main = next(i for i in range(len(f.variables)) if _uses(f, i) or _uses(g, i))
     fa, fb = f, g
     if fa.degree_in(fa.variables[main]) < fb.degree_in(fb.variables[main]):
         fa, fb = fb, fa
@@ -375,12 +436,92 @@ def poly_gcd(f: Poly, g: Poly) -> Poly:
             pa = pb
             break
         pa, pb = pb, exact_div(r, _content_in(r, main))
-    if not any(e[main] for e in pa.terms):
+    if not _uses(pa, main):
         # degenerated to a polynomial free of the main variable
-        result = cont
-    else:
-        result = (cont * pa).normalized()
-    return result.normalized()
+        return cont.normalized()
+    return (cont * pa).normalized()
+
+
+# GCDHEU (Char, Geddes and Gonnet, J. Symbolic Comput. 7 (1989)): evaluate
+# one variable y at a large integer xi, take the exact gcd of the images (in
+# the remaining variables x, recursively, down to an integer gcd), and read
+# the candidate's coefficients off as the balanced base-xi digits of that
+# image.  With xi > 2*min(|a|, |b|) + 2 (max-norms of the primitive integer
+# inputs), a primitive candidate P that divides both inputs is their gcd g.
+# Proof: g = P*h, and g(xi) divides the image c*P(xi), c the integer content
+# of the digits, so h(x, xi) is an integer k with |k| <= c <= xi/2.  If h
+# involved x, its leading coefficient in x (a polynomial in y dividing one
+# of a's, whose roots are at most 1 + |a| < xi in size) would vanish at xi;
+# so h is a polynomial in y dividing a's coefficients, and if nonconstant
+# |h(xi)| >= (xi - 1 - |a|)^deg h > xi/2.  Hence h = +-1.
+HEURISTIC_TRIES = 6
+
+
+def _heuristic_gcd(f: Poly, g: Poly):
+    """The gcd of f and g, normalized, or None when the heuristic gives up."""
+    a = dict(_integer_terms(f.terms)[1])
+    b = dict(_integer_terms(g.terms)[1])
+    h = _heu(a, b)
+    if h is None:
+        return None
+    return Poly(f.variables, {e: Fraction(c) for e, c in h.items()}).normalized()
+
+
+def _heu(a: dict, b: dict):
+    """Gcd, up to sign, of two nonzero integer polynomials (exponent -> int), or None."""
+    ca, cb = int_gcd(*a.values()), int_gcd(*b.values())
+    cont = int_gcd(ca, cb)
+    n = len(next(iter(a)))
+    if not any(map(any, a)) or not any(map(any, b)):
+        return {(0,) * n: cont}
+    main = next(i for i in range(n) if any(e[i] for e in a) or any(e[i] for e in b))
+    a = {e: c // ca for e, c in a.items()}
+    b = {e: c // cb for e, c in b.items()}
+    xi = 2 * min(max(map(abs, a.values())), max(map(abs, b.values()))) + 29
+    for _ in range(HEURISTIC_TRIES):
+        alpha, beta = _eval_at(a, main, xi), _eval_at(b, main, xi)
+        gamma = _heu(alpha, beta) if alpha and beta else None
+        if gamma is not None:
+            cand = _balanced_digits(gamma, main, xi)
+            c = int_gcd(*cand.values())
+            cand = {e: v // c for e, v in cand.items()}
+            if _int_div(dict(a), cand) is not None and _int_div(dict(b), cand) is not None:
+                return {e: v * cont for e, v in cand.items()}
+        xi = xi * 73794 * isqrt(isqrt(xi)) // 27011
+    return None
+
+
+def _eval_at(a: dict, i: int, xi: int) -> dict:
+    """a with variable index i set to xi (its exponent slot set to 0)."""
+    powers: dict = {}
+    out: dict = {}
+    for e, c in a.items():
+        p = e[i]
+        if p not in powers:
+            powers[p] = xi ** p
+        key = e[:i] + (0,) + e[i + 1:]
+        out[key] = out.get(key, 0) + c * powers[p]
+    return {e: c for e, c in out.items() if c}
+
+
+def _balanced_digits(gamma: dict, i: int, xi: int) -> dict:
+    """The polynomial G with G(x_i = xi) = gamma and coefficients in (-xi/2, xi/2]."""
+    out = {}
+    half = xi // 2
+    k = 0
+    while gamma:
+        rest = {}
+        for e, c in gamma.items():
+            r = c % xi
+            if r > half:
+                r -= xi
+            if r:
+                out[e[:i] + (k,) + e[i + 1:]] = r
+            if c != r:
+                rest[e] = (c - r) // xi
+        gamma = rest
+        k += 1
+    return out
 
 
 def poly_det(rows) -> Poly:
@@ -424,7 +565,7 @@ class RationalFunction:
         num._check(den)
         if num.is_zero():
             den = Poly.constant(1, num.variables)
-        elif reduce:
+        elif reduce and not den.is_constant():
             g = poly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num = exact_div(num, g)
@@ -443,6 +584,44 @@ class RationalFunction:
     @classmethod
     def constant(cls, c, variables) -> "RationalFunction":
         return cls.from_poly(Poly.constant(c, variables))
+
+    @classmethod
+    def sum_of_products(cls, pairs, variables) -> "RationalFunction":
+        """Sum of u*v over (u, v) pairs of RationalFunctions, exactly.
+
+        The products are grouped by the product of their two denominators
+        (every polynomial pair falls into one group).  A group's numerator
+        products are summed as integers, each scaled like ``Poly.__mul__``
+        to the lcm of the group's integer denominators, into one term dict
+        that becomes one RationalFunction: one gcd reduction per group, none
+        for a polynomial group, instead of one per product.
+        """
+        groups: dict = {}
+        for u, v in pairs:
+            if u.is_zero() or v.is_zero():
+                continue
+            if v.den.is_constant():
+                den = u.den
+            elif u.den.is_constant():
+                den = v.den
+            else:
+                den = u.den * v.den
+            groups.setdefault(den, []).append((u.num, v.num))
+        total = None
+        for den, products in groups.items():
+            scaled = []
+            for p, q in products:
+                dp, tp = _integer_terms(p.terms)
+                dq, tq = _integer_terms(q.terms)
+                scaled.append((dp * dq, tp, tq))
+            common = lcm(*(d for d, _, _ in scaled))
+            acc: dict = {}
+            for d, tp, tq in scaled:
+                _add_product(acc, tp, tq, common // d)
+            part = cls(Poly(variables, {e: Fraction(s, common) for e, s in acc.items() if s}),
+                       den)
+            total = part if total is None else total + part
+        return total if total is not None else cls.constant(0, variables)
 
     @property
     def variables(self):

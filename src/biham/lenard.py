@@ -122,7 +122,7 @@ def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerd
     or the point's ``PointAnalysis``.
     """
     at = b.point_analysis(point)
-    rows = gradient_rows([f for chain in chains for f in chain.functions], at.point)
+    rows = gradient_rows(b, [f for chain in chains for f in chain.functions], at.point)
     count = stack_rows(rows).rank() if rows else 0
     ptype = at.ptype
     adim = action_dimension(ptype)

@@ -8,7 +8,11 @@ and refuse points on recorded denominator zero loci.
 
 ``relation_failure`` proves every Hamiltonian relation sum P grad f = 0 (a
 Casimir, a family's lambda coefficient, a Lenard step); a structure keeps
-each result of P1 grad f + P2 grad g = 0 (``BihamStructure.relation``).
+each result of P1 grad f + P2 grad g = 0 (``BihamStructure.relation``) and
+each function's symbolic gradient (``BihamStructure.gradient``).  Every
+covector entry and every pairing is one ``RationalFunction.sum_of_products``:
+one integer accumulator and one gcd reduction per denominator, not one
+reduced RationalFunction per product and per partial sum.
 """
 
 from dataclasses import dataclass
@@ -102,13 +106,13 @@ class PoissonStructure:
     def hamiltonian_covector(self, f) -> tuple:
         """Component j is {f, x_j} = sum_i Pi^{ij} d_i f."""
         grad = self.gradient(f)
-        out = [self.zero_function() for _ in range(self.dim)]
+        pairs = [[] for _ in range(self.dim)]
         for (i, j), c in self.table.items():
             if not grad[i].is_zero():
-                out[j] = out[j] + c * grad[i]
+                pairs[j].append((c, grad[i]))
             if not grad[j].is_zero():
-                out[i] = out[i] - c * grad[j]
-        return tuple(out)
+                pairs[i].append((-c, grad[j]))
+        return tuple(RationalFunction.sum_of_products(p, self.variables) for p in pairs)
 
     def bracket(self, f, g) -> RationalFunction:
         """{f, g} = sum_j {f, x_j} d_j g, exact."""
@@ -116,11 +120,7 @@ class PoissonStructure:
 
     def pairing(self, covector, grad) -> RationalFunction:
         """sum_j covector_j grad_j; with f's covector and g's gradient, {f, g}."""
-        acc = self.zero_function()
-        for u, v in zip(covector, grad):
-            if not u.is_zero() and not v.is_zero():
-                acc = acc + u * v
-        return acc
+        return RationalFunction.sum_of_products(zip(covector, grad), self.variables)
 
     def bivector_at(self, point) -> Matrix:
         point = as_point(point, self.dim)
@@ -316,12 +316,23 @@ class BihamStructure:
         self.variables = p1.variables
         self.dim = p1.dim
         self._certificates: dict = {}
+        self._gradients: dict = {}
 
     def certificate(self, key, prove):
         """The result stored under ``key``, proved by ``prove()`` on first use."""
         if key not in self._certificates:
             self._certificates[key] = prove()
         return self._certificates[key]
+
+    def gradient(self, f) -> tuple:
+        """(d f / d v for v in f's variables), differentiated once per structure.
+
+        Point verdicts evaluate these at every sample point; the symbolic
+        derivatives are kept next to the certificate store.
+        """
+        if f not in self._gradients:
+            self._gradients[f] = tuple(f.diff(v) for v in f.variables)
+        return self._gradients[f]
 
     def relation(self, f, g):
         """``relation_failure`` of P1 grad f + P2 grad g, proved once per structure.

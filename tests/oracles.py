@@ -10,7 +10,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from biham.errors import NotSkewCanonical
-from biham.exactalg import Matrix, UPoly, factor_monic, smith_invariant_factors
+from biham.exactalg import Matrix, Poly, UPoly, factor_monic, smith_invariant_factors
 from biham.pencil import Block
 from biham.poisson import Certificate
 
@@ -281,6 +281,34 @@ def loop_is_casimir(p, f):
     return Certificate(True, "casimir")
 
 
+# -- one product at a time -----------------------------------------------------
+#
+# The covector and pairing loops that RationalFunction.sum_of_products
+# replaced: every product is a reduced RationalFunction, added to the running
+# sum with one gcd reduction per addition.
+
+
+def loop_hamiltonian_covector(p, f):
+    """Component j is {f, x_j} = sum_i Pi^{ij} d_i f, one product added at a time."""
+    grad = p.gradient(f)
+    out = [p.zero_function() for _ in range(p.dim)]
+    for (i, j), c in p.table.items():
+        if not grad[i].is_zero():
+            out[j] = out[j] + c * grad[i]
+        if not grad[j].is_zero():
+            out[i] = out[i] - c * grad[j]
+    return tuple(out)
+
+
+def loop_pairing(p, covector, grad):
+    """sum_j covector_j grad_j, one product added at a time."""
+    acc = p.zero_function()
+    for u, v in zip(covector, grad):
+        if not u.is_zero() and not v.is_zero():
+            acc = acc + u * v
+    return acc
+
+
 def schoolbook_product(p, q):
     """Terms of p*q by Fraction products, dropping a term whenever it cancels."""
     terms = {}
@@ -338,3 +366,92 @@ def smith_jordan_part(p):
                 f"elementary divisor {key} with exponent {mult} occurs {count} times")
         blocks.extend([Block("jordan", mult, key)] * (count // 2))
     return blocks
+
+
+# -- primitive PRS gcd -------------------------------------------------------
+#
+# The gcd and the Fraction long division that biham.exactalg.poly replaced
+# with shortcuts, the heuristic gcd GCDHEU and division on integers: the gcd
+# of the contents in the main variable times the last nonzero primitive
+# pseudo-remainder, normalized.
+
+
+def _grlex(e):
+    return (sum(e), e)
+
+
+def fraction_exact_div(f, g):
+    """f / g by long division over the Fraction coefficients, else None."""
+    if f.is_zero():
+        return f
+    q_terms = {}
+    r = f
+    ge, gc = g.leading()
+    while not r.is_zero():
+        re, rc = r.leading()
+        qe = tuple(a - b for a, b in zip(re, ge))
+        if any(x < 0 for x in qe):
+            return None
+        qc = rc / gc
+        q_terms[qe] = q_terms.get(qe, Fraction(0)) + qc
+        r = r - Poly(f.variables, {qe: qc}) * g
+        if not r.is_zero() and _grlex(r.leading()[0]) >= _grlex(re):
+            return None
+    return Poly(f.variables, q_terms)
+
+
+def _view(f, i):
+    """Variable index i's powers -> coefficient Polys (exponent i set to 0)."""
+    buckets = {}
+    for e, c in f.terms.items():
+        buckets.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    return {d: Poly(f.variables, t) for d, t in buckets.items()}
+
+
+def _prs_content(f, i):
+    g = Poly.zero(f.variables)
+    for coeff in _view(f, i).values():
+        g = prs_gcd(g, coeff)
+        if g.is_constant() and not g.is_zero():
+            break
+    return g
+
+
+def _prs_pseudo_rem(a, b, i):
+    bv = _view(b, i)
+    db = max(bv)
+    r = a
+    while not r.is_zero():
+        rv = _view(r, i)
+        dr = max(rv)
+        if dr < db:
+            break
+        shift = {e[:i] + (e[i] + dr - db,) + e[i + 1:]: c for e, c in rv[dr].terms.items()}
+        r = r * bv[db] - b * Poly(a.variables, shift)
+    return r
+
+
+def prs_gcd(f, g):
+    """Gcd over Q[variables] by primitive pseudo-remainder sequences."""
+    if f.is_zero():
+        return g.normalized()
+    if g.is_zero():
+        return f.normalized()
+    if f.is_constant() or g.is_constant():
+        return Poly.constant(1, f.variables)
+    main = next(i for i in range(len(f.variables))
+                if any(e[i] for e in f.terms) or any(e[i] for e in g.terms))
+    name = f.variables[main]
+    fa, fb = (f, g) if f.degree_in(name) >= g.degree_in(name) else (g, f)
+    cont_a, cont_b = _prs_content(fa, main), _prs_content(fb, main)
+    cont = prs_gcd(cont_a, cont_b)
+    pa, pb = fraction_exact_div(fa, cont_a), fraction_exact_div(fb, cont_b)
+    while not pb.is_zero():
+        r = _prs_pseudo_rem(pa, pb, main)
+        if r.is_zero():
+            pa = pb
+            break
+        pa, pb = pb, fraction_exact_div(r, _prs_content(r, main))
+    if not any(e[main] for e in pa.terms):
+        return cont.normalized()
+    return (cont * pa).normalized()

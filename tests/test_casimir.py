@@ -75,24 +75,25 @@ def test_family_chain_relations():
 
 def test_w1_span_dim_flat_k5():
     for pt in (_pt(0, 0, 0, 0, 0), _pt(1, 2, 3, 4, 5)):
-        assert w1_span_dim(K5.families, pt) == 3
+        assert w1_span_dim(K5.structure, K5.families, pt) == 3
 
 
 def test_w1_span_dim_toda():
     pt = _pt(1, 1, 2, 1, 3)
     assert s_generic(2, pt)
-    assert w1_span_dim(V5.families, pt) == 3
+    assert w1_span_dim(V5.structure, V5.families, pt) == 3
     # vanishing odd coordinates alone keep the rank when the run
     # polynomials stay coprime
     wall = _pt(1, 0, 2, 0, 3)
-    assert s_generic(2, wall) and w1_span_dim(V5.families, wall) == 3
+    assert s_generic(2, wall) and w1_span_dim(V5.structure, V5.families, wall) == 3
     # shared run-polynomial roots break the submersion; the value is pinned
     # by an independent minor-rank oracle
     degenerate = _pt(1, 0, 1, 0, 1)
     assert not s_generic(2, degenerate)
-    rows = gradient_rows([c for fam in V5.families for c in fam.coeffs], degenerate)
+    rows = gradient_rows(V5.structure, [c for fam in V5.families for c in fam.coeffs],
+                         degenerate)
     oracle = minor_rank(rows)
-    got = w1_span_dim(V5.families, degenerate)
+    got = w1_span_dim(V5.structure, V5.families, degenerate)
     assert got == oracle
     assert got < 3
 
@@ -131,7 +132,8 @@ def test_criterion_reparametrization_invariance():
     base = kronecker_criterion(V3.structure, V3.families, pt)
     shifted = V3.families[0].shifted_by([Fraction(7), Fraction(-2, 3)])
     v = kronecker_criterion(V3.structure, [shifted], pt)
-    assert w1_span_dim([shifted], pt) == w1_span_dim(V3.families, pt)
+    assert (w1_span_dim(V3.structure, [shifted], pt)
+            == w1_span_dim(V3.structure, V3.families, pt))
     assert (v.outcome, v.type_dims) == (base.outcome, base.type_dims)
 
 
@@ -181,7 +183,7 @@ def test_w1_span_dim_pole():
     vs = K5.structure.variables
     fam = _family(["1/x0"], vs)
     with pytest.raises(PoleAtPoint):
-        w1_span_dim([fam], (0, 1, 1, 1, 1))
+        w1_span_dim(K5.structure, [fam], (0, 1, 1, 1, 1))
 
 
 

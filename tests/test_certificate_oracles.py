@@ -1,10 +1,13 @@
-"""Sparse Poisson certificates and integer-numerator products against dense oracles.
+"""Sparse Poisson certificates and integer-numerator arithmetic against dense oracles.
 
 Each certificate must agree with its coordinate-by-coordinate form in
 ``oracles`` on the verdict and, byte for byte, on the failure detail.  The
 family, chain and Casimir certificates, which share one relation routine
 and one stored result per relation, are compared with the three loops that
-routine replaced.
+routine replaced.  Covectors and pairings, summed in one accumulator per
+sum, must equal the one-product-at-a-time loops exactly, and the heuristic
+gcd and integer division must equal the primitive PRS gcd and Fraction long
+division.
 """
 
 from fractions import Fraction
@@ -13,14 +16,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from biham.casimir import LambdaFamily, family_check
-from biham.exactalg import Poly, RationalFunction
+import biham.exactalg.poly as poly_module
+from biham.exactalg import Poly, RationalFunction, exact_div, poly_gcd
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import open_toda, sl2_shift
 from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
 
-from oracles import (dense_compatibility_check, dense_jacobi_check, loop_family_check,
-                     loop_is_casimir, loop_verify_chain, pairwise_bracket,
-                     pairwise_involution_check, schoolbook_product)
+from oracles import (dense_compatibility_check, dense_jacobi_check, fraction_exact_div,
+                     loop_family_check, loop_hamiltonian_covector, loop_is_casimir,
+                     loop_pairing, loop_verify_chain, pairwise_bracket,
+                     pairwise_involution_check, prs_gcd, schoolbook_product)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -37,34 +42,41 @@ def polys(draw, variables, max_terms=2, max_deg=2):
     return Poly(variables, terms)
 
 
-@st.composite
-def functions(draw, variables, den):
-    """A polynomial, or a polynomial over ``den``."""
-    num = draw(polys(variables))
-    return RationalFunction(num, den if draw(st.booleans()) else None)
+def _linear_denominator(draw, variables):
+    """1 + c*x_i for a drawn coordinate x_i and c in 1..3."""
+    i = draw(st.integers(0, len(variables) - 1))
+    return (Poly.constant(1, variables)
+            + Poly.variable(variables[i], variables) * draw(st.integers(1, 3)))
 
 
 @st.composite
-def tables(draw, variables, den):
+def functions(draw, variables, dens):
+    """A polynomial of total degree at most 3, or one over a denominator from ``dens``."""
+    num = draw(polys(variables, max_terms=3, max_deg=3))
+    if not dens or draw(st.booleans()):
+        return RationalFunction(num)
+    return RationalFunction(num, draw(st.sampled_from(dens)))
+
+
+@st.composite
+def tables(draw, variables, dens):
     n = len(variables)
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     keys = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
-    return PoissonStructure(variables, {key: draw(functions(variables, den)) for key in keys})
+    return PoissonStructure(variables, {key: draw(functions(variables, dens)) for key in keys})
 
 
 @st.composite
 def structure_pairs(draw):
     """Two random tables on 3 to 5 coordinates.
 
-    Entries have total degree at most 2 and rational ones share one
-    denominator 1 + c*x_i: with larger numerators or several distinct
-    denominators the multivariate gcd is too slow for a test.
+    Rational entries have one of two denominators 1 + c*x_i, so brackets
+    and Schouten residuals sum products over several distinct denominators.
     """
     n = draw(st.integers(3, 5))
     variables = tuple(f"x{i}" for i in range(n))
-    den = (Poly.constant(1, variables) + Poly.variable(
-        variables[draw(st.integers(0, n - 1))], variables) * draw(st.integers(1, 3)))
-    return draw(tables(variables, den)), draw(tables(variables, den))
+    dens = [_linear_denominator(draw, variables) for _ in range(2)]
+    return draw(tables(variables, dens)), draw(tables(variables, dens))
 
 
 def _same(got, want):
@@ -211,3 +223,79 @@ def test_poly_product_cancels_to_zero():
     half = Fraction(1, 2)
     assert ((x * half + y) * (x * half - y) - (x * x * Fraction(1, 4) - y * y)).is_zero()
     assert (Poly.zero(V) * (x + y)).is_zero()
+
+
+@st.composite
+def accumulator_tables(draw, denominators):
+    """A table on 3 or 4 coordinates whose entries are polynomials
+    (``"none"``), polynomials or fractions over one shared 1 + c*x_i
+    (``"shared"``), or over one of three such denominators (``"distinct"``)."""
+    variables = tuple(f"x{i}" for i in range(draw(st.integers(3, 4))))
+    count = {"none": 0, "shared": 1, "distinct": 3}[denominators]
+    dens = [_linear_denominator(draw, variables) for _ in range(count)]
+    return draw(tables(variables, dens))
+
+
+@pytest.mark.parametrize("denominators", ["none", "shared", "distinct"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_covector_and_pairing_match_the_one_product_loops(denominators, data):
+    p = data.draw(accumulator_tables(denominators))
+    f, g = (data.draw(polys(p.variables, max_terms=3, max_deg=3)) for _ in range(2))
+    covector = p.hamiltonian_covector(f)
+    assert covector == loop_hamiltonian_covector(p, f)
+    grad = p.gradient(g)
+    assert p.pairing(covector, grad) == loop_pairing(p, covector, grad)
+    # two rational factors: products land in more than one denominator group
+    assert p.pairing(covector, covector) == loop_pairing(p, covector, covector)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_sum_of_products_matches_the_running_sum(data):
+    variables = ("x0", "x1", "x2")
+    pairs = []
+    for _ in range(data.draw(st.integers(0, 5))):
+        u, v = (RationalFunction(data.draw(polys(variables)),
+                                 data.draw(st.sampled_from(
+                                     [None, _linear_denominator(data.draw, variables)])))
+                for _ in range(2))
+        pairs.append((u, v))
+    want = RationalFunction.constant(0, variables)
+    for u, v in pairs:
+        want = want + u * v
+    assert RationalFunction.sum_of_products(pairs, variables) == want
+
+
+def test_polynomial_pairing_runs_at_most_one_gcd(monkeypatch):
+    # the products of a polynomial pairing share the denominator 1: one
+    # accumulator, one RationalFunction, no reduction per product or sum
+    b = open_toda(3).structure
+    fam = open_toda(3).families[0]
+    covector = b.p1.hamiltonian_covector(fam.coeffs[0])
+    grad = b.p1.gradient(fam.coeffs[1])
+    assert sum(not entry.is_zero() for entry in covector) > 2
+    calls = []
+    original = poly_module.poly_gcd
+
+    def counting(f, g):
+        calls.append((f, g))
+        return original(f, g)
+
+    monkeypatch.setattr(poly_module, "poly_gcd", counting)
+    b.p1.pairing(covector, grad)
+    assert len(calls) <= 1
+
+
+@given(polys(V, max_terms=4, max_deg=3), polys(V, max_terms=4, max_deg=3),
+       polys(V, max_terms=3, max_deg=2))
+@settings(max_examples=60, deadline=None)
+def test_gcd_and_division_match_the_prs_and_fraction_oracles(a, b, c):
+    assume(not (b.is_zero() or c.is_zero()))
+    f, g = a * c, b * c
+    assert poly_gcd(f, g) == prs_gcd(f, g)
+    if not (f.is_constant() or g.is_constant()):     # the fallback, run on its own
+        assert poly_module._prs_gcd(f, g) == prs_gcd(f, g)
+    assert poly_gcd(a, b) == prs_gcd(a, b)
+    assert exact_div(f, c) == fraction_exact_div(f, c) == a
+    assert exact_div(a, b) == fraction_exact_div(a, b)

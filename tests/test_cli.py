@@ -260,6 +260,38 @@ def test_cli_rational_beyond_integer_or_fraction_is_exit_2(capsys, spec):
     assert elapsed < 1.0
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("families", [[1]], "families[0] is not an object"),
+    ("expectations", 5, "'expectations' is not an object"),
+    ("families", [{"degree": 0, "coeffs": [1]}], "families[0].coeffs entry 1 is not"),
+    ("genericity", [2], "genericity entry 2 is not"),
+    ("families", 5, "'families' is not a list"),
+], ids=["family_not_object", "expectations_not_object", "integer_coefficient",
+        "integer_genericity", "families_not_list"])
+def test_cli_malformed_structure_field_is_exit_2(tmp_path, capsys, field, value, message):
+    data = export_model(open_toda(1))
+    data[field] = value
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path), "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize("power", [24, 64])
+def test_cli_high_power_quotient_is_fast(capsys, power):
+    # reducing the quotient is one gcd of two coprime univariate powers, which
+    # the primitive PRS gcd took minutes over; the heuristic gcd proves it at once
+    start = time.perf_counter()
+    code = main(["check", "casimir", "open_toda:k=2", "--function",
+                 f"(v1+1)^{power}/(v1+2)^{power}", "--bracket", "1"])
+    elapsed = time.perf_counter() - start
+    assert code == 1
+    assert "FAIL" in capsys.readouterr().out
+    assert elapsed < 2.0
+
+
 def test_cli_duplicate_variable_is_exit_2(tmp_path, capsys):
     data = export_model(open_toda(1))
     data["vars"] = [data["vars"][0]] * len(data["vars"])

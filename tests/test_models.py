@@ -315,7 +315,7 @@ def test_sl2_criterion_and_span():
     assert m.is_generic(pt)
     v = kronecker_criterion(m.structure, m.families, pt)
     assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
-    assert w1_span_dim(m.families, pt) == 2
+    assert w1_span_dim(m.structure, m.families, pt) == 2
 
 
 def test_sl2_not_regular():

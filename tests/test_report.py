@@ -7,6 +7,7 @@ import pytest
 
 from biham import casimir, lenard, pencil
 from biham.errors import ValidationError
+from biham.exactalg import RationalFunction
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
@@ -113,6 +114,26 @@ def test_analyze_computes_each_covector_once(monkeypatch):
     assert report.matched
     assert len(calls) == 2 * sum(len(fam.coeffs) for fam in model.families)
     assert len(set(calls)) == len(calls)
+
+
+def test_analyze_differentiates_independently_of_the_sample_count(monkeypatch):
+    # each function's symbolic gradient is kept on the structure, so more
+    # sample points evaluate more, but differentiate nothing new
+    calls = []
+    original = RationalFunction.diff
+
+    def counted(self, name):
+        calls.append(name)
+        return original(self, name)
+
+    monkeypatch.setattr(RationalFunction, "diff", counted)
+    counts = []
+    for samples in (2, 6):
+        model = open_toda(3)
+        calls.clear()
+        assert run_analyze(model, samples=samples, seed=0).matched
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
 
 
 def test_analyze_does_not_prove_involution(monkeypatch):
