@@ -3,7 +3,8 @@
 Chains are never produced by solving the recurrence for unknown functions;
 they are read off closed-form polynomial families by coefficient reversal,
 which bridges the lambda-polynomial convention of the criteria and the
-1/lambda expansion convention of the recursion scheme exactly.
+1/lambda expansion convention of the recursion scheme exactly.  Relations,
+brackets and gradient rows all read the structure's stored gradients.
 """
 
 from dataclasses import dataclass
@@ -12,7 +13,7 @@ from .casimir import LambdaFamily, gradient_rows
 from .errors import ValidationError
 from .exactalg import load_json, parse_rational, stack_rows
 from .pencil import action_dimension
-from .poisson import BihamStructure, Certificate
+from .poisson import BihamStructure, Certificate, first_nonzero_sum
 
 
 @dataclass(frozen=True)
@@ -33,15 +34,19 @@ class LenardChain:
 
     @classmethod
     def from_json(cls, data, structure: BihamStructure, name: str = "") -> "LenardChain":
+        """Chain as ``chain.schema.json`` describes it; anything else is a ValidationError."""
         if isinstance(data, str):
             data = load_json(data)
-        try:
-            funcs = tuple(parse_rational(f, structure.variables)
-                          for f in data["functions"])
-            anchored = bool(data["anchored"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad chain JSON: {exc}") from exc
-        return cls(funcs, structure, anchored, name=name)
+        if not isinstance(data, dict):
+            raise ValidationError("chain JSON must be an object")
+        anchored, funcs = data.get("anchored"), data.get("functions")
+        if not isinstance(anchored, bool):
+            raise ValidationError(f"chain field 'anchored' is {anchored!r}, not a boolean")
+        if not (isinstance(funcs, list) and funcs and all(isinstance(f, str) for f in funcs)):
+            raise ValidationError(f"chain field 'functions' is {funcs!r}, not a non-empty "
+                                  f"list of expression strings")
+        return cls(tuple(parse_rational(f, structure.variables) for f in funcs),
+                   structure, anchored, name=name)
 
 
 def chain_from_family(b: BihamStructure, fam: LambdaFamily, name: str = "") -> LenardChain:
@@ -81,22 +86,24 @@ def verify_chain(chain: LenardChain) -> Certificate:
 def involution_check(funcs, b: BihamStructure) -> Certificate:
     """All pairwise brackets vanish under both structures, exactly.
 
-    Each function is differentiated once, and H_a is contracted once per
-    structure, for row a only; {H_a, H_c} is then the pairing of H_a's
-    covector with grad H_c.
+    Gradients are b's (``BihamStructure.gradient``).  Row a contracts grad H_a
+    once per structure when it is reached; {H_a, H_c}_k is the group pairing
+    that covector with grad H_c, one group of ``first_nonzero_sum``.
     """
-    funcs = list(funcs)
-    grads = [b.p1.gradient(f) for f in funcs]
-    for a in range(len(funcs) - 1):
-        covectors = (b.p1.hamiltonian_covector(funcs[a]), b.p2.hamiltonian_covector(funcs[a]))
-        for c in range(a + 1, len(funcs)):
-            for which, p in ((1, b.p1), (2, b.p2)):
-                res = p.pairing(covectors[which - 1], grads[c])
-                if not res.is_zero():
-                    return Certificate(
-                        False, "involution",
-                        f"{{H_{a}, H_{c}}}_{which} = {res}")
-    return Certificate(True, "involution")
+    grads = [b.gradient(f) for f in funcs]
+
+    def brackets():
+        for a in range(len(grads) - 1):
+            covectors = (b.p1.contract(grads[a]), b.p2.contract(grads[a]))
+            for c in range(a + 1, len(grads)):
+                for which, covector in enumerate(covectors, 1):
+                    yield (a, c, which), zip(covector, grads[c])
+
+    failure = first_nonzero_sum(brackets(), b.variables)
+    if failure is None:
+        return Certificate(True, "involution")
+    (a, c, which), res = failure
+    return Certificate(False, "involution", f"{{H_{a}, H_{c}}}_{which} = {res}")
 
 
 @dataclass(frozen=True)
@@ -134,16 +141,3 @@ def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerd
         outcome = "Insufficient"
     return IntegrabilityVerdict(count, adim, outcome, ptype.label())
 
-
-def telescoping_check(chain: LenardChain) -> Certificate:
-    """{H_i, H_j}_1 = {H_{i-1}, H_{j+1}}_1 for all valid index pairs."""
-    b = chain.structure
-    fs = chain.functions
-    for i in range(1, len(fs)):
-        for j in range(len(fs) - 1):
-            left = b.p1.bracket(fs[i], fs[j])
-            right = b.p1.bracket(fs[i - 1], fs[j + 1])
-            if not (left - right).is_zero():
-                return Certificate(False, "telescoping",
-                                   f"failure at (i,j)=({i},{j})")
-    return Certificate(True, "telescoping")

@@ -549,6 +549,8 @@ def normal_form_phi(f, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
     x' y'^j (j >= 1) to vanish, so the mixed second derivative cannot fix
     it, and ScalingUnfixed is raised with the result attached.
     """
+    if order < 1:
+        raise ValidationError(f"truncation order must be at least 1, got {order}")
     if isinstance(f, Poly):
         f = Series.from_poly(f, order)
     if isinstance(f, Series) and f.order != order:

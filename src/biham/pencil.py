@@ -81,9 +81,6 @@ class SkewPencil:
     def at(self, lam) -> Matrix:
         return self.A.scale(rat(lam)) + self.B
 
-    def swap(self) -> "SkewPencil":
-        return SkewPencil(self.n, self.B, self.A)
-
     def congruence(self, p: Matrix) -> "SkewPencil":
         return SkewPencil(self.n, self.A.congruence(p), self.B.congruence(p))
 

@@ -6,13 +6,12 @@ identity-level checks (Jacobi, compatibility, Casimir) clear denominators
 and compare numerators exactly; point evaluations are a secondary layer
 and refuse points on recorded denominator zero loci.
 
-``relation_failure`` proves every Hamiltonian relation sum P grad f = 0 (a
-Casimir, a family's lambda coefficient, a Lenard step); a structure keeps
-each result of P1 grad f + P2 grad g = 0 (``BihamStructure.relation``) and
-each function's symbolic gradient (``BihamStructure.gradient``).  Every
-covector entry and every pairing is one ``RationalFunction.sum_of_products``:
-one integer accumulator and one gcd reduction per denominator, not one
-reduced RationalFunction per product and per partial sum.
+``first_nonzero_sum`` sums and zero-tests every certificate residual, one
+``RationalFunction.sum_of_products`` per (key, products) group: by
+coordinate triple for Jacobi and compatibility, by coordinate for the
+relations sum P grad f = 0 (a Casimir, a family's lambda coefficient, a
+Lenard step).  A ``BihamStructure`` keeps each function's gradient and each
+relation's result, never a covector.
 """
 
 from dataclasses import dataclass
@@ -105,14 +104,12 @@ class PoissonStructure:
 
     def hamiltonian_covector(self, f) -> tuple:
         """Component j is {f, x_j} = sum_i Pi^{ij} d_i f."""
-        grad = self.gradient(f)
-        pairs = [[] for _ in range(self.dim)]
-        for (i, j), c in self.table.items():
-            if not grad[i].is_zero():
-                pairs[j].append((c, grad[i]))
-            if not grad[j].is_zero():
-                pairs[i].append((-c, grad[j]))
-        return tuple(RationalFunction.sum_of_products(p, self.variables) for p in pairs)
+        return self.contract(self.gradient(f))
+
+    def contract(self, grad) -> tuple:
+        """P grad: component j is sum_i Pi^{ij} grad_i."""
+        return tuple(RationalFunction.sum_of_products(g, self.variables)
+                     for g in _contraction(((self, grad),), self.dim))
 
     def bracket(self, f, g) -> RationalFunction:
         """{f, g} = sum_j {f, x_j} d_j g, exact."""
@@ -141,7 +138,7 @@ class PoissonStructure:
 
     def is_casimir(self, f) -> Certificate:
         """{F, x_j} = 0 for every coordinate, exactly."""
-        failure = relation_failure(((self, f),))
+        failure = relation_failure(((self, self.gradient(f)),), self.variables)
         if failure is None:
             return Certificate(True, "casimir")
         j, residual = failure
@@ -202,20 +199,38 @@ def _present(p: PoissonStructure, f):
     return None if f.is_zero() else f
 
 
-def relation_failure(terms):
-    """First (coordinate index, residual) where sum over (P, f) of P grad f is nonzero.
+def first_nonzero_sum(groups, variables):
+    """First (key, residual) of the (key, products) groups whose sum is nonzero, else None.
 
-    Returns None when the sum vanishes identically.  An absent (None) or
-    zero f contributes nothing and its covector is never computed; each
-    coordinate's sum starts from the first present term, not from zero.
+    Groups are summed in the order given, each only when reached.
     """
-    present = ((p, _present(p, f)) for p, f in terms)
-    covectors = [p.hamiltonian_covector(f) for p, f in present if f is not None]
-    for j, parts in enumerate(zip(*covectors)):
-        residual = sum(parts[1:], parts[0])
+    for key, products in groups:
+        residual = RationalFunction.sum_of_products(products, variables)
         if not residual.is_zero():
-            return j, residual
+            return key, residual
     return None
+
+
+def _contraction(terms, dim: int) -> list:
+    """Per coordinate j, the products (Pi^{ij}, grad_i) of sum over (P, grad) of P grad.
+
+    A None gradient (an absent or zero function) contributes nothing.
+    """
+    groups = [[] for _ in range(dim)]
+    for p, grad in terms:
+        if grad is None:
+            continue
+        for (i, j), c in p.table.items():
+            if not grad[i].is_zero():
+                groups[j].append((c, grad[i]))
+            if not grad[j].is_zero():
+                groups[i].append((-c, grad[j]))
+    return groups
+
+
+def relation_failure(terms, variables):
+    """First (coordinate index, residual) where sum over (P, grad f) of P grad f is nonzero."""
+    return first_nonzero_sum(enumerate(_contraction(terms, len(variables))), variables)
 
 
 def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
@@ -240,20 +255,19 @@ def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
     return Certificate(failure is None, "compatibility", failure or "")
 
 
-def _schouten_residual(pairs) -> dict:
-    """Factors of sum over (P, Q) in pairs of sum_cyc sum_l P^{la} d_l Q^{bc}.
+def _schouten_failure(pairs, variables):
+    """Detail of the first triple, in sorted order, whose residual is nonzero, else None.
 
-    Keyed by the sorted triple (i, j, k); the cyclic sum runs over the even
-    permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c), their
-    nonzero derivatives and the nonzero P^{la} contribute, each once, as
-    ``(order, +-P^{la}, d_l Q^{bc})``: the sign is that of (a, b, c) as a
-    permutation of the sorted triple, and ``order`` (l, position of a in the
-    triple, pair) is the order of the coordinate-by-coordinate sum, whose
-    partial sums of rational functions stay small.  [P, P] is the
-    Jacobiator; (P1, P2) with (P2, P1) is the mixed term of the pencil.
+    The residual of the sorted triple (i, j, k) is the sum over (P, Q) in
+    pairs of sum_cyc sum_l P^{la} d_l Q^{bc}, the cyclic sum running over the
+    even permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c),
+    their nonzero derivatives and the nonzero P^{la} contribute, each once,
+    as the product (+-P^{la}, d_l Q^{bc}) with the sign of (a, b, c) as a
+    permutation of the sorted triple.  [P, P] is the Jacobiator; (P1, P2)
+    with (P2, P1) is the mixed term of the pencil.
     """
     terms: dict = {}
-    for pair, (p, q) in enumerate(pairs):
+    for p, q in pairs:
         rows: dict = {}
         for (i, j), c in p.table.items():
             rows.setdefault(i, []).append((j, c))
@@ -267,31 +281,19 @@ def _schouten_residual(pairs) -> dict:
                     continue
                 for a, pla in rows[l]:
                     if a < b:
-                        key, order = (a, b, c), (l, 0, pair)
+                        key = (a, b, c)
                     elif b < a < c:
-                        key, order, pla = (b, a, c), (l, 1, pair), -pla
+                        key, pla = (b, a, c), -pla
                     elif a > c:
-                        key, order = (b, c, a), (l, 2, pair)
+                        key = (b, c, a)
                     else:
                         continue
-                    terms.setdefault(key, []).append((order, pla, dl))
-    return terms
-
-
-def _schouten_failure(pairs, variables):
-    """Detail of the first triple, in sorted order, whose residual is nonzero, else None.
-
-    Products are formed triple by triple, so a failure stops the work early.
-    """
-    terms = _schouten_residual(pairs)
-    for key in sorted(terms):
-        parts = [pla * dl for _, pla, dl in sorted(terms[key], key=lambda t: t[0])]
-        residual = sum(parts[1:], parts[0])
-        if not residual.is_zero():
-            i, j, k = key
-            return (f"triple ({variables[i]},{variables[j]},{variables[k]}): "
-                    f"residual {residual}")
-    return None
+                    terms.setdefault(key, []).append((pla, dl))
+    failure = first_nonzero_sum(sorted(terms.items()), variables)
+    if failure is None:
+        return None
+    (i, j, k), residual = failure
+    return f"triple ({variables[i]},{variables[j]},{variables[k]}): residual {residual}"
 
 
 def pencil_structure(p1: PoissonStructure, p2: PoissonStructure, lam) -> PoissonStructure:
@@ -325,13 +327,10 @@ class BihamStructure:
         return self._certificates[key]
 
     def gradient(self, f) -> tuple:
-        """(d f / d v for v in f's variables), differentiated once per structure.
-
-        Point verdicts evaluate these at every sample point; the symbolic
-        derivatives are kept next to the certificate store.
-        """
+        """f's gradient over the structure's variables, differentiated once per structure."""
+        f = self.p1._coerce(f)
         if f not in self._gradients:
-            self._gradients[f] = tuple(f.diff(v) for v in f.variables)
+            self._gradients[f] = self.p1.gradient(f)
         return self._gradients[f]
 
     def relation(self, f, g):
@@ -343,7 +342,8 @@ class BihamStructure:
         """
         f, g = _present(self.p1, f), _present(self.p1, g)
         return self.certificate(("relation", f, g), lambda: relation_failure(
-            ((self.p1, f), (self.p2, g))))
+            ((p, None if h is None else self.gradient(h))
+             for p, h in ((self.p1, f), (self.p2, g))), self.variables))
 
     def jacobi(self, which: int) -> Certificate:
         p = self.p1 if which == 1 else self.p2

@@ -97,6 +97,8 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         cert = family_check(b, fam)
         family_records.append({"name": fam.name, "degree": fam.degree,
                                "certificate": cert.to_json()})
+    # the criterion presupposes every family identity; without one it stays null
+    criterion_ready = model.families and all(r["certificate"]["ok"] for r in family_records)
     chains = [chain_from_family(b, fam) for fam in model.families]
     chain_records = []
     for chain in chains:
@@ -133,7 +135,7 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
                              "bracket2": at.corank_profile["0"],
                              "generic": at.generic_corank}
         type_counter[label] += 1
-        if model.families:
+        if criterion_ready:
             verdict = kronecker_criterion(b, model.families, at)
             record["w1_dim"] = verdict.w1_dim
             record["criterion"] = verdict.to_json()

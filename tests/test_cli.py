@@ -8,7 +8,7 @@ import pytest
 
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import ValidationError
-from biham.models import flat_kronecker, open_toda
+from biham.models import flat_kronecker, m_f, open_toda
 from biham.pencil import kronecker_pencil
 from biham.report import emit_report, run_analyze
 
@@ -147,6 +147,43 @@ def test_cli_check_chain(tmp_path):
     assert main(["check", "chain", str(path)]) == 1
 
 
+@pytest.mark.parametrize("chain,message", [
+    ({"anchored": "false", "functions": ["y", "x"]}, "field 'anchored' is 'false'"),
+    ({"functions": ["y", "x"]}, "field 'anchored' is None"),
+    ({"anchored": True, "functions": "yx"}, "field 'functions' is 'yx'"),
+    ({"anchored": True, "functions": []}, "field 'functions' is []"),
+    ({"anchored": True, "functions": ["y", 5]}, "field 'functions' is ['y', 5]"),
+    (["y", "x"], "chain JSON must be an object"),
+], ids=["anchored_string", "anchored_missing", "functions_string", "functions_empty",
+        "integer_function", "chain_not_object"])
+def test_cli_malformed_chain_is_exit_2(tmp_path, capsys, chain, message):
+    # (y, x) is the chain of m_f(x + y), so a string "yx" read letter by
+    # letter would pass the recurrence
+    data = export_model(m_f("x + y"))
+    data["chains"] = [chain]
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "chain", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_cli_analyze_with_a_failing_family_reports_and_exits_1(tmp_path, capsys):
+    # v0 + lam*v1 is no Casimir family of open Toda: the report is written
+    # with the family failure and no criterion
+    data = export_model(open_toda(1))
+    data["families"] = [{"degree": 1, "coeffs": ["v0", "v1"], "name": "bad"}]
+    data.pop("expectations", None)
+    path = tmp_path / "bad_family.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path), "--samples", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["families"][0]["certificate"]["ok"] is False
+    assert report["criterion"] is None
+    assert main(["check", "family", str(path)]) == 1
+
+
 def test_cli_decompose(tmp_path, capsys):
     path = tmp_path / "k5.json"
     path.write_text(json.dumps(kronecker_pencil(3).to_json()))
@@ -162,6 +199,14 @@ def test_cli_normalform(capsys):
     assert main(["normalform", "--function", "x + y + x^2*y"]) == 0
     out = capsys.readouterr().out
     assert "flat: no" in out
+
+
+@pytest.mark.parametrize("truncation", ["0", "-2"])
+def test_cli_normalform_truncation_below_one_is_exit_2(capsys, truncation):
+    assert main(["normalform", "--function", "x + y", "--truncation", truncation]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"truncation order must be at least 1, got {truncation}" in captured.err
 
 
 def test_cli_bad_input_is_exit_2(capsys):

@@ -5,13 +5,14 @@ from dataclasses import replace
 
 import pytest
 
-from biham import casimir, lenard, pencil
+from biham import casimir, lenard, pencil, poisson
 from biham.errors import ValidationError
 from biham.exactalg import RationalFunction
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
-from biham.poisson import BihamStructure, PoissonStructure
+from biham.lenard import chain_from_family, involution_check
+from biham.poisson import BihamStructure
 from biham.report import emit_report, run_analyze
 
 CATALOG = [
@@ -97,23 +98,45 @@ def test_analyze_decomposes_each_point_once(monkeypatch):
                                     | families | relations)
 
 
-def test_analyze_computes_each_covector_once(monkeypatch):
+def test_analyze_sums_each_relation_once(monkeypatch):
     # family, anchor and chain share one stored result per relation, so each
-    # bracket contracts each function once
+    # relation is summed once, next to the two Jacobi and the compatibility sums
     model = open_toda(3)
     b = BihamStructure(model.structure.p1, model.structure.p2, name=model.name)
     calls = []
-    original = PoissonStructure.hamiltonian_covector
+    original = poisson.first_nonzero_sum
 
-    def counted(self, f):
-        calls.append((self is b.p1, f))
-        return original(self, f)
+    def counted(groups, variables):
+        calls.append(groups)
+        return original(groups, variables)
 
-    monkeypatch.setattr(PoissonStructure, "hamiltonian_covector", counted)
+    monkeypatch.setattr(poisson, "first_nonzero_sum", counted)
     report = run_analyze(replace(model, structure=b), samples=3, seed=0)
     assert report.matched
-    assert len(calls) == 2 * sum(len(fam.coeffs) for fam in model.families)
-    assert len(set(calls)) == len(calls)
+    assert len(calls) == 3 + sum(fam.degree + 2 for fam in model.families)
+
+
+def test_analyze_then_involution_differentiate_each_function_once(monkeypatch):
+    # relations, point rows and involution all read the structure's stored
+    # gradients, so each (function, variable) pair is differentiated once
+    calls = []
+    original = RationalFunction.diff
+
+    def counted(self, name):
+        calls.append((self, name))
+        return original(self, name)
+
+    monkeypatch.setattr(RationalFunction, "diff", counted)
+    model = open_toda(3)
+    b = model.structure
+    assert run_analyze(model, samples=2, seed=0).matched
+    funcs = [f for fam in model.families for f in chain_from_family(b, fam).functions]
+    assert involution_check(funcs, b).ok
+    # the Jacobi and compatibility sums differentiate bracket entries instead
+    entries = {id(c) for p in (b.p1, b.p2) for c in p.table.values()}
+    calls = [(f, name) for f, name in calls if id(f) not in entries]
+    assert len(calls) == len(set(calls))
+    assert set(calls) == {(f, v) for f in funcs for v in b.variables}
 
 
 def test_analyze_differentiates_independently_of_the_sample_count(monkeypatch):
