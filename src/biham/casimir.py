@@ -24,13 +24,10 @@ class LambdaFamily:
     """Polynomial family of functions, Casimir for lam*{,}_1 + {,}_2.
 
     coeffs[k] is the coefficient of lam^k; the leading coefficient must be
-    nonzero.  The orientation tag records the pencil parametrization the
-    family was verified against (models that arrive in a reflected or
-    reciprocal parametrization are reparametrized at construction).
+    nonzero.
     """
 
     coeffs: tuple
-    orientation: str = "lam*P1+P2"
     name: str = ""
 
     def __post_init__(self):
@@ -56,7 +53,7 @@ class LambdaFamily:
             if k >= len(new):
                 break
             new[k] = new[k] + RationalFunction.constant(c, vars_)
-        return LambdaFamily(tuple(new), self.orientation, self.name)
+        return LambdaFamily(tuple(new), self.name)
 
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}

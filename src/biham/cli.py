@@ -13,7 +13,7 @@ import os
 import sys
 
 from .casimir import LambdaFamily, family_check
-from .errors import BihamError, ScalingUnfixed, ValidationError
+from .errors import BihamError, ValidationError
 from .exactalg import load_json, parse_poly, parse_rational, rat
 from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, make_model, normal_form_phi,
@@ -36,7 +36,7 @@ def _parse_params(text: str) -> dict:
         value = value.strip()
         if key in params:
             raise ValidationError(f"parameter {key!r} given twice")
-        if key in ("k", "order", "steps"):
+        if key in ("k", "order"):
             try:
                 params[key] = int(value)
             except ValueError as exc:
@@ -82,7 +82,8 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
         fam = LambdaFamily.from_json(fam_data, structure.variables,
                                      name=fam_data.get("name", ""))
         model.families.append(fam)
-    model.chains_data = _field(data, "chains", list)
+    model.chains.extend(LenardChain.from_json(chain_data, structure, name=f"chain {i}")
+                        for i, chain_data in enumerate(_field(data, "chains", list)))
     genericity = _expressions(_field(data, "genericity", list), "genericity")
     model.genericity.extend(parse_poly(g, structure.variables) for g in genericity)
     model.expectations = _field(data, "expectations", dict)
@@ -226,13 +227,9 @@ def _dispatch(args) -> int:
 
     if args.command == "normalform":
         f = parse_poly(args.function, ("x", "y"))
-        try:
-            result = normal_form_phi(f, args.truncation)
-            note = "" if result.scaling_fixed else " (scaling unfixed)"
-        except ScalingUnfixed as exc:
-            result = exc.result
-            note = " (scaling unfixed)"
-        print(f"phi = {result.phi}")
+        result = normal_form_phi(f, args.truncation)
+        note = "" if result.scaling_fixed else " (scaling unfixed)"
+        print(f"phi = {result.phi} + O(deg {args.truncation + 1})")
         print(f"flat: {'yes' if result.flat else 'no'}{note}")
         return 0
 
@@ -284,11 +281,9 @@ def _check(args) -> int:
                   f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")
             ok = ok and cert.ok
     elif args.what == "chain":
-        chains_data = getattr(model, "chains_data", [])
-        if not chains_data:
+        if not model.chains:
             raise ValidationError("no chains in the input")
-        for i, chain_data in enumerate(chains_data):
-            chain = LenardChain.from_json(chain_data, b, name=f"chain {i}")
+        for i, chain in enumerate(model.chains):
             cert = verify_chain(chain)
             print(f"chain {i} (anchored={chain.anchored}): "
                   f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")

@@ -10,7 +10,7 @@ class ValidationError(BihamError):
 
 
 class SingularInversion(BihamError):
-    """Series inversion requested with vanishing linear coefficient."""
+    """Compositional inverse requested in a variable with zero linear coefficient."""
 
 
 class PoleAtPoint(BihamError):
@@ -57,10 +57,6 @@ class NotRegular(BihamError):
 
 class NotNormalizable(BihamError):
     """Normal-form reduction needs nonvanishing first partials at the base point."""
-
-
-class ScalingUnfixed(BihamError):
-    """Normal form determined only up to the one-parameter scaling group."""
 
 
 class SingularODE(BihamError):

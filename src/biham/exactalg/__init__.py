@@ -1,18 +1,19 @@
-"""Exact arithmetic foundation: rationals, matrices, polynomials, series."""
+"""Exact arithmetic foundation: rationals, matrices, polynomials (truncated
+series are polynomials with an order the caller holds)."""
 
 from .kernels import BACKEND
 from .matrix import Matrix, block_diag, clear_denominators, stack_rows
 from .parser import load_json, parse_poly, parse_rational
-from .poly import Poly, RationalFunction, exact_div, poly_det, poly_gcd
+from .poly import (Poly, RationalFunction, compose, exact_div, poly_det, poly_gcd,
+                   series_invert, truncate)
 from .rational import Rational, rat, rat_str
-from .series import Series, series_invert
 from .smith import smith_invariant_factors
 from .upoly import UPoly, factor_monic, squarefree_decomposition, ugcd
 
 __all__ = [
-    "BACKEND", "Matrix", "Poly", "Rational", "RationalFunction", "Series",
-    "UPoly", "block_diag", "clear_denominators", "exact_div", "factor_monic",
+    "BACKEND", "Matrix", "Poly", "Rational", "RationalFunction", "UPoly",
+    "block_diag", "clear_denominators", "compose", "exact_div", "factor_monic",
     "load_json", "parse_poly", "parse_rational", "poly_det", "poly_gcd",
     "rat", "rat_str", "series_invert", "smith_invariant_factors",
-    "squarefree_decomposition", "stack_rows", "ugcd",
+    "squarefree_decomposition", "stack_rows", "truncate", "ugcd",
 ]

@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from operator import add
 
-from ..errors import PoleAtPoint, ValidationError
+from ..errors import PoleAtPoint, SingularInversion, ValidationError
 from .rational import rat, rat_str
 
 
@@ -290,6 +290,74 @@ def _add_product(acc: dict, num1, num2, k: int):
         for e2, c2 in num2:
             e = tuple(map(add, e1, e2))
             acc[e] = acc.get(e, 0) + c1 * c2
+
+
+# -- truncated power series ------------------------------------------------
+# A series is a Poly with no term above an order the caller holds.
+
+
+def truncate(p: Poly, order: int) -> Poly:
+    """p without its terms of total degree above order."""
+    return Poly(p.variables, {e: c for e, c in p.terms.items() if sum(e) <= order})
+
+
+def compose(p: Poly, mapping: dict, order: int) -> Poly:
+    """Substitute polynomials for variables of p, truncated at total degree order.
+
+    The mapped polynomials share one target variable tuple and vanish at
+    the origin, so truncating after every product commutes with the
+    substitution; unmapped variables must belong to the target tuple.
+    """
+    tvars = next(iter(mapping.values())).variables if mapping else p.variables
+    origin = (0,) * len(tvars)
+    powers = {}
+    for name in p.variables:
+        q = mapping.get(name)
+        if q is None:
+            q = Poly.variable(name, tvars)
+        elif q.variables != tvars:
+            raise ValidationError("substituted polynomials over different variables")
+        elif origin in q.terms:
+            raise ValidationError("substituted polynomials must vanish at the origin")
+        powers[name] = [Poly.constant(1, tvars), truncate(q, order)]
+    out = Poly.zero(tvars)
+    for e, c in p.terms.items():
+        if sum(e) > order:
+            continue
+        term = Poly.constant(c, tvars)
+        for name, k in zip(p.variables, e):
+            if k:
+                cache = powers[name]
+                while len(cache) <= k:
+                    cache.append(truncate(cache[-1] * cache[1], order))
+                term = truncate(term * cache[k], order)
+        out = out + term
+    return out
+
+
+def series_invert(p: Poly, order: int) -> Poly:
+    """Compositional inverse in the first variable, through total degree order.
+
+    p vanishes at the origin with a nonzero linear coefficient p_x(0) in its
+    first variable x; the other variables are parameters.  From u = 0, the
+    fixed-point step u <- u - (p(u) - x) / p_x(0) raises the order of the
+    error by one, so at most order passes reach compose(p, {x: u}, order) == x.
+    """
+    x = p.variables[0]
+    n = len(p.variables)
+    if (0,) * n in p.terms:
+        raise ValidationError("series to invert must vanish at the origin")
+    lin = p.terms.get((1,) + (0,) * (n - 1), 0)
+    if lin == 0:
+        raise SingularInversion("first variable has zero linear coefficient")
+    target = Poly.variable(x, p.variables)
+    u = Poly.zero(p.variables)
+    for _ in range(order):
+        err = compose(p, {x: u}, order) - target
+        if err.is_zero():
+            break
+        u = u - err * (1 / lin)
+    return u
 
 
 # -- division and gcd ----------------------------------------------------

@@ -1,8 +1,10 @@
 """The model catalog: flat blocks, Toda lattices, the 3-dimensional
 examples m_f (flat exactly when f is functionally additive, the test
-normal_form_phi decides), the quadratic-family counterexample and the sl2
+normal_form_phi decides over truncated series, which are Polys with no term
+above the order it holds), the quadratic-family counterexample and the sl2
 argument shift, each packaged with its Casimir families, genericity
-predicate and declared expected outcomes.
+predicate and expected outcomes declared from the construction.  make_model
+refuses a parameter its builder does not take and a missing required one.
 
 Every structure built here passes its Jacobi/compatibility certificates
 exactly, and every attached family is gated by family_check at
@@ -10,20 +12,22 @@ construction time.  The only floating-point computation in the package is
 `mf_casimir_numeric`, clearly marked below.
 """
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .casimir import LambdaFamily, family_check
 from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
-                     NotNormalizable, NotRegular, ScalingUnfixed, SingularODE,
-                     UnsupportedPeriod, ValidationError)
-from .exactalg import (Poly, RationalFunction, Series, UPoly, parse_poly,
-                       poly_det, rat, series_invert, ugcd)
-from .pencil import decompose, jordan_pencil
+                     NotNormalizable, NotRegular, SingularODE, UnsupportedPeriod,
+                     ValidationError)
+from .exactalg import (Poly, RationalFunction, UPoly, compose, parse_poly, poly_det,
+                       rat, rat_str, series_invert, truncate, ugcd)
+from .pencil import jordan_pencil
 from .poisson import BihamStructure, PoissonStructure
 
 DEFAULT_TRUNCATION = 6
+MAX_TRUNCATION = 20     # a dense germ on a 2-vCPU Xeon: 1.2 s at order 20, 7.8 s at 30
 
 
 @dataclass
@@ -36,7 +40,7 @@ class ModelSpec:
     families: list = field(default_factory=list)
     genericity: list = field(default_factory=list)     # polynomials required nonzero
     expectations: dict = field(default_factory=dict)
-    notes: str = ""
+    chains: list = field(default_factory=list)          # LenardChains of a structure file
 
     @property
     def dim(self) -> int:
@@ -116,13 +120,13 @@ def jordan_model(k: int, mu) -> ModelSpec:
                 t2[(i, j)] = pencil.B[i, j]
     p1 = PoissonStructure(variables, t1, name="jordan bracket 1")
     p2 = PoissonStructure(variables, t2, name="jordan bracket 2")
-    mu_s = "inf" if mu == "inf" else str(rat(mu))
-    label = decompose(pencil).label()
+    mu_s = "inf" if mu == "inf" else rat_str(rat(mu))
+    label = f"J{n}(mu={mu_s})"          # the block's label, written from its construction
     return ModelSpec(
         name=f"jordan_model(k={k},mu={mu_s})",
         params={"k": k, "mu": mu},
-        structure=BihamStructure(p1, p2, name=f"J{n}(mu={mu_s})"),
-        expectations={"pencil_type": label,
+        structure=BihamStructure(p1, p2, name=label),
+        expectations={"pencil_type": "{" + label + "}",
                       "criterion": None,
                       "integrability": "JordanObstructed"},
     )
@@ -312,9 +316,7 @@ def periodic_toda(k: int) -> ModelSpec:
     coeffs = []
     for power in range(k):
         coeffs.append(_rf(parts.get(power, Poly.zero(variables)).embed(variables)))
-    fam = LambdaFamily(tuple(coeffs), orientation="lam*P1+P2 (shift v+lam*v0)",
-                       name="monodromy trace family")
-    _attach(model, fam)
+    _attach(model, LambdaFamily(tuple(coeffs), name="monodromy trace family"))
     odd_product = Poly.constant(1, variables)
     for l in range(k):
         odd_product = odd_product * Poly.variable(f"v{2 * l + 1}", variables)
@@ -365,11 +367,11 @@ def periodic_casimirs(model: ModelSpec) -> tuple:
 # (x + y and x + y + x*y are flat; x + y + x^2*y is not; normal_form_phi decides)
 
 
-def m_f(f, attach_family: bool | None = None) -> ModelSpec:
+def m_f(f) -> ModelSpec:
     """3-dimensional structure on (x, y, z) built from a function of (x, y):
     {x,z}_1 = df/dy and {y,z}_2 = -df/dx, all other coordinate brackets zero.
 
-    For f = x + y the closed-form family lam*y + x is attached.
+    The closed-form family lam*y + x is attached exactly when f = x + y.
     """
     fvars = ("x", "y")
     if isinstance(f, str):
@@ -394,11 +396,7 @@ def m_f(f, attach_family: bool | None = None) -> ModelSpec:
                       "integrability": "StrictlyLenardIntegrable"
                       if is_linear_sum else None},
     )
-    if attach_family is None:
-        attach_family = is_linear_sum
-    if attach_family:
-        if not is_linear_sum:
-            raise ValidationError("closed-form family is only known for f = x + y")
+    if is_linear_sum:
         coeffs = (_rf(Poly.variable("x", variables)),
                   _rf(Poly.variable("y", variables)))
         _attach(model, LambdaFamily(coeffs, name="linear family"))
@@ -531,146 +529,118 @@ def sl2_shift(alpha) -> ModelSpec:
 
 @dataclass(frozen=True)
 class NormalFormResult:
-    phi: Series
+    phi: Poly           # no term above the truncation order
     flat: bool
     scaling_fixed: bool
-    changes: dict
+    changes: dict       # the coordinate changes "A", "B", "C" as Polys in s
 
 
-def normal_form_phi(f, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
+def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
     """Reduce a two-variable germ to the normalized shape order by order.
 
     The coordinate changes x = A(x'), y = B(y'), f' = C(f) are solved so
     the reduced germ phi satisfies: phi(0, y') = y', d(phi)/dx' = 1 along
     x' = 0, and the two first partials agree along y' = 0.  Flat means
-    phi = x' + y' through the truncation order, and the result is returned.
-    A non-additive phi is determined only up to the residual simultaneous
-    scaling of (x', y', phi): the normalization forces every coefficient of
-    x' y'^j (j >= 1) to vanish, so the mixed second derivative cannot fix
-    it, and ScalingUnfixed is raised with the result attached.
+    phi = x' + y' through the truncation order.  A non-additive phi is
+    determined only up to the residual simultaneous scaling of (x', y',
+    phi): the normalization forces every coefficient of x' y'^j (j >= 1) to
+    vanish, so the mixed second derivative cannot fix it, and the result
+    says scaling_fixed=False.
     """
-    if order < 1:
-        raise ValidationError(f"truncation order must be at least 1, got {order}")
-    if isinstance(f, Poly):
-        f = Series.from_poly(f, order)
-    if isinstance(f, Series) and f.order != order:
-        f = f.truncate(order)
+    _check_truncation(order)
     if len(f.variables) != 2:
         raise ValidationError("normal form needs a two-variable germ")
+    n = order
+    f = truncate(f, n)
     xv, yv = f.variables
-    if f.constant_term() != 0:
+    if (0, 0) in f.terms:
         raise NotNormalizable("germ must vanish at the base point")
-    a = f.coeff(1, 0)
-    b = f.coeff(0, 1)
+    a = f.terms.get((1, 0), 0)
+    b = f.terms.get((0, 1), 0)
     if a == 0 or b == 0:
         raise NotNormalizable("both first partials must be nonzero at the base point")
 
-    n = order
-    sv = ("s",)
-    A = {1: 1 / a}
-    B = {1: Fraction(1)}
-    C = {1: Fraction(1)}
     # order-1 normalization: c1 * a * a1 = 1 and c1 * b * b1 = 1
-    C[1] = 1 / (a * A[1])
-    B[1] = (a * A[1]) / b
+    A = {1: 1 / a}
+    C = {1: 1 / (a * A[1])}
+    B = {1: (a * A[1]) / b}
 
+    sv = ("s",)
+    s = Poly.variable("s", sv)
+    zero = Poly.zero(sv)
     f_x = f.diff(xv)
     f_y = f.diff(yv)
-    g = _restrict_x0(f)            # f(0, y) as univariate in s
-    q0 = _restrict_x0(f_x)         # f_x(0, y)
-    hx = _restrict_y0(f_x)         # f_x(x, 0)
-    hy = _restrict_y0(f_y)         # f_y(x, 0)
+    g = compose(f, {xv: zero, yv: s}, n)            # f(0, s)
+    q0 = compose(f_x, {xv: zero, yv: s}, n)         # f_x(0, s)
+    hx = compose(f_x, {xv: s, yv: zero}, n)         # f_x(s, 0)
+    hy = compose(f_y, {xv: s, yv: zero}, n)         # f_y(s, 0)
 
     def univ(d):
-        return Series(sv, n, {(k,): v for k, v in d.items()})
+        return Poly(sv, {(k,): v for k, v in d.items()})
 
+    def identities(As, Bs, Cs):
+        """Residuals of phi(0, y') = y', of d(phi)/dx' = 1 along x' = 0 and
+        of the diagonal-derivative matching along y' = 0."""
+        P = compose(g, {"s": Bs}, n)
+        e1 = compose(Cs, {"s": P}, n) - s
+        e2 = compose(Cs.diff("s"), {"s": P}, n) * compose(q0, {"s": Bs}, n) * A[1] - 1
+        e3 = compose(hx, {"s": As}, n) * As.diff("s") - B[1] * compose(hy, {"s": As}, n)
+        return e1, e2, e3
+
+    # c_m from e2, a_m from e3 and b_m from e1, each linear in its unknown;
+    # e1 is summed before c_m is known, and c_m adds c_m (b b_1)^m at order m
+    bb1 = b * B[1]
     for m in range(2, n + 1):
-        As, Bs, Cs = univ(A), univ(B), univ(C)
-        P = g.compose({"s": Bs})
-        # c_m from the x'-derivative normalization along x' = 0
-        e2 = Cs.diff("s").compose({"s": P}) * q0.compose({"s": Bs}) * A[1] - 1
-        bb1 = b * B[1]
-        C[m] = -e2.coeff(m - 1) / (m * bb1 ** (m - 1) * a * A[1])
-        # a_m from the diagonal-derivative matching along y' = 0
-        e3 = hx.compose({"s": As}) * As.diff("s") - B[1] * hy.compose({"s": As})
-        A[m] = -e3.coeff(m - 1) / (m * a)
-        # b_m from phi(0, y') = y'
-        e1 = univ(C).compose({"s": P}) - Series.variable("s", sv, n)
-        B[m] = -e1.coeff(m) / (C[1] * b)
+        e1, e2, e3 = (e.terms for e in identities(univ(A), univ(B), univ(C)))
+        C[m] = -e2.get((m - 1,), 0) / (m * bb1 ** (m - 1) * a * A[1])
+        A[m] = -e3.get((m - 1,), 0) / (m * a)
+        B[m] = -(e1.get((m,), 0) + C[m] * bb1 ** m) / (C[1] * b)
 
     As, Bs, Cs = univ(A), univ(B), univ(C)
-    # full verification of the defining identities
-    P = g.compose({"s": Bs})
-    res1 = Cs.compose({"s": P}) - Series.variable("s", sv, n)
-    res2 = Cs.diff("s").compose({"s": P}) * q0.compose({"s": Bs}) * A[1] - 1
-    res3 = hx.compose({"s": As}) * As.diff("s") - B[1] * hy.compose({"s": As})
-    if not res1.is_zero() or not res2.is_zero() or not res3.is_zero():
+    # full verification; f_x, f_y and C' are exact only through order n - 1
+    res1, res2, res3 = identities(As, Bs, Cs)
+    if not (res1.is_zero() and truncate(res2, n - 1).is_zero()
+            and truncate(res3, n - 1).is_zero()):
         raise InternalInconsistency("normal-form recursion failed verification")
 
-    bivars = (xv, yv)
-    Ax = _as_bivariate(As, bivars, 0)
-    By = _as_bivariate(Bs, bivars, 1)
-    inner = f.compose({xv: Ax, yv: By})
-    phi = Cs.compose({"s": inner})
+    Ax = compose(As, {"s": Poly.variable(xv, f.variables)}, n)
+    By = compose(Bs, {"s": Poly.variable(yv, f.variables)}, n)
+    phi = compose(Cs, {"s": compose(f, {xv: Ax, yv: By}, n)}, n)
     _check_normalization(phi, n)
-
-    changes = {"A": As, "B": Bs, "C": Cs}
-    flat = _is_additive(phi, n)
-    if flat:
-        return NormalFormResult(phi, flat, True, changes)
-    exc = ScalingUnfixed("mixed second derivative vanishes; normal form "
-                         "determined up to scaling")
-    exc.result = NormalFormResult(phi, flat, False, changes)
-    raise exc
+    flat = phi.terms == {(1, 0): 1, (0, 1): 1}
+    return NormalFormResult(phi, flat, flat, {"A": As, "B": Bs, "C": Cs})
 
 
-def _check_normalization(phi: Series, n: int):
-    if phi.constant_term() != 0:
+def _check_truncation(order: int):
+    if order < 1:
+        raise ValidationError(f"truncation order must be at least 1, got {order}")
+    if order > MAX_TRUNCATION:
+        raise ValidationError(f"truncation order must be at most {MAX_TRUNCATION}, "
+                              f"got {order}")
+
+
+def _check_normalization(phi: Poly, n: int):
+    c = phi.terms.get
+    if c((0, 0), 0) != 0:
         raise InternalInconsistency("phi(0,0) != 0")
     for j in range(0, n):
         want = Fraction(1) if j == 0 else Fraction(0)
-        if phi.coeff(1, j) != want:
+        if c((1, j), 0) != want:
             raise InternalInconsistency("d(phi)/dx' not 1 along x'=0")
-    if phi.coeff(0, 1) != 1 or any(phi.coeff(0, j) != 0 for j in range(2, n + 1)):
+    if c((0, 1), 0) != 1 or any(c((0, j), 0) != 0 for j in range(2, n + 1)):
         raise InternalInconsistency("phi(0,y') != y'")
     for i in range(0, n):
-        left = (i + 1) * phi.coeff(i + 1, 0)
-        right = phi.coeff(i, 1)
+        left = (i + 1) * c((i + 1, 0), 0)
+        right = c((i, 1), 0)
         if left != right:
             raise InternalInconsistency("diagonal derivative condition fails")
 
 
-def _is_additive(phi: Series, n: int) -> bool:
-    target = {(1, 0): Fraction(1), (0, 1): Fraction(1)}
-    return phi.terms == target
-
-
-def _restrict_x0(f: Series) -> Series:
-    """f(0, y) as a univariate series in s."""
-    return Series(("s",), f.order,
-                  {(j,): c for (i, j), c in f.terms.items() if i == 0})
-
-
-def _restrict_y0(f: Series) -> Series:
-    """f(x, 0) as a univariate series in s."""
-    return Series(("s",), f.order,
-                  {(i,): c for (i, j), c in f.terms.items() if j == 0})
-
-
-def _as_bivariate(s: Series, bivars, axis: int) -> Series:
-    terms = {}
-    for (k,), c in s.terms.items():
-        e = [0, 0]
-        e[axis] = k
-        terms[tuple(e)] = c
-    return Series(bivars, s.order, terms)
-
-
-def scaling_equivalent(phi1: Series, phi2: Series) -> bool:
-    """Whether phi1(Cx, Cy) = C phi2(x, y) for some nonzero rational C."""
-    order = min(phi1.order, phi2.order)
-    t1 = {e: c for e, c in phi1.terms.items() if sum(e) <= order}
-    t2 = {e: c for e, c in phi2.terms.items() if sum(e) <= order}
+def scaling_equivalent(phi1: Poly, phi2: Poly, order: int) -> bool:
+    """Whether phi1(Cx, Cy) = C phi2(x, y) through the given order for some
+    nonzero rational C."""
+    t1 = truncate(phi1, order).terms
+    t2 = truncate(phi2, order).terms
     if set(t1) != set(t2):
         return False
     candidates = None
@@ -734,6 +704,7 @@ def two_family_flatness(model: ModelSpec, base, order: int | None = None) -> Nor
     """
     if order is None:
         order = model.params.get("order", DEFAULT_TRUNCATION)
+    _check_truncation(order)     # before series_invert, which runs at this order
     eta_u = model.params["eta"]
     zeta_u = _antiderivative(-1 * (UPoly.x() * eta_u.deriv()))
     l0, y0 = (rat(base[0]), rat(base[1]))
@@ -748,17 +719,12 @@ def two_family_flatness(model: ModelSpec, base, order: int | None = None) -> Nor
     f1 = x_of - 2 * L * Y + eta_L + Y
     x0 = x_of.eval((Fraction(0), Fraction(0)))
     f0 = f1.eval((Fraction(0), Fraction(0)))
-    xs = Series.from_poly(x_of - x0, order)
-    if xs.coeff(1, 0) == 0:
+    xs = x_of - x0
+    if xs.terms.get((1, 0), 0) == 0:
         raise NotNormalizable("base point is on the excluded locus")
-    u_of_x = series_invert(xs)
-    f_shift = Series.from_poly(f1 - f0, order)
-    germ = f_shift.compose({"u": u_of_x})
-    try:
-        return normal_form_phi(germ, order)
-    except ScalingUnfixed as exc:
-        # flatness is scaling-invariant, so the verdict survives
-        return exc.result
+    u_of_x = series_invert(xs, order)
+    germ = compose(f1 - f0, {"u": u_of_x}, order)
+    return normal_form_phi(germ, order)
 
 
 # -- numeric Casimir for m_f (the only floating-point path) -------------------------
@@ -822,4 +788,13 @@ def make_model(name: str, **params) -> ModelSpec:
     if name not in CATALOG_BUILDERS:
         raise ValidationError(f"unknown catalog model {name!r}; "
                               f"known: {', '.join(catalog_names())}")
-    return CATALOG_BUILDERS[name](**params)
+    builder = CATALOG_BUILDERS[name]
+    accepted = inspect.signature(builder).parameters
+    for key in params:
+        if key not in accepted:
+            raise ValidationError(f"{name} has no parameter {key!r}; "
+                                  f"it takes {', '.join(accepted)}")
+    for key, p in accepted.items():
+        if p.default is p.empty and key not in params:
+            raise ValidationError(f"{name} needs parameter {key!r}")
+    return builder(**params)

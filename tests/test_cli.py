@@ -154,19 +154,22 @@ def test_cli_check_chain(tmp_path):
     ({"anchored": True, "functions": []}, "field 'functions' is []"),
     ({"anchored": True, "functions": ["y", 5]}, "field 'functions' is ['y', 5]"),
     (["y", "x"], "chain JSON must be an object"),
+    ({"anchored": "false", "functions": 5}, "field 'anchored' is 'false'"),
 ], ids=["anchored_string", "anchored_missing", "functions_string", "functions_empty",
-        "integer_function", "chain_not_object"])
+        "integer_function", "chain_not_object", "anchored_string_functions_integer"])
 def test_cli_malformed_chain_is_exit_2(tmp_path, capsys, chain, message):
     # (y, x) is the chain of m_f(x + y), so a string "yx" read letter by
-    # letter would pass the recurrence
+    # letter would pass the recurrence; analyze, which derives its chains
+    # from the families, refuses the file as check chain does
     data = export_model(m_f("x + y"))
     data["chains"] = [chain]
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(data))
-    assert main(["check", "chain", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and message in captured.err
+    for argv in (["check", "chain", str(path)], ["analyze", str(path), "--samples", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
 
 
 def test_cli_analyze_with_a_failing_family_reports_and_exits_1(tmp_path, capsys):
@@ -207,6 +210,28 @@ def test_cli_normalform_truncation_below_one_is_exit_2(capsys, truncation):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"truncation order must be at least 1, got {truncation}" in captured.err
+
+
+def test_cli_normalform_truncation_above_the_bound_is_exit_2(capsys):
+    assert main(["normalform", "--function", "x + y", "--truncation", "20"]) == 0
+    capsys.readouterr()
+    assert main(["normalform", "--function", "x + y", "--truncation", "21"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "truncation order must be at most 20, got 21" in captured.err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["analyze", "open_toda:mu=2", "--samples", "1"], "open_toda has no parameter 'mu'"),
+    (["catalog", "show", "open_toda"], "open_toda needs parameter 'k'"),
+    (["catalog", "show", "m_f:f=x+y,k=2"], "m_f has no parameter 'k'"),
+    (["catalog", "show", "jordan_model:k=2"], "jordan_model needs parameter 'mu'"),
+], ids=["analyze_unknown", "show_missing", "show_unknown", "show_missing_mu"])
+def test_cli_bad_catalog_parameter_is_exit_2(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}")
 
 
 def test_cli_bad_input_is_exit_2(capsys):

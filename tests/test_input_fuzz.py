@@ -1,8 +1,9 @@
 """Fuzzing the input boundary: every call returns or raises BihamError, in time.
 
-Coefficient text goes through ``parse_rational`` and structure files through
-``PoissonStructure.from_json``; anything else escaping them would reach the
-CLI as a traceback instead of exit code 2.  The per-example deadline is
+Coefficient text goes through ``parse_rational``, structure files through
+``PoissonStructure.from_json`` and catalog specs through ``resolve_target``;
+anything else escaping them would reach the CLI as a traceback instead of
+exit code 2.  The per-example deadline is
 generous: it catches hangs, not slow machines.
 """
 
@@ -11,8 +12,10 @@ from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
 
+from biham.cli import resolve_target
 from biham.errors import BihamError
 from biham.exactalg import parse_rational
+from biham.models import catalog_names
 from biham.poisson import PoissonStructure
 
 VARIABLES = ("x", "y", "z")
@@ -68,3 +71,29 @@ def test_structure_from_json_returns_or_raises_biham_error(data):
             PoissonStructure.from_json(form)
         except BihamError:
             pass
+
+
+# k stays small: open_toda:k=12 alone takes 19 s to build
+SPEC_NAMES = catalog_names() + ["toda", ""]
+SPEC_KEYS = ["k", "mu", "alpha", "eta", "f", "order", "steps", "bogus"]
+SPEC_VALUES = ["0", "1", "2", "3", "-1", "inf", "1/2", "x", "t", "t^2", "3*t - t^4",
+               "x + y", "x + y + x*y", "x^2", "1;2;1", "0;1;0", "1;2", "", "=", "1/0"]
+
+
+@st.composite
+def catalog_specs(draw):
+    """``name:key=value,...`` strings over real and bogus names and parameters."""
+    items = draw(st.lists(st.tuples(st.sampled_from(SPEC_KEYS),
+                                    st.one_of(st.none(), st.sampled_from(SPEC_VALUES))),
+                          max_size=3))
+    params = ",".join(key if value is None else f"{key}={value}" for key, value in items)
+    return draw(st.sampled_from(SPEC_NAMES)) + (":" + params if items else "")
+
+
+@given(catalog_specs())
+@settings(max_examples=300, deadline=DEADLINE)
+def test_resolve_target_returns_or_raises_biham_error(spec):
+    try:
+        resolve_target(spec)
+    except BihamError:
+        pass
