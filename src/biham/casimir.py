@@ -14,9 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InternalInconsistency, PoleAtPoint, ValidationError
-from .exactalg import RationalFunction, load_json, parse_rational, stack_rows
-from .pencil import action_dimension, generic_corank
-from .poisson import BihamStructure, Certificate
+from .exactalg import RationalFunction, clear_denominators, load_json, parse_rational
+from .exactalg.kernels import row_echelon_ff
+from .pencil import PointAnalysis, action_dimension, generic_corank
+from .poisson import BihamStructure, Certificate, evaluator_at
 
 
 @dataclass(frozen=True)
@@ -94,22 +95,30 @@ def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     return Certificate(True, "family")
 
 
-def gradient_rows(b: BihamStructure, functions, point) -> list:
-    """Rows grad f(m), one per function, each over the function's own variables.
-
-    The symbolic gradients are b's (``BihamStructure.gradient``), so each
-    function is differentiated once per structure, not once per point.
-    """
-    return [tuple(d.eval(point) for d in b.gradient(f)) for f in functions]
-
-
 def w1_span_dim(b: BihamStructure, families, point) -> int:
-    """Dimension of the span of the family differentials at a point.
+    """Rank of the differentials of the families' functions at a point.
 
-    The coefficients span the same space as dF_lam over varying lam.
+    A ``LambdaFamily`` gives its coefficients, which span the same space as
+    dF_lam over varying lam; any other entry is a sequence of functions (a
+    chain's).  This is the one gradient rank: the criterion's W1, the
+    integrability count and the Lax submersion test all read it.  Each row
+    is b's stored gradient evaluated on integers (``BihamStructure.gradient_at``).
+    ``point`` is coordinates or the point's ``PointAnalysis``, which keeps
+    the rank per set of functions; chains are family coefficients reversed,
+    so the criterion and integrability share one evaluation and one
+    elimination per point.
     """
-    return stack_rows(gradient_rows(b, [c for fam in families for c in fam.coeffs],
-                                    point)).rank()
+    functions = dict.fromkeys(f for fam in families
+                              for f in (fam.coeffs if isinstance(fam, LambdaFamily) else fam))
+    if isinstance(point, PointAnalysis):
+        ranks, ev = point.ranks, point.evaluator
+    else:
+        ranks, ev = {}, evaluator_at(point, b.dim)
+    key = frozenset(functions)
+    if key not in ranks:
+        ranks[key] = row_echelon_ff([clear_denominators(b.gradient_at(f, ev))[0]
+                                     for f in functions])[0]
+    return ranks[key]
 
 
 @dataclass(frozen=True)
@@ -157,7 +166,7 @@ def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
     r = at.generic_corank
     ptype = at.ptype
     cross = ptype.label()
-    w1 = w1_span_dim(b, families, at.point)
+    w1 = w1_span_dim(b, families, at)
     degrees = tuple(f.degree for f in families)
     n = b.dim
     prof = at.corank_profile
@@ -236,7 +245,7 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, point,
         return LaxVerdict("NotApplicable", n_rank, 0, None,
                           detail=f"family identity fails: {cert.detail}")
     at = b.point_analysis(point)
-    grad_rank = w1_span_dim(b, [fam], at.point)
+    grad_rank = w1_span_dim(b, [fam], at)
     adim = action_dimension(at.ptype)
     if grad_rank != n_rank or adim != n_rank:
         return LaxVerdict("WeakLax", n_rank, grad_rank, adim,

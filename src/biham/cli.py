@@ -4,7 +4,7 @@ Subcommands: ``catalog list``, ``catalog show``, ``analyze``, ``check
 {poisson|compatible|casimir|family|chain}``, ``decompose``, ``normalform``,
 ``report``.  Exit codes: 0 = all verdicts as expected, 1 = a verdict or
 certificate mismatch, 2 = input error.  BIHAM_SEED provides the default
-sampling seed.
+sampling seed; a value that is not an integer is an input error.
 """
 
 import argparse
@@ -127,14 +127,19 @@ def export_model(model: ModelSpec) -> dict:
 
 
 def _default_seed() -> int:
+    value = os.environ.get("BIHAM_SEED", "0")
     try:
-        return int(os.environ.get("BIHAM_SEED", "0"))
-    except ValueError:
-        return 0
+        return int(value)
+    except ValueError as exc:
+        raise ValidationError(f"BIHAM_SEED must be an integer, got {value!r}") from exc
 
 
 def _point_arg(text: str) -> tuple:
-    return tuple(rat(x) for x in text.split(","))
+    """An explicit ``--point`` 'a,b,...'; read in ``_dispatch`` so a bad one is an input error."""
+    try:
+        return tuple(rat(x) for x in text.split(","))
+    except ValidationError as exc:
+        raise ValidationError(f"--point {text!r}: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -155,7 +160,7 @@ def main(argv=None) -> int:
     p_analyze.add_argument("target", help="catalog spec (open_toda:k=2) or JSON file")
     p_analyze.add_argument("--samples", type=int, default=20)
     p_analyze.add_argument("--seed", type=int, default=None)
-    p_analyze.add_argument("--point", action="append", type=_point_arg,
+    p_analyze.add_argument("--point", action="append",
                            help="explicit rational point 'a,b,...' (repeatable)")
     p_analyze.add_argument("--format", choices=("json", "markdown"), default="json")
 
@@ -202,8 +207,8 @@ def _dispatch(args) -> int:
     if args.command == "analyze":
         model = resolve_target(args.target)
         seed = args.seed if args.seed is not None else _default_seed()
-        report = run_analyze(model, points=args.point, samples=args.samples,
-                             seed=seed)
+        points = [_point_arg(text) for text in args.point] if args.point else None
+        report = run_analyze(model, points=points, samples=args.samples, seed=seed)
         sys.stdout.write(emit_report(report, args.format))
         certs_ok = all(c["ok"] for c in report.certificates.values())
         fams_ok = all(f["certificate"]["ok"] for f in report.families)

@@ -1,6 +1,8 @@
 """Exact arithmetic foundation: rationals, matrices, polynomials (truncated
-series are polynomials with an order the caller holds)."""
+series are polynomials with an order the caller holds), and exact values at
+a rational point on integers (``PointEvaluator``)."""
 
+from .evaluate import IntegerForm, PointEvaluator
 from .kernels import BACKEND
 from .matrix import Matrix, block_diag, clear_denominators, stack_rows
 from .parser import load_json, parse_poly, parse_rational
@@ -11,9 +13,9 @@ from .smith import smith_invariant_factors
 from .upoly import UPoly, factor_monic, squarefree_decomposition, ugcd
 
 __all__ = [
-    "BACKEND", "Matrix", "Poly", "Rational", "RationalFunction", "UPoly",
-    "block_diag", "clear_denominators", "compose", "exact_div", "factor_monic",
-    "load_json", "parse_poly", "parse_rational", "poly_det", "poly_gcd",
-    "rat", "rat_str", "series_invert", "smith_invariant_factors",
+    "BACKEND", "IntegerForm", "Matrix", "Poly", "PointEvaluator", "Rational",
+    "RationalFunction", "UPoly", "block_diag", "clear_denominators", "compose",
+    "exact_div", "factor_monic", "load_json", "parse_poly", "parse_rational",
+    "poly_det", "poly_gcd", "rat", "rat_str", "series_invert", "smith_invariant_factors",
     "squarefree_decomposition", "stack_rows", "truncate", "ugcd",
 ]

@@ -3,15 +3,19 @@
 Chains are never produced by solving the recurrence for unknown functions;
 they are read off closed-form polynomial families by coefficient reversal,
 which bridges the lambda-polynomial convention of the criteria and the
-1/lambda expansion convention of the recursion scheme exactly.  Relations,
-brackets and gradient rows all read the structure's stored gradients.
+1/lambda expansion convention of the recursion scheme exactly.  Relations
+and brackets read the structure's stored gradients.  The integrability
+count is ``casimir.w1_span_dim`` of the chain functions at the point's
+``PointAnalysis``: a chain read off a family has the family's coefficients
+as its functions, so the count is the criterion's W1, evaluated and
+eliminated once per point.
 """
 
 from dataclasses import dataclass
 
-from .casimir import LambdaFamily, gradient_rows
+from .casimir import LambdaFamily, w1_span_dim
 from .errors import ValidationError
-from .exactalg import load_json, parse_rational, stack_rows
+from .exactalg import load_json, parse_rational
 from .pencil import action_dimension
 from .poisson import BihamStructure, Certificate, first_nonzero_sum
 
@@ -129,8 +133,7 @@ def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerd
     or the point's ``PointAnalysis``.
     """
     at = b.point_analysis(point)
-    rows = gradient_rows(b, [f for chain in chains for f in chain.functions], at.point)
-    count = stack_rows(rows).rank() if rows else 0
+    count = w1_span_dim(b, [chain.functions for chain in chains], at)
     ptype = at.ptype
     adim = action_dimension(ptype)
     if count == adim:

@@ -34,8 +34,8 @@ and ``_pencil_rows`` is the one builder of lam*A + B.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
-``PointAnalysis`` holds one point's pencil, coranks and type from that one
-pass, so every verdict at that point reads a single decomposition.
+``PointAnalysis`` holds one point's evaluator, coranks and type from that
+one pass, so every verdict at that point reads a single decomposition.
 An ``InternalInconsistency`` or ``NotSkewCanonical`` raised while
 decomposing carries the integer pencil as ``exc.pencil``, in the shape of
 ``SkewPencil.to_json()``.  The per-d rational staircases, the Gaussian
@@ -51,7 +51,7 @@ from itertools import combinations
 
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
-from .exactalg import (Matrix, UPoly, block_diag, clear_denominators,
+from .exactalg import (Matrix, PointEvaluator, UPoly, block_diag, clear_denominators,
                        factor_monic, load_json, rat, rat_str, stack_rows, ugcd)
 from .exactalg.kernels import row_echelon_ff
 
@@ -542,24 +542,35 @@ def decompose(p: SkewPencil) -> PencilType:
 
 @dataclass(frozen=True, eq=False)
 class PointAnalysis:
-    """The pointwise pencil at one point with its coranks and block type.
+    """One point's evaluator, coranks and block type, built once per sample point.
 
-    Built once per sample point; the criterion, the Lax check, the
-    integrability verdict and the report all read it instead of
-    re-deriving the pencil or its decomposition.
+    The criterion, the Lax check, the integrability verdict and the report
+    all read it instead of re-deriving the pencil or its decomposition.
+    ``evaluator`` is the point's ``PointEvaluator``, which evaluated the
+    pencil and evaluates the gradient rows; ``ranks`` keeps each gradient
+    rank by the set of functions (``casimir.w1_span_dim``), so functions
+    shared by the criterion and integrability are evaluated and eliminated
+    once.
     """
 
-    point: tuple
-    pencil: SkewPencil
+    evaluator: PointEvaluator
     ptype: PencilType
     corank_profile: dict
     generic_corank: int
+    ranks: dict = field(default_factory=dict)
+
+    @property
+    def point(self) -> tuple:
+        return self.evaluator.point
 
     @classmethod
     def of(cls, pencil: SkewPencil, point) -> "PointAnalysis":
+        """Decompose the pencil at ``point`` (coordinates or its ``PointEvaluator``)."""
+        if not isinstance(point, PointEvaluator):
+            point = PointEvaluator(point)
         ptype = decompose(pencil)
         profile = ptype.corank_profile
-        return cls(tuple(point), pencil, ptype, profile, min(profile.values()))
+        return cls(point, ptype, profile, min(profile.values()))
 
 
 @_carries_pencil

@@ -4,7 +4,10 @@ A structure is a table of rational-function coefficients
 Pi^{ij} = {x_i, x_j} for i < j, skew-extended by construction.  All
 identity-level checks (Jacobi, compatibility, Casimir) clear denominators
 and compare numerators exactly; point evaluations are a secondary layer
-and refuse points on recorded denominator zero loci.
+and refuse points on recorded denominator zero loci.  A point is
+evaluated on integers by one ``PointEvaluator``; each structure compiles
+its table entries' and its stored gradients' ``IntegerForm``s once, on
+first use at a point.
 
 ``first_nonzero_sum`` sums and zero-tests every certificate residual, one
 ``RationalFunction.sum_of_products`` per (key, products) group: by
@@ -18,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactalg import (Matrix, Poly, RationalFunction, load_json, parse_rational,
-                       rat, rat_str)
+from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
+                       load_json, parse_rational, rat, rat_str)
 from .pencil import PointAnalysis, SkewPencil
 
 
@@ -49,6 +52,13 @@ def as_point(values, dim: int) -> tuple:
     return pt
 
 
+def evaluator_at(point, dim: int) -> PointEvaluator:
+    """The point's evaluator: passed through, or built from coordinates checked by ``as_point``."""
+    if isinstance(point, PointEvaluator):
+        return point
+    return PointEvaluator(as_point(point, dim))
+
+
 class PoissonStructure:
     """Skew table of bracket coefficients on a coordinate space."""
 
@@ -70,6 +80,7 @@ class PoissonStructure:
                 raise ValidationError(f"bracket entry {key} defined twice")
             folded[key] = value
         self.table = folded
+        self._forms = None
         excluded = []
         for coeff in folded.values():
             if not coeff.den.is_constant() and coeff.den not in excluded:
@@ -120,13 +131,20 @@ class PoissonStructure:
         return RationalFunction.sum_of_products(zip(covector, grad), self.variables)
 
     def bivector_at(self, point) -> Matrix:
-        point = as_point(point, self.dim)
-        rows = [[Fraction(0)] * self.dim for _ in range(self.dim)]
-        for (i, j), c in self.table.items():
-            v = c.eval(point)
-            rows[i][j] = v
-            rows[j][i] = -v
-        return Matrix.from_rows(rows)
+        """The table at a point (coordinates or its ``PointEvaluator``).
+
+        The entries' integer forms are compiled on first use, once per structure.
+        """
+        ev = evaluator_at(point, self.dim)
+        if self._forms is None:
+            self._forms = [(key, IntegerForm(c)) for key, c in self.table.items()]
+        n = self.dim
+        entries = [Fraction(0)] * (n * n)
+        for (i, j), form in self._forms:
+            v = ev.value(form)
+            entries[i * n + j] = v
+            entries[j * n + i] = -v
+        return Matrix(n, n, tuple(entries))
 
     def corank_at(self, point) -> int:
         return self.dim - self.bivector_at(point).rank()
@@ -319,6 +337,7 @@ class BihamStructure:
         self.dim = p1.dim
         self._certificates: dict = {}
         self._gradients: dict = {}
+        self._gradient_forms: dict = {}
 
     def certificate(self, key, prove):
         """The result stored under ``key``, proved by ``prove()`` on first use."""
@@ -332,6 +351,17 @@ class BihamStructure:
         if f not in self._gradients:
             self._gradients[f] = self.p1.gradient(f)
         return self._gradients[f]
+
+    def gradient_at(self, f, evaluator: PointEvaluator) -> tuple:
+        """grad f at the evaluator's point.
+
+        The integer forms of the stored gradient are built once per structure.
+        """
+        f = self.p1._coerce(f)
+        forms = self._gradient_forms.get(f)
+        if forms is None:
+            forms = self._gradient_forms[f] = tuple(IntegerForm(d) for d in self.gradient(f))
+        return tuple(evaluator.value(form) for form in forms)
 
     def relation(self, f, g):
         """``relation_failure`` of P1 grad f + P2 grad g, proved once per structure.
@@ -362,19 +392,20 @@ class BihamStructure:
         return all(self.verify().values())
 
     def pencil_at(self, point) -> SkewPencil:
-        a = self.p1.bivector_at(point)
-        b = self.p2.bivector_at(point)
-        return SkewPencil(self.dim, a, b)
+        ev = evaluator_at(point, self.dim)
+        return SkewPencil(self.dim, self.p1.bivector_at(ev), self.p2.bivector_at(ev))
 
     def point_analysis(self, point) -> PointAnalysis:
-        """Pencil, coranks and block type at a point; a record passes through.
+        """Coranks and block type at a point, from one evaluator; a record passes through.
 
+        The point is scaled to integers once: its ``PointEvaluator`` evaluates
+        the pencil here and, kept on the record, every gradient row later.
         Nothing is kept on the structure: the caller owns the record.
         """
         if isinstance(point, PointAnalysis):
             return point
-        point = as_point(point, self.dim)
-        return PointAnalysis.of(self.pencil_at(point), point)
+        ev = evaluator_at(point, self.dim)
+        return PointAnalysis.of(self.pencil_at(ev), ev)
 
     def to_json(self) -> dict:
         return {

@@ -252,6 +252,37 @@ def test_cli_bad_analyze_arguments_are_exit_2(argv, capsys):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("point,message", [
+    ("1/0,1,1,1,1,1,1", "bad rational literal '1/0'"),
+    ("1e5,1,1,1,1,1,1", "cannot interpret '1e5' as a rational"),
+    ("a,b", "cannot interpret 'a' as a rational"),
+    ("", "cannot interpret '' as a rational"),
+    ("1,,2", "cannot interpret '' as a rational"),
+], ids=["zero_denominator", "exponent", "letters", "empty", "empty_coordinate"])
+def test_cli_malformed_point_is_exit_2(point, message, capsys):
+    # argparse catches only ValueError/TypeError from a type function, so the
+    # point is read after parsing and a bad one is a one-line input error
+    assert main(["analyze", "open_toda:k=3", "--samples", "1", "--point", point]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --point {point!r}: {message}\n"
+
+
+def test_cli_non_integer_seed_variable_is_exit_2(monkeypatch, capsys):
+    monkeypatch.setenv("BIHAM_SEED", "abc")
+    assert main(["analyze", "open_toda:k=1", "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: BIHAM_SEED must be an integer, got 'abc'\n"
+    # an integer value is the default seed, and --seed overrides the variable
+    monkeypatch.setenv("BIHAM_SEED", "3")
+    assert main(["analyze", "open_toda:k=1", "--samples", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    monkeypatch.setenv("BIHAM_SEED", "abc")
+    assert main(["analyze", "open_toda:k=1", "--samples", "1", "--seed", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 2
+
+
 @pytest.mark.parametrize("function", [
     "x^999999999 + y",
     "(" * 5000 + "x" + ")" * 5000 + " + y",

@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import assume, event, given, settings, strategies as st
 
-from biham.exactalg import Matrix, Poly, parse_poly, poly_gcd, exact_div
+from biham.errors import PoleAtPoint
+from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
+                            parse_poly, poly_gcd, exact_div)
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, corank_profile,
                           decompose, epsilon_adjacency_pencil, generic_corank,
@@ -77,6 +80,46 @@ def test_poly_ring_axioms(a, b, c):
     assert (a + b) * c == a * c + b * c
     assert a * b == b * a
     assert (a - a).is_zero()
+
+
+XYZ = ("x", "y", "z")
+coordinates = st.one_of(st.just(Fraction(0)),
+                        st.fractions(min_value=-3, max_value=3, max_denominator=7))
+
+
+@st.composite
+def sparse_polys(draw, max_terms=4, max_exp=3):
+    """Sparse polynomials in three variables; the zero polynomial and constants included."""
+    terms = {}
+    for _ in range(draw(st.integers(0, max_terms))):
+        terms[tuple(draw(st.integers(0, max_exp)) for _ in XYZ)] = draw(rationals)
+    return Poly(XYZ, terms)
+
+
+@given(sparse_polys(), sparse_polys(), st.tuples(coordinates, coordinates, coordinates),
+       st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_point_evaluator_matches_fraction_eval(num, den, point, on_pole):
+    # the integer evaluator against RationalFunction.eval, the Fraction oracle;
+    # on_pole moves the denominator's zero locus through the point
+    if on_pole:
+        den = den - den.eval(point) + Poly.variable("x", XYZ) - point[0]
+    assume(not den.is_zero())
+    f = RationalFunction(num, den)
+    form = IntegerForm(f)
+    evaluator = PointEvaluator(point)
+    try:
+        expected = f.eval(point)
+    except PoleAtPoint as exc:
+        event("pole")
+        with pytest.raises(PoleAtPoint) as caught:
+            evaluator.value(form)
+        assert str(caught.value) == str(exc)
+        return
+    got = evaluator.value(form)
+    assert type(got) is Fraction and got == expected
+    # a second value at the same point reads the grown power tables
+    assert evaluator.value(form) == expected
 
 
 @given(polys(), polys())

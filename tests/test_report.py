@@ -1,13 +1,14 @@
 """End-to-end analyze runs across the whole catalog."""
 
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from biham import casimir, lenard, pencil, poisson
 from biham.errors import ValidationError
-from biham.exactalg import RationalFunction
+from biham.exactalg import RationalFunction, kernels, rat
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
@@ -157,6 +158,50 @@ def test_analyze_differentiates_independently_of_the_sample_count(monkeypatch):
         assert run_analyze(model, samples=samples, seed=0).matched
         counts.append(len(calls))
     assert counts[0] == counts[1] > 0
+
+
+def test_analyze_eliminates_one_gradient_rank_per_point(monkeypatch):
+    # chains are family coefficients reversed, so the criterion's W1, the
+    # integrability count and the Lax check share one gradient rank per point:
+    # one elimination there besides the pencil's own
+    eliminated = []
+    original = kernels.row_echelon_ff
+
+    def counted(m):
+        frame = sys._getframe(1)
+        while frame is not None and not frame.f_code.co_filename.endswith(
+                ("pencil.py", "casimir.py", "lenard.py")):
+            frame = frame.f_back
+        if frame is not None and not frame.f_code.co_filename.endswith("pencil.py"):
+            eliminated.append(frame.f_code.co_name)
+        return original(m)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "biham" and getattr(mod, "row_echelon_ff", None) is original:
+            monkeypatch.setattr(mod, "row_echelon_ff", counted)
+    report = run_analyze(open_toda(3), samples=2, seed=0)
+    assert report.matched and report.lax["level"] == "KroneckerConcluded"
+    assert all("integrability" in rec and "criterion" in rec for rec in report.points)
+    assert len(eliminated) == len(report.points) == 2
+
+
+def test_analyze_evaluates_each_gradient_once_per_point(monkeypatch):
+    # each family coefficient's gradient is evaluated once at each sample point
+    evaluated = Counter()
+    original = BihamStructure.gradient_at
+
+    def counted(self, f, point):
+        evaluated[(f, point.point)] += 1
+        return original(self, f, point)
+
+    monkeypatch.setattr(BihamStructure, "gradient_at", counted)
+    model = open_toda(3)
+    report = run_analyze(model, samples=2, seed=0)
+    assert report.matched
+    points = [tuple(rat(x) for x in rec["point"]) for rec in report.points]
+    assert set(evaluated) == {(c, pt) for fam in model.families for c in fam.coeffs
+                              for pt in points}
+    assert set(evaluated.values()) == {1}
 
 
 def test_analyze_does_not_prove_involution(monkeypatch):
