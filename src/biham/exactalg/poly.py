@@ -27,11 +27,12 @@ def _grlex_key(expo):
 
 
 class Poly:
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "terms", "_hash")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c != 0}
+        self._hash = None            # filled on first use; terms are never mutated
 
     # -- construction -------------------------------------------------
 
@@ -105,7 +106,9 @@ class Poly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        if self._hash is None:
+            self._hash = hash((self.variables, frozenset(self.terms.items())))
+        return self._hash
 
     # -- arithmetic -----------------------------------------------------
 

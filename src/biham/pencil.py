@@ -16,15 +16,18 @@ built from those integers for the fraction-free kernel ``row_echelon_ff``,
 and ``_pencil_rows`` is the one builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
-  Every S_d is the leading block of S_D with D = (n - r) // 2, which bounds
-  every minimal index, so one elimination of S_D gives every nullity.  A
-  kernel basis is solved for only where one is wanted (``kernel_family``).
+  Every S_d is the leading d + 1 column blocks of S_D with D = (n - r) // 2,
+  which bounds every minimal index, and S_D is block-bidiagonal, so
+  ``_block_pivots`` eliminates it one column block at a time: each step
+  eliminates only the rows carried from the last step and the next block
+  row, at most 2n rows and 2n columns, adds the next nullity, and the
+  elimination stops at the r-th index.  A kernel basis is solved for only
+  where one is wanted (``kernel_family``, the one user of the dense S_d).
 - The Jordan part reads block sizes from the Weyr characteristic, the
   number of Jordan chains of length >= k at each divisor, which is the
   growth of the nullity of a block Toeplitz matrix less the r per step that
-  the Kronecker blocks add; one elimination of the largest Toeplitz matrix
-  gives every nullity, as for S_D.  ``_leading_nullities`` is the one
-  routine that reads these leading-block nullities off the pivot columns.
+  the Kronecker blocks add; the Toeplitz matrix is block-bidiagonal too,
+  and ``_block_pivots`` gives its nullity growth block by block, as for S_D.
   The finite divisors are the irreducible factors of D_rho (rho = n - r),
   the gcd of the principal rho-minors, each evaluated at integer points and
   interpolated; the gcd is certified once its degree is the dimension left
@@ -48,6 +51,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import wraps
 from itertools import combinations
+from math import gcd
 
 from .errors import (InternalInconsistency, NotPureKronecker,
                      NotSkewCanonical, ValidationError)
@@ -262,16 +266,38 @@ def corank_profile(a, b) -> dict:
     return prof
 
 
-def _leading_nullities(rows, width, count) -> list:
-    """Nullities of the leading 1..count column blocks of ``rows``, from one elimination.
+def _block_pivots(first, left, right, count):
+    """Pivot columns per column block of a block-bidiagonal system, one block at a time.
 
-    Each block is ``width`` columns wide, and the rows below the leading k
-    blocks vanish on their columns, so those columns are the leading system
-    with zero rows appended.  The elimination runs column by column, so its
-    rank is the number of pivot columns left of width*k.
+    Block row 0 is ``first``; block row j + 1 is ``left`` on column block j
+    and ``right`` on column block j + 1, and ``count`` column blocks are
+    kept, so the last block row is ``left`` alone.  Column block j meets
+    only block rows j and j + 1, so step j eliminates the residual rows
+    carried from step j - 1 (padded with zeros) stacked on ``[left |
+    right]``.  The pivot columns in the left half are yielded; the rows
+    that vanish there span every row that the elimination of the whole
+    system would leave zero on column blocks 0..j, so their right halves,
+    divided by their content, are the next residual.  The rank of the
+    leading k column blocks is the sum of the first k values, and every
+    elimination has at most twice the rows and columns of one block.  This
+    is Van Dooren's staircase reduction (LAA 27, 1979) in exact arithmetic,
+    with fraction-free elimination in place of unitary compressions.
     """
-    _, pivot_cols = row_echelon_ff(rows)
-    return [width * k - bisect_left(pivot_cols, width * k) for k in range(1, count + 1)]
+    width = len(left[0])
+    pad, tail = [0] * width, right
+    residual = first
+    for step in range(count):
+        if step == count - 1:
+            pad, tail = [], [[]] * len(left)
+        rows = [row + pad for row in residual] + [l + t for l, t in zip(left, tail)]
+        rank, pivot_cols = row_echelon_ff(rows)
+        split = bisect_left(pivot_cols, width)
+        yield split
+        residual = []
+        for row in rows[split:rank]:
+            row = row[width:]
+            content = gcd(*row)
+            residual.append([x // content for x in row])
 
 
 def _staircase(a, b, d: int) -> list:
@@ -299,21 +325,27 @@ def minimal_indices(a, b, r: int) -> list:
     """Right minimal indices of the integer pencil, one per Kronecker block.
 
     Computed from the nullity sequence nu_d = n(d+1) - rank of the
-    staircase systems: the number of indices equal to e is
-    (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  The r Kronecker blocks
-    K_{2e+1} fit in n, so no index exceeds D = (n - r) // 2, and S_d is the
-    leading block of S_D, so every nu_d comes from one elimination of S_D.
-    ``r`` is the generic corank.
+    staircase systems S_d: the number of indices equal to e is
+    (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  S_d is the leading d + 1
+    column blocks of S_D, which is block-bidiagonal (B, then A above B), so
+    ``_block_pivots`` eliminates it one column block at a time and each step
+    adds the next nu_d.  The r Kronecker blocks K_{2e+1} fit in n, so no
+    index exceeds D = (n - r) // 2, and the elimination stops at the step
+    that brings the count to r; a count above r there, or below r at D,
+    is an inconsistency.  ``r`` is the generic corank.
     """
     if r == 0:
         return []
     n = len(a)
     top = (n - r) // 2
     indices = []
-    nu_prev2 = nu_prev = 0
-    for d, nu in enumerate(_leading_nullities(_staircase(a, b, top), n, top + 1)):
-        indices += [d] * ((nu - nu_prev) - (nu_prev - nu_prev2))
-        nu_prev2, nu_prev = nu_prev, nu
+    growth_prev = 0
+    for d, pivots in enumerate(_block_pivots(b, a, b, top + 1)):
+        growth = n - pivots          # nu_d - nu_{d-1}
+        indices += [d] * (growth - growth_prev)
+        growth_prev = growth
+        if len(indices) >= r:
+            break
     if len(indices) != r:
         raise InternalInconsistency(
             f"found {len(indices)} minimal indices for generic corank {r}")
@@ -321,29 +353,22 @@ def minimal_indices(a, b, r: int) -> list:
 
 
 def _weyr_characteristic(diag, above, depth, r, degree) -> list:
-    """Chain counts w_1..w_depth of one divisor from one Toeplitz elimination.
+    """Chain counts w_1..w_depth of one divisor, one column block at a time.
 
     T_k is the k x k block upper-bidiagonal matrix with ``diag`` on the
     diagonal and ``above`` on the superdiagonal (integer rows, m x m); its
     kernel holds the Jordan chains of length at most k.  T_k is the leading
-    block of T_depth, so one elimination of T_depth gives every nullity.
-    Each of the r Kronecker blocks adds ``degree`` to the nullity per step,
-    each chain of length >= k adds ``degree`` at step k, so w_k =
-    (nullity(T_k) - nullity(T_{k-1})) / degree - r.
+    k column blocks of T_depth, so step k of ``_block_pivots`` gives
+    nullity(T_k) - nullity(T_{k-1}) = m - (pivots in block k).  Each of the
+    r Kronecker blocks adds ``degree`` to the nullity per step, each chain
+    of length >= k adds ``degree`` at step k, so w_k is that growth divided
+    by ``degree``, less r.
     """
     m = len(diag)
-    width = m * depth
-    rows = []
-    for block_row in range(depth):
-        for row_d, row_u in zip(diag, above):
-            row = [0] * width
-            row[block_row * m:(block_row + 1) * m] = row_d
-            if block_row + 1 < depth:
-                row[(block_row + 1) * m:(block_row + 2) * m] = row_u
-            rows.append(row)
     weyr = []
     nu_prev = 0
-    for nu in _leading_nullities(rows, m, depth):
+    for pivots in _block_pivots([], diag, above, depth):
+        nu = nu_prev + m - pivots
         step, rest = divmod(nu - nu_prev, degree)
         if rest or step < r or (weyr and step - r > weyr[-1]):
             raise InternalInconsistency(

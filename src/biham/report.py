@@ -19,6 +19,8 @@ from .models import ModelSpec
 from .pencil import INF
 from .sampling import model_inequations, sample_points
 
+MAX_SAMPLES = 10_000    # the sample list is built before any point is analysed
+
 
 @dataclass
 class AnalysisReport:
@@ -87,8 +89,9 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     Each sample point is decomposed once; its ``PointAnalysis`` feeds the
     criterion, the integrability verdict, the Lax check and the coranks.
     """
-    if points is None and samples < 1:
-        raise ValidationError(f"samples must be positive, got {samples}")
+    if points is None and not 1 <= samples <= MAX_SAMPLES:
+        raise ValidationError(
+            f"samples must be between 1 and {MAX_SAMPLES}, got {samples}")
     b = model.structure
     certs = {k: v.to_json() for k, v in b.verify().items()}
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -10,7 +12,7 @@ from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import ValidationError
 from biham.models import flat_kronecker, m_f, open_toda
 from biham.pencil import kronecker_pencil
-from biham.report import emit_report, run_analyze
+from biham.report import MAX_SAMPLES, emit_report, run_analyze
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "data")
 
@@ -219,6 +221,31 @@ def test_cli_normalform_truncation_above_the_bound_is_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "truncation order must be at most 20, got 21" in captured.err
+
+
+def test_cli_samples_above_the_bound_is_exit_2(capsys):
+    start = time.monotonic()
+    for samples in (MAX_SAMPLES + 1, 1_000_000_000):
+        assert main(["analyze", "open_toda:k=1", "--samples", str(samples)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"samples must be between 1 and {MAX_SAMPLES}, got {samples}" in captured.err
+    assert time.monotonic() - start < 5
+    with pytest.raises(ValidationError, match="samples must be between"):
+        run_analyze(open_toda(1), samples=MAX_SAMPLES + 1)
+    # explicit points are not sampled, so the bound does not apply to them
+    assert run_analyze(open_toda(1), points=[(1, 2, 3)], samples=MAX_SAMPLES + 1).points
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "biham", "analyze", "open_toda:k=2",
+                           "--samples", "2", "--seed", "0"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["structure"].startswith("open_toda")
 
 
 @pytest.mark.parametrize("argv,message", [

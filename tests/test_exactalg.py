@@ -114,6 +114,20 @@ def test_poly_arithmetic_and_eval():
     assert p.diff("y") == -2 * y
 
 
+def test_poly_hash_is_cached_and_agrees_with_equality():
+    x = Poly.variable("x", V)
+    y = Poly.variable("y", V)
+    product = (x + y) * (x - y)
+    parsed = parse_poly("x^2 - y^2", V)
+    literal = Poly(V, {(2, 0): Fraction(1), (0, 2): Fraction(-1), (1, 1): Fraction(0)})
+    first = hash(product)
+    assert first == hash(product)
+    assert product == parsed == literal
+    assert hash(parsed) == hash(literal) == first
+    assert len({product, parsed, literal}) == 1
+    assert hash(parse_poly("x^2", V)) != first
+
+
 def test_poly_subs_and_split():
     vs = ("v0", "lam")
     p = parse_poly("v0^2 + lam*v0 + 3", vs)

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 import biham.pencil as pencil_module
-from biham.errors import NotPureKronecker, NotSkewCanonical, ValidationError
+from biham.errors import (InternalInconsistency, NotPureKronecker, NotSkewCanonical,
+                          ValidationError)
 from biham.exactalg import Matrix, UPoly
 from biham.models import open_toda
 from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
@@ -62,25 +63,64 @@ def test_minimal_indices_examples():
     assert _minimal_indices(J22) == []
 
 
-def test_minimal_indices_runs_one_elimination(monkeypatch):
-    # every staircase nullity comes from one elimination of the largest
-    # staircase, not one elimination per degree
+def _count_eliminations(monkeypatch):
+    """Record (rows, columns) of every elimination the pencil module runs."""
+    calls = []
+    kernel = pencil_module.row_echelon_ff
+
+    def counting(rows):
+        calls.append((len(rows), len(rows[0]) if rows else 0))
+        return kernel(rows)
+
+    monkeypatch.setattr(pencil_module, "row_echelon_ff", counting)
+    return calls
+
+
+def test_minimal_indices_eliminates_block_by_block(monkeypatch):
+    # the staircase S_D is eliminated one column block at a time: at most
+    # D + 1 eliminations, none with more than 2n rows or 2n columns
     model = open_toda(4)
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
     p = model.structure.pencil_at(point)
     r = generic_corank(p)
     a, b = integer_pair(p)
-    calls = []
-    kernel = pencil_module.row_echelon_ff
-
-    def counting(rows):
-        calls.append(len(rows))
-        return kernel(rows)
-
-    monkeypatch.setattr(pencil_module, "row_echelon_ff", counting)
+    calls = _count_eliminations(monkeypatch)
     assert minimal_indices(a, b, r) == [4]
-    # n = 9, r = 1: the staircase S_D with D = (n - r) // 2 = 4 has n(D+2) rows
-    assert calls == [9 * 6]
+    # n = 9, r = 1: D = (n - r) // 2 = 4
+    assert 1 <= len(calls) <= 4 + 1
+    assert max(rows for rows, _ in calls) <= 2 * 9
+    assert max(cols for _, cols in calls) <= 2 * 9
+
+
+def _integer_congruence(p, seed):
+    """p under a unit lower times unit upper triangular integer change."""
+    rng = random.Random(seed)
+    n = p.n
+    lower = Matrix.from_rows([[1 if i == j else (rng.randint(-2, 2) if i > j else 0)
+                               for j in range(n)] for i in range(n)])
+    upper = Matrix.from_rows([[1 if i == j else (rng.randint(-2, 2) if i < j else 0)
+                               for j in range(n)] for i in range(n)])
+    return p.congruence(lower @ upper)
+
+
+# K1 + J4(2) + J4(inf) + J2(0): n = 11, one minimal index 0, D = 5
+MANY_JORDAN = (kronecker_pencil(1).direct_sum(jordan_pencil(2, 2))
+               .direct_sum(jordan_pencil(2, "inf")).direct_sum(jordan_pencil(1, 0)))
+
+
+def test_minimal_indices_stop_at_the_last_index(monkeypatch):
+    # the r-th index is found at d = 0, so S_1..S_D are never eliminated
+    p = _integer_congruence(MANY_JORDAN, 0)
+    assert decompose(p).label() == "{K1, J2(mu=0), J4(mu=2), J4(mu=inf)}"
+    a, b = integer_pair(p)
+    calls = _count_eliminations(monkeypatch)
+    assert minimal_indices(a, b, 1) == [0]
+    # one elimination of column block 0: B stacked on [A | B]
+    assert calls == [(2 * 11, 2 * 11)]
+    # a count above r at the stopping step is still an inconsistency
+    a, b = integer_pair(_integer_congruence(MANY_JORDAN.direct_sum(kronecker_pencil(1)), 1))
+    with pytest.raises(InternalInconsistency, match="found 2 minimal indices"):
+        minimal_indices(a, b, 1)
 
 
 def test_decompose_scales_the_pencil_once(monkeypatch):

@@ -9,10 +9,10 @@ from biham.errors import PoleAtPoint
 from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
                             parse_poly, poly_gcd, exact_div)
 from biham.models import open_toda
-from biham.pencil import (Block, PencilType, SkewPencil, corank_profile,
-                          decompose, epsilon_adjacency_pencil, generic_corank,
-                          integer_pair, jordan_part, jordan_pencil,
-                          kronecker_pencil)
+from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots,
+                          corank_profile, decompose, epsilon_adjacency_pencil,
+                          generic_corank, integer_pair, jordan_part,
+                          jordan_pencil, kronecker_pencil)
 
 from oracles import (convolution_nullity, gauss_corank_profile,
                      schoolbook_matrix_product, smith_jordan_part)
@@ -250,6 +250,23 @@ def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
         a, b = integer_pair(congruent)
         jordan_dim = sum(blk.dimension() for blk in expected)
         assert jordan_part(a, b, corank_profile(a, b), jordan_dim) == expected
+
+
+@given(block_soups(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_staircase_nullities_match_convolution_oracle_on_block_soups(soup, data):
+    # every running nullity of the block-by-block elimination, not only the
+    # indices read off them, equals the rational staircase's kernel dimension
+    for change in (invertible_change(soup.n), rational_change(soup.n)):
+        congruent = soup.congruence(data.draw(change))
+        n = congruent.n
+        top = (n - min(gauss_corank_profile(congruent).values())) // 2
+        a, b = integer_pair(congruent)
+        nu = 0
+        for d, pivots in enumerate(_block_pivots(b, a, b, top + 1)):
+            nu += n - pivots
+            assert nu == len(convolution_nullity(congruent, d))
+        assert d == top
 
 
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
