@@ -17,10 +17,6 @@ class PoleAtPoint(BihamError):
     """A rational coefficient was evaluated on the zero locus of its denominator."""
 
 
-class NotPureKronecker(BihamError):
-    """Kernel families exist only for pencils without Jordan blocks."""
-
-
 class NotSkewCanonical(BihamError):
     """Elementary divisors of a skew pencil must pair up; odd multiplicity means corrupted input."""
 

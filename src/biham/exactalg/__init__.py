@@ -4,7 +4,7 @@ a rational point on integers (``PointEvaluator``)."""
 
 from .evaluate import IntegerForm, PointEvaluator
 from .kernels import BACKEND
-from .matrix import Matrix, block_diag, clear_denominators, stack_rows
+from .matrix import Matrix, block_diag, clear_denominators
 from .parser import load_json, parse_poly, parse_rational
 from .poly import (Poly, RationalFunction, compose, exact_div, poly_det, poly_gcd,
                    series_invert, truncate)
@@ -17,5 +17,5 @@ __all__ = [
     "RationalFunction", "UPoly", "block_diag", "clear_denominators", "compose",
     "exact_div", "factor_monic", "load_json", "parse_poly", "parse_rational",
     "poly_det", "poly_gcd", "rat", "rat_str", "series_invert", "smith_invariant_factors",
-    "squarefree_decomposition", "stack_rows", "truncate", "ugcd",
+    "squarefree_decomposition", "truncate", "ugcd",
 ]

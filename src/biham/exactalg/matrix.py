@@ -115,6 +115,7 @@ class Matrix:
             raise ValueError("shape mismatch")
 
     def rank(self) -> int:
+        """Rank over Q: for ``PoissonStructure.corank_at``, the oracles and the trace."""
         if self.rows == 0 or self.cols == 0:
             return 0
         rank, _ = row_echelon_ff([clear_denominators(self.row(i))[0]
@@ -126,6 +127,7 @@ class Matrix:
 
         Each basis vector has one free coordinate set to 1 and is scaled to
         coprime integers for readability; ``self.apply(v) == 0`` exactly.
+        It serves the staircase oracle and the ``perfbench`` trace only.
         """
         if self.cols == 0:
             return []
@@ -162,14 +164,6 @@ def clear_denominators(values) -> tuple:
     """The rationals times the lcm of all their denominators, as ints, and that lcm."""
     scale = lcm(*(x.denominator for x in values))
     return [x.numerator * (scale // x.denominator) for x in values], scale
-
-
-def stack_rows(vectors) -> Matrix:
-    """Matrix whose rows are the given vectors (gradients, differentials...)."""
-    vectors = [tuple(v) for v in vectors]
-    if not vectors:
-        return Matrix.zero(0, 0)
-    return Matrix.from_rows(vectors)
 
 
 def block_diag(a: Matrix, b: Matrix) -> Matrix:

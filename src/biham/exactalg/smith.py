@@ -3,6 +3,8 @@
 Elementary row and column operations with degree-minimal pivot selection;
 no modular arithmetic, no randomization.  The inputs of interest are
 pencils (entry degree at most one), where coefficient growth stays mild.
+It serves the Jordan-part oracle and the ``perfbench`` trace only: the
+package reads Jordan parts from integer eliminations.
 """
 
 from ..errors import ValidationError

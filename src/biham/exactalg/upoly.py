@@ -1,9 +1,10 @@
 """Dense univariate polynomials over the rationals.
 
-Used for everything that lives in one pencil parameter: Smith forms,
-invariant factors, kernel families in the spectral variable, run
-polynomials.  Coefficients are Fractions indexed by degree, trailing zeros
-stripped; the zero polynomial has empty coefficient list.
+Used for everything that lives in one pencil parameter: principal minors
+and their divisors in the Jordan part, Smith forms and invariant factors
+in the test oracle, run polynomials.  Coefficients are Fractions indexed
+by degree, trailing zeros stripped; the zero polynomial has empty
+coefficient list.
 """
 
 from fractions import Fraction

@@ -424,18 +424,13 @@ def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
         raise ValidationError("eta must be a univariate polynomial or its text form")
     if eta_u.degree() < 1:
         raise ValidationError("eta must have degree >= 1")
-    zeta_u = _antiderivative(-1 * (UPoly.x() * eta_u.deriv()))
     variables = ("L", "y", "z")
     L = Poly.variable("L", variables)
     y = Poly.variable("y", variables)
-    eta_L = _upoly_in(eta_u, L, variables)
-    zeta_L = _upoly_in(zeta_u, L, variables)
-    dzeta_L = _upoly_in(zeta_u.deriv(), L, variables)
-    x_of = L * L * y + zeta_L
-    x_L = 2 * L * y + dzeta_L                     # d x / d L
+    zeta_u, eta_L, x_of, f1 = _two_family_terms(eta_u, L, y, variables)
+    x_L = 2 * L * y + _upoly_in(zeta_u.deriv(), L, variables)    # d x / d L
     if x_L.is_zero():
         raise DegenerateModel("excluded locus covers the whole chart")
-    f1 = x_of - 2 * L * y + eta_L + y             # F_1 = (1-L)^2 y + zeta + eta
     f1_L = f1.diff("L")
     f1_y = f1.diff("y")
     fx = RationalFunction(f1_L, x_L)
@@ -462,6 +457,19 @@ def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
     coeffs = (_rf(x_of), _rf(eta_L - 2 * L * y), _rf(y))
     _attach(model, LambdaFamily(coeffs, name="quadratic family"))
     return model
+
+
+def _two_family_terms(eta_u: UPoly, L: Poly, y: Poly, variables) -> tuple:
+    """zeta, eta(L), x = L^2 y + zeta(L) and F_1 = (1-L)^2 y + zeta(L) + eta(L).
+
+    zeta is the antiderivative of -t eta'(t) with zero constant term.  L and
+    y are polynomials in ``variables``: the chart coordinates for the model,
+    shifted to a base point for its flatness pipeline.
+    """
+    zeta_u = _antiderivative(-1 * (UPoly.x() * eta_u.deriv()))
+    eta_L = _upoly_in(eta_u, L, variables)
+    x_of = L * L * y + _upoly_in(zeta_u, L, variables)
+    return zeta_u, eta_L, x_of, x_of - 2 * L * y + eta_L + y
 
 
 def _antiderivative(p: UPoly) -> UPoly:
@@ -705,18 +713,11 @@ def two_family_flatness(model: ModelSpec, base, order: int | None = None) -> Nor
     if order is None:
         order = model.params.get("order", DEFAULT_TRUNCATION)
     _check_truncation(order)     # before series_invert, which runs at this order
-    eta_u = model.params["eta"]
-    zeta_u = _antiderivative(-1 * (UPoly.x() * eta_u.deriv()))
     l0, y0 = (rat(base[0]), rat(base[1]))
     uv = ("u", "w")
-    u = Poly.variable("u", uv)
-    w = Poly.variable("w", uv)
-    L = u + l0
-    Y = w + y0
-    eta_L = _upoly_in(eta_u, L, uv)
-    zeta_L = _upoly_in(zeta_u, L, uv)
-    x_of = L * L * Y + zeta_L
-    f1 = x_of - 2 * L * Y + eta_L + Y
+    L = Poly.variable("u", uv) + l0
+    Y = Poly.variable("w", uv) + y0
+    _, _, x_of, f1 = _two_family_terms(model.params["eta"], L, Y, uv)
     x0 = x_of.eval((Fraction(0), Fraction(0)))
     f0 = f1.eval((Fraction(0), Fraction(0)))
     xs = x_of - x0

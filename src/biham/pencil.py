@@ -21,8 +21,7 @@ and ``_pencil_rows`` is the one builder of lam*A + B.
   ``_block_pivots`` eliminates it one column block at a time: each step
   eliminates only the rows carried from the last step and the next block
   row, at most 2n rows and 2n columns, adds the next nullity, and the
-  elimination stops at the r-th index.  A kernel basis is solved for only
-  where one is wanted (``kernel_family``, the one user of the dense S_d).
+  elimination stops at the r-th index.
 - The Jordan part reads block sizes from the Weyr characteristic, the
   number of Jordan chains of length >= k at each divisor, which is the
   growth of the nullity of a block Toeplitz matrix less the r per step that
@@ -49,14 +48,12 @@ corank profile and the Smith-form Jordan part stay as the test oracles in
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import wraps
 from itertools import combinations
 from math import gcd
 
-from .errors import (InternalInconsistency, NotPureKronecker,
-                     NotSkewCanonical, ValidationError)
+from .errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from .exactalg import (Matrix, PointEvaluator, UPoly, block_diag, clear_denominators,
-                       factor_monic, load_json, rat, rat_str, stack_rows, ugcd)
+                       factor_monic, load_json, rat, rat_str, ugcd)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -216,25 +213,14 @@ class PencilType:
         return hash((self.n, tuple(sorted(self.blocks, key=Block.sort_key))))
 
 
-@dataclass(frozen=True)
-class KernelFamily:
-    """Polynomial kernel vectors, one per Kronecker block.
-
-    vectors[t] is a tuple of UPoly entries w(lam) with (lam*A + B) w(lam)
-    identically zero and degree equal to the t-th minimal index.
-    """
-
-    pencil: SkewPencil
-    vectors: tuple
-    degrees: tuple = field(default=())
-
-
 def generic_corank(p: SkewPencil) -> int:
     """Minimal corank of lam*A + B over the projective parameter line.
 
     Deterministic: coranks at lam in {0, ..., n} plus the reversed pencil
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
+    It serves ``casimir.lax_check``'s nearby points, the oracles and the
+    ``perfbench`` trace; ``decompose`` reads r from its own profile.
     """
     return min(corank_profile(*integer_pair(p)).values())
 
@@ -298,27 +284,6 @@ def _block_pivots(first, left, right, count):
             row = row[width:]
             content = gcd(*row)
             residual.append([x // content for x in row])
-
-
-def _staircase(a, b, d: int) -> list:
-    """Integer rows of the linear system of the degree-d polynomial kernel vectors.
-
-    A vector v(lam) = v_0 + ... + v_d lam^d satisfies (lam*A + B) v = 0 iff
-    B v_0 = 0, A v_{i-1} + B v_i = 0 for i = 1..d, and A v_d = 0; the
-    stacked block matrix has n(d+2) rows and n(d+1) columns and is built
-    from ``integer_pair``, so it is the rational system times one scalar.
-    """
-    n = len(a)
-    rows = []
-    for block_row in range(d + 2):
-        for i in range(n):
-            row = [0] * (n * (d + 1))
-            if block_row <= d:       # B acting on v_{block_row}
-                row[block_row * n:(block_row + 1) * n] = b[i]
-            if block_row >= 1:       # A acting on v_{block_row-1}
-                row[(block_row - 1) * n:block_row * n] = a[i]
-            rows.append(row)
-    return rows
 
 
 def minimal_indices(a, b, r: int) -> list:
@@ -482,7 +447,8 @@ def jordan_part(a, b, profile, jordan_dim: int) -> list:
     C_q for lam: lam*A + B becomes A (x) C_q + B (x) I_d, whose Toeplitz
     nullities are d times those at each root of q, so irrational divisors
     take the same integer path as rational ones.  Elementary divisors of a
-    skew pencil pair up; odd multiplicity signals corrupted input.
+    skew pencil pair up, so multiplicity 2 is one J_{2d} and needs no
+    Toeplitz matrix; odd multiplicity signals corrupted input.
     """
     if jordan_dim == 0:
         return []
@@ -511,42 +477,27 @@ def jordan_part(a, b, profile, jordan_dim: int) -> list:
             f"principal minors have a gcd of degree {d_rho.degree()}, "
             f"expected {finite_degree}")
     for q, mult in factor_monic(d_rho):
-        d = q.degree()
-        comp, c = _companion_rows(q)
-        diag = [[a[i][j] * comp[s][t] + (c * b[i][j] if s == t else 0)
-                 for j in range(n) for t in range(d)]
-                for i in range(n) for s in range(d)]
-        above = [[a[i][j] if s == t else 0 for j in range(n) for t in range(d)]
-                 for i in range(n) for s in range(d)]
         key = ("finite", q)
-        weyr = _weyr_characteristic(diag, above, mult // 2, r, d)
-        if sum(weyr) != mult:
-            raise NotSkewCanonical(
-                f"elementary divisor {key}: chains of total length {sum(weyr)} "
-                f"cannot pair up to multiplicity {mult}")
+        if mult == 2:
+            # two paired elementary divisors q: one J_{2d}, no elimination needed
+            weyr = [2]
+        else:
+            d = q.degree()
+            comp, c = _companion_rows(q)
+            diag = [[a[i][j] * comp[s][t] + (c * b[i][j] if s == t else 0)
+                     for j in range(n) for t in range(d)]
+                    for i in range(n) for s in range(d)]
+            above = [[a[i][j] if s == t else 0 for j in range(n) for t in range(d)]
+                     for i in range(n) for s in range(d)]
+            weyr = _weyr_characteristic(diag, above, mult // 2, r, d)
+            if sum(weyr) != mult:
+                raise NotSkewCanonical(
+                    f"elementary divisor {key}: chains of total length {sum(weyr)} "
+                    f"cannot pair up to multiplicity {mult}")
         blocks += _chain_blocks(weyr, key)
     return sorted(blocks, key=lambda blk: (blk.k, str(blk.divisor)))
 
 
-def _carries_pencil(fn):
-    """Attach the integer pencil to an internal failure of ``fn(p)``, as ``exc.pencil``.
-
-    The dict has the shape of ``SkewPencil.to_json()``, so the failing
-    pencil can become a test case as it stands.
-    """
-    @wraps(fn)
-    def wrapped(p):
-        try:
-            return fn(p)
-        except (InternalInconsistency, NotSkewCanonical) as exc:
-            a, b = integer_pair(p)
-            exc.pencil = {"n": p.n, "A": [[str(x) for x in row] for row in a],
-                          "B": [[str(x) for x in row] for row in b]}
-            raise
-    return wrapped
-
-
-@_carries_pencil
 def decompose(p: SkewPencil) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
@@ -554,13 +505,20 @@ def decompose(p: SkewPencil) -> PencilType:
     profile is computed once and kept on the result, and the integer pair,
     the profile and the generic corank r are handed down.  The Jordan part
     runs only when the Kronecker blocks leave part of dimension n to the
-    Jordan blocks.
+    Jordan blocks.  An internal failure carries the integer pencil as
+    ``exc.pencil``, in the shape of ``SkewPencil.to_json()``, so the failing
+    pencil can become a test case as it stands.
     """
     a, b = integer_pair(p)
-    profile = corank_profile(a, b)
-    indices = minimal_indices(a, b, min(profile.values()))
-    filled = sum(2 * e + 1 for e in indices)
-    jordan = jordan_part(a, b, profile, p.n - filled) if filled != p.n else []
+    try:
+        profile = corank_profile(a, b)
+        indices = minimal_indices(a, b, min(profile.values()))
+        filled = sum(2 * e + 1 for e in indices)
+        jordan = jordan_part(a, b, profile, p.n - filled) if filled != p.n else []
+    except (InternalInconsistency, NotSkewCanonical) as exc:
+        exc.pencil = {"n": p.n, "A": [[str(x) for x in row] for row in a],
+                      "B": [[str(x) for x in row] for row in b]}
+        raise
     kron = [Block("kronecker", e + 1) for e in indices]
     return PencilType(p.n, tuple(kron + jordan), profile)
 
@@ -575,91 +533,31 @@ class PointAnalysis:
     pencil and evaluates the gradient rows; ``ranks`` keeps each gradient
     rank by the set of functions (``casimir.w1_span_dim``), so functions
     shared by the criterion and integrability are evaluated and eliminated
-    once.
+    once.  The coranks are read from ``ptype``, which holds them once.
     """
 
     evaluator: PointEvaluator
     ptype: PencilType
-    corank_profile: dict
-    generic_corank: int
     ranks: dict = field(default_factory=dict)
 
     @property
     def point(self) -> tuple:
         return self.evaluator.point
 
+    @property
+    def corank_profile(self) -> dict:
+        return self.ptype.corank_profile
+
+    @property
+    def generic_corank(self) -> int:
+        return min(self.ptype.corank_profile.values())
+
     @classmethod
     def of(cls, pencil: SkewPencil, point) -> "PointAnalysis":
         """Decompose the pencil at ``point`` (coordinates or its ``PointEvaluator``)."""
         if not isinstance(point, PointEvaluator):
             point = PointEvaluator(point)
-        ptype = decompose(pencil)
-        profile = ptype.corank_profile
-        return cls(point, ptype, profile, min(profile.values()))
-
-
-@_carries_pencil
-def kernel_family(p: SkewPencil) -> KernelFamily:
-    """A minimal polynomial basis of the kernel of lam*A + B.
-
-    Only defined for pure-Kronecker pencils; one vector per block, with
-    degree equal to the block's minimal index, verified by the exact
-    identity (lam*A + B) w(lam) = 0.
-    """
-    n = p.n
-    a, b = integer_pair(p)
-    indices = minimal_indices(a, b, min(corank_profile(a, b).values()))
-    if sum(2 * e + 1 for e in indices) != n:
-        raise NotPureKronecker("kernel families require a pencil without Jordan blocks")
-    chosen: list = []       # (degree, coefficient vectors v_0..v_d)
-    for d in sorted(set(indices)):
-        want = indices.count(d)
-        null_basis = Matrix.from_rows(_staircase(a, b, d)).nullspace()
-        span_rows = []
-        for deg, vecs in chosen:
-            for shift in range(d - deg + 1):
-                padded = [Fraction(0)] * (n * (d + 1))
-                for i, coeff_vec in enumerate(vecs):
-                    for j in range(n):
-                        padded[(i + shift) * n + j] = coeff_vec[j]
-                span_rows.append(padded)
-        base_rank = stack_rows(span_rows).rank() if span_rows else 0
-        added = 0
-        for cand in null_basis:
-            if added == want:
-                break
-            trial = span_rows + [list(cand)]
-            if stack_rows(trial).rank() > base_rank:
-                span_rows = trial
-                base_rank += 1
-                vecs = [tuple(cand[i * n:(i + 1) * n]) for i in range(d + 1)]
-                if all(x == 0 for x in vecs[-1]):
-                    raise InternalInconsistency("minimal basis vector dropped degree")
-                chosen.append((d, vecs))
-                added += 1
-        if added != want:
-            raise InternalInconsistency("could not complete minimal kernel basis")
-    vectors = []
-    for deg, vecs in chosen:
-        poly_vec = tuple(UPoly([vecs[i][j] for i in range(deg + 1)]) for j in range(n))
-        _verify_kernel_vector(p, poly_vec)
-        vectors.append(poly_vec)
-    return KernelFamily(p, tuple(vectors), tuple(deg for deg, _ in chosen))
-
-
-def _verify_kernel_vector(p: SkewPencil, poly_vec):
-    """(lam*A + B) w(lam) must vanish identically."""
-    deg = max(v.degree() for v in poly_vec)
-    for power in range(deg + 2):
-        for i in range(p.n):
-            # coefficient of lam^power in ((lam*A + B) w(lam))_i
-            total = Fraction(0)
-            for j in range(p.n):
-                if power >= 1:
-                    total += p.A[i, j] * poly_vec[j][power - 1]
-                total += p.B[i, j] * poly_vec[j][power]
-            if total != 0:
-                raise InternalInconsistency("kernel family failed exact verification")
+        return cls(point, decompose(pencil))
 
 
 def action_dimension(t: PencilType) -> int:

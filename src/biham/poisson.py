@@ -147,6 +147,7 @@ class PoissonStructure:
         return Matrix(n, n, tuple(entries))
 
     def corank_at(self, point) -> int:
+        """Corank of the bivector at ``point``; for the tests and the ``perfbench`` trace."""
         return self.dim - self.bivector_at(point).rank()
 
     def jacobi_check(self) -> Certificate:

@@ -55,16 +55,6 @@ def test_flat_kronecker_first_bracket_casimir():
     assert s.p1.corank_at(tuple(Fraction(0) for _ in range(5))) == 1
 
 
-def test_open_toda_pointwise_kernel_family():
-    # at a generic point the pointwise pencil is one odd block whose
-    # polynomial kernel vector has degree k
-    from biham.pencil import kernel_family
-    m = open_toda(2)
-    pencil = m.structure.pencil_at(_pt(1, 1, 2, 1, 3))
-    fam = kernel_family(pencil)
-    assert fam.degrees == (2,)
-
-
 # -- jordan models ------------------------------------------------------------------
 
 def test_jordan_model_matrices():

@@ -7,15 +7,13 @@ from fractions import Fraction
 import pytest
 
 import biham.pencil as pencil_module
-from biham.errors import (InternalInconsistency, NotPureKronecker, NotSkewCanonical,
-                          ValidationError)
+from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import Matrix, UPoly
 from biham.models import open_toda
 from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, integer_pair, jordan_part,
-                          jordan_pencil, kernel_family, kronecker_pencil,
-                          minimal_indices)
+                          jordan_pencil, kronecker_pencil, minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
 from oracles import perm_det
@@ -61,6 +59,10 @@ def test_minimal_indices_examples():
     assert _minimal_indices(K3) == [1]
     assert _minimal_indices(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == [0, 0]
     assert _minimal_indices(J22) == []
+    assert _minimal_indices(K3.direct_sum(kronecker_pencil(1))) == [0, 1]
+    # open Toda at a generic point: one odd block, kernel vector of degree k
+    toda = open_toda(2).structure.pencil_at(tuple(Fraction(x) for x in (1, 1, 2, 1, 3)))
+    assert _minimal_indices(toda) == [2]
 
 
 def _count_eliminations(monkeypatch):
@@ -176,6 +178,25 @@ def test_jordan_part_runs_no_smith_form(monkeypatch):
     assert calls == []
 
 
+def test_multiplicity_two_divisor_runs_no_toeplitz_elimination(monkeypatch):
+    # the divisor lam + 1/2 of J2(2) has multiplicity 2 in D_rho: its two
+    # paired elementary divisors are one J2 block, read without eliminating
+    diagonals = []
+    original = pencil_module._weyr_characteristic
+
+    def recording(diag, *args):
+        diagonals.append(diag)
+        return original(diag, *args)
+
+    monkeypatch.setattr(pencil_module, "_weyr_characteristic", recording)
+    p = K3.direct_sum(J22)
+    assert decompose(p).label() == "{K3, J2(mu=2)}"
+    # the chart at lam = infinity may still be probed (its diagonal block is
+    # A); no Toeplitz matrix of the finite divisor is built
+    a, _ = integer_pair(p)
+    assert all(diag == a for diag in diagonals)
+
+
 def test_jordan_part_symplectic_vs_zero():
     # (A symplectic, B = 0) is the eigenvalue-infinity pair: divisors lam^1
     # twice in the finite chart, so mu = inf
@@ -243,30 +264,6 @@ def test_decompose_mixed_eigenvalues():
     # finite and infinite Jordan divisors coexisting with a Kronecker block
     p = jordan_pencil(2, "inf").direct_sum(kronecker_pencil(2)).direct_sum(jordan_pencil(1, 2))
     assert decompose(p).label() == "{K3, J2(mu=2), J4(mu=inf)}"
-
-
-def test_kernel_family_k3():
-    fam = kernel_family(K3)
-    assert fam.degrees == (1,)
-    w = fam.vectors[0]
-    # span of w0 + lam*w2 up to scalar: entry 1 is zero, entries 0 and 2
-    # are proportional constants c and c*lam
-    assert w[1].is_zero()
-    assert w[0].degree() == 0 and w[2].degree() == 1
-    c = w[0][0]
-    assert w[2] == UPoly([0, c])
-
-
-def test_kernel_family_k1_and_sum():
-    fam = kernel_family(kronecker_pencil(1))
-    assert fam.degrees == (0,)
-    fam2 = kernel_family(K3.direct_sum(kronecker_pencil(1)))
-    assert sorted(fam2.degrees) == [0, 1]
-
-
-def test_kernel_family_rejects_jordan():
-    with pytest.raises(NotPureKronecker):
-        kernel_family(J22)
 
 
 def test_action_dimension():
