@@ -9,14 +9,13 @@ as conjectural and always cross-validated against a direct pencil
 decomposition.
 """
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InternalInconsistency, PoleAtPoint, ValidationError
+from .errors import InternalInconsistency, ValidationError
 from .exactalg import RationalFunction, clear_denominators, load_json, parse_rational
 from .exactalg.kernels import row_echelon_ff
-from .pencil import PointAnalysis, action_dimension, generic_corank
+from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate, evaluator_at
 
 
@@ -228,16 +227,17 @@ class LaxVerdict:
                 "concluded_dim": self.concluded_dim, "detail": self.detail}
 
 
-def lax_check(b: BihamStructure, fam: LambdaFamily, point,
-              seed: int = 0, nearby: int = 5) -> LaxVerdict:
+def lax_check(b: BihamStructure, fam: LambdaFamily, point) -> LaxVerdict:
     """Weak Lax / Lax / Kronecker-concluded verdict at a point.
 
     Weak Lax needs only the family identity.  Lax needs the coefficient map
     to be submersive at the point with action dimension equal to the rank.
-    The corank-1 hypothesis is sampled at the point and at nearby rational
-    offsets (magnitude <= 1/10, seed-controlled) before concluding the
-    Kronecker type of dimension 2n - 1.  ``point`` is coordinates or the
-    point's ``PointAnalysis``.
+    The Kronecker type of dimension 2n - 1 is concluded when the generic
+    corank of the pencil at the point is 1.  That proves the corank-1
+    hypothesis on a neighbourhood: a skew pencil of generic corank 1 has odd
+    dimension, so nearby its corank is at least 1 by parity and at most 1
+    by semicontinuity.  ``point`` is coordinates or the point's
+    ``PointAnalysis``.
     """
     n_rank = fam.degree + 1
     cert = family_check(b, fam)
@@ -250,20 +250,8 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, point,
     if grad_rank != n_rank or adim != n_rank:
         return LaxVerdict("WeakLax", n_rank, grad_rank, adim,
                           detail="submersion or action-dimension condition fails")
-    if at.generic_corank != 1 or any(
-            c != 1 for c in _nearby_coranks(b, at.point, seed, nearby)):
+    if at.generic_corank != 1:
         return LaxVerdict("Lax", n_rank, grad_rank, adim,
                           detail="corank-1 hypothesis failed at a sampled point")
     return LaxVerdict("KroneckerConcluded", n_rank, grad_rank, adim,
                       concluded_dim=2 * n_rank - 1)
-
-
-def _nearby_coranks(b: BihamStructure, point, seed: int, nearby: int):
-    """Generic coranks at seeded rational offsets of the point, poles skipped."""
-    rng = random.Random(seed)
-    for _ in range(nearby):
-        offset = tuple(Fraction(rng.randint(-10, 10), 100) for _ in range(b.dim))
-        try:
-            yield generic_corank(b.pencil_at(tuple(x + o for x, o in zip(point, offset))))
-        except PoleAtPoint:
-            continue

@@ -13,10 +13,10 @@ import os
 import sys
 
 from .casimir import LambdaFamily, family_check
-from .errors import BihamError, ValidationError
+from .errors import BihamError, InternalInconsistency, ValidationError
 from .exactalg import load_json, parse_poly, parse_rational, rat
 from .lenard import LenardChain, verify_chain
-from .models import (ModelSpec, catalog_names, make_model, normal_form_phi,
+from .models import (ModelSpec, catalog_names, make_model, normal_form_phi, web_curvature,
                      DEFAULT_TRUNCATION)
 from .pencil import SkewPencil, decompose
 from .poisson import BihamStructure
@@ -233,9 +233,19 @@ def _dispatch(args) -> int:
     if args.command == "normalform":
         f = parse_poly(args.function, ("x", "y"))
         result = normal_form_phi(f, args.truncation)
-        note = "" if result.scaling_fixed else " (scaling unfixed)"
+        # the verdict is the web curvature's, exact at every order; phi is
+        # additive through the truncation whenever f is flat
+        flat = web_curvature(f).is_zero()
+        if flat and not result.flat:
+            raise InternalInconsistency(f"web curvature of {f} vanishes, phi is not additive")
+        if flat:
+            note = ""
+        elif result.flat:
+            note = f" (phi additive through order {args.truncation})"
+        else:
+            note = " (scaling unfixed)"
         print(f"phi = {result.phi} + O(deg {args.truncation + 1})")
-        print(f"flat: {'yes' if result.flat else 'no'}{note}")
+        print(f"flat: {'yes' if flat else 'no'}{note}")
         return 0
 
     if args.command == "report":

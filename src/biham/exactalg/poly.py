@@ -6,9 +6,17 @@ tuple.  Rational functions are stored gcd-reduced with a content-normalized
 denominator (integer coprime coefficients, positive graded-lex leading
 coefficient), which makes equality a plain component comparison.
 
-Products and sums of products run on integer numerators: ``Poly.__mul__``
-scales each factor to integers once, and ``RationalFunction.sum_of_products``
-sums many products in one integer accumulator per denominator, reduced once.
+Products and sums of products share one kernel, ``_add_product``, on packed
+monomials: a Poly's exponent vector (e_0, ..., e_{n-1}) becomes the single
+integer sum e_i << (W*i), so the product of two monomials is one integer
+addition.  Each Poly keeps its packed integer form (the lcm of its
+coefficient denominators and the (packed exponent, integer numerator)
+pairs) in a lazily filled slot, so a gradient or a table entry that enters
+many products is scaled and packed once.  ``Poly.__mul__`` accumulates one
+product, and ``RationalFunction.sum_of_products`` sums many products in one
+integer accumulator per denominator, reduced once; each unpacks only the
+accumulated terms, once.  ``Poly.terms`` and every other reader keep
+exponent tuples.
 ``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
 answer is proved by exact division on integers (``exact_div``); the
 primitive PRS gcd is the fallback.
@@ -16,7 +24,7 @@ primitive PRS gcd is the fallback.
 
 from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
-from operator import add
+from operator import add, lshift
 
 from ..errors import PoleAtPoint, SingularInversion, ValidationError
 from .rational import rat, rat_str
@@ -27,12 +35,13 @@ def _grlex_key(expo):
 
 
 class Poly:
-    __slots__ = ("variables", "terms", "_hash")
+    __slots__ = ("variables", "terms", "_hash", "_packed")
 
     def __init__(self, variables, terms):
         self.variables = tuple(variables)
         self.terms = {e: c for e, c in terms.items() if c != 0}
         self._hash = None            # filled on first use; terms are never mutated
+        self._packed = None          # ``_packed_form``, likewise
 
     # -- construction -------------------------------------------------
 
@@ -78,7 +87,8 @@ class Poly:
         return not self.terms
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        terms = self.terms
+        return not terms or (len(terms) == 1 and not any(next(iter(terms))))
 
     def constant_value(self) -> Fraction:
         if not self.terms:
@@ -153,12 +163,10 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check(other)
-        den1, num1 = _integer_terms(self.terms)
-        den2, num2 = _integer_terms(other.terms)
+        width, ((den1, num1), (den2, num2)) = _packed_forms((self, other))
         acc: dict = {}
         _add_product(acc, num1, num2, 1)
-        den = den1 * den2
-        return Poly(self.variables, {e: Fraction(s, den) for e, s in acc.items() if s})
+        return _unpack(acc, den1 * den2, self.variables, width)
 
     __rmul__ = __mul__
 
@@ -286,13 +294,62 @@ def _integer_terms(terms):
     return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
 
 
+# Packed monomials.  A Poly's exponents e_0..e_{n-1} pack into the integer
+# key sum e_i << (W*i), W bits per field.  No carry: when every exponent of
+# both factors is below 2^(W-1), every exponent of their product, a sum of
+# two, is below 2^W, so each field of key1 + key2 holds exactly e_i + e'_i
+# and no field spills into the next.  The accumulator therefore identifies
+# two products' monomials exactly when their keys are equal, and shifting
+# and masking the accumulated keys recovers the exponent tuples.  A Poly
+# keeps its form at W = PACK_BITS, or at the least wider W its own
+# exponents allow; factors of unequal W are repacked at the wider one,
+# uncached, which only a factor with an exponent of 2^(PACK_BITS-1) or more
+# ever causes.
+PACK_BITS = 16
+
+
+def _pack(terms, width: int):
+    """(width, d, [(packed exponent, d*c)]) with d the lcm of the coefficient
+    denominators; width is raised until every exponent is below 2^(width-1)."""
+    n = len(next(iter(terms), ()))
+    top = max(map(max, terms), default=0) if n else 0
+    width = max(width, top.bit_length() + 1)
+    shifts = range(0, width * n, width)
+    den, ints = _integer_terms(terms)
+    return width, den, [(sum(map(lshift, e, shifts)), c) for e, c in ints]
+
+
+def _packed_form(p: Poly):
+    """p's packed integer form (``_pack``), built once per Poly."""
+    if p._packed is None:
+        p._packed = _pack(p.terms, PACK_BITS)
+    return p._packed
+
+
+def _packed_forms(polys):
+    """The common field width and each Poly's (d, packed terms) at that width."""
+    forms = [_packed_form(p) for p in polys]
+    width = max(w for w, _, _ in forms)
+    return width, [(d, t) if w == width else _pack(p.terms, width)[1:]
+                   for p, (w, d, t) in zip(polys, forms)]
+
+
 def _add_product(acc: dict, num1, num2, k: int):
-    """acc += k * num1 * num2, all three integer polynomials (``_integer_terms`` lists)."""
+    """acc += k * num1 * num2, all three integer polynomials on packed exponents."""
+    get = acc.get
     for e1, c1 in num1:
         c1 *= k
         for e2, c2 in num2:
-            e = tuple(map(add, e1, e2))
-            acc[e] = acc.get(e, 0) + c1 * c2
+            e = e1 + e2
+            acc[e] = get(e, 0) + c1 * c2
+
+
+def _unpack(acc: dict, den: int, variables, width: int) -> Poly:
+    """The Poly sum (c/den) x^e over the accumulator's nonzero packed terms."""
+    mask = (1 << width) - 1
+    shifts = range(0, width * len(variables), width)
+    return Poly(variables, {tuple([(key >> s) & mask for s in shifts]): Fraction(c, den)
+                            for key, c in acc.items() if c})
 
 
 # -- truncated power series ------------------------------------------------
@@ -662,10 +719,10 @@ class RationalFunction:
 
         The products are grouped by the product of their two denominators
         (every polynomial pair falls into one group).  A group's numerator
-        products are summed as integers, each scaled like ``Poly.__mul__``
-        to the lcm of the group's integer denominators, into one term dict
-        that becomes one RationalFunction: one gcd reduction per group, none
-        for a polynomial group, instead of one per product.
+        products are summed as integers on packed exponents, each scaled
+        to the lcm of the group's integer denominators, into one accumulator
+        that is unpacked once into one RationalFunction: one gcd reduction
+        per group, none for a polynomial group, instead of one per product.
         """
         groups: dict = {}
         for u, v in pairs:
@@ -677,20 +734,17 @@ class RationalFunction:
                 den = v.den
             else:
                 den = u.den * v.den
-            groups.setdefault(den, []).append((u.num, v.num))
+            groups.setdefault(den, []).extend((u.num, v.num))
         total = None
-        for den, products in groups.items():
-            scaled = []
-            for p, q in products:
-                dp, tp = _integer_terms(p.terms)
-                dq, tq = _integer_terms(q.terms)
-                scaled.append((dp * dq, tp, tq))
+        for den, factors in groups.items():
+            width, forms = _packed_forms(factors)
+            scaled = [(dp * dq, tp, tq)
+                      for (dp, tp), (dq, tq) in zip(forms[::2], forms[1::2])]
             common = lcm(*(d for d, _, _ in scaled))
             acc: dict = {}
             for d, tp, tq in scaled:
                 _add_product(acc, tp, tq, common // d)
-            part = cls(Poly(variables, {e: Fraction(s, common) for e, s in acc.items() if s}),
-                       den)
+            part = cls(_unpack(acc, common, variables, width), den)
             total = part if total is None else total + part
         return total if total is not None else cls.constant(0, variables)
 

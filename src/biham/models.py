@@ -1,10 +1,11 @@
 """The model catalog: flat blocks, Toda lattices, the 3-dimensional
-examples m_f (flat exactly when f is functionally additive, the test
-normal_form_phi decides over truncated series, which are Polys with no term
-above the order it holds), the quadratic-family counterexample and the sl2
-argument shift, each packaged with its Casimir families, genericity
-predicate and expected outcomes declared from the construction.  make_model
-refuses a parameter its builder does not take and a missing required one.
+examples m_f (flat exactly when f is functionally additive, which
+web_curvature decides exactly; normal_form_phi normalizes f over truncated
+series, which are Polys with no term above the order it holds), the
+quadratic-family counterexample and the sl2 argument shift, each packaged
+with its Casimir families, genericity predicate and expected outcomes
+declared from the construction.  make_model refuses a parameter its
+builder does not take and a missing required one.
 
 Every structure built here passes its Jacobi/compatibility certificates
 exactly, and every attached family is gated by family_check at
@@ -364,7 +365,7 @@ def periodic_casimirs(model: ModelSpec) -> tuple:
 
 
 # -- the 3-dimensional pool: m_f is flat exactly when f = C(a(x) + b(y)) ------
-# (x + y and x + y + x*y are flat; x + y + x^2*y is not; normal_form_phi decides)
+# (x + y and x + y + x*y are flat; x + y + x^2*y is not; web_curvature decides)
 
 
 def m_f(f) -> ModelSpec:
@@ -617,6 +618,25 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
     _check_normalization(phi, n)
     flat = phi.terms == {(1, 0): 1, (0, 1): 1}
     return NormalFormResult(phi, flat, flat, {"A": As, "B": Bs, "C": Cs})
+
+
+def web_curvature(f: Poly) -> RationalFunction:
+    """Blaschke curvature d/dy (f_xx/f_x - f_xy/f_y) = d2/dxdy log(f_x/f_y) of f(x, y).
+
+    The 3-web {x = c}, {y = c}, {f = c} is hexagonal exactly when this
+    vanishes, that is, exactly when f is functionally additive,
+    f = C(a(x) + b(y)) (Blaschke-Bol, Geometrie der Gewebe, 1938), so m_f is
+    flat exactly when it is zero.  One exact zero test decides every order,
+    where ``normal_form_phi`` sees only its truncation.
+    """
+    if len(f.variables) != 2:
+        raise ValidationError("web curvature needs a two-variable function")
+    xv, yv = f.variables
+    fx, fy = f.diff(xv), f.diff(yv)
+    if fx.is_zero() or fy.is_zero():
+        raise DegenerateFunction("both partial derivatives must be nonzero")
+    slope = RationalFunction(fx.diff(xv), fx) - RationalFunction(fx.diff(yv), fy)
+    return slope.diff(yv)
 
 
 def _check_truncation(order: int):

@@ -219,8 +219,8 @@ def generic_corank(p: SkewPencil) -> int:
     Deterministic: coranks at lam in {0, ..., n} plus the reversed pencil
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
-    It serves ``casimir.lax_check``'s nearby points, the oracles and the
-    ``perfbench`` trace; ``decompose`` reads r from its own profile.
+    It serves the tests, the oracles and the ``perfbench`` trace;
+    ``decompose`` reads r from its own profile.
     """
     return min(corank_profile(*integer_pair(p)).values())
 

@@ -7,7 +7,10 @@ and compare numerators exactly; point evaluations are a secondary layer
 and refuse points on recorded denominator zero loci.  A point is
 evaluated on integers by one ``PointEvaluator``; each structure compiles
 its table entries' and its stored gradients' ``IntegerForm``s once, on
-first use at a point.
+first use at a point.  Exact products read each factor's packed integer
+form, which a ``Poly`` builds once; so a structure keeps its skew rows
+(``skew_rows``, the entries with their negatives) and a ``BihamStructure``
+its gradients, and every product reuses those objects.
 
 ``first_nonzero_sum`` sums and zero-tests every certificate residual, one
 ``RationalFunction.sum_of_products`` per (key, products) group: by
@@ -81,6 +84,7 @@ class PoissonStructure:
             folded[key] = value
         self.table = folded
         self._forms = None
+        self._rows = None
         excluded = []
         for coeff in folded.values():
             if not coeff.den.is_constant() and coeff.den not in excluded:
@@ -105,6 +109,20 @@ class PoissonStructure:
             return entry if entry is not None else RationalFunction.constant(0, self.variables)
         entry = self.table.get((j, i))
         return -entry if entry is not None else RationalFunction.constant(0, self.variables)
+
+    def skew_rows(self) -> dict:
+        """Row i of the skew table: [(j, Pi^{ij})] over its nonzero entries.
+
+        Built once per structure, so every contraction and Schouten residual
+        multiplies the same entry objects, whose integer forms are cached.
+        """
+        if self._rows is None:
+            rows: dict = {}
+            for (i, j), c in self.table.items():
+                rows.setdefault(i, []).append((j, c))
+                rows.setdefault(j, []).append((i, -c))
+            self._rows = rows
+        return self._rows
 
     def zero_function(self) -> RationalFunction:
         return RationalFunction.constant(0, self.variables)
@@ -239,11 +257,10 @@ def _contraction(terms, dim: int) -> list:
     for p, grad in terms:
         if grad is None:
             continue
-        for (i, j), c in p.table.items():
+        for i, row in p.skew_rows().items():
             if not grad[i].is_zero():
-                groups[j].append((c, grad[i]))
-            if not grad[j].is_zero():
-                groups[i].append((-c, grad[j]))
+                for j, c in row:
+                    groups[j].append((c, grad[i]))
     return groups
 
 
@@ -287,10 +304,7 @@ def _schouten_failure(pairs, variables):
     """
     terms: dict = {}
     for p, q in pairs:
-        rows: dict = {}
-        for (i, j), c in p.table.items():
-            rows.setdefault(i, []).append((j, c))
-            rows.setdefault(j, []).append((i, -c))
+        rows = p.skew_rows()
         for (b, c), entry in q.table.items():
             for l, name in enumerate(q.variables):
                 if l not in rows:

@@ -156,7 +156,7 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     record_lax = None
     if model.families and analyses:
         best_fam = max(model.families, key=lambda f: f.degree)
-        record_lax = lax_check(b, best_fam, analyses[0], seed=seed).to_json()
+        record_lax = lax_check(b, best_fam, analyses[0]).to_json()
 
     modal_type = type_counter.most_common(1)[0][0] if type_counter else ""
     criterion_summary = _modal_summary(criterion_sample, criterion_counter)

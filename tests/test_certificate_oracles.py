@@ -5,7 +5,9 @@ Each certificate must agree with its coordinate-by-coordinate form in
 family, chain and Casimir certificates, which share one relation routine
 and one stored result per relation, are compared with the three loops that
 routine replaced.  Covectors and pairings, summed in one accumulator per
-sum, must equal the one-product-at-a-time loops exactly, and the heuristic
+sum, must equal the one-product-at-a-time loops exactly; products on packed
+monomials must equal schoolbook Fraction products, also at exponents past
+the packed field bound; and the heuristic
 gcd and integer division must equal the primitive PRS gcd and Fraction long
 division.
 """
@@ -215,6 +217,67 @@ def test_poly_product_matches_schoolbook_fractions(p, q):
     product = p * q
     assert product.terms == schoolbook_product(p, q)
     assert all(isinstance(c, Fraction) and c != 0 for c in product.terms.values())
+
+
+# Exponents at and just past the packed field bound: below 2^(W-1) a Poly
+# keeps its form at W = PACK_BITS, from 2^(W-1) on it needs a wider field.
+BOUND = 1 << (poly_module.PACK_BITS - 1)
+EDGE_EXPONENTS = [0, 1, BOUND - 1, BOUND, 2 * BOUND]
+
+
+@st.composite
+def edge_polys(draw, variables):
+    """Zero to three terms with exponents from ``EDGE_EXPONENTS``."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 3))):
+        terms[tuple(draw(st.sampled_from(EDGE_EXPONENTS)) for _ in variables)] = draw(rationals)
+    return Poly(variables, terms)
+
+
+def _schoolbook_sum(pairs, variables):
+    total = Poly.zero(variables)
+    for p, q in pairs:
+        total = total + Poly(variables, schoolbook_product(p, q))
+    return total
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_packed_products_match_schoolbook_at_the_field_bound(data):
+    variables = tuple(f"x{i}" for i in range(data.draw(st.integers(0, 3))))
+    factors = data.draw(st.lists(edge_polys(variables), min_size=2, max_size=6))
+    pairs = list(zip(factors, factors[1:]))
+    for p, q in pairs:
+        assert (p * q).terms == schoolbook_product(p, q)
+    rational_pairs = [(RationalFunction(p), RationalFunction(q)) for p, q in pairs]
+    assert (RationalFunction.sum_of_products(rational_pairs, variables)
+            == RationalFunction(_schoolbook_sum(pairs, variables)))
+
+
+@pytest.mark.parametrize("variables", [(), V])
+def test_packed_products_of_zero_and_constant_polys(variables):
+    zero = Poly.zero(variables)
+    c = Poly.constant(Fraction(3, 4), variables)
+    assert (zero * c).is_zero() and (c * zero).is_zero()
+    assert (c * c).terms == schoolbook_product(c, c)
+    pairs = [(RationalFunction(c), RationalFunction(c)), (RationalFunction(zero),
+                                                         RationalFunction(c))]
+    assert RationalFunction.sum_of_products(pairs, variables) == RationalFunction(c * c)
+
+
+@pytest.mark.parametrize("top", [2, BOUND, 2 * BOUND])
+def test_equal_polys_built_separately_give_equal_products(top):
+    terms = {(top, 0, 1): Fraction(1, 2), (0, 1, 0): Fraction(-3), (1, 1, 1): Fraction(5, 7)}
+    a = Poly(V, terms)
+    b = Poly(V, dict(reversed(list(terms.items()))))
+    q = Poly(V, {(1, 1, 0): Fraction(2, 3), (0, 0, 0): Fraction(1)})
+    assert a == b and a is not b
+    first = a * q                     # a and q now hold their packed forms
+    assert first == a * q == b * q == q * b
+    assert first.terms == schoolbook_product(b, q)
+    sums = [RationalFunction.sum_of_products([(RationalFunction(p), RationalFunction(q))], V)
+            for p in (a, b)]
+    assert sums[0] == sums[1] == RationalFunction(first)
 
 
 def test_poly_product_cancels_to_zero():

@@ -206,6 +206,16 @@ def test_cli_normalform(capsys):
     assert "flat: no" in out
 
 
+@pytest.mark.parametrize("truncation", ["3", "4"])
+def test_cli_normalform_flat_verdict_is_exact_beyond_the_truncation(capsys, truncation):
+    # phi = x' + y' through orders 3 and 4, but the web curvature is nonzero
+    assert main(["normalform", "--function", "x + y + x^3*y^3",
+                 "--truncation", truncation]) == 0
+    out = capsys.readouterr().out
+    assert f"flat: no (phi additive through order {truncation})" in out
+    assert "flat: yes" not in out
+
+
 @pytest.mark.parametrize("truncation", ["0", "-2"])
 def test_cli_normalform_truncation_below_one_is_exit_2(capsys, truncation):
     assert main(["normalform", "--function", "x + y", "--truncation", truncation]) == 2

@@ -13,7 +13,8 @@ from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           m_f, make_model, mf_casimir_numeric, normal_form_phi,
                           open_toda, periodic_casimirs, periodic_toda,
                           run_polynomials, s_generic, scaling_equivalent,
-                          sl2_shift, two_family_flatness, two_family_model)
+                          sl2_shift, two_family_flatness, two_family_model,
+                          web_curvature)
 from biham.pencil import decompose
 
 
@@ -363,6 +364,27 @@ def test_normal_form_preconditions():
         normal_form_phi(parse_poly("1 + x + y", V2), 4)
     with pytest.raises(NotNormalizable):
         normal_form_phi(parse_poly("x + y^2", V2), 4)
+
+
+FLAT_GERMS = ["x + y", "x + y + x*y", "(x + y)^3 + 5*(x + y)"]
+NONFLAT_GERMS = ["x + y + x^2*y", "x + y + x^3*y^3", "x + y + x^4*y", "3*x - y + x^3*y^2"]
+
+
+@pytest.mark.parametrize("germ,flat", [(g, True) for g in FLAT_GERMS]
+                         + [(g, False) for g in NONFLAT_GERMS])
+def test_web_curvature_decides_flatness_like_the_order_20_normal_form(germ, flat):
+    f = parse_poly(germ, V2)
+    assert web_curvature(f).is_zero() == flat
+    assert normal_form_phi(f, 20).flat == flat
+
+
+def test_web_curvature_sees_past_the_truncation():
+    # phi is additive through order 4, yet the germ is not flat
+    f = parse_poly("x + y + x^3*y^3", V2)
+    assert normal_form_phi(f, 4).flat
+    assert not web_curvature(f).is_zero()
+    with pytest.raises(DegenerateFunction):
+        web_curvature(parse_poly("x^2", V2))
 
 
 def test_normal_form_brute_force_oracle_degree_3():
