@@ -1,15 +1,28 @@
-"""Dense univariate polynomials over the rationals.
+"""Dense univariate polynomials over the rationals, and their integer core.
 
 Used for everything that lives in one pencil parameter: principal minors
 and their divisors in the Jordan part, Smith forms and invariant factors
-in the test oracle, run polynomials.  Coefficients are Fractions indexed
-by degree, trailing zeros stripped; the zero polynomial has empty
-coefficient list.
+in the test oracle, run polynomials.  A ``UPoly`` holds Fraction
+coefficients indexed by degree, trailing zeros stripped; the zero
+polynomial has an empty coefficient list.
+
+The gcd and the squarefree split run on integer coefficient lists (low
+degree first) instead: ``primitive_gcd`` is Euclid's algorithm on
+pseudo-remainders with each remainder divided by its content, and
+``squarefree_decomposition`` is Yun's algorithm on the primitive parts.  By
+Gauss's lemma a primitive polynomial that divides an integer polynomial
+over Q divides it over Z, so every quotient there is exact, and an inexact
+one is an ``InternalInconsistency``.  ``ugcd`` clears a ``UPoly``'s
+denominators on entry; a monic ``UPoly`` is built only for each factor
+returned.
 """
 
 from fractions import Fraction
+from itertools import zip_longest
+from math import gcd
 
-from ..errors import ValidationError
+from ..errors import InternalInconsistency, ValidationError
+from .matrix import clear_denominators
 from .rational import rat, rat_str
 
 
@@ -172,29 +185,127 @@ class UPoly:
     __repr__ = __str__
 
 
-def ugcd(a: UPoly, b: UPoly) -> UPoly:
-    """Monic gcd by the Euclidean algorithm."""
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+def _primitive_part(c: list) -> list:
+    """Integer coefficients divided by their content, leading coefficient positive.
 
-
-def squarefree_decomposition(p: UPoly) -> list:
-    """Yun's algorithm: list of (monic squarefree factor, multiplicity)."""
-    if p.is_zero() or p.is_constant():
+    Trailing zeros are dropped; the zero polynomial gives [].
+    """
+    c = list(c)
+    while c and not c[-1]:
+        c.pop()
+    if not c:
         return []
-    p = p.monic()
+    content = gcd(*c) if c[-1] > 0 else -gcd(*c)
+    return [x // content for x in c]
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """c * (a mod b) for some nonzero integer c, by long division without fractions.
+
+    Each step scales the remainder by lead(b) / g and subtracts lead / g
+    times b, with g the gcd of the two leading coefficients.
+    """
+    r = list(a)
+    db = len(b) - 1
+    lead_b = b[-1]
+    while len(r) > db:
+        lead = r.pop()
+        g = gcd(lead, lead_b)
+        scale, times = lead_b // g, lead // g
+        shift = len(r) - db
+        if scale != 1:
+            r = [x * scale for x in r]
+        for j in range(db):
+            r[shift + j] -= times * b[j]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def primitive_gcd(a: list, b: list) -> list:
+    """Primitive gcd of two integer coefficient lists (low degree first), [] for two zeros.
+
+    Euclid's algorithm on pseudo-remainders, each reduced to its primitive
+    part (the primitive remainder sequence), so no Fraction arithmetic and
+    no content carried from one remainder to the next.
+    """
+    a, b = _primitive_part(a), _primitive_part(b)
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _primitive_part(_pseudo_remainder(a, b))
+    return a
+
+
+def exact_quotient(a: list, b: list) -> list:
+    """a / b on integer coefficient lists; b must divide a in Z[t].
+
+    A remainder or a non-integer quotient coefficient raises
+    ``InternalInconsistency``: with b primitive, Gauss's lemma makes both
+    impossible whenever b divides a over Q.
+    """
+    db = len(b) - 1
+    lead_b = b[-1]
+    r = list(a)
+    q = [0] * max(0, len(a) - db)
+    for k in range(len(q) - 1, -1, -1):
+        c, rest = divmod(r[k + db], lead_b)
+        if rest:
+            raise InternalInconsistency("inexact division of integer polynomials")
+        q[k] = c
+        if c:
+            for j in range(db):
+                r[k + j] -= c * b[j]
+    if any(r[:db]):
+        raise InternalInconsistency("inexact division of integer polynomials")
+    return q
+
+
+def _derivative(c: list) -> list:
+    return [k * x for k, x in enumerate(c)][1:]
+
+
+def _difference(a: list, b: list) -> list:
+    out = [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+    while out and not out[-1]:
+        out.pop()
+    return out
+
+
+def _monic(c: list) -> UPoly:
+    return UPoly([Fraction(x, c[-1]) for x in c])
+
+
+def ugcd(a: UPoly, b: UPoly) -> UPoly:
+    """Monic gcd, by ``primitive_gcd`` on the integer multiples of a and b."""
+    return _monic(primitive_gcd(clear_denominators(a.coeffs)[0],
+                                clear_denominators(b.coeffs)[0]))
+
+
+def squarefree_decomposition(p) -> list:
+    """Yun's algorithm: list of (monic squarefree factor, multiplicity).
+
+    ``p`` is a ``UPoly`` or its integer coefficients, low degree first.
+    With p primitive, every gcd below is primitive and divides the
+    polynomial it is taken out of over Q, so each quotient is exact in Z[t].
+    """
+    if isinstance(p, UPoly):
+        p = clear_denominators(p.coeffs)[0]
+    p = _primitive_part(p)
+    if len(p) <= 1:
+        return []
     out = []
-    g = ugcd(p, p.deriv())
-    c = p.exact_div(g)
-    d = p.deriv().exact_div(g) - c.deriv()
+    dp = _derivative(p)
+    g = primitive_gcd(p, dp)
+    c = exact_quotient(p, g)
+    d = _difference(exact_quotient(dp, g), _derivative(c))
     i = 1
-    while c.degree() > 0:
-        f = ugcd(c, d)
-        if f.degree() > 0:
-            out.append((f.monic(), i))
-        c = c.exact_div(f)
-        d = d.exact_div(f) - c.deriv()
+    while len(c) > 1:
+        f = primitive_gcd(c, d)
+        if len(f) > 1:
+            out.append((_monic(f), i))
+        c = exact_quotient(c, f)
+        d = _difference(exact_quotient(d, f), _derivative(c))
         i += 1
     return out
 
@@ -220,8 +331,11 @@ def _split_irreducible(sf: UPoly) -> list:
     return out
 
 
-def factor_monic(p: UPoly) -> list:
-    """Factor into monic irreducibles over Q: list of (factor, multiplicity)."""
+def factor_monic(p) -> list:
+    """Factor into monic irreducibles over Q: list of (factor, multiplicity).
+
+    ``p`` is a ``UPoly`` or its integer coefficients, low degree first.
+    """
     out: dict = {}
     for sf, mult in squarefree_decomposition(p):
         for irr in _split_irreducible(sf):

@@ -10,10 +10,11 @@ makes sufficient.
 
 Everything runs on integer pencils: ``decompose`` scales A and B to integer
 rows over one common denominator once (``integer_pair``), computes the
-corank profile once, and hands the pair, the profile and the generic corank
-r down to ``minimal_indices`` and ``jordan_part``; every matrix below is
-built from those integers for the fraction-free kernel ``row_echelon_ff``,
-and ``_pencil_rows`` is the one builder of lam*A + B.
+corank profile once, and hands the pair, the profile, the determinants of
+its eliminations and the generic corank r down to ``minimal_indices`` and
+``jordan_part``; every matrix below is built from those integers for the
+fraction-free kernel ``row_echelon_ff``, and ``_pencil_rows`` is the one
+builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
   Every S_d is the leading d + 1 column blocks of S_D with D = (n - r) // 2,
@@ -29,10 +30,17 @@ and ``_pencil_rows`` is the one builder of lam*A + B.
   and ``_block_pivots`` gives its nullity growth block by block, as for S_D.
   The finite divisors are the irreducible factors of D_rho (rho = n - r),
   the gcd of the principal rho-minors, each evaluated at integer points and
-  interpolated; the gcd is certified once its degree is the dimension left
-  to finite Jordan blocks.  A divisor of degree d enters the Toeplitz
-  matrix through its companion matrix, as the Kronecker product
-  A (x) C_q + B (x) I_d, so no polynomial matrix is ever reduced.
+  interpolated in integers (``_interpolate``: s! times Newton's form has
+  integer coefficients, and a determinant's divide exactly by s!); the gcd
+  is certified once its degree is the dimension left to finite Jordan
+  blocks.  For r = 0 the one such minor is det(lam*A + B), whose values at
+  lam = 0..n ``corank_profile`` reads off its own eliminations and
+  ``decompose`` hands down, so it is never eliminated again.  The gcd and
+  the squarefree split run on primitive integer coefficient lists
+  (``exactalg.upoly``); a ``UPoly`` is built only for each divisor.  A
+  divisor of degree d enters the Toeplitz matrix through its companion
+  matrix, as the Kronecker product A (x) C_q + B (x) I_d, so no polynomial
+  matrix is ever reduced.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
@@ -49,11 +57,11 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import factorial, gcd
 
 from .errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from .exactalg import (Matrix, PointEvaluator, UPoly, block_diag, clear_denominators,
-                       factor_monic, load_json, rat, rat_str, ugcd)
+                       factor_monic, load_json, primitive_gcd, rat, rat_str)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -243,11 +251,34 @@ def _pencil_rows(a, b, lam) -> list:
     return [[lam * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def corank_profile(a, b) -> dict:
-    """Corank at each sampled parameter value (including the reversed pencil)."""
+def _abs_det(rows, rank) -> int:
+    """|det| of a square integer matrix that ``row_echelon_ff`` has just reduced.
+
+    The last Bareiss pivot is the determinant up to the sign of the row
+    swaps; a rank below the size means det = 0, and the empty matrix has
+    det = 1.
+    """
+    if rank < len(rows):
+        return 0
+    return abs(rows[-1][-1]) if rows else 1
+
+
+def corank_profile(a, b, dets=None) -> dict:
+    """Corank at each sampled parameter value (including the reversed pencil).
+
+    When ``dets`` is a list, |det(lam*A + B)| at lam = 0..n is appended to
+    it, read off the same eliminations: ``decompose`` hands these values to
+    ``jordan_part``, which interpolates the determinant from them when
+    r = 0.
+    """
     n = len(a)
-    prof = {str(lam): n - row_echelon_ff(_pencil_rows(a, b, lam))[0]
-            for lam in range(n + 1)}
+    prof = {}
+    for lam in range(n + 1):
+        rows = _pencil_rows(a, b, lam)
+        rank, _ = row_echelon_ff(rows)
+        prof[str(lam)] = n - rank
+        if dets is not None:
+            dets.append(_abs_det(rows, rank))
     prof[INF] = n - row_echelon_ff([row[:] for row in a])[0]
     return prof
 
@@ -359,33 +390,57 @@ def _chain_blocks(weyr, key) -> list:
     return blocks
 
 
-def _principal_minor(a, b, cols) -> UPoly:
-    """det of the principal submatrix of lam*A + B on ``cols``, as a polynomial.
+def _interpolate(values) -> list:
+    """Integer coefficients, low degree first, of the polynomial of degree <= s
+    that takes ``values`` at lam = 0..s.
 
-    Evaluated by integer elimination at lam = 0..len(cols) and interpolated.
-    A skew minor has determinant Pf^2 >= 0, which is the absolute value of
-    the last Bareiss pivot whatever rows were swapped.
+    Newton's form on these nodes is p = sum_k Delta^k / k! * lam (lam - 1)
+    ... (lam - k + 1), with Delta^k the k-th forward difference at 0.  Every
+    term of s! * p has integer coefficients, so s! * p is built in integers,
+    nested from k = s down, and divided by s! at the end.  The values come
+    from an integer determinant, a polynomial with integer coefficients, so
+    that division is exact; a remainder is an ``InternalInconsistency``.
     """
-    size = len(cols)
+    s = len(values) - 1
+    deltas = []
+    row = list(values)
+    while row:
+        deltas.append(row[0])
+        row = [y - x for x, y in zip(row, row[1:])]
+    scaled = []
+    weight = 1                      # s! / k!
+    for k in range(s, -1, -1):
+        # scaled <- (lam - k) * scaled + s!/k! * Delta^k
+        scaled = [hi - k * lo for hi, lo in zip([0] + scaled, scaled + [0])]
+        scaled[0] += weight * deltas[k]
+        weight *= k
+    coeffs = []
+    for c in scaled:
+        q, rest = divmod(c, factorial(s))
+        if rest:
+            raise InternalInconsistency(
+                "determinant values do not interpolate to an integer polynomial")
+        coeffs.append(q)
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return coeffs
+
+
+def _principal_minor(a, b, cols) -> list:
+    """det of the principal submatrix of lam*A + B on ``cols``, as integer coefficients.
+
+    Evaluated by integer elimination at lam = 0..len(cols) and interpolated
+    in integers by ``_interpolate``.  A skew minor has determinant
+    Pf^2 >= 0, which is the absolute value of the last Bareiss pivot
+    whatever rows were swapped.
+    """
     sub_a = [[a[i][j] for j in cols] for i in cols]
     sub_b = [[b[i][j] for j in cols] for i in cols]
     values = []
-    for lam in range(size + 1):
+    for lam in range(len(cols) + 1):
         rows = _pencil_rows(sub_a, sub_b, lam)
-        rank, _ = row_echelon_ff(rows)
-        values.append(abs(rows[-1][-1]) if rank == size else 0)
-    # Newton's forward differences on the nodes 0..size
-    poly = UPoly.zero()
-    basis = UPoly.constant(1)
-    factorial = 1
-    for k in range(size + 1):
-        if k:
-            basis = basis * UPoly((-(k - 1), 1))
-            factorial *= k
-            values = [y - x for x, y in zip(values, values[1:])]
-        if values[0]:
-            poly = poly + basis * Fraction(values[0], factorial)
-    return poly
+        values.append(_abs_det(rows, row_echelon_ff(rows)[0]))
+    return _interpolate(values)
 
 
 def _principal_column_sets(a, b, profile, r):
@@ -395,12 +450,11 @@ def _principal_column_sets(a, b, profile, r):
     rho independent columns, so the pivot columns of lam*A + B at the first
     sample of the corank profile with corank r come first, then those found
     with the columns visited in each rotated order; every rho-subset
-    follows, so the gcd of all principal minors is always reached.
+    follows, so the gcd of all principal minors is always reached.  For
+    r = 0 the one set is every column, whose minor ``jordan_part`` reads
+    from the corank profile instead.
     """
     n = len(a)
-    if r == 0:
-        yield tuple(range(n))
-        return
     lam = next((lam for lam in range(n + 1) if profile[str(lam)] == r), None)
     if lam is None:
         raise InternalInconsistency(f"no sample of lam*A + B reaches rank {n - r}")
@@ -426,12 +480,13 @@ def _companion_rows(q: UPoly) -> tuple:
     return comp, c
 
 
-def jordan_part(a, b, profile, jordan_dim: int) -> list:
+def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
     """Jordan blocks of the integer pencil as a sorted list of Block objects.
 
     ``profile`` is the corank profile, whose minimum is the generic corank
-    r, and ``jordan_dim`` the dimension left to the Jordan blocks once the
-    Kronecker blocks are counted.
+    r, ``dets`` the values |det(lam*A + B)| at lam = 0..n that
+    ``corank_profile`` appended, and ``jordan_dim`` the dimension left to
+    the Jordan blocks once the Kronecker blocks are counted.
 
     Block sizes come from the Weyr characteristic: w_k, the number of
     Jordan chains of length >= k at a divisor, is the growth of the nullity
@@ -442,39 +497,49 @@ def jordan_part(a, b, profile, jordan_dim: int) -> list:
     the rho x rho minors (rho = n - r).  For a skew pencil each minor on
     rows I and columns J is Pf_I * Pf_J, so D_rho is also the gcd of the
     principal minors Pf_I^2; minors are taken until their gcd has the
-    degree the finite Jordan blocks fill, at which point it is D_rho.  A
-    divisor q of degree d is handled by substituting its companion matrix
-    C_q for lam: lam*A + B becomes A (x) C_q + B (x) I_d, whose Toeplitz
-    nullities are d times those at each root of q, so irrational divisors
-    take the same integer path as rational ones.  Elementary divisors of a
-    skew pencil pair up, so multiplicity 2 is one J_{2d} and needs no
-    Toeplitz matrix; odd multiplicity signals corrupted input.
+    degree the finite Jordan blocks fill, at which point it is D_rho.  For
+    r = 0 the only principal rho-minor is det(lam*A + B) itself, which is
+    interpolated from ``dets`` with no further elimination.  Minors, their
+    gcd and its squarefree split stay on integer coefficient lists: the
+    values are integer determinants, so the interpolation divides exactly,
+    and the gcd is primitive, so every quotient of the split is exact in
+    Z[lam] by Gauss's lemma.  A monic ``UPoly`` is built only for each
+    divisor that enters a ``Block``.  A divisor q of degree d is handled by
+    substituting its companion matrix C_q for lam: lam*A + B becomes
+    A (x) C_q + B (x) I_d, whose Toeplitz nullities are d times those at
+    each root of q, so irrational divisors take the same integer path as
+    rational ones.  Elementary divisors of a skew pencil pair up, so
+    multiplicity 2 is one J_{2d} and needs no Toeplitz matrix; odd
+    multiplicity signals corrupted input.
     """
     if jordan_dim == 0:
         return []
     n = len(a)
     r = min(profile.values())
-    column_sets = _principal_column_sets(a, b, profile, r)
-    first = _principal_minor(a, b, next(column_sets))
+    if r == 0:
+        first, column_sets = _interpolate(dets), iter(())
+    else:
+        column_sets = _principal_column_sets(a, b, profile, r)
+        first = _principal_minor(a, b, next(column_sets))
     # D_rho divides every principal minor, and mu^(infinite degree) divides
     # it in the homogeneous chart, which bounds the chains at infinity
     blocks = []
     inf_degree = 0
-    depth = min(jordan_dim, n - r - first.degree()) // 2
+    depth = min(jordan_dim, n - r - (len(first) - 1)) // 2
     if depth:
         key = ("at_lam_infinity",)
         weyr = _weyr_characteristic(a, b, depth, r, 1)
         inf_degree = sum(weyr)
         blocks += _chain_blocks(weyr, key)
     finite_degree = jordan_dim - inf_degree
-    d_rho = first.monic()
+    d_rho = first
     for cols in column_sets:
-        if d_rho.degree() <= finite_degree:
+        if len(d_rho) - 1 <= finite_degree:
             break
-        d_rho = ugcd(d_rho, _principal_minor(a, b, cols))
-    if d_rho.degree() != finite_degree:
+        d_rho = primitive_gcd(d_rho, _principal_minor(a, b, cols))
+    if len(d_rho) - 1 != finite_degree:
         raise InternalInconsistency(
-            f"principal minors have a gcd of degree {d_rho.degree()}, "
+            f"principal minors have a gcd of degree {len(d_rho) - 1}, "
             f"expected {finite_degree}")
     for q, mult in factor_monic(d_rho):
         key = ("finite", q)
@@ -510,11 +575,12 @@ def decompose(p: SkewPencil) -> PencilType:
     pencil can become a test case as it stands.
     """
     a, b = integer_pair(p)
+    dets = []
     try:
-        profile = corank_profile(a, b)
+        profile = corank_profile(a, b, dets)
         indices = minimal_indices(a, b, min(profile.values()))
         filled = sum(2 * e + 1 for e in indices)
-        jordan = jordan_part(a, b, profile, p.n - filled) if filled != p.n else []
+        jordan = jordan_part(a, b, profile, dets, p.n - filled) if filled != p.n else []
     except (InternalInconsistency, NotSkewCanonical) as exc:
         exc.pencil = {"n": p.n, "A": [[str(x) for x in row] for row in a],
                       "B": [[str(x) for x in row] for row in b]}

@@ -10,7 +10,9 @@ its table entries' and its stored gradients' ``IntegerForm``s once, on
 first use at a point.  Exact products read each factor's packed integer
 form, which a ``Poly`` builds once; so a structure keeps its skew rows
 (``skew_rows``, the entries with their negatives) and a ``BihamStructure``
-its gradients, and every product reuses those objects.
+its gradients and its two tables' partials (``schouten_partials``, which
+its Jacobi and compatibility certificates share), and every product reuses
+those objects.
 
 ``first_nonzero_sum`` sums and zero-tests every certificate residual, one
 ``RationalFunction.sum_of_products`` per (key, products) group: by
@@ -168,9 +170,15 @@ class PoissonStructure:
         """Corank of the bivector at ``point``; for the tests and the ``perfbench`` trace."""
         return self.dim - self.bivector_at(point).rank()
 
-    def jacobi_check(self) -> Certificate:
-        """Exact Jacobi identity [P, P] = 0 for every coordinate triple i < j < k."""
-        failure = _schouten_failure(((self, self),), self.variables)
+    def jacobi_check(self, partials=None) -> Certificate:
+        """Exact Jacobi identity [P, P] = 0 for every coordinate triple i < j < k.
+
+        ``partials`` passes the table's ``schouten_partials`` when the
+        caller already holds them.
+        """
+        if partials is None:
+            partials = schouten_partials(self)
+        failure = _schouten_failure(((self, partials),), self.variables)
         return Certificate(failure is None, "jacobi", failure or "")
 
     def is_casimir(self, f) -> Certificate:
@@ -270,14 +278,15 @@ def relation_failure(terms, variables):
 
 
 def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
-                        own=None) -> Certificate:
+                        own=None, partials=None) -> Certificate:
     """Mixed Jacobi identity, equivalent to the whole pencil being Poisson.
 
     The Jacobiator is quadratic in the bivector, so with both summands
     Poisson the pencil lam1*P1 + lam2*P2 satisfies Jacobi for all lam iff
     the bilinear mixed term [P1, P2] + [P2, P1] vanishes identically.  Each
     summand must be Poisson on its own, so that is checked first; ``own``
-    passes the two Jacobi certificates when the caller already holds them.
+    passes the two Jacobi certificates and ``partials`` the two tables'
+    ``schouten_partials`` when the caller already holds them.
     """
     if p1.variables != p2.variables:
         raise ValidationError("structures live on different variable tuples")
@@ -287,30 +296,43 @@ def compatibility_check(p1: PoissonStructure, p2: PoissonStructure,
             return Certificate(False, "compatibility",
                                f"bracket {which} fails its own Jacobi identity "
                                f"({cert.detail})")
-    failure = _schouten_failure(((p1, p2), (p2, p1)), p1.variables)
+    d1, d2 = partials if partials is not None else (schouten_partials(p1),
+                                                    schouten_partials(p2))
+    failure = _schouten_failure(((p1, d2), (p2, d1)), p1.variables)
     return Certificate(failure is None, "compatibility", failure or "")
+
+
+def schouten_partials(q: PoissonStructure) -> list:
+    """[((b, c), [(l, d_l Q^{bc})])]: each table entry's nonzero partials, in table order.
+
+    The Jacobiator of Q and the mixed term of a pencil with Q both read
+    them, so a ``BihamStructure`` differentiates each entry once.
+    """
+    out = []
+    for key, entry in q.table.items():
+        derivs = ((l, entry.diff(name)) for l, name in enumerate(q.variables))
+        out.append((key, [(l, dl) for l, dl in derivs if not dl.is_zero()]))
+    return out
 
 
 def _schouten_failure(pairs, variables):
     """Detail of the first triple, in sorted order, whose residual is nonzero, else None.
 
-    The residual of the sorted triple (i, j, k) is the sum over (P, Q) in
-    pairs of sum_cyc sum_l P^{la} d_l Q^{bc}, the cyclic sum running over the
-    even permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c),
+    ``pairs`` holds (P, the ``schouten_partials`` of Q).  The residual of
+    the sorted triple (i, j, k) is the sum over (P, Q) in pairs of sum_cyc
+    sum_l P^{la} d_l Q^{bc}, the cyclic sum running over the even
+    permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c),
     their nonzero derivatives and the nonzero P^{la} contribute, each once,
     as the product (+-P^{la}, d_l Q^{bc}) with the sign of (a, b, c) as a
     permutation of the sorted triple.  [P, P] is the Jacobiator; (P1, P2)
     with (P2, P1) is the mixed term of the pencil.
     """
     terms: dict = {}
-    for p, q in pairs:
+    for p, partials in pairs:
         rows = p.skew_rows()
-        for (b, c), entry in q.table.items():
-            for l, name in enumerate(q.variables):
+        for (b, c), derivs in partials:
+            for l, dl in derivs:
                 if l not in rows:
-                    continue
-                dl = entry.diff(name)
-                if dl.is_zero():
                     continue
                 for a, pla in rows[l]:
                     if a < b:
@@ -351,6 +373,7 @@ class BihamStructure:
         self.variables = p1.variables
         self.dim = p1.dim
         self._certificates: dict = {}
+        self._partials = None
         self._gradients: dict = {}
         self._gradient_forms: dict = {}
 
@@ -390,13 +413,23 @@ class BihamStructure:
             ((p, None if h is None else self.gradient(h))
              for p, h in ((self.p1, f), (self.p2, g))), self.variables))
 
+    def partials(self) -> tuple:
+        """The two brackets' ``schouten_partials``, differentiated once per structure.
+
+        The Jacobi certificates and the compatibility certificate share them.
+        """
+        if self._partials is None:
+            self._partials = (schouten_partials(self.p1), schouten_partials(self.p2))
+        return self._partials
+
     def jacobi(self, which: int) -> Certificate:
         p = self.p1 if which == 1 else self.p2
-        return self.certificate(f"jacobi{which}", p.jacobi_check)
+        return self.certificate(f"jacobi{which}",
+                                lambda: p.jacobi_check(self.partials()[which - 1]))
 
     def compatibility(self) -> Certificate:
         return self.certificate("compatibility", lambda: compatibility_check(
-            self.p1, self.p2, own=(self.jacobi(1), self.jacobi(2))))
+            self.p1, self.p2, own=(self.jacobi(1), self.jacobi(2)), partials=self.partials()))
 
     def verify(self) -> dict:
         """Run and cache all three certificates."""

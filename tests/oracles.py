@@ -368,6 +368,40 @@ def smith_jordan_part(p):
     return blocks
 
 
+# -- Fraction Euclid and Yun ---------------------------------------------------
+#
+# The univariate gcd and squarefree split that biham.exactalg.upoly replaced
+# with a primitive pseudo-remainder Euclid and Yun's algorithm on integer
+# coefficients: the same recurrences run over Fraction coefficients.
+
+
+def fraction_ugcd(a, b):
+    """Monic gcd by the Euclidean algorithm over the Fractions."""
+    while not b.is_zero():
+        a, b = b, a % b
+    return a.monic()
+
+
+def fraction_squarefree_decomposition(p):
+    """Yun's algorithm over the Fractions: list of (monic squarefree factor, multiplicity)."""
+    if p.is_zero() or p.is_constant():
+        return []
+    p = p.monic()
+    out = []
+    g = fraction_ugcd(p, p.deriv())
+    c = p.exact_div(g)
+    d = p.deriv().exact_div(g) - c.deriv()
+    i = 1
+    while c.degree() > 0:
+        f = fraction_ugcd(c, d)
+        if f.degree() > 0:
+            out.append((f.monic(), i))
+        c = c.exact_div(f)
+        d = d.exact_div(f) - c.deriv()
+        i += 1
+    return out
+
+
 # -- primitive PRS gcd -------------------------------------------------------
 #
 # The gcd and the Fraction long division that biham.exactalg.poly replaced

@@ -5,14 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from biham.errors import SingularInversion, ValidationError
+from biham.errors import InternalInconsistency, SingularInversion, ValidationError
 from biham.exactalg import (
-    Matrix, Poly, UPoly, block_diag, compose, exact_div,
-    parse_poly, parse_rational, poly_det, poly_gcd, rat, rat_str,
+    Matrix, Poly, UPoly, block_diag, compose, exact_div, factor_monic,
+    parse_poly, parse_rational, poly_det, poly_gcd, primitive_gcd, rat, rat_str,
     series_invert, smith_invariant_factors, squarefree_decomposition, truncate, ugcd,
 )
+from biham.exactalg.upoly import exact_quotient
 
-from oracles import gauss_rank
+from oracles import fraction_squarefree_decomposition, fraction_ugcd, gauss_rank
 
 
 # -- rationals ---------------------------------------------------------------
@@ -215,6 +216,46 @@ def test_upoly_divmod_gcd():
     assert divmod(p, q) == (UPoly([2, 1]), UPoly.zero())
     assert ugcd(p, UPoly([1, 2, 1])) == UPoly([1, 1])
     assert squarefree_decomposition(UPoly([0, 0, 1])) == [(UPoly([0, 1]), 2)]
+
+
+def test_integer_gcd_and_yun_match_the_fraction_oracle_on_edge_inputs():
+    t = UPoly.x()
+    zero, three = UPoly.zero(), UPoly.constant(3)
+    quad = t * t + 1                                  # irreducible over Q
+    # zero and constant inputs
+    for a, b in ((zero, zero), (zero, quad), (quad, zero), (three, quad), (zero, three)):
+        assert ugcd(a, b) == fraction_ugcd(a, b)
+    assert ugcd(zero, zero) == zero and ugcd(three, quad) == UPoly.constant(1)
+    for p in (zero, three, UPoly.constant(Fraction(-2, 7))):
+        assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p) == []
+    assert squarefree_decomposition([]) == squarefree_decomposition([5]) == []
+    assert primitive_gcd([], []) == [] and primitive_gcd([0, -4], []) == [0, 1]
+    # multiplicities 1-4, content -12 and a negative leading coefficient
+    p = -12 * (t + 1) * (t - 2) ** 2 * (3 * t + 1) ** 3 * quad ** 4
+    expected = [(t + 1, 1), (t - 2, 2), (t + Fraction(1, 3), 3), (quad, 4)]
+    assert p.lead() < 0
+    assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p) == expected
+    ints = [int(c) for c in p.coeffs]
+    assert squarefree_decomposition(ints) == expected
+    assert factor_monic(ints) == [(t - 2, 2), (t + Fraction(1, 3), 3), (t + 1, 1), (quad, 4)]
+    # rational content on both sides of the gcd
+    a = Fraction(-3, 4) * (t - 2) ** 2 * quad
+    b = Fraction(5, 6) * (t - 2) * quad ** 3 * (2 * t + 7)
+    assert ugcd(a, b) == fraction_ugcd(a, b) == (t - 2) * quad
+    # the primitive gcd has a positive leading coefficient and content 1
+    assert primitive_gcd([0, 0, -6], [0, -4, -8]) == [0, 1]
+    assert primitive_gcd([-2, 0, -2], [4, 0, 4]) == [1, 0, 1]
+
+
+def test_exact_quotient_refuses_an_inexact_division():
+    assert exact_quotient([2, 3, 1], [1, 1]) == [2, 1]
+    assert exact_quotient([], [1, 1]) == []
+    with pytest.raises(InternalInconsistency):
+        exact_quotient([1, 3, 1], [1, 1])             # remainder -1
+    with pytest.raises(InternalInconsistency):
+        exact_quotient([1, 1], [1, 2])                # quotient 1/2 is not integral
+    with pytest.raises(InternalInconsistency):
+        exact_quotient([1], [1, 1])                   # degree too low
 
 
 def test_smith_identity():

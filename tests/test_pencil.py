@@ -30,9 +30,10 @@ def _minimal_indices(p):
 def _jordan_part(p):
     # the integer pair, corank profile and Jordan dimension decompose hands down
     a, b = integer_pair(p)
-    profile = corank_profile(a, b)
+    dets = []
+    profile = corank_profile(a, b, dets)
     kron = minimal_indices(a, b, min(profile.values()))
-    return jordan_part(a, b, profile, p.n - sum(2 * e + 1 for e in kron))
+    return jordan_part(a, b, profile, dets, p.n - sum(2 * e + 1 for e in kron))
 
 
 def test_pencil_validation():
@@ -433,3 +434,31 @@ def test_irreducible_quadratic_divisor():
     assert blk.kind == "jordan" and blk.dimension() == 4
     assert blk.divisor == ("finite", UPoly([1, 0, 1]))
     assert blk.mu_label() is None
+
+
+def _seeded_skew_pencil(n, seed):
+    # upper-triangle entries in [-3, 3], row by row, A then B
+    rng = random.Random(seed)
+
+    def skew():
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                rows[i][j] = rng.randint(-3, 3)
+                rows[j][i] = -rows[i][j]
+        return rows
+
+    return SkewPencil.from_rows(skew(), skew())
+
+
+def test_seeded_20_pencil_keeps_its_degree_10_divisor():
+    # a generic skew pencil has det(lam*A + B) = Pf^2 with Pf squarefree:
+    # here Pf is irreducible of degree 10, so the whole space is one J20
+    # block; the label is the one the Fraction gcd and Yun split gave
+    t = decompose(_seeded_skew_pencil(20, 1))
+    assert set(t.corank_profile.values()) == {0}
+    assert t.label() == (
+        "{J20(divisor=t^10 - 28589661/16754039*t^9 - 121588528/16754039*t^8"
+        " + 7287299/16754039*t^7 - 113186292/16754039*t^6 - 168411124/16754039*t^5"
+        " + 363760085/16754039*t^4 - 74056412/16754039*t^3 + 53378060/16754039*t^2"
+        " - 21601489/16754039*t - 19118769/16754039)}")

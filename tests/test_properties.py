@@ -6,16 +6,16 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from biham.errors import PoleAtPoint
-from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                            parse_poly, poly_gcd, exact_div)
+from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, UPoly,
+                            parse_poly, poly_gcd, exact_div, squarefree_decomposition, ugcd)
 from biham.models import open_toda
-from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots,
-                          corank_profile, decompose, epsilon_adjacency_pencil,
+from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpolate,
+                          _principal_minor, corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, integer_pair, jordan_part,
                           jordan_pencil, kronecker_pencil)
 
-from oracles import (convolution_nullity, gauss_corank_profile,
-                     schoolbook_matrix_product, smith_jordan_part)
+from oracles import (convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
+                     gauss_corank_profile, schoolbook_matrix_product, smith_jordan_part)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -135,6 +135,29 @@ def test_poly_gcd_divides_both(a, b):
         assert exact_div(b, g) is not None
 
 
+@st.composite
+def factored_upolys(draw):
+    """A rational content times a product of integer factors of degree 0-2, each to a power 1-4."""
+    content = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool))
+    p = UPoly.constant(content)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
+        factor = UPoly(coeffs)
+        if not factor.is_zero():
+            p = p * factor ** draw(st.integers(1, 4))
+    return p
+
+
+@given(factored_upolys(), factored_upolys(), factored_upolys())
+@settings(max_examples=60, deadline=None)
+def test_integer_gcd_and_yun_match_the_fraction_oracle(p, q, shared):
+    a, b = p * shared, q * shared
+    for f in (p, a):
+        assert squarefree_decomposition(f) == fraction_squarefree_decomposition(f)
+    assert ugcd(a, b) == fraction_ugcd(a, b)
+    assert ugcd(a, UPoly.zero()) == fraction_ugcd(a, UPoly.zero())
+
+
 @given(polys())
 @settings(max_examples=40, deadline=None)
 def test_poly_str_reparses(p):
@@ -235,7 +258,13 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
     expected = slow_decompose(soup)
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
-        assert corank_profile(*integer_pair(congruent)) == gauss_corank_profile(congruent)
+        a, b = integer_pair(congruent)
+        dets = []
+        profile = corank_profile(a, b, dets)
+        assert profile == gauss_corank_profile(congruent)
+        if min(profile.values()) == 0:
+            # the minor jordan_part reads from the profile's eliminations
+            assert _interpolate(dets) == _principal_minor(a, b, range(congruent.n))
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
@@ -249,7 +278,9 @@ def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
         expected = smith_jordan_part(congruent)
         a, b = integer_pair(congruent)
         jordan_dim = sum(blk.dimension() for blk in expected)
-        assert jordan_part(a, b, corank_profile(a, b), jordan_dim) == expected
+        dets = []
+        profile = corank_profile(a, b, dets)
+        assert jordan_part(a, b, profile, dets, jordan_dim) == expected
 
 
 @given(block_soups(), st.data())
