@@ -36,7 +36,7 @@ def _parse_params(text: str) -> dict:
         value = value.strip()
         if key in params:
             raise ValidationError(f"parameter {key!r} given twice")
-        if key in ("k", "order"):
+        if key == "k":
             try:
                 params[key] = int(value)
             except ValueError as exc:

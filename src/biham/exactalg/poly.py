@@ -652,34 +652,6 @@ def _balanced_digits(gamma: dict, i: int, xi: int) -> dict:
     return out
 
 
-def poly_det(rows) -> Poly:
-    """Determinant of a square matrix of Polys (cofactor expansion)."""
-    n = len(rows)
-    if n == 0:
-        raise ValidationError("empty matrix")
-    variables = rows[0][0].variables
-    memo: dict = {}
-
-    def minor(r, cols):
-        if not cols:
-            return Poly.constant(1, variables)
-        key = (r, cols)
-        if key in memo:
-            return memo[key]
-        total = Poly.zero(variables)
-        for k, c in enumerate(cols):
-            entry = rows[r][c]
-            if entry.is_zero():
-                continue
-            sub = minor(r + 1, cols[:k] + cols[k + 1:])
-            term = entry * sub
-            total = total + (term if k % 2 == 0 else -term)
-        memo[key] = total
-        return total
-
-    return minor(0, tuple(range(n)))
-
-
 class RationalFunction:
     """Reduced quotient of two Polys over a common variable tuple."""
 

@@ -1,6 +1,7 @@
 """Smith normal form for matrices of univariate polynomials over Q.
 
-Elementary row and column operations with degree-minimal pivot selection;
+Entries are one-variable Polys.  Elementary row and column operations with
+degree-minimal pivot selection and Fraction long division (``_divmod``);
 no modular arithmetic, no randomization.  The inputs of interest are
 pencils (entry degree at most one), where coefficient growth stays mild.
 It serves the Jordan-part oracle and the ``perfbench`` trace only: the
@@ -8,6 +9,7 @@ package reads Jordan parts from integer eliminations.
 """
 
 from ..errors import ValidationError
+from .poly import Poly
 
 
 def smith_invariant_factors(rows) -> list:
@@ -43,14 +45,14 @@ def smith_invariant_factors(rows) -> list:
             dirty = False
             for i in range(t + 1, n_rows):
                 if not m[i][t].is_zero():
-                    q = m[i][t] // piv
+                    q = _divmod(m[i][t], piv)[0]
                     for j in range(t, n_cols):
                         m[i][j] = m[i][j] - q * m[t][j]
                     if not m[i][t].is_zero():
                         dirty = True
             for j in range(t + 1, n_cols):
                 if not m[t][j].is_zero():
-                    q = m[t][j] // piv
+                    q = _divmod(m[t][j], piv)[0]
                     for i in range(t, n_rows):
                         m[i][j] = m[i][j] - q * m[i][t]
                     if not m[t][j].is_zero():
@@ -61,7 +63,7 @@ def smith_invariant_factors(rows) -> list:
             offender = None
             for i in range(t + 1, n_rows):
                 for j in range(t + 1, n_cols):
-                    if not (m[i][j] % piv).is_zero():
+                    if not _divmod(m[i][j], piv)[1].is_zero():
                         offender = i
                         break
                 if offender is not None:
@@ -70,7 +72,7 @@ def smith_invariant_factors(rows) -> list:
                 break
             for j in range(t, n_cols):
                 m[t][j] = m[t][j] + m[offender][j]
-        factors.append(m[t][t].monic())
+        factors.append(_monic(m[t][t]))
         t += 1
     return factors
 
@@ -83,9 +85,34 @@ def _min_degree_entry(m, t):
             p = m[i][j]
             if p.is_zero():
                 continue
-            d = p.degree()
+            (d,), _ = p.leading()
             if best_deg is None or d < best_deg:
                 best, best_deg = (i, j), d
                 if d == 0:
                     return best
     return best
+
+
+def _divmod(a: Poly, b: Poly) -> tuple:
+    """Quotient and remainder of a by a nonzero b, both univariate, over Q."""
+    (db,), lead = b.leading()
+    q: dict = {}
+    r = dict(a.terms)
+    while r:
+        top = max(r)
+        shift = top[0] - db
+        if shift < 0:
+            break
+        c = q[(shift,)] = r[top] / lead
+        for (e,), v in b.terms.items():
+            k = (e + shift,)
+            rest = r.get(k, 0) - c * v
+            if rest:
+                r[k] = rest
+            else:
+                del r[k]
+    return Poly(a.variables, q), Poly(a.variables, r)
+
+
+def _monic(p: Poly) -> Poly:
+    return p * (1 / p.leading()[1])

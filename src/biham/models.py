@@ -22,13 +22,19 @@ from .casimir import LambdaFamily, family_check
 from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
                      NotNormalizable, NotRegular, SingularODE, UnsupportedPeriod,
                      ValidationError)
-from .exactalg import (Poly, RationalFunction, UPoly, compose, parse_poly, poly_det,
-                       rat, rat_str, series_invert, truncate, ugcd)
+from .exactalg import (Poly, RationalFunction, compose, parse_poly, poly_gcd, rat, rat_str,
+                       series_invert, truncate)
 from .pencil import jordan_pencil
 from .poisson import BihamStructure, PoissonStructure
 
 DEFAULT_TRUNCATION = 6
 MAX_TRUNCATION = 20     # a dense germ on a 2-vCPU Xeon: 1.2 s at order 20, 7.8 s at 30
+# Largest size parameter k of each builder, checked before anything is built.
+# Times on a 2-vCPU Xeon; "analyze" is `biham analyze <spec> --samples 20`.
+MAX_FLAT_KRONECKER_K = 20   # analyze 3.4 s at k = 20, 61 s at 40 (building: under 0.2 s)
+MAX_JORDAN_K = 20           # analyze 3.8 s at k = 20, 58 s at 40 (building: under 0.1 s)
+MAX_OPEN_TODA_K = 11        # building 3.1 s at k = 11 (analyze 10 s), 9 s at 12
+MAX_PERIODIC_TODA_K = 12    # building 5.2 s at k = 12 (analyze 13 s), 12.4 s at 13
 
 
 @dataclass
@@ -55,6 +61,13 @@ class ModelSpec:
         return all(g.eval(point) != 0 for g in self.genericity)
 
 
+def _check_size(k: int, bound: int):
+    if k < 1:
+        raise ValidationError("k must be >= 1")
+    if k > bound:
+        raise ValidationError(f"k must be at most {bound}, got {k}")
+
+
 def _attach(model: ModelSpec, fam: LambdaFamily):
     cert = family_check(model.structure, fam)
     if not cert.ok:
@@ -76,8 +89,7 @@ def flat_kronecker(k: int) -> ModelSpec:
     First bracket pairs x_{2l} with x_{2l+1}, second pairs x_{2l+1} with
     x_{2l+2}; the attached family is x_0 + lam x_2 + ... + lam^{k-1} x_{2k-2}.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_size(k, MAX_FLAT_KRONECKER_K)
     n = 2 * k - 1
     variables = tuple(f"x{i}" for i in range(n))
     t1 = {}
@@ -106,8 +118,7 @@ def flat_kronecker(k: int) -> ModelSpec:
 def jordan_model(k: int, mu) -> ModelSpec:
     """Constant structure of dimension 2k modeled on a Jordan block with
     eigenvalue mu (mu = "inf" supported)."""
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_size(k, MAX_JORDAN_K)
     pencil = jordan_pencil(k, mu)
     n = 2 * k
     variables = tuple(f"z{i}" for i in range(n))
@@ -175,33 +186,25 @@ def _toda_tables(variables, k: int, periodic: bool):
     return t1, t2
 
 
-def _tridiagonal(variables, k: int, shift_var: str | None):
-    """The symmetric 3-diagonal matrix of the lattice, optionally shifted by
-    lam on the diagonal; entries are Polys over variables (+ shift var)."""
-    size = k + 1
-    zero = Poly.zero(variables)
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(size):
-        rows[i][i] = Poly.variable(f"v{2 * i}", variables)
-        if shift_var is not None:
-            rows[i][i] = rows[i][i] + Poly.variable(shift_var, variables)
-        if i + 1 < size:
-            off = Poly.variable(f"v{2 * i + 1}", variables)
-            rows[i][i + 1] = off
-            rows[i + 1][i] = off
-    return rows
+def _tridiagonal_det(diag, off):
+    """det of the symmetric 3-diagonal matrix with diagonal D and off-diagonal b,
+    by the three-term recurrence d_i = D_i d_{i-1} - b_{i-1}^2 d_{i-2}."""
+    prev, cur = 0, 1
+    for i, d in enumerate(diag):
+        prev, cur = cur, d * cur - (off[i - 1] ** 2 * prev if i else 0)
+    return cur
 
 
 def open_toda(k: int) -> ModelSpec:
     """The open lattice on 2k+1 coordinates with its characteristic family.
 
     The family is det(iota(v) + lam I) - lam^{k+1}, degree k in lam, the
-    shifted determinant of the symmetric 3-diagonal matrix iota(v); it is
-    Casimir for lam{,}_1 + {,}_2 because the shift by lam along even
-    coordinates translates the second bracket into the pencil combination.
+    shifted determinant of the symmetric 3-diagonal matrix iota(v), by the
+    three-term recurrence (``_tridiagonal_det``); it is Casimir for
+    lam{,}_1 + {,}_2 because the shift by lam along even coordinates
+    translates the second bracket into the pencil combination.
     """
-    if k < 1:
-        raise ValidationError("k must be >= 1")
+    _check_size(k, MAX_OPEN_TODA_K)
     n = 2 * k + 1
     variables = tuple(f"v{i}" for i in range(n))
     t1, t2 = _toda_tables(variables, k, periodic=False)
@@ -217,7 +220,9 @@ def open_toda(k: int) -> ModelSpec:
                       "integrability": "StrictlyLenardIntegrable"},
     )
     ext = variables + ("lam",)
-    det = poly_det(_tridiagonal(ext, k, "lam"))
+    lam = Poly.variable("lam", ext)
+    det = _tridiagonal_det([Poly.variable(f"v{2 * i}", ext) + lam for i in range(k + 1)],
+                           [Poly.variable(f"v{2 * i + 1}", ext) for i in range(k)])
     parts = det.split_by("lam")
     coeffs = []
     for power in range(k + 1):
@@ -230,9 +235,9 @@ def open_toda(k: int) -> ModelSpec:
 
 
 def run_polynomials(k: int, point) -> list:
-    """Run polynomials of an open-lattice point: characteristic polynomials
-    (in the shift variable) of the tridiagonal blocks cut at vanishing odd
-    coordinates.  Their product is det(iota(v) + lam I) when walls vanish."""
+    """Run polynomials of an open-lattice point: characteristic polynomials,
+    Polys in the shift variable t, of the tridiagonal blocks cut at vanishing
+    odd coordinates.  Their product is det(iota(v) + t I) when walls vanish."""
     point = [rat(x) for x in point]
     if len(point) != 2 * k + 1:
         raise ValidationError("point dimension mismatch")
@@ -245,28 +250,8 @@ def run_polynomials(k: int, point) -> list:
             runs.append((start, i + 1))
             start = i + 1
     runs.append((start, k + 1))
-    polys = []
-    for lo, hi in runs:
-        polys.append(_charpoly_block(diag[lo:hi], off[lo:hi - 1]))
-    return polys
-
-
-def _charpoly_block(diag, off) -> UPoly:
-    """det(block + lam I) for a symmetric tridiagonal block, by the
-    three-term recurrence d_i = (a_i + lam) d_{i-1} - b_{i-1}^2 d_{i-2}."""
-    prev2 = UPoly.constant(1)
-    prev = UPoly.zero()
-    for i, a in enumerate(diag):
-        lin = UPoly([a, 1])
-        if i == 0:
-            cur = lin
-        else:
-            cur = lin * prev - (off[i - 1] ** 2) * prev2
-        if i == 0:
-            prev2, prev = UPoly.constant(1), cur
-        else:
-            prev2, prev = prev, cur
-    return prev
+    t = Poly.variable("t", ("t",))
+    return [_tridiagonal_det([t + a for a in diag[lo:hi]], off[lo:hi - 1]) for lo, hi in runs]
 
 
 def s_generic(k: int, point) -> bool:
@@ -274,7 +259,7 @@ def s_generic(k: int, point) -> bool:
     polys = run_polynomials(k, point)
     for i in range(len(polys)):
         for j in range(i + 1, len(polys)):
-            if ugcd(polys[i], polys[j]).degree() > 0:
+            if not poly_gcd(polys[i], polys[j]).is_constant():
                 return False
     return True
 
@@ -293,6 +278,7 @@ def periodic_toda(k: int) -> ModelSpec:
     """
     if k < 3:
         raise UnsupportedPeriod("periodic lattice needs k >= 3")
+    _check_size(k, MAX_PERIODIC_TODA_K)
     n = 2 * k
     variables = tuple(f"v{i}" for i in range(n))
     t1, t2 = _toda_tables(variables, k, periodic=True)
@@ -404,7 +390,7 @@ def m_f(f) -> ModelSpec:
     return model
 
 
-def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
+def two_family_model(eta) -> ModelSpec:
     """Quadratic-family structure on (L, y, z) built from a one-variable
     polynomial eta of degree >= 1.
 
@@ -417,19 +403,16 @@ def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
     the structure is flat precisely when eta is affine.
     """
     if isinstance(eta, str):
-        eta_p = parse_poly(eta, ("t",))
-        eta_u = UPoly([eta_p.terms.get((i,), 0) for i in range(eta_p.degree_in("t") + 1)])
-    elif isinstance(eta, UPoly):
-        eta_u = eta
-    else:
-        raise ValidationError("eta must be a univariate polynomial or its text form")
-    if eta_u.degree() < 1:
+        eta = parse_poly(eta, ("t",))
+    elif not isinstance(eta, Poly) or eta.variables != ("t",):
+        raise ValidationError("eta must be a polynomial in t or its text form")
+    if eta.degree_in("t") < 1:
         raise ValidationError("eta must have degree >= 1")
     variables = ("L", "y", "z")
     L = Poly.variable("L", variables)
     y = Poly.variable("y", variables)
-    zeta_u, eta_L, x_of, f1 = _two_family_terms(eta_u, L, y, variables)
-    x_L = 2 * L * y + _upoly_in(zeta_u.deriv(), L, variables)    # d x / d L
+    zeta, eta_L, x_of, f1 = _two_family_terms(eta, L, y, variables)
+    x_L = 2 * L * y + _poly_in(zeta.diff("t"), L, variables)    # d x / d L
     if x_L.is_zero():
         raise DegenerateModel("excluded locus covers the whole chart")
     f1_L = f1.diff("L")
@@ -443,14 +426,14 @@ def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
                           {(0, 2): fx * inv_x_L * L * L, (1, 2): -fx},
                           name="two-family bracket 2")
     model = ModelSpec(
-        name=f"two_family(eta={eta_u.__str__('t')})",
-        params={"eta": eta_u, "order": order},
+        name=f"two_family(eta={eta})",
+        params={"eta": eta},
         structure=BihamStructure(p1, p2, name="M^(eta)"),
         # the chart needs the locus 2Ly + zeta'(L) = L(2y - eta'(L)) != 0
         # and f_x, f_y != 0, which excludes L = 1 (both partials of the
         # defining function carry the factor 1 - L)
         genericity=[L, Poly.constant(1, variables) - L,
-                    2 * y - _upoly_in(eta_u.deriv(), L, variables)],
+                    2 * y - _poly_in(eta.diff("t"), L, variables)],
         expectations={"pencil_type": "{K3}",
                       "criterion": "Inconclusive",
                       "integrability": "StrictlyLenardIntegrable"},
@@ -460,29 +443,29 @@ def two_family_model(eta, order: int = DEFAULT_TRUNCATION) -> ModelSpec:
     return model
 
 
-def _two_family_terms(eta_u: UPoly, L: Poly, y: Poly, variables) -> tuple:
+def _two_family_terms(eta: Poly, L: Poly, y: Poly, variables) -> tuple:
     """zeta, eta(L), x = L^2 y + zeta(L) and F_1 = (1-L)^2 y + zeta(L) + eta(L).
 
     zeta is the antiderivative of -t eta'(t) with zero constant term.  L and
     y are polynomials in ``variables``: the chart coordinates for the model,
     shifted to a base point for its flatness pipeline.
     """
-    zeta_u = _antiderivative(-1 * (UPoly.x() * eta_u.deriv()))
-    eta_L = _upoly_in(eta_u, L, variables)
-    x_of = L * L * y + _upoly_in(zeta_u, L, variables)
-    return zeta_u, eta_L, x_of, x_of - 2 * L * y + eta_L + y
+    zeta = _antiderivative(-1 * Poly.variable("t", ("t",)) * eta.diff("t"))
+    eta_L = _poly_in(eta, L, variables)
+    x_of = L * L * y + _poly_in(zeta, L, variables)
+    return zeta, eta_L, x_of, x_of - 2 * L * y + eta_L + y
 
 
-def _antiderivative(p: UPoly) -> UPoly:
-    return UPoly([Fraction(0)] + [c / (k + 1) for k, c in enumerate(p.coeffs)])
+def _antiderivative(p: Poly) -> Poly:
+    """The antiderivative in t with zero constant term."""
+    return Poly(p.variables, {(k + 1,): c / (k + 1) for (k,), c in p.terms.items()})
 
 
-def _upoly_in(p: UPoly, base: Poly, variables) -> Poly:
+def _poly_in(p: Poly, base: Poly, variables) -> Poly:
+    """p(base) for a Poly p in t and a Poly base over ``variables``."""
     out = Poly.zero(variables)
-    power = Poly.constant(1, variables)
-    for c in p.coeffs:
-        out = out + power * c
-        power = power * base
+    for (k,), c in p.terms.items():
+        out = out + base ** k * c
     return out
 
 
@@ -722,7 +705,8 @@ def _int_nth_root(n: int, m: int):
 # -- the two-family flatness pipeline ----------------------------------------------
 
 
-def two_family_flatness(model: ModelSpec, base, order: int | None = None) -> NormalFormResult:
+def two_family_flatness(model: ModelSpec, base,
+                        order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
     """Normal-form flatness verdict for a two-family model around a base
     point (L0, y0) in the generic chart.
 
@@ -730,8 +714,6 @@ def two_family_flatness(model: ModelSpec, base, order: int | None = None) -> Nor
     coordinates (x, y) by inverting x = L^2 y + zeta(L) as a series in L,
     then normalized; the structure is flat exactly when eta is affine.
     """
-    if order is None:
-        order = model.params.get("order", DEFAULT_TRUNCATION)
     _check_truncation(order)     # before series_invert, which runs at this order
     l0, y0 = (rat(base[0]), rat(base[1]))
     uv = ("u", "w")

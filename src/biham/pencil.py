@@ -37,10 +37,10 @@ builder of lam*A + B.
   lam = 0..n ``corank_profile`` reads off its own eliminations and
   ``decompose`` hands down, so it is never eliminated again.  The gcd and
   the squarefree split run on primitive integer coefficient lists
-  (``exactalg.upoly``); a ``UPoly`` is built only for each divisor.  A
-  divisor of degree d enters the Toeplitz matrix through its companion
-  matrix, as the Kronecker product A (x) C_q + B (x) I_d, so no polynomial
-  matrix is ever reduced.
+  (``exactalg.upoly``); a monic ``Poly`` in t is built only for each
+  divisor.  A divisor of degree d enters the Toeplitz matrix through its
+  companion matrix, as the Kronecker product A (x) C_q + B (x) I_d, so no
+  polynomial matrix is ever reduced.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
@@ -60,7 +60,7 @@ from itertools import combinations
 from math import factorial, gcd
 
 from .errors import InternalInconsistency, NotSkewCanonical, ValidationError
-from .exactalg import (Matrix, PointEvaluator, UPoly, block_diag, clear_denominators,
+from .exactalg import (Matrix, PointEvaluator, Poly, block_diag, clear_denominators,
                        factor_monic, load_json, primitive_gcd, rat, rat_str)
 from .exactalg.kernels import row_echelon_ff
 
@@ -126,14 +126,15 @@ class Block:
 
     Kronecker blocks store k (dimension 2k-1).  Jordan blocks store k
     (dimension 2k*deg) and the irreducible divisor: either a monic
-    irreducible polynomial in the pencil parameter (finite eigenvalue) or
+    irreducible polynomial in the pencil parameter, a ``Poly`` in the one
+    variable t (finite eigenvalue), or
     the reversed-chart divisor for the eigenvalue at infinity of the
     parameter, which carries the classical label mu = 0.
     """
 
     kind: str                      # "kronecker" | "jordan"
     k: int
-    divisor: tuple | None = None   # ("finite", UPoly monic irreducible) | ("at_lam_infinity",)
+    divisor: tuple | None = None   # ("finite", monic irreducible Poly in t) | ("at_lam_infinity",)
 
     def dimension(self) -> int:
         if self.kind == "kronecker":
@@ -145,7 +146,7 @@ class Block:
             return 0
         if self.divisor[0] == "at_lam_infinity":
             return 1
-        return self.divisor[1].degree()
+        return self.divisor[1].degree_in("t")
 
     def mu_label(self):
         """The classical eigenvalue label, defined for linear divisors only.
@@ -159,9 +160,9 @@ class Block:
         if self.divisor[0] == "at_lam_infinity":
             return Fraction(0)
         q = self.divisor[1]
-        if q.degree() != 1:
+        if q.degree_in("t") != 1:
             return None
-        lam0 = -q[0]
+        lam0 = -q.terms.get((0,), 0)
         return INF if lam0 == 0 else -1 / lam0
 
     def label(self) -> str:
@@ -470,10 +471,10 @@ def _principal_column_sets(a, b, profile, r):
     yield from (cols for cols in combinations(range(n), n - r) if cols not in seen)
 
 
-def _companion_rows(q: UPoly) -> tuple:
-    """An integer multiple c*C_q of the companion matrix of q, and c."""
-    d = q.degree()
-    coeffs, c = clear_denominators(q.coeffs)
+def _companion_rows(q: Poly) -> tuple:
+    """An integer multiple c*C_q of the companion matrix of the monic q, and c."""
+    d = q.degree_in("t")
+    coeffs, c = clear_denominators([q.terms.get((i,), 0) for i in range(d)])
     comp = [[c if i == j + 1 else 0 for j in range(d)] for i in range(d)]
     for i in range(d):
         comp[i][d - 1] = -coeffs[i]
@@ -503,7 +504,7 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
     gcd and its squarefree split stay on integer coefficient lists: the
     values are integer determinants, so the interpolation divides exactly,
     and the gcd is primitive, so every quotient of the split is exact in
-    Z[lam] by Gauss's lemma.  A monic ``UPoly`` is built only for each
+    Z[lam] by Gauss's lemma.  A monic ``Poly`` in t is built only for each
     divisor that enters a ``Block``.  A divisor q of degree d is handled by
     substituting its companion matrix C_q for lam: lam*A + B becomes
     A (x) C_q + B (x) I_d, whose Toeplitz nullities are d times those at
@@ -547,7 +548,7 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
             # two paired elementary divisors q: one J_{2d}, no elimination needed
             weyr = [2]
         else:
-            d = q.degree()
+            d = q.degree_in("t")
             comp, c = _companion_rows(q)
             diag = [[a[i][j] * comp[s][t] + (c * b[i][j] if s == t else 0)
                      for j in range(n) for t in range(d)]

@@ -10,7 +10,9 @@ from fractions import Fraction
 from itertools import permutations
 
 from biham.errors import NotSkewCanonical
-from biham.exactalg import Matrix, Poly, UPoly, factor_monic, smith_invariant_factors
+from biham.exactalg import (Matrix, Poly, clear_denominators, factor_monic, primitive_gcd,
+                            smith_invariant_factors)
+from biham.exactalg.smith import _divmod, _monic
 from biham.pencil import Block
 from biham.poisson import Certificate
 
@@ -61,6 +63,28 @@ def perm_det(rows) -> Fraction:
                 break
         total += sign * term
     return total
+
+
+def cofactor_det(rows) -> Poly:
+    """Determinant of a square matrix of Polys by cofactor expansion along the
+    rows, memoized on the columns left; the oracle for biham.models'
+    three-term recurrence."""
+    variables = rows[0][0].variables
+    memo = {}
+
+    def minor(r, cols):
+        if not cols:
+            return Poly.constant(1, variables)
+        if cols not in memo:
+            total = Poly.zero(variables)
+            for k, c in enumerate(cols):
+                if not rows[r][c].is_zero():
+                    term = rows[r][c] * minor(r + 1, cols[:k] + cols[k + 1:])
+                    total = total + (term if k % 2 == 0 else -term)
+            memo[cols] = total
+        return memo[cols]
+
+    return minor(0, tuple(range(len(rows))))
 
 
 def schoolbook_matrix_product(a, b) -> list:
@@ -329,11 +353,31 @@ def schoolbook_product(p, q):
 # the reference for biham.pencil.jordan_part's integer Toeplitz eliminations.
 
 
-def _pencil_upoly_rows(p, reversed_chart=False):
-    """lam*A + B (or A + mu*B) as rows of univariate polynomials."""
+T = ("t",)
+
+
+def univariate(coeffs):
+    """The Poly in t with these coefficients, low degree first."""
+    return Poly(T, {(k,): Fraction(c) for k, c in enumerate(coeffs)})
+
+
+def integer_coefficients(p):
+    """An integer multiple of a Poly in t as a coefficient list, low degree first."""
+    top = max((k for (k,) in p.terms), default=-1)
+    return clear_denominators([p.terms.get((k,), Fraction(0)) for k in range(top + 1)])[0]
+
+
+def monic_gcd(a, b):
+    """The library's primitive_gcd of two Polys in t, made monic."""
+    g = univariate(primitive_gcd(integer_coefficients(a), integer_coefficients(b)))
+    return g if g.is_zero() else _monic(g)
+
+
+def _pencil_rows(p, reversed_chart=False):
+    """lam*A + B (or A + mu*B) as rows of Polys in t."""
     if reversed_chart:
-        return [[UPoly([p.A[i, j], p.B[i, j]]) for j in range(p.n)] for i in range(p.n)]
-    return [[UPoly([p.B[i, j], p.A[i, j]]) for j in range(p.n)] for i in range(p.n)]
+        return [[univariate([p.A[i, j], p.B[i, j]]) for j in range(p.n)] for i in range(p.n)]
+    return [[univariate([p.B[i, j], p.A[i, j]]) for j in range(p.n)] for i in range(p.n)]
 
 
 def smith_jordan_part(p):
@@ -345,15 +389,15 @@ def smith_jordan_part(p):
     up; odd multiplicity signals corrupted input.
     """
     divisors = {}
-    for factor in smith_invariant_factors(_pencil_upoly_rows(p)):
-        for irr, mult in factor_monic(factor):
+    for factor in smith_invariant_factors(_pencil_rows(p)):
+        for irr, mult in factor_monic(integer_coefficients(factor)):
             key = ("finite", irr)
             divisors[(key, mult)] = divisors.get((key, mult), 0) + 1
-    mu = UPoly.x()
-    for factor in smith_invariant_factors(_pencil_upoly_rows(p, reversed_chart=True)):
+    mu = Poly.variable("t", T)
+    for factor in smith_invariant_factors(_pencil_rows(p, reversed_chart=True)):
         power = 0
-        while not factor.is_zero() and factor[0] == 0:
-            factor = factor.exact_div(mu)
+        while not factor.is_zero() and (0,) not in factor.terms:
+            factor = fraction_exact_div(factor, mu)
             power += 1
         if power:
             key = ("at_lam_infinity",)
@@ -372,32 +416,33 @@ def smith_jordan_part(p):
 #
 # The univariate gcd and squarefree split that biham.exactalg.upoly replaced
 # with a primitive pseudo-remainder Euclid and Yun's algorithm on integer
-# coefficients: the same recurrences run over Fraction coefficients.
+# coefficients: the same recurrences run over the Fraction coefficients of
+# Polys in t, with the Smith form's long division.
 
 
 def fraction_ugcd(a, b):
     """Monic gcd by the Euclidean algorithm over the Fractions."""
     while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+        a, b = b, _divmod(a, b)[1]
+    return a if a.is_zero() else _monic(a)
 
 
 def fraction_squarefree_decomposition(p):
     """Yun's algorithm over the Fractions: list of (monic squarefree factor, multiplicity)."""
-    if p.is_zero() or p.is_constant():
+    if p.is_constant():
         return []
-    p = p.monic()
+    p = _monic(p)
     out = []
-    g = fraction_ugcd(p, p.deriv())
-    c = p.exact_div(g)
-    d = p.deriv().exact_div(g) - c.deriv()
+    g = fraction_ugcd(p, p.diff("t"))
+    c = fraction_exact_div(p, g)
+    d = fraction_exact_div(p.diff("t"), g) - c.diff("t")
     i = 1
-    while c.degree() > 0:
+    while not c.is_constant():
         f = fraction_ugcd(c, d)
-        if f.degree() > 0:
-            out.append((f.monic(), i))
-        c = c.exact_div(f)
-        d = d.exact_div(f) - c.deriv()
+        if not f.is_constant():
+            out.append((f, i))
+        c = fraction_exact_div(c, f)
+        d = fraction_exact_div(d, f) - c.diff("t")
         i += 1
     return out
 

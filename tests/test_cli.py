@@ -10,7 +10,8 @@ import pytest
 
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import ValidationError
-from biham.models import flat_kronecker, m_f, open_toda
+from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
+                          MAX_PERIODIC_TODA_K, flat_kronecker, m_f, open_toda)
 from biham.pencil import kronecker_pencil
 from biham.report import MAX_SAMPLES, emit_report, run_analyze
 
@@ -64,7 +65,7 @@ def test_resolve_target_with_params():
 
 def test_every_catalog_name_constructible_from_strings():
     specs = ["flat_kronecker:k=3", "jordan_model:k=2,mu=inf", "open_toda:k=2",
-             "periodic_toda:k=3", "m_f:f=x+y", "two_family:eta=t^2,order=8",
+             "periodic_toda:k=3", "m_f:f=x+y", "two_family:eta=t^2",
              "sl2_shift:alpha=1;2;1"]
     dims = [resolve_target(s).dim for s in specs]
     assert dims == [5, 4, 5, 6, 3, 3, 3]
@@ -247,6 +248,23 @@ def test_cli_samples_above_the_bound_is_exit_2(capsys):
     assert run_analyze(open_toda(1), points=[(1, 2, 3)], samples=MAX_SAMPLES + 1).points
 
 
+@pytest.mark.parametrize("spec,bound", [
+    ("open_toda:k=100000000", MAX_OPEN_TODA_K),
+    ("periodic_toda:k=100000000", MAX_PERIODIC_TODA_K),
+    ("flat_kronecker:k=100000000", MAX_FLAT_KRONECKER_K),
+    ("jordan_model:k=100000000,mu=2", MAX_JORDAN_K),
+], ids=["open_toda", "periodic_toda", "flat_kronecker", "jordan_model"])
+def test_cli_catalog_size_above_the_bound_is_exit_2(spec, bound, capsys):
+    # refused before any construction, which at this k would never finish
+    start = time.monotonic()
+    assert main(["analyze", spec, "--samples", "1"]) == 2
+    assert time.monotonic() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"k must be at most {bound}, got 100000000" in captured.err
+    assert main(["catalog", "show", spec.replace("100000000", str(bound + 1))]) == 2
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
@@ -263,7 +281,10 @@ def test_python_dash_m_runs_the_cli():
     (["catalog", "show", "open_toda"], "open_toda needs parameter 'k'"),
     (["catalog", "show", "m_f:f=x+y,k=2"], "m_f has no parameter 'k'"),
     (["catalog", "show", "jordan_model:k=2"], "jordan_model needs parameter 'mu'"),
-], ids=["analyze_unknown", "show_missing", "show_unknown", "show_missing_mu"])
+    (["analyze", "two_family:eta=t^2,order=8", "--samples", "1"],
+     "unknown parameter 'order'"),
+], ids=["analyze_unknown", "show_missing", "show_unknown", "show_missing_mu",
+        "two_family_order"])
 def test_cli_bad_catalog_parameter_is_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

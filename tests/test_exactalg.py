@@ -7,13 +7,15 @@ import pytest
 
 from biham.errors import InternalInconsistency, SingularInversion, ValidationError
 from biham.exactalg import (
-    Matrix, Poly, UPoly, block_diag, compose, exact_div, factor_monic,
-    parse_poly, parse_rational, poly_det, poly_gcd, primitive_gcd, rat, rat_str,
-    series_invert, smith_invariant_factors, squarefree_decomposition, truncate, ugcd,
+    Matrix, Poly, block_diag, compose, exact_div, factor_monic,
+    parse_poly, parse_rational, poly_gcd, primitive_gcd, rat, rat_str,
+    series_invert, smith_invariant_factors, squarefree_decomposition, truncate,
 )
+from biham.exactalg.smith import _divmod, _monic
 from biham.exactalg.upoly import exact_quotient
 
-from oracles import fraction_squarefree_decomposition, fraction_ugcd, gauss_rank
+from oracles import (T, cofactor_det, fraction_squarefree_decomposition, fraction_ugcd,
+                     gauss_rank, integer_coefficients, monic_gcd, univariate)
 
 
 # -- rationals ---------------------------------------------------------------
@@ -175,7 +177,7 @@ def test_poly_det_matches_cofactors():
     x = Poly.variable("x", V)
     one = Poly.constant(1, V)
     rows = [[x, one], [one, x]]
-    assert poly_det(rows) == parse_poly("x^2 - 1", V)
+    assert cofactor_det(rows) == parse_poly("x^2 - 1", V)
 
 
 def test_rational_function_reduction_and_poles():
@@ -211,37 +213,37 @@ def test_parser_errors_have_positions():
 # -- univariate polynomials and smith form -------------------------------------
 
 def test_upoly_divmod_gcd():
-    p = UPoly([2, 3, 1])      # (t+1)(t+2)
-    q = UPoly([1, 1])
-    assert divmod(p, q) == (UPoly([2, 1]), UPoly.zero())
-    assert ugcd(p, UPoly([1, 2, 1])) == UPoly([1, 1])
-    assert squarefree_decomposition(UPoly([0, 0, 1])) == [(UPoly([0, 1]), 2)]
+    p = univariate([2, 3, 1])      # (t+1)(t+2)
+    q = univariate([1, 1])
+    assert _divmod(p, q) == (univariate([2, 1]), Poly.zero(T))
+    assert monic_gcd(p, univariate([1, 2, 1])) == univariate([1, 1])
+    assert squarefree_decomposition([0, 0, 1]) == [(univariate([0, 1]), 2)]
 
 
 def test_integer_gcd_and_yun_match_the_fraction_oracle_on_edge_inputs():
-    t = UPoly.x()
-    zero, three = UPoly.zero(), UPoly.constant(3)
+    t = Poly.variable("t", T)
+    zero, three = Poly.zero(T), Poly.constant(3, T)
     quad = t * t + 1                                  # irreducible over Q
     # zero and constant inputs
     for a, b in ((zero, zero), (zero, quad), (quad, zero), (three, quad), (zero, three)):
-        assert ugcd(a, b) == fraction_ugcd(a, b)
-    assert ugcd(zero, zero) == zero and ugcd(three, quad) == UPoly.constant(1)
-    for p in (zero, three, UPoly.constant(Fraction(-2, 7))):
-        assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p) == []
+        assert monic_gcd(a, b) == fraction_ugcd(a, b)
+    assert monic_gcd(zero, zero) == zero and monic_gcd(three, quad) == Poly.constant(1, T)
+    for p in (zero, three, Poly.constant(Fraction(-2, 7), T)):
+        assert (squarefree_decomposition(integer_coefficients(p))
+                == fraction_squarefree_decomposition(p) == [])
     assert squarefree_decomposition([]) == squarefree_decomposition([5]) == []
     assert primitive_gcd([], []) == [] and primitive_gcd([0, -4], []) == [0, 1]
     # multiplicities 1-4, content -12 and a negative leading coefficient
     p = -12 * (t + 1) * (t - 2) ** 2 * (3 * t + 1) ** 3 * quad ** 4
     expected = [(t + 1, 1), (t - 2, 2), (t + Fraction(1, 3), 3), (quad, 4)]
-    assert p.lead() < 0
-    assert squarefree_decomposition(p) == fraction_squarefree_decomposition(p) == expected
-    ints = [int(c) for c in p.coeffs]
-    assert squarefree_decomposition(ints) == expected
+    assert p.leading()[1] < 0
+    ints = integer_coefficients(p)
+    assert squarefree_decomposition(ints) == fraction_squarefree_decomposition(p) == expected
     assert factor_monic(ints) == [(t - 2, 2), (t + Fraction(1, 3), 3), (t + 1, 1), (quad, 4)]
     # rational content on both sides of the gcd
     a = Fraction(-3, 4) * (t - 2) ** 2 * quad
     b = Fraction(5, 6) * (t - 2) * quad ** 3 * (2 * t + 7)
-    assert ugcd(a, b) == fraction_ugcd(a, b) == (t - 2) * quad
+    assert monic_gcd(a, b) == fraction_ugcd(a, b) == (t - 2) * quad
     # the primitive gcd has a positive leading coefficient and content 1
     assert primitive_gcd([0, 0, -6], [0, -4, -8]) == [0, 1]
     assert primitive_gcd([-2, 0, -2], [4, 0, 4]) == [1, 0, 1]
@@ -259,58 +261,58 @@ def test_exact_quotient_refuses_an_inexact_division():
 
 
 def test_smith_identity():
-    rows = [[UPoly.constant(1 if i == j else 0) for j in range(3)] for i in range(3)]
-    assert smith_invariant_factors(rows) == [UPoly.constant(1)] * 3
+    rows = [[Poly.constant(1 if i == j else 0, T) for j in range(3)] for i in range(3)]
+    assert smith_invariant_factors(rows) == [Poly.constant(1, T)] * 3
 
 
 def test_smith_jordan_pair_example():
     # lam*H1 + H2 for the 2x2 pair with eigenvalue 2: gcd of entries is
     # 2*lam + 1 and the determinant is (2*lam + 1)^2, so both invariant
     # factors equal lam + 1/2 after making them monic.
-    lam = UPoly.x()
-    z = UPoly.zero()
+    lam = Poly.variable("t", T)
+    z = Poly.zero(T)
     c = 2 * lam + 1
-    expected_first = c.monic()
+    expected_first = _monic(c)
     det = c * c
-    expected_second = det.exact_div(c).monic()
+    expected_second = _monic(exact_div(det, c))
     got = smith_invariant_factors([[z, c], [-1 * c, z]])
     assert got == [expected_first, expected_second]
-    assert got == [UPoly([Fraction(1, 2), 1])] * 2
+    assert got == [univariate([Fraction(1, 2), 1])] * 2
 
 
 def test_smith_k3_pencil_is_unimodular_part():
     # the 3x3 odd Kronecker pencil has a constant 2x2 minor, so both
     # invariant factors of the rank-2 part are 1
-    lam = UPoly.x()
-    z = UPoly.zero()
-    one = UPoly.constant(1)
+    lam = Poly.variable("t", T)
+    z = Poly.zero(T)
+    one = Poly.constant(1, T)
     rows = [[z, lam, z], [-1 * lam, z, one], [z, -1 * one, z]]
-    assert smith_invariant_factors(rows) == [UPoly.constant(1)] * 2
+    assert smith_invariant_factors(rows) == [Poly.constant(1, T)] * 2
 
 
 def test_smith_divisibility_chain_random():
     rng = random.Random(3)
     for _ in range(10):
         n = rng.randint(2, 4)
-        rows = [[UPoly([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(n)]
+        rows = [[univariate([rng.randint(-3, 3), rng.randint(-2, 2)]) for _ in range(n)]
                 for _ in range(n)]
         factors = smith_invariant_factors(rows)
         for a, b in zip(factors, factors[1:]):
-            assert (b % a).is_zero()
+            assert _divmod(b, a)[1].is_zero()
         # product of invariant factors equals the determinant up to a scalar
         det = _upoly_det(rows)
         if not det.is_zero() and len(factors) == n:
-            prod = UPoly.constant(1)
+            prod = Poly.constant(1, T)
             for f in factors:
                 prod = prod * f
-            assert prod == det.monic()
+            assert prod == _monic(det)
 
 
 def _upoly_det(rows):
     n = len(rows)
     if n == 1:
         return rows[0][0]
-    total = UPoly.zero()
+    total = Poly.zero(T)
     for k in range(n):
         sub = [r[:k] + r[k + 1:] for r in rows[1:]]
         term = rows[0][k] * _upoly_det(sub)

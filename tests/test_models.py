@@ -8,7 +8,7 @@ import pytest
 from biham.casimir import kronecker_criterion, w1_span_dim
 from biham.errors import (DegenerateFunction, NotNormalizable, NotRegular,
                           SingularODE, UnsupportedPeriod, ValidationError)
-from biham.exactalg import Matrix, Poly, UPoly, compose, parse_poly
+from biham.exactalg import Matrix, Poly, compose, parse_poly
 from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           m_f, make_model, mf_casimir_numeric, normal_form_phi,
                           open_toda, periodic_casimirs, periodic_toda,
@@ -16,6 +16,8 @@ from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           sl2_shift, two_family_flatness, two_family_model,
                           web_curvature)
 from biham.pencil import decompose
+
+from oracles import T, cofactor_det, univariate
 
 
 def _pt(*vals):
@@ -143,7 +145,7 @@ def test_run_polynomials_product():
     pt = _pt(1, 0, 2, 1, 2)
     polys = run_polynomials(2, pt)
     assert len(polys) == 2
-    prod = UPoly.constant(1)
+    prod = Poly.constant(1, T)
     for p in polys:
         prod = prod * p
     full = run_polynomials(2, _pt(1, 1, 1, 1, 1))  # sanity: single run
@@ -152,7 +154,46 @@ def test_run_polynomials_product():
     m = open_toda(2)
     fam = m.families[0]
     det_coeffs = [c.eval(pt) for c in fam.coeffs] + [Fraction(1)]
-    assert list(prod.coeffs) == det_coeffs
+    assert prod == univariate(det_coeffs)
+
+
+def _shifted_jacobi_rows(point, variables, shift):
+    # iota(v) + shift*I: v_{2i} on the diagonal, v_{2i+1} beside it
+    size = (len(point) + 1) // 2
+    zero = Poly.zero(variables)
+    rows = [[zero] * size for _ in range(size)]
+    for i in range(size):
+        rows[i][i] = point[2 * i] + shift
+        if i + 1 < size:
+            rows[i][i + 1] = rows[i + 1][i] = Poly.constant(0, variables) + point[2 * i + 1]
+    return rows
+
+
+def test_toda_recurrence_matches_the_cofactor_determinant():
+    # open_toda's family is det(iota(v) + lam I) - lam^(k+1) by the three-term
+    # recurrence; the cofactor expansion of the same matrix is the oracle
+    for k in range(1, 7):
+        variables = tuple(f"v{i}" for i in range(2 * k + 1)) + ("lam",)
+        v = [Poly.variable(name, variables) for name in variables[:-1]]
+        lam = Poly.variable("lam", variables)
+        expected = cofactor_det(_shifted_jacobi_rows(v, variables, lam))
+        family = open_toda(k).families[0]
+        got = lam ** (k + 1)
+        for power, c in enumerate(family.coeffs):
+            got = got + c.as_poly().embed(variables) * lam ** power
+        assert got == expected, k
+
+
+def test_run_polynomials_match_the_cofactor_determinant_at_walls():
+    # each run polynomial is the determinant of its block of iota(v) + t I
+    t = Poly.variable("t", T)
+    for k, pt in ((2, _pt(1, 0, 2, 1, 2)), (3, _pt(1, 0, 2, 0, 3, 5, -1)),
+                  (4, _pt(2, 3, -1, 0, 4, 1, 1, 0, 7)), (3, _pt(1, 1, 2, 1, 3, 1, 4))):
+        walls = [i for i in range(1, 2 * k, 2) if pt[i] == 0]
+        cuts = [-1] + walls + [2 * k + 1]
+        blocks = [pt[lo + 1:hi] for lo, hi in zip(cuts, cuts[1:])]
+        assert run_polynomials(k, pt) == [cofactor_det(_shifted_jacobi_rows(b, T, t))
+                                          for b in blocks]
 
 
 def test_s_generic_classification():
@@ -293,7 +334,7 @@ def test_two_family_flatness_dichotomy():
 def test_two_family_flatness_refuses_an_order_above_the_bound():
     # refused before the series inversion, which took minutes at order 40
     with pytest.raises(ValidationError, match="at most 20, got 40"):
-        two_family_flatness(two_family_model("3*t - t^4", order=40), (2, 1))
+        two_family_flatness(two_family_model("3*t - t^4"), (2, 1), 40)
 
 
 def test_two_family_linear_eta_still_type_k3():

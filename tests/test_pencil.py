@@ -8,7 +8,8 @@ import pytest
 
 import biham.pencil as pencil_module
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
-from biham.exactalg import Matrix, UPoly
+from biham.exactalg import Matrix, Poly
+from biham.exactalg.smith import _monic
 from biham.models import open_toda
 from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
@@ -16,7 +17,7 @@ from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           jordan_pencil, kronecker_pencil, minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
-from oracles import perm_det
+from oracles import T, perm_det, univariate
 
 
 K3 = kronecker_pencil(2)
@@ -153,7 +154,7 @@ def test_jordan_part_examples():
     assert len(blocks) == 1
     b = blocks[0]
     assert b.k == 1 and b.dimension() == 2
-    assert b.divisor == ("finite", UPoly([Fraction(1, 2), 1]))
+    assert b.divisor == ("finite", univariate([Fraction(1, 2), 1]))
     assert b.mu_label() == 2
     assert _jordan_part(K3) == []
 
@@ -372,7 +373,6 @@ def test_pure_jordan_determinant_cross_check():
     # for pure-Jordan pencils the determinant of lam*A + B equals (up to a
     # scalar) the product of the finite elementary divisors; the degree
     # deficit counts the divisors at lam = infinity
-    from biham.exactalg import UPoly
     rng = random.Random(27)
     for _ in range(8):
         pieces = [jordan_pencil(rng.randint(1, 2),
@@ -384,7 +384,7 @@ def test_pure_jordan_determinant_cross_check():
         p = p.congruence(_random_congruence(rng, p.n))
         det = _upoly_pencil_det(p)
         assert not det.is_zero()
-        prod = UPoly.constant(1)
+        prod = Poly.constant(1, T)
         inf_dim = 0
         for b in decompose(p).blocks:
             assert b.kind == "jordan"
@@ -392,24 +392,22 @@ def test_pure_jordan_determinant_cross_check():
                 prod = prod * b.divisor[1] ** (2 * b.k)
             else:
                 inf_dim += 2 * b.k
-        assert det.monic() == prod
-        assert det.degree() == p.n - inf_dim
+        assert _monic(det) == prod
+        assert det.degree_in("t") == p.n - inf_dim
 
 
 def _upoly_pencil_det(p):
     # memoized Laplace expansion over column subsets
-    from biham.exactalg import UPoly
-
-    rows = [[UPoly([p.B[i, j], p.A[i, j]]) for j in range(p.n)]
+    rows = [[univariate([p.B[i, j], p.A[i, j]]) for j in range(p.n)]
             for i in range(p.n)]
     memo = {}
 
     def minor(r, cols):
         if not cols:
-            return UPoly.constant(1)
+            return Poly.constant(1, T)
         if cols in memo and r == p.n - len(cols):
             return memo[cols]
-        total = UPoly.zero()
+        total = Poly.zero(T)
         for k, c in enumerate(cols):
             entry = rows[r][c]
             if entry.is_zero():
@@ -432,7 +430,7 @@ def test_irreducible_quadratic_divisor():
     assert len(t.blocks) == 1
     blk = t.blocks[0]
     assert blk.kind == "jordan" and blk.dimension() == 4
-    assert blk.divisor == ("finite", UPoly([1, 0, 1]))
+    assert blk.divisor == ("finite", univariate([1, 0, 1]))
     assert blk.mu_label() is None
 
 

@@ -6,16 +6,17 @@ import pytest
 from hypothesis import assume, event, given, settings, strategies as st
 
 from biham.errors import PoleAtPoint
-from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, UPoly,
-                            parse_poly, poly_gcd, exact_div, squarefree_decomposition, ugcd)
+from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
+                            parse_poly, poly_gcd, exact_div, squarefree_decomposition)
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpolate,
                           _principal_minor, corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, integer_pair, jordan_part,
                           jordan_pencil, kronecker_pencil)
 
-from oracles import (convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
-                     gauss_corank_profile, schoolbook_matrix_product, smith_jordan_part)
+from oracles import (T, convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
+                     gauss_corank_profile, integer_coefficients, monic_gcd,
+                     schoolbook_matrix_product, smith_jordan_part, univariate)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -139,10 +140,10 @@ def test_poly_gcd_divides_both(a, b):
 def factored_upolys(draw):
     """A rational content times a product of integer factors of degree 0-2, each to a power 1-4."""
     content = draw(st.fractions(min_value=-6, max_value=6, max_denominator=5).filter(bool))
-    p = UPoly.constant(content)
+    p = Poly.constant(content, T)
     for _ in range(draw(st.integers(0, 3))):
         coeffs = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=3))
-        factor = UPoly(coeffs)
+        factor = univariate(coeffs)
         if not factor.is_zero():
             p = p * factor ** draw(st.integers(1, 4))
     return p
@@ -153,9 +154,10 @@ def factored_upolys(draw):
 def test_integer_gcd_and_yun_match_the_fraction_oracle(p, q, shared):
     a, b = p * shared, q * shared
     for f in (p, a):
-        assert squarefree_decomposition(f) == fraction_squarefree_decomposition(f)
-    assert ugcd(a, b) == fraction_ugcd(a, b)
-    assert ugcd(a, UPoly.zero()) == fraction_ugcd(a, UPoly.zero())
+        assert (squarefree_decomposition(integer_coefficients(f))
+                == fraction_squarefree_decomposition(f))
+    assert monic_gcd(a, b) == fraction_ugcd(a, b)
+    assert monic_gcd(a, Poly.zero(T)) == fraction_ugcd(a, Poly.zero(T))
 
 
 @given(polys())
