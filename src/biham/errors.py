@@ -20,14 +20,14 @@ class PoleAtPoint(BihamError):
 class NotSkewCanonical(BihamError):
     """Elementary divisors of a skew pencil must pair up; odd multiplicity means corrupted input."""
 
-    # raised by biham.pencil: the integer pencil it failed on, as SkewPencil.to_json() data
+    # raised by biham.pencil.decompose: p.to_json() of the integer pencil it failed on
     pencil = None
 
 
 class InternalInconsistency(BihamError):
     """Two certified computation paths disagree; indicates a bug, not bad input."""
 
-    # raised by biham.pencil: the integer pencil it failed on, as SkewPencil.to_json() data
+    # raised by biham.pencil.decompose: p.to_json() of the integer pencil it failed on
     pencil = None
 
 

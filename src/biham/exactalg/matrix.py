@@ -4,9 +4,9 @@ Construction is cheap and immutable.  ``clear_denominators`` is the one
 routine that turns rationals into integers over a common denominator: rank
 and nullspace apply it row by row and hand the integer rows to the
 fraction-free elimination kernel, a product multiplies the integer
-numerators over each factor's common denominator, and ``biham.pencil``
-scales each pencil with it once.  No rational arithmetic happens inside an
-O(n^3) loop.
+numerators over each factor's common denominator, and each pencil is
+scaled with it once, when it is built, so a pencil's matrices hold ints.
+No rational arithmetic happens inside an O(n^3) loop.
 """
 
 from dataclasses import dataclass
@@ -23,7 +23,7 @@ from .rational import rat
 class Matrix:
     rows: int
     cols: int
-    entries: tuple  # row-major Fractions, len == rows * cols
+    entries: tuple  # row-major Fractions or ints, len == rows * cols
 
     def __post_init__(self):
         if len(self.entries) != self.rows * self.cols:
@@ -61,22 +61,8 @@ class Matrix:
         return Matrix(self.cols, self.rows,
                       tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
 
-    def __add__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        self._same_shape(other)
-        return Matrix(self.rows, self.cols,
-                      tuple(a - b for a, b in zip(self.entries, other.entries)))
-
     def __neg__(self) -> "Matrix":
         return Matrix(self.rows, self.cols, tuple(-a for a in self.entries))
-
-    def scale(self, c) -> "Matrix":
-        c = rat(c)
-        return Matrix(self.rows, self.cols, tuple(c * a for a in self.entries))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -109,10 +95,6 @@ class Matrix:
     def congruence(self, p: "Matrix") -> "Matrix":
         """p^T @ self @ p (change of basis for a bilinear pairing)."""
         return p.transpose() @ self @ p
-
-    def _same_shape(self, other: "Matrix"):
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch")
 
     def rank(self) -> int:
         """Rank over Q: for ``PoissonStructure.corank_at``, the oracles and the trace."""

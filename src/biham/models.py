@@ -24,7 +24,7 @@ from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
                      ValidationError)
 from .exactalg import (Poly, RationalFunction, compose, parse_poly, poly_gcd, rat, rat_str,
                        series_invert, truncate)
-from .pencil import jordan_pencil
+from .pencil import jordan_rows
 from .poisson import BihamStructure, PoissonStructure
 
 DEFAULT_TRUNCATION = 6
@@ -119,17 +119,17 @@ def jordan_model(k: int, mu) -> ModelSpec:
     """Constant structure of dimension 2k modeled on a Jordan block with
     eigenvalue mu (mu = "inf" supported)."""
     _check_size(k, MAX_JORDAN_K)
-    pencil = jordan_pencil(k, mu)
+    a, b = jordan_rows(k, mu)
     n = 2 * k
     variables = tuple(f"z{i}" for i in range(n))
     t1 = {}
     t2 = {}
     for i in range(n):
         for j in range(i + 1, n):
-            if pencil.A[i, j] != 0:
-                t1[(i, j)] = pencil.A[i, j]
-            if pencil.B[i, j] != 0:
-                t2[(i, j)] = pencil.B[i, j]
+            if a[i][j] != 0:
+                t1[(i, j)] = a[i][j]
+            if b[i][j] != 0:
+                t2[(i, j)] = b[i][j]
     p1 = PoissonStructure(variables, t1, name="jordan bracket 1")
     p2 = PoissonStructure(variables, t2, name="jordan bracket 2")
     mu_s = "inf" if mu == "inf" else rat_str(rat(mu))

@@ -8,13 +8,16 @@ and deterministic: genericity is certified by evaluating coranks at n+1
 rational parameter values plus the reversed pencil, which a degree argument
 makes sufficient.
 
-Everything runs on integer pencils: ``decompose`` scales A and B to integer
-rows over one common denominator once (``integer_pair``), computes the
-corank profile once, and hands the pair, the profile, the determinants of
-its eliminations and the generic corank r down to ``minimal_indices`` and
-``jordan_part``; every matrix below is built from those integers for the
-fraction-free kernel ``row_echelon_ff``, and ``_pencil_rows`` is the one
-builder of lam*A + B.
+Every pencil is an integer pencil: a ``SkewPencil`` stores lam*A + B times
+the lcm of its denominators, which has the same blocks.  Outside input
+enters through ``SkewPencil.from_rows``, which checks shape and skewness
+and clears denominators once; ``BihamStructure.pencil_at`` builds the pair
+skew by construction.  ``decompose`` reads the integer rows as they are,
+computes the corank profile once, and hands the pair, the profile, the
+determinants of its eliminations and the generic corank r down to
+``minimal_indices`` and ``jordan_part``; every matrix below is built from
+those integers for the fraction-free kernel ``row_echelon_ff``, and
+``_pencil_rows`` is the one builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
   Every S_d is the leading d + 1 column blocks of S_D with D = (n - r) // 2,
@@ -47,7 +50,7 @@ by the Kronecker structure theorem, and ``decompose`` skips it.
 ``PointAnalysis`` holds one point's evaluator, coranks and type from that
 one pass, so every verdict at that point reads a single decomposition.
 An ``InternalInconsistency`` or ``NotSkewCanonical`` raised while
-decomposing carries the integer pencil as ``exc.pencil``, in the shape of
+decomposing carries the integer pencil as ``exc.pencil``, its
 ``SkewPencil.to_json()``.  The per-d rational staircases, the Gaussian
 corank profile and the Smith-form Jordan part stay as the test oracles in
 ``tests/oracles.py``.
@@ -69,33 +72,40 @@ INF = "inf"
 
 @dataclass(frozen=True)
 class SkewPencil:
-    """Two skew-symmetric n x n rational matrices, read as lam*A + B."""
+    """lam*A + B for two skew-symmetric n x n matrices, held as integers.
+
+    A and B hold Python ints: a rational pencil is stored times the lcm of
+    its denominators, which has the same blocks.
+    """
 
     n: int
     A: Matrix
     B: Matrix
 
-    def __post_init__(self):
-        if self.A.rows != self.n or self.B.rows != self.n:
-            raise ValidationError("pencil matrices must be n x n")
-        if not self.A.is_skew() or not self.B.is_skew():
-            raise ValidationError("pencil matrices must be skew-symmetric")
-
     @classmethod
     def from_rows(cls, a_rows, b_rows) -> "SkewPencil":
+        """The checked pencil of two rational matrices, over one common denominator.
+
+        Non-square, mismatched or non-skew input is a ``ValidationError``;
+        integer input comes out unchanged.
+        """
         a = Matrix.from_rows(a_rows)
         b = Matrix.from_rows(b_rows)
-        return cls(a.rows, a, b)
-
-    def at(self, lam) -> Matrix:
-        return self.A.scale(rat(lam)) + self.B
+        n = a.rows
+        if (a.cols, b.rows, b.cols) != (n, n, n):
+            raise ValidationError("pencil matrices must be n x n")
+        if not a.is_skew() or not b.is_skew():
+            raise ValidationError("pencil matrices must be skew-symmetric")
+        ints, _ = clear_denominators(a.entries + b.entries)
+        return cls(n, Matrix(n, n, tuple(ints[:n * n])), Matrix(n, n, tuple(ints[n * n:])))
 
     def congruence(self, p: Matrix) -> "SkewPencil":
-        return SkewPencil(self.n, self.A.congruence(p), self.B.congruence(p))
+        return SkewPencil.from_rows(self.A.congruence(p).to_rows(),
+                                    self.B.congruence(p).to_rows())
 
     def direct_sum(self, other: "SkewPencil") -> "SkewPencil":
-        return SkewPencil(self.n + other.n,
-                          block_diag(self.A, other.A), block_diag(self.B, other.B))
+        return SkewPencil.from_rows(block_diag(self.A, other.A).to_rows(),
+                                    block_diag(self.B, other.B).to_rows())
 
     def to_json(self) -> dict:
         return {
@@ -106,17 +116,17 @@ class SkewPencil:
 
     @classmethod
     def from_json(cls, data) -> "SkewPencil":
+        """Pencil from its JSON text or object; any malformed input is a ValidationError."""
         if isinstance(data, str):
             data = load_json(data)
         try:
             n = data["n"]
-            a = [[rat(x) for x in row] for row in data["A"]]
-            b = [[rat(x) for x in row] for row in data["B"]]
+            pencil = cls.from_rows(data["A"], data["B"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad pencil JSON: {exc}") from exc
-        pencil = cls.from_rows(a, b)
-        if pencil.n != n:
-            raise ValidationError("pencil dimension field disagrees with matrices")
+        if not isinstance(n, int) or isinstance(n, bool) or pencil.n != n:
+            raise ValidationError(f"pencil dimension field {n!r} disagrees with the "
+                                  f"{pencil.n} x {pencil.n} matrices")
         return pencil
 
 
@@ -228,23 +238,10 @@ def generic_corank(p: SkewPencil) -> int:
     Deterministic: coranks at lam in {0, ..., n} plus the reversed pencil
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
-    It serves the tests, the oracles and the ``perfbench`` trace;
-    ``decompose`` reads r from its own profile.
+    It reads the integer rows of ``p`` and serves the tests, the oracles and
+    the ``perfbench`` trace; ``decompose`` reads r from its own profile.
     """
-    return min(corank_profile(*integer_pair(p)).values())
-
-
-def integer_pair(p: SkewPencil) -> tuple:
-    """Rows of A and of B times the lcm of all their denominators, as ints.
-
-    One common scale keeps lam*A + B and every staircase built from the
-    pair at the ranks of the rational originals.  The functions below take
-    this pair, never the rational pencil, so each decomposition scales once.
-    """
-    n = p.n
-    ints, _ = clear_denominators(p.A.entries + p.B.entries)
-    rows = [ints[i * n:(i + 1) * n] for i in range(2 * n)]
-    return rows[:n], rows[n:]
+    return min(corank_profile(p.A.to_rows(), p.B.to_rows()).values())
 
 
 def _pencil_rows(a, b, lam) -> list:
@@ -567,15 +564,15 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
 def decompose(p: SkewPencil) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
-    Each step runs once: A and B are scaled to integers once, the corank
-    profile is computed once and kept on the result, and the integer pair,
-    the profile and the generic corank r are handed down.  The Jordan part
-    runs only when the Kronecker blocks leave part of dimension n to the
-    Jordan blocks.  An internal failure carries the integer pencil as
-    ``exc.pencil``, in the shape of ``SkewPencil.to_json()``, so the failing
-    pencil can become a test case as it stands.
+    Each step runs once: the integer rows of A and B are read as they are,
+    the corank profile is computed once and kept on the result, and the
+    integer pair, the profile and the generic corank r are handed down.
+    The Jordan part runs only when the Kronecker blocks leave part of
+    dimension n to the Jordan blocks.  An internal failure carries the
+    pencil as ``exc.pencil = p.to_json()``, so the failing pencil can become
+    a test case as it stands.
     """
-    a, b = integer_pair(p)
+    a, b = p.A.to_rows(), p.B.to_rows()
     dets = []
     try:
         profile = corank_profile(a, b, dets)
@@ -583,8 +580,7 @@ def decompose(p: SkewPencil) -> PencilType:
         filled = sum(2 * e + 1 for e in indices)
         jordan = jordan_part(a, b, profile, dets, p.n - filled) if filled != p.n else []
     except (InternalInconsistency, NotSkewCanonical) as exc:
-        exc.pencil = {"n": p.n, "A": [[str(x) for x in row] for row in a],
-                      "B": [[str(x) for x in row] for row in b]}
+        exc.pencil = p.to_json()
         raise
     kron = [Block("kronecker", e + 1) for e in indices]
     return PencilType(p.n, tuple(kron + jordan), profile)
@@ -645,54 +641,45 @@ def kronecker_pencil(k: int) -> SkewPencil:
     in the first pairing and (w_{2l+1}, w_{2l+2}) in the second, both 1.
     """
     n = 2 * k - 1
-    a = [[Fraction(0)] * n for _ in range(n)]
-    b = [[Fraction(0)] * n for _ in range(n)]
+    a = [[0] * n for _ in range(n)]
+    b = [[0] * n for _ in range(n)]
     for l in range(k - 1):
-        a[2 * l][2 * l + 1] = Fraction(1)
-        a[2 * l + 1][2 * l] = Fraction(-1)
-        b[2 * l + 1][2 * l + 2] = Fraction(1)
-        b[2 * l + 2][2 * l + 1] = Fraction(-1)
+        _pair(a, 2 * l, 2 * l + 1, 1)
+        _pair(b, 2 * l + 1, 2 * l + 2, 1)
     return SkewPencil.from_rows(a, b)
 
 
-def jordan_pencil(k: int, mu) -> SkewPencil:
-    """The 2k-dimensional pair built from a Jordan matrix with eigenvalue mu.
+def _pair(rows, i, j, value):
+    """Set the pairing (w_i, w_j) = value, and (w_j, w_i) = -value."""
+    rows[i][j] = value
+    rows[j][i] = -value
 
-    For finite mu the first matrix carries the Jordan block and the second
-    is the standard symplectic form; mu = "inf" swaps the roles, with the
-    Jordan block at eigenvalue 0.
+
+def jordan_rows(k: int, mu) -> tuple:
+    """The rational rows of the 2k-dimensional pair built from a Jordan matrix.
+
+    For finite mu the first matrix carries the Jordan block with eigenvalue
+    mu and the second is the standard symplectic form; mu = "inf" swaps the
+    roles, with the Jordan block at eigenvalue 0.
     """
-    if mu == INF:
-        jm = _jordan_matrix(k, Fraction(0))
-        h1 = _off_diag_skew(_identity_rows(k))
-        h2 = _off_diag_skew(jm)
-    else:
-        jm = _jordan_matrix(k, rat(mu))
-        h1 = _off_diag_skew(jm)
-        h2 = _off_diag_skew(_identity_rows(k))
-    return SkewPencil.from_rows(h1, h2)
+    eigenvalue = 0 if mu == INF else rat(mu)
+    jordan = _off_diag_skew([[eigenvalue if i == j else int(j == i + 1) for j in range(k)]
+                             for i in range(k)])
+    symplectic = _off_diag_skew([[int(i == j) for j in range(k)] for i in range(k)])
+    return (symplectic, jordan) if mu == INF else (jordan, symplectic)
 
 
-def _jordan_matrix(k: int, mu: Fraction) -> list:
-    rows = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        rows[i][i] = mu
-        if i + 1 < k:
-            rows[i][i + 1] = Fraction(1)
-    return rows
-
-
-def _identity_rows(k: int) -> list:
-    return [[Fraction(1 if i == j else 0) for j in range(k)] for i in range(k)]
+def jordan_pencil(k: int, mu) -> SkewPencil:
+    """The pair of ``jordan_rows``, the indecomposable J_{2k} with eigenvalue mu."""
+    return SkewPencil.from_rows(*jordan_rows(k, mu))
 
 
 def _off_diag_skew(block) -> list:
     k = len(block)
-    rows = [[Fraction(0)] * (2 * k) for _ in range(2 * k)]
+    rows = [[0] * (2 * k) for _ in range(2 * k)]
     for i in range(k):
         for j in range(k):
-            rows[i][k + j] = block[i][j]
-            rows[k + j][i] = -block[i][j]
+            _pair(rows, i, k + j, block[i][j])
     return rows
 
 
@@ -704,14 +691,11 @@ def epsilon_adjacency_pencil(eps) -> SkewPencil:
     pairing.  eps != 0 gives {K3, K3}; eps = 0 degenerates to {K5, K1}.
     """
     eps = rat(eps)
-    a = [[Fraction(0)] * 6 for _ in range(6)]
-    b = [[Fraction(0)] * 6 for _ in range(6)]
+    a = [[0] * 6 for _ in range(6)]
+    b = [[0] * 6 for _ in range(6)]
     for l in range(2):
-        a[2 * l][2 * l + 1] = Fraction(1)
-        a[2 * l + 1][2 * l] = Fraction(-1)
-        b[2 * l + 1][2 * l + 2] = Fraction(1)
-        b[2 * l + 2][2 * l + 1] = Fraction(-1)
+        _pair(a, 2 * l, 2 * l + 1, 1)
+        _pair(b, 2 * l + 1, 2 * l + 2, 1)
     for idx in (1, 3):
-        a[5][idx] = eps
-        a[idx][5] = -eps
+        _pair(a, 5, idx, eps)
     return SkewPencil.from_rows(a, b)

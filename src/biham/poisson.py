@@ -6,13 +6,14 @@ identity-level checks (Jacobi, compatibility, Casimir) clear denominators
 and compare numerators exactly; point evaluations are a secondary layer
 and refuse points on recorded denominator zero loci.  A point is
 evaluated on integers by one ``PointEvaluator``; each structure compiles
-its table entries' and its stored gradients' ``IntegerForm``s once, on
-first use at a point.  Exact products read each factor's packed integer
-form, which a ``Poly`` builds once; so a structure keeps its skew rows
-(``skew_rows``, the entries with their negatives) and a ``BihamStructure``
-its gradients and its two tables' partials (``schouten_partials``, which
-its Jacobi and compatibility certificates share), and every product reuses
-those objects.
+its table entries' (``values_at``) and its stored gradients' ``IntegerForm``s
+once, on first use at a point.  ``pencil_at`` writes both tables' values
+over one denominator, skew by construction.  Exact products read each
+factor's packed integer form, which a ``Poly`` builds once; so a structure
+keeps its skew rows (``skew_rows``, the entries with their negatives) and a
+``BihamStructure`` its gradients and its two tables' partials
+(``schouten_partials``, which its Jacobi and compatibility certificates
+share), and every product reuses those objects.
 
 ``first_nonzero_sum`` sums and zero-tests every certificate residual, one
 ``RationalFunction.sum_of_products`` per (key, products) group: by
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                       load_json, parse_rational, rat, rat_str)
+                       clear_denominators, load_json, parse_rational, rat, rat_str)
 from .pencil import PointAnalysis, SkewPencil
 
 
@@ -150,21 +151,19 @@ class PoissonStructure:
         """sum_j covector_j grad_j; with f's covector and g's gradient, {f, g}."""
         return RationalFunction.sum_of_products(zip(covector, grad), self.variables)
 
-    def bivector_at(self, point) -> Matrix:
-        """The table at a point (coordinates or its ``PointEvaluator``).
+    def values_at(self, ev: PointEvaluator) -> list:
+        """The table's entries at the evaluator's point, in table order.
 
-        The entries' integer forms are compiled on first use, once per structure.
+        The entries' integer forms are compiled here on first use, once per structure.
         """
-        ev = evaluator_at(point, self.dim)
         if self._forms is None:
-            self._forms = [(key, IntegerForm(c)) for key, c in self.table.items()]
-        n = self.dim
-        entries = [Fraction(0)] * (n * n)
-        for (i, j), form in self._forms:
-            v = ev.value(form)
-            entries[i * n + j] = v
-            entries[j * n + i] = -v
-        return Matrix(n, n, tuple(entries))
+            self._forms = [IntegerForm(c) for c in self.table.values()]
+        return [ev.value(form) for form in self._forms]
+
+    def bivector_at(self, point) -> Matrix:
+        """The table at a point (coordinates or its ``PointEvaluator``), as rationals."""
+        return _skew_matrix(self.dim, self.table,
+                            self.values_at(evaluator_at(point, self.dim)))
 
     def corank_at(self, point) -> int:
         """Corank of the bivector at ``point``; for the tests and the ``perfbench`` trace."""
@@ -234,6 +233,15 @@ class PoissonStructure:
                 raise ValidationError(f"bracket entry ({i},{j}) defined twice")
             table[(i, j)] = coeff
         return cls(variables, table, name=name)
+
+
+def _skew_matrix(n: int, keys, values) -> Matrix:
+    """The n x n matrix with each value at its key (i, j) and its negative at (j, i)."""
+    entries = [0] * (n * n)
+    for (i, j), v in zip(keys, values):
+        entries[i * n + j] = v
+        entries[j * n + i] = -v
+    return Matrix(n, n, tuple(entries))
 
 
 def _present(p: PoissonStructure, f):
@@ -440,8 +448,13 @@ class BihamStructure:
         return all(self.verify().values())
 
     def pencil_at(self, point) -> SkewPencil:
+        """The integer pencil at a point: both tables' values over one denominator."""
         ev = evaluator_at(point, self.dim)
-        return SkewPencil(self.dim, self.p1.bivector_at(ev), self.p2.bivector_at(ev))
+        v1 = self.p1.values_at(ev)
+        ints, _ = clear_denominators(v1 + self.p2.values_at(ev))
+        n = self.dim
+        return SkewPencil(n, _skew_matrix(n, self.p1.table, ints[:len(v1)]),
+                          _skew_matrix(n, self.p2.table, ints[len(v1):]))
 
     def point_analysis(self, point) -> PointAnalysis:
         """Coranks and block type at a point, from one evaluator; a record passes through.

@@ -147,10 +147,18 @@ def convolution_nullity(p, d):
     return fraction_staircase(p, d).nullspace()
 
 
+def integer_rows(p):
+    """The integer rows of A and of B, as ``decompose`` reads them."""
+    return p.A.to_rows(), p.B.to_rows()
+
+
 def gauss_corank_profile(p):
     """Corank of lam*A + B at lam = 0..n and of A (key "inf"), by ``gauss_rank``."""
-    prof = {str(lam): p.n - gauss_rank(p.at(lam).to_rows()) for lam in range(p.n + 1)}
-    prof["inf"] = p.n - gauss_rank(p.A.to_rows())
+    a, b = integer_rows(p)
+    prof = {str(lam): p.n - gauss_rank([[lam * x + y for x, y in zip(ra, rb)]
+                                        for ra, rb in zip(a, b)])
+            for lam in range(p.n + 1)}
+    prof["inf"] = p.n - gauss_rank(a)
     return prof
 
 

@@ -12,7 +12,8 @@ from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import ValidationError
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
                           MAX_PERIODIC_TODA_K, flat_kronecker, m_f, open_toda)
-from biham.pencil import kronecker_pencil
+from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
+                          kronecker_pencil)
 from biham.report import MAX_SAMPLES, emit_report, run_analyze
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "data")
@@ -392,9 +393,12 @@ DEEP = "[" * 100000 + "]" * 100000
     ("decompose", '{"n": 2, "A": [[0, 1], [-1]], "B": [[0, 0], [0, 0]]}'),
     ("decompose", DEEP),
     ("decompose", '{"n": 2, "A": [[0, true], [-1, 0]], "B": [[0, 0], [0, 0]]}'),
+    ("decompose", '{"n": true, "A": [["0"]], "B": [["0"]]}'),
+    ("decompose", '{"n": 1.0, "A": [["0"]], "B": [["0"]]}'),
     ("report", DEEP),
 ], ids=["decompose_malformed", "decompose_ragged", "decompose_deep_nesting",
-        "decompose_bool_entry", "report_deep_nesting"])
+        "decompose_bool_entry", "decompose_bool_dimension", "decompose_float_dimension",
+        "report_deep_nesting"])
 def test_cli_malformed_input_file_is_exit_2(tmp_path, capsys, command, text):
     path = tmp_path / "input.json"
     path.write_text(text)
@@ -507,6 +511,31 @@ def test_report_validates_against_schema():
         schema = json.load(fh)
     report = run_analyze(open_toda(1), samples=3, seed=2)
     jsonschema.validate(report.to_json(), schema)
+
+
+def test_pencils_validate_against_schema():
+    # the schema accepts what the loader accepts: integer entries, n = 0, and
+    # every pencil the library writes
+    jsonschema = pytest.importorskip("jsonschema")
+    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
+                               "biham", "schemas", "pencil.schema.json")
+    with open(schema_path, encoding="utf-8") as fh:
+        schema = json.load(fh)
+    rational = {"n": 2, "A": [["0", "1/2"], ["-1/2", "0"]], "B": [[0, 3], [-3, 0]]}
+    empty = {"n": 0, "A": [], "B": []}
+    for data in (rational, empty):
+        jsonschema.validate(data, schema)
+    point = (1, 2, "1/2", 3, "-1/3")
+    pencils = [kronecker_pencil(3), jordan_pencil(2, "-1/2"), jordan_pencil(1, "inf"),
+               epsilon_adjacency_pencil("1/2"),
+               kronecker_pencil(2).direct_sum(jordan_pencil(1, 2)),
+               SkewPencil.from_json(rational), SkewPencil.from_json(empty),
+               open_toda(2).structure.pencil_at(point)]
+    for p in pencils:
+        jsonschema.validate(p.to_json(), schema)
+    for bad in ({**empty, "n": True}, {**rational, "A": [["0", "1/2"], ["-1/2", "1.5"]]}):
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
 
 
 def test_structure_files_validate_against_schema():

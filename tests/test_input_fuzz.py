@@ -1,9 +1,9 @@
 """Fuzzing the input boundary: every call returns or raises BihamError, in time.
 
 Coefficient text goes through ``parse_rational``, structure files through
-``PoissonStructure.from_json`` and catalog specs through ``resolve_target``;
-anything else escaping them would reach the CLI as a traceback instead of
-exit code 2.  The per-example deadline is
+``PoissonStructure.from_json``, pencil files through ``SkewPencil.from_json``
+and catalog specs through ``resolve_target``; anything else escaping them
+would reach the CLI as a traceback instead of exit code 2.  The per-example deadline is
 generous: it catches hangs, not slow machines.
 """
 
@@ -16,6 +16,7 @@ from biham.cli import resolve_target
 from biham.errors import BihamError
 from biham.exactalg import parse_rational
 from biham.models import catalog_names
+from biham.pencil import SkewPencil, decompose
 from biham.poisson import PoissonStructure
 
 VARIABLES = ("x", "y", "z")
@@ -97,3 +98,46 @@ def test_resolve_target_returns_or_raises_biham_error(spec):
         resolve_target(spec)
     except BihamError:
         pass
+
+
+ENTRIES = st.one_of(st.integers(-3, 3),
+                    st.sampled_from(["0", "1", "-2", "+3", "1/2", "-3/4", "2/4", "1/0", "x"]),
+                    json_scalars)
+
+
+@st.composite
+def pencil_objects(draw, max_n=4):
+    """Small pencil-shaped objects: half of them skew pairs, the rest mostly not."""
+    n = draw(st.integers(0, max_n))
+    if draw(st.booleans()):
+        # skew by construction: upper triangles of small rationals and their negatives
+        pair = [[[0] * n for _ in range(n)] for _ in range(2)]
+        for rows in pair:
+            for i in range(n):
+                for j in range(i + 1, n):
+                    v = draw(st.fractions(-3, 3, max_denominator=4))
+                    rows[i][j], rows[j][i] = str(v), str(-v)
+        return {"n": n, "A": pair[0], "B": pair[1]}
+    matrices = st.one_of(st.lists(st.lists(ENTRIES, max_size=max_n), max_size=max_n),
+                         json_values)
+    return {"n": draw(st.one_of(st.just(n), st.integers(-1, max_n + 1), json_values)),
+            "A": draw(matrices), "B": draw(matrices)}
+
+
+@given(st.one_of(pencil_objects(), json_values, st.text(max_size=24)))
+@settings(max_examples=300, deadline=DEADLINE)
+def test_pencil_from_json_returns_or_raises_biham_error(data):
+    # the loader holds the one skewness check: what it returns is an integer
+    # skew pair that decompose either classifies or refuses with a BihamError
+    forms = [data] if isinstance(data, str) else [data, json.dumps(data)]
+    for form in forms:
+        try:
+            pencil = SkewPencil.from_json(form)
+        except BihamError:
+            continue
+        assert all(type(x) is int for x in pencil.A.entries + pencil.B.entries)
+        assert pencil.A.is_skew() and pencil.B.is_skew()
+        try:
+            decompose(pencil)
+        except BihamError:
+            pass

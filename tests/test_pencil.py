@@ -13,24 +13,28 @@ from biham.exactalg.smith import _monic
 from biham.models import open_toda
 from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
-                          generic_corank, integer_pair, jordan_part,
+                          generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil, minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
-from oracles import T, perm_det, univariate
+from oracles import T, integer_rows, perm_det, univariate
 
 
 K3 = kronecker_pencil(2)
 J22 = jordan_pencil(1, 2)
 
 
+def _zero(n):
+    return SkewPencil.from_rows([[0] * n] * n, [[0] * n] * n)
+
+
 def _minimal_indices(p):
-    return minimal_indices(*integer_pair(p), generic_corank(p))
+    return minimal_indices(*integer_rows(p), generic_corank(p))
 
 
 def _jordan_part(p):
     # the integer pair, corank profile and Jordan dimension decompose hands down
-    a, b = integer_pair(p)
+    a, b = integer_rows(p)
     dets = []
     profile = corank_profile(a, b, dets)
     kron = minimal_indices(a, b, min(profile.values()))
@@ -45,21 +49,22 @@ def test_pencil_validation():
 def test_generic_corank_examples():
     # the K3 pencil has a 1-dimensional null-space for every parameter value
     assert generic_corank(K3) == 1
-    assert generic_corank(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == 2
+    assert generic_corank(_zero(2)) == 2
     # J_{2,2}: det(lam*A + B) = (2 lam + 1)^2 is generically nonzero
-    det = perm_det(J22.at(3).to_rows())
+    a, b = integer_rows(J22)
+    det = perm_det([[3 * x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)])
     assert det == (2 * 3 + 1) ** 2
     assert generic_corank(J22) == 0
 
 
 def test_corank_profile_k3_constant_one():
-    prof = corank_profile(*integer_pair(K3))
+    prof = corank_profile(*integer_rows(K3))
     assert set(prof.values()) == {1}
 
 
 def test_minimal_indices_examples():
     assert _minimal_indices(K3) == [1]
-    assert _minimal_indices(SkewPencil(2, Matrix.zero(2), Matrix.zero(2))) == [0, 0]
+    assert _minimal_indices(_zero(2)) == [0, 0]
     assert _minimal_indices(J22) == []
     assert _minimal_indices(K3.direct_sum(kronecker_pencil(1))) == [0, 1]
     # open Toda at a generic point: one odd block, kernel vector of degree k
@@ -87,7 +92,7 @@ def test_minimal_indices_eliminates_block_by_block(monkeypatch):
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
     p = model.structure.pencil_at(point)
     r = generic_corank(p)
-    a, b = integer_pair(p)
+    a, b = integer_rows(p)
     calls = _count_eliminations(monkeypatch)
     assert minimal_indices(a, b, r) == [4]
     # n = 9, r = 1: D = (n - r) // 2 = 4
@@ -116,37 +121,37 @@ def test_minimal_indices_stop_at_the_last_index(monkeypatch):
     # the r-th index is found at d = 0, so S_1..S_D are never eliminated
     p = _integer_congruence(MANY_JORDAN, 0)
     assert decompose(p).label() == "{K1, J2(mu=0), J4(mu=2), J4(mu=inf)}"
-    a, b = integer_pair(p)
+    a, b = integer_rows(p)
     calls = _count_eliminations(monkeypatch)
     assert minimal_indices(a, b, 1) == [0]
     # one elimination of column block 0: B stacked on [A | B]
     assert calls == [(2 * 11, 2 * 11)]
     # a count above r at the stopping step is still an inconsistency
-    a, b = integer_pair(_integer_congruence(MANY_JORDAN.direct_sum(kronecker_pencil(1)), 1))
+    a, b = integer_rows(_integer_congruence(MANY_JORDAN.direct_sum(kronecker_pencil(1)), 1))
     with pytest.raises(InternalInconsistency, match="found 2 minimal indices"):
         minimal_indices(a, b, 1)
 
 
 def test_decompose_scales_the_pencil_once(monkeypatch):
-    # A and B are scaled to integers once per decomposition, and the pair is
-    # handed down to the corank profile, the minimal indices and the Jordan part
-    scaled = []
-    original = pencil_module.integer_pair
+    # a pencil is scaled to integers and checked for skewness once, when it
+    # is built: decompose reads the integer rows as they are, and pencil_at
+    # writes a pair that is skew by construction, so neither checks it again
+    checked = []
+    original = Matrix.is_skew
 
-    def counting(p):
-        scaled.append(p)
-        return original(p)
+    def counting(m):
+        checked.append(m)
+        return original(m)
 
-    monkeypatch.setattr(pencil_module, "integer_pair", counting)
     p = jordan_pencil(2, "inf").direct_sum(kronecker_pencil(2)).direct_sum(jordan_pencil(1, 2))
+    monkeypatch.setattr(Matrix, "is_skew", counting)
     assert decompose(p).label() == "{K3, J2(mu=2), J4(mu=inf)}"
-    assert scaled == [p]
+    assert all(type(x) is int for x in p.A.entries + p.B.entries)
     model = open_toda(3)
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
     at_point = model.structure.pencil_at(point)
-    scaled.clear()
     assert PointAnalysis.of(at_point, point).ptype.label() == "{K7}"
-    assert scaled == [at_point]
+    assert checked == []
 
 
 def test_jordan_part_examples():
@@ -195,7 +200,7 @@ def test_multiplicity_two_divisor_runs_no_toeplitz_elimination(monkeypatch):
     assert decompose(p).label() == "{K3, J2(mu=2)}"
     # the chart at lam = infinity may still be probed (its diagonal block is
     # A); no Toeplitz matrix of the finite divisor is built
-    a, _ = integer_pair(p)
+    a, _ = integer_rows(p)
     assert all(diag == a for diag in diagonals)
 
 
@@ -222,12 +227,9 @@ def test_jordan_pencil_catalog_labels():
 
 def test_jordan_odd_multiplicity_rejected():
     # genuine skew input always pairs its divisors; the guard fires only on
-    # corrupted input that skipped validation, simulated here with a stub
-    from types import SimpleNamespace
-
-    stub = SimpleNamespace(n=2,
-                           A=Matrix.from_rows([[1, 0], [0, 0]]),
-                           B=Matrix.zero(2))
+    # corrupted input that skipped validation, simulated here by building
+    # the integer pair without from_rows
+    stub = SkewPencil(2, Matrix(2, 2, (1, 0, 0, 0)), Matrix(2, 2, (0, 0, 0, 0)))
     with pytest.raises(NotSkewCanonical) as caught:
         decompose(stub)
     # the failure carries the integer pencil it failed on, ready for a test
@@ -248,7 +250,7 @@ def test_decompose_direct_sum_and_zero():
     five = K3.direct_sum(J22)
     t = decompose(five)
     assert t.label() == "{K3, J2(mu=2)}"
-    zero = SkewPencil(3, Matrix.zero(3), Matrix.zero(3))
+    zero = _zero(3)
     t0 = decompose(zero)
     assert t0.label() == "{K1, K1, K1}"
     assert len(t0.blocks) == 3
@@ -330,7 +332,7 @@ def test_pure_kronecker_constant_corank():
     for p in (kronecker_pencil(2), kronecker_pencil(3),
               K3.direct_sum(kronecker_pencil(1))):
         r = generic_corank(p)
-        assert set(corank_profile(*integer_pair(p)).values()) == {r}
+        assert set(corank_profile(*integer_rows(p)).values()) == {r}
 
 
 def test_pencil_json_roundtrip():

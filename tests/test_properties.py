@@ -11,11 +11,11 @@ from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalF
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpolate,
                           _principal_minor, corank_profile, decompose, epsilon_adjacency_pencil,
-                          generic_corank, integer_pair, jordan_part,
+                          generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil)
 
 from oracles import (T, convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
-                     gauss_corank_profile, integer_coefficients, monic_gcd,
+                     gauss_corank_profile, integer_coefficients, integer_rows, monic_gcd,
                      schoolbook_matrix_product, smith_jordan_part, univariate)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
@@ -260,7 +260,7 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
     expected = slow_decompose(soup)
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
-        a, b = integer_pair(congruent)
+        a, b = integer_rows(congruent)
         dets = []
         profile = corank_profile(a, b, dets)
         assert profile == gauss_corank_profile(congruent)
@@ -278,7 +278,7 @@ def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
         expected = smith_jordan_part(congruent)
-        a, b = integer_pair(congruent)
+        a, b = integer_rows(congruent)
         jordan_dim = sum(blk.dimension() for blk in expected)
         dets = []
         profile = corank_profile(a, b, dets)
@@ -294,7 +294,7 @@ def test_staircase_nullities_match_convolution_oracle_on_block_soups(soup, data)
         congruent = soup.congruence(data.draw(change))
         n = congruent.n
         top = (n - min(gauss_corank_profile(congruent).values())) // 2
-        a, b = integer_pair(congruent)
+        a, b = integer_rows(congruent)
         nu = 0
         for d, pivots in enumerate(_block_pivots(b, a, b, top + 1)):
             nu += n - pivots
@@ -305,7 +305,7 @@ def test_staircase_nullities_match_convolution_oracle_on_block_soups(soup, data)
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
     for eps, label in ((0, "{K1, K5}"), (1, "{K3, K3}")):
         p = epsilon_adjacency_pencil(eps)
-        assert corank_profile(*integer_pair(p)) == gauss_corank_profile(p)
+        assert corank_profile(*integer_rows(p)) == gauss_corank_profile(p)
         assert decompose(p) == slow_decompose(p)
         assert decompose(p).label() == label
 
