@@ -45,16 +45,6 @@ class LambdaFamily:
             return self.coeffs[k]
         return RationalFunction.constant(0, self.coeffs[0].variables)
 
-    def shifted_by(self, poly_coeffs) -> "LambdaFamily":
-        """Add a constant-coefficient polynomial p(lam) of degree <= degree."""
-        vars_ = self.coeffs[0].variables
-        new = list(self.coeffs)
-        for k, c in enumerate(poly_coeffs):
-            if k >= len(new):
-                break
-            new[k] = new[k] + RationalFunction.constant(c, vars_)
-        return LambdaFamily(tuple(new), self.name)
-
     def to_json(self) -> dict:
         return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
 

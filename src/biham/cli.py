@@ -236,11 +236,11 @@ def _dispatch(args) -> int:
         # the verdict is the web curvature's, exact at every order; phi is
         # additive through the truncation whenever f is flat
         flat = web_curvature(f).is_zero()
-        if flat and not result.flat:
+        if flat and not result.additive:
             raise InternalInconsistency(f"web curvature of {f} vanishes, phi is not additive")
         if flat:
             note = ""
-        elif result.flat:
+        elif result.additive:
             note = f" (phi additive through order {args.truncation})"
         else:
             note = " (scaling unfixed)"

@@ -9,10 +9,6 @@ class ValidationError(BihamError):
     """Malformed input: bad syntax, unknown variable, non-skew table."""
 
 
-class SingularInversion(BihamError):
-    """Compositional inverse requested in a variable with zero linear coefficient."""
-
-
 class PoleAtPoint(BihamError):
     """A rational coefficient was evaluated on the zero locus of its denominator."""
 

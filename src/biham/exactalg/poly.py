@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd as int_gcd, isqrt, lcm
 from operator import add, lshift
 
-from ..errors import PoleAtPoint, SingularInversion, ValidationError
+from ..errors import PoleAtPoint, ValidationError
 from .rational import rat, rat_str
 
 
@@ -393,31 +393,6 @@ def compose(p: Poly, mapping: dict, order: int) -> Poly:
                 term = truncate(term * cache[k], order)
         out = out + term
     return out
-
-
-def series_invert(p: Poly, order: int) -> Poly:
-    """Compositional inverse in the first variable, through total degree order.
-
-    p vanishes at the origin with a nonzero linear coefficient p_x(0) in its
-    first variable x; the other variables are parameters.  From u = 0, the
-    fixed-point step u <- u - (p(u) - x) / p_x(0) raises the order of the
-    error by one, so at most order passes reach compose(p, {x: u}, order) == x.
-    """
-    x = p.variables[0]
-    n = len(p.variables)
-    if (0,) * n in p.terms:
-        raise ValidationError("series to invert must vanish at the origin")
-    lin = p.terms.get((1,) + (0,) * (n - 1), 0)
-    if lin == 0:
-        raise SingularInversion("first variable has zero linear coefficient")
-    target = Poly.variable(x, p.variables)
-    u = Poly.zero(p.variables)
-    for _ in range(order):
-        err = compose(p, {x: u}, order) - target
-        if err.is_zero():
-            break
-        u = u - err * (1 / lin)
-    return u
 
 
 # -- division and gcd ----------------------------------------------------

@@ -2,7 +2,8 @@
 examples m_f (flat exactly when f is functionally additive, which
 web_curvature decides exactly; normal_form_phi normalizes f over truncated
 series, which are Polys with no term above the order it holds), the
-quadratic-family counterexample and the sl2 argument shift, each packaged
+quadratic-family counterexample (flat exactly when eta is affine, decided by
+the same curvature in its own chart) and the sl2 argument shift, each packaged
 with its Casimir families, genericity predicate and expected outcomes
 declared from the construction.  make_model refuses a parameter its
 builder does not take and a missing required one.
@@ -23,7 +24,7 @@ from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
                      NotNormalizable, NotRegular, SingularODE, UnsupportedPeriod,
                      ValidationError)
 from .exactalg import (Poly, RationalFunction, compose, parse_poly, poly_gcd, rat, rat_str,
-                       series_invert, truncate)
+                       truncate)
 from .pencil import jordan_rows
 from .poisson import BihamStructure, PoissonStructure
 
@@ -56,9 +57,6 @@ class ModelSpec:
     @property
     def variables(self) -> tuple:
         return self.structure.variables
-
-    def is_generic(self, point) -> bool:
-        return all(g.eval(point) != 0 for g in self.genericity)
 
 
 def _check_size(k: int, bound: int):
@@ -223,15 +221,20 @@ def open_toda(k: int) -> ModelSpec:
     lam = Poly.variable("lam", ext)
     det = _tridiagonal_det([Poly.variable(f"v{2 * i}", ext) + lam for i in range(k + 1)],
                            [Poly.variable(f"v{2 * i + 1}", ext) for i in range(k)])
-    parts = det.split_by("lam")
-    coeffs = []
-    for power in range(k + 1):
-        coeffs.append(_rf(parts.get(power, Poly.zero(variables)).embed(variables)))
-    top = parts.get(k + 1)
-    if top is None or not top.is_constant() or top.constant_value() != 1:
-        raise InternalInconsistency("characteristic family has wrong leading term")
-    _attach(model, LambdaFamily(tuple(coeffs), name="characteristic family"))
+    _attach(model, _lambda_family(det, k + 1, 1, "characteristic family"))
     return model
+
+
+def _lambda_family(p: Poly, top: int, lead, name: str) -> LambdaFamily:
+    """The family of p - lead * lam^top, for a Poly p over the coordinates and
+    a last variable lam whose lam^top coefficient is the constant lead."""
+    parts = p.split_by("lam")
+    rest = p.variables[:-1]
+    c = parts.get(top)
+    if c is None or not c.is_constant() or c.constant_value() != lead:
+        raise InternalInconsistency(f"{name} has wrong leading term")
+    return LambdaFamily(tuple(_rf(parts.get(k, Poly.zero(rest))) for k in range(top)),
+                        name=name)
 
 
 def run_polynomials(k: int, point) -> list:
@@ -293,17 +296,8 @@ def periodic_toda(k: int) -> ModelSpec:
                       "criterion": "HomogeneousIndicated",
                       "integrability": "StrictlyLenardIntegrable"},
     )
-    ext = variables + ("lam",)
-    trace = _monodromy_trace_shifted(ext, k)
-    parts = trace.split_by("lam")
-    top = parts.get(k)
-    sign = Fraction(-1) ** k
-    if top is None or not top.is_constant() or top.constant_value() != sign:
-        raise InternalInconsistency("monodromy trace has wrong leading term")
-    coeffs = []
-    for power in range(k):
-        coeffs.append(_rf(parts.get(power, Poly.zero(variables)).embed(variables)))
-    _attach(model, LambdaFamily(tuple(coeffs), name="monodromy trace family"))
+    trace = _monodromy_trace_shifted(variables + ("lam",), k)
+    _attach(model, _lambda_family(trace, k, (-1) ** k, "monodromy trace family"))
     odd_product = Poly.constant(1, variables)
     for l in range(k):
         odd_product = odd_product * Poly.variable(f"v{2 * l + 1}", variables)
@@ -395,12 +389,14 @@ def two_family_model(eta) -> ModelSpec:
     polynomial eta of degree >= 1.
 
     zeta is the antiderivative of -t eta'(t) with zero constant term, and
-    x(L, y) = L^2 y + zeta(L).  The brackets of the underlying
-    3-dimensional model are transported through the chain rule into the
-    (L, y, z) chart, giving rational coefficients with excluded locus
-    2 L y + zeta'(L) = 0.  The attached family (lam - L)^2 y + zeta(L) +
-    lam eta(L) is quadratic in lam and passes its certificate exactly;
-    the structure is flat precisely when eta is affine.
+    x(L, y) = L^2 y + zeta(L).  The brackets {x,z}_1 = F_y and {y,z}_2 =
+    -F_x of the underlying 3-dimensional model m_F, F = F_1, are transported
+    into the (L, y, z) chart by the chain rule {g,z} = D_x(g) {x,z} +
+    D_y(g) {y,z} (``_two_family_chart``), giving rational coefficients with
+    excluded locus 2 L y + zeta'(L) = 0.  The attached family (lam - L)^2 y
+    + zeta(L) + lam eta(L) is quadratic in lam and passes its certificate
+    exactly; the structure is flat precisely when eta is affine
+    (``two_family_flatness``).
     """
     if isinstance(eta, str):
         eta = parse_poly(eta, ("t",))
@@ -411,19 +407,11 @@ def two_family_model(eta) -> ModelSpec:
     variables = ("L", "y", "z")
     L = Poly.variable("L", variables)
     y = Poly.variable("y", variables)
-    zeta, eta_L, x_of, f1 = _two_family_terms(eta, L, y, variables)
-    x_L = 2 * L * y + _poly_in(zeta.diff("t"), L, variables)    # d x / d L
-    if x_L.is_zero():
-        raise DegenerateModel("excluded locus covers the whole chart")
-    f1_L = f1.diff("L")
-    f1_y = f1.diff("y")
-    fx = RationalFunction(f1_L, x_L)
-    fy = RationalFunction(f1_y * x_L - f1_L * L * L, x_L)
-    inv_x_L = RationalFunction(Poly.constant(1, variables), x_L)
-    p1 = PoissonStructure(variables, {(0, 2): fy * inv_x_L},
+    f1, x, eta_L, dx, dy = _two_family_chart(eta, variables)
+    fx, fy = dx(f1), dy(f1)
+    p1 = PoissonStructure(variables, {(0, 2): dx(_rf(L)) * fy},
                           name="two-family bracket 1")
-    p2 = PoissonStructure(variables,
-                          {(0, 2): fx * inv_x_L * L * L, (1, 2): -fx},
+    p2 = PoissonStructure(variables, {(0, 2): -dy(_rf(L)) * fx, (1, 2): -fx},
                           name="two-family bracket 2")
     model = ModelSpec(
         name=f"two_family(eta={eta})",
@@ -438,22 +426,38 @@ def two_family_model(eta) -> ModelSpec:
                       "criterion": "Inconclusive",
                       "integrability": "StrictlyLenardIntegrable"},
     )
-    coeffs = (_rf(x_of), _rf(eta_L - 2 * L * y), _rf(y))
+    coeffs = (_rf(x), _rf(eta_L - 2 * L * y), _rf(y))
     _attach(model, LambdaFamily(coeffs, name="quadratic family"))
     return model
 
 
-def _two_family_terms(eta: Poly, L: Poly, y: Poly, variables) -> tuple:
-    """zeta, eta(L), x = L^2 y + zeta(L) and F_1 = (1-L)^2 y + zeta(L) + eta(L).
+def _two_family_chart(eta: Poly, variables) -> tuple:
+    """F_1, x, eta(L) and the derivations d/dx, d/dy of the (x, y) chart, in (L, y).
 
-    zeta is the antiderivative of -t eta'(t) with zero constant term.  L and
-    y are polynomials in ``variables``: the chart coordinates for the model,
-    shifted to a base point for its flatness pipeline.
+    x = L^2 y + zeta(L), zeta the antiderivative of -t eta'(t) with zero
+    constant term, and F_1 = (1-L)^2 y + zeta(L) + eta(L) as a
+    RationalFunction.  Holding y fixed, d/dx = x_L^-1 d/dL; holding x
+    fixed, d/dy = d/dy - x_y x_L^-1 d/dL.  Each derivation maps a
+    RationalFunction over ``variables`` to one.
     """
+    L = Poly.variable("L", variables)
+    y = Poly.variable("y", variables)
     zeta = _antiderivative(-1 * Poly.variable("t", ("t",)) * eta.diff("t"))
     eta_L = _poly_in(eta, L, variables)
-    x_of = L * L * y + _poly_in(zeta, L, variables)
-    return zeta, eta_L, x_of, x_of - 2 * L * y + eta_L + y
+    x = L * L * y + _poly_in(zeta, L, variables)
+    x_L = x.diff("L")
+    if x_L.is_zero():
+        raise DegenerateModel("excluded locus covers the whole chart")
+    inv_x_L = RationalFunction(Poly.constant(1, variables), x_L)
+    x_y_over_x_L = RationalFunction(x.diff("y"), x_L)
+
+    def dx(g):
+        return g.diff("L") * inv_x_L
+
+    def dy(g):
+        return g.diff("y") - g.diff("L") * x_y_over_x_L
+
+    return _rf(x - 2 * L * y + eta_L + y), x, eta_L, dx, dy
 
 
 def _antiderivative(p: Poly) -> Poly:
@@ -522,8 +526,7 @@ def sl2_shift(alpha) -> ModelSpec:
 @dataclass(frozen=True)
 class NormalFormResult:
     phi: Poly           # no term above the truncation order
-    flat: bool
-    scaling_fixed: bool
+    additive: bool      # phi = x' + y' through the order
     changes: dict       # the coordinate changes "A", "B", "C" as Polys in s
 
 
@@ -532,12 +535,12 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
 
     The coordinate changes x = A(x'), y = B(y'), f' = C(f) are solved so
     the reduced germ phi satisfies: phi(0, y') = y', d(phi)/dx' = 1 along
-    x' = 0, and the two first partials agree along y' = 0.  Flat means
-    phi = x' + y' through the truncation order.  A non-additive phi is
+    x' = 0, and the two first partials agree along y' = 0.  ``additive``
+    means phi = x' + y' through the truncation order; flatness itself is
+    ``web_curvature``'s verdict, exact at every order.  A non-additive phi is
     determined only up to the residual simultaneous scaling of (x', y',
     phi): the normalization forces every coefficient of x' y'^j (j >= 1) to
-    vanish, so the mixed second derivative cannot fix it, and the result
-    says scaling_fixed=False.
+    vanish, so the mixed second derivative cannot fix it.
     """
     _check_truncation(order)
     if len(f.variables) != 2:
@@ -599,8 +602,8 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
     By = compose(Bs, {"s": Poly.variable(yv, f.variables)}, n)
     phi = compose(Cs, {"s": compose(f, {xv: Ax, yv: By}, n)}, n)
     _check_normalization(phi, n)
-    flat = phi.terms == {(1, 0): 1, (0, 1): 1}
-    return NormalFormResult(phi, flat, flat, {"A": As, "B": Bs, "C": Cs})
+    additive = phi.terms == {(1, 0): 1, (0, 1): 1}
+    return NormalFormResult(phi, additive, {"A": As, "B": Bs, "C": Cs})
 
 
 def web_curvature(f: Poly) -> RationalFunction:
@@ -615,11 +618,15 @@ def web_curvature(f: Poly) -> RationalFunction:
     if len(f.variables) != 2:
         raise ValidationError("web curvature needs a two-variable function")
     xv, yv = f.variables
-    fx, fy = f.diff(xv), f.diff(yv)
-    if fx.is_zero() or fy.is_zero():
+    if f.diff(xv).is_zero() or f.diff(yv).is_zero():
         raise DegenerateFunction("both partial derivatives must be nonzero")
-    slope = RationalFunction(fx.diff(xv), fx) - RationalFunction(fx.diff(yv), fy)
-    return slope.diff(yv)
+    return _blaschke(_rf(f), lambda g: g.diff(xv), lambda g: g.diff(yv))
+
+
+def _blaschke(f: RationalFunction, dx, dy) -> RationalFunction:
+    """d/dy (f_xx/f_x - f_xy/f_y) over a chart's two commuting derivations."""
+    f_x, f_y = dx(f), dy(f)
+    return dy(dx(f_x) / f_x - dy(f_x) / f_y)
 
 
 def _check_truncation(order: int):
@@ -702,32 +709,17 @@ def _int_nth_root(n: int, m: int):
     return r if r ** m == n else None
 
 
-# -- the two-family flatness pipeline ----------------------------------------------
+# -- two-family flatness ----------------------------------------------------------
 
 
-def two_family_flatness(model: ModelSpec, base,
-                        order: int = DEFAULT_TRUNCATION) -> NormalFormResult:
-    """Normal-form flatness verdict for a two-family model around a base
-    point (L0, y0) in the generic chart.
-
-    The defining function F_1 is re-expanded as a germ in the flat-side
-    coordinates (x, y) by inverting x = L^2 y + zeta(L) as a series in L,
-    then normalized; the structure is flat exactly when eta is affine.
+def two_family_flatness(model: ModelSpec) -> bool:
+    """Whether a two-family model is flat: the Blaschke curvature of its web
+    {x = c}, {y = c}, {F_1 = c}, taken in the (L, y) chart through the
+    chain rule, is zero.  By Blaschke-Bol (see ``web_curvature``) this holds
+    exactly when eta is affine.
     """
-    _check_truncation(order)     # before series_invert, which runs at this order
-    l0, y0 = (rat(base[0]), rat(base[1]))
-    uv = ("u", "w")
-    L = Poly.variable("u", uv) + l0
-    Y = Poly.variable("w", uv) + y0
-    _, _, x_of, f1 = _two_family_terms(model.params["eta"], L, Y, uv)
-    x0 = x_of.eval((Fraction(0), Fraction(0)))
-    f0 = f1.eval((Fraction(0), Fraction(0)))
-    xs = x_of - x0
-    if xs.terms.get((1, 0), 0) == 0:
-        raise NotNormalizable("base point is on the excluded locus")
-    u_of_x = series_invert(xs, order)
-    germ = compose(f1 - f0, {"u": u_of_x}, order)
-    return normal_form_phi(germ, order)
+    f1, _, _, dx, dy = _two_family_chart(model.params["eta"], model.variables)
+    return _blaschke(f1, dx, dy).is_zero()
 
 
 # -- numeric Casimir for m_f (the only floating-point path) -------------------------

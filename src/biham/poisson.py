@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                       clear_denominators, load_json, parse_rational, rat, rat_str)
+                       clear_denominators, load_json, parse_rational, rat)
 from .pencil import PointAnalysis, SkewPencil
 
 
@@ -127,9 +127,6 @@ class PoissonStructure:
             self._rows = rows
         return self._rows
 
-    def zero_function(self) -> RationalFunction:
-        return RationalFunction.constant(0, self.variables)
-
     def gradient(self, f: RationalFunction) -> tuple:
         f = self._coerce(f)
         return tuple(f.diff(v) for v in self.variables)
@@ -200,8 +197,8 @@ class PoissonStructure:
     def from_json(cls, data, name: str = "") -> "PoissonStructure":
         """Structure from its JSON text or object; any malformed input is a ValidationError.
 
-        Variables are strings, bracket indices integers and coefficients
-        expression strings or integers.
+        The dimension is an integer >= 1, variables are strings, bracket
+        indices integers and coefficients expression strings or integers.
         """
         if isinstance(data, str):
             data = load_json(data)
@@ -211,6 +208,8 @@ class PoissonStructure:
             dim = data["dim"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad structure JSON: {exc}") from exc
+        if not _is_int(dim) or dim < 1:
+            raise ValidationError(f"structure dimension {dim!r} is not an integer >= 1")
         if len(variables) != dim:
             raise ValidationError("vars length disagrees with dim")
         for k, var in enumerate(variables):
@@ -357,16 +356,6 @@ def _schouten_failure(pairs, variables):
         return None
     (i, j, k), residual = failure
     return f"triple ({variables[i]},{variables[j]},{variables[k]}): residual {residual}"
-
-
-def pencil_structure(p1: PoissonStructure, p2: PoissonStructure, lam) -> PoissonStructure:
-    """The combination lam*P1 + P2, assembled explicitly."""
-    lam = rat(lam)
-    table = {}
-    keys = set(p1.table) | set(p2.table)
-    for key in keys:
-        table[key] = p1.coeff(*key) * lam + p2.coeff(*key)
-    return PoissonStructure(p1.variables, table, name=f"{rat_str(lam)}*P1+P2")
 
 
 class BihamStructure:

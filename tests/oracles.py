@@ -9,12 +9,13 @@ the package is evidence and not tautology.
 from fractions import Fraction
 from itertools import permutations
 
+from biham.casimir import LambdaFamily
 from biham.errors import NotSkewCanonical
-from biham.exactalg import (Matrix, Poly, clear_denominators, factor_monic, primitive_gcd,
-                            smith_invariant_factors)
+from biham.exactalg import (Matrix, Poly, RationalFunction, clear_denominators, factor_monic,
+                            primitive_gcd, rat, rat_str, smith_invariant_factors)
 from biham.exactalg.smith import _divmod, _monic
 from biham.pencil import Block
-from biham.poisson import Certificate
+from biham.poisson import Certificate, PoissonStructure
 
 
 def gauss_rank(rows) -> int:
@@ -162,6 +163,32 @@ def gauss_corank_profile(p):
     return prof
 
 
+# -- structure, family and model helpers that only the tests use -----------
+
+
+def pencil_structure(p1, p2, lam):
+    """The combination lam*P1 + P2, assembled explicitly."""
+    lam = rat(lam)
+    table = {}
+    for key in set(p1.table) | set(p2.table):
+        table[key] = p1.coeff(*key) * lam + p2.coeff(*key)
+    return PoissonStructure(p1.variables, table, name=f"{rat_str(lam)}*P1+P2")
+
+
+def shifted_family(fam, poly_coeffs):
+    """fam plus a constant-coefficient polynomial p(lam) of degree <= fam.degree."""
+    variables = fam.coeffs[0].variables
+    new = list(fam.coeffs)
+    for k, c in enumerate(poly_coeffs[:len(new)]):
+        new[k] = new[k] + RationalFunction.constant(c, variables)
+    return LambdaFamily(tuple(new), fam.name)
+
+
+def is_generic(model, point):
+    """Whether every genericity polynomial of a catalog model is nonzero at point."""
+    return all(g.eval(point) != 0 for g in model.genericity)
+
+
 # -- dense certificate paths -------------------------------------------------
 #
 # The coordinate-by-coordinate forms of the Poisson certificates, kept as the
@@ -173,7 +200,7 @@ def gauss_corank_profile(p):
 
 def dense_jacobiator(p, i, j, k):
     """sum_l sum_cyc Pi^{la} d_l Pi^{bc} over (a,b,c) in the cyclic shifts of (i,j,k)."""
-    acc = p.zero_function()
+    acc = RationalFunction.constant(0, p.variables)
     for l in range(p.dim):
         dl = p.variables[l]
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -188,7 +215,7 @@ def dense_jacobiator(p, i, j, k):
 
 def dense_mixed_term(p1, p2, i, j, k):
     """The bilinear part of the Jacobiator of P1 + P2 at the triple (i,j,k)."""
-    acc = p1.zero_function()
+    acc = RationalFunction.constant(0, p1.variables)
     for l in range(p1.dim):
         dl = p1.variables[l]
         for (a, b, c) in ((i, j, k), (j, k, i), (k, i, j)):
@@ -236,7 +263,7 @@ def pairwise_bracket(p, f, g):
     """{f, g} = sum_{i<j} Pi^{ij} (d_i f d_j g - d_j f d_i g), each pair differentiated afresh."""
     df = p.gradient(f)
     dg = p.gradient(g)
-    acc = p.zero_function()
+    acc = RationalFunction.constant(0, p.variables)
     for (i, j), c in p.table.items():
         term = df[i] * dg[j] - df[j] * dg[i]
         if not term.is_zero():
@@ -271,7 +298,7 @@ def loop_family_check(b, fam):
         cov1 = b.p1.hamiltonian_covector(prev) if not prev.is_zero() else None
         cov2 = b.p2.hamiltonian_covector(cur) if not cur.is_zero() else None
         for j in range(b.dim):
-            acc = b.p1.zero_function()
+            acc = RationalFunction.constant(0, b.variables)
             if cov1 is not None:
                 acc = acc + cov1[j]
             if cov2 is not None:
@@ -323,7 +350,7 @@ def loop_is_casimir(p, f):
 def loop_hamiltonian_covector(p, f):
     """Component j is {f, x_j} = sum_i Pi^{ij} d_i f, one product added at a time."""
     grad = p.gradient(f)
-    out = [p.zero_function() for _ in range(p.dim)]
+    out = [RationalFunction.constant(0, p.variables) for _ in range(p.dim)]
     for (i, j), c in p.table.items():
         if not grad[i].is_zero():
             out[j] = out[j] + c * grad[i]
@@ -334,7 +361,7 @@ def loop_hamiltonian_covector(p, f):
 
 def loop_pairing(p, covector, grad):
     """sum_j covector_j grad_j, one product added at a time."""
-    acc = p.zero_function()
+    acc = RationalFunction.constant(0, p.variables)
     for u, v in zip(covector, grad):
         if not u.is_zero() and not v.is_zero():
             acc = acc + u * v

@@ -257,7 +257,7 @@ def test_criterion_09_quadratic_family_boundary():
 
 def test_criterion_10a_normal_form_additive():
     res = normal_form_phi(parse_poly("x + y", ("x", "y")), 6)
-    assert _line(10, "normal form of x+y is flat", res.flat)
+    assert _line(10, "normal form of x+y is flat", res.additive)
 
 
 def test_criterion_10b_normal_form_product_germ():
@@ -271,7 +271,7 @@ def test_criterion_10b_normal_form_product_germ():
     res = normal_form_phi(parse_poly("x + y + x*y", ("x", "y")), order)
     exp_minus_1 = {(k,): Fraction(1, math.factorial(k)) for k in range(1, order + 1)}
     log_1_plus = {(k,): Fraction((-1) ** (k + 1), k) for k in range(1, order + 1)}
-    ok = (res.flat and res.scaling_fixed
+    ok = (res.additive
           and res.phi.terms == {(1, 0): 1, (0, 1): 1}
           and res.changes["A"].terms == exp_minus_1
           and res.changes["B"].terms == exp_minus_1

@@ -12,9 +12,8 @@ from biham.exactalg import RationalFunction, parse_rational
 from biham.models import (flat_kronecker, jordan_model, open_toda, s_generic,
                           sl2_shift, two_family_model)
 from biham.pencil import decompose
-from biham.poisson import pencil_structure
 
-from oracles import minor_rank
+from oracles import minor_rank, pencil_structure, shifted_family
 
 
 K5 = flat_kronecker(3)
@@ -46,7 +45,7 @@ def test_family_check_v3_and_pointwise_oracle():
         lam = Fraction(rng.randint(-3, 3))
         combo = pencil_structure(s.p1, s.p2, lam)
         f_lam = sum((fam.coeffs[k] * lam**k for k in range(fam.degree + 1)),
-                    s.p1.zero_function())
+                    RationalFunction.constant(0, s.variables))
         cov = combo.hamiltonian_covector(f_lam)
         assert all(c.eval(pt) == 0 for c in cov)
 
@@ -129,7 +128,7 @@ def test_criterion_reparametrization_invariance():
     # adding a constant-coefficient polynomial in lambda changes nothing
     pt = _pt(1, 1, 1)
     base = kronecker_criterion(V3.structure, V3.families, pt)
-    shifted = V3.families[0].shifted_by([Fraction(7), Fraction(-2, 3)])
+    shifted = shifted_family(V3.families[0], [Fraction(7), Fraction(-2, 3)])
     v = kronecker_criterion(V3.structure, [shifted], pt)
     assert (w1_span_dim(V3.structure, [shifted], pt)
             == w1_span_dim(V3.structure, V3.families, pt))

@@ -11,12 +11,18 @@ import pytest
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import ValidationError
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
-                          MAX_PERIODIC_TODA_K, flat_kronecker, m_f, open_toda)
+                          MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f, open_toda)
 from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
                           kronecker_pencil)
 from biham.report import MAX_SAMPLES, emit_report, run_analyze
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "data")
+SCHEMAS = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "schemas")
+
+
+def _schema(name):
+    with open(os.path.join(SCHEMAS, name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def test_shipped_flat_k3_matches_catalog():
@@ -505,10 +511,7 @@ def test_report_determinism():
 
 def test_report_validates_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
-    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                               "biham", "schemas", "report.schema.json")
-    with open(schema_path, encoding="utf-8") as fh:
-        schema = json.load(fh)
+    schema = _schema("report.schema.json")
     report = run_analyze(open_toda(1), samples=3, seed=2)
     jsonschema.validate(report.to_json(), schema)
 
@@ -517,10 +520,7 @@ def test_pencils_validate_against_schema():
     # the schema accepts what the loader accepts: integer entries, n = 0, and
     # every pencil the library writes
     jsonschema = pytest.importorskip("jsonschema")
-    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                               "biham", "schemas", "pencil.schema.json")
-    with open(schema_path, encoding="utf-8") as fh:
-        schema = json.load(fh)
+    schema = _schema("pencil.schema.json")
     rational = {"n": 2, "A": [["0", "1/2"], ["-1/2", "0"]], "B": [[0, 3], [-3, 0]]}
     empty = {"n": 0, "A": [], "B": []}
     for data in (rational, empty):
@@ -533,19 +533,61 @@ def test_pencils_validate_against_schema():
                open_toda(2).structure.pencil_at(point)]
     for p in pencils:
         jsonschema.validate(p.to_json(), schema)
-    for bad in ({**empty, "n": True}, {**rational, "A": [["0", "1/2"], ["-1/2", "1.5"]]}):
+    for bad in ({**empty, "n": True}, {**rational, "A": [["0", "1/2"], ["-1/2", "1.5"]]},
+                {**rational, "A": [["0", "1/0"], ["-1/0", "0"]]}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
+        with pytest.raises(ValidationError):
+            SkewPencil.from_json(bad)
+
+
+CATALOG_SMALL = ["flat_kronecker:k=2", "jordan_model:k=1,mu=1/2", "jordan_model:k=1,mu=inf",
+                 "open_toda:k=2", "periodic_toda:k=3", "m_f:f=x+y", "m_f:f=x+y+x^2*y",
+                 "two_family:eta=t^2", "sl2_shift:alpha=1;2;1"]
+FLAT_K3 = {"dim": 3, "vars": ["x0", "x1", "x2"],
+           "brackets1": [{"i": 0, "j": 1, "coeff": 1}],
+           "brackets2": [{"i": 1, "j": 2, "coeff": "1"}],
+           "families": [{"degree": 1, "coeffs": ["x0", "x2"]}],
+           "chains": [{"anchored": True, "functions": ["x2", "x0"]}]}
 
 
 def test_structure_files_validate_against_schema():
+    # the structure schema, with its family and chain refs resolved to the
+    # shipped schemas, accepts what the loader accepts and refuses what it refuses
     jsonschema = pytest.importorskip("jsonschema")
-    schema_path = os.path.join(os.path.dirname(__file__), os.pardir, "src",
-                               "biham", "schemas", "structure.schema.json")
-    with open(schema_path, encoding="utf-8") as fh:
-        schema = json.load(fh)
-    # deref the local family/chain refs by inlining for the check
-    schema["properties"]["families"] = {"type": "array"}
-    schema["properties"]["chains"] = {"type": "array"}
-    data = export_model(open_toda(2))
-    jsonschema.validate(data, schema)
+    referencing = pytest.importorskip("referencing")
+    schema = _schema("structure.schema.json")
+    # "family.schema.json" resolves against the structure's $id "biham/structure"
+    registry = referencing.Registry().with_resources(
+        (f"biham/{name}", referencing.Resource.from_contents(_schema(name)))
+        for name in ("family.schema.json", "chain.schema.json"))
+    validator = jsonschema.Draft202012Validator(schema, registry=registry)
+    assert {spec.partition(":")[0] for spec in CATALOG_SMALL} == set(catalog_names())
+    no_degree = {**FLAT_K3, "brackets1": [{"i": 0, "j": 1, "coeff": "1"}],
+               "families": [{"coeffs": ["x0", "x2"]}]}
+    files = [export_model(resolve_target(spec)) for spec in CATALOG_SMALL]
+    for data in files + [FLAT_K3, no_degree]:
+        parse_structure_file(json.dumps(data))
+        validator.validate(data)
+    empty = {"brackets1": [], "brackets2": [], "families": [], "chains": []}
+    for bad in ({**FLAT_K3, **empty, "dim": True, "vars": ["x0"]},
+                {**FLAT_K3, **empty, "dim": 0, "vars": []},
+                {**FLAT_K3, "families": [{"degree": 1, "coeffs": ["x0", 1]}]},
+                {**FLAT_K3, "chains": [{"anchored": 1, "functions": ["x2"]}]}):
+        with pytest.raises(jsonschema.ValidationError):
+            validator.validate(bad)
+        with pytest.raises(ValidationError):
+            parse_structure_file(json.dumps(bad))
+
+
+@pytest.mark.parametrize("dim,variables", [(True, ["x"]), (0, []), (1.0, ["x"])],
+                         ids=["bool", "zero", "float"])
+def test_cli_structure_dimension_not_an_integer_of_at_least_one_is_exit_2(
+        tmp_path, capsys, dim, variables):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({"dim": dim, "vars": variables,
+                                "brackets1": [], "brackets2": []}))
+    assert main(["analyze", str(path), "--samples", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "is not an integer >= 1" in captured.err

@@ -5,11 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from biham.errors import InternalInconsistency, SingularInversion, ValidationError
+from biham.errors import InternalInconsistency, ValidationError
 from biham.exactalg import (
     Matrix, Poly, block_diag, compose, exact_div, factor_monic,
     parse_poly, parse_rational, poly_gcd, primitive_gcd, rat, rat_str,
-    series_invert, smith_invariant_factors, squarefree_decomposition, truncate,
+    smith_invariant_factors, squarefree_decomposition, truncate,
 )
 from biham.exactalg.smith import _divmod, _monic
 from biham.exactalg.upoly import exact_quotient
@@ -321,53 +321,6 @@ def _upoly_det(rows):
 
 
 # -- truncated series ------------------------------------------------------------
-
-S = ("s",)
-
-
-def _series(order, terms, variables=S):
-    return truncate(Poly(variables, terms), order)
-
-
-def test_series_invert_identity_and_linear():
-    s = _series(5, {(1,): Fraction(1)})
-    assert series_invert(s, 5) == s
-    s2 = _series(5, {(1,): Fraction(2)})
-    assert series_invert(s2, 5) == _series(5, {(1,): Fraction(1, 2)})
-
-
-def test_series_invert_lagrange_example():
-    # t = s + s^2  =>  s = t - t^2 + 2 t^3 (hand Lagrange inversion)
-    s = _series(3, {(1,): Fraction(1), (2,): Fraction(1)})
-    inv = series_invert(s, 3)
-    assert inv == _series(3, {(1,): Fraction(1), (2,): Fraction(-1), (3,): Fraction(2)})
-
-
-def test_series_invert_roundtrip_random():
-    rng = random.Random(9)
-    for _ in range(10):
-        order = 6
-        terms = {(1,): Fraction(rng.choice([1, 2, -1, 3]))}
-        for k in range(2, order + 1):
-            terms[(k,)] = Fraction(rng.randint(-3, 3))
-        s = _series(order, terms)
-        inv = series_invert(s, order)
-        assert compose(s, {"s": inv}, order) == _series(order, {(1,): Fraction(1)})
-        assert compose(inv, {"s": s}, order) == _series(order, {(1,): Fraction(1)})
-
-
-def test_series_invert_two_variable_parameter():
-    # x = u + w + u*w: invert in u with w as a parameter
-    s = _series(4, {(1, 0): Fraction(1), (0, 1): Fraction(1), (1, 1): Fraction(1)}, ("u", "w"))
-    u = series_invert(s, 4)
-    assert compose(s, {"u": u}, 4) == Poly.variable("u", ("u", "w"))
-
-
-def test_series_invert_singular():
-    s = _series(4, {(2,): Fraction(1)})
-    with pytest.raises(SingularInversion):
-        series_invert(s, 4)
-
 
 def test_compose_matches_subs_then_truncate():
     # truncating inside the power loop agrees with substituting in full first

@@ -8,7 +8,7 @@ import pytest
 from biham.casimir import kronecker_criterion, w1_span_dim
 from biham.errors import (DegenerateFunction, NotNormalizable, NotRegular,
                           SingularODE, UnsupportedPeriod, ValidationError)
-from biham.exactalg import Matrix, Poly, compose, parse_poly
+from biham.exactalg import Matrix, Poly, RationalFunction, compose, parse_poly
 from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           m_f, make_model, mf_casimir_numeric, normal_form_phi,
                           open_toda, periodic_casimirs, periodic_toda,
@@ -17,7 +17,7 @@ from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           web_curvature)
 from biham.pencil import decompose
 
-from oracles import T, cofactor_det, univariate
+from oracles import T, cofactor_det, is_generic, univariate
 
 
 def _pt(*vals):
@@ -278,7 +278,7 @@ def test_m_f_homogeneous_type_3():
     hits = 0
     while hits < 5:
         pt = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 2)) for _ in range(3))
-        if not m.is_generic(pt):
+        if not is_generic(m, pt):
             continue
         assert decompose(m.structure.pencil_at(pt)).label() == "{K3}"
         hits += 1
@@ -301,7 +301,7 @@ def test_two_family_construction_and_locus():
     # equivalently L (2y - eta'(L)) = 0
     assert any(str(p) for p in s.p1.excluded)
     pt = _pt(2, 3, 1)
-    assert m.is_generic(pt)
+    assert is_generic(m, pt)
     assert decompose(s.pencil_at(pt)).label() == "{K3}"
 
 
@@ -320,28 +320,45 @@ def test_two_family_zeta_antiderivative():
     assert f0 == expected
 
 
+ETAS = ["t", "3*t", "2*t + 3", "t^2", "t^2 + t", "t^3", "t^3 + 2*t", "t^4", "3*t - t^4"]
+
+
 def test_two_family_flatness_dichotomy():
-    # affine eta gives a flat structure, curvature in eta obstructs it
-    flat = two_family_flatness(two_family_model("t"), (_pt(2)[0], _pt(3)[0]), 5)
-    assert flat.flat
-    flat2 = two_family_flatness(two_family_model("2*t + 3"), (_pt(2)[0], _pt(5)[0]), 5)
-    assert flat2.flat
-    for eta in ("t^2", "t^3", "t^2 + t"):
-        res = two_family_flatness(two_family_model(eta), (_pt(2)[0], _pt(3)[0]), 5)
-        assert not res.flat, eta
+    # the web curvature decides eta of every degree: flat exactly when affine
+    for eta in ETAS:
+        affine = parse_poly(eta, ("t",)).degree_in("t") == 1
+        assert two_family_flatness(two_family_model(eta)) == affine, eta
 
 
-def test_two_family_flatness_refuses_an_order_above_the_bound():
-    # refused before the series inversion, which took minutes at order 40
-    with pytest.raises(ValidationError, match="at most 20, got 40"):
-        two_family_flatness(two_family_model("3*t - t^4"), (2, 1), 40)
+@pytest.mark.parametrize("eta", ETAS)
+def test_two_family_chain_rule_brackets_match_the_closed_forms(eta):
+    # oracle: the hand-expanded partials F_x = F1_L / x_L and
+    # F_y = (F1_y x_L - F1_L x_y) / x_L, with x_y = L^2
+    m = two_family_model(eta)
+    variables = m.variables
+    L = Poly.variable("L", variables)
+    y = Poly.variable("y", variables)
+    eta_t = parse_poly(eta, ("t",))
+    # zeta = -int t eta'(t) dt = sum -k c_k t^(k+1) / (k+1), in L
+    zeta_L = Poly(variables, {(k + 1, 0, 0): -k * c / (k + 1) for (k,), c in eta_t.terms.items()})
+    eta_L = Poly(variables, {(k, 0, 0): c for (k,), c in eta_t.terms.items()})
+    x_of = L * L * y + zeta_L
+    f1 = (1 - L) ** 2 * y + zeta_L + eta_L
+    x_L = x_of.diff("L")
+    f1_L, f1_y = f1.diff("L"), f1.diff("y")
+    fx = RationalFunction(f1_L, x_L)
+    fy = RationalFunction(f1_y * x_L - f1_L * L * L, x_L)
+    inv_x_L = RationalFunction(Poly.constant(1, variables), x_L)
+    s = m.structure
+    assert s.p1.table == {(0, 2): fy * inv_x_L}
+    assert s.p2.table == {(0, 2): fx * inv_x_L * L * L, (1, 2): -fx}
 
 
 def test_two_family_linear_eta_still_type_k3():
     # the flat member of the family decomposes like the rest of the pool
     m = two_family_model("t")
     pt = _pt(2, 3, 1)
-    assert m.is_generic(pt)
+    assert is_generic(m, pt)
     assert decompose(m.structure.pencil_at(pt)).label() == "{K3}"
 
 
@@ -360,7 +377,7 @@ def test_sl2_shift_construction():
 def test_sl2_criterion_and_span():
     m = sl2_shift((1, 2, 1))
     pt = _pt(1, 1, 2)
-    assert m.is_generic(pt)
+    assert is_generic(m, pt)
     v = kronecker_criterion(m.structure, m.families, pt)
     assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
     assert w1_span_dim(m.structure, m.families, pt) == 2
@@ -378,7 +395,7 @@ V2 = ("x", "y")
 
 def test_normal_form_additive():
     res = normal_form_phi(parse_poly("x + y", V2), 6)
-    assert res.flat and res.scaling_fixed
+    assert res.additive
     assert res.phi.terms == {(1, 0): Fraction(1), (0, 1): Fraction(1)}
 
 
@@ -386,7 +403,7 @@ def test_normal_form_factorable_product_is_additive():
     # 1 + x + y + xy = (1+x)(1+y) splits under logarithms, so the germ
     # normalizes to x + y
     res = normal_form_phi(parse_poly("x + y + x*y", V2), 6)
-    assert res.flat
+    assert res.additive
 
 
 def test_normal_form_genuinely_nonflat():
@@ -396,8 +413,7 @@ def test_normal_form_genuinely_nonflat():
     ratio = RationalFunction(f.diff("x"), f.diff("y"))
     assert not (ratio.diff("y") / ratio).diff("x").is_zero()
     res = normal_form_phi(f, 6)
-    assert not res.scaling_fixed
-    assert not res.flat
+    assert not res.additive
 
 
 def test_normal_form_preconditions():
@@ -416,13 +432,13 @@ NONFLAT_GERMS = ["x + y + x^2*y", "x + y + x^3*y^3", "x + y + x^4*y", "3*x - y +
 def test_web_curvature_decides_flatness_like_the_order_20_normal_form(germ, flat):
     f = parse_poly(germ, V2)
     assert web_curvature(f).is_zero() == flat
-    assert normal_form_phi(f, 20).flat == flat
+    assert normal_form_phi(f, 20).additive == flat
 
 
 def test_web_curvature_sees_past_the_truncation():
     # phi is additive through order 4, yet the germ is not flat
     f = parse_poly("x + y + x^3*y^3", V2)
-    assert normal_form_phi(f, 4).flat
+    assert normal_form_phi(f, 4).additive
     assert not web_curvature(f).is_zero()
     with pytest.raises(DegenerateFunction):
         web_curvature(parse_poly("x^2", V2))

@@ -9,10 +9,9 @@ from biham.errors import PoleAtPoint, ValidationError
 from biham.exactalg import Matrix, Poly, parse_poly, parse_rational
 from biham.models import flat_kronecker, open_toda, periodic_toda, periodic_casimirs
 from biham.pencil import decompose
-from biham.poisson import (BihamStructure, PoissonStructure,
-                           compatibility_check, pencil_structure)
+from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
 
-from oracles import gauss_rank
+from oracles import gauss_rank, pencil_structure
 
 
 V3 = open_toda(1)
