@@ -3,8 +3,11 @@
 Subcommands: ``catalog list``, ``catalog show``, ``analyze``, ``check
 {poisson|compatible|casimir|family|chain}``, ``decompose``, ``normalform``,
 ``report``.  Exit codes: 0 = all verdicts as expected, 1 = a verdict or
-certificate mismatch, 2 = input error.  BIHAM_SEED provides the default
-sampling seed; a value that is not an integer is an input error.
+certificate mismatch, 2 = input error, 3 = internal inconsistency (a bug,
+not bad input; when the failure carries the pencil it failed on, that
+pencil follows the error on stderr as one JSON line that
+``SkewPencil.from_json`` loads).  BIHAM_SEED provides the default sampling
+seed; a value that is not an integer is an input error.
 """
 
 import argparse
@@ -186,6 +189,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    except InternalInconsistency as exc:
+        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
+        if exc.pencil is not None:
+            print(json.dumps(exc.pencil, sort_keys=True), file=sys.stderr)
+        return 3
     except BihamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,18 +4,22 @@ A pair (A, B) of skew matrices decomposes uniquely into odd-dimensional
 Kronecker blocks K_{2k-1} (detected through the minimal indices of the
 polynomial kernel of lam*A + B) and even-dimensional Jordan blocks J_{2k,mu}
 (detected through paired elementary divisors).  All computations are exact
-and deterministic: genericity is certified by evaluating coranks at n+1
-rational parameter values plus the reversed pencil, which a degree argument
-makes sufficient.
+and deterministic.  The generic corank r is proved, not estimated: one
+elimination at lam = ``PROBE`` gives a corank c >= r, and when the
+staircase finds c minimal indices, r = c; when those indices also fill n,
+the pencil is pure Kronecker and its corank is r at every lam.  At any
+other pencil the coranks at lam = 0..n and of the reversed pencil are
+eliminated, and their minimum is r by a degree argument (a nonzero minor
+of size at most n vanishes at no more than n values).
 
 Every pencil is an integer pencil: a ``SkewPencil`` stores lam*A + B times
 the lcm of its denominators, which has the same blocks.  Outside input
 enters through ``SkewPencil.from_rows``, which checks shape and skewness
 and clears denominators once; ``BihamStructure.pencil_at`` builds the pair
 skew by construction.  ``decompose`` reads the integer rows as they are,
-computes the corank profile once, and hands the pair, the profile, the
-determinants of its eliminations and the generic corank r down to
-``minimal_indices`` and ``jordan_part``; every matrix below is built from
+proves or eliminates the corank profile once, and hands the pair, the
+profile, the determinants of its eliminations and the generic corank r
+down to ``minimal_indices`` and ``jordan_part``; every matrix below is built from
 those integers for the fraction-free kernel ``row_echelon_ff``, and
 ``_pencil_rows`` is the one builder of lam*A + B.
 
@@ -46,7 +50,8 @@ those integers for the fraction-free kernel ``row_echelon_ff``, and
   polynomial matrix is ever reduced.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
-by the Kronecker structure theorem, and ``decompose`` skips it.
+by the Kronecker structure theorem, and ``decompose`` skips it together
+with the elimination of the profile.
 ``PointAnalysis`` holds one point's evaluator, coranks and type from that
 one pass, so every verdict at that point reads a single decomposition.
 An ``InternalInconsistency`` or ``NotSkewCanonical`` raised while
@@ -68,6 +73,8 @@ from .exactalg import (Matrix, PointEvaluator, Poly, block_diag, clear_denominat
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
+# the one parameter value that decompose eliminates lam*A + B at before the staircase
+PROBE = 1
 
 
 @dataclass(frozen=True)
@@ -194,9 +201,13 @@ class Block:
 class PencilType:
     """Multiset of blocks; the decomposition certificate.
 
-    ``corank_profile`` is the corank at each sampled parameter value that
-    ``decompose`` read the generic corank from.  Equality compares the
-    blocks only.
+    ``corank_profile`` is the corank of lam*A + B at lam = 0..n and of A
+    (key "inf"), whose minimum is the generic corank r.  ``decompose``
+    proves it at a pure-Kronecker pencil and eliminates it at the others:
+    one elimination at lam = ``PROBE`` gives a corank c >= r; the staircase
+    finding c minimal indices proves r = c; indices that fill n leave no
+    Jordan block, and every K block has corank 1 at every lam, so every
+    entry is r.  Equality compares the blocks only.
     """
 
     n: int
@@ -238,8 +249,12 @@ def generic_corank(p: SkewPencil) -> int:
     Deterministic: coranks at lam in {0, ..., n} plus the reversed pencil
     (the matrix A alone); a nonzero minor of size at most n vanishes at no
     more than n sample values, so the minimum over the samples is exact.
-    It reads the integer rows of ``p`` and serves the tests, the oracles and
-    the ``perfbench`` trace; ``decompose`` reads r from its own profile.
+    It reads the integer rows of ``p`` and eliminates every sample; it
+    serves the tests, the oracles and the ``perfbench`` trace.
+    ``decompose`` reads r from its own profile, which it proves from the
+    minimal indices at a pure-Kronecker pencil (one elimination at lam =
+    ``PROBE``, c >= r; c indices, r = c; indices filling n, r at every lam)
+    and eliminates at the others.
     """
     return min(corank_profile(p.A.to_rows(), p.B.to_rows()).values())
 
@@ -261,22 +276,29 @@ def _abs_det(rows, rank) -> int:
     return abs(rows[-1][-1]) if rows else 1
 
 
-def corank_profile(a, b, dets=None) -> dict:
+def _eliminate(a, b, lam) -> tuple:
+    """Rank and |det| of lam*A + B, read off one fraction-free elimination."""
+    rows = _pencil_rows(a, b, lam)
+    rank, _ = row_echelon_ff(rows)
+    return rank, _abs_det(rows, rank)
+
+
+def corank_profile(a, b, dets=None, probe=None) -> dict:
     """Corank at each sampled parameter value (including the reversed pencil).
 
     When ``dets`` is a list, |det(lam*A + B)| at lam = 0..n is appended to
     it, read off the same eliminations: ``decompose`` hands these values to
     ``jordan_part``, which interpolates the determinant from them when
-    r = 0.
+    r = 0.  ``probe`` is the (rank, |det|) pair that ``decompose`` already
+    read at lam = ``PROBE``, which is then not eliminated again.
     """
     n = len(a)
     prof = {}
     for lam in range(n + 1):
-        rows = _pencil_rows(a, b, lam)
-        rank, _ = row_echelon_ff(rows)
+        rank, det = probe if probe and lam == PROBE else _eliminate(a, b, lam)
         prof[str(lam)] = n - rank
         if dets is not None:
-            dets.append(_abs_det(rows, rank))
+            dets.append(det)
     prof[INF] = n - row_echelon_ff([row[:] for row in a])[0]
     return prof
 
@@ -315,7 +337,7 @@ def _block_pivots(first, left, right, count):
             residual.append([x // content for x in row])
 
 
-def minimal_indices(a, b, r: int) -> list:
+def minimal_indices(a, b, c: int) -> list:
     """Right minimal indices of the integer pencil, one per Kronecker block.
 
     Computed from the nullity sequence nu_d = n(d+1) - rank of the
@@ -323,26 +345,29 @@ def minimal_indices(a, b, r: int) -> list:
     (nu_e - nu_{e-1}) - (nu_{e-1} - nu_{e-2}).  S_d is the leading d + 1
     column blocks of S_D, which is block-bidiagonal (B, then A above B), so
     ``_block_pivots`` eliminates it one column block at a time and each step
-    adds the next nu_d.  The r Kronecker blocks K_{2e+1} fit in n, so no
-    index exceeds D = (n - r) // 2, and the elimination stops at the step
-    that brings the count to r; a count above r there, or below r at D,
-    is an inconsistency.  ``r`` is the generic corank.
+    adds the next nu_d.  ``c`` is the corank of lam*A + B at some parameter
+    value, at least the generic corank r, and the pencil has exactly r
+    indices.  If c = r, the r Kronecker blocks K_{2e+1} fit in n, so no
+    index exceeds D = (n - c) // 2, and the elimination stops at the step
+    that brings the count to c.  If c > r, the count stays below c through
+    D and the indices up to D are returned: the caller reads the short
+    count as c > r.  A count above c is an inconsistency.
     """
-    if r == 0:
+    if c == 0:
         return []
     n = len(a)
-    top = (n - r) // 2
+    top = (n - c) // 2
     indices = []
     growth_prev = 0
     for d, pivots in enumerate(_block_pivots(b, a, b, top + 1)):
         growth = n - pivots          # nu_d - nu_{d-1}
         indices += [d] * (growth - growth_prev)
         growth_prev = growth
-        if len(indices) >= r:
+        if len(indices) >= c:
             break
-    if len(indices) != r:
+    if len(indices) > c:
         raise InternalInconsistency(
-            f"found {len(indices)} minimal indices for generic corank {r}")
+            f"found {len(indices)} minimal indices for corank {c}")
     return indices
 
 
@@ -564,26 +589,47 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
 def decompose(p: SkewPencil) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
-    Each step runs once: the integer rows of A and B are read as they are,
-    the corank profile is computed once and kept on the result, and the
-    integer pair, the profile and the generic corank r are handed down.
-    The Jordan part runs only when the Kronecker blocks leave part of
-    dimension n to the Jordan blocks.  An internal failure carries the
-    pencil as ``exc.pencil = p.to_json()``, so the failing pencil can become
-    a test case as it stands.
+    lam*A + B is eliminated once, at lam = ``PROBE``, and the staircase runs
+    with its corank c as the target.  The profile is proved when it can be:
+      c >= r at every lam, and the pencil has exactly r minimal indices;
+      if the staircase finds c of them, then r >= c, so r = c;
+      if they fill n (the sum of 2e + 1 is n), there is no Jordan block;
+      each K block has corank 1 at every lam, so every entry is r.
+    Otherwise (a Jordan block, or PROBE an eigenvalue and c > r)
+    ``corank_profile`` eliminates the other samples, reusing the rank and
+    determinant at PROBE, and the staircase runs again only if the
+    profile's minimum r is below c.  The integer pair, the profile and the
+    determinants are handed to ``jordan_part``, which runs only when the
+    Kronecker blocks leave part of dimension n to the Jordan blocks.  An
+    internal failure carries the pencil as ``exc.pencil = p.to_json()``, so
+    the failing pencil can become a test case as it stands.
     """
     a, b = p.A.to_rows(), p.B.to_rows()
-    dets = []
+    n = p.n
     try:
-        profile = corank_profile(a, b, dets)
-        indices = minimal_indices(a, b, min(profile.values()))
+        rank, det = _eliminate(a, b, PROBE)
+        c = n - rank
+        indices = minimal_indices(a, b, c)
         filled = sum(2 * e + 1 for e in indices)
-        jordan = jordan_part(a, b, profile, dets, p.n - filled) if filled != p.n else []
+        if len(indices) == c and filled == n:
+            profile = dict.fromkeys([str(lam) for lam in range(n + 1)] + [INF], c)
+            jordan = []
+        else:
+            dets = []
+            profile = corank_profile(a, b, dets, (rank, det))
+            r = min(profile.values())
+            if r < c:
+                indices = minimal_indices(a, b, r)
+                filled = sum(2 * e + 1 for e in indices)
+            if len(indices) != r:
+                raise InternalInconsistency(
+                    f"found {len(indices)} minimal indices for generic corank {r}")
+            jordan = jordan_part(a, b, profile, dets, n - filled) if filled != n else []
     except (InternalInconsistency, NotSkewCanonical) as exc:
         exc.pencil = p.to_json()
         raise
     kron = [Block("kronecker", e + 1) for e in indices]
-    return PencilType(p.n, tuple(kron + jordan), profile)
+    return PencilType(n, tuple(kron + jordan), profile)
 
 
 @dataclass(frozen=True, eq=False)

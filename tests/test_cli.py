@@ -8,8 +8,9 @@ import time
 
 import pytest
 
+import biham.cli as cli_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
-from biham.errors import ValidationError
+from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
                           MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f, open_toda)
 from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
@@ -203,6 +204,62 @@ def test_cli_decompose(tmp_path, capsys):
     assert main(["decompose", str(path)]) == 0
     out = capsys.readouterr().out
     assert "{K5}" in out
+
+
+def _pencil_file(tmp_path):
+    pencil = kronecker_pencil(2).direct_sum(jordan_pencil(1, "1/2"))
+    path = tmp_path / "pencil.json"
+    path.write_text(json.dumps(pencil.to_json()))
+    return pencil, str(path)
+
+
+def _raising(error, message, attach):
+    def failing(p):
+        exc = error(message)
+        if attach:
+            exc.pencil = p.to_json()
+        raise exc
+
+    return failing
+
+
+def test_cli_internal_inconsistency_is_exit_3_with_its_pencil(tmp_path, capsys, monkeypatch):
+    # an internal failure is a bug, not an input error: it exits 3, and the
+    # pencil it carries follows the error on stderr as one JSON line that
+    # loads back as the pencil
+    pencil, path = _pencil_file(tmp_path)
+    monkeypatch.setattr(cli_module, "decompose", _raising(
+        InternalInconsistency, "found 0 minimal indices for generic corank 1", True))
+    assert main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, line = captured.err.splitlines()
+    assert error == "error: internal inconsistency: found 0 minimal indices for generic corank 1"
+    assert SkewPencil.from_json(line) == pencil
+    # without a pencil attached, the error line alone
+    monkeypatch.setattr(cli_module, "decompose", _raising(
+        InternalInconsistency, "no pencil", False))
+    assert main(["decompose", path]) == 3
+    assert capsys.readouterr().err == "error: internal inconsistency: no pencil\n"
+
+
+def test_cli_normalform_internal_inconsistency_is_exit_3(capsys, monkeypatch):
+    # a zero web curvature for a germ whose phi is not additive contradicts
+    # the normal form: a bug, so exit 3
+    monkeypatch.setattr(cli_module, "web_curvature", lambda f: f - f)
+    assert main(["normalform", "--function", "x + y + x^2*y"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: internal inconsistency: web curvature of ")
+
+
+def test_cli_not_skew_canonical_stays_exit_2(tmp_path, capsys, monkeypatch):
+    # unpaired elementary divisors mean corrupted input, an input error
+    _, path = _pencil_file(tmp_path)
+    monkeypatch.setattr(cli_module, "decompose", _raising(
+        NotSkewCanonical, "elementary divisor occurs 1 times", True))
+    assert main(["decompose", path]) == 2
+    assert capsys.readouterr().err == "error: elementary divisor occurs 1 times\n"
 
 
 def test_cli_normalform(capsys):
@@ -557,10 +614,12 @@ def test_structure_files_validate_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
     referencing = pytest.importorskip("referencing")
     schema = _schema("structure.schema.json")
-    # "family.schema.json" resolves against the structure's $id "biham/structure"
+    # every shipped schema is registered under its own $id, as shipped: the
+    # refs "family.schema.json" and "chain.schema.json" resolve against the
+    # structure's $id "biham/structure.schema.json" to two of those ids
     registry = referencing.Registry().with_resources(
-        (f"biham/{name}", referencing.Resource.from_contents(_schema(name)))
-        for name in ("family.schema.json", "chain.schema.json"))
+        (contents["$id"], referencing.Resource.from_contents(contents))
+        for contents in map(_schema, sorted(os.listdir(SCHEMAS))))
     validator = jsonschema.Draft202012Validator(schema, registry=registry)
     assert {spec.partition(":")[0] for spec in CATALOG_SMALL} == set(catalog_names())
     no_degree = {**FLAT_K3, "brackets1": [{"i": 0, "j": 1, "coeff": "1"}],

@@ -10,14 +10,15 @@ import biham.pencil as pencil_module
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import Matrix, Poly
 from biham.exactalg.smith import _monic
-from biham.models import open_toda
+from biham.models import jordan_model, open_toda
 from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil, minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
-from oracles import T, integer_rows, perm_det, univariate
+from oracles import (T, gauss_corank_profile, integer_rows, perm_det, smith_jordan_part,
+                     univariate)
 
 
 K3 = kronecker_pencil(2)
@@ -130,6 +131,116 @@ def test_minimal_indices_stop_at_the_last_index(monkeypatch):
     a, b = integer_rows(_integer_congruence(MANY_JORDAN.direct_sum(kronecker_pencil(1)), 1))
     with pytest.raises(InternalInconsistency, match="found 2 minimal indices"):
         minimal_indices(a, b, 1)
+
+
+def _record_staircase_targets(monkeypatch, calls):
+    """Record the corank target of every staircase run, and the eliminations before it."""
+    targets = []
+    staircase = pencil_module.minimal_indices
+
+    def recording(a, b, c):
+        targets.append((c, len(calls)))
+        return staircase(a, b, c)
+
+    monkeypatch.setattr(pencil_module, "minimal_indices", recording)
+    return targets
+
+
+def _sample_pencil(model):
+    point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
+    return model.structure.pencil_at(point)
+
+
+def test_open_toda_point_runs_one_elimination_before_the_staircase(monkeypatch):
+    # at a pure-Kronecker point the staircase finds c indices at the probe's
+    # corank c and they fill n, so the profile is proved, not eliminated
+    p = _sample_pencil(open_toda(4))
+    calls = _count_eliminations(monkeypatch)
+    targets = _record_staircase_targets(monkeypatch, calls)
+    t = decompose(p)
+    assert t.label() == "{K9}"
+    # n = 9: one 9 x 9 elimination, then the staircase with target 1 only
+    assert targets == [(1, 1)]
+    assert calls[0] == (9, 9)
+    assert len(calls) <= 1 + 5
+    expected = gauss_corank_profile(p)
+    assert list(t.corank_profile.items()) == list(expected.items())
+
+
+# J2 with its eigenvalue at the probe: lam0 = 1 is mu = -1/lam0 = -1
+AT_PROBE = jordan_pencil(1, -1)
+
+
+@pytest.mark.parametrize("p,label", [
+    (K3.direct_sum(AT_PROBE), "{K3, J2(mu=-1)}"),
+    (_integer_congruence(K3.direct_sum(AT_PROBE), 3), "{K3, J2(mu=-1)}"),
+    (AT_PROBE, "{J2(mu=-1)}"),
+    (_integer_congruence(AT_PROBE, 4), "{J2(mu=-1)}"),
+], ids=["k3_j2", "k3_j2_congruent", "j2", "j2_congruent"])
+def test_eigenvalue_at_the_probe_takes_the_fallback(monkeypatch, p, label):
+    # the corank at the probe is above r, so the staircase stops short of it;
+    # the profile is eliminated at the other samples and the staircase runs
+    # again at r, and the result is the oracles' label and profile
+    a, b = integer_rows(p)
+    at_probe = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    expected = gauss_corank_profile(p)
+    r = min(expected.values())
+    assert expected["1"] > r
+    eliminated = []
+    kernel = pencil_module.row_echelon_ff
+
+    def recording(rows):
+        eliminated.append([row[:] for row in rows])
+        return kernel(rows)
+
+    monkeypatch.setattr(pencil_module, "row_echelon_ff", recording)
+    targets = _record_staircase_targets(monkeypatch, eliminated)
+    t = decompose(p)
+    assert t.label() == label
+    assert list(t.corank_profile.items()) == list(expected.items())
+    assert list(t.jordan_blocks()) == smith_jordan_part(p)
+    assert [c for c, _ in targets] == [expected["1"], r]
+    # the fallback reuses the rank and determinant at the probe
+    assert eliminated.count(at_probe) == 1
+
+
+def test_jordan_point_probe_below_an_eigenvalue_keeps_its_indices(monkeypatch):
+    # c = r at the probe and the indices leave room for J2(2): the profile is
+    # eliminated for the Jordan part, and the staircase does not run again
+    p = K3.direct_sum(J22)
+    targets = _record_staircase_targets(monkeypatch, [])
+    t = decompose(p)
+    assert t.label() == "{K3, J2(mu=2)}"
+    assert [c for c, _ in targets] == [1]
+    assert list(t.corank_profile.items()) == list(gauss_corank_profile(p).items())
+
+
+@pytest.mark.parametrize("mu", [2, -1, "inf"])
+def test_jordan_model_point_runs_no_more_full_eliminations(monkeypatch, mu):
+    # a Jordan point eliminates lam*A + B at the probe and then at the other
+    # n + 1 samples: n + 2 n x n eliminations before the Jordan part, as the
+    # profile-first path runs, and no more than that path in all
+    p = _sample_pencil(jordan_model(2, mu))
+    n = p.n
+    a, b = integer_rows(p)
+    calls = _count_eliminations(monkeypatch)
+    entered = []
+    part = pencil_module.jordan_part
+
+    def recording(*args):
+        entered.append(calls.count((n, n)))
+        return part(*args)
+
+    monkeypatch.setattr(pencil_module, "jordan_part", recording)
+    assert decompose(p).label() == f"{{J4(mu={mu})}}"
+    assert entered == [n + 2]
+    changed = calls.count((n, n))
+    del calls[:]
+    dets = []
+    profile = corank_profile(a, b, dets)
+    indices = minimal_indices(a, b, min(profile.values()))
+    part(a, b, profile, dets, n - sum(2 * e + 1 for e in indices))
+    assert changed <= calls.count((n, n))
 
 
 def test_decompose_scales_the_pencil_once(monkeypatch):

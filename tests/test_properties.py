@@ -244,9 +244,9 @@ SOUP_BLOCKS = [
 
 
 @st.composite
-def block_soups(draw, max_dim=8):
-    """A direct sum of catalog blocks, at most max_dim in total."""
-    parts = draw(st.lists(st.sampled_from(SOUP_BLOCKS), min_size=1, max_size=4))
+def block_soups(draw, max_dim=8, blocks=SOUP_BLOCKS):
+    """A direct sum of ``blocks``, at most max_dim in total."""
+    parts = draw(st.lists(st.sampled_from(blocks), min_size=1, max_size=4))
     soup = parts[0]
     for part in parts[1:]:
         if soup.n + part.n <= max_dim:
@@ -270,6 +270,28 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
+
+
+# Kronecker blocks most of all, so that many soups are pure Kronecker and
+# decompose proves their profile, and Jordan blocks at the probe lam = 1
+# (mu = -1) and off it, so that the others take the elimination path both ways
+PROFILE_SOUP_BLOCKS = [
+    kronecker_pencil(1), kronecker_pencil(2), kronecker_pencil(3), kronecker_pencil(4),
+    jordan_pencil(1, -1), jordan_pencil(2, -1), jordan_pencil(1, 2), jordan_pencil(1, "inf"),
+]
+
+
+@given(block_soups(blocks=PROFILE_SOUP_BLOCKS), st.data())
+@settings(max_examples=30, deadline=None)
+def test_decompose_profile_matches_gauss_oracle_on_block_soups(soup, data):
+    # the profile decompose proves at pure-Kronecker points and eliminates at
+    # the others is the Gaussian corank at every sample, in the same key order
+    for change in (invertible_change(soup.n), rational_change(soup.n)):
+        congruent = soup.congruence(data.draw(change))
+        t = decompose(congruent)
+        event("pure Kronecker" if t.is_pure_kronecker() else "Jordan")
+        expected = gauss_corank_profile(congruent)
+        assert list(t.corank_profile.items()) == list(expected.items())
 
 
 @given(block_soups(), st.data())
