@@ -3,9 +3,11 @@
 Subcommands: ``catalog list``, ``catalog show``, ``analyze``, ``check
 {poisson|compatible|casimir|family|chain}``, ``decompose``, ``normalform``,
 ``report``.  Exit codes: 0 = all verdicts as expected, 1 = a verdict or
-certificate mismatch, 2 = input error, 3 = internal inconsistency (a bug,
-not bad input; when the failure carries the pencil it failed on, that
-pencil follows the error on stderr as one JSON line that
+certificate mismatch, 2 = input error, 3 = internal inconsistency or any
+other internal error (a bug, not bad input: an exception that is neither
+a ``BihamError`` nor an ``OSError`` prints one ``error: internal error:``
+line instead of a traceback; when the failure carries the pencil it failed
+on, that pencil follows the error on stderr as one JSON line that
 ``SkewPencil.from_json`` loads).  BIHAM_SEED provides the default sampling
 seed; a value that is not an integer is an input error.
 """
@@ -190,16 +192,21 @@ def main(argv=None) -> int:
     try:
         return _dispatch(args)
     except InternalInconsistency as exc:
-        print(f"error: internal inconsistency: {exc}", file=sys.stderr)
-        if exc.pencil is not None:
-            print(json.dumps(exc.pencil, sort_keys=True), file=sys.stderr)
-        return 3
-    except BihamError as exc:
+        return _internal_failure(f"internal inconsistency: {exc}", exc)
+    except (BihamError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:
+        return _internal_failure(f"internal error: {type(exc).__name__}: {exc}", exc)
+
+
+def _internal_failure(message: str, exc: Exception) -> int:
+    """Exit code 3: the error line, then the pencil the failure carries, if any."""
+    print(f"error: {message}", file=sys.stderr)
+    pencil = getattr(exc, "pencil", None)
+    if pencil is not None:
+        print(json.dumps(pencil, sort_keys=True), file=sys.stderr)
+    return 3
 
 
 def _dispatch(args) -> int:

@@ -49,7 +49,3 @@ class NotRegular(BihamError):
 
 class NotNormalizable(BihamError):
     """Normal-form reduction needs nonvanishing first partials at the base point."""
-
-
-class SingularODE(BihamError):
-    """The characteristic ODE hit a zero of the denominator partial along the path."""

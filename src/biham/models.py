@@ -10,21 +10,19 @@ builder does not take and a missing required one.
 
 Every structure built here passes its Jacobi/compatibility certificates
 exactly, and every attached family is gated by family_check at
-construction time.  The only floating-point computation in the package is
-`mf_casimir_numeric`, clearly marked below.
+construction time.  Everything is exact: the package has no floating-point
+code path.
 """
 
 import inspect
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .casimir import LambdaFamily, family_check
 from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
-                     NotNormalizable, NotRegular, SingularODE, UnsupportedPeriod,
+                     NotNormalizable, NotRegular, UnsupportedPeriod,
                      ValidationError)
-from .exactalg import (Poly, RationalFunction, compose, parse_poly, poly_gcd, rat, rat_str,
-                       truncate)
+from .exactalg import (Poly, RationalFunction, compose, parse_poly, rat, rat_str, truncate)
 from .pencil import jordan_rows
 from .poisson import BihamStructure, PoissonStructure
 
@@ -235,36 +233,6 @@ def _lambda_family(p: Poly, top: int, lead, name: str) -> LambdaFamily:
         raise InternalInconsistency(f"{name} has wrong leading term")
     return LambdaFamily(tuple(_rf(parts.get(k, Poly.zero(rest))) for k in range(top)),
                         name=name)
-
-
-def run_polynomials(k: int, point) -> list:
-    """Run polynomials of an open-lattice point: characteristic polynomials,
-    Polys in the shift variable t, of the tridiagonal blocks cut at vanishing
-    odd coordinates.  Their product is det(iota(v) + t I) when walls vanish."""
-    point = [rat(x) for x in point]
-    if len(point) != 2 * k + 1:
-        raise ValidationError("point dimension mismatch")
-    diag = [point[2 * i] for i in range(k + 1)]
-    off = [point[2 * i + 1] for i in range(k)]
-    runs = []
-    start = 0
-    for i, w in enumerate(off):
-        if w == 0:
-            runs.append((start, i + 1))
-            start = i + 1
-    runs.append((start, k + 1))
-    t = Poly.variable("t", ("t",))
-    return [_tridiagonal_det([t + a for a in diag[lo:hi]], off[lo:hi - 1]) for lo, hi in runs]
-
-
-def s_generic(k: int, point) -> bool:
-    """A point is S-generic when its run polynomials are pairwise coprime."""
-    polys = run_polynomials(k, point)
-    for i in range(len(polys)):
-        for j in range(i + 1, len(polys)):
-            if not poly_gcd(polys[i], polys[j]).is_constant():
-                return False
-    return True
 
 
 # -- periodic Toda lattice -------------------------------------------------------
@@ -654,61 +622,6 @@ def _check_normalization(phi: Poly, n: int):
             raise InternalInconsistency("diagonal derivative condition fails")
 
 
-def scaling_equivalent(phi1: Poly, phi2: Poly, order: int) -> bool:
-    """Whether phi1(Cx, Cy) = C phi2(x, y) through the given order for some
-    nonzero rational C."""
-    t1 = truncate(phi1, order).terms
-    t2 = truncate(phi2, order).terms
-    if set(t1) != set(t2):
-        return False
-    candidates = None
-    for e in sorted(t1, key=lambda e: (sum(e), e)):
-        m = sum(e) - 1
-        ratio = t1[e] / t2[e]
-        if m == 0:
-            if ratio != 1:
-                return False
-            continue
-        roots = {r for r in _rational_roots(ratio, m)}
-        candidates = roots if candidates is None else candidates & roots
-        if not candidates:
-            return False
-    if candidates is None:
-        return True
-    return bool(candidates)
-
-
-def _rational_roots(value: Fraction, m: int) -> list:
-    """Rational solutions C of C^m = value."""
-    out = []
-    for sign in (1, -1):
-        if sign < 0 and m % 2 == 1 and value > 0:
-            continue
-        num = _int_nth_root(abs(value.numerator), m)
-        den = _int_nth_root(abs(value.denominator), m)
-        if num is None or den is None:
-            continue
-        cand = Fraction(sign * num, den)
-        if cand ** m == value:
-            out.append(cand)
-    return out
-
-
-def _int_nth_root(n: int, m: int):
-    """Exact nonnegative integer m-th root of n, or None (pure-integer Newton)."""
-    if n == 0:
-        return 0
-    if n == 1 or m == 1:
-        return n if m == 1 else 1
-    r = 1 << ((n.bit_length() + m - 1) // m)   # upper bound on the root
-    while True:
-        nxt = ((m - 1) * r + n // r ** (m - 1)) // m
-        if nxt >= r:
-            break
-        r = nxt
-    return r if r ** m == n else None
-
-
 # -- two-family flatness ----------------------------------------------------------
 
 
@@ -720,45 +633,6 @@ def two_family_flatness(model: ModelSpec) -> bool:
     """
     f1, _, _, dx, dy = _two_family_chart(model.params["eta"], model.variables)
     return _blaschke(f1, dx, dy).is_zero()
-
-
-# -- numeric Casimir for m_f (the only floating-point path) -------------------------
-
-
-def mf_casimir_numeric(model: ModelSpec, lam, point, steps: int = 1000) -> float:
-    """Approximate F_lam at (x0, y0) for an m_f model by integrating the
-    characteristic ODE dPsi/dx = -(1/lam) (df/dx)/(df/dy) backward to x = 0
-    with fixed-step RK4.  This is the package's only floating-point
-    computation; everything else is exact.
-    """
-    lam = rat(lam)
-    if lam == 0:
-        raise ValidationError("lam must be nonzero")
-    f = parse_poly(model.params["f"], ("x", "y"))
-    fx = f.diff("x")
-    fy = f.diff("y")
-    x0 = float(rat(point[0]))
-    y0 = float(rat(point[1]))
-    inv_lam = -1.0 / float(lam)
-
-    def slope(x, y):
-        den = fy.eval((x, y))
-        if den == 0 or not math.isfinite(den):
-            raise SingularODE(f"df/dy vanishes on the path at x={x}")
-        return inv_lam * fx.eval((x, y)) / den
-
-    h = (0.0 - x0) / steps
-    x, y = x0, y0
-    for _ in range(steps):
-        k1 = slope(x, y)
-        k2 = slope(x + h / 2, y + h * k1 / 2)
-        k3 = slope(x + h / 2, y + h * k2 / 2)
-        k4 = slope(x + h, y + h * k3)
-        y += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
-        x += h
-        if not math.isfinite(y):
-            raise SingularODE("integration diverged")
-    return y
 
 
 # -- catalog registry ---------------------------------------------------------------

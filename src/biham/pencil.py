@@ -4,32 +4,34 @@ A pair (A, B) of skew matrices decomposes uniquely into odd-dimensional
 Kronecker blocks K_{2k-1} (detected through the minimal indices of the
 polynomial kernel of lam*A + B) and even-dimensional Jordan blocks J_{2k,mu}
 (detected through paired elementary divisors).  All computations are exact
-and deterministic.  The generic corank r is proved, not estimated: one
-elimination at lam = ``PROBE`` gives a corank c >= r, and when the
-staircase finds c minimal indices, r = c; when those indices also fill n,
-the pencil is pure Kronecker and its corank is r at every lam.  At any
-other pencil the coranks at lam = 0..n and of the reversed pencil are
-eliminated, and their minimum is r by a degree argument (a nonzero minor
-of size at most n vanishes at no more than n values).
+and deterministic.  The generic corank r is proved, not estimated: the
+corank c of lam*A + B at any lam is at least r, the pencil has exactly r
+minimal indices, so a staircase that finds c of them proves r = c.
+``decompose`` eliminates lam*A + B at lam = ``PROBE``, then at 0, 2, ...,
+n, and stops at the first sample that is proved this way; one is, because
+a nonzero minor of size at most n vanishes at no more than n values.  The
+corank profile is then read off the block type (Kronecker-Jordan structure
+theorem): every K block has corank 1 at every lam and every J block
+corank 2 at the root of its divisor, so the profile is r everywhere plus 2
+per J block at its root.
 
 Every pencil is an integer pencil: a ``SkewPencil`` stores lam*A + B times
 the lcm of its denominators, which has the same blocks.  Outside input
 enters through ``SkewPencil.from_rows``, which checks shape and skewness
 and clears denominators once; ``BihamStructure.pencil_at`` builds the pair
-skew by construction.  ``decompose`` reads the integer rows as they are,
-proves or eliminates the corank profile once, and hands the pair, the
-profile, the determinants of its eliminations and the generic corank r
-down to ``minimal_indices`` and ``jordan_part``; every matrix below is built from
-those integers for the fraction-free kernel ``row_echelon_ff``, and
-``_pencil_rows`` is the one builder of lam*A + B.
+skew by construction.  ``decompose`` reads the integer rows as they are and
+hands the pair, r, the proved sample and its pivot columns down to
+``jordan_part``; every matrix below is built from those integers for the
+fraction-free kernel ``row_echelon_ff``, and ``_pencil_rows`` is the one
+builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
-  Every S_d is the leading d + 1 column blocks of S_D with D = (n - r) // 2,
-  which bounds every minimal index, and S_D is block-bidiagonal, so
-  ``_block_pivots`` eliminates it one column block at a time: each step
+  Every S_d is the leading d + 1 column blocks of S_D with D = (n - c) // 2,
+  which bounds every minimal index when c = r, and S_D is block-bidiagonal,
+  so ``_block_pivots`` eliminates it one column block at a time: each step
   eliminates only the rows carried from the last step and the next block
   row, at most 2n rows and 2n columns, adds the next nullity, and the
-  elimination stops at the r-th index.
+  elimination stops at the c-th index.
 - The Jordan part reads block sizes from the Weyr characteristic, the
   number of Jordan chains of length >= k at each divisor, which is the
   growth of the nullity of a block Toeplitz matrix less the r per step that
@@ -38,11 +40,10 @@ those integers for the fraction-free kernel ``row_echelon_ff``, and
   The finite divisors are the irreducible factors of D_rho (rho = n - r),
   the gcd of the principal rho-minors, each evaluated at integer points and
   interpolated in integers (``_interpolate``: s! times Newton's form has
-  integer coefficients, and a determinant's divide exactly by s!); the gcd
-  is certified once its degree is the dimension left to finite Jordan
-  blocks.  For r = 0 the one such minor is det(lam*A + B), whose values at
-  lam = 0..n ``corank_profile`` reads off its own eliminations and
-  ``decompose`` hands down, so it is never eliminated again.  The gcd and
+  integer coefficients, and a determinant's divide exactly by s!).  The
+  first minor is on the pivot columns of the proved sample, and the next is
+  taken only while the gcd's degree is above the dimension left to finite
+  Jordan blocks; for r = 0 the one minor is det(lam*A + B).  The gcd and
   the squarefree split run on primitive integer coefficient lists
   (``exactalg.upoly``); a monic ``Poly`` in t is built only for each
   divisor.  A divisor of degree d enters the Toeplitz matrix through its
@@ -50,15 +51,15 @@ those integers for the fraction-free kernel ``row_echelon_ff``, and
   polynomial matrix is ever reduced.
 
 When the Kronecker blocks already fill dimension n the Jordan part is empty
-by the Kronecker structure theorem, and ``decompose`` skips it together
-with the elimination of the profile.
+by the Kronecker structure theorem, and ``decompose`` skips it.
 ``PointAnalysis`` holds one point's evaluator, coranks and type from that
 one pass, so every verdict at that point reads a single decomposition.
-An ``InternalInconsistency`` or ``NotSkewCanonical`` raised while
-decomposing carries the integer pencil as ``exc.pencil``, its
-``SkewPencil.to_json()``.  The per-d rational staircases, the Gaussian
-corank profile and the Smith-form Jordan part stay as the test oracles in
-``tests/oracles.py``.
+Any exception raised while decomposing carries the integer pencil as
+``exc.pencil``, its ``SkewPencil.to_json()``.  ``corank_profile`` and
+``generic_corank`` eliminate every sample and stay as the oracle that the
+block-type profile is tested against; the per-d rational staircases, the
+Gaussian corank profile and the Smith-form Jordan part are the test
+oracles in ``tests/oracles.py``.
 """
 
 from bisect import bisect_left
@@ -73,7 +74,7 @@ from .exactalg import (Matrix, PointEvaluator, Poly, block_diag, clear_denominat
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
-# the one parameter value that decompose eliminates lam*A + B at before the staircase
+# the first parameter value at which decompose eliminates lam*A + B
 PROBE = 1
 
 
@@ -165,6 +166,19 @@ class Block:
             return 1
         return self.divisor[1].degree_in("t")
 
+    def root(self):
+        """The parameter value lam0 where a Jordan block's divisor vanishes.
+
+        INF for the divisor at lam = infinity, the rational lam0 of a
+        linear divisor lam - lam0, None for a divisor of higher degree.
+        """
+        if self.divisor[0] == "at_lam_infinity":
+            return INF
+        q = self.divisor[1]
+        if q.degree_in("t") != 1:
+            return None
+        return -q.terms.get((0,), 0)
+
     def mu_label(self):
         """The classical eigenvalue label, defined for linear divisors only.
 
@@ -174,12 +188,11 @@ class Block:
         """
         if self.kind != "jordan":
             return None
-        if self.divisor[0] == "at_lam_infinity":
-            return Fraction(0)
-        q = self.divisor[1]
-        if q.degree_in("t") != 1:
+        lam0 = self.root()
+        if lam0 is None:
             return None
-        lam0 = -q.terms.get((0,), 0)
+        if lam0 == INF:
+            return Fraction(0)
         return INF if lam0 == 0 else -1 / lam0
 
     def label(self) -> str:
@@ -203,11 +216,10 @@ class PencilType:
 
     ``corank_profile`` is the corank of lam*A + B at lam = 0..n and of A
     (key "inf"), whose minimum is the generic corank r.  ``decompose``
-    proves it at a pure-Kronecker pencil and eliminates it at the others:
-    one elimination at lam = ``PROBE`` gives a corank c >= r; the staircase
-    finding c minimal indices proves r = c; indices that fill n leave no
-    Jordan block, and every K block has corank 1 at every lam, so every
-    entry is r.  Equality compares the blocks only.
+    fills it once from the blocks: each K block has corank 1 at every lam
+    and each J block corank 2 at the root of its divisor, so every entry is
+    r plus 2 for each J block whose root is that key (an integer in 0..n,
+    or infinity).  Equality compares the blocks only.
     """
 
     n: int
@@ -251,10 +263,7 @@ def generic_corank(p: SkewPencil) -> int:
     more than n sample values, so the minimum over the samples is exact.
     It reads the integer rows of ``p`` and eliminates every sample; it
     serves the tests, the oracles and the ``perfbench`` trace.
-    ``decompose`` reads r from its own profile, which it proves from the
-    minimal indices at a pure-Kronecker pencil (one elimination at lam =
-    ``PROBE``, c >= r; c indices, r = c; indices filling n, r at every lam)
-    and eliminates at the others.
+    ``decompose`` proves r instead, from the minimal indices at one sample.
     """
     return min(corank_profile(p.A.to_rows(), p.B.to_rows()).values())
 
@@ -276,29 +285,14 @@ def _abs_det(rows, rank) -> int:
     return abs(rows[-1][-1]) if rows else 1
 
 
-def _eliminate(a, b, lam) -> tuple:
-    """Rank and |det| of lam*A + B, read off one fraction-free elimination."""
-    rows = _pencil_rows(a, b, lam)
-    rank, _ = row_echelon_ff(rows)
-    return rank, _abs_det(rows, rank)
-
-
-def corank_profile(a, b, dets=None, probe=None) -> dict:
+def corank_profile(a, b) -> dict:
     """Corank at each sampled parameter value (including the reversed pencil).
 
-    When ``dets`` is a list, |det(lam*A + B)| at lam = 0..n is appended to
-    it, read off the same eliminations: ``decompose`` hands these values to
-    ``jordan_part``, which interpolates the determinant from them when
-    r = 0.  ``probe`` is the (rank, |det|) pair that ``decompose`` already
-    read at lam = ``PROBE``, which is then not eliminated again.
+    One elimination per sample: the oracle that the profile ``decompose``
+    reads off the block type is tested against.
     """
     n = len(a)
-    prof = {}
-    for lam in range(n + 1):
-        rank, det = probe if probe and lam == PROBE else _eliminate(a, b, lam)
-        prof[str(lam)] = n - rank
-        if dets is not None:
-            dets.append(det)
+    prof = {str(lam): n - row_echelon_ff(_pencil_rows(a, b, lam))[0] for lam in range(n + 1)}
     prof[INF] = n - row_echelon_ff([row[:] for row in a])[0]
     return prof
 
@@ -466,31 +460,29 @@ def _principal_minor(a, b, cols) -> list:
     return _interpolate(values)
 
 
-def _principal_column_sets(a, b, profile, r):
+def _principal_column_sets(a, b, lam, pivots):
     """Index sets of rank rho = n - r to take principal minors on, most promising first.
 
     A skew matrix of rank rho has a nonzero principal minor on every set of
-    rho independent columns, so the pivot columns of lam*A + B at the first
-    sample of the corank profile with corank r come first, then those found
-    with the columns visited in each rotated order; every rho-subset
-    follows, so the gcd of all principal minors is always reached.  For
-    r = 0 the one set is every column, whose minor ``jordan_part`` reads
-    from the corank profile instead.
+    rho independent columns, so ``pivots``, the pivot columns of lam*A + B
+    at a sample of rank rho, come first, then those found with the columns
+    visited in each rotated order; every rho-subset follows, so the gcd of
+    all principal minors is always reached.  For r = 0 the one set is every
+    column.
     """
     n = len(a)
-    lam = next((lam for lam in range(n + 1) if profile[str(lam)] == r), None)
-    if lam is None:
-        raise InternalInconsistency(f"no sample of lam*A + B reaches rank {n - r}")
+    first = tuple(pivots)
+    yield first
     sample = _pencil_rows(a, b, lam)
-    seen = set()
-    for shift in range(n):
+    seen = {first}
+    for shift in range(1, n):
         order = list(range(shift, n)) + list(range(shift))
-        _, pivots = row_echelon_ff([[row[j] for j in order] for row in sample])
-        cols = tuple(sorted(order[c] for c in pivots))
+        _, found = row_echelon_ff([[row[j] for j in order] for row in sample])
+        cols = tuple(sorted(order[c] for c in found))
         if cols not in seen:
             seen.add(cols)
             yield cols
-    yield from (cols for cols in combinations(range(n), n - r) if cols not in seen)
+    yield from (cols for cols in combinations(range(n), len(first)) if cols not in seen)
 
 
 def _companion_rows(q: Poly) -> tuple:
@@ -503,13 +495,13 @@ def _companion_rows(q: Poly) -> tuple:
     return comp, c
 
 
-def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
+def jordan_part(a, b, r, lam, pivots, jordan_dim: int) -> list:
     """Jordan blocks of the integer pencil as a sorted list of Block objects.
 
-    ``profile`` is the corank profile, whose minimum is the generic corank
-    r, ``dets`` the values |det(lam*A + B)| at lam = 0..n that
-    ``corank_profile`` appended, and ``jordan_dim`` the dimension left to
-    the Jordan blocks once the Kronecker blocks are counted.
+    ``r`` is the generic corank, ``lam`` a sample where lam*A + B has
+    corank r, ``pivots`` its pivot columns there, and ``jordan_dim`` the
+    dimension left to the Jordan blocks once the Kronecker blocks are
+    counted.
 
     Block sizes come from the Weyr characteristic: w_k, the number of
     Jordan chains of length >= k at a divisor, is the growth of the nullity
@@ -519,10 +511,10 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
     The finite divisors are the irreducible factors of D_rho, the gcd of
     the rho x rho minors (rho = n - r).  For a skew pencil each minor on
     rows I and columns J is Pf_I * Pf_J, so D_rho is also the gcd of the
-    principal minors Pf_I^2; minors are taken until their gcd has the
+    principal minors Pf_I^2.  The first minor is on ``pivots``, which is
+    nonzero; the next is taken only while the gcd's degree is above the
     degree the finite Jordan blocks fill, at which point it is D_rho.  For
-    r = 0 the only principal rho-minor is det(lam*A + B) itself, which is
-    interpolated from ``dets`` with no further elimination.  Minors, their
+    r = 0 the only principal rho-minor is det(lam*A + B) itself.  Minors, their
     gcd and its squarefree split stay on integer coefficient lists: the
     values are integer determinants, so the interpolation divides exactly,
     and the gcd is primitive, so every quotient of the split is exact in
@@ -538,26 +530,22 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
     if jordan_dim == 0:
         return []
     n = len(a)
-    r = min(profile.values())
-    if r == 0:
-        first, column_sets = _interpolate(dets), iter(())
-    else:
-        column_sets = _principal_column_sets(a, b, profile, r)
-        first = _principal_minor(a, b, next(column_sets))
+    column_sets = _principal_column_sets(a, b, lam, pivots)
+    d_rho = _principal_minor(a, b, next(column_sets))
     # D_rho divides every principal minor, and mu^(infinite degree) divides
     # it in the homogeneous chart, which bounds the chains at infinity
     blocks = []
     inf_degree = 0
-    depth = min(jordan_dim, n - r - (len(first) - 1)) // 2
+    depth = min(jordan_dim, n - r - (len(d_rho) - 1)) // 2
     if depth:
         key = ("at_lam_infinity",)
         weyr = _weyr_characteristic(a, b, depth, r, 1)
         inf_degree = sum(weyr)
         blocks += _chain_blocks(weyr, key)
     finite_degree = jordan_dim - inf_degree
-    d_rho = first
-    for cols in column_sets:
-        if len(d_rho) - 1 <= finite_degree:
+    while len(d_rho) - 1 > finite_degree:
+        cols = next(column_sets, None)
+        if cols is None:
             break
         d_rho = primitive_gcd(d_rho, _principal_minor(a, b, cols))
     if len(d_rho) - 1 != finite_degree:
@@ -589,45 +577,40 @@ def jordan_part(a, b, profile, dets, jordan_dim: int) -> list:
 def decompose(p: SkewPencil) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
-    lam*A + B is eliminated once, at lam = ``PROBE``, and the staircase runs
-    with its corank c as the target.  The profile is proved when it can be:
+    lam*A + B is eliminated at lam = ``PROBE``, then at 0, 2, ..., n, and
+    the staircase runs at each sample with its corank c as the target, until
+    it finds c minimal indices:
       c >= r at every lam, and the pencil has exactly r minimal indices;
-      if the staircase finds c of them, then r >= c, so r = c;
-      if they fill n (the sum of 2e + 1 is n), there is no Jordan block;
-      each K block has corank 1 at every lam, so every entry is r.
-    Otherwise (a Jordan block, or PROBE an eigenvalue and c > r)
-    ``corank_profile`` eliminates the other samples, reusing the rank and
-    determinant at PROBE, and the staircase runs again only if the
-    profile's minimum r is below c.  The integer pair, the profile and the
-    determinants are handed to ``jordan_part``, which runs only when the
-    Kronecker blocks leave part of dimension n to the Jordan blocks.  An
-    internal failure carries the pencil as ``exc.pencil = p.to_json()``, so
-    the failing pencil can become a test case as it stands.
+      if the staircase finds c of them, then r >= c, so r = c.
+    The integer pair, r, the proved sample and its pivot columns are handed
+    to ``jordan_part``, which runs only when the Kronecker blocks leave part
+    of dimension n to the Jordan blocks.  The corank profile is then read
+    off the blocks: r at every sample, plus 2 for each J block at the root
+    of its divisor.  Any exception raised while decomposing carries the
+    pencil as ``exc.pencil = p.to_json()``, so the failing pencil can become
+    a test case as it stands.
     """
     a, b = p.A.to_rows(), p.B.to_rows()
     n = p.n
     try:
-        rank, det = _eliminate(a, b, PROBE)
-        c = n - rank
-        indices = minimal_indices(a, b, c)
-        filled = sum(2 * e + 1 for e in indices)
-        if len(indices) == c and filled == n:
-            profile = dict.fromkeys([str(lam) for lam in range(n + 1)] + [INF], c)
-            jordan = []
+        for lam in [PROBE] + [x for x in range(n + 1) if x != PROBE]:
+            rank, pivots = row_echelon_ff(_pencil_rows(a, b, lam))
+            c = n - rank
+            indices = minimal_indices(a, b, c)
+            if len(indices) == c:
+                break
         else:
-            dets = []
-            profile = corank_profile(a, b, dets, (rank, det))
-            r = min(profile.values())
-            if r < c:
-                indices = minimal_indices(a, b, r)
-                filled = sum(2 * e + 1 for e in indices)
-            if len(indices) != r:
-                raise InternalInconsistency(
-                    f"found {len(indices)} minimal indices for generic corank {r}")
-            jordan = jordan_part(a, b, profile, dets, n - filled) if filled != n else []
-    except (InternalInconsistency, NotSkewCanonical) as exc:
+            raise InternalInconsistency("no sample of lam*A + B proves the generic corank")
+        filled = sum(2 * e + 1 for e in indices)
+        jordan = jordan_part(a, b, c, lam, pivots, n - filled) if filled != n else []
+    except Exception as exc:
         exc.pencil = p.to_json()
         raise
+    profile = dict.fromkeys([str(x) for x in range(n + 1)] + [INF], c)
+    for blk in jordan:
+        key = str(blk.root())
+        if key in profile:
+            profile[key] += 2
     kron = [Block("kronecker", e + 1) for e in indices]
     return PencilType(n, tuple(kron + jordan), profile)
 

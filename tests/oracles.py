@@ -3,29 +3,37 @@
 Everything here deliberately avoids the library's own elimination and
 canonicalization paths: ranks come from naive Gaussian elimination over
 Fractions, determinants from permutation expansion, so that agreement with
-the package is evidence and not tautology.
+the package is evidence and not tautology.  The last section keeps the
+model helpers that only the tests use, among them the suite's one
+floating-point computation, an RK4 check of the m_f Casimir.
 """
 
+import math
 from fractions import Fraction
 from itertools import permutations
 
 from biham.casimir import LambdaFamily
-from biham.errors import NotSkewCanonical
+from biham.errors import BihamError, NotSkewCanonical, ValidationError
 from biham.exactalg import (Matrix, Poly, RationalFunction, clear_denominators, factor_monic,
-                            primitive_gcd, rat, rat_str, smith_invariant_factors)
+                            parse_poly, poly_gcd, primitive_gcd, rat, rat_str,
+                            smith_invariant_factors, truncate)
 from biham.exactalg.smith import _divmod, _monic
+from biham.models import ModelSpec, _tridiagonal_det
 from biham.pencil import Block
 from biham.poisson import Certificate, PoissonStructure
 
 
-def gauss_rank(rows) -> int:
-    """Rank by plain fraction Gaussian elimination."""
+def _gauss_echelon(rows):
+    """Plain fraction Gaussian elimination: the echelon rows, the pivot
+    columns left to right, and the sign of the row swaps."""
     m = [[Fraction(x) for x in row] for row in rows]
     n_rows = len(m)
     n_cols = len(m[0]) if n_rows else 0
-    rank = 0
+    pivots = []
+    sign = 1
     col = 0
-    while rank < n_rows and col < n_cols:
+    while len(pivots) < n_rows and col < n_cols:
+        rank = len(pivots)
         piv = None
         for i in range(rank, n_rows):
             if m[i][col] != 0:
@@ -34,16 +42,38 @@ def gauss_rank(rows) -> int:
         if piv is None:
             col += 1
             continue
-        m[rank], m[piv] = m[piv], m[rank]
+        if piv != rank:
+            m[rank], m[piv] = m[piv], m[rank]
+            sign = -sign
         pval = m[rank][col]
         for i in range(rank + 1, n_rows):
             if m[i][col] != 0:
                 f = m[i][col] / pval
                 for j in range(col, n_cols):
                     m[i][j] -= f * m[rank][j]
-        rank += 1
+        pivots.append(col)
         col += 1
-    return rank
+    return m, pivots, sign
+
+
+def gauss_pivots(rows) -> list:
+    """Pivot columns of plain fraction Gaussian elimination, left to right."""
+    return _gauss_echelon(rows)[1]
+
+
+def gauss_rank(rows) -> int:
+    """Rank by plain fraction Gaussian elimination."""
+    return len(gauss_pivots(rows))
+
+
+def gauss_det(rows) -> Fraction:
+    """Determinant of a square matrix by plain fraction Gaussian elimination."""
+    m, pivots, det = _gauss_echelon(rows)
+    if len(pivots) < len(rows):
+        return Fraction(0)
+    for i in range(len(rows)):
+        det *= m[i][i]
+    return det
 
 
 def perm_det(rows) -> Fraction:
@@ -161,6 +191,18 @@ def gauss_corank_profile(p):
             for lam in range(p.n + 1)}
     prof["inf"] = p.n - gauss_rank(a)
     return prof
+
+
+def generic_sample(p):
+    """(r, lam, pivots) by ``gauss_corank_profile`` and ``gauss_pivots``: the
+    generic corank, the first lam in 0..n where lam*A + B has corank r, and
+    its pivot columns there, the arguments ``jordan_part`` takes."""
+    profile = gauss_corank_profile(p)
+    r = min(profile.values())
+    lam = next(lam for lam in range(p.n + 1) if profile[str(lam)] == r)
+    a, b = integer_rows(p)
+    return r, lam, gauss_pivots([[lam * x + y for x, y in zip(ra, rb)]
+                                 for ra, rb in zip(a, b)])
 
 
 # -- structure, family and model helpers that only the tests use -----------
@@ -569,3 +611,136 @@ def prs_gcd(f, g):
     if not any(e[main] for e in pa.terms):
         return cont.normalized()
     return (cont * pa).normalized()
+
+
+# -- model helpers the package does not need ------------------------------------
+#
+# Checks on the models that the analyser never runs: the run polynomials of
+# an open-lattice point and its S-genericity, scaling equivalence of two
+# normal forms, and the floating-point RK4 Casimir of m_f.  They stay here as
+# test helpers so that the package itself is exact-only.
+
+
+class SingularODE(BihamError):
+    """The characteristic ODE hit a zero of the denominator partial along the path."""
+
+
+def run_polynomials(k: int, point) -> list:
+    """Run polynomials of an open-lattice point: characteristic polynomials,
+    Polys in the shift variable t, of the tridiagonal blocks cut at vanishing
+    odd coordinates.  Their product is det(iota(v) + t I) when walls vanish."""
+    point = [rat(x) for x in point]
+    if len(point) != 2 * k + 1:
+        raise ValidationError("point dimension mismatch")
+    diag = [point[2 * i] for i in range(k + 1)]
+    off = [point[2 * i + 1] for i in range(k)]
+    runs = []
+    start = 0
+    for i, w in enumerate(off):
+        if w == 0:
+            runs.append((start, i + 1))
+            start = i + 1
+    runs.append((start, k + 1))
+    t = Poly.variable("t", ("t",))
+    return [_tridiagonal_det([t + a for a in diag[lo:hi]], off[lo:hi - 1]) for lo, hi in runs]
+
+
+def s_generic(k: int, point) -> bool:
+    """A point is S-generic when its run polynomials are pairwise coprime."""
+    polys = run_polynomials(k, point)
+    for i in range(len(polys)):
+        for j in range(i + 1, len(polys)):
+            if not poly_gcd(polys[i], polys[j]).is_constant():
+                return False
+    return True
+
+
+def scaling_equivalent(phi1: Poly, phi2: Poly, order: int) -> bool:
+    """Whether phi1(Cx, Cy) = C phi2(x, y) through the given order for some
+    nonzero rational C."""
+    t1 = truncate(phi1, order).terms
+    t2 = truncate(phi2, order).terms
+    if set(t1) != set(t2):
+        return False
+    candidates = None
+    for e in sorted(t1, key=lambda e: (sum(e), e)):
+        m = sum(e) - 1
+        ratio = t1[e] / t2[e]
+        if m == 0:
+            if ratio != 1:
+                return False
+            continue
+        roots = {r for r in _rational_roots(ratio, m)}
+        candidates = roots if candidates is None else candidates & roots
+        if not candidates:
+            return False
+    if candidates is None:
+        return True
+    return bool(candidates)
+
+
+def _rational_roots(value: Fraction, m: int) -> list:
+    """Rational solutions C of C^m = value."""
+    out = []
+    for sign in (1, -1):
+        if sign < 0 and m % 2 == 1 and value > 0:
+            continue
+        num = _int_nth_root(abs(value.numerator), m)
+        den = _int_nth_root(abs(value.denominator), m)
+        if num is None or den is None:
+            continue
+        cand = Fraction(sign * num, den)
+        if cand ** m == value:
+            out.append(cand)
+    return out
+
+
+def _int_nth_root(n: int, m: int):
+    """Exact nonnegative integer m-th root of n, or None (pure-integer Newton)."""
+    if n == 0:
+        return 0
+    if n == 1 or m == 1:
+        return n if m == 1 else 1
+    r = 1 << ((n.bit_length() + m - 1) // m)   # upper bound on the root
+    while True:
+        nxt = ((m - 1) * r + n // r ** (m - 1)) // m
+        if nxt >= r:
+            break
+        r = nxt
+    return r if r ** m == n else None
+
+
+def mf_casimir_numeric(model: ModelSpec, lam, point, steps: int = 1000) -> float:
+    """Approximate F_lam at (x0, y0) for an m_f model by integrating the
+    characteristic ODE dPsi/dx = -(1/lam) (df/dx)/(df/dy) backward to x = 0
+    with fixed-step RK4, in floating point: the independent numeric check of
+    the exact m_f family.
+    """
+    lam = rat(lam)
+    if lam == 0:
+        raise ValidationError("lam must be nonzero")
+    f = parse_poly(model.params["f"], ("x", "y"))
+    fx = f.diff("x")
+    fy = f.diff("y")
+    x0 = float(rat(point[0]))
+    y0 = float(rat(point[1]))
+    inv_lam = -1.0 / float(lam)
+
+    def slope(x, y):
+        den = fy.eval((x, y))
+        if den == 0 or not math.isfinite(den):
+            raise SingularODE(f"df/dy vanishes on the path at x={x}")
+        return inv_lam * fx.eval((x, y)) / den
+
+    h = (0.0 - x0) / steps
+    x, y = x0, y0
+    for _ in range(steps):
+        k1 = slope(x, y)
+        k2 = slope(x + h / 2, y + h * k1 / 2)
+        k3 = slope(x + h / 2, y + h * k2 / 2)
+        k4 = slope(x + h, y + h * k3)
+        y += h * (k1 + 2 * k2 + 2 * k3 + k4) / 6
+        x += h
+        if not math.isfinite(y):
+            raise SingularODE("integration diverged")
+    return y

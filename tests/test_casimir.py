@@ -9,11 +9,11 @@ from biham.casimir import (LambdaFamily, CriterionVerdict, family_check,
                            kronecker_criterion, lax_check, w1_span_dim)
 from biham.errors import ValidationError
 from biham.exactalg import RationalFunction, parse_rational
-from biham.models import (flat_kronecker, jordan_model, open_toda, s_generic,
+from biham.models import (flat_kronecker, jordan_model, open_toda,
                           sl2_shift, two_family_model)
 from biham.pencil import decompose
 
-from oracles import minor_rank, pencil_structure, shifted_family
+from oracles import minor_rank, pencil_structure, s_generic, shifted_family
 
 
 K5 = flat_kronecker(3)

@@ -9,6 +9,7 @@ import time
 import pytest
 
 import biham.cli as cli_module
+import biham.pencil as pencil_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
@@ -241,6 +242,33 @@ def test_cli_internal_inconsistency_is_exit_3_with_its_pencil(tmp_path, capsys, 
         InternalInconsistency, "no pencil", False))
     assert main(["decompose", path]) == 3
     assert capsys.readouterr().err == "error: internal inconsistency: no pencil\n"
+
+
+def test_cli_internal_error_is_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch):
+    # any exception that is neither a BihamError nor an OSError is a bug: it
+    # exits 3 with one error line, not a traceback with exit 1 (a mismatch)
+    _, path = _pencil_file(tmp_path)
+    monkeypatch.setattr(cli_module, "decompose", _raising(
+        ZeroDivisionError, "division by zero", False))
+    assert main(["decompose", path]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: internal error: ZeroDivisionError: division by zero\n"
+
+
+def test_cli_internal_error_in_decompose_carries_its_pencil(tmp_path, capsys, monkeypatch):
+    # decompose attaches the pencil to any exception raised while decomposing,
+    # so an internal error prints it on stderr as one JSON line too
+    pencil, path = _pencil_file(tmp_path)
+
+    def failing(a, b, c):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(pencil_module, "minimal_indices", failing)
+    assert main(["decompose", path]) == 3
+    error, line = capsys.readouterr().err.splitlines()
+    assert error == "error: internal error: ZeroDivisionError: division by zero"
+    assert SkewPencil.from_json(line) == pencil
 
 
 def test_cli_normalform_internal_inconsistency_is_exit_3(capsys, monkeypatch):

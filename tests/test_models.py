@@ -7,17 +7,17 @@ import pytest
 
 from biham.casimir import kronecker_criterion, w1_span_dim
 from biham.errors import (DegenerateFunction, NotNormalizable, NotRegular,
-                          SingularODE, UnsupportedPeriod, ValidationError)
+                          UnsupportedPeriod, ValidationError)
 from biham.exactalg import Matrix, Poly, RationalFunction, compose, parse_poly
 from biham.models import (catalog_names, flat_kronecker, jordan_model,
-                          m_f, make_model, mf_casimir_numeric, normal_form_phi,
+                          m_f, make_model, normal_form_phi,
                           open_toda, periodic_casimirs, periodic_toda,
-                          run_polynomials, s_generic, scaling_equivalent,
                           sl2_shift, two_family_flatness, two_family_model,
                           web_curvature)
 from biham.pencil import decompose
 
-from oracles import T, cofactor_det, is_generic, univariate
+from oracles import (SingularODE, T, cofactor_det, is_generic, mf_casimir_numeric,
+                     run_polynomials, s_generic, scaling_equivalent, univariate)
 
 
 def _pt(*vals):

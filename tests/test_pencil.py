@@ -17,8 +17,8 @@ from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
                           jordan_pencil, kronecker_pencil, minimal_indices)
 from biham.sampling import model_inequations, sample_points
 
-from oracles import (T, gauss_corank_profile, integer_rows, perm_det, smith_jordan_part,
-                     univariate)
+from oracles import (T, gauss_corank_profile, generic_sample, integer_rows, perm_det,
+                     smith_jordan_part, univariate)
 
 
 K3 = kronecker_pencil(2)
@@ -34,12 +34,12 @@ def _minimal_indices(p):
 
 
 def _jordan_part(p):
-    # the integer pair, corank profile and Jordan dimension decompose hands down
+    # the integer pair, generic corank, a sample of that corank with its
+    # pivot columns, and the Jordan dimension, as decompose hands them down
     a, b = integer_rows(p)
-    dets = []
-    profile = corank_profile(a, b, dets)
-    kron = minimal_indices(a, b, min(profile.values()))
-    return jordan_part(a, b, profile, dets, p.n - sum(2 * e + 1 for e in kron))
+    r, lam, pivots = generic_sample(p)
+    kron = minimal_indices(a, b, r)
+    return jordan_part(a, b, r, lam, pivots, p.n - sum(2 * e + 1 for e in kron))
 
 
 def test_pencil_validation():
@@ -171,21 +171,8 @@ def test_open_toda_point_runs_one_elimination_before_the_staircase(monkeypatch):
 AT_PROBE = jordan_pencil(1, -1)
 
 
-@pytest.mark.parametrize("p,label", [
-    (K3.direct_sum(AT_PROBE), "{K3, J2(mu=-1)}"),
-    (_integer_congruence(K3.direct_sum(AT_PROBE), 3), "{K3, J2(mu=-1)}"),
-    (AT_PROBE, "{J2(mu=-1)}"),
-    (_integer_congruence(AT_PROBE, 4), "{J2(mu=-1)}"),
-], ids=["k3_j2", "k3_j2_congruent", "j2", "j2_congruent"])
-def test_eigenvalue_at_the_probe_takes_the_fallback(monkeypatch, p, label):
-    # the corank at the probe is above r, so the staircase stops short of it;
-    # the profile is eliminated at the other samples and the staircase runs
-    # again at r, and the result is the oracles' label and profile
-    a, b = integer_rows(p)
-    at_probe = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-    expected = gauss_corank_profile(p)
-    r = min(expected.values())
-    assert expected["1"] > r
+def _record_eliminations(monkeypatch):
+    """Record a copy of every matrix the pencil module eliminates."""
     eliminated = []
     kernel = pencil_module.row_echelon_ff
 
@@ -194,53 +181,96 @@ def test_eigenvalue_at_the_probe_takes_the_fallback(monkeypatch, p, label):
         return kernel(rows)
 
     monkeypatch.setattr(pencil_module, "row_echelon_ff", recording)
+    return eliminated
+
+
+@pytest.mark.parametrize("p,label", [
+    (K3.direct_sum(AT_PROBE), "{K3, J2(mu=-1)}"),
+    (_integer_congruence(K3.direct_sum(AT_PROBE), 3), "{K3, J2(mu=-1)}"),
+    (AT_PROBE, "{J2(mu=-1)}"),
+    (_integer_congruence(AT_PROBE, 4), "{J2(mu=-1)}"),
+], ids=["k3_j2", "k3_j2_congruent", "j2", "j2_congruent"])
+def test_eigenvalue_at_the_probe_takes_the_fallback(monkeypatch, p, label):
+    # the corank at the probe is above r, so the staircase stops short of
+    # it; decompose falls back to the next sample, lam = 0, where the
+    # staircase runs again at r, and the result is the oracles' label and
+    # profile
+    a, b = integer_rows(p)
+    at_probe = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    expected = gauss_corank_profile(p)
+    r = min(expected.values())
+    assert expected["1"] > r and expected["0"] == r
+    eliminated = _record_eliminations(monkeypatch)
     targets = _record_staircase_targets(monkeypatch, eliminated)
     t = decompose(p)
     assert t.label() == label
     assert list(t.corank_profile.items()) == list(expected.items())
     assert list(t.jordan_blocks()) == smith_jordan_part(p)
     assert [c for c, _ in targets] == [expected["1"], r]
-    # the fallback reuses the rank and determinant at the probe
-    assert eliminated.count(at_probe) == 1
+    # lam = 1 is eliminated first, and again only for r = 0, where the one
+    # principal minor det(lam*A + B) is evaluated at lam = 0..n
+    assert eliminated.count(at_probe) == 1 + (r == 0)
+    assert eliminated.index(at_probe) == 0
 
 
 def test_jordan_point_probe_below_an_eigenvalue_keeps_its_indices(monkeypatch):
-    # c = r at the probe and the indices leave room for J2(2): the profile is
-    # eliminated for the Jordan part, and the staircase does not run again
+    # c = r at the probe and the indices leave room for J2(2): the staircase
+    # does not run again, the Jordan part starts from the probe's pivot
+    # columns, and no n x n matrix is eliminated twice
     p = K3.direct_sum(J22)
-    targets = _record_staircase_targets(monkeypatch, [])
+    eliminated = _record_eliminations(monkeypatch)
+    targets = _record_staircase_targets(monkeypatch, eliminated)
     t = decompose(p)
     assert t.label() == "{K3, J2(mu=2)}"
     assert [c for c, _ in targets] == [1]
     assert list(t.corank_profile.items()) == list(gauss_corank_profile(p).items())
+    full = [rows for rows in eliminated if len(rows) == p.n and len(rows[0]) == p.n]
+    assert len(full) <= 2
+    assert all(full.count(rows) == 1 for rows in full)
 
 
 @pytest.mark.parametrize("mu", [2, -1, "inf"])
 def test_jordan_model_point_runs_no_more_full_eliminations(monkeypatch, mu):
-    # a Jordan point eliminates lam*A + B at the probe and then at the other
-    # n + 1 samples: n + 2 n x n eliminations before the Jordan part, as the
-    # profile-first path runs, and no more than that path in all
+    # a Jordan point with r = 0 eliminates lam*A + B at the probe, and for
+    # the one minor det(lam*A + B) at lam = 0..n: n + 2 n x n eliminations
+    # in all.  With the eigenvalue at the probe (mu = -1) the probe fails
+    # and lam = 0 proves r, one more
     p = _sample_pencil(jordan_model(2, mu))
     n = p.n
-    a, b = integer_rows(p)
     calls = _count_eliminations(monkeypatch)
-    entered = []
-    part = pencil_module.jordan_part
-
-    def recording(*args):
-        entered.append(calls.count((n, n)))
-        return part(*args)
-
-    monkeypatch.setattr(pencil_module, "jordan_part", recording)
     assert decompose(p).label() == f"{{J4(mu={mu})}}"
-    assert entered == [n + 2]
-    changed = calls.count((n, n))
-    del calls[:]
-    dets = []
-    profile = corank_profile(a, b, dets)
-    indices = minimal_indices(a, b, min(profile.values()))
-    part(a, b, profile, dets, n - sum(2 * e + 1 for e in indices))
-    assert changed <= calls.count((n, n))
+    assert calls.count((n, n)) <= n + 2 + (mu == -1)
+
+
+ROOT_CASES = [
+    (jordan_pencil(1, 1), "{J2(mu=1)}"),                          # root -1, below 0
+    (kronecker_pencil(2).direct_sum(jordan_pencil(1, Fraction(-1, 7))),
+     "{K3, J2(mu=-1/7)}"),                                       # root 7, above n = 5
+    (SkewPencil.from_rows(                                        # divisor t^2 + 1
+        [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, 0, 0], [0, -1, 0, 0]],
+        [[0, 0, 0, 1], [0, 0, -1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]),
+     "{J4(divisor=t^2 + 1)}"),
+    (J22.direct_sum(J22), "{J2(mu=2), J2(mu=2)}"),                # two blocks, root -1/2
+    (K3.direct_sum(AT_PROBE).direct_sum(AT_PROBE),
+     "{K3, J2(mu=-1), J2(mu=-1)}"),                              # two blocks, root 1
+    (K3.direct_sum(AT_PROBE).direct_sum(jordan_pencil(1, "inf")),
+     "{K3, J2(mu=-1), J2(mu=inf)}"),                             # lam = 1 and 0 both fail
+]
+
+
+@pytest.mark.parametrize("p,label", ROOT_CASES + [
+    (_integer_congruence(p, seed), label) for seed, (p, label) in enumerate(ROOT_CASES)
+], ids=[f"{name}{suffix}" for suffix in ("", "_congruent") for name in (
+    "root_below_0", "root_above_n", "irreducible_quadratic", "two_blocks_one_root",
+    "two_blocks_at_the_probe", "probe_and_zero_fail")])
+def test_profile_and_jordan_part_match_the_oracles_at_every_root(p, label):
+    # the profile read off the blocks adds 2 per J block only where its root
+    # is a sample (an integer in 0..n, or infinity); every other root, and
+    # every divisor of degree 2, leaves the profile at r
+    t = decompose(p)
+    assert t.label() == label
+    assert list(t.corank_profile.items()) == list(gauss_corank_profile(p).items())
+    assert list(t.jordan_blocks()) == smith_jordan_part(p)
 
 
 def test_decompose_scales_the_pencil_once(monkeypatch):

@@ -15,8 +15,9 @@ from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpo
                           jordan_pencil, kronecker_pencil)
 
 from oracles import (T, convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
-                     gauss_corank_profile, integer_coefficients, integer_rows, monic_gcd,
-                     schoolbook_matrix_product, smith_jordan_part, univariate)
+                     gauss_corank_profile, gauss_det, generic_sample, integer_coefficients,
+                     integer_rows, monic_gcd, schoolbook_matrix_product, smith_jordan_part,
+                     univariate)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -261,20 +262,22 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
         a, b = integer_rows(congruent)
-        dets = []
-        profile = corank_profile(a, b, dets)
+        profile = corank_profile(a, b)
         assert profile == gauss_corank_profile(congruent)
         if min(profile.values()) == 0:
-            # the minor jordan_part reads from the profile's eliminations
+            # the one minor jordan_part takes for r = 0 interpolates det(lam*A + B)
+            dets = [int(abs(gauss_det([[lam * x + y for x, y in zip(ra, rb)]
+                                        for ra, rb in zip(a, b)])))
+                    for lam in range(congruent.n + 1)]
             assert _interpolate(dets) == _principal_minor(a, b, range(congruent.n))
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
 
 
-# Kronecker blocks most of all, so that many soups are pure Kronecker and
-# decompose proves their profile, and Jordan blocks at the probe lam = 1
-# (mu = -1) and off it, so that the others take the elimination path both ways
+# Kronecker blocks most of all, so that many soups are pure Kronecker, and
+# Jordan blocks at the probe lam = 1 (mu = -1) and off it, so that decompose
+# proves r at the probe and after it
 PROFILE_SOUP_BLOCKS = [
     kronecker_pencil(1), kronecker_pencil(2), kronecker_pencil(3), kronecker_pencil(4),
     jordan_pencil(1, -1), jordan_pencil(2, -1), jordan_pencil(1, 2), jordan_pencil(1, "inf"),
@@ -284,8 +287,8 @@ PROFILE_SOUP_BLOCKS = [
 @given(block_soups(blocks=PROFILE_SOUP_BLOCKS), st.data())
 @settings(max_examples=30, deadline=None)
 def test_decompose_profile_matches_gauss_oracle_on_block_soups(soup, data):
-    # the profile decompose proves at pure-Kronecker points and eliminates at
-    # the others is the Gaussian corank at every sample, in the same key order
+    # the profile decompose reads off the block type is the Gaussian corank
+    # at every sample, in the same key order
     for change in (invertible_change(soup.n), rational_change(soup.n)):
         congruent = soup.congruence(data.draw(change))
         t = decompose(congruent)
@@ -302,9 +305,7 @@ def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
         expected = smith_jordan_part(congruent)
         a, b = integer_rows(congruent)
         jordan_dim = sum(blk.dimension() for blk in expected)
-        dets = []
-        profile = corank_profile(a, b, dets)
-        assert jordan_part(a, b, profile, dets, jordan_dim) == expected
+        assert jordan_part(a, b, *generic_sample(congruent), jordan_dim) == expected
 
 
 @given(block_soups(), st.data())
