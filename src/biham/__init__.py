@@ -3,8 +3,8 @@
 Skew matrix pencils decompose into Kronecker and Jordan blocks; polynomial
 bivector fields get exact Poisson, compatibility and Casimir certificates;
 lambda-Casimir families feed flatness criteria and anchored Lenard chains.
-Everything except one clearly marked ODE helper is exact rational
-arithmetic.
+The package is exact-only: every computation is rational arithmetic, with
+no floating-point code path.
 """
 
 from .exactalg import BACKEND

@@ -10,7 +10,6 @@ decomposition.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalInconsistency, ValidationError
 from .exactalg import RationalFunction, clear_denominators, load_json, parse_rational
@@ -163,15 +162,14 @@ def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
     common = dict(n=n, r=r, w1_dim=w1, degrees=degrees, corank_profile=prof,
                   cross_check=cross)
 
-    if len(families) == 1 and r == 1:
-        d = degrees[0]
-        if Fraction(w1) < Fraction(n + r, 2):
-            return CriterionVerdict("Inconclusive", None, False,
-                                    "single-family path",
-                                    "span bound dim W1 >= (n+r)/2 fails", **common)
-        if not Fraction(d) < Fraction(n, 2):
-            return CriterionVerdict("Inconclusive", None, False,
-                                    "single-family path",
+    single = len(families) == 1 and r == 1
+    path = "single-family path" if single else "multi-family path"
+    if 2 * w1 < n + r:
+        return CriterionVerdict("Inconclusive", None, False, path,
+                                "span bound dim W1 >= (n+r)/2 fails", **common)
+    if single:
+        if 2 * degrees[0] >= n:
+            return CriterionVerdict("Inconclusive", None, False, path,
                                     "degree bound d < dim M/2 fails", **common)
         if not ptype.is_pure_kronecker() or ptype.kronecker_dims() != (n,):
             raise InternalInconsistency(
@@ -180,16 +178,13 @@ def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
                                 "single-family flatness criterion (corank 1)",
                                 "", **common)
 
-    if Fraction(w1) < Fraction(n + r, 2):
-        return CriterionVerdict("Inconclusive", None, False, "multi-family path",
-                                "span bound dim W1 >= (n+r)/2 fails", **common)
     if len(families) < r:
-        return CriterionVerdict("Inconclusive", None, False, "multi-family path",
+        return CriterionVerdict("Inconclusive", None, False, path,
                                 "family count below the number of Kronecker blocks",
                                 **common)
     dim_sum = sum(2 * d + 1 for d in degrees)
     if dim_sum > n:
-        return CriterionVerdict("Inconclusive", None, False, "multi-family path",
+        return CriterionVerdict("Inconclusive", None, False, path,
                                 "degree bound sum(2*d_l + 1) <= dim M fails", **common)
     indicated = tuple(sorted((2 * d + 1 for d in degrees), reverse=True))
     reason = ""

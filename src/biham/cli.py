@@ -29,7 +29,7 @@ from .report import AnalysisReport, emit_report, run_analyze
 
 
 def _parse_params(text: str) -> dict:
-    """``k=2,mu=inf`` style parameter strings; alpha components use ';'."""
+    """``k=2,mu=inf`` as {"k": "2", "mu": "inf"}; the builder reads each value."""
     params = {}
     if not text:
         return params
@@ -38,23 +38,9 @@ def _parse_params(text: str) -> dict:
             raise ValidationError(f"bad parameter {item!r}")
         key, value = item.split("=", 1)
         key = key.strip()
-        value = value.strip()
         if key in params:
             raise ValidationError(f"parameter {key!r} given twice")
-        if key == "k":
-            try:
-                params[key] = int(value)
-            except ValueError as exc:
-                raise ValidationError(f"parameter {key!r} needs an integer, "
-                                      f"got {value!r}") from exc
-        elif key == "mu":
-            params[key] = "inf" if value == "inf" else rat(value)
-        elif key == "alpha":
-            params[key] = tuple(rat(v) for v in value.split(";"))
-        elif key in ("eta", "f"):
-            params[key] = value
-        else:
-            raise ValidationError(f"unknown parameter {key!r}")
+        params[key] = value.strip()
     return params
 
 

@@ -29,23 +29,3 @@ class InternalInconsistency(BihamError):
 
 class SamplingExhausted(BihamError):
     """Rejection sampling failed to find a generic point within its budget."""
-
-
-class UnsupportedPeriod(BihamError):
-    """Periodic lattices need period >= 6 (k >= 3); the k = 2 bracket table is contradictory."""
-
-
-class DegenerateFunction(BihamError):
-    """The defining function of a 3-dimensional model has an identically zero partial."""
-
-
-class DegenerateModel(BihamError):
-    """The excluded locus of a constructed model covers its whole domain."""
-
-
-class NotRegular(BihamError):
-    """The shift vector of an argument-shift model must have nonzero quadratic invariant."""
-
-
-class NotNormalizable(BihamError):
-    """Normal-form reduction needs nonvanishing first partials at the base point."""

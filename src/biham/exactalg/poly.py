@@ -710,10 +710,6 @@ class RationalFunction:
             raise ValidationError("rational function is not a polynomial")
         return self.num * (1 / self.den.constant_value())
 
-    def embed(self, new_variables) -> "RationalFunction":
-        return RationalFunction(self.num.embed(new_variables),
-                                self.den.embed(new_variables), reduce=False)
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.constant(other, self.variables)

@@ -5,8 +5,14 @@ series, which are Polys with no term above the order it holds), the
 quadratic-family counterexample (flat exactly when eta is affine, decided by
 the same curvature in its own chart) and the sl2 argument shift, each packaged
 with its Casimir families, genericity predicate and expected outcomes
-declared from the construction.  make_model refuses a parameter its
-builder does not take and a missing required one.
+declared from the construction.
+
+A builder reads its own parameters, as Python values or as the text of a
+catalog spec (``open_toda:k=2``, ``sl2_shift:alpha=0;1;0``), so its
+signature is the one list of what a model takes: make_model refuses a
+parameter the builder does not take and a missing required one, and a new
+model needs a builder and a CATALOG_BUILDERS entry only.  Every input error
+raised here is a ValidationError.
 
 Every structure built here passes its Jacobi/compatibility certificates
 exactly, and every attached family is gated by family_check at
@@ -19,9 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .casimir import LambdaFamily, family_check
-from .errors import (DegenerateFunction, DegenerateModel, InternalInconsistency,
-                     NotNormalizable, NotRegular, UnsupportedPeriod,
-                     ValidationError)
+from .errors import InternalInconsistency, ValidationError
 from .exactalg import (Poly, RationalFunction, compose, parse_poly, rat, rat_str, truncate)
 from .pencil import jordan_rows
 from .poisson import BihamStructure, PoissonStructure
@@ -57,11 +61,20 @@ class ModelSpec:
         return self.structure.variables
 
 
-def _check_size(k: int, bound: int):
+def _check_size(k, bound: int) -> int:
+    """The size parameter k as an int in 1..bound; a spec gives it as text."""
+    if isinstance(k, str):
+        try:
+            k = int(k)
+        except ValueError:
+            pass
+    if isinstance(k, bool) or not isinstance(k, int):
+        raise ValidationError(f"parameter 'k' needs an integer, got {k!r}")
     if k < 1:
         raise ValidationError("k must be >= 1")
     if k > bound:
         raise ValidationError(f"k must be at most {bound}, got {k}")
+    return k
 
 
 def _attach(model: ModelSpec, fam: LambdaFamily):
@@ -85,7 +98,7 @@ def flat_kronecker(k: int) -> ModelSpec:
     First bracket pairs x_{2l} with x_{2l+1}, second pairs x_{2l+1} with
     x_{2l+2}; the attached family is x_0 + lam x_2 + ... + lam^{k-1} x_{2k-2}.
     """
-    _check_size(k, MAX_FLAT_KRONECKER_K)
+    k = _check_size(k, MAX_FLAT_KRONECKER_K)
     n = 2 * k - 1
     variables = tuple(f"x{i}" for i in range(n))
     t1 = {}
@@ -114,7 +127,8 @@ def flat_kronecker(k: int) -> ModelSpec:
 def jordan_model(k: int, mu) -> ModelSpec:
     """Constant structure of dimension 2k modeled on a Jordan block with
     eigenvalue mu (mu = "inf" supported)."""
-    _check_size(k, MAX_JORDAN_K)
+    k = _check_size(k, MAX_JORDAN_K)
+    mu = "inf" if mu == "inf" else rat(mu)
     a, b = jordan_rows(k, mu)
     n = 2 * k
     variables = tuple(f"z{i}" for i in range(n))
@@ -128,7 +142,7 @@ def jordan_model(k: int, mu) -> ModelSpec:
                 t2[(i, j)] = b[i][j]
     p1 = PoissonStructure(variables, t1, name="jordan bracket 1")
     p2 = PoissonStructure(variables, t2, name="jordan bracket 2")
-    mu_s = "inf" if mu == "inf" else rat_str(rat(mu))
+    mu_s = "inf" if mu == "inf" else rat_str(mu)
     label = f"J{n}(mu={mu_s})"          # the block's label, written from its construction
     return ModelSpec(
         name=f"jordan_model(k={k},mu={mu_s})",
@@ -157,10 +171,10 @@ def _toda_tables(variables, k: int, periodic: bool):
         i %= n
         j %= n
         if i == j:
-            raise UnsupportedPeriod("bracket table wraps onto the diagonal")
+            raise ValidationError("bracket table wraps onto the diagonal")
         key, value = ((i, j), coeff) if i < j else ((j, i), -coeff)
         if key in table and table[key] != value:
-            raise UnsupportedPeriod(f"contradictory wrap-around entry {key}")
+            raise ValidationError(f"contradictory wrap-around entry {key}")
         table[key] = value
 
     t1: dict = {}
@@ -200,7 +214,7 @@ def open_toda(k: int) -> ModelSpec:
     lam{,}_1 + {,}_2 because the shift by lam along even coordinates
     translates the second bracket into the pencil combination.
     """
-    _check_size(k, MAX_OPEN_TODA_K)
+    k = _check_size(k, MAX_OPEN_TODA_K)
     n = 2 * k + 1
     variables = tuple(f"v{i}" for i in range(n))
     t1, t2 = _toda_tables(variables, k, periodic=False)
@@ -247,9 +261,9 @@ def periodic_toda(k: int) -> ModelSpec:
     (-1)^k, and subtracting that top term leaves a degree k-1 family.
     Period 4 is rejected: its wrap-around bracket table is contradictory.
     """
+    k = _check_size(k, MAX_PERIODIC_TODA_K)
     if k < 3:
-        raise UnsupportedPeriod("periodic lattice needs k >= 3")
-    _check_size(k, MAX_PERIODIC_TODA_K)
+        raise ValidationError("periodic lattice needs k >= 3")
     n = 2 * k
     variables = tuple(f"v{i}" for i in range(n))
     t1, t2 = _toda_tables(variables, k, periodic=True)
@@ -330,7 +344,7 @@ def m_f(f) -> ModelSpec:
     fx = f.diff("x")
     fy = f.diff("y")
     if fx.is_zero() or fy.is_zero():
-        raise DegenerateFunction("both partial derivatives must be nonzero")
+        raise ValidationError("both partial derivatives must be nonzero")
     variables = ("x", "y", "z")
     p1 = PoissonStructure(variables, {(0, 2): fy.embed(variables)}, name="m_f bracket 1")
     p2 = PoissonStructure(variables, {(1, 2): -fx.embed(variables)}, name="m_f bracket 2")
@@ -415,7 +429,7 @@ def _two_family_chart(eta: Poly, variables) -> tuple:
     x = L * L * y + _poly_in(zeta, L, variables)
     x_L = x.diff("L")
     if x_L.is_zero():
-        raise DegenerateModel("excluded locus covers the whole chart")
+        raise ValidationError("excluded locus covers the whole chart")
     inv_x_L = RationalFunction(Poly.constant(1, variables), x_L)
     x_y_over_x_L = RationalFunction(x.diff("y"), x_L)
 
@@ -452,15 +466,18 @@ def sl2_shift(alpha) -> ModelSpec:
     {e,h}_2 = -2e, {e,f}_2 = h, {h,f}_2 = -2f, and the frozen bracket
     evaluates those coefficients at alpha.  The quadratic invariant is
     Q = h^2 + 4ef (the determinant form); alpha must satisfy Q(alpha) != 0.
-    The family is Q(x + lam alpha) - lam^2 Q(alpha), degree 1.
+    The family is Q(x + lam alpha) - lam^2 Q(alpha), degree 1.  A spec
+    gives alpha as text "a;b;c".
     """
+    if isinstance(alpha, str):
+        alpha = alpha.split(";")
     alpha = tuple(rat(a) for a in alpha)
     if len(alpha) != 3:
         raise ValidationError("alpha must have 3 components")
     ae, ah, af = alpha
     q_alpha = ah * ah + 4 * ae * af
     if q_alpha == 0:
-        raise NotRegular("shift vector has vanishing quadratic invariant")
+        raise ValidationError("shift vector has vanishing quadratic invariant")
     variables = ("e", "h", "f")
     e = Poly.variable("e", variables)
     h = Poly.variable("h", variables)
@@ -517,11 +534,11 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
     f = truncate(f, n)
     xv, yv = f.variables
     if (0, 0) in f.terms:
-        raise NotNormalizable("germ must vanish at the base point")
+        raise ValidationError("germ must vanish at the base point")
     a = f.terms.get((1, 0), 0)
     b = f.terms.get((0, 1), 0)
     if a == 0 or b == 0:
-        raise NotNormalizable("both first partials must be nonzero at the base point")
+        raise ValidationError("both first partials must be nonzero at the base point")
 
     # order-1 normalization: c1 * a * a1 = 1 and c1 * b * b1 = 1
     A = {1: 1 / a}
@@ -587,7 +604,7 @@ def web_curvature(f: Poly) -> RationalFunction:
         raise ValidationError("web curvature needs a two-variable function")
     xv, yv = f.variables
     if f.diff(xv).is_zero() or f.diff(yv).is_zero():
-        raise DegenerateFunction("both partial derivatives must be nonzero")
+        raise ValidationError("both partial derivatives must be nonzero")
     return _blaschke(_rf(f), lambda g: g.diff(xv), lambda g: g.diff(yv))
 
 
@@ -653,7 +670,9 @@ def catalog_names() -> list:
     return sorted(CATALOG_BUILDERS)
 
 
-def make_model(name: str, **params) -> ModelSpec:
+def make_model(name: str, /, **params) -> ModelSpec:
+    """The catalog model ``name`` built from ``params``, Python values or a
+    spec's text; the builder's signature is the one list of its parameters."""
     if name not in CATALOG_BUILDERS:
         raise ValidationError(f"unknown catalog model {name!r}; "
                               f"known: {', '.join(catalog_names())}")

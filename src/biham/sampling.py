@@ -10,15 +10,16 @@ from fractions import Fraction
 
 from .errors import SamplingExhausted
 
+BUDGET_FACTOR = 10      # candidates drawn per requested point before giving up
 
-def sample_points(dim: int, count: int, seed: int, inequations=(),
-                  budget_factor: int = 10) -> list:
+
+def sample_points(dim: int, count: int, seed: int, inequations=()) -> list:
     """Deterministic list of rational points avoiding the zero loci of the
     given polynomials."""
     rng = random.Random(seed)
     points = []
     attempts = 0
-    budget = max(1, budget_factor * count)
+    budget = max(1, BUDGET_FACTOR * count)
     while len(points) < count and attempts < budget:
         attempts += 1
         candidate = tuple(Fraction(rng.randint(-10, 10), rng.randint(1, 5))

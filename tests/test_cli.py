@@ -5,15 +5,19 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
 import biham.cli as cli_module
+import biham.models as models_module
 import biham.pencil as pencil_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
+from biham.exactalg import parse_poly
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
-                          MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f, open_toda)
+                          MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f,
+                          make_model, open_toda)
 from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
                           kronecker_pencil)
 from biham.report import MAX_SAMPLES, emit_report, run_analyze
@@ -78,6 +82,43 @@ def test_every_catalog_name_constructible_from_strings():
              "sl2_shift:alpha=1;2;1"]
     dims = [resolve_target(s).dim for s in specs]
     assert dims == [5, 4, 5, 6, 3, 3, 3]
+
+
+# one spec and the same parameters as Python values, for every catalog name
+SPEC_AND_VALUES = {
+    "flat_kronecker": ("k=3", {"k": 3}),
+    "jordan_model": ("k=2,mu=-1/2", {"k": 2, "mu": Fraction(-1, 2)}),
+    "open_toda": ("k=2", {"k": 2}),
+    "periodic_toda": ("k=3", {"k": 3}),
+    "m_f": ("f=x+y+x^2*y", {"f": parse_poly("x + y + x^2*y", ("x", "y"))}),
+    "two_family": ("eta=t^2", {"eta": parse_poly("t^2", ("t",))}),
+    "sl2_shift": ("alpha=1;2;3", {"alpha": (1, 2, 3)}),
+}
+
+
+def test_catalog_spec_text_builds_what_python_values_build():
+    assert sorted(SPEC_AND_VALUES) == catalog_names()
+    for name, (text, values) in SPEC_AND_VALUES.items():
+        from_spec = resolve_target(f"{name}:{text}")
+        direct = make_model(name, **values)
+        assert from_spec.name == direct.name
+        assert export_model(from_spec) == export_model(direct)
+
+
+def test_a_new_builder_needs_no_cli_change(monkeypatch, capsys):
+    seen = []
+
+    def toy(n: int):
+        seen.append(n)
+        return flat_kronecker(int(n))
+
+    monkeypatch.setitem(models_module.CATALOG_BUILDERS, "toy", toy)
+    assert resolve_target("toy:n=3").dim == 5
+    assert main(["catalog", "show", "toy:n=3"]) == 0
+    assert json.loads(capsys.readouterr().out) == export_model(flat_kronecker(3))
+    assert seen == ["3", "3"]
+    assert main(["catalog", "show", "toy:k=3"]) == 2
+    assert capsys.readouterr().err.startswith("error: toy has no parameter 'k'")
 
 
 def test_cli_catalog_list(capsys):
@@ -374,9 +415,11 @@ def test_python_dash_m_runs_the_cli():
     (["catalog", "show", "m_f:f=x+y,k=2"], "m_f has no parameter 'k'"),
     (["catalog", "show", "jordan_model:k=2"], "jordan_model needs parameter 'mu'"),
     (["analyze", "two_family:eta=t^2,order=8", "--samples", "1"],
-     "unknown parameter 'order'"),
+     "two_family has no parameter 'order'"),
+    (["analyze", "volterra:n=5", "--samples", "1"], "unknown catalog model 'volterra'"),
+    (["catalog", "show", "open_toda:name=x"], "open_toda has no parameter 'name'"),
 ], ids=["analyze_unknown", "show_missing", "show_unknown", "show_missing_mu",
-        "two_family_order"])
+        "two_family_order", "unknown_model", "name_key"])
 def test_cli_bad_catalog_parameter_is_exit_2(argv, message, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()

@@ -6,8 +6,7 @@ from fractions import Fraction
 import pytest
 
 from biham.casimir import kronecker_criterion, w1_span_dim
-from biham.errors import (DegenerateFunction, NotNormalizable, NotRegular,
-                          UnsupportedPeriod, ValidationError)
+from biham.errors import ValidationError
 from biham.exactalg import Matrix, Poly, RationalFunction, compose, parse_poly
 from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           m_f, make_model, normal_form_phi,
@@ -205,7 +204,7 @@ def test_s_generic_classification():
 # -- periodic Toda ------------------------------------------------------------------
 
 def test_periodic_toda_rejects_k2():
-    with pytest.raises(UnsupportedPeriod):
+    with pytest.raises(ValidationError, match="periodic lattice needs k >= 3"):
         periodic_toda(2)
 
 
@@ -285,9 +284,9 @@ def test_m_f_homogeneous_type_3():
 
 
 def test_m_f_degenerate():
-    with pytest.raises(DegenerateFunction):
+    with pytest.raises(ValidationError, match="both partial derivatives must be nonzero"):
         m_f("7")
-    with pytest.raises(DegenerateFunction):
+    with pytest.raises(ValidationError, match="both partial derivatives must be nonzero"):
         m_f("x^2")   # df/dy vanishes identically
 
 
@@ -384,7 +383,8 @@ def test_sl2_criterion_and_span():
 
 
 def test_sl2_not_regular():
-    with pytest.raises(NotRegular):
+    with pytest.raises(ValidationError,
+                       match="shift vector has vanishing quadratic invariant"):
         sl2_shift((0, 0, 1))
 
 
@@ -417,9 +417,10 @@ def test_normal_form_genuinely_nonflat():
 
 
 def test_normal_form_preconditions():
-    with pytest.raises(NotNormalizable):
+    with pytest.raises(ValidationError, match="germ must vanish at the base point"):
         normal_form_phi(parse_poly("1 + x + y", V2), 4)
-    with pytest.raises(NotNormalizable):
+    with pytest.raises(ValidationError,
+                       match="both first partials must be nonzero at the base point"):
         normal_form_phi(parse_poly("x + y^2", V2), 4)
 
 
@@ -440,7 +441,7 @@ def test_web_curvature_sees_past_the_truncation():
     f = parse_poly("x + y + x^3*y^3", V2)
     assert normal_form_phi(f, 4).additive
     assert not web_curvature(f).is_zero()
-    with pytest.raises(DegenerateFunction):
+    with pytest.raises(ValidationError, match="both partial derivatives must be nonzero"):
         web_curvature(parse_poly("x^2", V2))
 
 
@@ -597,3 +598,10 @@ def test_catalog_registry():
     assert m.dim == 3
     with pytest.raises(ValidationError):
         make_model("nope")
+
+
+@pytest.mark.parametrize("k", [True, 2.0, "2.0"], ids=["bool", "float", "float_text"])
+def test_make_model_refuses_a_size_that_is_not_an_int(k):
+    # True is an int to Python, and open_toda(k=True) used to build dimension 3
+    with pytest.raises(ValidationError, match="parameter 'k' needs an integer"):
+        make_model("open_toda", k=k)
