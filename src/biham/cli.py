@@ -19,7 +19,7 @@ import sys
 
 from .casimir import LambdaFamily, family_check
 from .errors import BihamError, InternalInconsistency, ValidationError
-from .exactalg import load_json, parse_poly, parse_rational, rat
+from .exactalg import load_json, parse_int, parse_poly, parse_rational, rat
 from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, make_model, normal_form_phi, web_curvature,
                      DEFAULT_TRUNCATION)
@@ -44,17 +44,23 @@ def _parse_params(text: str) -> dict:
     return params
 
 
+def _names_file(target: str) -> bool:
+    """Whether a target is a file: an existing path or a name ending in .json."""
+    return os.path.exists(target) or target.endswith(".json")
+
+
 def resolve_target(target: str) -> ModelSpec:
     """A catalog spec like ``open_toda:k=2`` or a structure JSON path."""
-    if os.path.exists(target) or target.endswith(".json"):
+    if _names_file(target):
         return parse_structure_file(target)
     name, _, params = target.partition(":")
     return make_model(name, **_parse_params(params))
 
 
 def parse_structure_file(path_or_text: str) -> ModelSpec:
-    """Structure JSON (two bracket tables, optional families and chains)."""
-    if os.path.exists(path_or_text):
+    """Structure JSON (two bracket tables, optional families and chains), from
+    a file or inline; a missing .json file is an error that names it."""
+    if _names_file(path_or_text):
         with open(path_or_text, encoding="utf-8") as fh:
             text = fh.read()
         name = os.path.basename(path_or_text)
@@ -62,7 +68,7 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
         text = path_or_text
         name = "<inline>"
     data = load_json(text)
-    structure = BihamStructure.from_json(data, name=name)
+    structure = BihamStructure.from_json(data)
     model = ModelSpec(name=data.get("name", name), params={},
                       structure=structure)
     for k, fam_data in enumerate(_field(data, "families", list)):
@@ -120,9 +126,17 @@ def export_model(model: ModelSpec) -> dict:
 def _default_seed() -> int:
     value = os.environ.get("BIHAM_SEED", "0")
     try:
-        return int(value)
-    except ValueError as exc:
+        return parse_int(value)
+    except ValidationError as exc:
         raise ValidationError(f"BIHAM_SEED must be an integer, got {value!r}") from exc
+
+
+def _int_option(text: str) -> int:
+    """An integer option's value; argparse names the option when it is refused."""
+    try:
+        return parse_int(text)
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _point_arg(text: str) -> tuple:
@@ -149,8 +163,8 @@ def main(argv=None) -> int:
 
     p_analyze = sub.add_parser("analyze", help="full per-point analysis")
     p_analyze.add_argument("target", help="catalog spec (open_toda:k=2) or JSON file")
-    p_analyze.add_argument("--samples", type=int, default=20)
-    p_analyze.add_argument("--seed", type=int, default=None)
+    p_analyze.add_argument("--samples", type=_int_option, default=20)
+    p_analyze.add_argument("--seed", type=_int_option, default=None)
     p_analyze.add_argument("--point", action="append",
                            help="explicit rational point 'a,b,...' (repeatable)")
     p_analyze.add_argument("--format", choices=("json", "markdown"), default="json")
@@ -168,7 +182,7 @@ def main(argv=None) -> int:
 
     p_nf = sub.add_parser("normalform", help="normal form of a 2-variable germ")
     p_nf.add_argument("--function", required=True, help="polynomial in x, y")
-    p_nf.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    p_nf.add_argument("--truncation", type=_int_option, default=DEFAULT_TRUNCATION)
 
     p_rep = sub.add_parser("report", help="re-emit a stored report")
     p_rep.add_argument("file")

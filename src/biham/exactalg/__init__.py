@@ -7,14 +7,14 @@ from .kernels import BACKEND
 from .matrix import Matrix, block_diag, clear_denominators
 from .parser import load_json, parse_poly, parse_rational
 from .poly import Poly, RationalFunction, compose, exact_div, poly_gcd, truncate
-from .rational import Rational, rat, rat_str
+from .rational import Rational, parse_int, rat, rat_str
 from .smith import smith_invariant_factors
 from .upoly import factor_monic, primitive_gcd, squarefree_decomposition
 
 __all__ = [
     "BACKEND", "IntegerForm", "Matrix", "Poly", "PointEvaluator", "Rational",
     "RationalFunction", "block_diag", "clear_denominators", "compose", "exact_div",
-    "factor_monic", "load_json", "parse_poly", "parse_rational", "poly_gcd",
+    "factor_monic", "load_json", "parse_int", "parse_poly", "parse_rational", "poly_gcd",
     "primitive_gcd", "rat", "rat_str", "smith_invariant_factors",
     "squarefree_decomposition", "truncate",
 ]

@@ -10,8 +10,8 @@ D^(top - |e|), so that
     p(X / D) = sum c_e X^e D^(top - |e|) / (L D^top)
 
 is one integer sum, and a value num/den is one ``Fraction``.
-``Poly.eval`` stays the generic evaluator (floats, one polynomial at many
-points) and the oracle.
+``Poly.eval`` stays the generic evaluator (one polynomial at a point, on
+Fractions) and the oracle.
 """
 
 from fractions import Fraction

@@ -27,6 +27,7 @@ from math import gcd as int_gcd, isqrt, lcm
 from operator import add, lshift
 
 from ..errors import PoleAtPoint, ValidationError
+from .matrix import clear_denominators
 from .rational import rat, rat_str
 
 
@@ -196,7 +197,8 @@ class Poly:
     def eval(self, values):
         """Evaluate at a point (sequence aligned with the variable tuple).
 
-        Works for Fractions (exact) and floats alike.
+        Exact on ints and Fractions; a point's many functions go through
+        ``IntegerForm``s instead, and this stays their oracle.
         """
         if len(values) != len(self.variables):
             raise ValidationError("point dimension mismatch")
@@ -290,8 +292,8 @@ class Poly:
 
 def _integer_terms(terms):
     """(d, [(exponent, d*c)]) with d the lcm of the coefficient denominators."""
-    den = lcm(*(c.denominator for c in terms.values()))
-    return den, [(e, c.numerator * (den // c.denominator)) for e, c in terms.items()]
+    ints, den = clear_denominators(terms.values())
+    return den, list(zip(terms, ints))
 
 
 # Packed monomials.  A Poly's exponents e_0..e_{n-1} pack into the integer

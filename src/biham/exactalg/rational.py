@@ -4,7 +4,9 @@ The scalar field for everything in this package is the stdlib
 :class:`fractions.Fraction`: arbitrary-precision numerator, positive
 denominator, always stored in lowest terms.  This module only adds the
 string conventions used by the JSON interchange formats: a rational is an
-integer or "p/q", and ``rat_str`` is the one formatter.
+integer or "p/q", and ``rat_str`` is the one formatter.  ``parse_int``
+reads the integer form, an optional sign and ASCII digits, and is the one
+reader of integers given as text.
 """
 
 import re
@@ -15,6 +17,7 @@ from ..errors import ValidationError
 Rational = Fraction
 
 _LITERAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def rat(value) -> Fraction:
@@ -34,6 +37,18 @@ def rat(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:   # too many digits, or p/0
             raise ValidationError(f"bad rational literal {value!r}") from exc
     raise ValidationError(f"cannot interpret {value!r} as a rational")
+
+
+def parse_int(text: str) -> int:
+    """The int an optional sign and ASCII digits spell; ``int`` alone would
+    also read digit separators (``1_0``) and non-ASCII digits."""
+    text = text.strip()
+    if _INTEGER.fullmatch(text):
+        try:
+            return int(text)
+        except ValueError:          # more digits than int converts
+            pass
+    raise ValidationError(f"{text!r} is not an integer")
 
 
 def rat_str(value: Fraction) -> str:

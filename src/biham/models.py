@@ -14,10 +14,12 @@ parameter the builder does not take and a missing required one, and a new
 model needs a builder and a CATALOG_BUILDERS entry only.  Every input error
 raised here is a ValidationError.
 
-Every structure built here passes its Jacobi/compatibility certificates
-exactly, and every attached family is gated by family_check at
-construction time.  Everything is exact: the package has no floating-point
-code path.
+A builder states its variables, its two bracket tables, its families, its
+genericity list and its expectations, and returns ``_model(...)``, the one
+assembly path: it builds both PoissonStructures and the BihamStructure and
+attaches each family only after family_check certifies it.  Every
+structure built here passes its Jacobi/compatibility certificates exactly.
+Everything is exact: the package has no floating-point code path.
 """
 
 import inspect
@@ -26,8 +28,9 @@ from fractions import Fraction
 
 from .casimir import LambdaFamily, family_check
 from .errors import InternalInconsistency, ValidationError
-from .exactalg import (Poly, RationalFunction, compose, parse_poly, rat, rat_str, truncate)
-from .pencil import jordan_rows
+from .exactalg import (Poly, RationalFunction, compose, parse_int, parse_poly, rat, rat_str,
+                       truncate)
+from .pencil import jordan_rows, kronecker_rows
 from .poisson import BihamStructure, PoissonStructure
 
 DEFAULT_TRUNCATION = 6
@@ -65,8 +68,8 @@ def _check_size(k, bound: int) -> int:
     """The size parameter k as an int in 1..bound; a spec gives it as text."""
     if isinstance(k, str):
         try:
-            k = int(k)
-        except ValueError:
+            k = parse_int(k)
+        except ValidationError:
             pass
     if isinstance(k, bool) or not isinstance(k, int):
         raise ValidationError(f"parameter 'k' needs an integer, got {k!r}")
@@ -77,12 +80,22 @@ def _check_size(k, bound: int) -> int:
     return k
 
 
-def _attach(model: ModelSpec, fam: LambdaFamily):
-    cert = family_check(model.structure, fam)
-    if not cert.ok:
-        raise InternalInconsistency(
-            f"{model.name}: attached family failed its certificate: {cert.detail}")
-    model.families.append(fam)
+def _model(name: str, params: dict, variables, t1: dict, t2: dict, expectations: dict,
+           genericity=(), families=()) -> ModelSpec:
+    """The catalog model on ``variables`` with bracket tables t1 and t2; each
+    family is attached only after ``family_check`` certifies it."""
+    structure = BihamStructure(PoissonStructure(variables, t1), PoissonStructure(variables, t2))
+    for fam in families:
+        cert = family_check(structure, fam)
+        if not cert.ok:
+            raise InternalInconsistency(
+                f"{name}: attached family failed its certificate: {cert.detail}")
+    return ModelSpec(name, params, structure, list(families), list(genericity), expectations)
+
+
+def _table(rows) -> dict:
+    """The bracket table of a skew matrix: its nonzero entries above the diagonal."""
+    return {(i, j): c for i, row in enumerate(rows) for j, c in enumerate(row) if j > i and c}
 
 
 def _rf(p: Poly) -> RationalFunction:
@@ -101,24 +114,12 @@ def flat_kronecker(k: int) -> ModelSpec:
     k = _check_size(k, MAX_FLAT_KRONECKER_K)
     n = 2 * k - 1
     variables = tuple(f"x{i}" for i in range(n))
-    t1 = {}
-    t2 = {}
-    for l in range(k - 1):
-        t1[(2 * l, 2 * l + 1)] = 1
-        t2[(2 * l + 1, 2 * l + 2)] = 1
-    p1 = PoissonStructure(variables, t1, name="flat bracket 1")
-    p2 = PoissonStructure(variables, t2, name="flat bracket 2")
-    model = ModelSpec(
-        name=f"flat_kronecker(k={k})",
-        params={"k": k},
-        structure=BihamStructure(p1, p2, name=f"flat K{n}"),
-        expectations={"pencil_type": "{" + f"K{n}" + "}",
-                      "criterion": "KroneckerCertified",
-                      "integrability": "StrictlyLenardIntegrable"},
-    )
-    coeffs = tuple(_rf(Poly.variable(f"x{2 * l}", variables)) for l in range(k))
-    _attach(model, LambdaFamily(coeffs, name="coordinate family"))
-    return model
+    a, b = kronecker_rows(k)
+    coeffs = tuple(_rf(Poly.variable(name, variables)) for name in variables[::2])
+    return _model(f"flat_kronecker(k={k})", {"k": k}, variables, _table(a), _table(b),
+                  {"pencil_type": f"{{K{n}}}", "criterion": "KroneckerCertified",
+                   "integrability": "StrictlyLenardIntegrable"},
+                  families=[LambdaFamily(coeffs, name="coordinate family")])
 
 
 # -- Jordan model ----------------------------------------------------------------
@@ -130,44 +131,36 @@ def jordan_model(k: int, mu) -> ModelSpec:
     k = _check_size(k, MAX_JORDAN_K)
     mu = "inf" if mu == "inf" else rat(mu)
     a, b = jordan_rows(k, mu)
-    n = 2 * k
-    variables = tuple(f"z{i}" for i in range(n))
-    t1 = {}
-    t2 = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            if a[i][j] != 0:
-                t1[(i, j)] = a[i][j]
-            if b[i][j] != 0:
-                t2[(i, j)] = b[i][j]
-    p1 = PoissonStructure(variables, t1, name="jordan bracket 1")
-    p2 = PoissonStructure(variables, t2, name="jordan bracket 2")
     mu_s = "inf" if mu == "inf" else rat_str(mu)
-    label = f"J{n}(mu={mu_s})"          # the block's label, written from its construction
-    return ModelSpec(
-        name=f"jordan_model(k={k},mu={mu_s})",
-        params={"k": k, "mu": mu},
-        structure=BihamStructure(p1, p2, name=label),
-        expectations={"pencil_type": "{" + label + "}",
-                      "criterion": None,
-                      "integrability": "JordanObstructed"},
-    )
+    label = f"J{2 * k}(mu={mu_s})"      # the block's label, written from its construction
+    return _model(f"jordan_model(k={k},mu={mu_s})", {"k": k, "mu": mu},
+                  tuple(f"z{i}" for i in range(2 * k)), _table(a), _table(b),
+                  {"pencil_type": "{" + label + "}", "criterion": None,
+                   "integrability": "JordanObstructed"})
 
 
 # -- open Toda lattice -----------------------------------------------------------
 
 
-def _toda_tables(variables, k: int, periodic: bool):
+def _toda_tables(variables, periodic: bool):
     """Bracket tables shared by the open and periodic lattices.
 
     Adjacent pairs: {v_i, v_{i+1}}_1 = -v_odd and {v_i, v_{i+1}}_2 =
     -v_i v_{i+1}; next-to-adjacent: {v_{2l}, v_{2l+2}}_2 = -2 v_{2l+1}^2 and
-    {v_{2l-1}, v_{2l+1}}_2 = -(1/2) v_{2l-1} v_{2l+1}.
+    {v_{2l-1}, v_{2l+1}}_2 = -(1/2) v_{2l-1} v_{2l+1}.  Indices are cyclic;
+    on the open chain ``fold`` drops a pair that leaves 0..n-1, and keeps
+    every other entry as it stands, since each coordinate an entry's
+    coefficient reads lies between the pair's indices.
     """
     n = len(variables)
-    v = [Poly.variable(name, variables) for name in variables]
+    vs = [Poly.variable(name, variables) for name in variables]
+
+    def v(i):
+        return vs[i % n]
 
     def fold(table, i, j, coeff):
+        if not (periodic or (0 <= i < n and 0 <= j < n)):
+            return
         i %= n
         j %= n
         if i == j:
@@ -179,20 +172,13 @@ def _toda_tables(variables, k: int, periodic: bool):
 
     t1: dict = {}
     t2: dict = {}
-    ls = range(k) if periodic else range(k + 1)
-    for l in ls:
-        i = 2 * l
-        if periodic or i + 1 < n:
-            fold(t1, i, i + 1, -v[(i + 1) % n])
-            fold(t2, i, i + 1, -v[i % n] * v[(i + 1) % n])
-        if periodic or i - 1 >= 0:
-            fold(t1, i, i - 1, v[(i - 1) % n])
-            fold(t2, i, i - 1, v[i % n] * v[(i - 1) % n])
-        if periodic or i + 2 < n:
-            fold(t2, i, i + 2, -2 * v[(i + 1) % n] * v[(i + 1) % n])
-        if periodic or (i - 1 >= 0 and i + 1 < n):
-            fold(t2, i - 1, i + 1,
-                 Fraction(-1, 2) * v[(i - 1) % n] * v[(i + 1) % n])
+    for i in range(0, n, 2):
+        fold(t1, i, i + 1, -v(i + 1))
+        fold(t2, i, i + 1, -v(i) * v(i + 1))
+        fold(t1, i, i - 1, v(i - 1))
+        fold(t2, i, i - 1, v(i) * v(i - 1))
+        fold(t2, i, i + 2, -2 * v(i + 1) * v(i + 1))
+        fold(t2, i - 1, i + 1, Fraction(-1, 2) * v(i - 1) * v(i + 1))
     return t1, t2
 
 
@@ -217,24 +203,16 @@ def open_toda(k: int) -> ModelSpec:
     k = _check_size(k, MAX_OPEN_TODA_K)
     n = 2 * k + 1
     variables = tuple(f"v{i}" for i in range(n))
-    t1, t2 = _toda_tables(variables, k, periodic=False)
-    p1 = PoissonStructure(variables, t1, name="toda bracket 1")
-    p2 = PoissonStructure(variables, t2, name="toda bracket 2")
-    model = ModelSpec(
-        name=f"open_toda(k={k})",
-        params={"k": k},
-        structure=BihamStructure(p1, p2, name=f"V{n}"),
-        genericity=[Poly.variable(f"v{2 * l + 1}", variables) for l in range(k)],
-        expectations={"pencil_type": "{" + f"K{n}" + "}",
-                      "criterion": "KroneckerCertified",
-                      "integrability": "StrictlyLenardIntegrable"},
-    )
     ext = variables + ("lam",)
     lam = Poly.variable("lam", ext)
-    det = _tridiagonal_det([Poly.variable(f"v{2 * i}", ext) + lam for i in range(k + 1)],
-                           [Poly.variable(f"v{2 * i + 1}", ext) for i in range(k)])
-    _attach(model, _lambda_family(det, k + 1, 1, "characteristic family"))
-    return model
+    det = _tridiagonal_det([Poly.variable(name, ext) + lam for name in variables[::2]],
+                           [Poly.variable(name, ext) for name in variables[1::2]])
+    return _model(f"open_toda(k={k})", {"k": k}, variables,
+                  *_toda_tables(variables, periodic=False),
+                  {"pencil_type": f"{{K{n}}}", "criterion": "KroneckerCertified",
+                   "integrability": "StrictlyLenardIntegrable"},
+                  genericity=[Poly.variable(name, variables) for name in variables[1::2]],
+                  families=[_lambda_family(det, k + 1, 1, "characteristic family")])
 
 
 def _lambda_family(p: Poly, top: int, lead, name: str) -> LambdaFamily:
@@ -264,27 +242,17 @@ def periodic_toda(k: int) -> ModelSpec:
     k = _check_size(k, MAX_PERIODIC_TODA_K)
     if k < 3:
         raise ValidationError("periodic lattice needs k >= 3")
-    n = 2 * k
-    variables = tuple(f"v{i}" for i in range(n))
-    t1, t2 = _toda_tables(variables, k, periodic=True)
-    p1 = PoissonStructure(variables, t1, name="periodic bracket 1")
-    p2 = PoissonStructure(variables, t2, name="periodic bracket 2")
-    model = ModelSpec(
-        name=f"periodic_toda(k={k})",
-        params={"k": k},
-        structure=BihamStructure(p1, p2, name=f"V{n} periodic"),
-        genericity=[Poly.variable(f"v{2 * l + 1}", variables) for l in range(k)],
-        expectations={"pencil_type": "{" + f"K1, K{2 * k - 1}" + "}",
-                      "criterion": "HomogeneousIndicated",
-                      "integrability": "StrictlyLenardIntegrable"},
-    )
+    variables = tuple(f"v{i}" for i in range(2 * k))
     trace = _monodromy_trace_shifted(variables + ("lam",), k)
-    _attach(model, _lambda_family(trace, k, (-1) ** k, "monodromy trace family"))
-    odd_product = Poly.constant(1, variables)
-    for l in range(k):
-        odd_product = odd_product * Poly.variable(f"v{2 * l + 1}", variables)
-    _attach(model, LambdaFamily((_rf(odd_product),), name="odd-product Casimir"))
-    return model
+    # N = v_1 v_3 ... v_{2k-1}, one monomial
+    odd_product = Poly(variables, {tuple(i % 2 for i in range(2 * k)): Fraction(1)})
+    return _model(f"periodic_toda(k={k})", {"k": k}, variables,
+                  *_toda_tables(variables, periodic=True),
+                  {"pencil_type": f"{{K1, K{2 * k - 1}}}", "criterion": "HomogeneousIndicated",
+                   "integrability": "StrictlyLenardIntegrable"},
+                  genericity=[Poly.variable(name, variables) for name in variables[1::2]],
+                  families=[_lambda_family(trace, k, (-1) ** k, "monodromy trace family"),
+                            LambdaFamily((_rf(odd_product),), name="odd-product Casimir")])
 
 
 def _monodromy_trace_shifted(ext, k: int) -> Poly:
@@ -315,15 +283,12 @@ def _mat2_mul(a, b):
 
 
 def periodic_casimirs(model: ModelSpec) -> tuple:
-    """The two first-bracket Casimirs: sum of even coordinates and the odd product."""
+    """The two first-bracket Casimirs of a ``periodic_toda`` model: the sum of
+    the even coordinates and the odd product, its second family's coefficient."""
     variables = model.variables
-    k = model.params["k"]
-    even_sum = Poly.zero(variables)
-    odd_product = Poly.constant(1, variables)
-    for l in range(k):
-        even_sum = even_sum + Poly.variable(f"v{2 * l}", variables)
-        odd_product = odd_product * Poly.variable(f"v{2 * l + 1}", variables)
-    return _rf(even_sum), _rf(odd_product)
+    even_sum = sum((Poly.variable(name, variables) for name in variables[::2]),
+                   Poly.zero(variables))
+    return _rf(even_sum), model.families[1].coeffs[0]
 
 
 # -- the 3-dimensional pool: m_f is flat exactly when f = C(a(x) + b(y)) ------
@@ -339,31 +304,23 @@ def m_f(f) -> ModelSpec:
     fvars = ("x", "y")
     if isinstance(f, str):
         f = parse_poly(f, fvars)
+    elif not isinstance(f, Poly):
+        raise ValidationError("f must be a polynomial in x, y or its text form")
     if f.variables != fvars:
         f = f.embed(fvars)
-    fx = f.diff("x")
-    fy = f.diff("y")
+    variables = ("x", "y", "z")
+    fx = f.diff("x").embed(variables)
+    fy = f.diff("y").embed(variables)
     if fx.is_zero() or fy.is_zero():
         raise ValidationError("both partial derivatives must be nonzero")
-    variables = ("x", "y", "z")
-    p1 = PoissonStructure(variables, {(0, 2): fy.embed(variables)}, name="m_f bracket 1")
-    p2 = PoissonStructure(variables, {(1, 2): -fx.embed(variables)}, name="m_f bracket 2")
-    is_linear_sum = f == parse_poly("x + y", fvars)
-    model = ModelSpec(
-        name=f"m_f({f})",
-        params={"f": str(f)},
-        structure=BihamStructure(p1, p2, name=f"M_{{{f}}}"),
-        genericity=[fx.embed(variables), fy.embed(variables)],
-        expectations={"pencil_type": "{K3}",
-                      "criterion": "KroneckerCertified" if is_linear_sum else None,
-                      "integrability": "StrictlyLenardIntegrable"
-                      if is_linear_sum else None},
-    )
-    if is_linear_sum:
-        coeffs = (_rf(Poly.variable("x", variables)),
-                  _rf(Poly.variable("y", variables)))
-        _attach(model, LambdaFamily(coeffs, name="linear family"))
-    return model
+    linear = f == parse_poly("x + y", fvars)
+    families = [LambdaFamily((_rf(Poly.variable("x", variables)),
+                              _rf(Poly.variable("y", variables))),
+                             name="linear family")] if linear else []
+    return _model(f"m_f({f})", {"f": str(f)}, variables, {(0, 2): fy}, {(1, 2): -fx},
+                  {"pencil_type": "{K3}", "criterion": "KroneckerCertified" if linear else None,
+                   "integrability": "StrictlyLenardIntegrable" if linear else None},
+                  genericity=[fx, fy], families=families)
 
 
 def two_family_model(eta) -> ModelSpec:
@@ -391,26 +348,17 @@ def two_family_model(eta) -> ModelSpec:
     y = Poly.variable("y", variables)
     f1, x, eta_L, dx, dy = _two_family_chart(eta, variables)
     fx, fy = dx(f1), dy(f1)
-    p1 = PoissonStructure(variables, {(0, 2): dx(_rf(L)) * fy},
-                          name="two-family bracket 1")
-    p2 = PoissonStructure(variables, {(0, 2): -dy(_rf(L)) * fx, (1, 2): -fx},
-                          name="two-family bracket 2")
-    model = ModelSpec(
-        name=f"two_family(eta={eta})",
-        params={"eta": eta},
-        structure=BihamStructure(p1, p2, name="M^(eta)"),
-        # the chart needs the locus 2Ly + zeta'(L) = L(2y - eta'(L)) != 0
-        # and f_x, f_y != 0, which excludes L = 1 (both partials of the
-        # defining function carry the factor 1 - L)
-        genericity=[L, Poly.constant(1, variables) - L,
-                    2 * y - _poly_in(eta.diff("t"), L, variables)],
-        expectations={"pencil_type": "{K3}",
-                      "criterion": "Inconclusive",
-                      "integrability": "StrictlyLenardIntegrable"},
-    )
-    coeffs = (_rf(x), _rf(eta_L - 2 * L * y), _rf(y))
-    _attach(model, LambdaFamily(coeffs, name="quadratic family"))
-    return model
+    return _model(f"two_family(eta={eta})", {"eta": eta}, variables,
+                  {(0, 2): dx(_rf(L)) * fy}, {(0, 2): -dy(_rf(L)) * fx, (1, 2): -fx},
+                  {"pencil_type": "{K3}", "criterion": "Inconclusive",
+                   "integrability": "StrictlyLenardIntegrable"},
+                  # the chart needs the locus 2Ly + zeta'(L) = L(2y - eta'(L)) != 0
+                  # and f_x, f_y != 0, which excludes L = 1 (both partials of the
+                  # defining function carry the factor 1 - L)
+                  genericity=[L, Poly.constant(1, variables) - L,
+                              2 * y - _poly_in(eta.diff("t"), L, variables)],
+                  families=[LambdaFamily((_rf(x), _rf(eta_L - 2 * L * y), _rf(y)),
+                                         name="quadratic family")])
 
 
 def _two_family_chart(eta: Poly, variables) -> tuple:
@@ -467,14 +415,13 @@ def sl2_shift(alpha) -> ModelSpec:
     evaluates those coefficients at alpha.  The quadratic invariant is
     Q = h^2 + 4ef (the determinant form); alpha must satisfy Q(alpha) != 0.
     The family is Q(x + lam alpha) - lam^2 Q(alpha), degree 1.  A spec
-    gives alpha as text "a;b;c".
+    gives alpha as text "a;b;c"; from Python it is a list or tuple.
     """
     if isinstance(alpha, str):
         alpha = alpha.split(";")
-    alpha = tuple(rat(a) for a in alpha)
-    if len(alpha) != 3:
+    if not isinstance(alpha, (list, tuple)) or len(alpha) != 3:
         raise ValidationError("alpha must have 3 components")
-    ae, ah, af = alpha
+    ae, ah, af = alpha = tuple(rat(a) for a in alpha)
     q_alpha = ah * ah + 4 * ae * af
     if q_alpha == 0:
         raise ValidationError("shift vector has vanishing quadratic invariant")
@@ -482,27 +429,15 @@ def sl2_shift(alpha) -> ModelSpec:
     e = Poly.variable("e", variables)
     h = Poly.variable("h", variables)
     f = Poly.variable("f", variables)
-    p2 = PoissonStructure(variables,
-                          {(0, 1): -2 * e, (0, 2): h, (1, 2): -2 * f},
-                          name="sl2 linear bracket")
-    p1 = PoissonStructure(variables,
-                          {(0, 1): Poly.constant(-2 * ae, variables),
-                           (0, 2): Poly.constant(ah, variables),
-                           (1, 2): Poly.constant(-2 * af, variables)},
-                          name="sl2 frozen bracket")
-    model = ModelSpec(
-        name=f"sl2_shift(alpha=({ae},{ah},{af}))",
-        params={"alpha": alpha},
-        structure=BihamStructure(p1, p2, name="sl2 shift"),
-        genericity=[h * h + 4 * e * f, h * ae - e * ah],
-        expectations={"pencil_type": "{K3}",
-                      "criterion": "KroneckerCertified",
-                      "integrability": "StrictlyLenardIntegrable"},
-    )
     q = h * h + 4 * e * f
     polar = 2 * ah * h + 4 * af * e + 4 * ae * f
-    _attach(model, LambdaFamily((_rf(q), _rf(polar)), name="shifted invariant"))
-    return model
+    return _model(f"sl2_shift(alpha=({ae},{ah},{af}))", {"alpha": alpha}, variables,
+                  {(0, 1): -2 * ae, (0, 2): ah, (1, 2): -2 * af},   # frozen at alpha
+                  {(0, 1): -2 * e, (0, 2): h, (1, 2): -2 * f},      # linear
+                  {"pencil_type": "{K3}", "criterion": "KroneckerCertified",
+                   "integrability": "StrictlyLenardIntegrable"},
+                  genericity=[q, h * ae - e * ah],
+                  families=[LambdaFamily((_rf(q), _rf(polar)), name="shifted invariant")])
 
 
 # -- normal form of the 3-dimensional models --------------------------------------

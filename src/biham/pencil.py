@@ -663,8 +663,8 @@ def action_dimension(t: PencilType) -> int:
 # -- constant pencils used throughout ------------------------------------------
 
 
-def kronecker_pencil(k: int) -> SkewPencil:
-    """The odd 2k-1 dimensional indecomposable pair.
+def kronecker_rows(k: int) -> tuple:
+    """The integer rows of the odd 2k-1 dimensional indecomposable pair.
 
     Basis w_0..w_{2k-2}; the only nonzero pairings are (w_{2l}, w_{2l+1})
     in the first pairing and (w_{2l+1}, w_{2l+2}) in the second, both 1.
@@ -675,7 +675,12 @@ def kronecker_pencil(k: int) -> SkewPencil:
     for l in range(k - 1):
         _pair(a, 2 * l, 2 * l + 1, 1)
         _pair(b, 2 * l + 1, 2 * l + 2, 1)
-    return SkewPencil.from_rows(a, b)
+    return a, b
+
+
+def kronecker_pencil(k: int) -> SkewPencil:
+    """The pair of ``kronecker_rows``, the indecomposable K_{2k-1}."""
+    return SkewPencil.from_rows(*kronecker_rows(k))
 
 
 def _pair(rows, i, j, value):
@@ -720,11 +725,7 @@ def epsilon_adjacency_pencil(eps) -> SkewPencil:
     pairing.  eps != 0 gives {K3, K3}; eps = 0 degenerates to {K5, K1}.
     """
     eps = rat(eps)
-    a = [[0] * 6 for _ in range(6)]
-    b = [[0] * 6 for _ in range(6)]
-    for l in range(2):
-        _pair(a, 2 * l, 2 * l + 1, 1)
-        _pair(b, 2 * l + 1, 2 * l + 2, 1)
+    a, b = ([row + [0] for row in rows] + [[0] * 6] for rows in kronecker_rows(3))
     for idx in (1, 3):
         _pair(a, 5, idx, eps)
     return SkewPencil.from_rows(a, b)

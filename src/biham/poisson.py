@@ -68,10 +68,9 @@ def evaluator_at(point, dim: int) -> PointEvaluator:
 class PoissonStructure:
     """Skew table of bracket coefficients on a coordinate space."""
 
-    def __init__(self, variables, table, name: str = ""):
+    def __init__(self, variables, table):
         self.variables = tuple(variables)
         self.dim = len(self.variables)
-        self.name = name
         folded: dict = {}
         for (i, j), coeff in table.items():
             if not (0 <= i < self.dim and 0 <= j < self.dim):
@@ -194,7 +193,7 @@ class PoissonStructure:
         }
 
     @classmethod
-    def from_json(cls, data, name: str = "") -> "PoissonStructure":
+    def from_json(cls, data) -> "PoissonStructure":
         """Structure from its JSON text or object; any malformed input is a ValidationError.
 
         The dimension is an integer >= 1, variables are strings, bracket
@@ -231,7 +230,7 @@ class PoissonStructure:
             if (i, j) in table:
                 raise ValidationError(f"bracket entry ({i},{j}) defined twice")
             table[(i, j)] = coeff
-        return cls(variables, table, name=name)
+        return cls(variables, table)
 
 
 def _skew_matrix(n: int, keys, values) -> Matrix:
@@ -466,7 +465,7 @@ class BihamStructure:
         }
 
     @classmethod
-    def from_json(cls, data, name: str = "") -> "BihamStructure":
+    def from_json(cls, data) -> "BihamStructure":
         if isinstance(data, str):
             data = load_json(data)
         if not isinstance(data, dict):
@@ -474,5 +473,5 @@ class BihamStructure:
         base = {"dim": data.get("dim"), "vars": data.get("vars")}
         p1 = PoissonStructure.from_json({**base, "brackets": data.get("brackets1", [])})
         p2 = PoissonStructure.from_json({**base, "brackets": data.get("brackets2", [])})
-        return cls(p1, p2, name=name)
+        return cls(p1, p2)
 

@@ -15,7 +15,7 @@ from itertools import permutations
 from biham.casimir import LambdaFamily
 from biham.errors import BihamError, NotSkewCanonical, ValidationError
 from biham.exactalg import (Matrix, Poly, RationalFunction, clear_denominators, factor_monic,
-                            parse_poly, poly_gcd, primitive_gcd, rat, rat_str,
+                            parse_poly, poly_gcd, primitive_gcd, rat,
                             smith_invariant_factors, truncate)
 from biham.exactalg.smith import _divmod, _monic
 from biham.models import ModelSpec, _tridiagonal_det
@@ -214,7 +214,7 @@ def pencil_structure(p1, p2, lam):
     table = {}
     for key in set(p1.table) | set(p2.table):
         table[key] = p1.coeff(*key) * lam + p2.coeff(*key)
-    return PoissonStructure(p1.variables, table, name=f"{rat_str(lam)}*P1+P2")
+    return PoissonStructure(p1.variables, table)
 
 
 def shifted_family(fam, poly_coeffs):

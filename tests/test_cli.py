@@ -105,6 +105,26 @@ def test_catalog_spec_text_builds_what_python_values_build():
         assert export_model(from_spec) == export_model(direct)
 
 
+# Specs that cover every builder, with the JSON text `catalog show` printed
+# for each, recorded from the hand-assembled builders: the shared assembly
+# must export the same bytes.
+PINNED_SPECS = [
+    "jordan_model:k=2,mu=inf", "jordan_model:k=2,mu=0", "jordan_model:k=2,mu=2",
+    "jordan_model:k=2,mu=-1/3", "periodic_toda:k=3", "periodic_toda:k=5",
+    "m_f:f=x+y", "m_f:f=x+y+x^2*y", "two_family:eta=t^2", "two_family:eta=t^3",
+    "sl2_shift:alpha=0;1;0", "sl2_shift:alpha=1;2;3", "flat_kronecker:k=1",
+    "flat_kronecker:k=5", "open_toda:k=1", "open_toda:k=4",
+]
+
+
+def test_catalog_exports_are_pinned():
+    with open(os.path.join(os.path.dirname(__file__), "data", "catalog_exports.json"),
+              encoding="utf-8") as fh:
+        recorded = fh.read()
+    exports = {spec: export_model(resolve_target(spec)) for spec in PINNED_SPECS}
+    assert json.dumps(exports, indent=2, sort_keys=True) + "\n" == recorded
+
+
 def test_a_new_builder_needs_no_cli_change(monkeypatch, capsys):
     seen = []
 
@@ -329,6 +349,39 @@ def test_cli_not_skew_canonical_stays_exit_2(tmp_path, capsys, monkeypatch):
         NotSkewCanonical, "elementary divisor occurs 1 times", True))
     assert main(["decompose", path]) == 2
     assert capsys.readouterr().err == "error: elementary divisor occurs 1 times\n"
+
+
+def _exit_code(argv) -> int:
+    """main's exit code, also when argparse refuses the arguments."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv, seed, named", [
+    (["catalog", "show", "open_toda:k=1_0"], "0", "parameter 'k'"),
+    (["catalog", "show", "open_toda:k=\u0661"], "0", "parameter 'k'"),
+    (["analyze", "open_toda:k=1", "--samples", "1_0"], "0", "argument --samples"),
+    (["analyze", "open_toda:k=1", "--samples", "1", "--seed", "1_0"], "0", "argument --seed"),
+    (["analyze", "open_toda:k=1", "--samples", "1"], "1_0", "BIHAM_SEED"),
+    (["normalform", "--function", "x + y", "--truncation", "1_0"], "0",
+     "argument --truncation"),
+], ids=["k_separator", "k_arabic_indic", "samples", "seed", "env_seed", "truncation"])
+def test_cli_integers_are_a_sign_and_ascii_digits(argv, seed, named, monkeypatch, capsys):
+    # int() alone reads "1_0" as 10 and the Arabic-Indic one as 1
+    monkeypatch.setenv("BIHAM_SEED", seed)
+    assert _exit_code(argv) == 2
+    captured = capsys.readouterr()
+    assert named in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_cli_missing_json_file_is_named(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["analyze", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno 2] No such file") and str(path) in err
 
 
 def test_cli_normalform(capsys):

@@ -600,6 +600,16 @@ def test_catalog_registry():
         make_model("nope")
 
 
+@pytest.mark.parametrize("name, params", [
+    ("sl2_shift", {"alpha": 5}), ("sl2_shift", {"alpha": None}),
+    ("m_f", {"f": 5}), ("m_f", {"f": 1.5}),
+], ids=["alpha_int", "alpha_none", "f_int", "f_float"])
+def test_make_model_refuses_a_value_of_the_wrong_type(name, params):
+    # these used to escape as TypeError and AttributeError
+    with pytest.raises(ValidationError):
+        make_model(name, **params)
+
+
 @pytest.mark.parametrize("k", [True, 2.0, "2.0"], ids=["bool", "float", "float_text"])
 def test_make_model_refuses_a_size_that_is_not_an_int(k):
     # True is an int to Python, and open_toda(k=True) used to build dimension 3
