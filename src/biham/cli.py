@@ -69,7 +69,7 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
         name = "<inline>"
     data = load_json(text)
     structure = BihamStructure.from_json(data)
-    model = ModelSpec(name=data.get("name", name), params={},
+    model = ModelSpec(name=_field(data, "name", str, name), params={},
                       structure=structure)
     for k, fam_data in enumerate(_field(data, "families", list)):
         where = f"families[{k}]"
@@ -77,7 +77,7 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
             raise ValidationError(f"structure field {where} is not an object")
         _expressions(fam_data.get("coeffs", []), f"{where}.coeffs")
         fam = LambdaFamily.from_json(fam_data, structure.variables,
-                                     name=fam_data.get("name", ""))
+                                     name=_field(fam_data, "name", str, where=f"{where}.name"))
         model.families.append(fam)
     model.chains.extend(LenardChain.from_json(chain_data, structure, name=f"chain {i}")
                         for i, chain_data in enumerate(_field(data, "chains", list)))
@@ -87,12 +87,15 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
     return model
 
 
-def _field(data: dict, key: str, kind: type):
-    """data[key], empty when absent; any other type is an input error."""
-    value = data.get(key, kind())
+_KINDS = {list: "a list", dict: "an object", str: "a string"}
+
+
+def _field(data: dict, key: str, kind: type, default=None, where=None):
+    """data[key], ``default`` (else empty) when absent; any other type is an
+    input error that names the field (as ``where`` when given)."""
+    value = data.get(key, kind() if default is None else default)
     if not isinstance(value, kind):
-        raise ValidationError(f"structure field {key!r} is not "
-                              f"{'a list' if kind is list else 'an object'}")
+        raise ValidationError(f"structure field {where or repr(key)} is not {_KINDS[kind]}")
     return value
 
 

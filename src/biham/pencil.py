@@ -20,10 +20,10 @@ the lcm of its denominators, which has the same blocks.  Outside input
 enters through ``SkewPencil.from_rows``, which checks shape and skewness
 and clears denominators once; ``BihamStructure.pencil_at`` builds the pair
 skew by construction.  ``decompose`` reads the integer rows as they are and
-hands the pair, r, the proved sample and its pivot columns down to
-``jordan_part``; every matrix below is built from those integers for the
-fraction-free kernel ``row_echelon_ff``, and ``_pencil_rows`` is the one
-builder of lam*A + B.
+hands the pair, r, the proved sample, its pivot columns and |det| at each
+sample it eliminated down to ``jordan_part``; every matrix below is built
+from those integers for the fraction-free kernel ``row_echelon_ff``, and
+``_pencil_rows`` is the one builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
   Every S_d is the leading d + 1 column blocks of S_D with D = (n - c) // 2,
@@ -43,8 +43,9 @@ builder of lam*A + B.
   integer coefficients, and a determinant's divide exactly by s!).  The
   first minor is on the pivot columns of the proved sample, and the next is
   taken only while the gcd's degree is above the dimension left to finite
-  Jordan blocks; for r = 0 the one minor is det(lam*A + B).  The gcd and
-  the squarefree split run on primitive integer coefficient lists
+  Jordan blocks; for r = 0 the one minor is det(lam*A + B), whose values
+  at the samples ``decompose`` has eliminated are its last pivots.  The
+  gcd and the squarefree split run on primitive integer coefficient lists
   (``exactalg.upoly``); a monic ``Poly`` in t is built only for each
   divisor.  A divisor of degree d enters the Toeplitz matrix through its
   companion matrix, as the Kronecker product A (x) C_q + B (x) I_d, so no
@@ -53,7 +54,9 @@ builder of lam*A + B.
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
 ``PointAnalysis`` holds one point's evaluator, coranks and type from that
-one pass, so every verdict at that point reads a single decomposition.
+one pass, so every verdict at that point reads a single decomposition;
+points whose integer pencils are equal may share one ``PencilType``, since
+``decompose`` reads nothing but the pencil.
 Any exception raised while decomposing carries the integer pencil as
 ``exc.pencil``, its ``SkewPencil.to_json()``.  ``corank_profile`` and
 ``generic_corank`` eliminate every sample and stay as the oracle that the
@@ -443,20 +446,24 @@ def _interpolate(values) -> list:
     return coeffs
 
 
-def _principal_minor(a, b, cols) -> list:
+def _principal_minor(a, b, cols, known) -> list:
     """det of the principal submatrix of lam*A + B on ``cols``, as integer coefficients.
 
-    Evaluated by integer elimination at lam = 0..len(cols) and interpolated
-    in integers by ``_interpolate``.  A skew minor has determinant
-    Pf^2 >= 0, which is the absolute value of the last Bareiss pivot
-    whatever rows were swapped.
+    Evaluated at lam = 0..len(cols) and interpolated in integers by
+    ``_interpolate``: ``known`` maps a sample to the value already found
+    there, and every other sample is eliminated.  A skew minor has
+    determinant Pf^2 >= 0, which is the absolute value of the last Bareiss
+    pivot whatever rows were swapped.
     """
     sub_a = [[a[i][j] for j in cols] for i in cols]
     sub_b = [[b[i][j] for j in cols] for i in cols]
     values = []
     for lam in range(len(cols) + 1):
-        rows = _pencil_rows(sub_a, sub_b, lam)
-        values.append(_abs_det(rows, row_echelon_ff(rows)[0]))
+        value = known.get(lam)
+        if value is None:
+            rows = _pencil_rows(sub_a, sub_b, lam)
+            value = _abs_det(rows, row_echelon_ff(rows)[0])
+        values.append(value)
     return _interpolate(values)
 
 
@@ -495,13 +502,14 @@ def _companion_rows(q: Poly) -> tuple:
     return comp, c
 
 
-def jordan_part(a, b, r, lam, pivots, jordan_dim: int) -> list:
+def jordan_part(a, b, r, lam, pivots, jordan_dim: int, dets) -> list:
     """Jordan blocks of the integer pencil as a sorted list of Block objects.
 
     ``r`` is the generic corank, ``lam`` a sample where lam*A + B has
-    corank r, ``pivots`` its pivot columns there, and ``jordan_dim`` the
+    corank r, ``pivots`` its pivot columns there, ``jordan_dim`` the
     dimension left to the Jordan blocks once the Kronecker blocks are
-    counted.
+    counted, and ``dets`` maps samples already eliminated to
+    |det(lam*A + B)| there.
 
     Block sizes come from the Weyr characteristic: w_k, the number of
     Jordan chains of length >= k at a divisor, is the growth of the nullity
@@ -514,7 +522,8 @@ def jordan_part(a, b, r, lam, pivots, jordan_dim: int) -> list:
     principal minors Pf_I^2.  The first minor is on ``pivots``, which is
     nonzero; the next is taken only while the gcd's degree is above the
     degree the finite Jordan blocks fill, at which point it is D_rho.  For
-    r = 0 the only principal rho-minor is det(lam*A + B) itself.  Minors, their
+    r = 0 the only principal rho-minor is det(lam*A + B) itself, and it is
+    eliminated only at the samples missing from ``dets``.  Minors, their
     gcd and its squarefree split stay on integer coefficient lists: the
     values are integer determinants, so the interpolation divides exactly,
     and the gcd is primitive, so every quotient of the split is exact in
@@ -531,7 +540,7 @@ def jordan_part(a, b, r, lam, pivots, jordan_dim: int) -> list:
         return []
     n = len(a)
     column_sets = _principal_column_sets(a, b, lam, pivots)
-    d_rho = _principal_minor(a, b, next(column_sets))
+    d_rho = _principal_minor(a, b, next(column_sets), dets if r == 0 else {})
     # D_rho divides every principal minor, and mu^(infinite degree) divides
     # it in the homogeneous chart, which bounds the chains at infinity
     blocks = []
@@ -547,7 +556,7 @@ def jordan_part(a, b, r, lam, pivots, jordan_dim: int) -> list:
         cols = next(column_sets, None)
         if cols is None:
             break
-        d_rho = primitive_gcd(d_rho, _principal_minor(a, b, cols))
+        d_rho = primitive_gcd(d_rho, _principal_minor(a, b, cols, {}))
     if len(d_rho) - 1 != finite_degree:
         raise InternalInconsistency(
             f"principal minors have a gcd of degree {len(d_rho) - 1}, "
@@ -582,19 +591,24 @@ def decompose(p: SkewPencil) -> PencilType:
     it finds c minimal indices:
       c >= r at every lam, and the pencil has exactly r minimal indices;
       if the staircase finds c of them, then r >= c, so r = c.
-    The integer pair, r, the proved sample and its pivot columns are handed
-    to ``jordan_part``, which runs only when the Kronecker blocks leave part
-    of dimension n to the Jordan blocks.  The corank profile is then read
-    off the blocks: r at every sample, plus 2 for each J block at the root
-    of its divisor.  Any exception raised while decomposing carries the
+    The integer pair, r, the proved sample, its pivot columns and |det| at
+    every sample eliminated (the last Bareiss pivot, or 0 below full rank)
+    are handed to ``jordan_part``, which runs only when the Kronecker blocks
+    leave part of dimension n to the Jordan blocks; for r = 0 it reads
+    det(lam*A + B) there instead of eliminating those samples again.  The
+    corank profile is then read off the blocks: r at every sample, plus 2
+    for each J block at the root of its divisor.  Any exception raised while decomposing carries the
     pencil as ``exc.pencil = p.to_json()``, so the failing pencil can become
     a test case as it stands.
     """
     a, b = p.A.to_rows(), p.B.to_rows()
     n = p.n
+    dets = {}
     try:
         for lam in [PROBE] + [x for x in range(n + 1) if x != PROBE]:
-            rank, pivots = row_echelon_ff(_pencil_rows(a, b, lam))
+            rows = _pencil_rows(a, b, lam)
+            rank, pivots = row_echelon_ff(rows)
+            dets[lam] = _abs_det(rows, rank)
             c = n - rank
             indices = minimal_indices(a, b, c)
             if len(indices) == c:
@@ -602,7 +616,7 @@ def decompose(p: SkewPencil) -> PencilType:
         else:
             raise InternalInconsistency("no sample of lam*A + B proves the generic corank")
         filled = sum(2 * e + 1 for e in indices)
-        jordan = jordan_part(a, b, c, lam, pivots, n - filled) if filled != n else []
+        jordan = jordan_part(a, b, c, lam, pivots, n - filled, dets) if filled != n else []
     except Exception as exc:
         exc.pencil = p.to_json()
         raise
@@ -645,11 +659,19 @@ class PointAnalysis:
         return min(self.ptype.corank_profile.values())
 
     @classmethod
-    def of(cls, pencil: SkewPencil, point) -> "PointAnalysis":
-        """Decompose the pencil at ``point`` (coordinates or its ``PointEvaluator``)."""
+    def of(cls, pencil: SkewPencil, point, types: dict) -> "PointAnalysis":
+        """Decompose the pencil at ``point`` (coordinates or its ``PointEvaluator``).
+
+        ``types`` maps integer pencils to their ``decompose`` results; a
+        pencil found there is not decomposed again, and one decomposed here
+        is added.  The caller owns the dict and decides how long it lives.
+        """
         if not isinstance(point, PointEvaluator):
             point = PointEvaluator(point)
-        return cls(point, decompose(pencil))
+        ptype = types.get(pencil)
+        if ptype is None:
+            ptype = types[pencil] = decompose(pencil)
+        return cls(point, ptype)
 
 
 def action_dimension(t: PencilType) -> int:

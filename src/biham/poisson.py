@@ -444,17 +444,20 @@ class BihamStructure:
         return SkewPencil(n, _skew_matrix(n, self.p1.table, ints[:len(v1)]),
                           _skew_matrix(n, self.p2.table, ints[len(v1):]))
 
-    def point_analysis(self, point) -> PointAnalysis:
+    def point_analysis(self, point, types=None) -> PointAnalysis:
         """Coranks and block type at a point, from one evaluator; a record passes through.
 
         The point is scaled to integers once: its ``PointEvaluator`` evaluates
         the pencil here and, kept on the record, every gradient row later.
-        Nothing is kept on the structure: the caller owns the record.
+        ``types`` is the caller's dict from integer pencil to ``PencilType``
+        (``PointAnalysis.of``): points whose pencils are equal share one
+        ``decompose``.  Nothing is kept on the structure: the caller owns the
+        record and the dict.
         """
         if isinstance(point, PointAnalysis):
             return point
         ev = evaluator_at(point, self.dim)
-        return PointAnalysis.of(self.pencil_at(ev), ev)
+        return PointAnalysis.of(self.pencil_at(ev), ev, {} if types is None else types)
 
     def to_json(self) -> dict:
         return {

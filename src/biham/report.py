@@ -88,6 +88,10 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
 
     Each sample point is decomposed once; its ``PointAnalysis`` feeds the
     criterion, the integrability verdict, the Lax check and the coranks.
+    Points whose integer pencils are equal share one decomposition: one dict
+    from pencil to ``PencilType`` lives for this call only, so nothing is
+    carried to the next call.  The constant-coefficient models give the
+    same pencil at every point and are decomposed once.
     """
     if points is None and not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(
@@ -118,6 +122,7 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
 
     point_records = []
     analyses = []                     # one PointAnalysis per pole-free point
+    types = {}                        # integer pencil -> PencilType, for this call
     type_counter = Counter()
     criterion_counter = Counter()
     integrability_counter = Counter()
@@ -126,7 +131,7 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     for pt in sorted(points):
         record = {"point": [rat_str(x) for x in pt]}
         try:
-            at = b.point_analysis(pt)
+            at = b.point_analysis(pt, types)
         except PoleAtPoint as exc:
             record["error"] = str(exc)
             point_records.append(record)

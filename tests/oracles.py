@@ -139,6 +139,67 @@ def minor_rank(rows) -> int:
     return 0
 
 
+# -- eager Bareiss -------------------------------------------------------------
+#
+# The elimination kernel as it was before rows were scaled lazily: every row
+# below the pivot is brought up to every pivot, whether or not its entry in
+# the pivot column is zero.  biham.exactalg.kernels.row_echelon_ff must
+# return the same rank and pivot columns and leave the same rows.
+
+
+def eager_row_echelon_ff(m):
+    """One-step fraction-free elimination in place, every row updated at every step.
+
+    Returns ``(rank, pivot_cols)``; each update (x*piv - t*y) is exactly
+    divisible by the previous pivot.
+    """
+    n_rows = len(m)
+    n_cols = len(m[0]) if n_rows else 0
+    pivot_cols = []
+    r = 0
+    prev = 1
+    for c in range(n_cols):
+        if r >= n_rows:
+            break
+        best = -1
+        best_abs = 0
+        for i in range(r, n_rows):
+            v = m[i][c]
+            if v != 0:
+                a = -v if v < 0 else v
+                if best < 0 or a < best_abs:
+                    best = i
+                    best_abs = a
+        if best < 0:
+            continue
+        if best != r:
+            m[r], m[best] = m[best], m[r]
+        piv = m[r][c]
+        row_r = m[r]
+        for i in range(r + 1, n_rows):
+            row_i = m[i]
+            t = row_i[c]
+            row_i[c] = 0
+            if t == 0:
+                if prev == 1:
+                    for j in range(c + 1, n_cols):
+                        row_i[j] = row_i[j] * piv
+                else:
+                    for j in range(c + 1, n_cols):
+                        row_i[j] = row_i[j] * piv // prev
+            else:
+                if prev == 1:
+                    for j in range(c + 1, n_cols):
+                        row_i[j] = row_i[j] * piv - t * row_r[j]
+                else:
+                    for j in range(c + 1, n_cols):
+                        row_i[j] = (row_i[j] * piv - t * row_r[j]) // prev
+        prev = piv
+        pivot_cols.append(c)
+        r += 1
+    return r, pivot_cols
+
+
 # -- rational pencil paths ---------------------------------------------------
 #
 # The per-degree rational staircase and the Gaussian corank profile, kept as

@@ -629,6 +629,27 @@ def test_cli_malformed_structure_field_is_exit_2(tmp_path, capsys, field, value,
     assert captured.err.startswith("error: ") and message in captured.err
 
 
+@pytest.mark.parametrize("name,family_name,code,message", [
+    ("s", "f", 0, ""),
+    (5, "f", 2, "structure field 'name' is not a string"),
+    ("s", 7, 2, "structure field families[0].name is not a string"),
+], ids=["strings", "structure_name", "family_name"])
+def test_cli_structure_or_family_name_not_a_string_is_exit_2(
+        tmp_path, capsys, name, family_name, code, message):
+    # the structure and family schemas make both names strings
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({"name": name, "dim": 3, "vars": ["x", "y", "z"],
+                                "brackets1": [], "brackets2": [],
+                                "families": [{"name": family_name, "coeffs": ["x"]}]}))
+    assert main(["analyze", str(path), "--samples", "1"]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and message in captured.err
+    else:
+        assert json.loads(captured.out)["structure"] == "s"
+
+
 @pytest.mark.parametrize("power", [24, 64])
 def test_cli_high_power_quotient_is_fast(capsys, power):
     # reducing the quotient is one gcd of two coprime univariate powers, which
@@ -756,7 +777,9 @@ def test_structure_files_validate_against_schema():
     for bad in ({**FLAT_K3, **empty, "dim": True, "vars": ["x0"]},
                 {**FLAT_K3, **empty, "dim": 0, "vars": []},
                 {**FLAT_K3, "families": [{"degree": 1, "coeffs": ["x0", 1]}]},
-                {**FLAT_K3, "chains": [{"anchored": 1, "functions": ["x2"]}]}):
+                {**FLAT_K3, "chains": [{"anchored": 1, "functions": ["x2"]}]},
+                {**FLAT_K3, "name": 5},
+                {**FLAT_K3, "families": [{"name": 7, "degree": 1, "coeffs": ["x0", "x2"]}]}):
         with pytest.raises(jsonschema.ValidationError):
             validator.validate(bad)
         with pytest.raises(ValidationError):

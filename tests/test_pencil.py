@@ -39,7 +39,7 @@ def _jordan_part(p):
     a, b = integer_rows(p)
     r, lam, pivots = generic_sample(p)
     kron = minimal_indices(a, b, r)
-    return jordan_part(a, b, r, lam, pivots, p.n - sum(2 * e + 1 for e in kron))
+    return jordan_part(a, b, r, lam, pivots, p.n - sum(2 * e + 1 for e in kron), {})
 
 
 def test_pencil_validation():
@@ -207,9 +207,9 @@ def test_eigenvalue_at_the_probe_takes_the_fallback(monkeypatch, p, label):
     assert list(t.corank_profile.items()) == list(expected.items())
     assert list(t.jordan_blocks()) == smith_jordan_part(p)
     assert [c for c, _ in targets] == [expected["1"], r]
-    # lam = 1 is eliminated first, and again only for r = 0, where the one
-    # principal minor det(lam*A + B) is evaluated at lam = 0..n
-    assert eliminated.count(at_probe) == 1 + (r == 0)
+    # lam = 1 is eliminated first and only once: for r = 0 the one principal
+    # minor det(lam*A + B) reads its value there (0) off the failed probe
+    assert eliminated.count(at_probe) == 1
     assert eliminated.index(at_probe) == 0
 
 
@@ -232,14 +232,15 @@ def test_jordan_point_probe_below_an_eigenvalue_keeps_its_indices(monkeypatch):
 @pytest.mark.parametrize("mu", [2, -1, "inf"])
 def test_jordan_model_point_runs_no_more_full_eliminations(monkeypatch, mu):
     # a Jordan point with r = 0 eliminates lam*A + B at the probe, and for
-    # the one minor det(lam*A + B) at lam = 0..n: n + 2 n x n eliminations
-    # in all.  With the eigenvalue at the probe (mu = -1) the probe fails
-    # and lam = 0 proves r, one more
+    # the one minor det(lam*A + B) at the other samples of lam = 0..n: each
+    # sample once, n + 1 n x n eliminations in all.  With the eigenvalue at
+    # the probe (mu = -1) the probe fails and lam = 0 proves r, and the
+    # minor reads both values off those eliminations
     p = _sample_pencil(jordan_model(2, mu))
     n = p.n
     calls = _count_eliminations(monkeypatch)
     assert decompose(p).label() == f"{{J4(mu={mu})}}"
-    assert calls.count((n, n)) <= n + 2 + (mu == -1)
+    assert calls.count((n, n)) == n + 1
 
 
 ROOT_CASES = [
@@ -291,7 +292,7 @@ def test_decompose_scales_the_pencil_once(monkeypatch):
     model = open_toda(3)
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
     at_point = model.structure.pencil_at(point)
-    assert PointAnalysis.of(at_point, point).ptype.label() == "{K7}"
+    assert PointAnalysis.of(at_point, point, {}).ptype.label() == "{K7}"
     assert checked == []
 
 

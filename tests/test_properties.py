@@ -8,16 +8,17 @@ from hypothesis import assume, event, given, settings, strategies as st
 from biham.errors import PoleAtPoint
 from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
                             parse_poly, poly_gcd, exact_div, squarefree_decomposition)
+from biham.exactalg.kernels import row_echelon_ff
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpolate,
                           _principal_minor, corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil)
 
-from oracles import (T, convolution_nullity, fraction_squarefree_decomposition, fraction_ugcd,
-                     gauss_corank_profile, gauss_det, generic_sample, integer_coefficients,
-                     integer_rows, monic_gcd, schoolbook_matrix_product, smith_jordan_part,
-                     univariate)
+from oracles import (T, convolution_nullity, eager_row_echelon_ff,
+                     fraction_squarefree_decomposition, fraction_ugcd, gauss_corank_profile,
+                     gauss_det, generic_sample, integer_coefficients, integer_rows, monic_gcd,
+                     schoolbook_matrix_product, smith_jordan_part, univariate)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=4)
 
@@ -43,6 +44,51 @@ def test_nullspace_dimension_and_exactness(m):
     assert len(basis) == m.cols - m.rank()
     for v in basis:
         assert all(x == 0 for x in m.apply(v))
+
+
+@st.composite
+def integer_matrices(draw, max_dim=12):
+    """Integer rows for the kernel: sparse or dense, entries up to 3 or 10^12,
+    and some rows replaced by multiples of others, so the rank falls short."""
+    rows = draw(st.integers(0, max_dim))
+    cols = draw(st.integers(0, max_dim))
+    bound = draw(st.sampled_from([3, 10 ** 12]))
+    entry = st.integers(-bound, bound)
+    if draw(st.booleans()):
+        entry = st.one_of(st.just(0), st.just(0), st.just(0), entry)
+    m = [draw(st.lists(entry, min_size=cols, max_size=cols)) for _ in range(rows)]
+    if rows:
+        index = st.integers(0, rows - 1)
+        for target, source, factor in draw(st.lists(
+                st.tuples(index, index, st.integers(-3, 3)), max_size=rows)):
+            m[target] = [factor * x for x in m[source]]
+    return m
+
+
+def _kernels_agree(rows) -> int:
+    """The rank, once both kernels agree on it, on the pivots and on the rows left."""
+    lazy, eager = [row[:] for row in rows], [row[:] for row in rows]
+    rank, pivot_cols = row_echelon_ff(lazy)
+    assert (rank, pivot_cols) == eager_row_echelon_ff(eager)
+    assert lazy == eager
+    return rank
+
+
+@given(integer_matrices())
+@settings(max_examples=300, deadline=None)
+def test_lazy_kernel_matches_the_eager_oracle(rows):
+    # same rank and pivot columns, and the same rows left in place: pivot
+    # rows caught up, rows past the rank zero
+    rank = _kernels_agree(rows)
+    event("full rank" if rank == min(len(rows), len(rows[0]) if rows else 0)
+          else "rank deficient")
+
+
+def test_lazy_kernel_compares_caught_up_signed_values():
+    # at the last column row 2 stands at level -3 and row 3 at level 1 with
+    # prev = -9: caught up they are 9 and -27, so row 2 is the pivot; scaling
+    # |v| by the negative prev/level would pick row 3
+    _kernels_agree([[0, -3, 0, 1], [0, 0, 3, -3], [0, -3, 0, 0], [0, 0, 0, 3]])
 
 
 @st.composite
@@ -269,7 +315,7 @@ def test_decompose_matches_slow_oracle_on_block_soups(soup, data):
             dets = [int(abs(gauss_det([[lam * x + y for x, y in zip(ra, rb)]
                                         for ra, rb in zip(a, b)])))
                     for lam in range(congruent.n + 1)]
-            assert _interpolate(dets) == _principal_minor(a, b, range(congruent.n))
+            assert _interpolate(dets) == _principal_minor(a, b, range(congruent.n), {})
         assert slow_decompose(congruent) == expected
         assert decompose(congruent) == expected
         assert decompose(congruent).label() == expected.label()
@@ -305,7 +351,7 @@ def test_jordan_part_matches_smith_oracle_on_block_soups(soup, data):
         expected = smith_jordan_part(congruent)
         a, b = integer_rows(congruent)
         jordan_dim = sum(blk.dimension() for blk in expected)
-        assert jordan_part(a, b, *generic_sample(congruent), jordan_dim) == expected
+        assert jordan_part(a, b, *generic_sample(congruent), jordan_dim, {}) == expected
 
 
 @given(block_soups(), st.data())

@@ -99,6 +99,26 @@ def test_analyze_decomposes_each_point_once(monkeypatch):
                                     | families | relations)
 
 
+def test_analyze_decomposes_each_distinct_pencil_once_per_call(monkeypatch):
+    # a constant-coefficient model has one integer pencil at every point: one
+    # decompose per run_analyze call, the report of one decompose per point,
+    # and a second call decomposes again, so nothing outlives the call
+    model = flat_kronecker(3)
+    decomposed = _count_calls(monkeypatch, pencil, "decompose")
+    shared = BihamStructure.point_analysis
+    monkeypatch.setattr(BihamStructure, "point_analysis",
+                        lambda self, point, types=None: shared(self, point))
+    per_point = emit_report(run_analyze(model, samples=5, seed=0))
+    assert len(decomposed) == 5
+    monkeypatch.setattr(BihamStructure, "point_analysis", shared)
+    report = run_analyze(model, samples=5, seed=0)
+    assert len(report.points) == 5 and report.matched
+    assert len(decomposed) == 5 + 1
+    assert emit_report(report) == per_point
+    run_analyze(model, samples=5, seed=0)
+    assert len(decomposed) == 5 + 2
+
+
 def test_analyze_sums_each_relation_once(monkeypatch):
     # family, anchor and chain share one stored result per relation, so each
     # relation is summed once, next to the two Jacobi and the compatibility sums
