@@ -31,12 +31,14 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows) -> "Matrix":
+        """The matrix of equal-length rows: ints are kept as they are, any
+        other entry goes through ``rat`` (so a bool is refused)."""
         rows = [list(r) for r in rows]
         n = len(rows)
         m = len(rows[0]) if n else 0
         if any(len(r) != m for r in rows):
             raise ValidationError("ragged rows")
-        return cls(n, m, tuple(rat(x) for r in rows for x in r))
+        return cls(n, m, tuple(x if type(x) is int else rat(x) for r in rows for x in r))
 
     @classmethod
     def zero(cls, rows: int, cols: int | None = None) -> "Matrix":
@@ -90,7 +92,8 @@ class Matrix:
     def is_skew(self) -> bool:
         if self.rows != self.cols:
             return False
-        return all(self[i, j] == -self[j, i] for i in range(self.rows) for j in range(i, self.cols))
+        e, n = self.entries, self.rows
+        return all(e[i * n + j] == -e[j * n + i] for i in range(n) for j in range(i, n))
 
     def congruence(self, p: "Matrix") -> "Matrix":
         """p^T @ self @ p (change of basis for a bilinear pairing)."""

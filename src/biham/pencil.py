@@ -19,11 +19,23 @@ Every pencil is an integer pencil: a ``SkewPencil`` stores lam*A + B times
 the lcm of its denominators, which has the same blocks.  Outside input
 enters through ``SkewPencil.from_rows``, which checks shape and skewness
 and clears denominators once; ``BihamStructure.pencil_at`` builds the pair
-skew by construction.  ``decompose`` reads the integer rows as they are and
-hands the pair, r, the proved sample, its pivot columns and |det| at each
-sample it eliminated down to ``jordan_part``; every matrix below is built
-from those integers for the fraction-free kernel ``row_echelon_ff``, and
-``_pencil_rows`` is the one builder of lam*A + B.
+skew by construction.  ``decompose`` first divides each row of the pair
+(A_i, B_i) by its positive content and then each column of the result by
+its content (``_primitive_pair``), since one lcm over all entries leaves
+large row contents on a sampled pencil, and every Bareiss minor would
+multiply them up.  With D1 and D2 the positive diagonal matrices of those
+divisions, D1 (lam*A + B) D2 is a strict equivalence: it keeps the rank at
+every lam, the minimal indices, the elementary divisors, the nullities of
+the staircase and block Toeplitz systems below (their block rows and
+columns are scaled by D1 and D2) and the pivot columns of every
+elimination.  It scales each principal minor by a positive constant, so
+the last Bareiss pivot of one is still, in absolute value, a nonnegative
+multiple of Pf^2, and the primitive gcd D_rho does not change.  The
+reduced pair need not be skew; nothing below assumes it is.
+``decompose`` hands that pair, r, the proved sample, its pivot columns and
+|det| at each sample it eliminated down to ``jordan_part``; every matrix
+below is built from those integers for the fraction-free kernel
+``row_echelon_ff``, and ``_pencil_rows`` is the one builder of lam*A + B.
 
 - Minimal indices need only the nullity of each staircase system S_d.
   Every S_d is the leading d + 1 column blocks of S_D with D = (n - c) // 2,
@@ -132,9 +144,13 @@ class SkewPencil:
             data = load_json(data)
         try:
             n = data["n"]
-            pencil = cls.from_rows(data["A"], data["B"])
+            rows = data["A"], data["B"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad pencil JSON: {exc}") from exc
+        for name, value in zip("AB", rows):
+            if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
+                raise ValidationError(f"pencil field {name!r} is not a list of lists")
+        pencil = cls.from_rows(*rows)
         if not isinstance(n, int) or isinstance(n, bool) or pencil.n != n:
             raise ValidationError(f"pencil dimension field {n!r} disagrees with the "
                                   f"{pencil.n} x {pencil.n} matrices")
@@ -286,6 +302,27 @@ def _abs_det(rows, rank) -> int:
     if rank < len(rows):
         return 0
     return abs(rows[-1][-1]) if rows else 1
+
+
+def _primitive_pair(a, b) -> tuple:
+    """The integer pair D1 A D2, D1 B D2 with primitive rows, then primitive columns.
+
+    Row i of both matrices is divided by the positive content of (A_i, B_i),
+    then column j of the result by the content of its column in both; a
+    zero row or column stays as it is.  D1 (lam*A + B) D2 with D1 and D2
+    positive diagonal is a strict equivalence of pencils, so the pair keeps
+    every rank, minimal index and elementary divisor.  A skew pair's column
+    contents are its row contents, so a pair whose rows are all primitive
+    comes back as it is, after one ``gcd`` per row.
+    """
+    contents = [gcd(*ra, *rb) or 1 for ra, rb in zip(a, b)]
+    if all(g == 1 for g in contents):
+        return a, b
+    a = [[x // g for x in row] for row, g in zip(a, contents)]
+    b = [[x // g for x in row] for row, g in zip(b, contents)]
+    contents = [gcd(*col) or 1 for col in zip(*a, *b)]
+    return ([[x // g for x, g in zip(row, contents)] for row in a],
+            [[x // g for x, g in zip(row, contents)] for row in b])
 
 
 def corank_profile(a, b) -> dict:
@@ -451,9 +488,10 @@ def _principal_minor(a, b, cols, known) -> list:
 
     Evaluated at lam = 0..len(cols) and interpolated in integers by
     ``_interpolate``: ``known`` maps a sample to the value already found
-    there, and every other sample is eliminated.  A skew minor has
-    determinant Pf^2 >= 0, which is the absolute value of the last Bareiss
-    pivot whatever rows were swapped.
+    there, and every other sample is eliminated.  A principal minor of a
+    skew pencil is Pf^2 >= 0, and one of the content-reduced pair a positive
+    multiple of Pf^2; either is the absolute value of the last Bareiss
+    pivot, whatever rows were swapped.
     """
     sub_a = [[a[i][j] for j in cols] for i in cols]
     sub_b = [[b[i][j] for j in cols] for i in cols]
@@ -519,7 +557,9 @@ def jordan_part(a, b, r, lam, pivots, jordan_dim: int, dets) -> list:
     The finite divisors are the irreducible factors of D_rho, the gcd of
     the rho x rho minors (rho = n - r).  For a skew pencil each minor on
     rows I and columns J is Pf_I * Pf_J, so D_rho is also the gcd of the
-    principal minors Pf_I^2.  The first minor is on ``pivots``, which is
+    principal minors Pf_I^2; on ``decompose``'s content-reduced pair each
+    minor gains a positive constant factor, which the primitive gcd drops.
+    The first minor is on ``pivots``, which is
     nonzero; the next is taken only while the gcd's degree is above the
     degree the finite Jordan blocks fill, at which point it is D_rho.  For
     r = 0 the only principal rho-minor is det(lam*A + B) itself, and it is
@@ -591,17 +631,22 @@ def decompose(p: SkewPencil) -> PencilType:
     it finds c minimal indices:
       c >= r at every lam, and the pencil has exactly r minimal indices;
       if the staircase finds c of them, then r >= c, so r = c.
-    The integer pair, r, the proved sample, its pivot columns and |det| at
+    The reduced pair, r, the proved sample, its pivot columns and |det| at
     every sample eliminated (the last Bareiss pivot, or 0 below full rank)
     are handed to ``jordan_part``, which runs only when the Kronecker blocks
     leave part of dimension n to the Jordan blocks; for r = 0 it reads
     det(lam*A + B) there instead of eliminating those samples again.  The
     corank profile is then read off the blocks: r at every sample, plus 2
-    for each J block at the root of its divisor.  Any exception raised while decomposing carries the
-    pencil as ``exc.pencil = p.to_json()``, so the failing pencil can become
-    a test case as it stands.
+    for each J block at the root of its divisor.  Everything above reads the
+    content-reduced pair of ``_primitive_pair``, D1 (lam*A + B) D2 with D1
+    and D2 positive diagonal: a strict equivalence, so the ranks, pivot
+    columns, minimal indices and elementary divisors are those of ``p``,
+    and each principal minor is a positive multiple of its own.  Any
+    exception raised while decomposing carries the original pencil as
+    ``exc.pencil = p.to_json()``, so the failing pencil can become a test
+    case as it stands.
     """
-    a, b = p.A.to_rows(), p.B.to_rows()
+    a, b = _primitive_pair(p.A.to_rows(), p.B.to_rows())
     n = p.n
     dets = {}
     try:

@@ -268,6 +268,20 @@ def test_cli_decompose(tmp_path, capsys):
     assert "{K5}" in out
 
 
+def test_cli_decompose_string_rows_is_exit_2_and_spaced_entries_load(tmp_path, capsys):
+    # a row written as a string is refused, naming the field, where it was
+    # read as a row of characters ({K1, K1}, exit 0); entries with the
+    # whitespace rat strips load as the entries themselves
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps({"n": 2, "A": ["00", "00"], "B": ["00", "00"]}))
+    assert main(["decompose", str(path)]) == 2
+    assert "pencil field 'A' is not a list of lists" in capsys.readouterr().err
+    path.write_text(json.dumps({"n": 2, "A": [[" 0", "1 "], ["-1", "0"]],
+                                "B": [["0", " 2/3"], ["-2/3 ", "0"]]}))
+    assert main(["decompose", str(path)]) == 0
+    assert "{J2(mu=3/2)}" in capsys.readouterr().out
+
+
 def _pencil_file(tmp_path):
     pencil = kronecker_pencil(2).direct_sum(jordan_pencil(1, "1/2"))
     path = tmp_path / "pencil.json"
@@ -719,14 +733,17 @@ def test_report_validates_against_schema():
 
 
 def test_pencils_validate_against_schema():
-    # the schema accepts what the loader accepts: integer entries, n = 0, and
-    # every pencil the library writes
+    # the schema accepts what the loader accepts: integer entries, n = 0,
+    # entries with the surrounding whitespace rat strips, and every pencil
+    # the library writes
     jsonschema = pytest.importorskip("jsonschema")
     schema = _schema("pencil.schema.json")
     rational = {"n": 2, "A": [["0", "1/2"], ["-1/2", "0"]], "B": [[0, 3], [-3, 0]]}
     empty = {"n": 0, "A": [], "B": []}
-    for data in (rational, empty):
+    spaced = {"n": 2, "A": [[" 0", "1/2 "], ["\t-1/2", "0\n"]], "B": [[0, " 3 "], [-3, 0]]}
+    for data in (rational, empty, spaced):
         jsonschema.validate(data, schema)
+    assert SkewPencil.from_json(spaced) == SkewPencil.from_json(rational)
     point = (1, 2, "1/2", 3, "-1/3")
     pencils = [kronecker_pencil(3), jordan_pencil(2, "-1/2"), jordan_pencil(1, "inf"),
                epsilon_adjacency_pencil("1/2"),
@@ -735,8 +752,11 @@ def test_pencils_validate_against_schema():
                open_toda(2).structure.pencil_at(point)]
     for p in pencils:
         jsonschema.validate(p.to_json(), schema)
+    # a row written as a string is not a row of characters
+    string_rows = {"n": 2, "A": ["00", "00"], "B": ["00", "00"]}
     for bad in ({**empty, "n": True}, {**rational, "A": [["0", "1/2"], ["-1/2", "1.5"]]},
-                {**rational, "A": [["0", "1/0"], ["-1/0", "0"]]}):
+                {**rational, "A": [["0", "1/0"], ["-1/0", "0"]]}, string_rows,
+                {**rational, "B": "03"}):
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
         with pytest.raises(ValidationError):

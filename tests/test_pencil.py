@@ -3,6 +3,7 @@
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -11,7 +12,7 @@ from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationErro
 from biham.exactalg import Matrix, Poly
 from biham.exactalg.smith import _monic
 from biham.models import jordan_model, open_toda
-from biham.pencil import (PointAnalysis, SkewPencil, action_dimension,
+from biham.pencil import (PointAnalysis, SkewPencil, _primitive_pair, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil, minimal_indices)
@@ -276,8 +277,9 @@ def test_profile_and_jordan_part_match_the_oracles_at_every_root(p, label):
 
 def test_decompose_scales_the_pencil_once(monkeypatch):
     # a pencil is scaled to integers and checked for skewness once, when it
-    # is built: decompose reads the integer rows as they are, and pencil_at
-    # writes a pair that is skew by construction, so neither checks it again
+    # is built: decompose reduces the integer rows without checking them, and
+    # pencil_at writes a pair that is skew by construction, so neither checks
+    # it again
     checked = []
     original = Matrix.is_skew
 
@@ -294,6 +296,80 @@ def test_decompose_scales_the_pencil_once(monkeypatch):
     at_point = model.structure.pencil_at(point)
     assert PointAnalysis.of(at_point, point, {}).ptype.label() == "{K7}"
     assert checked == []
+
+
+def _diagonal(entries):
+    return Matrix.from_rows([[d if i == j else 0 for j in range(len(entries))]
+                             for i, d in enumerate(entries)])
+
+
+def _contents(a, b):
+    """The content of each row, then of each column, of the pair (A, B)."""
+    rows = [gcd(*ra, *rb) for ra, rb in zip(a, b)]
+    return rows, [gcd(*ca, *cb) for ca, cb in zip(zip(*a), zip(*b))]
+
+
+def test_primitive_pair_has_primitive_rows_and_columns():
+    # the open_toda:k=4 pencil at its first sample point, and that pencil
+    # under a positive diagonal congruence: every row and column has content 1
+    p = _sample_pencil(open_toda(4))
+    scaled = p.congruence(_diagonal([6, 35, 1, 22, 15, 4, 9, 55, 14]))
+    for q in (p, scaled):
+        a, b = _primitive_pair(*integer_rows(q))
+        rows, cols = _contents(a, b)
+        assert set(rows) == set(cols) == {1}
+    # row 1 carries the content 45 (A = (-270, 0, 270, ...), B = (-135, 0, 405, 90, ...))
+    assert _contents(*integer_rows(p))[0][1] == 45
+    # a pair that is not skew: rows by 2 and 3, then column 1 by 3
+    a, b = _primitive_pair([[2, 6], [3, 9]], [[0, 6], [3, 0]])
+    assert (a, b) == ([[1, 1], [1, 1]], [[0, 1], [1, 0]])
+
+
+def test_primitive_skew_pair_comes_back_after_one_gcd_per_row(monkeypatch):
+    # a skew pair's column contents are its row contents: primitive rows
+    # return the input lists themselves, and no column content is taken
+    calls = []
+    real_gcd = pencil_module.gcd
+
+    def counting(*args):
+        calls.append(len(args))
+        return real_gcd(*args)
+
+    a, b = integer_rows(MANY_JORDAN)
+    monkeypatch.setattr(pencil_module, "gcd", counting)
+    ra, rb = _primitive_pair(a, b)
+    assert ra is a and rb is b
+    assert calls == [2 * 11] * 11
+
+
+def test_decompose_is_blind_to_a_positive_diagonal_congruence():
+    # D (lam*A + B) D with D positive diagonal is strictly equivalent to
+    # lam*A + B: the same blocks and the same corank profile
+    p = _sample_pencil(open_toda(4))
+    scaled = p.congruence(_diagonal([6, 35, 1, 22, 15, 4, 9, 55, 14]))
+    assert scaled.A != p.A
+    t, u = decompose(p), decompose(scaled)
+    assert t == u and t.label() == u.label() == "{K9}"
+    assert list(t.corank_profile.items()) == list(u.corank_profile.items())
+
+
+def test_decompose_eliminates_the_content_reduced_pencil(monkeypatch):
+    # at the first open_toda:k=4 sample point the pencil decompose eliminates
+    # first has entries of at most 8 bits (12 before the reduction); the
+    # largest entry any elimination input reaches, in the staircase, is 65
+    # bits (58 before the reduction)
+    p = _sample_pencil(open_toda(4))
+    bits = []
+    kernel = pencil_module.row_echelon_ff
+
+    def measuring(rows):
+        bits.append(max((abs(x).bit_length() for row in rows for x in row), default=0))
+        return kernel(rows)
+
+    monkeypatch.setattr(pencil_module, "row_echelon_ff", measuring)
+    assert decompose(p).label() == "{K9}"
+    assert bits[0] == 8
+    assert max(bits) == 65
 
 
 def test_jordan_part_examples():

@@ -371,6 +371,29 @@ def test_staircase_nullities_match_convolution_oracle_on_block_soups(soup, data)
         assert d == top
 
 
+@st.composite
+def positive_diagonal(draw, n):
+    """D = diag(d_1..d_n) with 1 <= d_i <= 60, so that the rows and columns
+    of D^T M D carry contents."""
+    d = draw(st.lists(st.integers(1, 60), min_size=n, max_size=n))
+    return Matrix.from_rows([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@given(block_soups(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_decompose_matches_the_oracles_under_positive_diagonal_congruence(soup, data):
+    # decompose divides out row and column contents before eliminating; on
+    # a congruent soup whose rows and columns carry contents it still gives
+    # the soup's label, the Gaussian profile and the Smith-form Jordan part
+    expected = slow_decompose(soup).label()
+    congruent = soup.congruence(data.draw(invertible_change(soup.n)))
+    scaled = congruent.congruence(data.draw(positive_diagonal(soup.n)))
+    t = decompose(scaled)
+    assert t.label() == expected
+    assert list(t.corank_profile.items()) == list(gauss_corank_profile(scaled).items())
+    assert list(t.jordan_blocks()) == smith_jordan_part(scaled)
+
+
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():
     for eps, label in ((0, "{K1, K5}"), (1, "{K3, K3}")):
         p = epsilon_adjacency_pencil(eps)
