@@ -4,7 +4,8 @@ Chains are never produced by solving the recurrence for unknown functions;
 they are read off closed-form polynomial families by coefficient reversal,
 which bridges the lambda-polynomial convention of the criteria and the
 1/lambda expansion convention of the recursion scheme exactly.  Relations
-and brackets read the structure's stored gradients.  The integrability
+and brackets read the structure's stored gradients, and the involution
+check reads its stored relations.  The integrability
 count is ``casimir.w1_span_dim`` of the chain functions at the point's
 ``PointAnalysis``: a chain read off a family has the family's coefficients
 as its functions, so the count is the criterion's W1, evaluated and
@@ -90,18 +91,30 @@ def verify_chain(chain: LenardChain) -> Certificate:
 def involution_check(funcs, b: BihamStructure) -> Certificate:
     """All pairwise brackets vanish under both structures, exactly.
 
-    Gradients are b's (``BihamStructure.gradient``).  Row a contracts grad H_a
-    once per structure when it is reached; {H_a, H_c}_k is the group pairing
-    that covector with grad H_c, one group of ``first_nonzero_sum``.
+    Gradients are b's (``BihamStructure.gradient``).  {H_a, H_c}_k pairs the
+    covector P_k grad H_a with grad H_c, one group of ``first_nonzero_sum``,
+    in the order (a, c, k).  Row a is chained when its Lenard relation holds:
+    P1 grad H_a + P2 grad H_{a-1} = 0, or P1 grad H_0 = 0 for row 0 (the
+    stored ``BihamStructure.relation``, already proved for a chain read off a
+    certified family).  Then {H_a, H_c}_1 = -{H_{a-1}, H_c}_2 for c > a, a
+    group of row a-1 summed before row a is reached (zero for row 0), and
+    {H_{a-1}, H_a}_2 = -<P1 grad H_a, grad H_a> = 0 by skew-symmetry.  So a
+    chained row contracts under P2 only, and the groups skipped are all
+    zero: the first nonzero group is the one the all-pairs loop would find.
     """
+    funcs = list(funcs)
     grads = [b.gradient(f) for f in funcs]
+    chained = [b.relation(f, funcs[a - 1] if a else None) is None
+               for a, f in enumerate(funcs)]
 
     def brackets():
         for a in range(len(grads) - 1):
-            covectors = (b.p1.contract(grads[a]), b.p2.contract(grads[a]))
+            covectors = [] if chained[a] else [(1, b.p1.contract(grads[a]))]
+            covectors.append((2, b.p2.contract(grads[a])))
             for c in range(a + 1, len(grads)):
-                for which, covector in enumerate(covectors, 1):
-                    yield (a, c, which), zip(covector, grads[c])
+                for which, covector in covectors:
+                    if not (which == 2 and c == a + 1 and chained[c]):
+                        yield (a, c, which), zip(covector, grads[c])
 
     failure = first_nonzero_sum(brackets(), b.variables)
     if failure is None:

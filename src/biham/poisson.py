@@ -20,7 +20,11 @@ share), and every product reuses those objects.
 coordinate triple for Jacobi and compatibility, by coordinate for the
 relations sum P grad f = 0 (a Casimir, a family's lambda coefficient, a
 Lenard step).  A ``BihamStructure`` keeps each function's gradient and each
-relation's result, never a covector.
+relation's result, never a covector.  The stored relations are read by
+``casimir.family_check`` (one per lambda coefficient), by
+``lenard.chain_from_family`` and ``lenard.verify_chain`` (the anchor and the
+recurrence steps) and by ``lenard.involution_check``, which skips the
+brackets a proved Lenard step makes zero.
 """
 
 from dataclasses import dataclass

@@ -8,8 +8,8 @@ from biham.lenard import (LenardChain, chain_from_family, integrability_verdict,
                           involution_check, verify_chain)
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda)
-from biham import poisson
-from biham.poisson import BihamStructure
+from biham import lenard, poisson
+from biham.poisson import BihamStructure, PoissonStructure
 
 
 K5 = flat_kronecker(3)
@@ -91,6 +91,49 @@ def test_involution_examples():
     v1 = parse_rational("v1", V3.structure.variables)
     cert = involution_check([v0, v1], V3.structure)
     assert not cert.ok
+
+
+def test_involution_takes_any_iterable():
+    # the check indexes its functions, so a generator is read into a list once
+    chain = chain_from_family(V5.structure, V5.families[0])
+    v1 = parse_rational("v1", V5.structure.variables)
+    for funcs in (chain.functions, chain.functions + (v1,)):
+        got = involution_check((f for f in funcs), V5.structure)
+        assert got == involution_check(list(funcs), V5.structure)
+        assert got.ok == (funcs is chain.functions)
+
+
+def test_involution_of_a_proved_chain_sums_only_the_p2_non_neighbours(monkeypatch):
+    # after family_check and verify_chain every row is chained: the check
+    # proves no relation, contracts each of rows 0..d-1 under P2 only, and
+    # sums {H_a, H_c}_2 for c > a + 1 alone, d(d-1)/2 of the d(d+1) groups
+    model = open_toda(4)
+    b = BihamStructure(model.structure.p1, model.structure.p2)
+    fam = model.families[0]
+    d = fam.degree
+    assert family_check(b, fam).ok
+    chain = chain_from_family(b, fam)
+    assert verify_chain(chain).ok
+    proved = dict(b._certificates)
+    contracted, summed = [], []
+    contract, first_nonzero_sum = PoissonStructure.contract, lenard.first_nonzero_sum
+
+    def counted_contract(p, grad):
+        contracted.append(p)
+        return contract(p, grad)
+
+    def counted_sum(groups, variables):
+        groups = [(key, list(products)) for key, products in groups]
+        summed.extend(key for key, products in groups if products)
+        return first_nonzero_sum(groups, variables)
+
+    monkeypatch.setattr(PoissonStructure, "contract", counted_contract)
+    monkeypatch.setattr(lenard, "first_nonzero_sum", counted_sum)
+    assert involution_check(chain.functions, b).ok
+    assert b._certificates == proved
+    assert contracted == [b.p2] * d
+    assert summed == [(a, c, 2) for a in range(d + 1) for c in range(a + 2, d + 1)]
+    assert len(summed) == d * (d - 1) // 2 == 6
 
 
 def test_involution_across_all_chains_of_one_structure():
