@@ -56,7 +56,10 @@ class LambdaFamily:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad family JSON: {exc}") from exc
         fam = cls(coeffs, name=name)
-        if fam.degree != data.get("degree", fam.degree):
+        degree = data.get("degree", fam.degree)
+        if isinstance(degree, bool) or not isinstance(degree, int):
+            raise ValidationError(f"family field 'degree' is {degree!r}, not an integer")
+        if fam.degree != degree:
             raise ValidationError("family degree field disagrees with coefficients")
         return fam
 

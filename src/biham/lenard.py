@@ -4,8 +4,10 @@ Chains are never produced by solving the recurrence for unknown functions;
 they are read off closed-form polynomial families by coefficient reversal,
 which bridges the lambda-polynomial convention of the criteria and the
 1/lambda expansion convention of the recursion scheme exactly.  Relations
-and brackets read the structure's stored gradients, and the involution
-check reads its stored relations.  The integrability
+and brackets read the structure's stored gradients.  The involution check
+reads the stored relations and sums only the brackets they leave open: by
+Magri's recursion a bracket whose two functions lie in one chained run is
+zero, so a proved chain costs no contraction and no sum.  The integrability
 count is ``casimir.w1_span_dim`` of the chain functions at the point's
 ``PointAnalysis``: a chain read off a family has the family's coefficients
 as its functions, so the count is the criterion's W1, evaluated and
@@ -93,28 +95,46 @@ def involution_check(funcs, b: BihamStructure) -> Certificate:
 
     Gradients are b's (``BihamStructure.gradient``).  {H_a, H_c}_k pairs the
     covector P_k grad H_a with grad H_c, one group of ``first_nonzero_sum``,
-    in the order (a, c, k).  Row a is chained when its Lenard relation holds:
-    P1 grad H_a + P2 grad H_{a-1} = 0, or P1 grad H_0 = 0 for row 0 (the
-    stored ``BihamStructure.relation``, already proved for a chain read off a
-    certified family).  Then {H_a, H_c}_1 = -{H_{a-1}, H_c}_2 for c > a, a
-    group of row a-1 summed before row a is reached (zero for row 0), and
-    {H_{a-1}, H_a}_2 = -<P1 grad H_a, grad H_a> = 0 by skew-symmetry.  So a
-    chained row contracts under P2 only, and the groups skipped are all
-    zero: the first nonzero group is the one the all-pairs loop would find.
+    in the order (a, c, k).  Row c is chained when R_c holds: the stored
+    ``BihamStructure.relation`` P1 grad H_c + P2 grad H_{c-1} = 0, or
+    P1 grad H_0 = 0 for row 0, already proved for a chain read off a
+    certified family.  Magri's recursion (J. Math. Phys. 19, 1978) proves
+    from these relations alone that a group is zero:
+
+    - R_{a+1} and R_c give {H_a, H_c}_2 = {H_{a+1}, H_{c-1}}_2.  Repeated,
+      the pair meets at {H_m, H_m}_2 = 0 or at {H_m, H_{m+1}}_2 =
+      -<P1 grad H_{m+1}, grad H_{m+1}> = 0 by R_{m+1}, so (a, c, 2) is zero
+      when rows a+1..c are chained;
+    - R_c gives {H_a, H_c}_1 = -{H_a, H_{c-1}}_2, zero by the same rule (or
+      by skew-symmetry when c = a + 1), so (a, c, 1) is zero when rows
+      a+1..c are chained; and (0, c, 1) is zero when row 0 is chained.
+
+    Each row keeps the first row of the chained run that ends there.  A row
+    is contracted under P_k only when a group (a, c, k) is left, and only
+    those groups, the ones that cross a run boundary, are summed.  Every
+    skipped group is zero, so the first nonzero group is the one the
+    all-pairs loop would find; on a chained list the check reads the stored
+    relations and sums nothing.
     """
     funcs = list(funcs)
     grads = [b.gradient(f) for f in funcs]
-    chained = [b.relation(f, funcs[a - 1] if a else None) is None
-               for a, f in enumerate(funcs)]
+    start = []      # start[c]: first row of the chained run ending at row c, else c + 1
+    for c, f in enumerate(funcs):
+        chained = b.relation(f, funcs[c - 1] if c else None) is None
+        start.append((start[-1] if c else 0) if chained else c + 1)
 
     def brackets():
         for a in range(len(grads) - 1):
-            covectors = [] if chained[a] else [(1, b.p1.contract(grads[a]))]
-            covectors.append((2, b.p2.contract(grads[a])))
+            covectors = {}
             for c in range(a + 1, len(grads)):
-                for which, covector in covectors:
-                    if not (which == 2 and c == a + 1 and chained[c]):
-                        yield (a, c, which), zip(covector, grads[c])
+                if start[c] <= a + 1:       # rows a+1..c are chained
+                    continue
+                for which, p in ((1, b.p1), (2, b.p2)):
+                    if which == 1 and a == 0 and start[0] == 0:     # the anchor
+                        continue
+                    if which not in covectors:
+                        covectors[which] = p.contract(grads[a])
+                    yield (a, c, which), zip(covectors[which], grads[c])
 
     failure = first_nonzero_sum(brackets(), b.variables)
     if failure is None:

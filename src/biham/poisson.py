@@ -23,8 +23,9 @@ Lenard step).  A ``BihamStructure`` keeps each function's gradient and each
 relation's result, never a covector.  The stored relations are read by
 ``casimir.family_check`` (one per lambda coefficient), by
 ``lenard.chain_from_family`` and ``lenard.verify_chain`` (the anchor and the
-recurrence steps) and by ``lenard.involution_check``, which skips the
-brackets a proved Lenard step makes zero.
+recurrence steps) and by ``lenard.involution_check``, which skips every
+bracket the proved Lenard steps make zero by Magri's recursion and sums
+only the brackets between two chained runs.
 """
 
 from dataclasses import dataclass

@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 from biham.casimir import LambdaFamily, family_check
 import biham.exactalg.poly as poly_module
 from biham.exactalg import Poly, RationalFunction, exact_div, poly_gcd
+from biham import lenard
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import flat_kronecker, open_toda, periodic_toda, sl2_shift
 from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
@@ -212,8 +213,9 @@ CHAIN_MODELS = [MODELS["toda"], open_toda(3), periodic_toda(3), flat_kronecker(3
 
 
 def _perturb(data, funcs, variables):
-    """funcs shuffled, with a monomial inserted, a coordinate added or H_0, H_1 repeated."""
-    kind = data.draw(st.sampled_from(["shuffle", "insert", "add", "repeat"]))
+    """funcs shuffled, with a monomial inserted, a coordinate added, H_0, H_1 repeated
+    or an interior function dropped (one chained run splits in two)."""
+    kind = data.draw(st.sampled_from(["shuffle", "insert", "add", "repeat", "drop"]))
     if kind == "shuffle":
         return list(data.draw(st.permutations(funcs)))
     if kind == "insert":
@@ -224,7 +226,12 @@ def _perturb(data, funcs, variables):
         i = data.draw(st.integers(0, len(funcs) - 1))
         x = Poly.variable(data.draw(st.sampled_from(variables)), variables)
         return funcs[:i] + [funcs[i] + RationalFunction.from_poly(x)] + funcs[i + 1:]
-    return funcs[:2] + funcs
+    if kind == "repeat":
+        return funcs[:2] + funcs
+    if len(funcs) < 3:                 # no interior function to drop
+        return funcs
+    i = data.draw(st.integers(1, len(funcs) - 2))
+    return funcs[:i] + funcs[i + 1:]
 
 
 @given(st.data())
@@ -240,6 +247,28 @@ def test_perturbed_catalog_chains_are_in_involution_like_the_oracle(data):
     for _ in range(data.draw(st.integers(1, 2))):
         funcs = _perturb(data, funcs, b.variables)
     _same(involution_check(funcs, b), pairwise_involution_check(funcs, b))
+
+
+@given(st.data())
+@settings(max_examples=30, deadline=None)
+def test_every_bracket_the_involution_check_skips_is_zero(data):
+    # stronger than agreeing on the first failure: every group left out of
+    # the sum is zero by the pairwise oracle, wherever it falls in the order
+    model = data.draw(st.sampled_from(CHAIN_MODELS))
+    b = _fresh(model)
+    funcs = [f for fam in model.families for f in reversed(fam.coeffs)]
+    for _ in range(data.draw(st.integers(1, 2))):
+        funcs = _perturb(data, funcs, b.variables)
+    summed = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lenard, "first_nonzero_sum",
+                      lambda groups, variables: summed.extend(key for key, _ in groups))
+        involution_check(funcs, b)
+    for a in range(len(funcs)):
+        for c in range(a + 1, len(funcs)):
+            for which, p in ((1, b.p1), (2, b.p2)):
+                if (a, c, which) not in summed:
+                    assert pairwise_bracket(p, funcs[a], funcs[c]).is_zero(), (a, c, which)
 
 
 V = ("x", "y", "z")

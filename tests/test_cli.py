@@ -799,11 +799,17 @@ def test_structure_files_validate_against_schema():
                 {**FLAT_K3, "families": [{"degree": 1, "coeffs": ["x0", 1]}]},
                 {**FLAT_K3, "chains": [{"anchored": 1, "functions": ["x2"]}]},
                 {**FLAT_K3, "name": 5},
-                {**FLAT_K3, "families": [{"name": 7, "degree": 1, "coeffs": ["x0", "x2"]}]}):
+                {**FLAT_K3, "families": [{"name": 7, "degree": 1, "coeffs": ["x0", "x2"]}]},
+                {**FLAT_K3, "families": [{"degree": True, "coeffs": ["x0", "x2"]}]}):
         with pytest.raises(jsonschema.ValidationError):
             validator.validate(bad)
         with pytest.raises(ValidationError):
             parse_structure_file(json.dumps(bad))
+    # JSON Schema's "integer" admits 1.0, a number with a zero fraction, so
+    # the schema cannot refuse it; the loader, which sees a float, does
+    with pytest.raises(ValidationError):
+        parse_structure_file(json.dumps(
+            {**FLAT_K3, "families": [{"degree": 1.0, "coeffs": ["x0", "x2"]}]}))
 
 
 @pytest.mark.parametrize("dim,variables", [(True, ["x"]), (0, []), (1.0, ["x"])],
@@ -817,3 +823,15 @@ def test_cli_structure_dimension_not_an_integer_of_at_least_one_is_exit_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "is not an integer >= 1" in captured.err
+
+
+@pytest.mark.parametrize("degree", [True, 1.0], ids=["bool", "float"])
+def test_cli_family_degree_not_an_integer_is_exit_2(tmp_path, capsys, degree):
+    # True == 1 == 1.0, so only the type tells these from the family's degree 1
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({**FLAT_K3, "families": [{"degree": degree,
+                                                         "coeffs": ["x0", "x2"]}]}))
+    assert main(["check", "family", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"family field 'degree' is {degree!r}, not an integer" in captured.err

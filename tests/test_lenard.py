@@ -11,6 +11,8 @@ from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
 from biham import lenard, poisson
 from biham.poisson import BihamStructure, PoissonStructure
 
+from oracles import pairwise_involution_check
+
 
 K5 = flat_kronecker(3)
 V3 = open_toda(1)
@@ -103,18 +105,11 @@ def test_involution_takes_any_iterable():
         assert got.ok == (funcs is chain.functions)
 
 
-def test_involution_of_a_proved_chain_sums_only_the_p2_non_neighbours(monkeypatch):
-    # after family_check and verify_chain every row is chained: the check
-    # proves no relation, contracts each of rows 0..d-1 under P2 only, and
-    # sums {H_a, H_c}_2 for c > a + 1 alone, d(d-1)/2 of the d(d+1) groups
-    model = open_toda(4)
-    b = BihamStructure(model.structure.p1, model.structure.p2)
-    fam = model.families[0]
-    d = fam.degree
-    assert family_check(b, fam).ok
-    chain = chain_from_family(b, fam)
-    assert verify_chain(chain).ok
-    proved = dict(b._certificates)
+def _count_involution_work(monkeypatch):
+    """Lists the brackets contracted and the (a, c, k) groups summed by involution_check.
+
+    Every group is read, so the groups listed are all those no rule skips.
+    """
     contracted, summed = [], []
     contract, first_nonzero_sum = PoissonStructure.contract, lenard.first_nonzero_sum
 
@@ -124,16 +119,53 @@ def test_involution_of_a_proved_chain_sums_only_the_p2_non_neighbours(monkeypatc
 
     def counted_sum(groups, variables):
         groups = [(key, list(products)) for key, products in groups]
-        summed.extend(key for key, products in groups if products)
+        summed.extend(key for key, _ in groups)
         return first_nonzero_sum(groups, variables)
 
     monkeypatch.setattr(PoissonStructure, "contract", counted_contract)
     monkeypatch.setattr(lenard, "first_nonzero_sum", counted_sum)
-    assert involution_check(chain.functions, b).ok
-    assert b._certificates == proved
-    assert contracted == [b.p2] * d
-    assert summed == [(a, c, 2) for a in range(d + 1) for c in range(a + 2, d + 1)]
-    assert len(summed) == d * (d - 1) // 2 == 6
+    return contracted, summed
+
+
+def _proved_chain(model):
+    """A fresh structure and its families' functions, concatenated, proved as one chain."""
+    b = BihamStructure(model.structure.p1, model.structure.p2)
+    assert all(family_check(b, fam).ok for fam in model.families)
+    funcs = tuple(f for fam in model.families for f in chain_from_family(b, fam).functions)
+    assert verify_chain(LenardChain(funcs, b, anchored=True)).ok
+    return b, funcs
+
+
+def test_involution_of_a_proved_chain_contracts_and_sums_nothing(monkeypatch):
+    # every row is chained, so Magri's recursion proves every bracket zero
+    # from the stored relations: no contraction, no group, no new relation.
+    # periodic Toda's odd product R follows the trace chain's last function
+    # H_d in one run, since P1 grad R = 0 and P2 grad H_d = 0
+    contracted, summed = _count_involution_work(monkeypatch)
+    for model in (open_toda(4), periodic_toda(3)):
+        b, funcs = _proved_chain(model)
+        proved = dict(b._certificates)
+        assert involution_check(funcs, b).ok
+        assert b._certificates == proved
+        assert contracted == [] and summed == []
+
+
+def test_involution_of_a_broken_run_sums_the_groups_no_rule_covers(monkeypatch):
+    # H_2 + v0 breaks rows 2 and 3 of open Toda's degree-4 chain: rows 0, 1
+    # and 4 stay chained.  (a, c, k) is skipped when rows a+1..c are chained
+    # (here c = 1, or a = 3 and c = 4) and (0, c, 1) by the anchor; the
+    # others cross a run boundary and are summed, in order
+    b, funcs = _proved_chain(open_toda(4))
+    funcs = list(funcs)
+    funcs[2] = funcs[2] + parse_rational("v0", b.variables)
+    contracted, summed = _count_involution_work(monkeypatch)
+    got = involution_check(funcs, b)
+    assert summed == ([(0, 2, 2), (0, 3, 2), (0, 4, 2)]
+                      + [(a, c, k) for a in (1, 2) for c in range(a + 1, 5) for k in (1, 2)])
+    assert contracted == [b.p2, b.p1, b.p2, b.p1, b.p2]
+    want = pairwise_involution_check(funcs, b)
+    assert (got.ok, got.kind, got.detail) == (want.ok, want.kind, want.detail)
+    assert not got.ok
 
 
 def test_involution_across_all_chains_of_one_structure():
