@@ -15,7 +15,7 @@ from .errors import InternalInconsistency, ValidationError
 from .exactalg import RationalFunction, clear_denominators, load_json, parse_rational
 from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, action_dimension
-from .poisson import BihamStructure, Certificate, evaluator_at
+from .poisson import BihamStructure, Certificate
 
 
 @dataclass(frozen=True)
@@ -86,30 +86,26 @@ def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     return Certificate(True, "family")
 
 
-def w1_span_dim(b: BihamStructure, families, point) -> int:
+def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
     """Rank of the differentials of the families' functions at a point.
 
     A ``LambdaFamily`` gives its coefficients, which span the same space as
     dF_lam over varying lam; any other entry is a sequence of functions (a
     chain's).  This is the one gradient rank: the criterion's W1, the
     integrability count and the Lax submersion test all read it.  Each row
-    is b's stored gradient evaluated on integers (``BihamStructure.gradient_at``).
-    ``point`` is coordinates or the point's ``PointAnalysis``, which keeps
-    the rank per set of functions; chains are family coefficients reversed,
-    so the criterion and integrability share one evaluation and one
-    elimination per point.
+    is b's stored gradient evaluated on integers (``BihamStructure.gradient_at``)
+    by the point's evaluator.  The point's ``PointAnalysis`` keeps the rank
+    per set of functions; chains are family coefficients reversed, so the
+    criterion and integrability share one evaluation and one elimination per
+    point.
     """
     functions = dict.fromkeys(f for fam in families
                               for f in (fam.coeffs if isinstance(fam, LambdaFamily) else fam))
-    if isinstance(point, PointAnalysis):
-        ranks, ev = point.ranks, point.evaluator
-    else:
-        ranks, ev = {}, evaluator_at(point, b.dim)
     key = frozenset(functions)
-    if key not in ranks:
-        ranks[key] = row_echelon_ff([clear_denominators(b.gradient_at(f, ev))[0]
-                                     for f in functions])[0]
-    return ranks[key]
+    if key not in at.ranks:
+        at.ranks[key] = row_echelon_ff([clear_denominators(b.gradient_at(f, at.evaluator))[0]
+                                        for f in functions])[0]
+    return at.ranks[key]
 
 
 @dataclass(frozen=True)
@@ -142,18 +138,16 @@ class CriterionVerdict:
         }
 
 
-def kronecker_criterion(b: BihamStructure, families, point) -> CriterionVerdict:
+def kronecker_criterion(b: BihamStructure, families, at: PointAnalysis) -> CriterionVerdict:
     """Criterion run at one point, cross-validated against decompose.
 
-    ``point`` is coordinates or the point's ``PointAnalysis``.  The
-    single-family corank-1 route is theorem strength; the multi-family
+    The single-family corank-1 route is theorem strength; the multi-family
     route rests on the conjectural type formula and is flagged as such.
     """
     for fam in families:
         cert = family_check(b, fam)
         if not cert.ok:
             raise ValidationError(f"family failed its certificate: {cert.detail}")
-    at = b.point_analysis(point)
     r = at.generic_corank
     ptype = at.ptype
     cross = ptype.label()
@@ -215,7 +209,7 @@ class LaxVerdict:
                 "concluded_dim": self.concluded_dim, "detail": self.detail}
 
 
-def lax_check(b: BihamStructure, fam: LambdaFamily, point) -> LaxVerdict:
+def lax_check(b: BihamStructure, fam: LambdaFamily, at: PointAnalysis) -> LaxVerdict:
     """Weak Lax / Lax / Kronecker-concluded verdict at a point.
 
     Weak Lax needs only the family identity.  Lax needs the coefficient map
@@ -224,15 +218,13 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, point) -> LaxVerdict:
     corank of the pencil at the point is 1.  That proves the corank-1
     hypothesis on a neighbourhood: a skew pencil of generic corank 1 has odd
     dimension, so nearby its corank is at least 1 by parity and at most 1
-    by semicontinuity.  ``point`` is coordinates or the point's
-    ``PointAnalysis``.
+    by semicontinuity.
     """
     n_rank = fam.degree + 1
     cert = family_check(b, fam)
     if not cert.ok:
         return LaxVerdict("NotApplicable", n_rank, 0, None,
                           detail=f"family identity fails: {cert.detail}")
-    at = b.point_analysis(point)
     grad_rank = w1_span_dim(b, [fam], at)
     adim = action_dimension(at.ptype)
     if grad_rank != n_rank or adim != n_rank:

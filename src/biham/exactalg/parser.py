@@ -31,7 +31,9 @@ MAX_EXPONENT = 64
 MAX_DEPTH = 64
 MAX_TERMS = 10000
 
-_TOKEN = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([()+\-*/^]))")
+# a variable name: the name token below, and what a structure file may declare
+NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^]))")
 
 
 def load_json(text: str):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .casimir import LambdaFamily, w1_span_dim
 from .errors import ValidationError
 from .exactalg import load_json, parse_rational
-from .pencil import action_dimension
+from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate, first_nonzero_sum
 
 
@@ -157,15 +157,13 @@ class IntegrabilityVerdict:
                 "outcome": self.outcome, "pencil_type": self.pencil_type}
 
 
-def integrability_verdict(b: BihamStructure, chains, point) -> IntegrabilityVerdict:
+def integrability_verdict(b: BihamStructure, chains, at: PointAnalysis) -> IntegrabilityVerdict:
     """Gradient rank of all chain functions at the point versus action dimension.
 
     A Jordan block in the pointwise pencil absorbs no chain gradients, so a
     shortfall in the presence of Jordan blocks is reported as the
-    obstruction rather than plain insufficiency.  ``point`` is coordinates
-    or the point's ``PointAnalysis``.
+    obstruction rather than plain insufficiency.
     """
-    at = b.point_analysis(point)
     count = w1_span_dim(b, [chain.functions for chain in chains], at)
     ptype = at.ptype
     adim = action_dimension(ptype)

@@ -66,9 +66,10 @@ below is built from those integers for the fraction-free kernel
 When the Kronecker blocks already fill dimension n the Jordan part is empty
 by the Kronecker structure theorem, and ``decompose`` skips it.
 ``PointAnalysis`` holds one point's evaluator, coranks and type from that
-one pass, so every verdict at that point reads a single decomposition;
-points whose integer pencils are equal may share one ``PencilType``, since
-``decompose`` reads nothing but the pencil.
+one pass; ``BihamStructure.point_analysis`` is its one constructor, and
+every verdict at that point takes the record, so it reads a single
+decomposition.  Points whose integer pencils are equal may share one
+``PencilType``, since ``decompose`` reads nothing but the pencil.
 Any exception raised while decomposing carries the integer pencil as
 ``exc.pencil``, its ``SkewPencil.to_json()``.  ``corank_profile`` and
 ``generic_corank`` eliminate every sample and stay as the oracle that the
@@ -678,8 +679,9 @@ def decompose(p: SkewPencil) -> PencilType:
 class PointAnalysis:
     """One point's evaluator, coranks and block type, built once per sample point.
 
-    The criterion, the Lax check, the integrability verdict and the report
-    all read it instead of re-deriving the pencil or its decomposition.
+    ``BihamStructure.point_analysis`` builds it.  The criterion, the Lax
+    check, the integrability verdict and the report all take it instead of
+    coordinates, so none re-derives the pencil or its decomposition.
     ``evaluator`` is the point's ``PointEvaluator``, which evaluated the
     pencil and evaluates the gradient rows; ``ranks`` keeps each gradient
     rank by the set of functions (``casimir.w1_span_dim``), so functions
@@ -692,31 +694,12 @@ class PointAnalysis:
     ranks: dict = field(default_factory=dict)
 
     @property
-    def point(self) -> tuple:
-        return self.evaluator.point
-
-    @property
     def corank_profile(self) -> dict:
         return self.ptype.corank_profile
 
     @property
     def generic_corank(self) -> int:
         return min(self.ptype.corank_profile.values())
-
-    @classmethod
-    def of(cls, pencil: SkewPencil, point, types: dict) -> "PointAnalysis":
-        """Decompose the pencil at ``point`` (coordinates or its ``PointEvaluator``).
-
-        ``types`` maps integer pencils to their ``decompose`` results; a
-        pencil found there is not decomposed again, and one decomposed here
-        is added.  The caller owns the dict and decides how long it lives.
-        """
-        if not isinstance(point, PointEvaluator):
-            point = PointEvaluator(point)
-        ptype = types.get(pencil)
-        if ptype is None:
-            ptype = types[pencil] = decompose(pencil)
-        return cls(point, ptype)
 
 
 def action_dimension(t: PencilType) -> int:

@@ -34,7 +34,8 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
                        clear_denominators, load_json, parse_rational, rat)
-from .pencil import PointAnalysis, SkewPencil
+from .exactalg.parser import NAME
+from .pencil import PointAnalysis, SkewPencil, decompose
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,9 @@ class PoissonStructure:
     def from_json(cls, data) -> "PoissonStructure":
         """Structure from its JSON text or object; any malformed input is a ValidationError.
 
-        The dimension is an integer >= 1, variables are strings, bracket
-        indices integers and coefficients expression strings or integers.
+        The dimension is an integer >= 1, variables are names that an
+        expression can use, bracket indices integers and coefficients
+        expression strings or integers.
         """
         if isinstance(data, str):
             data = load_json(data)
@@ -219,6 +221,8 @@ class PoissonStructure:
         for k, var in enumerate(variables):
             if not isinstance(var, str):
                 raise ValidationError(f"variable {var!r} is not a string")
+            if not NAME.fullmatch(var):
+                raise ValidationError(f"variable {var!r} is not a name matching {NAME.pattern}")
             if var in variables[:k]:
                 raise ValidationError(f"variable {var!r} declared twice")
         table = {}
@@ -450,19 +454,23 @@ class BihamStructure:
                           _skew_matrix(n, self.p2.table, ints[len(v1):]))
 
     def point_analysis(self, point, types=None) -> PointAnalysis:
-        """Coranks and block type at a point, from one evaluator; a record passes through.
+        """Coranks and block type at a point, from one evaluator.
 
         The point is scaled to integers once: its ``PointEvaluator`` evaluates
         the pencil here and, kept on the record, every gradient row later.
-        ``types`` is the caller's dict from integer pencil to ``PencilType``
-        (``PointAnalysis.of``): points whose pencils are equal share one
-        ``decompose``.  Nothing is kept on the structure: the caller owns the
-        record and the dict.
+        ``types`` is the caller's dict from integer pencil to ``PencilType``:
+        a pencil found there is not decomposed again, and one decomposed here
+        is added, so points whose pencils are equal share one ``decompose``.
+        Nothing is kept on the structure: the caller owns the record and the
+        dict.
         """
-        if isinstance(point, PointAnalysis):
-            return point
         ev = evaluator_at(point, self.dim)
-        return PointAnalysis.of(self.pencil_at(ev), ev, {} if types is None else types)
+        pencil = self.pencil_at(ev)
+        types = {} if types is None else types
+        ptype = types.get(pencil)
+        if ptype is None:
+            ptype = types[pencil] = decompose(pencil)
+        return PointAnalysis(ev, ptype)
 
     def to_json(self) -> dict:
         return {

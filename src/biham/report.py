@@ -69,7 +69,7 @@ class AnalysisReport:
         if isinstance(data, str):
             data = load_json(data)
         try:
-            return cls(
+            report = cls(
                 structure=data["structure"], dim=data["dim"], variables=data["vars"],
                 seed=data["seed"], version=data["version"],
                 certificates=data["certificates"], families=data["families"],
@@ -80,6 +80,14 @@ class AnalysisReport:
                 mismatches=data.get("mismatches", []))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"not an analysis report: missing or bad field {exc}") from exc
+        # markdown joins these; a string or an object would render as its characters or keys
+        if not isinstance(report.mismatches, list):
+            raise ValidationError("report field 'mismatches' is not an array")
+        if not (isinstance(report.points, list) and all(
+                isinstance(rec, dict) and isinstance(rec.get("point"), list)
+                for rec in report.points)):
+            raise ValidationError("report field 'points' needs records whose 'point' is an array")
+        return report
 
 
 def run_analyze(model: ModelSpec, points=None, samples: int = 20,
@@ -91,7 +99,9 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     Points whose integer pencils are equal share one decomposition: one dict
     from pencil to ``PencilType`` lives for this call only, so nothing is
     carried to the next call.  The constant-coefficient models give the
-    same pencil at every point and are decomposed once.
+    same pencil at every point and are decomposed once.  The modal type and
+    the criterion and integrability summaries are read off the point
+    records after the loop.
     """
     if points is None and not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(
@@ -123,11 +133,6 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     point_records = []
     analyses = []                     # one PointAnalysis per pole-free point
     types = {}                        # integer pencil -> PencilType, for this call
-    type_counter = Counter()
-    criterion_counter = Counter()
-    integrability_counter = Counter()
-    criterion_sample = None
-    integrability_sample = None
     for pt in sorted(points):
         record = {"point": [rat_str(x) for x in pt]}
         try:
@@ -137,25 +142,16 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
             point_records.append(record)
             continue
         analyses.append(at)
-        label = at.ptype.label()
-        record["pencil_type"] = label
+        record["pencil_type"] = at.ptype.label()
         record["coranks"] = {"bracket1": at.corank_profile[INF],
                              "bracket2": at.corank_profile["0"],
                              "generic": at.generic_corank}
-        type_counter[label] += 1
         if criterion_ready:
             verdict = kronecker_criterion(b, model.families, at)
             record["w1_dim"] = verdict.w1_dim
             record["criterion"] = verdict.to_json()
-            criterion_counter[verdict.outcome] += 1
-            if criterion_sample is None:
-                criterion_sample = verdict
         if chains:
-            iv = integrability_verdict(b, chains, at)
-            record["integrability"] = iv.to_json()
-            integrability_counter[iv.outcome] += 1
-            if integrability_sample is None:
-                integrability_sample = iv
+            record["integrability"] = integrability_verdict(b, chains, at).to_json()
         point_records.append(record)
 
     record_lax = None
@@ -163,14 +159,17 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
         best_fam = max(model.families, key=lambda f: f.degree)
         record_lax = lax_check(b, best_fam, analyses[0]).to_json()
 
-    modal_type = type_counter.most_common(1)[0][0] if type_counter else ""
-    criterion_summary = _modal_summary(criterion_sample, criterion_counter)
-    integrability_summary = _modal_summary(integrability_sample, integrability_counter)
-    if integrability_summary is None and b.dim and analyses and not chains:
+    types_seen = Counter(r["pencil_type"] for r in point_records if "pencil_type" in r)
+    modal_type = types_seen.most_common(1)[0][0] if types_seen else ""
+    criterion_summary = _modal_summary([r["criterion"] for r in point_records
+                                        if "criterion" in r])
+    integrability_summary = _modal_summary([r["integrability"] for r in point_records
+                                            if "integrability" in r])
+    if analyses and not chains:
         # no chains supplied: run the verdict with an empty collection so
         # Jordan obstructions still surface
-        iv = integrability_verdict(b, [], analyses[0])
-        integrability_summary = _modal_summary(iv, Counter([iv.outcome]))
+        integrability_summary = _modal_summary(
+            [integrability_verdict(b, [], analyses[0]).to_json()])
 
     mismatches = []
     exp = dict(model.expectations)
@@ -206,11 +205,16 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     )
 
 
-def _modal_summary(sample, outcomes: Counter) -> dict | None:
-    """The first point's verdict with the modal outcome and the outcome counts."""
-    if not outcomes:
+def _modal_summary(verdicts: list) -> dict | None:
+    """The first point's verdict with the modal outcome and the outcome counts.
+
+    ``verdicts`` are the points' verdict dicts in point order; a tie in the
+    counts goes to the outcome of the earliest point.
+    """
+    if not verdicts:
         return None
-    summary = dict(sample.to_json())
+    outcomes = Counter(v["outcome"] for v in verdicts)
+    summary = dict(verdicts[0])
     summary["modal_outcome"] = outcomes.most_common(1)[0][0]
     summary["outcomes"] = dict(sorted(outcomes.items()))
     return summary

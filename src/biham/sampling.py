@@ -1,8 +1,9 @@
 """Seeded rational point sampling on the generic locus of a model.
 
 Numerators are uniform in [-10, 10] and denominators in [1, 5]; candidates
-hitting a genericity inequation or a recorded denominator zero locus are
-rejected, with a 10x budget before giving up.
+hitting a genericity inequation or a recorded denominator zero locus (a
+bracket entry's or a family coefficient's) are rejected, with a 10x budget
+before giving up.
 """
 
 import random
@@ -33,10 +34,16 @@ def sample_points(dim: int, count: int, seed: int, inequations=()) -> list:
 
 
 def model_inequations(model) -> list:
-    """Genericity inequations plus every recorded denominator locus."""
+    """Genericity inequations plus every recorded denominator locus.
+
+    The loci are the bracket tables' denominators and those of the family
+    coefficients, whose gradients the criterion and integrability evaluate
+    at every sample.
+    """
     polys = list(model.genericity)
-    for p in (model.structure.p1, model.structure.p2):
-        for den in p.excluded:
-            if den not in polys:
-                polys.append(den)
+    dens = [*model.structure.p1.excluded, *model.structure.p2.excluded,
+            *(c.den for fam in model.families for c in fam.coeffs)]
+    for den in dens:
+        if not den.is_constant() and den not in polys:
+            polys.append(den)
     return polys

@@ -129,7 +129,8 @@ def test_criterion_04_open_toda():
         for pt in _generic_points(model, 20, seed=7 + k):
             ok &= decompose(model.structure.pencil_at(pt)).label() == \
                 "{" + f"K{n}" + "}"
-            v = kronecker_criterion(model.structure, model.families, pt)
+            at = model.structure.point_analysis(pt)
+            v = kronecker_criterion(model.structure, model.families, at)
             ok &= v.outcome == "KroneckerCertified" and v.type_dims == (n,)
     elapsed = time.monotonic() - start
     ok &= elapsed < 60.0
@@ -228,12 +229,14 @@ def test_criterion_08_lenard_suite():
     for model, seed in homogeneous:
         chains = [chain_from_family(model.structure, fam) for fam in model.families]
         pt = _generic_points(model, 1, seed)[0]
-        verdict = integrability_verdict(model.structure, chains, pt)
+        verdict = integrability_verdict(model.structure, chains,
+                                        model.structure.point_analysis(pt))
         ok &= verdict.outcome == "StrictlyLenardIntegrable"
     jm = jordan_model(1, 2)
     const = LambdaFamily((parse_rational("4", jm.structure.variables),))
     chain = chain_from_family(jm.structure, const)
-    verdict = integrability_verdict(jm.structure, [chain], _pt(1, 2))
+    at = jm.structure.point_analysis(_pt(1, 2))
+    verdict = integrability_verdict(jm.structure, [chain], at)
     ok &= verdict.outcome == "JordanObstructed"
     assert _line(8, "Lenard suite", ok)
 
@@ -246,7 +249,8 @@ def test_criterion_09_quadratic_family_boundary():
     count = 0
     for pt in _generic_points(model, 10, seed=9):
         ok &= decompose(model.structure.pencil_at(pt)).label() == "{K3}"
-        v = kronecker_criterion(model.structure, model.families, pt)
+        at = model.structure.point_analysis(pt)
+        v = kronecker_criterion(model.structure, model.families, at)
         ok &= v.outcome == "Inconclusive"
         ok &= "degree bound d < dim M/2 fails" in v.reason
         count += 1
@@ -310,18 +314,21 @@ def _phi_of(f, order: int = 6):
 def test_criterion_11_lax_verdicts():
     ok = True
     v3 = open_toda(1)
-    verdict = lax_check(v3.structure, v3.families[0], _pt(1, 1, 1))
+    at3 = v3.structure.point_analysis(_pt(1, 1, 1))
+    verdict = lax_check(v3.structure, v3.families[0], at3)
     ok &= verdict.level == "KroneckerConcluded" and verdict.concluded_dim == 3
     v5 = open_toda(2)
-    verdict = lax_check(v5.structure, v5.families[0], _pt(1, 1, 2, 1, 3))
+    at5 = v5.structure.point_analysis(_pt(1, 1, 2, 1, 3))
+    verdict = lax_check(v5.structure, v5.families[0], at5)
     ok &= verdict.level == "KroneckerConcluded" and verdict.concluded_dim == 5
     const = LambdaFamily((parse_rational("2", v3.structure.variables),))
-    ok &= lax_check(v3.structure, const, _pt(1, 1, 1)).level == "WeakLax"
+    ok &= lax_check(v3.structure, const, at3).level == "WeakLax"
     jm = jordan_model(1, 2)
+    at_jm = jm.structure.point_analysis(_pt(1, 1))
     jconst = LambdaFamily((parse_rational("2", jm.structure.variables),))
-    ok &= lax_check(jm.structure, jconst, _pt(1, 1)).level == "WeakLax"
+    ok &= lax_check(jm.structure, jconst, at_jm).level == "WeakLax"
     bad = LambdaFamily((parse_rational("z0", jm.structure.variables),))
-    ok &= lax_check(jm.structure, bad, _pt(1, 1)).level == "NotApplicable"
+    ok &= lax_check(jm.structure, bad, at_jm).level == "NotApplicable"
     assert _line(11, "Lax verdicts", ok)
 
 

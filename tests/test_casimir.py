@@ -73,17 +73,19 @@ def test_family_chain_relations():
 
 def test_w1_span_dim_flat_k5():
     for pt in (_pt(0, 0, 0, 0, 0), _pt(1, 2, 3, 4, 5)):
-        assert w1_span_dim(K5.structure, K5.families, pt) == 3
+        at = K5.structure.point_analysis(pt)
+        assert w1_span_dim(K5.structure, K5.families, at) == 3
 
 
 def test_w1_span_dim_toda():
     pt = _pt(1, 1, 2, 1, 3)
     assert s_generic(2, pt)
-    assert w1_span_dim(V5.structure, V5.families, pt) == 3
+    assert w1_span_dim(V5.structure, V5.families, V5.structure.point_analysis(pt)) == 3
     # vanishing odd coordinates alone keep the rank when the run
     # polynomials stay coprime
     wall = _pt(1, 0, 2, 0, 3)
-    assert s_generic(2, wall) and w1_span_dim(V5.structure, V5.families, wall) == 3
+    at = V5.structure.point_analysis(wall)
+    assert s_generic(2, wall) and w1_span_dim(V5.structure, V5.families, at) == 3
     # shared run-polynomial roots break the submersion; the value is pinned
     # by an independent minor-rank oracle on rows evaluated with Fractions
     degenerate = _pt(1, 0, 1, 0, 1)
@@ -91,13 +93,14 @@ def test_w1_span_dim_toda():
     rows = [tuple(d.eval(degenerate) for d in V5.structure.gradient(c))
             for fam in V5.families for c in fam.coeffs]
     oracle = minor_rank(rows)
-    got = w1_span_dim(V5.structure, V5.families, degenerate)
+    got = w1_span_dim(V5.structure, V5.families, V5.structure.point_analysis(degenerate))
     assert got == oracle
     assert got < 3
 
 
 def test_criterion_flat_k5():
-    v = kronecker_criterion(K5.structure, K5.families, _pt(1, 1, 1, 1, 1))
+    at = K5.structure.point_analysis(_pt(1, 1, 1, 1, 1))
+    v = kronecker_criterion(K5.structure, K5.families, at)
     assert v.outcome == "KroneckerCertified"
     assert v.type_dims == (5,)
     assert not v.conjectural
@@ -106,32 +109,34 @@ def test_criterion_flat_k5():
 
 def test_criterion_toda_s_generic():
     pt = _pt(1, 1, 2, 1, 3)
-    v = kronecker_criterion(V5.structure, V5.families, pt)
+    v = kronecker_criterion(V5.structure, V5.families, V5.structure.point_analysis(pt))
     assert v.outcome == "KroneckerCertified" and v.type_dims == (5,)
     assert v.cross_check == "{K5}"
 
 
 def test_criterion_two_family_degree_bound():
     model = two_family_model("t^2")
-    v = kronecker_criterion(model.structure, model.families, _pt(2, 3, 1))
+    at = model.structure.point_analysis(_pt(2, 3, 1))
+    v = kronecker_criterion(model.structure, model.families, at)
     assert v.outcome == "Inconclusive"
     assert "degree bound d < dim M/2 fails" in v.reason
 
 
 def test_criterion_requires_certified_families():
     fam = _family(["v0"], V3.structure.variables)
+    at = V3.structure.point_analysis(_pt(1, 1, 1))
     with pytest.raises(ValidationError):
-        kronecker_criterion(V3.structure, [fam], _pt(1, 1, 1))
+        kronecker_criterion(V3.structure, [fam], at)
 
 
 def test_criterion_reparametrization_invariance():
     # adding a constant-coefficient polynomial in lambda changes nothing
-    pt = _pt(1, 1, 1)
-    base = kronecker_criterion(V3.structure, V3.families, pt)
+    at = V3.structure.point_analysis(_pt(1, 1, 1))
+    base = kronecker_criterion(V3.structure, V3.families, at)
     shifted = shifted_family(V3.families[0], [Fraction(7), Fraction(-2, 3)])
-    v = kronecker_criterion(V3.structure, [shifted], pt)
-    assert (w1_span_dim(V3.structure, [shifted], pt)
-            == w1_span_dim(V3.structure, V3.families, pt))
+    v = kronecker_criterion(V3.structure, [shifted], at)
+    assert (w1_span_dim(V3.structure, [shifted], at)
+            == w1_span_dim(V3.structure, V3.families, at))
     assert (v.outcome, v.type_dims) == (base.outcome, base.type_dims)
 
 
@@ -139,7 +144,7 @@ def test_criterion_neighborhood_consistency():
     # certified at a point: decomposition stays {K_n} in a small box
     rng = random.Random(7)
     pt = _pt(1, 1, 1)
-    v = kronecker_criterion(V3.structure, V3.families, pt)
+    v = kronecker_criterion(V3.structure, V3.families, V3.structure.point_analysis(pt))
     assert v.outcome == "KroneckerCertified"
     for _ in range(20):
         nearby = tuple(x + Fraction(rng.randint(-10, 10), 100) for x in pt)
@@ -148,14 +153,16 @@ def test_criterion_neighborhood_consistency():
 
 def test_criterion_sl2():
     model = sl2_shift((0, 1, 0))
-    v = kronecker_criterion(model.structure, model.families, _pt(1, 2, 1))
+    at = model.structure.point_analysis(_pt(1, 2, 1))
+    v = kronecker_criterion(model.structure, model.families, at)
     assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
 
 
 def test_criterion_m_f_linear():
     from biham.models import m_f
     model = m_f("x + y")
-    v = kronecker_criterion(model.structure, model.families, _pt(1, 2, 3))
+    at = model.structure.point_analysis(_pt(1, 2, 3))
+    v = kronecker_criterion(model.structure, model.families, at)
     assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
 
 
@@ -170,7 +177,8 @@ def test_criterion_multi_family_product():
     b = BihamStructure(p1, p2)
     fam1 = _family(["x0", "x2"], vs)
     fam2 = _family(["x3", "x5"], vs)
-    v = kronecker_criterion(b, [fam1, fam2], tuple(Fraction(1) for _ in range(6)))
+    at = b.point_analysis(tuple(Fraction(1) for _ in range(6)))
+    v = kronecker_criterion(b, [fam1, fam2], at)
     assert v.outcome == "HomogeneousIndicated"
     assert v.type_dims == (3, 3) and v.conjectural
     assert v.cross_check == "{K3, K3}" and v.reason == ""
@@ -180,32 +188,35 @@ def test_w1_span_dim_pole():
     from biham.errors import PoleAtPoint
     vs = K5.structure.variables
     fam = _family(["1/x0"], vs)
+    at = K5.structure.point_analysis((0, 1, 1, 1, 1))
     with pytest.raises(PoleAtPoint):
-        w1_span_dim(K5.structure, [fam], (0, 1, 1, 1, 1))
+        w1_span_dim(K5.structure, [fam], at)
 
 
 
 def test_lax_check_v3_v5():
-    v3 = lax_check(V3.structure, V3.families[0], _pt(1, 1, 1))
+    v3 = lax_check(V3.structure, V3.families[0], V3.structure.point_analysis(_pt(1, 1, 1)))
     assert v3.level == "KroneckerConcluded" and v3.concluded_dim == 3
-    v5 = lax_check(V5.structure, V5.families[0], _pt(1, 1, 2, 1, 3))
+    at = V5.structure.point_analysis(_pt(1, 1, 2, 1, 3))
+    v5 = lax_check(V5.structure, V5.families[0], at)
     assert v5.level == "KroneckerConcluded" and v5.concluded_dim == 5
 
 
 def test_lax_check_constant_family_weak_only():
     vars_ = V3.structure.variables
     const = _family(["5"], vars_)
-    v = lax_check(V3.structure, const, _pt(1, 1, 1))
+    v = lax_check(V3.structure, const, V3.structure.point_analysis(_pt(1, 1, 1)))
     assert v.level == "WeakLax" and v.gradient_rank == 0
 
 
 def test_lax_check_jordan_negative():
     model = jordan_model(1, 2)
     const = _family(["3"], model.structure.variables)
-    v = lax_check(model.structure, const, _pt(1, 1))
+    at = model.structure.point_analysis(_pt(1, 1))
+    v = lax_check(model.structure, const, at)
     assert v.level == "WeakLax"
     bad = _family(["z0"], model.structure.variables)
-    v2 = lax_check(model.structure, bad, _pt(1, 1))
+    v2 = lax_check(model.structure, bad, at)
     assert v2.level == "NotApplicable"
 
 
@@ -227,7 +238,7 @@ def test_family_validation():
 
 
 def test_verdict_json():
-    v = kronecker_criterion(V3.structure, V3.families, _pt(1, 1, 1))
+    v = kronecker_criterion(V3.structure, V3.families, V3.structure.point_analysis(_pt(1, 1, 1)))
     data = v.to_json()
     assert data["outcome"] == "KroneckerCertified" and data["type"] == [3]
     assert isinstance(v, CriterionVerdict)

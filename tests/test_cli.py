@@ -20,7 +20,7 @@ from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
                           make_model, open_toda)
 from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
                           kronecker_pencil)
-from biham.report import MAX_SAMPLES, emit_report, run_analyze
+from biham.report import MAX_SAMPLES, AnalysisReport, emit_report, run_analyze
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "data")
 SCHEMAS = os.path.join(os.path.dirname(__file__), os.pardir, "src", "biham", "schemas")
@@ -725,11 +725,37 @@ def test_report_determinism():
     assert a != c
 
 
+def _strings_for_arrays(data):
+    """The report with a string where the schema wants an array, by field.
+
+    Markdown would render the string as its characters: "abc" as a; b; c
+    and "12" as the point (1, 2).
+    """
+    return {"mismatches": {**data, "mismatches": "abc"},
+            "points": {**data, "points": [{**data["points"][0], "point": "12"}]}}
+
+
 def test_report_validates_against_schema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = _schema("report.schema.json")
     report = run_analyze(open_toda(1), samples=3, seed=2)
     jsonschema.validate(report.to_json(), schema)
+    for field, bad in _strings_for_arrays(report.to_json()).items():
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(bad, schema)
+        with pytest.raises(ValidationError, match=f"report field '{field}'"):
+            AnalysisReport.from_json(json.dumps(bad))
+
+
+@pytest.mark.parametrize("field", ["mismatches", "points"])
+def test_cli_report_with_a_string_for_an_array_is_exit_2(tmp_path, capsys, field):
+    data = run_analyze(open_toda(1), samples=3, seed=2).to_json()
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(_strings_for_arrays(data)[field]))
+    assert main(["report", str(path), "--format", "markdown"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: report field '{field}'")
 
 
 def test_pencils_validate_against_schema():
@@ -800,7 +826,8 @@ def test_structure_files_validate_against_schema():
                 {**FLAT_K3, "chains": [{"anchored": 1, "functions": ["x2"]}]},
                 {**FLAT_K3, "name": 5},
                 {**FLAT_K3, "families": [{"name": 7, "degree": 1, "coeffs": ["x0", "x2"]}]},
-                {**FLAT_K3, "families": [{"degree": True, "coeffs": ["x0", "x2"]}]}):
+                {**FLAT_K3, "families": [{"degree": True, "coeffs": ["x0", "x2"]}]},
+                {**FLAT_K3, **empty, "vars": ["x0", "x1", "x 2"]}):
         with pytest.raises(jsonschema.ValidationError):
             validator.validate(bad)
         with pytest.raises(ValidationError):
@@ -835,3 +862,36 @@ def test_cli_family_degree_not_an_integer_is_exit_2(tmp_path, capsys, degree):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"family field 'degree' is {degree!r}, not an integer" in captured.err
+
+
+@pytest.mark.parametrize("variables", [["a", "b c"], ["a", ""]], ids=["space", "empty"])
+def test_cli_variable_that_is_not_a_name_is_exit_2(tmp_path, capsys, variables):
+    # no expression can name such a variable; the structure schema refuses it too
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({"dim": 2, "vars": variables, "brackets1": [], "brackets2": []}))
+    for argv in (["analyze", str(path), "--samples", "1"], ["check", "poisson", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: variable {variables[1]!r} is not a name")
+
+
+FAMILY_POLE = {"dim": 2, "vars": ["x", "y"], "brackets1": [], "brackets2": [],
+               "families": [{"name": "f", "degree": 0, "coeffs": ["1/x"]}]}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cli_samples_avoid_a_family_coefficient_pole(tmp_path, capsys, seed):
+    # the criterion evaluates grad(1/x) at every sample, so sampling avoids
+    # x = 0 as it avoids a bracket's pole; an explicit point there stays an
+    # input error
+    path = tmp_path / "pole.json"
+    path.write_text(json.dumps(FAMILY_POLE))
+    assert main(["analyze", str(path), "--samples", "20", "--seed", str(seed)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["points"]) == 20
+    assert all(rec["point"][0] != "0" and "error" not in rec for rec in report["points"])
+    assert main(["analyze", str(path), "--point", "0,1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: denominator x^2 vanishes at evaluation point\n"

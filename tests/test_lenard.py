@@ -178,7 +178,8 @@ def test_involution_across_all_chains_of_one_structure():
 
 def test_integrability_open_toda():
     chain = chain_from_family(V5.structure, V5.families[0])
-    verdict = integrability_verdict(V5.structure, [chain], _pt(1, 1, 2, 1, 3))
+    at = V5.structure.point_analysis(_pt(1, 1, 2, 1, 3))
+    verdict = integrability_verdict(V5.structure, [chain], at)
     assert verdict.outcome == "StrictlyLenardIntegrable"
     assert verdict.independent == 3 and verdict.action_dim == 3
 
@@ -186,8 +187,8 @@ def test_integrability_open_toda():
 def test_integrability_periodic():
     model = periodic_toda(3)
     chains = [chain_from_family(model.structure, fam) for fam in model.families]
-    verdict = integrability_verdict(model.structure, chains,
-                                    _pt(1, 2, 1, 1, 2, 3))
+    at = model.structure.point_analysis(_pt(1, 2, 1, 1, 2, 3))
+    verdict = integrability_verdict(model.structure, chains, at)
     assert verdict.outcome == "StrictlyLenardIntegrable"
     assert verdict.independent == 4 and verdict.action_dim == 4
 
@@ -197,7 +198,8 @@ def test_integrability_jordan_obstructed():
     const = LambdaFamily((parse_rational("7", model.structure.variables),))
     chain = chain_from_family(model.structure, const)
     assert chain.anchored
-    verdict = integrability_verdict(model.structure, [chain], _pt(1, 1))
+    at = model.structure.point_analysis(_pt(1, 1))
+    verdict = integrability_verdict(model.structure, [chain], at)
     assert verdict.outcome == "JordanObstructed"
     assert verdict.independent == 0 and verdict.action_dim == 1
 
@@ -207,7 +209,8 @@ def test_independent_count_bounded_by_action_dim():
     # dimension
     for model, pt in ((V3, _pt(1, 1, 1)), (V5, _pt(1, 1, 2, 1, 3))):
         chains = [chain_from_family(model.structure, fam) for fam in model.families]
-        verdict = integrability_verdict(model.structure, chains, pt)
+        verdict = integrability_verdict(model.structure, chains,
+                                        model.structure.point_analysis(pt))
         assert verdict.independent <= verdict.action_dim
 
 

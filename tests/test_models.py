@@ -38,7 +38,7 @@ def test_flat_kronecker_k1_degenerate_case():
     assert m.dim == 1
     assert not m.structure.p1.table and not m.structure.p2.table
     assert [str(c) for c in m.families[0].coeffs] == ["x0"]
-    v = kronecker_criterion(m.structure, m.families, _pt(4))
+    v = kronecker_criterion(m.structure, m.families, m.structure.point_analysis(_pt(4)))
     assert v.outcome == "KroneckerCertified" and v.type_dims == (1,)
 
 
@@ -124,7 +124,7 @@ def test_open_toda_certificates_k3():
 def test_open_toda_k2_criterion():
     m = open_toda(2)
     pt = _pt(1, 1, 2, 1, 3)
-    v = kronecker_criterion(m.structure, m.families, pt)
+    v = kronecker_criterion(m.structure, m.families, m.structure.point_analysis(pt))
     assert v.outcome == "KroneckerCertified" and v.type_dims == (5,)
 
 
@@ -255,7 +255,8 @@ def test_periodic_toda_decompose_generic():
 
 def test_periodic_toda_criterion_conjectural():
     m = periodic_toda(3)
-    v = kronecker_criterion(m.structure, m.families, _pt(1, 2, 1, 1, 2, 3))
+    at = m.structure.point_analysis(_pt(1, 2, 1, 1, 2, 3))
+    v = kronecker_criterion(m.structure, m.families, at)
     assert v.outcome == "HomogeneousIndicated"
     assert v.type_dims == (5, 1) and v.conjectural
     assert v.cross_check == "{K1, K5}" and v.reason == ""
@@ -377,9 +378,10 @@ def test_sl2_criterion_and_span():
     m = sl2_shift((1, 2, 1))
     pt = _pt(1, 1, 2)
     assert is_generic(m, pt)
-    v = kronecker_criterion(m.structure, m.families, pt)
+    at = m.structure.point_analysis(pt)
+    v = kronecker_criterion(m.structure, m.families, at)
     assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
-    assert w1_span_dim(m.structure, m.families, pt) == 2
+    assert w1_span_dim(m.structure, m.families, at) == 2
 
 
 def test_sl2_not_regular():

@@ -12,7 +12,7 @@ from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationErro
 from biham.exactalg import Matrix, Poly
 from biham.exactalg.smith import _monic
 from biham.models import jordan_model, open_toda
-from biham.pencil import (PointAnalysis, SkewPencil, _primitive_pair, action_dimension,
+from biham.pencil import (SkewPencil, _primitive_pair, action_dimension,
                           corank_profile, decompose, epsilon_adjacency_pencil,
                           generic_corank, jordan_part,
                           jordan_pencil, kronecker_pencil, minimal_indices)
@@ -293,8 +293,7 @@ def test_decompose_scales_the_pencil_once(monkeypatch):
     assert all(type(x) is int for x in p.A.entries + p.B.entries)
     model = open_toda(3)
     point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
-    at_point = model.structure.pencil_at(point)
-    assert PointAnalysis.of(at_point, point, {}).ptype.label() == "{K7}"
+    assert model.structure.point_analysis(point).ptype.label() == "{K7}"
     assert checked == []
 
 
