@@ -9,14 +9,20 @@ coefficient), which makes equality a plain component comparison.
 Products and sums of products share one kernel, ``_add_product``, on packed
 monomials: a Poly's exponent vector (e_0, ..., e_{n-1}) becomes the single
 integer sum e_i << (W*i), so the product of two monomials is one integer
-addition.  Each Poly keeps its packed integer form (the lcm of its
-coefficient denominators and the (packed exponent, integer numerator)
-pairs) in a lazily filled slot, so a gradient or a table entry that enters
-many products is scaled and packed once.  ``Poly.__mul__`` accumulates one
+addition.  Each Poly keeps its packed integer form (a common denominator
+of its coefficients and the (packed exponent, integer numerator) pairs) in
+a lazily filled slot, so a gradient or a table entry that enters many
+products is scaled and packed once.  ``Poly.__mul__`` accumulates one
 product, and ``RationalFunction.sum_of_products`` sums many products in one
 integer accumulator per denominator, reduced once; each unpacks only the
 accumulated terms, once.  ``Poly.terms`` and every other reader keep
 exponent tuples.
+``RationalFunction.partials`` differentiates a polynomial in one pass over
+its terms zipped with its packed form, and hands each nonzero partial its
+packed form with it: the key lowered by one in the partial's slot and the
+integer numerator times the exponent, at the same width and denominator.
+So no zero partial is built and no partial is packed again; ``diff``
+stays for single derivatives and as the oracle.
 ``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
 answer is proved by exact division on integers (``exact_div``); the
 primitive PRS gcd is the fallback.
@@ -304,15 +310,19 @@ def _integer_terms(terms):
 # two products' monomials exactly when their keys are equal, and shifting
 # and masking the accumulated keys recovers the exponent tuples.  A Poly
 # keeps its form at W = PACK_BITS, or at the least wider W its own
-# exponents allow; factors of unequal W are repacked at the wider one,
-# uncached, which only a factor with an exponent of 2^(PACK_BITS-1) or more
-# ever causes.
+# exponents allow (a partial at its function's W); factors of unequal W are
+# repacked at the wider one, uncached, which only a factor with an exponent
+# of 2^(PACK_BITS-1) or more, or a partial of one, ever causes.
 PACK_BITS = 16
 
 
 def _pack(terms, width: int):
-    """(width, d, [(packed exponent, d*c)]) with d the lcm of the coefficient
-    denominators; width is raised until every exponent is below 2^(width-1)."""
+    """(width, d, [(packed exponent, d*c)]) with d a common denominator of the
+    coefficients; width is raised until every exponent is below 2^(width-1).
+
+    Packed here, d is the lcm; a partial's preset form (``_poly_partials``)
+    keeps its function's d, which may be a multiple of the lcm, and its W,
+    which may be wider than its own exponents need."""
     n = len(next(iter(terms), ()))
     top = max(map(max, terms), default=0) if n else 0
     width = max(width, top.bit_length() + 1)
@@ -334,6 +344,36 @@ def _packed_forms(polys):
     width = max(w for w, _, _ in forms)
     return width, [(d, t) if w == width else _pack(p.terms, width)[1:]
                    for p, (w, d, t) in zip(polys, forms)]
+
+
+def _poly_partials(p: Poly) -> dict:
+    """{i: d p / d x_i} over the nonzero partials, each with its packed form preset.
+
+    One pass over p's terms zipped with its packed form (W, d, pairs): a
+    term c x^e with e_i = k > 0 gives partial i the term c*k x^(e - 1_i),
+    packed as (key - 2^(W*i), d*c*k) at the same W and over the same d.
+    Lowering slot i is one-to-one on the terms that hold x_i, so no two
+    terms meet and nothing is summed; W still bounds every exponent, and d
+    is a common denominator of the partial's coefficients.
+    """
+    width, den, packed = _packed_form(p)
+    units = [1 << s for s in range(0, width * len(p.variables), width)]
+    slots: dict = {}
+    for (e, c), (key, k) in zip(p.terms.items(), packed):
+        for i, ei in enumerate(e):
+            if ei:
+                slot = slots.get(i)
+                if slot is None:
+                    slot = slots[i] = ({}, [])
+                dc, dk = (c, k) if ei == 1 else (c * ei, k * ei)
+                slot[0][e[:i] + (ei - 1,) + e[i + 1:]] = dc
+                slot[1].append((key - units[i], dk))
+    out = {}
+    for i in sorted(slots):
+        terms, ints = slots[i]
+        d = out[i] = Poly(p.variables, terms)
+        d._packed = (width, den, ints)
+    return out
 
 
 def _add_product(acc: dict, num1, num2, k: int):
@@ -759,6 +799,27 @@ class RationalFunction:
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
         return RationalFunction(self.num * other.den, self.den * other.num)
+
+    def partials(self) -> dict:
+        """{i: d self / d x_i} over the nonzero partials, in variable order.
+
+        A polynomial is differentiated in one pass over its terms
+        (``_poly_partials``) and its partials keep the denominator 1; a
+        quotient goes through ``diff``, only in the variables its numerator
+        or denominator holds.  ``diff`` stays the oracle.
+        """
+        if self.den.is_constant():
+            den = self.den
+            return {i: RationalFunction(d, den, reduce=False)
+                    for i, d in _poly_partials(self.num).items()}
+        held = {i for p in (self.num, self.den) for e in p.terms
+                for i, k in enumerate(e) if k}
+        out = {}
+        for i in sorted(held):
+            d = self.diff(self.variables[i])
+            if not d.is_zero():
+                out[i] = d
+        return out
 
     def diff(self, name) -> "RationalFunction":
         dn = self.num.diff(name)

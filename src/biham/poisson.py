@@ -13,7 +13,11 @@ factor's packed integer form, which a ``Poly`` builds once; so a structure
 keeps its skew rows (``skew_rows``, the entries with their negatives) and a
 ``BihamStructure`` its gradients and its two tables' partials
 (``schouten_partials``, which its Jacobi and compatibility certificates
-share), and every product reuses those objects.
+share), and every product reuses those objects.  Every derivative comes
+from one ``RationalFunction.partials`` call per function: a table entry's
+nonzero partials, or a gradient with one shared zero in the other slots;
+a polynomial's partials arrive with their packed forms, so no zero partial
+is built and no partial is packed again.
 
 ``first_nonzero_sum`` sums and zero-tests every certificate residual, one
 ``RationalFunction.sum_of_products`` per (key, products) group: by
@@ -133,8 +137,10 @@ class PoissonStructure:
         return self._rows
 
     def gradient(self, f: RationalFunction) -> tuple:
-        f = self._coerce(f)
-        return tuple(f.diff(v) for v in self.variables)
+        """(d_0 f, ..., d_{n-1} f): f's nonzero ``partials``, one shared zero elsewhere."""
+        partials = self._coerce(f).partials()
+        zero = RationalFunction.constant(0, self.variables)
+        return tuple(partials.get(i, zero) for i in range(self.dim))
 
     def hamiltonian_covector(self, f) -> tuple:
         """Component j is {f, x_j} = sum_i Pi^{ij} d_i f."""
@@ -323,11 +329,7 @@ def schouten_partials(q: PoissonStructure) -> list:
     The Jacobiator of Q and the mixed term of a pencil with Q both read
     them, so a ``BihamStructure`` differentiates each entry once.
     """
-    out = []
-    for key, entry in q.table.items():
-        derivs = ((l, entry.diff(name)) for l, name in enumerate(q.variables))
-        out.append((key, [(l, dl) for l, dl in derivs if not dl.is_zero()]))
-    return out
+    return [(key, list(entry.partials().items())) for key, entry in q.table.items()]
 
 
 def _schouten_failure(pairs, variables):

@@ -17,6 +17,7 @@ from .exactalg import load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
+from .poisson import _is_int
 from .sampling import model_inequations, sample_points
 
 MAX_SAMPLES = 10_000    # the sample list is built before any point is analysed
@@ -80,14 +81,58 @@ class AnalysisReport:
                 mismatches=data.get("mismatches", []))
         except (KeyError, TypeError, AttributeError) as exc:
             raise ValidationError(f"not an analysis report: missing or bad field {exc}") from exc
-        # markdown joins these; a string or an object would render as its characters or keys
-        if not isinstance(report.mismatches, list):
-            raise ValidationError("report field 'mismatches' is not an array")
-        if not (isinstance(report.points, list) and all(
-                isinstance(rec, dict) and isinstance(rec.get("point"), list)
-                for rec in report.points)):
-            raise ValidationError("report field 'points' needs records whose 'point' is an array")
+        # markdown renders whatever a field holds: a string in an array's place
+        # as its characters, a number in a string's place as the number
+        for name, value in report.to_json().items():
+            ok, what = _FIELDS[name]
+            if not ok(value):
+                raise ValidationError(f"report field '{name}' is not {what}")
         return report
+
+
+def _strings(x) -> bool:
+    return isinstance(x, list) and all(isinstance(s, str) for s in x)
+
+
+def _of(*types):
+    return lambda x: isinstance(x, types)
+
+
+def _certificate(c) -> bool:
+    return (isinstance(c, dict) and isinstance(c.get("kind"), str)
+            and isinstance(c.get("ok"), bool) and isinstance(c.get("detail", ""), str))
+
+
+_POINT_FIELDS = {"point": _strings, "pencil_type": _of(str), "coranks": _of(dict),
+                 "w1_dim": _is_int, "criterion": _of(dict), "integrability": _of(dict),
+                 "error": _of(str)}
+
+
+def _point_record(rec) -> bool:
+    return isinstance(rec, dict) and "point" in rec and all(
+        ok(rec[key]) for key, ok in _POINT_FIELDS.items() if key in rec)
+
+
+# Each report field's check and its description, as report.schema.json types it.
+_FIELDS = {
+    "structure": (_of(str), "a string"),
+    "dim": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
+    "vars": (_strings, "an array of strings"),
+    "seed": (_is_int, "an integer"),
+    "version": (_of(str), "a string"),
+    "certificates": (lambda x: isinstance(x, dict) and all(map(_certificate, x.values())),
+                     "an object of certificates (string 'kind', boolean 'ok', string 'detail')"),
+    "families": (_of(list), "an array"),
+    "chains": (_of(list), "an array"),
+    "points": (lambda x: isinstance(x, list) and all(map(_point_record, x)),
+               "an array of point records, each with a 'point' array of strings"),
+    "modal_type": (_of(str), "a string"),
+    "criterion": (_of(dict, type(None)), "an object or null"),
+    "lax": (_of(dict, type(None)), "an object or null"),
+    "integrability": (_of(dict, type(None)), "an object or null"),
+    "expectations": (_of(dict), "an object"),
+    "mismatches": (_strings, "an array of strings"),
+}
 
 
 def run_analyze(model: ModelSpec, points=None, samples: int = 20,

@@ -362,10 +362,16 @@ def dense_compatibility_check(p1, p2):
     return Certificate(failure is None, "compatibility", failure or "")
 
 
+def diff_gradient(p, f):
+    """f's gradient, one ``diff`` per variable: the oracle of ``partials``."""
+    f = p._coerce(f)
+    return tuple(f.diff(v) for v in p.variables)
+
+
 def pairwise_bracket(p, f, g):
     """{f, g} = sum_{i<j} Pi^{ij} (d_i f d_j g - d_j f d_i g), each pair differentiated afresh."""
-    df = p.gradient(f)
-    dg = p.gradient(g)
+    df = diff_gradient(p, f)
+    dg = diff_gradient(p, g)
     acc = RationalFunction.constant(0, p.variables)
     for (i, j), c in p.table.items():
         term = df[i] * dg[j] - df[j] * dg[i]
@@ -390,7 +396,13 @@ def pairwise_involution_check(funcs, b):
 #
 # The three covector-sum loops that biham.poisson.relation_failure replaced,
 # kept as the reference for the family, chain and Casimir certificates.  Each
-# proves every relation afresh, from freshly computed covectors.
+# proves every relation afresh, from freshly computed covectors whose
+# gradients come from ``diff``.
+
+
+def diff_covector(p, f):
+    """P grad f, with f's gradient from ``diff_gradient``."""
+    return p.contract(diff_gradient(p, f))
 
 
 def loop_family_check(b, fam):
@@ -398,8 +410,8 @@ def loop_family_check(b, fam):
     for k in range(fam.degree + 2):
         prev = fam.coeff(k - 1)
         cur = fam.coeff(k)
-        cov1 = b.p1.hamiltonian_covector(prev) if not prev.is_zero() else None
-        cov2 = b.p2.hamiltonian_covector(cur) if not cur.is_zero() else None
+        cov1 = diff_covector(b.p1, prev) if not prev.is_zero() else None
+        cov2 = diff_covector(b.p2, cur) if not cur.is_zero() else None
         for j in range(b.dim):
             acc = RationalFunction.constant(0, b.variables)
             if cov1 is not None:
@@ -417,14 +429,14 @@ def loop_verify_chain(chain):
     """The anchor, then P2 grad H_i + P1 grad H_{i+1} = 0 for consecutive pairs."""
     b = chain.structure
     if chain.anchored:
-        cov = b.p1.hamiltonian_covector(chain.functions[0])
+        cov = diff_covector(b.p1, chain.functions[0])
         for j, entry in enumerate(cov):
             if not entry.is_zero():
                 return Certificate(False, "chain",
                                    f"anchor fails: {{H0, {b.variables[j]}}}_1 = {entry}")
     for i in range(len(chain.functions) - 1):
-        cov2 = b.p2.hamiltonian_covector(chain.functions[i])
-        cov1 = b.p1.hamiltonian_covector(chain.functions[i + 1])
+        cov2 = diff_covector(b.p2, chain.functions[i])
+        cov1 = diff_covector(b.p1, chain.functions[i + 1])
         for j in range(b.dim):
             acc = cov2[j] + cov1[j]
             if not acc.is_zero():
@@ -436,7 +448,7 @@ def loop_verify_chain(chain):
 
 def loop_is_casimir(p, f):
     """{F, x_j} = 0 for every coordinate, from F's whole covector."""
-    cov = p.hamiltonian_covector(f)
+    cov = diff_covector(p, f)
     for j, entry in enumerate(cov):
         if not entry.is_zero():
             return Certificate(False, "casimir", f"{{F, {p.variables[j]}}} = {entry}")
@@ -452,7 +464,7 @@ def loop_is_casimir(p, f):
 
 def loop_hamiltonian_covector(p, f):
     """Component j is {f, x_j} = sum_i Pi^{ij} d_i f, one product added at a time."""
-    grad = p.gradient(f)
+    grad = diff_gradient(p, f)
     out = [RationalFunction.constant(0, p.variables) for _ in range(p.dim)]
     for (i, j), c in p.table.items():
         if not grad[i].is_zero():

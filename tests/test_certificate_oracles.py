@@ -7,7 +7,9 @@ and one stored result per relation, are compared with the three loops that
 routine replaced.  Covectors and pairings, summed in one accumulator per
 sum, must equal the one-product-at-a-time loops exactly; products on packed
 monomials must equal schoolbook Fraction products, also at exponents past
-the packed field bound; and the heuristic
+the packed field bound; each function's ``partials`` must equal its
+``diff`` in every variable, and a polynomial partial's preset packed form
+must multiply as a freshly packed one does; and the heuristic
 gcd and integer division must equal the primitive PRS gcd and Fraction long
 division.
 """
@@ -22,7 +24,7 @@ import biham.exactalg.poly as poly_module
 from biham.exactalg import Poly, RationalFunction, exact_div, poly_gcd
 from biham import lenard
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
-from biham.models import flat_kronecker, open_toda, periodic_toda, sl2_shift
+from biham.models import flat_kronecker, make_model, open_toda, periodic_toda, sl2_shift
 from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
 
 from oracles import (dense_compatibility_check, dense_jacobi_check, fraction_exact_div,
@@ -425,3 +427,89 @@ def test_gcd_and_division_match_the_prs_and_fraction_oracles(a, b, c):
     assert poly_gcd(a, b) == prs_gcd(a, b)
     assert exact_div(f, c) == fraction_exact_div(f, c) == a
     assert exact_div(a, b) == fraction_exact_div(a, b)
+
+
+@st.composite
+def differentiable(draw):
+    """A polynomial with mixed rational coefficients, one with exponents at
+    and past the packed field bound (zero and constants among them), or a
+    quotient by a nonconstant denominator."""
+    variables = tuple(f"x{i}" for i in range(draw(st.integers(0, 3))))
+    kind = draw(st.sampled_from(["poly", "edge", "quotient"] if variables else ["edge"]))
+    if kind == "poly":
+        return RationalFunction(draw(polys(variables, max_terms=6, max_deg=4)))
+    if kind == "edge":
+        return RationalFunction(draw(edge_polys(variables)))
+    if draw(st.booleans()):
+        den = _linear_denominator(draw, variables)
+    else:
+        den = draw(polys(variables, max_terms=3, max_deg=2))
+        assume(not den.is_constant())
+    return RationalFunction(draw(polys(variables, max_terms=3, max_deg=3)), den)
+
+
+@given(differentiable())
+@settings(max_examples=150, deadline=None)
+def test_partials_match_diff_and_their_preset_packed_forms(f):
+    variables = f.variables
+    want = {i: d for i, d in ((i, f.diff(v)) for i, v in enumerate(variables))
+            if not d.is_zero()}
+    got = f.partials()
+    assert got == want
+    assert list(got) == sorted(got)
+    if not f.is_polynomial():
+        return
+    # paired with 1, packed at PACK_BITS, every product reads the partial's
+    # preset form, never a repacked one
+    one = RationalFunction.constant(1, variables)
+    for d in got.values():
+        assert d.is_polynomial() and d.num._packed is not None
+        fresh = RationalFunction(Poly(variables, d.num.terms))
+        for pairs in ([(d, one)], [(d, d)], [(one, d), (d, d)]):
+            swapped = [(fresh if u is d else u, fresh if v is d else v) for u, v in pairs]
+            assert (RationalFunction.sum_of_products(pairs, variables)
+                    == RationalFunction.sum_of_products(swapped, variables))
+
+
+@pytest.mark.parametrize("variables", [(), V])
+def test_partials_of_zero_and_constants_are_empty(variables):
+    for c in (0, Fraction(-3, 4)):
+        assert RationalFunction.constant(c, variables).partials() == {}
+
+
+def test_polynomial_certificates_differentiate_each_function_once(monkeypatch):
+    # open Toda is polynomial: its Jacobi, compatibility and family
+    # certificates call partials once per table entry and once per family
+    # function, and no partial goes through diff or is packed again
+    model = make_model("open_toda", k="4")
+    b = BihamStructure(model.structure.p1, model.structure.p2)
+    calls, packed = [], []
+    partials, pack = RationalFunction.partials, poly_module._pack
+
+    def counted_partials(self):
+        calls.append(self)
+        return partials(self)
+
+    def counted_pack(terms, width):
+        packed.append(terms)          # kept alive, so no two ids coincide
+        return pack(terms, width)
+
+    def refused(*args):
+        raise AssertionError("diff ran on a polynomial")
+
+    monkeypatch.setattr(RationalFunction, "partials", counted_partials)
+    monkeypatch.setattr(poly_module, "_pack", counted_pack)
+    monkeypatch.setattr(RationalFunction, "diff", refused)
+    monkeypatch.setattr(Poly, "diff", refused)
+    assert all(b.verify().values())
+    for fam in model.families:
+        assert family_check(b, fam).ok
+    entries = [c for p in (b.p1, b.p2) for c in p.table.values()]
+    functions = list(dict.fromkeys(c for fam in model.families for c in fam.coeffs
+                                   if not c.is_zero()))
+    assert len(calls) == len(entries) + len(functions)
+    assert {id(f) for f in calls} == {id(f) for f in entries + functions}
+    derived = [d for partials_of in b.partials() for _, derivs in partials_of
+               for _, d in derivs]
+    derived += [d for f in functions for d in b.gradient(f) if not d.is_zero()]
+    assert derived and not {id(d.num.terms) for d in derived} & {id(t) for t in packed}

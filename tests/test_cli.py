@@ -725,14 +725,55 @@ def test_report_determinism():
     assert a != c
 
 
-def _strings_for_arrays(data):
-    """The report with a string where the schema wants an array, by field.
+def _with(field, value):
+    return lambda data: {**data, field: value}
 
-    Markdown would render the string as its characters: "abc" as a; b; c
-    and "12" as the point (1, 2).
-    """
-    return {"mismatches": {**data, "mismatches": "abc"},
-            "points": {**data, "points": [{**data["points"][0], "point": "12"}]}}
+
+def _with_point(key, value):
+    return lambda data: {**data, "points": [{**data["points"][0], key: value}]}
+
+
+def _with_certificate(cert):
+    return lambda data: {**data, "certificates": {**data["certificates"], "jacobi1": cert}}
+
+
+# Per field of report.schema.json, reports that break its type.  Markdown
+# would render a string in an array's place as its characters ("abc" as
+# a; b; c, "12" as the point (1, 2)) and a number in a string's place as
+# the number.
+BAD_REPORTS = [
+    ("structure", _with("structure", 5)),
+    ("dim", _with("dim", "seven")),
+    ("dim", _with("dim", 0)),
+    ("dim", _with("dim", True)),
+    ("vars", _with("vars", "abc")),
+    ("vars", _with("vars", [1])),
+    ("seed", _with("seed", "0")),
+    ("version", _with("version", 1)),
+    ("certificates", _with("certificates", [])),
+    ("certificates", _with_certificate({"kind": "jacobi", "ok": "yes"})),
+    ("certificates", _with_certificate({"ok": True})),
+    ("certificates", _with_certificate({"kind": "jacobi", "ok": False, "detail": 3})),
+    ("families", _with("families", "abc")),
+    ("chains", _with("chains", {})),
+    ("points", _with_point("point", "12")),
+    ("points", _with("points", "abc")),
+    ("points", _with_point("point", [1, 2])),
+    ("points", _with_point("pencil_type", 3)),
+    ("points", _with_point("coranks", [])),
+    ("points", _with_point("w1_dim", "2")),
+    ("points", _with_point("criterion", "abc")),
+    ("points", _with_point("integrability", [])),
+    ("points", _with_point("error", 5)),
+    ("points", lambda data: {**data, "points": [{"pencil_type": "{K3}"}]}),
+    ("modal_type", _with("modal_type", 5)),
+    ("criterion", _with("criterion", "abc")),
+    ("lax", _with("lax", [])),
+    ("integrability", _with("integrability", 1)),
+    ("expectations", _with("expectations", "abc")),
+    ("mismatches", _with("mismatches", "abc")),
+    ("mismatches", _with("mismatches", [5])),
+]
 
 
 def test_report_validates_against_schema():
@@ -740,18 +781,34 @@ def test_report_validates_against_schema():
     schema = _schema("report.schema.json")
     report = run_analyze(open_toda(1), samples=3, seed=2)
     jsonschema.validate(report.to_json(), schema)
-    for field, bad in _strings_for_arrays(report.to_json()).items():
+    assert {field for field, _ in BAD_REPORTS} == set(schema["properties"])
+    for field, bad in BAD_REPORTS:
+        bad = bad(report.to_json())
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(bad, schema)
         with pytest.raises(ValidationError, match=f"report field '{field}'"):
             AnalysisReport.from_json(json.dumps(bad))
+    # the fields the loader needs are the fields the schema requires
+    for field in schema["required"]:
+        missing = {k: v for k, v in report.to_json().items() if k != field}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(missing, schema)
+        with pytest.raises(ValidationError, match=f"missing or bad field '{field}'"):
+            AnalysisReport.from_json(json.dumps(missing))
 
 
-@pytest.mark.parametrize("field", ["mismatches", "points"])
-def test_cli_report_with_a_string_for_an_array_is_exit_2(tmp_path, capsys, field):
+def _report_ids():
+    seen: dict = {}
+    for field, _ in BAD_REPORTS:
+        k = seen[field] = seen.get(field, -1) + 1
+        yield f"{field}-{k}" if k else field
+
+
+@pytest.mark.parametrize("field, bad", BAD_REPORTS, ids=list(_report_ids()))
+def test_cli_report_with_a_field_of_the_wrong_type_is_exit_2(tmp_path, capsys, field, bad):
     data = run_analyze(open_toda(1), samples=3, seed=2).to_json()
     path = tmp_path / "report.json"
-    path.write_text(json.dumps(_strings_for_arrays(data)[field]))
+    path.write_text(json.dumps(bad(data)))
     assert main(["report", str(path), "--format", "markdown"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

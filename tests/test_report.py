@@ -137,17 +137,23 @@ def test_analyze_sums_each_relation_once(monkeypatch):
     assert len(calls) == 3 + sum(fam.degree + 2 for fam in model.families)
 
 
+def _count_partials(monkeypatch):
+    """Record the function of every ``RationalFunction.partials`` call."""
+    calls = []
+    original = RationalFunction.partials
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(RationalFunction, "partials", counted)
+    return calls
+
+
 def test_analyze_then_involution_differentiate_each_function_once(monkeypatch):
     # relations, point rows and involution all read the structure's stored
-    # gradients, so each (function, variable) pair is differentiated once
-    calls = []
-    original = RationalFunction.diff
-
-    def counted(self, name):
-        calls.append((self, name))
-        return original(self, name)
-
-    monkeypatch.setattr(RationalFunction, "diff", counted)
+    # gradients, so each function is differentiated once, in one partials call
+    calls = _count_partials(monkeypatch)
     model = open_toda(3)
     b = model.structure
     assert run_analyze(model, samples=2, seed=0).matched
@@ -155,22 +161,15 @@ def test_analyze_then_involution_differentiate_each_function_once(monkeypatch):
     assert involution_check(funcs, b).ok
     # the Jacobi and compatibility sums differentiate bracket entries instead
     entries = {id(c) for p in (b.p1, b.p2) for c in p.table.values()}
-    calls = [(f, name) for f, name in calls if id(f) not in entries]
+    calls = [f for f in calls if id(f) not in entries]
     assert len(calls) == len(set(calls))
-    assert set(calls) == {(f, v) for f in funcs for v in b.variables}
+    assert set(calls) == set(funcs)
 
 
 def test_analyze_differentiates_independently_of_the_sample_count(monkeypatch):
     # each function's symbolic gradient is kept on the structure, so more
     # sample points evaluate more, but differentiate nothing new
-    calls = []
-    original = RationalFunction.diff
-
-    def counted(self, name):
-        calls.append(name)
-        return original(self, name)
-
-    monkeypatch.setattr(RationalFunction, "diff", counted)
+    calls = _count_partials(monkeypatch)
     counts = []
     for samples in (2, 6):
         model = open_toda(3)
