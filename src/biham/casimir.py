@@ -6,7 +6,8 @@ are verified one lambda power at a time.  The span of the coefficient
 differentials at a point drives the certified single-family criterion
 (theorem strength, corank 1) and the multi-family path, which is reported
 as conjectural and always cross-validated against a direct pencil
-decomposition.
+decomposition.  ``web_flatness`` decides the flatness of a 3-dimensional
+structure from its two bracket tables, through its 3-web.
 """
 
 from dataclasses import dataclass
@@ -235,3 +236,45 @@ def lax_check(b: BihamStructure, fam: LambdaFamily, at: PointAnalysis) -> LaxVer
                           detail="corank-1 hypothesis failed at a sampled point")
     return LaxVerdict("KroneckerConcluded", n_rank, grad_rank, adim,
                       concluded_dim=2 * n_rank - 1)
+
+
+def web_flatness(b: BihamStructure):
+    """dγ of the 3-web cut out by ker ω1, ker ω2 and ker(ω1 + ω2), as the
+    components of curl γ, which are all zero exactly when b is flat; None
+    when b.dim != 3, b fails a certificate or ω1 ∧ ω2 ≡ 0.
+
+    ω_k = (P^{12}, -P^{02}, P^{01}) is bracket k's kernel covector and γ the
+    unique 1-form with dω_k = ω_k ∧ γ (derived in README).  With N = ω1 × ω2
+    and N_j its first nonzero component, γ = [(curl ω1)_j ω2 - (curl ω2)_j ω1
+    - (curl ω1·ω2) e_j] / N_j: the same γ as
+    [(curl ω1·N) ω2 - (curl ω2·N) ω1 - (curl ω1·ω2) N] / |N|^2, over a
+    denominator of half the degree.
+    """
+    if b.dim != 3 or not b.certified():
+        return None
+    w1, w2 = ((p.coeff(1, 2), -p.coeff(0, 2), p.coeff(0, 1)) for p in (b.p1, b.p2))
+    n = _cross(w1, w2)
+    j = next((j for j in range(3) if not n[j].is_zero()), None)
+    if j is None:
+        return None
+    c1, c2 = _curl(w1), _curl(w2)
+    gamma = [_dot((c1[j], -c2[j]), (u, v)) / n[j] for u, v in zip(w2, w1)]
+    gamma[j] -= _dot(c1, w2) / n[j]
+    return _curl(gamma)
+
+
+_CYCLE = ((1, 2), (2, 0), (0, 1))
+
+
+def _dot(u, v) -> RationalFunction:
+    return RationalFunction.sum_of_products(zip(u, v), u[0].variables)
+
+
+def _cross(u, v) -> tuple:
+    return tuple(u[i] * v[j] - u[j] * v[i] for i, j in _CYCLE)
+
+
+def _curl(w) -> tuple:
+    zero = RationalFunction.constant(0, w[0].variables)
+    d = [c.partials() for c in w]
+    return tuple(d[j].get(i, zero) - d[i].get(j, zero) for i, j in _CYCLE)

@@ -17,11 +17,11 @@ import json
 import os
 import sys
 
-from .casimir import LambdaFamily, family_check
+from .casimir import LambdaFamily, family_check, web_flatness
 from .errors import BihamError, InternalInconsistency, ValidationError
 from .exactalg import load_json, parse_int, parse_poly, parse_rational, rat
 from .lenard import LenardChain, verify_chain
-from .models import (ModelSpec, catalog_names, make_model, normal_form_phi, web_curvature,
+from .models import (ModelSpec, catalog_names, m_f, make_model, normal_form_phi,
                      DEFAULT_TRUNCATION)
 from .pencil import SkewPencil, decompose
 from .poisson import BihamStructure
@@ -251,9 +251,9 @@ def _dispatch(args) -> int:
     if args.command == "normalform":
         f = parse_poly(args.function, ("x", "y"))
         result = normal_form_phi(f, args.truncation)
-        # the verdict is the web curvature's, exact at every order; phi is
-        # additive through the truncation whenever f is flat
-        flat = web_curvature(f).is_zero()
+        # the verdict is the web curvature of m_f's brackets, exact at every
+        # order; phi is additive through the truncation whenever f is flat
+        flat = all(c.is_zero() for c in web_flatness(m_f(f).structure))
         if flat and not result.additive:
             raise InternalInconsistency(f"web curvature of {f} vanishes, phi is not additive")
         if flat:

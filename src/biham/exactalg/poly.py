@@ -29,6 +29,7 @@ primitive PRS gcd is the fallback.
 """
 
 from fractions import Fraction
+from functools import cache
 from math import gcd as int_gcd, isqrt, lcm
 from operator import add, lshift
 
@@ -669,6 +670,13 @@ def _balanced_digits(gamma: dict, i: int, xi: int) -> dict:
     return out
 
 
+@cache
+def _unit(variables) -> Poly:
+    """The constant 1 over ``variables``, one Poly per variable tuple: every
+    polynomial or zero RationalFunction shares it as its denominator."""
+    return Poly.constant(1, variables)
+
+
 class RationalFunction:
     """Reduced quotient of two Polys over a common variable tuple."""
 
@@ -676,12 +684,12 @@ class RationalFunction:
 
     def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
         if den is None:
-            den = Poly.constant(1, num.variables)
+            den = _unit(num.variables)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         num._check(den)
         if num.is_zero():
-            den = Poly.constant(1, num.variables)
+            den = _unit(num.variables)
         elif reduce and not den.is_constant():
             g = poly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):

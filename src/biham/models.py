@@ -1,11 +1,11 @@
 """The model catalog: flat blocks, Toda lattices, the 3-dimensional
-examples m_f (flat exactly when f is functionally additive, which
-web_curvature decides exactly; normal_form_phi normalizes f over truncated
-series, which are Polys with no term above the order it holds), the
-quadratic-family counterexample (flat exactly when eta is affine, decided by
-the same curvature in its own chart) and the sl2 argument shift, each packaged
-with its Casimir families, genericity predicate and expected outcomes
-declared from the construction.
+examples m_f (flat exactly when f is functionally additive;
+normal_form_phi normalizes f over truncated series, which are Polys with no
+term above the order it holds), the quadratic-family counterexample (flat
+exactly when eta is affine) and the sl2 argument shift, each packaged with
+its Casimir families, genericity predicate and expected outcomes declared
+from the construction.  The flatness of every 3-dimensional model is
+decided from its bracket tables by ``casimir.web_flatness``.
 
 A builder reads its own parameters, as Python values or as the text of a
 catalog spec (``open_toda:k=2``, ``sl2_shift:alpha=0;1;0``), so its
@@ -36,11 +36,12 @@ from .poisson import BihamStructure, PoissonStructure
 DEFAULT_TRUNCATION = 6
 MAX_TRUNCATION = 20     # a dense germ on a 2-vCPU Xeon: 1.2 s at order 20, 7.8 s at 30
 # Largest size parameter k of each builder, checked before anything is built.
-# Times on a 2-vCPU Xeon; "analyze" is `biham analyze <spec> --samples 20`.
+# Single runs on 2 vCPUs, the first two lines on a Xeon and the Toda lines on
+# an AMD EPYC; "analyze" is `biham analyze <spec> --samples 20 --seed 0`.
 MAX_FLAT_KRONECKER_K = 20   # analyze 3.4 s at k = 20, 61 s at 40 (building: under 0.2 s)
 MAX_JORDAN_K = 20           # analyze 3.8 s at k = 20, 58 s at 40 (building: under 0.1 s)
-MAX_OPEN_TODA_K = 11        # building 3.1 s at k = 11 (analyze 10 s), 9 s at 12
-MAX_PERIODIC_TODA_K = 12    # building 5.2 s at k = 12 (analyze 13 s), 12.4 s at 13
+MAX_OPEN_TODA_K = 11        # building 1.2 s at k = 11 (analyze 3.5 s), 3.3 s at 12
+MAX_PERIODIC_TODA_K = 12    # building 1.9 s at k = 12 (analyze 6.7 s), 5.6 s at 13
 
 
 @dataclass
@@ -292,7 +293,7 @@ def periodic_casimirs(model: ModelSpec) -> tuple:
 
 
 # -- the 3-dimensional pool: m_f is flat exactly when f = C(a(x) + b(y)) ------
-# (x + y and x + y + x*y are flat; x + y + x^2*y is not; web_curvature decides)
+# (x + y and x + y + x*y are flat; x + y + x^2*y is not; web_flatness decides)
 
 
 def m_f(f) -> ModelSpec:
@@ -334,8 +335,10 @@ def two_family_model(eta) -> ModelSpec:
     D_y(g) {y,z} (``_two_family_chart``), giving rational coefficients with
     excluded locus 2 L y + zeta'(L) = 0.  The attached family (lam - L)^2 y
     + zeta(L) + lam eta(L) is quadratic in lam and passes its certificate
-    exactly; the structure is flat precisely when eta is affine
-    (``two_family_flatness``).
+    exactly; the structure is flat precisely when eta is affine, which
+    ``casimir.web_flatness`` reads off these brackets: its dγ is
+    -K x_L dL∧dy, K the Blaschke curvature of the web {x = c}, {y = c},
+    {F_1 = c} in the (x, y) chart.
     """
     if isinstance(eta, str):
         eta = parse_poly(eta, ("t",))
@@ -397,10 +400,7 @@ def _antiderivative(p: Poly) -> Poly:
 
 def _poly_in(p: Poly, base: Poly, variables) -> Poly:
     """p(base) for a Poly p in t and a Poly base over ``variables``."""
-    out = Poly.zero(variables)
-    for (k,), c in p.terms.items():
-        out = out + base ** k * c
-    return out
+    return sum((base ** k * c for (k,), c in p.terms.items()), Poly.zero(variables))
 
 
 # -- sl2 argument shift -----------------------------------------------------------
@@ -457,10 +457,10 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
     the reduced germ phi satisfies: phi(0, y') = y', d(phi)/dx' = 1 along
     x' = 0, and the two first partials agree along y' = 0.  ``additive``
     means phi = x' + y' through the truncation order; flatness itself is
-    ``web_curvature``'s verdict, exact at every order.  A non-additive phi is
-    determined only up to the residual simultaneous scaling of (x', y',
-    phi): the normalization forces every coefficient of x' y'^j (j >= 1) to
-    vanish, so the mixed second derivative cannot fix it.
+    ``casimir.web_flatness``'s verdict on m_f, exact at every order.  A
+    non-additive phi is determined only up to the residual simultaneous
+    scaling of (x', y', phi): the normalization forces every coefficient of
+    x' y'^j (j >= 1) to vanish, so the mixed second derivative cannot fix it.
     """
     _check_truncation(order)
     if len(f.variables) != 2:
@@ -526,29 +526,6 @@ def normal_form_phi(f: Poly, order: int = DEFAULT_TRUNCATION) -> NormalFormResul
     return NormalFormResult(phi, additive, {"A": As, "B": Bs, "C": Cs})
 
 
-def web_curvature(f: Poly) -> RationalFunction:
-    """Blaschke curvature d/dy (f_xx/f_x - f_xy/f_y) = d2/dxdy log(f_x/f_y) of f(x, y).
-
-    The 3-web {x = c}, {y = c}, {f = c} is hexagonal exactly when this
-    vanishes, that is, exactly when f is functionally additive,
-    f = C(a(x) + b(y)) (Blaschke-Bol, Geometrie der Gewebe, 1938), so m_f is
-    flat exactly when it is zero.  One exact zero test decides every order,
-    where ``normal_form_phi`` sees only its truncation.
-    """
-    if len(f.variables) != 2:
-        raise ValidationError("web curvature needs a two-variable function")
-    xv, yv = f.variables
-    if f.diff(xv).is_zero() or f.diff(yv).is_zero():
-        raise ValidationError("both partial derivatives must be nonzero")
-    return _blaschke(_rf(f), lambda g: g.diff(xv), lambda g: g.diff(yv))
-
-
-def _blaschke(f: RationalFunction, dx, dy) -> RationalFunction:
-    """d/dy (f_xx/f_x - f_xy/f_y) over a chart's two commuting derivations."""
-    f_x, f_y = dx(f), dy(f)
-    return dy(dx(f_x) / f_x - dy(f_x) / f_y)
-
-
 def _check_truncation(order: int):
     if order < 1:
         raise ValidationError(f"truncation order must be at least 1, got {order}")
@@ -568,23 +545,8 @@ def _check_normalization(phi: Poly, n: int):
     if c((0, 1), 0) != 1 or any(c((0, j), 0) != 0 for j in range(2, n + 1)):
         raise InternalInconsistency("phi(0,y') != y'")
     for i in range(0, n):
-        left = (i + 1) * c((i + 1, 0), 0)
-        right = c((i, 1), 0)
-        if left != right:
+        if (i + 1) * c((i + 1, 0), 0) != c((i, 1), 0):
             raise InternalInconsistency("diagonal derivative condition fails")
-
-
-# -- two-family flatness ----------------------------------------------------------
-
-
-def two_family_flatness(model: ModelSpec) -> bool:
-    """Whether a two-family model is flat: the Blaschke curvature of its web
-    {x = c}, {y = c}, {F_1 = c}, taken in the (L, y) chart through the
-    chain rule, is zero.  By Blaschke-Bol (see ``web_curvature``) this holds
-    exactly when eta is affine.
-    """
-    f1, _, _, dx, dy = _two_family_chart(model.params["eta"], model.variables)
-    return _blaschke(f1, dx, dy).is_zero()
 
 
 # -- catalog registry ---------------------------------------------------------------

@@ -97,11 +97,8 @@ class PoissonStructure:
         self.table = folded
         self._forms = None
         self._rows = None
-        excluded = []
-        for coeff in folded.values():
-            if not coeff.den.is_constant() and coeff.den not in excluded:
-                excluded.append(coeff.den)
-        self.excluded = tuple(excluded)
+        self.excluded = tuple(dict.fromkeys(c.den for c in folded.values()
+                                            if not c.den.is_constant()))
 
     def _coerce(self, coeff) -> RationalFunction:
         if isinstance(coeff, str):
@@ -114,13 +111,10 @@ class PoissonStructure:
 
     def coeff(self, i: int, j: int) -> RationalFunction:
         """Pi^{ij} with the skew extension (zero on the diagonal)."""
-        if i == j:
+        entry = self.table.get((min(i, j), max(i, j)))
+        if entry is None:
             return RationalFunction.constant(0, self.variables)
-        if i < j:
-            entry = self.table.get((i, j))
-            return entry if entry is not None else RationalFunction.constant(0, self.variables)
-        entry = self.table.get((j, i))
-        return -entry if entry is not None else RationalFunction.constant(0, self.variables)
+        return entry if i < j else -entry
 
     def skew_rows(self) -> dict:
         """Row i of the skew table: [(j, Pi^{ij})] over its nonzero entries.

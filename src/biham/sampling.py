@@ -40,10 +40,6 @@ def model_inequations(model) -> list:
     coefficients, whose gradients the criterion and integrability evaluate
     at every sample.
     """
-    polys = list(model.genericity)
     dens = [*model.structure.p1.excluded, *model.structure.p2.excluded,
             *(c.den for fam in model.families for c in fam.coeffs)]
-    for den in dens:
-        if not den.is_constant() and den not in polys:
-            polys.append(den)
-    return polys
+    return list(dict.fromkeys([*model.genericity, *(d for d in dens if not d.is_constant())]))

@@ -5,7 +5,9 @@ canonicalization paths: ranks come from naive Gaussian elimination over
 Fractions, determinants from permutation expansion, so that agreement with
 the package is evidence and not tautology.  The last section keeps the
 model helpers that only the tests use, among them the suite's one
-floating-point computation, an RK4 check of the m_f Casimir.
+floating-point computation, an RK4 check of the m_f Casimir, and the
+hand-built chart curvatures of m_f and of the two-family model, the oracles
+of ``casimir.web_flatness``.
 """
 
 import math
@@ -18,7 +20,7 @@ from biham.exactalg import (Matrix, Poly, RationalFunction, clear_denominators, 
                             parse_poly, poly_gcd, primitive_gcd, rat,
                             smith_invariant_factors, truncate)
 from biham.exactalg.smith import _divmod, _monic
-from biham.models import ModelSpec, _tridiagonal_det
+from biham.models import ModelSpec, _tridiagonal_det, _two_family_chart
 from biham.pencil import Block
 from biham.poisson import Certificate, PoissonStructure
 
@@ -690,8 +692,10 @@ def prs_gcd(f, g):
 #
 # Checks on the models that the analyser never runs: the run polynomials of
 # an open-lattice point and its S-genericity, scaling equivalence of two
-# normal forms, and the floating-point RK4 Casimir of m_f.  They stay here as
-# test helpers so that the package itself is exact-only.
+# normal forms, the floating-point RK4 Casimir of m_f, and the Blaschke
+# curvature of a 3-web in a chart built by hand.  They stay here as test
+# helpers so that the package itself is exact-only and decides flatness by
+# one routine over the bracket tables.
 
 
 class SingularODE(BihamError):
@@ -817,3 +821,40 @@ def mf_casimir_numeric(model: ModelSpec, lam, point, steps: int = 1000) -> float
         if not math.isfinite(y):
             raise SingularODE("integration diverged")
     return y
+
+
+def web_curvature(f: Poly) -> RationalFunction:
+    """Blaschke curvature d/dy (f_xx/f_x - f_xy/f_y) = d2/dxdy log(f_x/f_y) of f(x, y).
+
+    The 3-web {x = c}, {y = c}, {f = c} is hexagonal exactly when this
+    vanishes, that is, exactly when f is functionally additive,
+    f = C(a(x) + b(y)) (Blaschke-Bol, Geometrie der Gewebe, 1938), so m_f is
+    flat exactly when it is zero.  One exact zero test decides every order,
+    where ``normal_form_phi`` sees only its truncation.
+    """
+    if len(f.variables) != 2:
+        raise ValidationError("web curvature needs a two-variable function")
+    xv, yv = f.variables
+    if f.diff(xv).is_zero() or f.diff(yv).is_zero():
+        raise ValidationError("both partial derivatives must be nonzero")
+    return _blaschke(RationalFunction.from_poly(f), lambda g: g.diff(xv), lambda g: g.diff(yv))
+
+
+def _blaschke(f: RationalFunction, dx, dy) -> RationalFunction:
+    """d/dy (f_xx/f_x - f_xy/f_y) over a chart's two commuting derivations."""
+    f_x, f_y = dx(f), dy(f)
+    return dy(dx(f_x) / f_x - dy(f_x) / f_y)
+
+
+def two_family_curvature(model: ModelSpec) -> RationalFunction:
+    """The Blaschke curvature of a two-family model's web {x = c}, {y = c},
+    {F_1 = c}, taken in the (L, y) chart through the chain rule."""
+    f1, _, _, dx, dy = _two_family_chart(model.params["eta"], model.variables)
+    return _blaschke(f1, dx, dy)
+
+
+def two_family_flatness(model: ModelSpec) -> bool:
+    """Whether a two-family model is flat: its chart curvature is zero.  By
+    Blaschke-Bol (see ``web_curvature``) this holds exactly when eta is affine.
+    """
+    return two_family_curvature(model).is_zero()

@@ -1,15 +1,17 @@
 """Lambda families, the span dimension, criteria and Lax verdicts."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
 from biham.casimir import (LambdaFamily, CriterionVerdict, family_check,
-                           kronecker_criterion, lax_check, w1_span_dim)
+                           kronecker_criterion, lax_check, w1_span_dim, web_flatness)
+from biham.cli import export_model, parse_structure_file
 from biham.errors import ValidationError
 from biham.exactalg import RationalFunction, parse_rational
-from biham.models import (flat_kronecker, jordan_model, open_toda,
+from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           sl2_shift, two_family_model)
 from biham.pencil import decompose
 
@@ -242,3 +244,41 @@ def test_verdict_json():
     data = v.to_json()
     assert data["outcome"] == "KroneckerCertified" and data["type"] == [3]
     assert isinstance(v, CriterionVerdict)
+
+
+# -- web flatness: where it applies ---------------------------------------------------
+
+def _structure_file(brackets1, brackets2) -> str:
+    return json.dumps({"dim": 3, "vars": ["x", "y", "z"],
+                       "brackets1": [{"i": i, "j": j, "coeff": c} for i, j, c in brackets1],
+                       "brackets2": [{"i": i, "j": j, "coeff": c} for i, j, c in brackets2]})
+
+
+def test_web_flatness_needs_dimension_3():
+    assert web_flatness(V5.structure) is None
+
+
+def test_web_flatness_does_not_apply_to_a_jordan_structure_file():
+    # constant {x,y}_1 = 1 and {x,y}_2 = 2: one kernel for the whole pencil,
+    # so ω1 ∧ ω2 = 0, the type K1 + J2
+    b = parse_structure_file(_structure_file([(0, 1, "1")], [(0, 1, "2")])).structure
+    assert b.certified()
+    assert decompose(b.pencil_at(_pt(1, 1, 1))).label() == "{K1, J2(mu=1/2)}"
+    assert web_flatness(b) is None
+
+
+def test_web_flatness_does_not_apply_without_jacobi():
+    # ω1 = (y, 0, 1) has ω1·curl ω1 = -1, so bracket 1 fails Jacobi though
+    # ω1 × ω2 = (1, 0, -y) is nonzero
+    b = parse_structure_file(_structure_file([(1, 2, "y"), (0, 1, "1")],
+                                             [(0, 2, "1")])).structure
+    assert not b.jacobi(1).ok
+    assert web_flatness(b) is None
+
+
+@pytest.mark.parametrize("model", [m_f("x + y + x^2*y"), m_f("x + y + x*y"),
+                                   sl2_shift((1, 2, 3)), two_family_model("t^2")],
+                         ids=lambda m: m.name)
+def test_web_flatness_of_a_reloaded_export_is_the_catalog_models(model):
+    reloaded = parse_structure_file(json.dumps(export_model(model)))
+    assert web_flatness(reloaded.structure) == web_flatness(model.structure)

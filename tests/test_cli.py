@@ -349,7 +349,7 @@ def test_cli_internal_error_in_decompose_carries_its_pencil(tmp_path, capsys, mo
 def test_cli_normalform_internal_inconsistency_is_exit_3(capsys, monkeypatch):
     # a zero web curvature for a germ whose phi is not additive contradicts
     # the normal form: a bug, so exit 3
-    monkeypatch.setattr(cli_module, "web_curvature", lambda f: f - f)
+    monkeypatch.setattr(cli_module, "web_flatness", lambda b: ())
     assert main(["normalform", "--function", "x + y + x^2*y"]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""

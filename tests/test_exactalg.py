@@ -7,7 +7,7 @@ import pytest
 
 from biham.errors import InternalInconsistency, ValidationError
 from biham.exactalg import (
-    Matrix, Poly, block_diag, compose, exact_div, factor_monic,
+    Matrix, Poly, RationalFunction, block_diag, compose, exact_div, factor_monic,
     parse_poly, parse_rational, poly_gcd, primitive_gcd, rat, rat_str,
     smith_invariant_factors, squarefree_decomposition, truncate,
 )
@@ -197,6 +197,50 @@ def test_rational_denominator_normalization():
     r = parse_rational("x/((-2)*x + 2*y)", V)
     assert r.den == parse_poly("x - y", V)
     assert r == parse_rational("(-1/2)*x/(x - y)", V)
+
+
+def _count_constant_calls(monkeypatch) -> list:
+    """Patch Poly.constant to record each call's value; returns the record."""
+    calls = []
+    build = Poly.constant.__func__
+
+    def counted(cls, c, variables):
+        calls.append(c)
+        return build(cls, c, variables)
+
+    monkeypatch.setattr(Poly, "constant", classmethod(counted))
+    return calls
+
+
+def test_polynomial_and_zero_results_share_one_unit_denominator(monkeypatch):
+    # a polynomial or zero RationalFunction takes its variable tuple's one
+    # unit as denominator, so once that exists no Poly.constant call is made
+    x = Poly.variable("x", V)
+    first = RationalFunction.from_poly(x)
+    calls = _count_constant_calls(monkeypatch)
+    square = RationalFunction.from_poly(x * x)
+    zero = RationalFunction(Poly.zero(V), x)
+    cancelled = RationalFunction.sum_of_products([(square, first), (-first, square)], V)
+    assert calls == []
+    assert cancelled.is_zero()
+    assert square.den is first.den is zero.den is cancelled.den
+    assert first.den == Poly.constant(1, V)
+
+
+def test_certificates_build_only_explicit_zero_constants(monkeypatch):
+    # fresh certificates of open_toda:k=2: Jacobi, compatibility and the
+    # family; the 8 Poly.constant calls are the explicit zeros (one shared
+    # zero per stored gradient, an empty relation sum, the family's
+    # coefficients beyond its degree).  With a new unit per polynomial
+    # result this pass made 55.
+    from biham.casimir import family_check
+    from biham.models import open_toda
+    from biham.poisson import BihamStructure
+    model = open_toda(2)
+    b = BihamStructure(model.structure.p1, model.structure.p2)
+    calls = _count_constant_calls(monkeypatch)
+    assert b.certified() and family_check(b, model.families[0]).ok
+    assert calls == [0] * 8
 
 
 def test_parser_errors_have_positions():

@@ -4,19 +4,20 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from biham.casimir import kronecker_criterion, w1_span_dim
+from biham.casimir import kronecker_criterion, w1_span_dim, web_flatness
 from biham.errors import ValidationError
-from biham.exactalg import Matrix, Poly, RationalFunction, compose, parse_poly
+from biham.exactalg import Matrix, Poly, RationalFunction, compose, parse_poly, parse_rational
 from biham.models import (catalog_names, flat_kronecker, jordan_model,
                           m_f, make_model, normal_form_phi,
                           open_toda, periodic_casimirs, periodic_toda,
-                          sl2_shift, two_family_flatness, two_family_model,
-                          web_curvature)
+                          sl2_shift, two_family_model)
 from biham.pencil import decompose
 
 from oracles import (SingularODE, T, cofactor_det, is_generic, mf_casimir_numeric,
-                     run_polynomials, s_generic, scaling_equivalent, univariate)
+                     run_polynomials, s_generic, scaling_equivalent, two_family_curvature,
+                     two_family_flatness, univariate, web_curvature)
 
 
 def _pt(*vals):
@@ -324,10 +325,16 @@ ETAS = ["t", "3*t", "2*t + 3", "t^2", "t^2 + t", "t^3", "t^3 + 2*t", "t^4", "3*t
 
 
 def test_two_family_flatness_dichotomy():
-    # the web curvature decides eta of every degree: flat exactly when affine
+    # the web curvature decides eta of every degree: flat exactly when affine;
+    # web_flatness gives dγ = -K x_L dL∧dy, K the curvature in the (x, y)
+    # chart and x the family's constant coefficient L^2 y + zeta(L)
     for eta in ETAS:
         affine = parse_poly(eta, ("t",)).degree_in("t") == 1
-        assert two_family_flatness(two_family_model(eta)) == affine, eta
+        m = two_family_model(eta)
+        assert two_family_flatness(m) == affine, eta
+        zero = RationalFunction.constant(0, m.variables)
+        x_L = m.families[0].coeffs[0].diff("L")
+        assert web_flatness(m.structure) == (zero, zero, -two_family_curvature(m) * x_L), eta
 
 
 @pytest.mark.parametrize("eta", ETAS)
@@ -426,6 +433,19 @@ def test_normal_form_preconditions():
         normal_form_phi(parse_poly("x + y^2", V2), 4)
 
 
+XYZ = ("x", "y", "z")
+
+
+def _on_xyz(r: RationalFunction) -> RationalFunction:
+    return RationalFunction(r.num.embed(XYZ), r.den.embed(XYZ))
+
+
+def _assert_m_f_identity(f: Poly):
+    # dγ = -K(f) dx∧dy: curl γ is (0, 0, -K), K the oracle's web curvature
+    zero = RationalFunction.constant(0, XYZ)
+    assert web_flatness(m_f(f).structure) == (zero, zero, -_on_xyz(web_curvature(f)))
+
+
 FLAT_GERMS = ["x + y", "x + y + x*y", "(x + y)^3 + 5*(x + y)"]
 NONFLAT_GERMS = ["x + y + x^2*y", "x + y + x^3*y^3", "x + y + x^4*y", "3*x - y + x^3*y^2"]
 
@@ -436,6 +456,7 @@ def test_web_curvature_decides_flatness_like_the_order_20_normal_form(germ, flat
     f = parse_poly(germ, V2)
     assert web_curvature(f).is_zero() == flat
     assert normal_form_phi(f, 20).additive == flat
+    _assert_m_f_identity(f)
 
 
 def test_web_curvature_sees_past_the_truncation():
@@ -445,6 +466,39 @@ def test_web_curvature_sees_past_the_truncation():
     assert not web_curvature(f).is_zero()
     with pytest.raises(ValidationError, match="both partial derivatives must be nonzero"):
         web_curvature(parse_poly("x^2", V2))
+
+
+# -- web flatness: the one routine over the brackets against the chart curvatures --
+
+@st.composite
+def two_variable_polys(draw):
+    """Polynomials in x, y of degree at most 3 in each, with both partials nonzero."""
+    terms = draw(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                                 st.fractions(-3, 3, max_denominator=3), min_size=2, max_size=5))
+    f = Poly(V2, terms)
+    assume(not f.diff("x").is_zero() and not f.diff("y").is_zero())
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_variable_polys())
+def test_web_flatness_is_minus_the_web_curvature_on_random_m_f(f):
+    _assert_m_f_identity(f)
+
+
+def test_web_flatness_pins_the_curved_germ():
+    zero = RationalFunction.constant(0, XYZ)
+    assert web_flatness(m_f("x + y + x^2*y").structure) == (
+        zero, zero, parse_rational("-2/(2*x*y + 1)^2", XYZ))
+
+
+@pytest.mark.parametrize("spec", ["open_toda:k=1", "flat_kronecker:k=2", "sl2_shift:alpha=0;1;0",
+                                  "sl2_shift:alpha=1;2;1", "sl2_shift:alpha=1;2;3"])
+def test_web_flatness_finds_the_flat_catalog_models_flat(spec):
+    name, _, params = spec.partition(":")
+    model = make_model(name, **dict(p.split("=") for p in params.split(",")))
+    curl = web_flatness(model.structure)
+    assert curl is not None and all(c.is_zero() for c in curl)
 
 
 def test_normal_form_brute_force_oracle_degree_3():
