@@ -13,7 +13,7 @@ structure from its two bracket tables, through its 3-web.
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, ValidationError
-from .exactalg import RationalFunction, clear_denominators, load_json, parse_rational
+from .exactalg import RationalFunction, clear_denominators
 from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate
@@ -44,25 +44,6 @@ class LambdaFamily:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
         return RationalFunction.constant(0, self.coeffs[0].variables)
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "coeffs": [str(c) for c in self.coeffs]}
-
-    @classmethod
-    def from_json(cls, data, variables, name: str = "") -> "LambdaFamily":
-        if isinstance(data, str):
-            data = load_json(data)
-        try:
-            coeffs = tuple(parse_rational(c, variables) for c in data["coeffs"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad family JSON: {exc}") from exc
-        fam = cls(coeffs, name=name)
-        degree = data.get("degree", fam.degree)
-        if isinstance(degree, bool) or not isinstance(degree, int):
-            raise ValidationError(f"family field 'degree' is {degree!r}, not an integer")
-        if fam.degree != degree:
-            raise ValidationError("family degree field disagrees with coefficients")
-        return fam
 
 
 def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:

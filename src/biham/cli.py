@@ -20,11 +20,12 @@ import sys
 from .casimir import LambdaFamily, family_check, web_flatness
 from .errors import BihamError, InternalInconsistency, ValidationError
 from .exactalg import load_json, parse_int, parse_poly, parse_rational, rat
+from .exactalg.parser import NAME
 from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, m_f, make_model, normal_form_phi,
-                     DEFAULT_TRUNCATION)
+                     DEFAULT_TRUNCATION, MAX_GERM_DEGREE)
 from .pencil import SkewPencil, decompose
-from .poisson import BihamStructure
+from .poisson import BihamStructure, PoissonStructure, _is_int
 from .report import AnalysisReport, emit_report, run_analyze
 
 
@@ -58,8 +59,14 @@ def resolve_target(target: str) -> ModelSpec:
 
 
 def parse_structure_file(path_or_text: str) -> ModelSpec:
-    """Structure JSON (two bracket tables, optional families and chains), from
-    a file or inline; a missing .json file is an error that names it."""
+    """A structure file as ``structure.schema.json`` describes it, from a path
+    or inline: the one reader of the format.
+
+    One pass over the document, field by field: dim and vars, the two
+    bracket tables, name, families, chains, genericity, expectations.  A
+    missing .json file is an error that names it; anything the schema
+    refuses is a ValidationError that names the field.
+    """
     if _names_file(path_or_text):
         with open(path_or_text, encoding="utf-8") as fh:
             text = fh.read()
@@ -68,41 +75,102 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
         text = path_or_text
         name = "<inline>"
     data = load_json(text)
-    structure = BihamStructure.from_json(data)
+    if not isinstance(data, dict):
+        raise ValidationError("structure JSON must be an object")
+    dim = data.get("dim")
+    if not _is_int(dim) or dim < 1:
+        raise ValidationError(f"structure dimension {dim!r} is not an integer >= 1")
+    variables = tuple(_field(data, "vars", list, _REQUIRED))
+    if len(variables) != dim:
+        raise ValidationError("vars length disagrees with dim")
+    for k, var in enumerate(variables):
+        if not isinstance(var, str):
+            raise ValidationError(f"variable {var!r} is not a string")
+        if not NAME.fullmatch(var):
+            raise ValidationError(f"variable {var!r} is not a name matching {NAME.pattern}")
+        if var in variables[:k]:
+            raise ValidationError(f"variable {var!r} declared twice")
+    structure = BihamStructure(*(PoissonStructure(variables, _bracket_table(data, key))
+                                 for key in ("brackets1", "brackets2")))
     model = ModelSpec(name=_field(data, "name", str, name), params={},
                       structure=structure)
     for k, fam_data in enumerate(_field(data, "families", list)):
-        where = f"families[{k}]"
-        if not isinstance(fam_data, dict):
-            raise ValidationError(f"structure field {where} is not an object")
-        _expressions(fam_data.get("coeffs", []), f"{where}.coeffs")
-        fam = LambdaFamily.from_json(fam_data, structure.variables,
-                                     name=_field(fam_data, "name", str, where=f"{where}.name"))
-        model.families.append(fam)
-    model.chains.extend(LenardChain.from_json(chain_data, structure, name=f"chain {i}")
-                        for i, chain_data in enumerate(_field(data, "chains", list)))
-    genericity = _expressions(_field(data, "genericity", list), "genericity")
-    model.genericity.extend(parse_poly(g, structure.variables) for g in genericity)
+        model.families.append(_family(fam_data, variables, f"families[{k}]"))
+    for k, chain_data in enumerate(_field(data, "chains", list)):
+        model.chains.append(_chain(chain_data, structure, f"chain {k}"))
+    model.genericity.extend(parse_poly(g, variables)
+                            for g in _expressions(_field(data, "genericity", list), "genericity"))
     model.expectations = _field(data, "expectations", dict)
     return model
 
 
+def _bracket_table(data: dict, key: str) -> dict:
+    """A bracket table as {(i, j): coefficient}; ``PoissonStructure`` checks the indices."""
+    table = {}
+    for entry in _field(data, key, list, _REQUIRED):
+        try:
+            i, j, coeff = entry["i"], entry["j"], entry["coeff"]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"bad bracket entry {entry!r}") from exc
+        if not (_is_int(i) and _is_int(j)):
+            raise ValidationError(f"bracket indices ({i!r}, {j!r}) are not integers")
+        if not (isinstance(coeff, str) or _is_int(coeff)):
+            raise ValidationError(f"bracket coefficient {coeff!r} is neither "
+                                  f"an expression string nor an integer")
+        if (i, j) in table:
+            raise ValidationError(f"bracket entry ({i},{j}) defined twice")
+        table[(i, j)] = coeff
+    return table
+
+
+def _family(data, variables: tuple, where: str) -> LambdaFamily:
+    """A ``family.schema.json`` entry; ``LambdaFamily`` checks its leading coefficient."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"structure field {where} is not an object")
+    coeffs = _expressions(_field(data, "coeffs", list, _REQUIRED, f"{where}.coeffs"),
+                          f"{where}.coeffs")
+    name = _field(data, "name", str, where=f"{where}.name")
+    fam = LambdaFamily(tuple(parse_rational(c, variables) for c in coeffs), name=name)
+    degree = data.get("degree", fam.degree)
+    if not _is_int(degree):
+        raise ValidationError(f"family field 'degree' is {degree!r}, not an integer")
+    if fam.degree != degree:
+        raise ValidationError("family degree field disagrees with coefficients")
+    return fam
+
+
+def _chain(data, structure: BihamStructure, name: str) -> LenardChain:
+    """A ``chain.schema.json`` entry, read over the file's structure."""
+    if not isinstance(data, dict):
+        raise ValidationError("chain JSON must be an object")
+    anchored, funcs = data.get("anchored"), data.get("functions")
+    if not isinstance(anchored, bool):
+        raise ValidationError(f"chain field 'anchored' is {anchored!r}, not a boolean")
+    if not (isinstance(funcs, list) and funcs and all(isinstance(f, str) for f in funcs)):
+        raise ValidationError(f"chain field 'functions' is {funcs!r}, not a non-empty "
+                              f"list of expression strings")
+    return LenardChain(tuple(parse_rational(f, structure.variables) for f in funcs),
+                       structure, anchored, name=name)
+
+
 _KINDS = {list: "a list", dict: "an object", str: "a string"}
+_REQUIRED = object()
 
 
 def _field(data: dict, key: str, kind: type, default=None, where=None):
-    """data[key], ``default`` (else empty) when absent; any other type is an
-    input error that names the field (as ``where`` when given)."""
+    """data[key], ``default`` (else empty) when absent, an input error when
+    absent and ``_REQUIRED``; any other type is an input error that names
+    the field (as ``where`` when given)."""
     value = data.get(key, kind() if default is None else default)
+    if value is _REQUIRED:
+        raise ValidationError(f"structure field {where or repr(key)} is missing")
     if not isinstance(value, kind):
         raise ValidationError(f"structure field {where or repr(key)} is not {_KINDS[kind]}")
     return value
 
 
-def _expressions(values, where: str):
-    """values when it is a list of expression strings, else an input error naming the field."""
-    if not isinstance(values, list):
-        raise ValidationError(f"structure field {where} is not a list")
+def _expressions(values: list, where: str) -> list:
+    """values when every entry is an expression string, else an input error naming the field."""
     for v in values:
         if not isinstance(v, str):
             raise ValidationError(f"structure field {where} entry {v!r} is not "
@@ -111,14 +179,19 @@ def _expressions(values, where: str):
 
 
 def export_model(model: ModelSpec) -> dict:
-    data = model.structure.to_json()
+    """The structure file of a model, which ``parse_structure_file`` reads back."""
+    b = model.structure
+    data = {"dim": b.dim, "vars": list(b.variables)}
+    for key, p in (("brackets1", b.p1), ("brackets2", b.p2)):
+        data[key] = [{"i": i, "j": j, "coeff": str(c)} for (i, j), c in sorted(p.table.items())]
     data["name"] = model.name
     if model.families:
-        data["families"] = []
-        for fam in model.families:
-            fam_data = fam.to_json()
-            fam_data["name"] = fam.name
-            data["families"].append(fam_data)
+        data["families"] = [{"degree": fam.degree, "coeffs": [str(c) for c in fam.coeffs],
+                             "name": fam.name} for fam in model.families]
+    if model.chains:
+        data["chains"] = [{"anchored": chain.anchored,
+                           "functions": [str(f) for f in chain.functions]}
+                          for chain in model.chains]
     if model.genericity:
         data["genericity"] = [str(g) for g in model.genericity]
     if model.expectations:
@@ -250,6 +323,9 @@ def _dispatch(args) -> int:
 
     if args.command == "normalform":
         f = parse_poly(args.function, ("x", "y"))
+        degree = max(map(sum, f.terms), default=0)
+        if degree > MAX_GERM_DEGREE:
+            raise ValidationError(f"germ degree must be at most {MAX_GERM_DEGREE}, got {degree}")
         result = normal_form_phi(f, args.truncation)
         # the verdict is the web curvature of m_f's brackets, exact at every
         # order; phi is additive through the truncation whenever f is flat

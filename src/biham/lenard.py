@@ -17,8 +17,6 @@ eliminated once per point.
 from dataclasses import dataclass
 
 from .casimir import LambdaFamily, w1_span_dim
-from .errors import ValidationError
-from .exactalg import load_json, parse_rational
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate, first_nonzero_sum
 
@@ -34,26 +32,6 @@ class LenardChain:
     structure: BihamStructure
     anchored: bool
     name: str = ""
-
-    def to_json(self) -> dict:
-        return {"anchored": self.anchored,
-                "functions": [str(f) for f in self.functions]}
-
-    @classmethod
-    def from_json(cls, data, structure: BihamStructure, name: str = "") -> "LenardChain":
-        """Chain as ``chain.schema.json`` describes it; anything else is a ValidationError."""
-        if isinstance(data, str):
-            data = load_json(data)
-        if not isinstance(data, dict):
-            raise ValidationError("chain JSON must be an object")
-        anchored, funcs = data.get("anchored"), data.get("functions")
-        if not isinstance(anchored, bool):
-            raise ValidationError(f"chain field 'anchored' is {anchored!r}, not a boolean")
-        if not (isinstance(funcs, list) and funcs and all(isinstance(f, str) for f in funcs)):
-            raise ValidationError(f"chain field 'functions' is {funcs!r}, not a non-empty "
-                                  f"list of expression strings")
-        return cls(tuple(parse_rational(f, structure.variables) for f in funcs),
-                   structure, anchored, name=name)
 
 
 def chain_from_family(b: BihamStructure, fam: LambdaFamily, name: str = "") -> LenardChain:

@@ -35,6 +35,10 @@ from .poisson import BihamStructure, PoissonStructure
 
 DEFAULT_TRUNCATION = 6
 MAX_TRUNCATION = 20     # a dense germ on a 2-vCPU Xeon: 1.2 s at order 20, 7.8 s at 30
+# `normalform`'s flatness step reads the whole germ, so its degree is bounded
+# too: a dense germ (coefficients 1-3), end to end on 2 vCPUs of an AMD EPYC,
+# takes 0.24 s at degree 12, 1.5 s at 20, 3.1 s at 24, 6.2 s at 28, 10.7 s at 32
+MAX_GERM_DEGREE = 20
 # Largest size parameter k of each builder, checked before anything is built.
 # Single runs on 2 vCPUs, the first two lines on a Xeon and the Toda lines on
 # an AMD EPYC; "analyze" is `biham analyze <spec> --samples 20 --seed 0`.

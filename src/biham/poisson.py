@@ -37,8 +37,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                       clear_denominators, load_json, parse_rational, rat)
-from .exactalg.parser import NAME
+                       clear_denominators, parse_rational, rat)
 from .pencil import PointAnalysis, SkewPencil, decompose
 
 
@@ -58,6 +57,7 @@ class Certificate:
 
 
 def _is_int(x) -> bool:
+    """A JSON integer: an int that is not a bool (the structure and report readers)."""
     return isinstance(x, int) and not isinstance(x, bool)
 
 
@@ -189,57 +189,6 @@ class PoissonStructure:
             return Certificate(True, "casimir")
         j, residual = failure
         return Certificate(False, "casimir", f"{{F, {self.variables[j]}}} = {residual}")
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "vars": list(self.variables),
-            "brackets": [{"i": i, "j": j, "coeff": str(c)}
-                         for (i, j), c in sorted(self.table.items())],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "PoissonStructure":
-        """Structure from its JSON text or object; any malformed input is a ValidationError.
-
-        The dimension is an integer >= 1, variables are names that an
-        expression can use, bracket indices integers and coefficients
-        expression strings or integers.
-        """
-        if isinstance(data, str):
-            data = load_json(data)
-        try:
-            variables = tuple(data["vars"])
-            entries = list(data["brackets"])
-            dim = data["dim"]
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad structure JSON: {exc}") from exc
-        if not _is_int(dim) or dim < 1:
-            raise ValidationError(f"structure dimension {dim!r} is not an integer >= 1")
-        if len(variables) != dim:
-            raise ValidationError("vars length disagrees with dim")
-        for k, var in enumerate(variables):
-            if not isinstance(var, str):
-                raise ValidationError(f"variable {var!r} is not a string")
-            if not NAME.fullmatch(var):
-                raise ValidationError(f"variable {var!r} is not a name matching {NAME.pattern}")
-            if var in variables[:k]:
-                raise ValidationError(f"variable {var!r} declared twice")
-        table = {}
-        for entry in entries:
-            try:
-                i, j, coeff = entry["i"], entry["j"], entry["coeff"]
-            except (KeyError, TypeError) as exc:
-                raise ValidationError(f"bad bracket entry {entry!r}") from exc
-            if not (_is_int(i) and _is_int(j)):
-                raise ValidationError(f"bracket indices ({i!r}, {j!r}) are not integers")
-            if not (isinstance(coeff, str) or _is_int(coeff)):
-                raise ValidationError(f"bracket coefficient {coeff!r} is neither "
-                                      f"an expression string nor an integer")
-            if (i, j) in table:
-                raise ValidationError(f"bracket entry ({i},{j}) defined twice")
-            table[(i, j)] = coeff
-        return cls(variables, table)
 
 
 def _skew_matrix(n: int, keys, values) -> Matrix:
@@ -467,23 +416,3 @@ class BihamStructure:
         if ptype is None:
             ptype = types[pencil] = decompose(pencil)
         return PointAnalysis(ev, ptype)
-
-    def to_json(self) -> dict:
-        return {
-            "dim": self.dim,
-            "vars": list(self.variables),
-            "brackets1": self.p1.to_json()["brackets"],
-            "brackets2": self.p2.to_json()["brackets"],
-        }
-
-    @classmethod
-    def from_json(cls, data) -> "BihamStructure":
-        if isinstance(data, str):
-            data = load_json(data)
-        if not isinstance(data, dict):
-            raise ValidationError("structure JSON must be an object")
-        base = {"dim": data.get("dim"), "vars": data.get("vars")}
-        p1 = PoissonStructure.from_json({**base, "brackets": data.get("brackets1", [])})
-        p2 = PoissonStructure.from_json({**base, "brackets": data.get("brackets2", [])})
-        return cls(p1, p2)
-

@@ -224,9 +224,9 @@ def test_lax_check_jordan_negative():
 
 def test_family_json_roundtrip():
     fam = V3.families[0]
-    data = fam.to_json()
-    assert data["degree"] == 1
-    back = LambdaFamily.from_json(data, V3.structure.variables)
+    data = export_model(V3)
+    assert data["families"][0]["degree"] == 1
+    back = parse_structure_file(json.dumps(data)).families[0]
     assert back.coeffs == fam.coeffs
 
 

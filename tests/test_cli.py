@@ -15,7 +15,7 @@ import biham.pencil as pencil_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import parse_poly
-from biham.models import (MAX_FLAT_KRONECKER_K, MAX_JORDAN_K, MAX_OPEN_TODA_K,
+from biham.models import (MAX_FLAT_KRONECKER_K, MAX_GERM_DEGREE, MAX_JORDAN_K, MAX_OPEN_TODA_K,
                           MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f,
                           make_model, open_toda)
 from biham.pencil import (SkewPencil, epsilon_adjacency_pencil, jordan_pencil,
@@ -155,6 +155,22 @@ def test_cli_catalog_show_roundtrips(capsys):
     assert model.dim == 3
 
 
+def test_cli_catalog_show_keeps_a_files_chains(tmp_path, capsys):
+    source = tmp_path / "chained.json"
+    source.write_text(json.dumps(FLAT_K3))
+    assert main(["catalog", "show", str(source)]) == 0
+    exported = tmp_path / "exported.json"
+    exported.write_text(capsys.readouterr().out)
+    chains, outputs = [], []
+    for path in (source, exported):
+        chains.append([(c.functions, c.anchored, c.name)
+                       for c in parse_structure_file(str(path)).chains])
+        assert main(["check", "chain", str(path)]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert chains[0] == chains[1] and len(chains[0]) == 1
+    assert outputs[0] == outputs[1] == "chain 0 (anchored=True): pass\n"
+
+
 def test_sampling_exhaustion():
     from biham.errors import SamplingExhausted
     from biham.exactalg import Poly
@@ -209,9 +225,8 @@ def test_cli_check_commands(tmp_path, capsys):
 def test_cli_check_chain(tmp_path):
     from biham.lenard import chain_from_family
     model = open_toda(1)
-    chain = chain_from_family(model.structure, model.families[0])
+    model.chains.append(chain_from_family(model.structure, model.families[0]))
     data = export_model(model)
-    data["chains"] = [chain.to_json()]
     path = tmp_path / "v3c.json"
     path.write_text(json.dumps(data))
     assert main(["check", "chain", str(path)]) == 0
@@ -432,6 +447,17 @@ def test_cli_normalform_truncation_above_the_bound_is_exit_2(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "truncation order must be at most 20, got 21" in captured.err
+
+
+def test_cli_normalform_germ_degree_above_the_bound_is_exit_2(capsys):
+    # the flatness step reads the whole germ, whatever the truncation
+    assert MAX_GERM_DEGREE == 20
+    assert main(["normalform", "--function", "x + y + x^10*y^10"]) == 0
+    assert "flat: no" in capsys.readouterr().out
+    assert main(["normalform", "--function", "x + y + x^10*y^11"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "germ degree must be at most 20, got 21" in captured.err
 
 
 def test_cli_samples_above_the_bound_is_exit_2(capsys):
@@ -856,6 +882,35 @@ FLAT_K3 = {"dim": 3, "vars": ["x0", "x1", "x2"],
            "chains": [{"anchored": True, "functions": ["x2", "x0"]}]}
 
 
+# documents the schema refuses that a reader could still take for a
+# structure: a string's characters or an object's keys as the variables, a
+# missing, object or string bracket table as a table, and a JSON string that
+# holds a structure document as the document
+XY = {"dim": 2, "vars": ["x", "y"], "brackets1": [{"i": 0, "j": 1, "coeff": "x"}],
+      "brackets2": []}
+REFUSED_STRUCTURES = {
+    "vars_string": ({**XY, "vars": "xy"}, "structure field 'vars' is not a list"),
+    "vars_object": ({**XY, "vars": {"x": 0, "y": 1}}, "structure field 'vars' is not a list"),
+    "brackets2_missing": ({key: value for key, value in XY.items() if key != "brackets2"},
+                          "structure field 'brackets2' is missing"),
+    "brackets2_object": ({**XY, "brackets2": {}}, "structure field 'brackets2' is not a list"),
+    "brackets2_string": ({**XY, "brackets2": ""}, "structure field 'brackets2' is not a list"),
+    "json_string": (json.dumps(XY), "structure JSON must be an object"),
+}
+
+
+@pytest.mark.parametrize("document,message", list(REFUSED_STRUCTURES.values()),
+                         ids=list(REFUSED_STRUCTURES))
+def test_cli_structure_the_schema_refuses_is_exit_2(tmp_path, capsys, document, message):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps(document))
+    for argv in (["check", "poisson", str(path)], ["analyze", str(path), "--samples", "1"]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_structure_files_validate_against_schema():
     # the structure schema, with its family and chain refs resolved to the
     # shipped schemas, accepts what the loader accepts and refuses what it refuses
@@ -884,7 +939,9 @@ def test_structure_files_validate_against_schema():
                 {**FLAT_K3, "name": 5},
                 {**FLAT_K3, "families": [{"name": 7, "degree": 1, "coeffs": ["x0", "x2"]}]},
                 {**FLAT_K3, "families": [{"degree": True, "coeffs": ["x0", "x2"]}]},
-                {**FLAT_K3, **empty, "vars": ["x0", "x1", "x 2"]}):
+                {**FLAT_K3, **empty, "vars": ["x0", "x1", "x 2"]},
+                {**FLAT_K3, **empty, "vars": ["x0", "x1", "x0"]},
+                *(document for document, _ in REFUSED_STRUCTURES.values())):
         with pytest.raises(jsonschema.ValidationError):
             validator.validate(bad)
         with pytest.raises(ValidationError):

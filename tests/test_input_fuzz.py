@@ -1,7 +1,8 @@
 """Fuzzing the input boundary: every call returns or raises BihamError, in time.
 
-Coefficient text goes through ``parse_rational``, structure files through
-``PoissonStructure.from_json``, pencil files through ``SkewPencil.from_json``
+Coefficient text goes through ``parse_rational``, structure files (both
+bracket tables, with any of the optional fields) through
+``parse_structure_file``, pencil files through ``SkewPencil.from_json``
 and catalog specs through ``resolve_target``; anything else escaping them
 would reach the CLI as a traceback instead of exit code 2.  The per-example deadline is
 generous: it catches hangs, not slow machines.
@@ -12,12 +13,11 @@ from datetime import timedelta
 
 from hypothesis import given, settings, strategies as st
 
-from biham.cli import resolve_target
+from biham.cli import _names_file, parse_structure_file, resolve_target
 from biham.errors import BihamError
 from biham.exactalg import parse_rational
 from biham.models import catalog_names
 from biham.pencil import SkewPencil, decompose
-from biham.poisson import PoissonStructure
 
 VARIABLES = ("x", "y", "z")
 TOKENS = ["x", "y", "z", "w", "x1", "0", "1", "2", "3", "10", "64", "65", "99999",
@@ -39,10 +39,11 @@ json_values = st.recursive(
 
 @st.composite
 def structure_objects(draw):
-    """Small structure-shaped objects: mostly well-typed, often not."""
+    """Small structure files: mostly well-typed, often not, each optional field
+    present or absent."""
     variables = draw(st.one_of(st.lists(st.sampled_from(["x", "y", "z", "v0", ""]),
                                         max_size=3),
-                               json_values))
+                               json_values, st.text("xyz", max_size=3)))
     dim = draw(st.one_of(st.just(len(variables)) if isinstance(variables, list)
                          else json_values, st.integers(0, 3), json_values))
     index = st.one_of(st.integers(-1, 3), json_values)
@@ -50,8 +51,25 @@ def structure_objects(draw):
                                              "coeff": st.one_of(token_strings,
                                                                 json_values)}),
                       json_values)
-    brackets = draw(st.one_of(st.lists(entry, max_size=3), json_values))
-    return {"dim": dim, "vars": variables, "brackets": brackets}
+    table = st.one_of(st.lists(entry, max_size=3), json_values)
+    expressions = st.one_of(st.lists(st.one_of(token_strings, json_scalars), max_size=3),
+                            json_values)
+    family = st.fixed_dictionaries({"coeffs": expressions},
+                                   optional={"degree": st.one_of(st.integers(-1, 3),
+                                                                 json_values),
+                                             "name": st.one_of(token_strings, json_values)})
+    chain = st.fixed_dictionaries({"anchored": st.one_of(st.booleans(), json_values),
+                                   "functions": expressions})
+    fields = st.fixed_dictionaries(
+        {"brackets1": table, "brackets2": table},
+        optional={"name": st.one_of(token_strings, json_values),
+                  "families": st.one_of(st.lists(st.one_of(family, json_values), max_size=2),
+                                        json_values),
+                  "chains": st.one_of(st.lists(st.one_of(chain, json_values), max_size=2),
+                                      json_values),
+                  "genericity": expressions,
+                  "expectations": json_values})
+    return {"dim": dim, "vars": variables, **draw(fields)}
 
 
 @given(texts)
@@ -65,11 +83,14 @@ def test_parse_rational_returns_or_raises_biham_error(text):
 
 @given(st.one_of(structure_objects(), json_values, st.text(max_size=24)))
 @settings(max_examples=300, deadline=DEADLINE)
-def test_structure_from_json_returns_or_raises_biham_error(data):
-    forms = [data] if isinstance(data, str) else [data, json.dumps(data)]
+def test_parse_structure_file_returns_or_raises_biham_error(data):
+    # a document, the JSON string that holds it, and raw text that names no file
+    forms = [json.dumps(data), json.dumps(json.dumps(data))]
+    if isinstance(data, str) and not _names_file(data):
+        forms.append(data)
     for form in forms:
         try:
-            PoissonStructure.from_json(form)
+            parse_structure_file(form)
         except BihamError:
             pass
 

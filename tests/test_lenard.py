@@ -1,8 +1,11 @@
 """Lenard chains: extraction, recurrence, involution, integrability."""
 
+import json
+from dataclasses import replace
 from fractions import Fraction
 
 from biham.casimir import LambdaFamily, family_check
+from biham.cli import export_model, parse_structure_file
 from biham.exactalg import parse_rational
 from biham.lenard import (LenardChain, chain_from_family, integrability_verdict,
                           involution_check, verify_chain)
@@ -216,7 +219,7 @@ def test_independent_count_bounded_by_action_dim():
 
 def test_chain_json_roundtrip():
     chain = chain_from_family(V3.structure, V3.families[0])
-    data = chain.to_json()
-    assert data["anchored"] is True
-    back = LenardChain.from_json(data, V3.structure)
+    data = export_model(replace(V3, chains=[chain]))
+    assert data["chains"][0]["anchored"] is True
+    back = parse_structure_file(json.dumps(data)).chains[0]
     assert back.functions == chain.functions
