@@ -13,7 +13,7 @@ structure from its two bracket tables, through its 3-web.
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, ValidationError
-from .exactalg import RationalFunction, clear_denominators
+from .exactalg import RationalFunction
 from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate
@@ -75,18 +75,19 @@ def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
     dF_lam over varying lam; any other entry is a sequence of functions (a
     chain's).  This is the one gradient rank: the criterion's W1, the
     integrability count and the Lax submersion test all read it.  Each row
-    is b's stored gradient evaluated on integers (``BihamStructure.gradient_at``)
-    by the point's evaluator.  The point's ``PointAnalysis`` keeps the rank
-    per set of functions; chains are family coefficients reversed, so the
-    criterion and integrability share one evaluation and one elimination per
-    point.
+    is b's stored gradient at the point as cleared integers
+    (``BihamStructure.gradient_row``): the point's evaluator sums the
+    gradient's ``RowForm`` and divides by one gcd, with no ``Fraction`` per
+    entry, and the rows go to the elimination as they are.  The point's
+    ``PointAnalysis`` keeps the rank per set of functions; chains are family
+    coefficients reversed, so the criterion and integrability share one
+    evaluation and one elimination per point.
     """
     functions = dict.fromkeys(f for fam in families
                               for f in (fam.coeffs if isinstance(fam, LambdaFamily) else fam))
     key = frozenset(functions)
     if key not in at.ranks:
-        at.ranks[key] = row_echelon_ff([clear_denominators(b.gradient_at(f, at.evaluator))[0]
-                                        for f in functions])[0]
+        at.ranks[key] = row_echelon_ff([b.gradient_row(f, at.evaluator) for f in functions])[0]
     return at.ranks[key]
 
 

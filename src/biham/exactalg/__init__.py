@@ -2,7 +2,7 @@
 series are polynomials with an order the caller holds), and exact values at
 a rational point on integers (``PointEvaluator``)."""
 
-from .evaluate import IntegerForm, PointEvaluator
+from .evaluate import IntegerForm, PointEvaluator, RowForm
 from .kernels import BACKEND
 from .matrix import Matrix, block_diag, clear_denominators
 from .parser import load_json, parse_poly, parse_rational
@@ -13,7 +13,7 @@ from .upoly import factor_monic, primitive_gcd, squarefree_decomposition
 
 __all__ = [
     "BACKEND", "IntegerForm", "Matrix", "Poly", "PointEvaluator", "Rational",
-    "RationalFunction", "block_diag", "clear_denominators", "compose", "exact_div",
+    "RationalFunction", "RowForm", "block_diag", "clear_denominators", "compose", "exact_div",
     "factor_monic", "load_json", "parse_int", "parse_poly", "parse_rational", "poly_gcd",
     "primitive_gcd", "rat", "rat_str", "smith_invariant_factors",
     "squarefree_decomposition", "truncate",

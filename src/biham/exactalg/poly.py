@@ -205,7 +205,7 @@ class Poly:
         """Evaluate at a point (sequence aligned with the variable tuple).
 
         Exact on ints and Fractions; a point's many functions go through
-        ``IntegerForm``s instead, and this stays their oracle.
+        ``RowForm``s instead, and this stays their oracle.
         """
         if len(values) != len(self.variables):
             raise ValidationError("point dimension mismatch")

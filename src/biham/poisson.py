@@ -5,10 +5,15 @@ Pi^{ij} = {x_i, x_j} for i < j, skew-extended by construction.  All
 identity-level checks (Jacobi, compatibility, Casimir) clear denominators
 and compare numerators exactly; point evaluations are a secondary layer
 and refuse points on recorded denominator zero loci.  A point is
-evaluated on integers by one ``PointEvaluator``; each structure compiles
-its table entries' (``values_at``) and its stored gradients' ``IntegerForm``s
-once, on first use at a point.  ``pencil_at`` writes both tables' values
-over one denominator, skew by construction.  Exact products read each
+evaluated on integers by one ``PointEvaluator``, straight to integer rows:
+a structure compiles its table (``row_form``) and a ``BihamStructure`` each
+stored gradient into one ``RowForm`` once, on first use at a point, and
+``PointEvaluator.row`` gives the row's cleared ints with one gcd per
+polynomial row and no ``Fraction`` per entry.  ``pencil_at`` reads both
+tables' rows over one denominator and writes the pair skew by
+construction; ``gradient_row`` is the row ``casimir.w1_span_dim``
+eliminates.  ``bivector_at`` (rational values through each entry's
+``IntegerForm``) stays as the pencil's oracle.  Exact products read each
 factor's packed integer form, which a ``Poly`` builds once; so a structure
 keeps its skew rows (``skew_rows``, the entries with their negatives) and a
 ``BihamStructure`` its gradients and its two tables' partials
@@ -36,8 +41,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ValidationError
-from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                       clear_denominators, parse_rational, rat)
+from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
+                       parse_rational, rat)
 from .pencil import PointAnalysis, SkewPencil, decompose
 
 
@@ -96,6 +101,7 @@ class PoissonStructure:
             folded[key] = value
         self.table = folded
         self._forms = None
+        self._row_form = None
         self._rows = None
         self.excluded = tuple(dict.fromkeys(c.den for c in folded.values()
                                             if not c.den.is_constant()))
@@ -153,8 +159,14 @@ class PoissonStructure:
         """sum_j covector_j grad_j; with f's covector and g's gradient, {f, g}."""
         return RationalFunction.sum_of_products(zip(covector, grad), self.variables)
 
+    def row_form(self) -> RowForm:
+        """The table's entries, in table order, as one ``RowForm``, compiled once per structure."""
+        if self._row_form is None:
+            self._row_form = RowForm(self.table.values())
+        return self._row_form
+
     def values_at(self, ev: PointEvaluator) -> list:
-        """The table's entries at the evaluator's point, in table order.
+        """The table's entries at the evaluator's point, in table order, as rationals.
 
         The entries' integer forms are compiled here on first use, once per structure.
         """
@@ -340,16 +352,16 @@ class BihamStructure:
             self._gradients[f] = self.p1.gradient(f)
         return self._gradients[f]
 
-    def gradient_at(self, f, evaluator: PointEvaluator) -> tuple:
-        """grad f at the evaluator's point.
+    def gradient_row(self, f, evaluator: PointEvaluator) -> list:
+        """grad f at the evaluator's point, as the ints ``clear_denominators`` gives.
 
-        The integer forms of the stored gradient are built once per structure.
+        The stored gradient's ``RowForm`` is compiled once per structure.
         """
         f = self.p1._coerce(f)
-        forms = self._gradient_forms.get(f)
-        if forms is None:
-            forms = self._gradient_forms[f] = tuple(IntegerForm(d) for d in self.gradient(f))
-        return tuple(evaluator.value(form) for form in forms)
+        form = self._gradient_forms.get(f)
+        if form is None:
+            form = self._gradient_forms[f] = RowForm(self.gradient(f))
+        return evaluator.row(form)[0]
 
     def relation(self, f, g):
         """``relation_failure`` of P1 grad f + P2 grad g, proved once per structure.
@@ -390,13 +402,11 @@ class BihamStructure:
         return all(self.verify().values())
 
     def pencil_at(self, point) -> SkewPencil:
-        """The integer pencil at a point: both tables' values over one denominator."""
-        ev = evaluator_at(point, self.dim)
-        v1 = self.p1.values_at(ev)
-        ints, _ = clear_denominators(v1 + self.p2.values_at(ev))
-        n = self.dim
-        return SkewPencil(n, _skew_matrix(n, self.p1.table, ints[:len(v1)]),
-                          _skew_matrix(n, self.p2.table, ints[len(v1):]))
+        """The integer pencil at a point: both tables' rows over one denominator."""
+        ints, _ = evaluator_at(point, self.dim).row(self.p1.row_form(), self.p2.row_form())
+        n, m = self.dim, len(self.p1.table)
+        return SkewPencil(n, _skew_matrix(n, self.p1.table, ints[:m]),
+                          _skew_matrix(n, self.p2.table, ints[m:]))
 
     def point_analysis(self, point, types=None) -> PointAnalysis:
         """Coranks and block type at a point, from one evaluator.

@@ -3,11 +3,12 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, event, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from biham.errors import PoleAtPoint
-from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction,
-                            parse_poly, poly_gcd, exact_div, squarefree_decomposition)
+from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
+                            clear_denominators, parse_poly, parse_rational, poly_gcd, exact_div,
+                            squarefree_decomposition)
 from biham.exactalg.kernels import row_echelon_ff
 from biham.models import open_toda
 from biham.pencil import (Block, PencilType, SkewPencil, _block_pivots, _interpolate,
@@ -168,6 +169,71 @@ def test_point_evaluator_matches_fraction_eval(num, den, point, on_pole):
     assert type(got) is Fraction and got == expected
     # a second value at the same point reads the grown power tables
     assert evaluator.value(form) == expected
+
+
+@st.composite
+def row_functions(draw, max_len=5):
+    """Polynomial and rational functions in x, y, z; zero functions and constants included."""
+    functions = []
+    for _ in range(draw(st.integers(0, max_len))):
+        num, den = draw(sparse_polys()), draw(sparse_polys())
+        if draw(st.booleans()) or den.is_zero():
+            functions.append(RationalFunction.from_poly(num))
+        else:
+            functions.append(RationalFunction(num, den))
+    return functions
+
+
+integer_points = st.tuples(*[st.integers(-3, 3).map(Fraction)] * 3)
+rational_points = st.tuples(coordinates, coordinates, coordinates)
+
+
+def _pole_row(functions, point, poles):
+    """The row with entry j's denominator replaced by one that vanishes at the point,
+    distinct for each j in poles, so that the pole message names the entry."""
+    x, y = (Poly.variable(v, XYZ) for v in "xy")
+    return [RationalFunction(f.num, x - point[0] + (j + 1) * (y - point[1])) if j in poles else f
+            for j, f in enumerate(functions)]
+
+
+@example([parse_rational("x/(x - 2)", XYZ), parse_rational("(y + 1)/(3*z - 1)", XYZ),
+          RationalFunction.constant(0, XYZ)], (Fraction(1), Fraction(2), Fraction(0)), 1, [])
+@example([parse_rational("x^2*y - 1/6", XYZ), parse_rational("x*z/4", XYZ),
+          RationalFunction.constant(0, XYZ)], (Fraction(1, 2), Fraction(-2, 3), Fraction(0)), 2, [])
+@example([parse_rational("x", XYZ), parse_rational("y/(z - 2)", XYZ)],
+         (Fraction(1), Fraction(2), Fraction(3)), 0, [0, 1])
+@given(row_functions(), st.one_of(integer_points, rational_points), st.integers(0, 5),
+       st.lists(st.integers(0, 4), max_size=2))
+@settings(max_examples=150, deadline=None)
+def test_point_evaluator_row_matches_cleared_fraction_eval(functions, point, split, poles):
+    # PointEvaluator.row against clear_denominators of RationalFunction.eval,
+    # the Fraction oracle, for one row form and for the row split across two
+    functions = _pole_row(functions, point, set(poles))
+    evaluator = PointEvaluator(point)
+    one, two = RowForm(functions), (RowForm(functions[:split]), RowForm(functions[split:]))
+    event("polynomial row" if one.forms is None else "rational row")
+    event("D = 1" if all(c.denominator == 1 for c in point) else "D > 1")
+    values = []
+    for f in functions:
+        try:
+            values.append(f.eval(point))
+        except PoleAtPoint as exc:
+            # the first pole in row order is raised, with the entry's own message
+            event("pole")
+            assert str(exc) == f"denominator {f.den} vanishes at evaluation point"
+            for forms in ((one,), two):
+                with pytest.raises(PoleAtPoint) as caught:
+                    evaluator.row(*forms)
+                assert str(caught.value) == str(exc)
+            return
+        if not f.is_polynomial() and f.den.eval(point) < 0:
+            event("negative denominator")
+    expected = clear_denominators(values)
+    got = evaluator.row(one)
+    assert got == expected and all(type(x) is int for x in got[0])
+    assert evaluator.row(*two) == expected
+    # a second row at the same point reads the grown power tables
+    assert evaluator.row(one) == expected
 
 
 @given(polys(), polys())

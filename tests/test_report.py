@@ -207,13 +207,13 @@ def test_analyze_eliminates_one_gradient_rank_per_point(monkeypatch):
 def test_analyze_evaluates_each_gradient_once_per_point(monkeypatch):
     # each family coefficient's gradient is evaluated once at each sample point
     evaluated = Counter()
-    original = BihamStructure.gradient_at
+    original = BihamStructure.gradient_row
 
     def counted(self, f, point):
         evaluated[(f, point.point)] += 1
         return original(self, f, point)
 
-    monkeypatch.setattr(BihamStructure, "gradient_at", counted)
+    monkeypatch.setattr(BihamStructure, "gradient_row", counted)
     model = open_toda(3)
     report = run_analyze(model, samples=2, seed=0)
     assert report.matched
