@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 from .errors import InternalInconsistency, ValidationError
 from .exactalg import RationalFunction
-from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate
 
@@ -78,17 +77,16 @@ def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
     is b's stored gradient at the point as cleared integers
     (``BihamStructure.gradient_row``): the point's evaluator sums the
     gradient's ``RowForm`` and divides by one gcd, with no ``Fraction`` per
-    entry, and the rows go to the elimination as they are.  The point's
-    ``PointAnalysis`` keeps the rank per set of functions; chains are family
-    coefficients reversed, so the criterion and integrability share one
-    evaluation and one elimination per point.
+    entry, and the rows go to the elimination as they are
+    (``BihamStructure.gradient_rank``).  The point's ``PointAnalysis`` keeps
+    the rank per set of functions; chains are family coefficients reversed,
+    so the criterion and integrability share one evaluation and one
+    elimination per point, and when ``point_analysis`` was given the
+    families it has already taken this rank, before decomposing.
     """
-    functions = dict.fromkeys(f for fam in families
-                              for f in (fam.coeffs if isinstance(fam, LambdaFamily) else fam))
-    key = frozenset(functions)
-    if key not in at.ranks:
-        at.ranks[key] = row_echelon_ff([b.gradient_row(f, at.evaluator) for f in functions])[0]
-    return at.ranks[key]
+    return b.gradient_rank((f for fam in families
+                            for f in (fam.coeffs if isinstance(fam, LambdaFamily) else fam)),
+                           at.evaluator, at.ranks)
 
 
 @dataclass(frozen=True)

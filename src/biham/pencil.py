@@ -9,7 +9,12 @@ corank c of lam*A + B at any lam is at least r, the pencil has exactly r
 minimal indices, so a staircase that finds c of them proves r = c.
 ``decompose`` eliminates lam*A + B at lam = ``PROBE``, then at 0, 2, ...,
 n, and stops at the first sample that is proved this way; one is, because
-a nonzero minor of size at most n vanishes at no more than n values.  The
+a nonzero minor of size at most n vanishes at no more than n values.  A
+caller that knows L polynomial kernel vectors with independent
+coefficients (``BihamStructure.point_analysis``, from certified
+lambda-Casimir families) passes their degrees, and at a sample with c = L
+those degrees are the minimal indices, by Forney's minimal-basis theorem,
+so no staircase runs there (``decompose`` gives the argument).  The
 corank profile is then read off the block type (Kronecker-Jordan structure
 theorem): every K block has corank 1 at every lam and every J block
 corank 2 at the root of its divisor, so the profile is r everywhere plus 2
@@ -69,7 +74,8 @@ by the Kronecker structure theorem, and ``decompose`` skips it.
 one pass; ``BihamStructure.point_analysis`` is its one constructor, and
 every verdict at that point takes the record, so it reads a single
 decomposition.  Points whose integer pencils are equal may share one
-``PencilType``, since ``decompose`` reads nothing but the pencil.
+``PencilType``, since the type is a function of the pencil alone: the
+degrees ``point_analysis`` may pass change how it is found, not what it is.
 Any exception raised while decomposing carries the integer pencil as
 ``exc.pencil``, its ``SkewPencil.to_json()``.  ``corank_profile`` and
 ``generic_corank`` eliminate every sample and stay as the oracle that the
@@ -624,7 +630,7 @@ def jordan_part(a, b, r, lam, pivots, jordan_dim: int, dets) -> list:
     return sorted(blocks, key=lambda blk: (blk.k, str(blk.divisor)))
 
 
-def decompose(p: SkewPencil) -> PencilType:
+def decompose(p: SkewPencil, kernel_degrees=None) -> PencilType:
     """Full block decomposition with exact dimension bookkeeping.
 
     lam*A + B is eliminated at lam = ``PROBE``, then at 0, 2, ..., n, and
@@ -632,6 +638,29 @@ def decompose(p: SkewPencil) -> PencilType:
     it finds c minimal indices:
       c >= r at every lam, and the pencil has exactly r minimal indices;
       if the staircase finds c of them, then r >= c, so r = c.
+    ``kernel_degrees`` are the degrees d_1..d_L of L polynomial kernel
+    vectors F_l(lam) = sum_k lam^k v_{l,k} of lam*A + B whose coefficients
+    v_{l,k}, sum(d_l + 1) vectors in all, are linearly independent.  At a
+    sample with c = L the minimal indices are then sorted(d_l), and the
+    staircase is skipped there:
+      the lowest power of lam in a relation sum q_l F_l = 0 would give a
+      relation among the v_{l,0}, so the F_l are independent over Q(lam)
+      and r >= L; with c >= r, c = L gives r = L, and the F_l are a
+      polynomial basis of the kernel;
+      with G a minimal basis, of indices e_1..e_L, F = G Q for a
+      polynomial Q, so every v_{l,k} lies in the span of the sum(e_i + 1)
+      coefficients of G, and sum(d_l) <= sum(e_i);
+      Forney's theorem (SIAM J. Control 13, 1975) gives e_(i) <= d_(i)
+      once both are sorted, so e_(i) = d_(i) for every i.
+    A sample with c > L runs the staircase as before; c < L, or degrees
+    whose blocks K_{2d+1} overfill n, contradict the hypothesis and are an
+    ``InternalInconsistency``.  Only ``BihamStructure.point_analysis``
+    supplies the degrees, where four hypotheses hold: (1) the L
+    lambda-Casimir families pass ``family_check``; (2) the point is no pole
+    of the brackets or of a coefficient gradient, so each family's
+    sum_k lam^k grad f_{l,k} there is such a kernel vector; (3) those
+    gradients have rank sum(d_l + 1), ROADMAP item 5's w1 = sum(d_l + 1);
+    (4) c = L, tested here at each sample.
     The reduced pair, r, the proved sample, its pivot columns and |det| at
     every sample eliminated (the last Bareiss pivot, or 0 below full rank)
     are handed to ``jordan_part``, which runs only when the Kronecker blocks
@@ -656,12 +685,21 @@ def decompose(p: SkewPencil) -> PencilType:
             rank, pivots = row_echelon_ff(rows)
             dets[lam] = _abs_det(rows, rank)
             c = n - rank
-            indices = minimal_indices(a, b, c)
+            if kernel_degrees is not None and c < len(kernel_degrees):
+                raise InternalInconsistency(
+                    f"{len(kernel_degrees)} independent kernel vectors at corank {c}")
+            if kernel_degrees is not None and c == len(kernel_degrees):
+                indices = sorted(kernel_degrees)
+            else:
+                indices = minimal_indices(a, b, c)
             if len(indices) == c:
                 break
         else:
             raise InternalInconsistency("no sample of lam*A + B proves the generic corank")
         filled = sum(2 * e + 1 for e in indices)
+        if filled > n:
+            raise InternalInconsistency(
+                f"minimal indices {indices} fill dimension {filled} > {n}")
         jordan = jordan_part(a, b, c, lam, pivots, n - filled, dets) if filled != n else []
     except Exception as exc:
         exc.pencil = p.to_json()
@@ -684,9 +722,10 @@ class PointAnalysis:
     coordinates, so none re-derives the pencil or its decomposition.
     ``evaluator`` is the point's ``PointEvaluator``, which evaluated the
     pencil and evaluates the gradient rows; ``ranks`` keeps each gradient
-    rank by the set of functions (``casimir.w1_span_dim``), so functions
-    shared by the criterion and integrability are evaluated and eliminated
-    once.  The coranks are read from ``ptype``, which holds them once.
+    rank by the set of functions (``BihamStructure.gradient_rank``), so
+    functions shared by the families' test before ``decompose``, the
+    criterion and integrability are evaluated and eliminated once.  The
+    coranks are read from ``ptype``, which holds them once.
     """
 
     evaluator: PointEvaluator

@@ -11,8 +11,11 @@ stored gradient into one ``RowForm`` once, on first use at a point, and
 ``PointEvaluator.row`` gives the row's cleared ints with one gcd per
 polynomial row and no ``Fraction`` per entry.  ``pencil_at`` reads both
 tables' rows over one denominator and writes the pair skew by
-construction; ``gradient_row`` is the row ``casimir.w1_span_dim``
-eliminates.  ``bivector_at`` (rational values through each entry's
+construction; ``gradient_row`` is the row that ``gradient_rank``
+eliminates, once per point and set of functions, for
+``casimir.w1_span_dim`` and for ``point_analysis``, which hands certified
+families' degrees to ``decompose`` when their coefficient gradients are
+independent.  ``bivector_at`` (rational values through each entry's
 ``IntegerForm``) stays as the pencil's oracle.  Exact products read each
 factor's packed integer form, which a ``Poly`` builds once; so a structure
 keeps its skew rows (``skew_rows``, the entries with their negatives) and a
@@ -40,9 +43,10 @@ only the brackets between two chained runs.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import PoleAtPoint, ValidationError
 from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
                        parse_rational, rat)
+from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, SkewPencil, decompose
 
 
@@ -363,6 +367,19 @@ class BihamStructure:
             form = self._gradient_forms[f] = RowForm(self.gradient(f))
         return evaluator.row(form)[0]
 
+    def gradient_rank(self, functions, evaluator: PointEvaluator, ranks: dict) -> int:
+        """Rank of the functions' gradient rows at the evaluator's point, kept in ``ranks``.
+
+        ``ranks`` is the point's dict from the set of functions to its rank,
+        so each set is evaluated and eliminated once per point; a repeated
+        function is one row.
+        """
+        functions = dict.fromkeys(functions)
+        key = frozenset(functions)
+        if key not in ranks:
+            ranks[key] = row_echelon_ff([self.gradient_row(f, evaluator) for f in functions])[0]
+        return ranks[key]
+
     def relation(self, f, g):
         """``relation_failure`` of P1 grad f + P2 grad g, proved once per structure.
 
@@ -408,7 +425,7 @@ class BihamStructure:
         return SkewPencil(n, _skew_matrix(n, self.p1.table, ints[:m]),
                           _skew_matrix(n, self.p2.table, ints[m:]))
 
-    def point_analysis(self, point, types=None) -> PointAnalysis:
+    def point_analysis(self, point, types=None, families=()) -> PointAnalysis:
         """Coranks and block type at a point, from one evaluator.
 
         The point is scaled to integers once: its ``PointEvaluator`` evaluates
@@ -418,11 +435,46 @@ class BihamStructure:
         is added, so points whose pencils are equal share one ``decompose``.
         Nothing is kept on the structure: the caller owns the record and the
         dict.
+
+        ``families`` are lambda-Casimir families whose ``family_check`` the
+        caller has proved; ``run_analyze`` passes them when every family is
+        certified.  Before a pencil is decomposed, the rank of their
+        coefficient gradients is taken here, under the key the criterion and
+        integrability read later (``gradient_rank``).  The minimal indices
+        at the point are sorted(d_l), and ``decompose`` skips the staircase,
+        when four hypotheses hold: (1) the L families are certified; (2) the
+        point is no pole of the brackets or of a coefficient gradient; (3)
+        the coefficient gradients have rank sum(d_l + 1), ROADMAP item 5's
+        w1 = sum(d_l + 1); (4) the corank c at the sample ``decompose``
+        eliminates is L.  By (1) and (2) each F_l(lam) = sum_k lam^k
+        grad f_{l,k} is a polynomial kernel vector of degree d_l of the
+        pencil at the point; by (3) the F_l are independent over Q(lam), so
+        r >= L, and (4) gives r = L; their sum(d_l + 1) independent
+        coefficients lie in the span of a minimal basis's sum(e_i + 1), so
+        sum(d_l) <= sum(e_i), and Forney's minimal-basis theorem (SIAM J.
+        Control 13, 1975) gives e_(i) <= d_(i) with both sorted, so
+        e_(i) = d_(i) (in full in ``decompose``).  (1) is the caller's,
+        (2) and (3) are tested here and (4) by ``decompose`` at each sample.
+        Where (2) or (3) fails no degrees are passed, and a pole surfaces
+        where the verdicts evaluate the gradients, as without families.
         """
         ev = evaluator_at(point, self.dim)
         pencil = self.pencil_at(ev)
+        ranks = {}
         types = {} if types is None else types
         ptype = types.get(pencil)
         if ptype is None:
-            ptype = types[pencil] = decompose(pencil)
-        return PointAnalysis(ev, ptype)
+            ptype = types[pencil] = decompose(pencil, self._kernel_degrees(families, ev, ranks))
+        return PointAnalysis(ev, ptype, ranks)
+
+    def _kernel_degrees(self, families, evaluator: PointEvaluator, ranks: dict):
+        """The families' degrees if their coefficient gradients are independent at the point."""
+        if not families:
+            return None
+        try:
+            rank = self.gradient_rank([f for fam in families for f in fam.coeffs],
+                                      evaluator, ranks)
+        except PoleAtPoint:
+            return None
+        degrees = [fam.degree for fam in families]
+        return degrees if rank == sum(d + 1 for d in degrees) else None

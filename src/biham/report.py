@@ -144,9 +144,11 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     Points whose integer pencils are equal share one decomposition: one dict
     from pencil to ``PencilType`` lives for this call only, so nothing is
     carried to the next call.  The constant-coefficient models give the
-    same pencil at every point and are decomposed once.  The modal type and
-    the criterion and integrability summaries are read off the point
-    records after the loop.
+    same pencil at every point and are decomposed once.  When every family
+    is certified, the families go to ``point_analysis`` too, which reads
+    the minimal indices off them at a point where their coefficient
+    gradients are independent.  The modal type and the criterion and
+    integrability summaries are read off the point records after the loop.
     """
     if points is None and not 1 <= samples <= MAX_SAMPLES:
         raise ValidationError(
@@ -181,7 +183,8 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     for pt in sorted(points):
         record = {"point": [rat_str(x) for x in pt]}
         try:
-            at = b.point_analysis(pt, types)
+            at = b.point_analysis(pt, types,
+                                  families=model.families if criterion_ready else ())
         except PoleAtPoint as exc:
             record["error"] = str(exc)
             point_records.append(record)

@@ -12,6 +12,7 @@ import pytest
 import biham.cli as cli_module
 import biham.models as models_module
 import biham.pencil as pencil_module
+import biham.poisson as poisson_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import parse_poly
@@ -332,6 +333,21 @@ def test_cli_internal_inconsistency_is_exit_3_with_its_pencil(tmp_path, capsys, 
         InternalInconsistency, "no pencil", False))
     assert main(["decompose", path]) == 3
     assert capsys.readouterr().err == "error: internal inconsistency: no pencil\n"
+
+
+def test_cli_kernel_degrees_that_overfill_n_are_exit_3_with_the_pencil(capsys, monkeypatch):
+    # degrees handed to decompose that a certified family could never have
+    # (K9 in dimension 7) are an internal inconsistency: exit 3, and the
+    # point's pencil follows the error line
+    original = pencil_module.decompose
+    monkeypatch.setattr(poisson_module, "decompose",
+                        lambda pencil, kernel_degrees=None: original(pencil, [4]))
+    assert main(["analyze", "open_toda:k=3", "--samples", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, line = captured.err.splitlines()
+    assert error == "error: internal inconsistency: minimal indices [4] fill dimension 9 > 7"
+    assert SkewPencil.from_json(line).n == 7
 
 
 def test_cli_internal_error_is_exit_3_without_a_traceback(tmp_path, capsys, monkeypatch):

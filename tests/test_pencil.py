@@ -8,6 +8,7 @@ from math import gcd
 import pytest
 
 import biham.pencil as pencil_module
+from biham.casimir import LambdaFamily, family_check
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import Matrix, Poly
 from biham.exactalg.smith import _monic
@@ -166,6 +167,37 @@ def test_open_toda_point_runs_one_elimination_before_the_staircase(monkeypatch):
     assert len(calls) <= 1 + 5
     expected = gauss_corank_profile(p)
     assert list(t.corank_profile.items()) == list(expected.items())
+
+
+def test_dependent_family_gradients_fall_back_to_the_staircase(monkeypatch):
+    # lam times open Toda's family, coefficients (0, f_0, ..., f_k), is
+    # certified, but its zero coefficient makes its gradients dependent at
+    # every point: point_analysis hands no degrees to decompose, and the
+    # staircase gives the type
+    model = open_toda(3)
+    b = model.structure
+    (fam,) = model.families
+    shifted = LambdaFamily((fam.coeff(-1),) + fam.coeffs, "lam*F")
+    assert family_check(b, shifted).ok
+    point = sample_points(model.dim, 1, 0, inequations=model_inequations(model))[0]
+    targets = _record_staircase_targets(monkeypatch, [])
+    at = b.point_analysis(point, families=[shifted])
+    assert list(at.ranks.values()) == [fam.degree + 1]
+    assert [c for c, _ in targets] == [1]
+    assert at.ptype.label() == "{K7}"
+    assert at.ptype == decompose(b.pencil_at(point))
+
+
+@pytest.mark.parametrize("degrees", [[4], [1, 1]], ids=["overfill_n", "above_corank"])
+def test_kernel_degrees_that_contradict_the_pencil_are_an_inconsistency(degrees):
+    # open Toda k = 3 is {K7}, corank 1 at the probe: degree 4 would be K9,
+    # and two independent kernel vectors need corank 2; either is a bug in
+    # the caller, raised with the pencil attached
+    p = _sample_pencil(open_toda(3))
+    with pytest.raises(InternalInconsistency) as info:
+        decompose(p, kernel_degrees=degrees)
+    assert info.value.pencil == p.to_json()
+    assert decompose(p, kernel_degrees=[3]).label() == "{K7}"
 
 
 # J2 with its eigenvalue at the probe: lam0 = 1 is mu = -1/lam0 = -1

@@ -1,10 +1,13 @@
 """Property-based tests over the exact kernels."""
 
+import functools
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from biham.casimir import family_check
+from biham.cli import resolve_target
 from biham.errors import PoleAtPoint
 from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
                             clear_denominators, parse_poly, parse_rational, poly_gcd, exact_div,
@@ -458,6 +461,40 @@ def test_decompose_matches_the_oracles_under_positive_diagonal_congruence(soup, 
     assert t.label() == expected
     assert list(t.corank_profile.items()) == list(gauss_corank_profile(scaled).items())
     assert list(t.jordan_blocks()) == smith_jordan_part(scaled)
+
+
+FAMILY_SPECS = ["open_toda:k=2", "open_toda:k=3", "open_toda:k=4", "open_toda:k=5",
+                "periodic_toda:k=3", "periodic_toda:k=4", "periodic_toda:k=5",
+                "flat_kronecker:k=5", "sl2_shift:alpha=0;1;0", "sl2_shift:alpha=1;2;3",
+                "m_f:f=x+y", "m_f:f=x^2*y+y^3"]
+
+
+@functools.cache
+def _family_model(spec):
+    return resolve_target(spec)
+
+
+@given(st.sampled_from(FAMILY_SPECS), st.data())
+@settings(max_examples=80, deadline=None)
+def test_family_proved_type_matches_the_staircase(spec, data):
+    # point_analysis reads the minimal indices off the certified families
+    # where their coefficient gradients are independent; the staircase of a
+    # plain decompose stays the oracle, at generic and special points alike
+    model = _family_model(spec)
+    b = model.structure
+    assert all(family_check(b, fam).ok for fam in model.families)
+    point = data.draw(st.lists(st.one_of(st.integers(-6, 6), rationals),
+                               min_size=model.dim, max_size=model.dim))
+    try:
+        pencil = b.pencil_at(point)
+    except PoleAtPoint:
+        assume(False)
+    at = b.point_analysis(point, families=model.families)
+    plain = decompose(pencil)
+    assert at.ptype.label() == plain.label()
+    assert at.corank_profile == plain.corank_profile
+    full = sum(fam.degree + 1 for fam in model.families)
+    event("indices from the families" if full in at.ranks.values() else "staircase")
 
 
 def test_decompose_matches_slow_oracle_on_epsilon_adjacency():

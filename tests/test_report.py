@@ -107,7 +107,8 @@ def test_analyze_decomposes_each_distinct_pencil_once_per_call(monkeypatch):
     decomposed = _count_calls(monkeypatch, pencil, "decompose")
     shared = BihamStructure.point_analysis
     monkeypatch.setattr(BihamStructure, "point_analysis",
-                        lambda self, point, types=None: shared(self, point))
+                        lambda self, point, types=None, families=():
+                        shared(self, point, families=families))
     per_point = emit_report(run_analyze(model, samples=5, seed=0))
     assert len(decomposed) == 5
     monkeypatch.setattr(BihamStructure, "point_analysis", shared)
@@ -117,6 +118,20 @@ def test_analyze_decomposes_each_distinct_pencil_once_per_call(monkeypatch):
     assert emit_report(report) == per_point
     run_analyze(model, samples=5, seed=0)
     assert len(decomposed) == 5 + 2
+
+
+@pytest.mark.parametrize("model,staircases", [
+    (open_toda(4), 0), (periodic_toda(4), 0), (two_family_model("t^2"), 20),
+], ids=["open_toda_4", "periodic_toda_4", "two_family"])
+def test_analyze_reads_the_minimal_indices_off_the_families(monkeypatch, model, staircases):
+    # at each seed-0 Toda point the family coefficients have independent
+    # gradients and the probe's corank is the family count, so the degrees
+    # are the minimal indices and no staircase runs; two_family's one family
+    # (degree 2 in dimension 3) never qualifies, and every point runs it
+    calls = _count_calls(monkeypatch, pencil, "minimal_indices")
+    report = run_analyze(model, samples=20, seed=0)
+    assert report.matched and len(report.points) == 20
+    assert len(calls) == staircases
 
 
 def test_analyze_sums_each_relation_once(monkeypatch):
@@ -189,7 +204,7 @@ def test_analyze_eliminates_one_gradient_rank_per_point(monkeypatch):
     def counted(m):
         frame = sys._getframe(1)
         while frame is not None and not frame.f_code.co_filename.endswith(
-                ("pencil.py", "casimir.py", "lenard.py")):
+                ("pencil.py", "poisson.py", "casimir.py", "lenard.py")):
             frame = frame.f_back
         if frame is not None and not frame.f_code.co_filename.endswith("pencil.py"):
             eliminated.append(frame.f_code.co_name)
