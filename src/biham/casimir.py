@@ -76,8 +76,9 @@ def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
     integrability count and the Lax submersion test all read it.  Each row
     is b's stored gradient at the point as cleared integers
     (``BihamStructure.gradient_row``): the point's evaluator sums the
-    gradient's ``RowForm`` and divides by one gcd, with no ``Fraction`` per
-    entry, and the rows go to the elimination as they are
+    gradient's ``RowForm`` and clears it, with one gcd for a polynomial
+    gradient and no ``Fraction`` per entry, and the rows go to the
+    elimination as they are
     (``BihamStructure.gradient_rank``).  The point's ``PointAnalysis`` keeps
     the rank per set of functions; chains are family coefficients reversed,
     so the criterion and integrability share one evaluation and one

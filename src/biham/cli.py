@@ -19,13 +19,13 @@ import sys
 
 from .casimir import LambdaFamily, family_check, web_flatness
 from .errors import BihamError, InternalInconsistency, ValidationError
-from .exactalg import load_json, parse_int, parse_poly, parse_rational, rat
+from .exactalg import is_json_int, load_json, parse_int, parse_poly, parse_rational, rat
 from .exactalg.parser import NAME
 from .lenard import LenardChain, verify_chain
 from .models import (ModelSpec, catalog_names, m_f, make_model, normal_form_phi,
                      DEFAULT_TRUNCATION, MAX_GERM_DEGREE)
 from .pencil import SkewPencil, decompose
-from .poisson import BihamStructure, PoissonStructure, _is_int
+from .poisson import BihamStructure, PoissonStructure
 from .report import AnalysisReport, emit_report, run_analyze
 
 
@@ -78,7 +78,7 @@ def parse_structure_file(path_or_text: str) -> ModelSpec:
     if not isinstance(data, dict):
         raise ValidationError("structure JSON must be an object")
     dim = data.get("dim")
-    if not _is_int(dim) or dim < 1:
+    if not is_json_int(dim) or dim < 1:
         raise ValidationError(f"structure dimension {dim!r} is not an integer >= 1")
     variables = tuple(_field(data, "vars", list, _REQUIRED))
     if len(variables) != dim:
@@ -112,9 +112,9 @@ def _bracket_table(data: dict, key: str) -> dict:
             i, j, coeff = entry["i"], entry["j"], entry["coeff"]
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad bracket entry {entry!r}") from exc
-        if not (_is_int(i) and _is_int(j)):
+        if not (is_json_int(i) and is_json_int(j)):
             raise ValidationError(f"bracket indices ({i!r}, {j!r}) are not integers")
-        if not (isinstance(coeff, str) or _is_int(coeff)):
+        if not (isinstance(coeff, str) or is_json_int(coeff)):
             raise ValidationError(f"bracket coefficient {coeff!r} is neither "
                                   f"an expression string nor an integer")
         if (i, j) in table:
@@ -132,7 +132,7 @@ def _family(data, variables: tuple, where: str) -> LambdaFamily:
     name = _field(data, "name", str, where=f"{where}.name")
     fam = LambdaFamily(tuple(parse_rational(c, variables) for c in coeffs), name=name)
     degree = data.get("degree", fam.degree)
-    if not _is_int(degree):
+    if not is_json_int(degree):
         raise ValidationError(f"family field 'degree' is {degree!r}, not an integer")
     if fam.degree != degree:
         raise ValidationError("family degree field disagrees with coefficients")

@@ -2,27 +2,24 @@
 
 A ``PointEvaluator`` scales its point once to integers X over a common
 denominator D and keeps the powers of each X_i and of D, grown on demand.
-Its evaluation is ``row``: the functions of one or more ``RowForm``s at the
-point, returned as ``clear_denominators`` returns their values (the ints and
-their scale), with no ``Fraction`` per entry.  A ``RowForm`` is built once,
-independent of any point.  A row of polynomials holds every numerator over
-one coefficient lcm L and one top degree T, each term of degree |e| lifted
-by D^(T - |e|), so that
+Its one evaluation is ``row``: the functions of one or more ``RowForm``s at
+the point, returned as ``clear_denominators`` returns their values (the
+ints and their scale), with no ``Fraction`` per entry.  A ``RowForm`` is
+built once, independent of any point, as one row of integer polynomials:
+the numerators of its functions, then the denominator of each rational
+entry, all over one coefficient lcm L and one top degree T, each term of
+degree |e| lifted by D^(T - |e|), so that
 
-    f_i(X / D) = S_i / (L D^T),    S_i = sum c_e X^e D^(T - |e|),
+    p_i(X / D) = S_i / (L D^T),    S_i = sum c_e X^e D^(T - |e|).
 
-and the row's ints are S_i / gcd(L D^T, S_1, ..., S_m): one integer sum per
-entry and one gcd per row.  A row with a rational entry keeps one
-``IntegerForm`` per entry: a numerator and a denominator as integer
-polynomials, each evaluated the same way to an integer pair, and a
-vanishing denominator raises ``PoleAtPoint`` at the first such entry.
-``PointEvaluator.value`` reads one ``IntegerForm`` as a ``Fraction``, for
-the rational bivector (``PoissonStructure.bivector_at``); ``Poly.eval``
-stays the generic evaluator (one polynomial at a point, on Fractions) and
-the oracle.
+A row with no denominator gives the ints S_i / gcd(L D^T, S_1, ..., S_m):
+one integer sum per entry and one gcd per row.  A rational entry is its
+numerator's sum over its denominator's, the common L D^T cancelling, and
+a vanishing denominator raises ``PoleAtPoint`` at the first such entry in
+row order.  ``RationalFunction.eval`` stays the generic evaluator (one
+function at a point, on Fractions) and the oracle.
 """
 
-from fractions import Fraction
 from itertools import compress, islice
 from math import gcd, lcm
 
@@ -44,45 +41,29 @@ def _integer_polys(polys) -> tuple:
     return den, top, degrees, [list(islice(terms, len(p.terms))) for p in polys]
 
 
-class IntegerForm:
-    """A rational function num/den as two integer polynomials, for ``PointEvaluator``."""
-
-    __slots__ = ("function", "num", "den", "ratio", "shift", "degrees")
-
-    def __init__(self, f):
-        self.function = f
-        num_den, num_top, num_degrees, (self.num,) = _integer_polys([f.num])
-        den_den, den_top, den_degrees, (self.den,) = _integer_polys([f.den])
-        # f = (S_num / (num_den D^num_top)) / (S_den / (den_den D^den_top))
-        self.ratio = (den_den, num_den)
-        self.shift = den_top - num_top
-        self.degrees = num_degrees + den_degrees
-
-
 class RowForm:
     """Functions f_1..f_m compiled once for ``PointEvaluator.row``.
 
-    When every f_i is a polynomial, ``terms`` holds each numerator over the
-    row's coefficient lcm ``scale`` and top degree ``top``, and ``forms`` is
-    None; otherwise ``forms`` holds one ``IntegerForm`` per entry.
+    ``terms`` holds each numerator and ``dens`` each rational entry's
+    (index, denominator terms, denominator), all over the coefficient lcm
+    ``scale`` and top degree ``top``; a polynomial row has no ``dens``.
     """
 
-    __slots__ = ("scale", "top", "terms", "forms", "degrees")
+    __slots__ = ("scale", "top", "terms", "dens", "degrees")
 
     def __init__(self, functions):
         functions = list(functions)
-        if all(f.is_polynomial() for f in functions):
-            # a polynomial's denominator is 1: RationalFunction divides a constant out
-            self.scale, self.top, self.degrees, self.terms = _integer_polys(
-                [f.num for f in functions])
-            self.forms = None
-        else:
-            self.forms = [IntegerForm(f) for f in functions]
-            self.degrees = tuple(d for form in self.forms for d in form.degrees)
+        # a polynomial's denominator is 1: RationalFunction divides a constant out
+        rational = [(j, f.den) for j, f in enumerate(functions) if not f.is_polynomial()]
+        self.scale, self.top, self.degrees, terms = _integer_polys(
+            [f.num for f in functions] + [den for _, den in rational])
+        m = len(functions)
+        self.terms = terms[:m]
+        self.dens = [(j, den_terms, den) for (j, den), den_terms in zip(rational, terms[m:])]
 
 
 class PointEvaluator:
-    """Exact values of ``RowForm``s and ``IntegerForm``s at one rational point."""
+    """Exact values of ``RowForm``s at one rational point, from its power tables."""
 
     __slots__ = ("point", "_powers")
 
@@ -111,38 +92,23 @@ class PointEvaluator:
             total += c
         return total
 
-    def _pair(self, form: IntegerForm) -> tuple:
-        """(num, den), two ints with num/den = form.function at the point; den is nonzero."""
-        den = self._sum(form.den)
-        if den == 0:
-            raise PoleAtPoint(f"denominator {form.function.den} vanishes at evaluation point")
-        num = self._sum(form.num) * form.ratio[0]
-        den *= form.ratio[1]
-        if form.shift >= 0:
-            return num * self._powers[-1][form.shift], den
-        return num, den * self._powers[-1][-form.shift]
-
-    def value(self, form: IntegerForm) -> Fraction:
-        """form.function at the point; a vanishing denominator raises ``PoleAtPoint``."""
-        self._grow(form.degrees)
-        return Fraction(*self._pair(form))
-
     def _cleared(self, form: RowForm) -> tuple:
         """One form's (ints, scale), as ``row`` returns them."""
         self._grow(form.degrees)
-        if form.forms is None:
-            sums = [self._sum(terms) for terms in form.terms]
-            den = form.scale * self._powers[-1][form.top]
+        sums = [self._sum(terms) for terms in form.terms]
+        den = form.scale * self._powers[-1][form.top]
+        if not form.dens:
             g = gcd(den, *sums)
             return [s // g for s in sums], den // g
-        pairs = []
-        for entry in form.forms:
-            num, den = self._pair(entry)
-            g = gcd(num, den)
-            pairs.append((num // g, den // g))
-        # lcm is nonnegative, so scale // den carries a negative den's sign to its num
-        scale = lcm(*(den for _, den in pairs))
-        return [num * (scale // den) for num, den in pairs], scale
+        dens = [den] * len(sums)
+        for j, terms, poly in form.dens:
+            dens[j] = self._sum(terms)
+            if dens[j] == 0:
+                raise PoleAtPoint(f"denominator {poly} vanishes at evaluation point")
+        gcds = list(map(gcd, sums, dens))
+        # each d // g divides scale, so s * scale // d is exact and takes a negative d's sign
+        scale = lcm(*(d // g for d, g in zip(dens, gcds)))
+        return [s * scale // d for s, d in zip(sums, dens)], scale
 
     def row(self, *forms: RowForm) -> tuple:
         """The forms' functions at the point, in order, as ``clear_denominators``

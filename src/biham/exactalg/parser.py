@@ -17,7 +17,8 @@ sum cannot expand into millions of terms.  Input beyond any limit raises
 
 ``load_json`` is the one reader of JSON input text (structures, families,
 chains, pencils, reports), with the same contract: malformed or too deeply
-nested text raises ``ValidationError``.
+nested text raises ``ValidationError``; ``is_json_int`` is the one test
+for an integer field of what it read.
 """
 
 import json
@@ -46,6 +47,11 @@ def load_json(text: str):
             f"{exc.msg}") from exc
     except RecursionError as exc:
         raise ValidationError("JSON nested too deeply") from exc
+
+
+def is_json_int(x) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 class _Lexer:

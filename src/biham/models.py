@@ -28,8 +28,8 @@ from fractions import Fraction
 
 from .casimir import LambdaFamily, family_check
 from .errors import InternalInconsistency, ValidationError
-from .exactalg import (Poly, RationalFunction, compose, parse_int, parse_poly, rat, rat_str,
-                       truncate)
+from .exactalg import (Poly, RationalFunction, compose, is_json_int, parse_int, parse_poly, rat,
+                       rat_str, truncate)
 from .pencil import jordan_rows, kronecker_rows
 from .poisson import BihamStructure, PoissonStructure
 
@@ -76,7 +76,7 @@ def _check_size(k, bound: int) -> int:
             k = parse_int(k)
         except ValidationError:
             pass
-    if isinstance(k, bool) or not isinstance(k, int):
+    if not is_json_int(k):
         raise ValidationError(f"parameter 'k' needs an integer, got {k!r}")
     if k < 1:
         raise ValidationError("k must be >= 1")

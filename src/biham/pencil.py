@@ -92,7 +92,7 @@ from math import factorial, gcd
 
 from .errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from .exactalg import (Matrix, PointEvaluator, Poly, block_diag, clear_denominators,
-                       factor_monic, load_json, primitive_gcd, rat, rat_str)
+                       factor_monic, is_json_int, load_json, primitive_gcd, rat, rat_str)
 from .exactalg.kernels import row_echelon_ff
 
 INF = "inf"
@@ -158,7 +158,7 @@ class SkewPencil:
             if not (isinstance(value, list) and all(isinstance(row, list) for row in value)):
                 raise ValidationError(f"pencil field {name!r} is not a list of lists")
         pencil = cls.from_rows(*rows)
-        if not isinstance(n, int) or isinstance(n, bool) or pencil.n != n:
+        if not is_json_int(n) or pencil.n != n:
             raise ValidationError(f"pencil dimension field {n!r} disagrees with the "
                                   f"{pencil.n} x {pencil.n} matrices")
         return pencil

@@ -8,15 +8,15 @@ and refuse points on recorded denominator zero loci.  A point is
 evaluated on integers by one ``PointEvaluator``, straight to integer rows:
 a structure compiles its table (``row_form``) and a ``BihamStructure`` each
 stored gradient into one ``RowForm`` once, on first use at a point, and
-``PointEvaluator.row`` gives the row's cleared ints with one gcd per
-polynomial row and no ``Fraction`` per entry.  ``pencil_at`` reads both
-tables' rows over one denominator and writes the pair skew by
-construction; ``gradient_row`` is the row that ``gradient_rank``
-eliminates, once per point and set of functions, for
-``casimir.w1_span_dim`` and for ``point_analysis``, which hands certified
-families' degrees to ``decompose`` when their coefficient gradients are
-independent.  ``bivector_at`` (rational values through each entry's
-``IntegerForm``) stays as the pencil's oracle.  Exact products read each
+``PointEvaluator.row`` gives the row's cleared ints with no ``Fraction`` per
+entry.  ``pencil_at`` reads both tables' rows over one denominator and
+writes the pair skew by construction; ``gradient_row`` is the row that
+``gradient_rank`` eliminates, once per point and set of functions, for
+``casimir.w1_span_dim`` and for ``point_analysis``, which hands the degrees
+of families with a stored, passing ``family_check`` to ``decompose`` when
+their coefficient gradients are independent.  ``bivector_at`` evaluates
+each table entry with ``RationalFunction.eval``, sharing no code with
+``pencil_at``, and stays the pencil's oracle.  Exact products read each
 factor's packed integer form, which a ``Poly`` builds once; so a structure
 keeps its skew rows (``skew_rows``, the entries with their negatives) and a
 ``BihamStructure`` its gradients and its two tables' partials
@@ -44,8 +44,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
-                       parse_rational, rat)
+from .exactalg import (Matrix, PointEvaluator, Poly, RationalFunction, RowForm, parse_rational,
+                       rat)
 from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, SkewPencil, decompose
 
@@ -65,21 +65,23 @@ class Certificate:
         return {"kind": self.kind, "ok": self.ok, "detail": self.detail}
 
 
-def _is_int(x) -> bool:
-    """A JSON integer: an int that is not a bool (the structure and report readers)."""
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def as_point(values, dim: int) -> tuple:
+    """The coordinates as rationals, refused unless there are ``dim`` of them."""
     pt = tuple(rat(v) for v in values)
-    if len(pt) != dim:
-        raise ValidationError(f"point has {len(pt)} coordinates, expected {dim}")
+    _check_dim(pt, dim)
     return pt
 
 
+def _check_dim(pt: tuple, dim: int) -> None:
+    if len(pt) != dim:
+        raise ValidationError(f"point has {len(pt)} coordinates, expected {dim}")
+
+
 def evaluator_at(point, dim: int) -> PointEvaluator:
-    """The point's evaluator: passed through, or built from coordinates checked by ``as_point``."""
+    """The point's evaluator: passed through, or built from coordinates, either
+    refused unless the point has ``dim`` coordinates."""
     if isinstance(point, PointEvaluator):
+        _check_dim(point.point, dim)
         return point
     return PointEvaluator(as_point(point, dim))
 
@@ -104,7 +106,6 @@ class PoissonStructure:
                 raise ValidationError(f"bracket entry {key} defined twice")
             folded[key] = value
         self.table = folded
-        self._forms = None
         self._row_form = None
         self._rows = None
         self.excluded = tuple(dict.fromkeys(c.den for c in folded.values()
@@ -169,19 +170,15 @@ class PoissonStructure:
             self._row_form = RowForm(self.table.values())
         return self._row_form
 
-    def values_at(self, ev: PointEvaluator) -> list:
-        """The table's entries at the evaluator's point, in table order, as rationals.
-
-        The entries' integer forms are compiled here on first use, once per structure.
-        """
-        if self._forms is None:
-            self._forms = [IntegerForm(c) for c in self.table.values()]
-        return [ev.value(form) for form in self._forms]
-
     def bivector_at(self, point) -> Matrix:
-        """The table at a point (coordinates or its ``PointEvaluator``), as rationals."""
-        return _skew_matrix(self.dim, self.table,
-                            self.values_at(evaluator_at(point, self.dim)))
+        """The table at a point (coordinates or its ``PointEvaluator``), as rationals.
+
+        Each entry goes through ``RationalFunction.eval``: the pencil's oracle.
+        """
+        if isinstance(point, PointEvaluator):
+            point = point.point
+        pt = as_point(point, self.dim)
+        return _skew_matrix(self.dim, self.table, [c.eval(pt) for c in self.table.values()])
 
     def corank_at(self, point) -> int:
         """Corank of the bivector at ``point``; for the tests and the ``perfbench`` trace."""
@@ -436,11 +433,10 @@ class BihamStructure:
         Nothing is kept on the structure: the caller owns the record and the
         dict.
 
-        ``families`` are lambda-Casimir families whose ``family_check`` the
-        caller has proved; ``run_analyze`` passes them when every family is
-        certified.  Before a pencil is decomposed, the rank of their
-        coefficient gradients is taken here, under the key the criterion and
-        integrability read later (``gradient_rank``).  The minimal indices
+        ``families`` are lambda-Casimir families; ``run_analyze`` passes them
+        when every family is certified.  Before a pencil is decomposed, the
+        rank of their coefficient gradients is taken here, under the key the
+        criterion and integrability read later (``gradient_rank``).  The minimal indices
         at the point are sorted(d_l), and ``decompose`` skips the staircase,
         when four hypotheses hold: (1) the L families are certified; (2) the
         point is no pole of the brackets or of a coefficient gradient; (3)
@@ -453,10 +449,11 @@ class BihamStructure:
         coefficients lie in the span of a minimal basis's sum(e_i + 1), so
         sum(d_l) <= sum(e_i), and Forney's minimal-basis theorem (SIAM J.
         Control 13, 1975) gives e_(i) <= d_(i) with both sorted, so
-        e_(i) = d_(i) (in full in ``decompose``).  (1) is the caller's,
-        (2) and (3) are tested here and (4) by ``decompose`` at each sample.
-        Where (2) or (3) fails no degrees are passed, and a pole surfaces
-        where the verdicts evaluate the gradients, as without families.
+        e_(i) = d_(i) (in full in ``decompose``).  (1) is read off each
+        family's stored ``family_check`` result, (2) and (3) are tested here
+        and (4) by ``decompose`` at each sample.  Where (1), (2) or (3) fails
+        no degrees are passed, and a pole surfaces where the verdicts
+        evaluate the gradients, as without families.
         """
         ev = evaluator_at(point, self.dim)
         pencil = self.pencil_at(ev)
@@ -468,8 +465,11 @@ class BihamStructure:
         return PointAnalysis(ev, ptype, ranks)
 
     def _kernel_degrees(self, families, evaluator: PointEvaluator, ranks: dict):
-        """The families' degrees if their coefficient gradients are independent at the point."""
-        if not families:
+        """The families' degrees if each has a stored, passing ``family_check``
+        and their coefficient gradients are independent at the point."""
+        # a stored Certificate is truthy when it passed; casimir imports this module
+        if not families or not all(self._certificates.get(("family", fam.coeffs))
+                                   for fam in families):
             return None
         try:
             rank = self.gradient_rank([f for fam in families for f in fam.coeffs],

@@ -13,11 +13,10 @@ from dataclasses import dataclass, field
 from . import __version__
 from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import load_json, rat, rat_str
+from .exactalg import is_json_int, load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
-from .poisson import _is_int
 from .sampling import model_inequations, sample_points
 
 MAX_SAMPLES = 10_000    # the sample list is built before any point is analysed
@@ -104,7 +103,7 @@ def _certificate(c) -> bool:
 
 
 _POINT_FIELDS = {"point": _strings, "pencil_type": _of(str), "coranks": _of(dict),
-                 "w1_dim": _is_int, "criterion": _of(dict), "integrability": _of(dict),
+                 "w1_dim": is_json_int, "criterion": _of(dict), "integrability": _of(dict),
                  "error": _of(str)}
 
 
@@ -116,9 +115,9 @@ def _point_record(rec) -> bool:
 # Each report field's check and its description, as report.schema.json types it.
 _FIELDS = {
     "structure": (_of(str), "a string"),
-    "dim": (lambda x: _is_int(x) and x >= 1, "an integer >= 1"),
+    "dim": (lambda x: is_json_int(x) and x >= 1, "an integer >= 1"),
     "vars": (_strings, "an array of strings"),
-    "seed": (_is_int, "an integer"),
+    "seed": (is_json_int, "an integer"),
     "version": (_of(str), "a string"),
     "certificates": (lambda x: isinstance(x, dict) and all(map(_certificate, x.values())),
                      "an object of certificates (string 'kind', boolean 'ok', string 'detail')"),

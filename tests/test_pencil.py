@@ -10,7 +10,7 @@ import pytest
 import biham.pencil as pencil_module
 from biham.casimir import LambdaFamily, family_check
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
-from biham.exactalg import Matrix, Poly
+from biham.exactalg import Matrix, Poly, RationalFunction
 from biham.exactalg.smith import _monic
 from biham.models import jordan_model, open_toda
 from biham.pencil import (SkewPencil, _primitive_pair, action_dimension,
@@ -186,6 +186,23 @@ def test_dependent_family_gradients_fall_back_to_the_staircase(monkeypatch):
     assert [c for c, _ in targets] == [1]
     assert at.ptype.label() == "{K7}"
     assert at.ptype == decompose(b.pencil_at(point))
+
+
+def test_unproved_families_leave_the_type_to_the_staircase():
+    # (v0, v1, v2) is no lambda-Casimir family of open Toda k = 3: with no
+    # stored certificate, and then with a failing one, point_analysis passes
+    # no degrees, and each point's type is plain decompose's
+    model = open_toda(3)
+    b = model.structure
+    fam = LambdaFamily(tuple(RationalFunction.from_poly(Poly.variable(v, b.variables))
+                             for v in ("v0", "v1", "v2")), "coordinates")
+    points = sample_points(model.dim, 20, 0, inequations=model_inequations(model))
+    for proved in (False, True):
+        if proved:
+            assert not family_check(b, fam).ok
+        for point in points:
+            at = b.point_analysis(point, families=[fam])
+            assert at.ptype == decompose(b.pencil_at(point)), point
 
 
 @pytest.mark.parametrize("degrees", [[4], [1, 1]], ids=["overfill_n", "above_corank"])

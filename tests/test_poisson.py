@@ -8,7 +8,7 @@ import pytest
 
 from biham.cli import export_model, parse_structure_file
 from biham.errors import PoleAtPoint, ValidationError
-from biham.exactalg import Matrix, Poly, parse_poly, parse_rational
+from biham.exactalg import Matrix, PointEvaluator, Poly, parse_poly, parse_rational
 from biham.models import flat_kronecker, open_toda, periodic_toda, periodic_casimirs
 from biham.pencil import decompose
 from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
@@ -224,9 +224,19 @@ def test_pencil_at_examples():
 def test_pole_handling():
     p = PoissonStructure(("x", "y"), {(0, 1): parse_rational("1/x", ("x", "y"))})
     assert p.excluded and str(p.excluded[0]) == "x"
-    with pytest.raises(PoleAtPoint):
+    with pytest.raises(PoleAtPoint, match="^denominator x vanishes at evaluation point$"):
         p.bivector_at(_pt(0, 1))
     assert p.bivector_at(_pt(2, 1))[0, 1] == Fraction(1, 2)
+
+
+def test_evaluator_of_the_wrong_dimension_is_refused():
+    # open Toda k = 1 has 3 coordinates; an evaluator on 2 would read the
+    # power table of its denominator as a third coordinate
+    b = V3.structure
+    for point in (_pt(1, 2), PointEvaluator(_pt(1, 2))):
+        for call in (b.pencil_at, b.point_analysis, b.p1.bivector_at):
+            with pytest.raises(ValidationError, match="^point has 2 coordinates, expected 3$"):
+                call(point)
 
 
 def test_structure_validation():

@@ -9,7 +9,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 from biham.casimir import family_check
 from biham.cli import resolve_target
 from biham.errors import PoleAtPoint
-from biham.exactalg import (IntegerForm, Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
+from biham.exactalg import (Matrix, PointEvaluator, Poly, RationalFunction, RowForm,
                             clear_denominators, parse_poly, parse_rational, poly_gcd, exact_div,
                             squarefree_decomposition)
 from biham.exactalg.kernels import row_echelon_ff
@@ -152,26 +152,27 @@ def sparse_polys(draw, max_terms=4, max_exp=3):
        st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_point_evaluator_matches_fraction_eval(num, den, point, on_pole):
-    # the integer evaluator against RationalFunction.eval, the Fraction oracle;
-    # on_pole moves the denominator's zero locus through the point
+    # one rational function as a one-entry row against RationalFunction.eval,
+    # the Fraction oracle; on_pole moves the denominator's zero locus through the point
     if on_pole:
         den = den - den.eval(point) + Poly.variable("x", XYZ) - point[0]
     assume(not den.is_zero())
     f = RationalFunction(num, den)
-    form = IntegerForm(f)
+    form = RowForm([f])
     evaluator = PointEvaluator(point)
     try:
         expected = f.eval(point)
     except PoleAtPoint as exc:
         event("pole")
         with pytest.raises(PoleAtPoint) as caught:
-            evaluator.value(form)
+            evaluator.row(form)
         assert str(caught.value) == str(exc)
         return
-    got = evaluator.value(form)
-    assert type(got) is Fraction and got == expected
+    (got,), scale = evaluator.row(form)
+    assert type(got) is int and Fraction(got, scale) == expected
+    assert (got, scale) == (expected.numerator, expected.denominator)
     # a second value at the same point reads the grown power tables
-    assert evaluator.value(form) == expected
+    assert evaluator.row(form) == ([got], scale)
 
 
 @st.composite
@@ -210,11 +211,13 @@ def _pole_row(functions, point, poles):
 @settings(max_examples=150, deadline=None)
 def test_point_evaluator_row_matches_cleared_fraction_eval(functions, point, split, poles):
     # PointEvaluator.row against clear_denominators of RationalFunction.eval,
-    # the Fraction oracle, for one row form and for the row split across two
+    # the Fraction oracle, for one row form, for the row split across two and
+    # for one one-entry form per function
     functions = _pole_row(functions, point, set(poles))
     evaluator = PointEvaluator(point)
     one, two = RowForm(functions), (RowForm(functions[:split]), RowForm(functions[split:]))
-    event("polynomial row" if one.forms is None else "rational row")
+    singles = [RowForm([f]) for f in functions]
+    event("rational row" if one.dens else "polynomial row")
     event("D = 1" if all(c.denominator == 1 for c in point) else "D > 1")
     values = []
     for f in functions:
@@ -224,7 +227,7 @@ def test_point_evaluator_row_matches_cleared_fraction_eval(functions, point, spl
             # the first pole in row order is raised, with the entry's own message
             event("pole")
             assert str(exc) == f"denominator {f.den} vanishes at evaluation point"
-            for forms in ((one,), two):
+            for forms in ((one,), two, singles):
                 with pytest.raises(PoleAtPoint) as caught:
                     evaluator.row(*forms)
                 assert str(caught.value) == str(exc)
@@ -235,6 +238,7 @@ def test_point_evaluator_row_matches_cleared_fraction_eval(functions, point, spl
     got = evaluator.row(one)
     assert got == expected and all(type(x) is int for x in got[0])
     assert evaluator.row(*two) == expected
+    assert evaluator.row(*singles) == expected
     # a second row at the same point reads the grown power tables
     assert evaluator.row(one) == expected
 
