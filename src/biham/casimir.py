@@ -7,13 +7,15 @@ differentials at a point drives the certified single-family criterion
 (theorem strength, corank 1) and the multi-family path, which is reported
 as conjectural and always cross-validated against a direct pencil
 decomposition.  ``web_flatness`` decides the flatness of a 3-dimensional
-structure from its two bracket tables, through its 3-web.
+structure from its two bracket tables, through its 3-web.  The verdicts,
+``CriterionVerdict`` and ``LaxVerdict``, are ``exactalg.Record``s: their
+JSON is their fields under their own names.
 """
 
 from dataclasses import dataclass
 
 from .errors import InternalInconsistency, ValidationError
-from .exactalg import RationalFunction
+from .exactalg import RationalFunction, Record
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate
 
@@ -91,11 +93,11 @@ def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
 
 
 @dataclass(frozen=True)
-class CriterionVerdict:
+class CriterionVerdict(Record):
     """Outcome of the flatness/homogeneity criterion at a point."""
 
     outcome: str                      # KroneckerCertified | HomogeneousIndicated | Inconclusive
-    type_dims: tuple | None
+    type: tuple | None                # the indicated Kronecker dimensions
     conjectural: bool
     provenance: str
     reason: str
@@ -105,19 +107,6 @@ class CriterionVerdict:
     degrees: tuple
     corank_profile: dict
     cross_check: str = ""
-
-    def to_json(self) -> dict:
-        return {
-            "outcome": self.outcome,
-            "type": list(self.type_dims) if self.type_dims else None,
-            "conjectural": self.conjectural,
-            "provenance": self.provenance,
-            "reason": self.reason,
-            "n": self.n, "r": self.r, "w1_dim": self.w1_dim,
-            "degrees": list(self.degrees),
-            "corank_profile": self.corank_profile,
-            "cross_check": self.cross_check,
-        }
 
 
 def kronecker_criterion(b: BihamStructure, families, at: PointAnalysis) -> CriterionVerdict:
@@ -174,7 +163,7 @@ def kronecker_criterion(b: BihamStructure, families, at: PointAnalysis) -> Crite
 
 
 @dataclass(frozen=True)
-class LaxVerdict:
+class LaxVerdict(Record):
     """Graded conclusion for a polynomial map into the space of degree n-1 polynomials."""
 
     level: str            # NotApplicable | WeakLax | Lax | KroneckerConcluded
@@ -183,12 +172,6 @@ class LaxVerdict:
     action_dim: int | None
     concluded_dim: int | None = None
     detail: str = ""
-
-    def to_json(self) -> dict:
-        return {"level": self.level, "rank": self.rank,
-                "gradient_rank": self.gradient_rank,
-                "action_dim": self.action_dim,
-                "concluded_dim": self.concluded_dim, "detail": self.detail}
 
 
 def lax_check(b: BihamStructure, fam: LambdaFamily, at: PointAnalysis) -> LaxVerdict:

@@ -363,12 +363,11 @@ def _check(args) -> int:
         for which in (1, 2):
             if args.bracket in (str(which), "both"):
                 cert = b.jacobi(which)
-                print(f"jacobi (bracket {which}): "
-                      f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")
+                print(f"jacobi (bracket {which}): {cert}")
                 ok = ok and cert.ok
     elif args.what == "compatible":
         cert = b.compatibility()
-        print(f"compatibility: {'pass' if cert.ok else 'FAIL ' + cert.detail}")
+        print(f"compatibility: {cert}")
         ok = cert.ok
     elif args.what == "casimir":
         if not args.function:
@@ -378,24 +377,21 @@ def _check(args) -> int:
             if args.bracket in (str(which), "both"):
                 p = b.p1 if which == 1 else b.p2
                 cert = p.is_casimir(f)
-                print(f"casimir (bracket {which}): "
-                      f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")
+                print(f"casimir (bracket {which}): {cert}")
                 ok = ok and cert.ok
     elif args.what == "family":
         if not model.families:
             raise ValidationError("no families in the input")
         for fam in model.families:
             cert = family_check(b, fam)
-            print(f"family '{fam.name}' (degree {fam.degree}): "
-                  f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")
+            print(f"family '{fam.name}' (degree {fam.degree}): {cert}")
             ok = ok and cert.ok
     elif args.what == "chain":
         if not model.chains:
             raise ValidationError("no chains in the input")
         for i, chain in enumerate(model.chains):
             cert = verify_chain(chain)
-            print(f"chain {i} (anchored={chain.anchored}): "
-                  f"{'pass' if cert.ok else 'FAIL ' + cert.detail}")
+            print(f"chain {i} (anchored={chain.anchored}): {cert}")
             ok = ok and cert.ok
     return 0 if ok else 1
 

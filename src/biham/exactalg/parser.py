@@ -18,7 +18,9 @@ sum cannot expand into millions of terms.  Input beyond any limit raises
 ``load_json`` is the one reader of JSON input text (structures, families,
 chains, pencils, reports), with the same contract: malformed or too deeply
 nested text raises ``ValidationError``; ``is_json_int`` is the one test
-for an integer field of what it read.
+for an integer field of what it read.  ``Record`` is the one writer of
+result records (certificates, verdicts, the analysis report): its
+``to_json`` gives the fields under their own names.
 """
 
 import json
@@ -52,6 +54,17 @@ def load_json(text: str):
 def is_json_int(x) -> bool:
     """A JSON integer: an int that is not a bool."""
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+class Record:
+    """A result record whose JSON is its fields, each tuple written as a list.
+
+    A shallow copy: field values are shared with the record, and a field's
+    name is its JSON key.
+    """
+
+    def to_json(self) -> dict:
+        return {k: list(v) if type(v) is tuple else v for k, v in vars(self).items()}
 
 
 class _Lexer:

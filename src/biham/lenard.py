@@ -11,12 +11,14 @@ zero, so a proved chain costs no contraction and no sum.  The integrability
 count is ``casimir.w1_span_dim`` of the chain functions at the point's
 ``PointAnalysis``: a chain read off a family has the family's coefficients
 as its functions, so the count is the criterion's W1, evaluated and
-eliminated once per point.
+eliminated once per point.  ``IntegrabilityVerdict`` is an
+``exactalg.Record``, written as its fields.
 """
 
 from dataclasses import dataclass
 
 from .casimir import LambdaFamily, w1_span_dim
+from .exactalg import Record
 from .pencil import PointAnalysis, action_dimension
 from .poisson import BihamStructure, Certificate, first_nonzero_sum
 
@@ -122,17 +124,13 @@ def involution_check(funcs, b: BihamStructure) -> Certificate:
 
 
 @dataclass(frozen=True)
-class IntegrabilityVerdict:
+class IntegrabilityVerdict(Record):
     """Count of independent chain functions at a point versus the action dimension."""
 
     independent: int
     action_dim: int
     outcome: str       # StrictlyLenardIntegrable | Insufficient | JordanObstructed
     pencil_type: str
-
-    def to_json(self) -> dict:
-        return {"independent": self.independent, "action_dim": self.action_dim,
-                "outcome": self.outcome, "pencil_type": self.pencil_type}
 
 
 def integrability_verdict(b: BihamStructure, chains, at: PointAnalysis) -> IntegrabilityVerdict:

@@ -37,21 +37,23 @@ relation's result, never a covector.  The stored relations are read by
 ``lenard.chain_from_family`` and ``lenard.verify_chain`` (the anchor and the
 recurrence steps) and by ``lenard.involution_check``, which skips every
 bracket the proved Lenard steps make zero by Magri's recursion and sums
-only the brackets between two chained runs.
+only the brackets between two chained runs.  Every check returns a
+``Certificate``, an ``exactalg.Record`` written as its fields; its ``str``
+is the ``pass`` or ``FAIL <detail>`` line of ``biham check``.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import (Matrix, PointEvaluator, Poly, RationalFunction, RowForm, parse_rational,
-                       rat)
+from .exactalg import (Matrix, PointEvaluator, Poly, RationalFunction, Record, RowForm,
+                       parse_rational, rat)
 from .exactalg.kernels import row_echelon_ff
 from .pencil import PointAnalysis, SkewPencil, decompose
 
 
 @dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Outcome of an exact identity check; failure is a result, not an error."""
 
     ok: bool
@@ -61,8 +63,8 @@ class Certificate:
     def __bool__(self) -> bool:
         return self.ok
 
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "ok": self.ok, "detail": self.detail}
+    def __str__(self) -> str:
+        return "pass" if self.ok else "FAIL " + self.detail
 
 
 def as_point(values, dim: int) -> tuple:

@@ -4,16 +4,20 @@
 (seed-deterministic), decomposes the pointwise pencils, applies the
 criteria and the chain machinery, and aggregates everything into a report
 that serializes byte-stably for a fixed (input, seed, version) triple.
+
+Every record in a report, the certificates, the verdicts and
+``AnalysisReport`` itself, is an ``exactalg.Record`` written as its
+fields, so a report field's name is its JSON key.
 """
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
 from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import is_json_int, load_json, rat, rat_str
+from .exactalg import Record, is_json_int, load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
@@ -23,10 +27,10 @@ MAX_SAMPLES = 10_000    # the sample list is built before any point is analysed
 
 
 @dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     structure: str
     dim: int
-    variables: list
+    vars: list
     seed: int
     version: str
     certificates: dict
@@ -44,41 +48,19 @@ class AnalysisReport:
     def matched(self) -> bool:
         return not self.mismatches
 
-    def to_json(self) -> dict:
-        return {
-            "structure": self.structure,
-            "dim": self.dim,
-            "vars": self.variables,
-            "seed": self.seed,
-            "version": self.version,
-            "certificates": self.certificates,
-            "families": self.families,
-            "chains": self.chains,
-            "points": self.points,
-            "modal_type": self.modal_type,
-            "criterion": self.criterion,
-            "lax": self.lax,
-            "integrability": self.integrability,
-            "expectations": self.expectations,
-            "mismatches": self.mismatches,
-        }
-
     @classmethod
     def from_json(cls, data) -> "AnalysisReport":
-        """A stored report, as written by ``emit_report(..., "json")``."""
+        """A stored report, as written by ``emit_report(..., "json")``.
+
+        Every field without a default is required; the first one missing,
+        in field order, is the one named.
+        """
         if isinstance(data, str):
             data = load_json(data)
         try:
-            report = cls(
-                structure=data["structure"], dim=data["dim"], variables=data["vars"],
-                seed=data["seed"], version=data["version"],
-                certificates=data["certificates"], families=data["families"],
-                chains=data["chains"], points=data["points"],
-                modal_type=data["modal_type"], criterion=data["criterion"],
-                lax=data["lax"], integrability=data["integrability"],
-                expectations=data.get("expectations", {}),
-                mismatches=data.get("mismatches", []))
-        except (KeyError, TypeError, AttributeError) as exc:
+            report = cls(**{name: data[name] for name in _FIELDS
+                            if name in _REQUIRED or name in data})
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"not an analysis report: missing or bad field {exc}") from exc
         # markdown renders whatever a field holds: a string in an array's place
         # as its characters, a number in a string's place as the number
@@ -112,7 +94,8 @@ def _point_record(rec) -> bool:
         ok(rec[key]) for key, ok in _POINT_FIELDS.items() if key in rec)
 
 
-# Each report field's check and its description, as report.schema.json types it.
+# Each report field's check and its description, as report.schema.json types it,
+# in the dataclass's field order.
 _FIELDS = {
     "structure": (_of(str), "a string"),
     "dim": (lambda x: is_json_int(x) and x >= 1, "an integer >= 1"),
@@ -132,6 +115,8 @@ _FIELDS = {
     "expectations": (_of(dict), "an object"),
     "mismatches": (_strings, "an array of strings"),
 }
+_REQUIRED = {f.name for f in fields(AnalysisReport)
+             if f.default is MISSING and f.default_factory is MISSING}
 
 
 def run_analyze(model: ModelSpec, points=None, samples: int = 20,
@@ -236,7 +221,7 @@ def run_analyze(model: ModelSpec, points=None, samples: int = 20,
     return AnalysisReport(
         structure=model.name,
         dim=model.dim,
-        variables=list(model.variables),
+        vars=list(model.variables),
         seed=seed,
         version=__version__,
         certificates=certs,

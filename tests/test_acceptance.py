@@ -131,7 +131,7 @@ def test_criterion_04_open_toda():
                 "{" + f"K{n}" + "}"
             at = model.structure.point_analysis(pt)
             v = kronecker_criterion(model.structure, model.families, at)
-            ok &= v.outcome == "KroneckerCertified" and v.type_dims == (n,)
+            ok &= v.outcome == "KroneckerCertified" and v.type == (n,)
     elapsed = time.monotonic() - start
     ok &= elapsed < 60.0
     assert _line(4, "open Toda types", ok, f"{elapsed:.1f}s")

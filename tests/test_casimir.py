@@ -104,7 +104,7 @@ def test_criterion_flat_k5():
     at = K5.structure.point_analysis(_pt(1, 1, 1, 1, 1))
     v = kronecker_criterion(K5.structure, K5.families, at)
     assert v.outcome == "KroneckerCertified"
-    assert v.type_dims == (5,)
+    assert v.type == (5,)
     assert not v.conjectural
     assert v.r == 1 and v.w1_dim == 3
 
@@ -112,7 +112,7 @@ def test_criterion_flat_k5():
 def test_criterion_toda_s_generic():
     pt = _pt(1, 1, 2, 1, 3)
     v = kronecker_criterion(V5.structure, V5.families, V5.structure.point_analysis(pt))
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (5,)
+    assert v.outcome == "KroneckerCertified" and v.type == (5,)
     assert v.cross_check == "{K5}"
 
 
@@ -139,7 +139,7 @@ def test_criterion_reparametrization_invariance():
     v = kronecker_criterion(V3.structure, [shifted], at)
     assert (w1_span_dim(V3.structure, [shifted], at)
             == w1_span_dim(V3.structure, V3.families, at))
-    assert (v.outcome, v.type_dims) == (base.outcome, base.type_dims)
+    assert (v.outcome, v.type) == (base.outcome, base.type)
 
 
 def test_criterion_neighborhood_consistency():
@@ -157,7 +157,7 @@ def test_criterion_sl2():
     model = sl2_shift((0, 1, 0))
     at = model.structure.point_analysis(_pt(1, 2, 1))
     v = kronecker_criterion(model.structure, model.families, at)
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
+    assert v.outcome == "KroneckerCertified" and v.type == (3,)
 
 
 def test_criterion_m_f_linear():
@@ -165,7 +165,7 @@ def test_criterion_m_f_linear():
     model = m_f("x + y")
     at = model.structure.point_analysis(_pt(1, 2, 3))
     v = kronecker_criterion(model.structure, model.families, at)
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
+    assert v.outcome == "KroneckerCertified" and v.type == (3,)
 
 
 def test_criterion_multi_family_product():
@@ -182,7 +182,7 @@ def test_criterion_multi_family_product():
     at = b.point_analysis(tuple(Fraction(1) for _ in range(6)))
     v = kronecker_criterion(b, [fam1, fam2], at)
     assert v.outcome == "HomogeneousIndicated"
-    assert v.type_dims == (3, 3) and v.conjectural
+    assert v.type == (3, 3) and v.conjectural
     assert v.cross_check == "{K3, K3}" and v.reason == ""
 
 

@@ -40,7 +40,7 @@ def test_flat_kronecker_k1_degenerate_case():
     assert not m.structure.p1.table and not m.structure.p2.table
     assert [str(c) for c in m.families[0].coeffs] == ["x0"]
     v = kronecker_criterion(m.structure, m.families, m.structure.point_analysis(_pt(4)))
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (1,)
+    assert v.outcome == "KroneckerCertified" and v.type == (1,)
 
 
 def test_flat_kronecker_k3_family():
@@ -126,7 +126,7 @@ def test_open_toda_k2_criterion():
     m = open_toda(2)
     pt = _pt(1, 1, 2, 1, 3)
     v = kronecker_criterion(m.structure, m.families, m.structure.point_analysis(pt))
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (5,)
+    assert v.outcome == "KroneckerCertified" and v.type == (5,)
 
 
 def test_open_toda_corank_rule():
@@ -259,7 +259,7 @@ def test_periodic_toda_criterion_conjectural():
     at = m.structure.point_analysis(_pt(1, 2, 1, 1, 2, 3))
     v = kronecker_criterion(m.structure, m.families, at)
     assert v.outcome == "HomogeneousIndicated"
-    assert v.type_dims == (5, 1) and v.conjectural
+    assert v.type == (5, 1) and v.conjectural
     assert v.cross_check == "{K1, K5}" and v.reason == ""
 
 
@@ -387,7 +387,7 @@ def test_sl2_criterion_and_span():
     assert is_generic(m, pt)
     at = m.structure.point_analysis(pt)
     v = kronecker_criterion(m.structure, m.families, at)
-    assert v.outcome == "KroneckerCertified" and v.type_dims == (3,)
+    assert v.outcome == "KroneckerCertified" and v.type == (3,)
     assert w1_span_dim(m.structure, m.families, at) == 2
 
 

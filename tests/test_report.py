@@ -1,20 +1,24 @@
 """End-to-end analyze runs across the whole catalog."""
 
+import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
+from pathlib import Path
 
 import pytest
 
 from biham import casimir, lenard, pencil, poisson
 from biham.errors import ValidationError
-from biham.exactalg import RationalFunction, kernels, rat
+from biham.exactalg import RationalFunction, Record, kernels, rat
 from biham.models import (flat_kronecker, jordan_model, m_f, open_toda,
                           periodic_toda, sl2_shift, two_family_model)
 from biham.pencil import jordan_pencil, kronecker_pencil
 from biham.lenard import chain_from_family, involution_check
 from biham.poisson import BihamStructure
-from biham.report import emit_report, run_analyze
+from biham.report import _FIELDS, AnalysisReport, emit_report, run_analyze
+
+SCHEMAS = Path(__file__).resolve().parent.parent / "src" / "biham" / "schemas"
 
 CATALOG = [
     (flat_kronecker(1), 4), (flat_kronecker(2), 4), (flat_kronecker(3), 4),
@@ -250,3 +254,35 @@ def test_analyze_does_not_prove_involution(monkeypatch):
 def test_analyze_rejects_nonpositive_samples(samples):
     with pytest.raises(ValidationError):
         run_analyze(open_toda(1), samples=samples, seed=0)
+
+
+def test_records_are_plain_json(monkeypatch):
+    # every result record writes its dataclass fields under their own names,
+    # and no tuple reaches the JSON: it reads back equal
+    written = []
+    original = Record.to_json
+
+    def recorded(self):
+        written.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Record, "to_json", recorded)
+    report = run_analyze(open_toda(2), samples=3, seed=0)
+    records = [*written, report]
+    assert {type(x) for x in records} == {
+        poisson.Certificate, casimir.CriterionVerdict, casimir.LaxVerdict,
+        lenard.IntegrabilityVerdict, AnalysisReport}
+    for x in records:
+        data = x.to_json()
+        assert list(data) == [f.name for f in fields(x)]
+        assert json.loads(json.dumps(data)) == data
+
+
+def test_report_fields_are_the_schema_properties():
+    schema = json.loads((SCHEMAS / "report.schema.json").read_text(encoding="utf-8"))
+    names = [f.name for f in fields(AnalysisReport)]
+    assert len(names) == 15
+    assert names == list(_FIELDS)
+    assert set(names) == set(schema["properties"])
+    assert {f.name for f in fields(AnalysisReport)
+            if f.default is MISSING and f.default_factory is MISSING} == set(schema["required"])
