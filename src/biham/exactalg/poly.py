@@ -13,9 +13,12 @@ addition.  Each Poly keeps its packed integer form (a common denominator
 of its coefficients and the (packed exponent, integer numerator) pairs) in
 a lazily filled slot, so a gradient or a table entry that enters many
 products is scaled and packed once.  ``Poly.__mul__`` accumulates one
-product, and ``RationalFunction.sum_of_products`` sums many products in one
-integer accumulator per denominator, reduced once; each unpacks only the
-accumulated terms, once.  ``Poly.terms`` and every other reader keep
+product.  Sums of products go through ``_accumulate``, one accumulator for
+many groups of products, each group split into parts by denominator and
+each part keyed above the monomial fields: ``RationalFunction.sum_of_products``
+sums one group and unpacks each nonzero part once, reduced once, and
+``RationalFunction.nonzero_groups`` zero-tests every group of a certificate
+in one pass, unpacking nothing.  ``Poly.terms`` and every other reader keep
 exponent tuples.
 ``RationalFunction.partials`` differentiates a polynomial in one pass over
 its terms zipped with its packed form, and hands each nonzero partial its
@@ -173,7 +176,7 @@ class Poly:
         self._check(other)
         width, ((den1, num1), (den2, num2)) = _packed_forms((self, other))
         acc: dict = {}
-        _add_product(acc, num1, num2, 1)
+        _add_product(acc, num1, num2, 1, 0)
         return _unpack(acc, den1 * den2, self.variables, width)
 
     __rmul__ = __mul__
@@ -377,14 +380,58 @@ def _poly_partials(p: Poly) -> dict:
     return out
 
 
-def _add_product(acc: dict, num1, num2, k: int):
-    """acc += k * num1 * num2, all three integer polynomials on packed exponents."""
+def _add_product(acc: dict, num1, num2, k: int, offset: int):
+    """acc += k * num1 * num2, all three integer polynomials on packed exponents,
+    each product key raised by ``offset`` (a part's index above the monomial fields)."""
     get = acc.get
     for e1, c1 in num1:
         c1 *= k
+        e1 += offset
         for e2, c2 in num2:
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
+
+
+def _accumulate(groups, variables):
+    """Every group's sum of products u*v in one integer accumulator, by part.
+
+    ``groups`` are lists of (u, v) pairs of RationalFunctions.  A part is a
+    group's products over one denominator: u.den * v.den, with a polynomial
+    factor counting as 1, so a group's polynomial products are one part.
+    Whether a factor is polynomial, and its packed numerator, are read once
+    per factor object, at one field width W for all.  A product is weighted
+    so that both factors are over one integer denominator L, the lcm of
+    theirs, and a part's accumulated coefficients are L^2 times its
+    numerator products' sum.  Part i's keys are its packed monomials plus
+    i << (W*n), above every monomial field, which no carry reaches
+    (``PACK_BITS``).
+
+    Returns (acc, parts, W, L^2), parts[i] = (group index, denominator Poly,
+    or None for 1).
+    """
+    factors = {id(f): f for pairs in groups for pair in pairs for f in pair}
+    if not factors:
+        return {}, [], PACK_BITS, 1
+    width, forms = _packed_forms([f.num for f in factors.values()])
+    scale = lcm(*(d for d, _ in forms))
+    unit = _unit(tuple(variables))
+    form = {key: (None if f.den is unit or f.den.is_constant() else f.den, scale // d, terms)
+            for key, f, (d, terms) in zip(factors, factors.values(), forms)}
+    shift = width * len(variables)
+    acc: dict = {}
+    parts = []
+    for g, pairs in enumerate(groups):
+        index = {}
+        for u, v in pairs:
+            du, su, tu = form[id(u)]
+            dv, sv, tv = form[id(v)]
+            den = dv if du is None else du if dv is None else du * dv
+            offset = index.get(den)
+            if offset is None:
+                offset = index[den] = len(parts) << shift
+                parts.append((g, den))
+            _add_product(acc, tu, tv, su * sv, offset)
+    return acc, parts, width, scale * scale
 
 
 def _unpack(acc: dict, den: int, variables, width: int) -> Poly:
@@ -714,36 +761,44 @@ class RationalFunction:
     def sum_of_products(cls, pairs, variables) -> "RationalFunction":
         """Sum of u*v over (u, v) pairs of RationalFunctions, exactly.
 
-        The products are grouped by the product of their two denominators
-        (every polynomial pair falls into one group).  A group's numerator
-        products are summed as integers on packed exponents, each scaled
-        to the lcm of the group's integer denominators, into one accumulator
-        that is unpacked once into one RationalFunction: one gcd reduction
-        per group, none for a polynomial group, instead of one per product.
+        The products are split into parts by the product of their two
+        denominators (every polynomial pair falls into one part) and summed
+        as integers on packed exponents in one accumulator (``_accumulate``).
+        Each nonzero part is unpacked once into one RationalFunction: one
+        gcd reduction per part, none for a polynomial part, instead of one
+        per product.
         """
-        groups: dict = {}
-        for u, v in pairs:
-            if u.is_zero() or v.is_zero():
-                continue
-            if v.den.is_constant():
-                den = u.den
-            elif u.den.is_constant():
-                den = v.den
-            else:
-                den = u.den * v.den
-            groups.setdefault(den, []).extend((u.num, v.num))
+        acc, parts, width, common = _accumulate([list(pairs)], variables)
+        split = [acc]
+        if len(parts) > 1:
+            shift = width * len(variables)
+            mask = (1 << shift) - 1
+            split = [{} for _ in parts]
+            for key, c in acc.items():
+                split[key >> shift][key & mask] = c
         total = None
-        for den, factors in groups.items():
-            width, forms = _packed_forms(factors)
-            scaled = [(dp * dq, tp, tq)
-                      for (dp, tp), (dq, tq) in zip(forms[::2], forms[1::2])]
-            common = lcm(*(d for d, _, _ in scaled))
-            acc: dict = {}
-            for d, tp, tq in scaled:
-                _add_product(acc, tp, tq, common // d)
-            part = cls(_unpack(acc, common, variables, width), den)
+        for (_, den), terms in zip(parts, split):
+            num = _unpack(terms, common, variables, width)
+            if num.is_zero():
+                continue
+            part = cls(num, den)
             total = part if total is None else total + part
-        return total if total is not None else cls.constant(0, variables)
+        return total if total is not None else cls(Poly.zero(variables))
+
+    @staticmethod
+    def nonzero_groups(groups, variables) -> list:
+        """The indices, in order, of the groups of (u, v) pairs whose sum of
+        u*v may be nonzero, all zero-tested in one ``_accumulate`` pass.
+
+        A group left out has every part zero, so its sum, the sum of its
+        parts over their denominators, is zero.  A polynomial group is one
+        part and is listed exactly when its sum is nonzero; a rational
+        group's parts over different denominators may still cancel, which
+        only ``sum_of_products`` decides.
+        """
+        acc, parts, width, _ = _accumulate(groups, variables)
+        shift = width * len(variables)
+        return sorted({parts[key >> shift][0] for key, c in acc.items() if c})
 
     @property
     def variables(self):

@@ -91,7 +91,8 @@ def involution_check(funcs, b: BihamStructure) -> Certificate:
 
     Each row keeps the first row of the chained run that ends there.  A row
     is contracted under P_k only when a group (a, c, k) is left, and only
-    those groups, the ones that cross a run boundary, are summed.  Every
+    those groups, the ones that cross a run boundary, go to
+    ``first_nonzero_sum``, which zero-tests them all in one pass.  Every
     skipped group is zero, so the first nonzero group is the one the
     all-pairs loop would find; on a chained list the check reads the stored
     relations and sums nothing.

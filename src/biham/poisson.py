@@ -27,11 +27,14 @@ nonzero partials, or a gradient with one shared zero in the other slots;
 a polynomial's partials arrive with their packed forms, so no zero partial
 is built and no partial is packed again.
 
-``first_nonzero_sum`` sums and zero-tests every certificate residual, one
-``RationalFunction.sum_of_products`` per (key, products) group: by
-coordinate triple for Jacobi and compatibility, by coordinate for the
-relations sum P grad f = 0 (a Casimir, a family's lambda coefficient, a
-Lenard step).  A ``BihamStructure`` keeps each function's gradient and each
+``first_nonzero_sum`` zero-tests every certificate residual, one (key,
+products) group by coordinate triple for Jacobi and compatibility, by
+coordinate for the relations sum P grad f = 0 (a Casimir, a family's lambda
+coefficient, a Lenard step).  All of a certificate's groups go into one
+integer accumulator on packed monomials (``RationalFunction.nonzero_groups``),
+so a group that vanishes builds no ``RationalFunction``; only a group that
+may not vanish is summed exactly by ``RationalFunction.sum_of_products``,
+which gives the residual of a failure.  A ``BihamStructure`` keeps each function's gradient and each
 relation's result, never a covector.  The stored relations are read by
 ``casimir.family_check`` (one per lambda coefficient), by
 ``lenard.chain_from_family`` and ``lenard.verify_chain`` (the anchor and the
@@ -64,7 +67,12 @@ class Certificate(Record):
         return self.ok
 
     def __str__(self) -> str:
-        return "pass" if self.ok else "FAIL " + self.detail
+        return self.line(self.ok, self.detail)
+
+    @staticmethod
+    def line(ok: bool, detail: str = "") -> str:
+        """``pass`` or ``FAIL <detail>``, as ``biham check`` and markdown reports print it."""
+        return "pass" if ok else "FAIL " + detail
 
 
 def as_point(values, dim: int) -> tuple:
@@ -226,9 +234,15 @@ def _present(p: PoissonStructure, f):
 def first_nonzero_sum(groups, variables):
     """First (key, residual) of the (key, products) groups whose sum is nonzero, else None.
 
-    Groups are summed in the order given, each only when reached.
+    Every group is zero-tested in one integer accumulator
+    (``RationalFunction.nonzero_groups``), and only a group that may be
+    nonzero is summed, in the order given, by ``sum_of_products``, which
+    decides it and gives the residual.  The loop that sums every group in
+    turn stays the oracle in the tests.
     """
-    for key, products in groups:
+    groups = [(key, list(products)) for key, products in groups]
+    for i in RationalFunction.nonzero_groups([products for _, products in groups], variables):
+        key, products = groups[i]
         residual = RationalFunction.sum_of_products(products, variables)
         if not residual.is_zero():
             return key, residual

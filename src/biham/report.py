@@ -21,6 +21,7 @@ from .exactalg import Record, is_json_int, load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
+from .poisson import Certificate
 from .sampling import model_inequations, sample_points
 
 MAX_SAMPLES = 10_000    # the sample list is built before any point is analysed
@@ -252,6 +253,12 @@ def _modal_summary(verdicts: list) -> dict | None:
     return summary
 
 
+def _certificate_line(cert: dict) -> str:
+    """A certificate record's ``Certificate.line``; a record without a detail has
+    the field's default, as ``_certificate`` reads it."""
+    return Certificate.line(cert["ok"], cert.get("detail", ""))
+
+
 def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
     """Deterministic serialization; markdown carries the per-point table
     and the provenance of every verdict."""
@@ -263,15 +270,13 @@ def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
     lines.append(f"- dimension: {report.dim}")
     lines.append(f"- seed: {report.seed}, version: {report.version}")
     for name, cert in sorted(report.certificates.items()):
-        lines.append(f"- {name}: {'pass' if cert['ok'] else 'FAIL ' + cert['detail']}")
+        lines.append(f"- {name}: {_certificate_line(cert)}")
     for fam in report.families:
-        ok = fam["certificate"]["ok"]
         lines.append(f"- family '{fam['name']}' (degree {fam['degree']}): "
-                     f"{'pass' if ok else 'FAIL'}")
+                     f"{_certificate_line(fam['certificate'])}")
     for chain in report.chains:
-        ok = chain["certificate"]["ok"]
         lines.append(f"- chain '{chain['name']}' (length {chain['length']}, "
-                     f"anchored={chain['anchored']}): {'pass' if ok else 'FAIL'}")
+                     f"anchored={chain['anchored']}): {_certificate_line(chain['certificate'])}")
     lines.append("")
     lines.append("| point | pencil type | corank1 | corank2 | W1 |")
     lines.append("|---|---|---|---|---|")

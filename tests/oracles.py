@@ -457,6 +457,21 @@ def loop_is_casimir(p, f):
     return Certificate(True, "casimir")
 
 
+# -- one group at a time -------------------------------------------------------
+#
+# The residual loop that poisson.first_nonzero_sum's one-pass zero test
+# replaced: every group summed exactly, in order, until one is nonzero.
+
+
+def first_nonzero_sum_loop(groups, variables):
+    """First (key, residual) of the (key, products) groups whose sum is nonzero, else None."""
+    for key, products in groups:
+        residual = RationalFunction.sum_of_products(products, variables)
+        if not residual.is_zero():
+            return key, residual
+    return None
+
+
 # -- one product at a time -----------------------------------------------------
 #
 # The covector and pairing loops that RationalFunction.sum_of_products

@@ -4,7 +4,9 @@ Each certificate must agree with its coordinate-by-coordinate form in
 ``oracles`` on the verdict and, byte for byte, on the failure detail.  The
 family, chain and Casimir certificates, which share one relation routine
 and one stored result per relation, are compared with the three loops that
-routine replaced.  Covectors and pairings, summed in one accumulator per
+routine replaced.  ``first_nonzero_sum``, which zero-tests every group in
+one accumulator, must return the key and residual of the loop that sums
+each group in turn.  Covectors and pairings, summed in one accumulator per
 sum, must equal the one-product-at-a-time loops exactly; products on packed
 monomials must equal schoolbook Fraction products, also at exponents past
 the packed field bound; each function's ``partials`` must equal its
@@ -21,15 +23,16 @@ from hypothesis import assume, given, settings, strategies as st
 
 from biham.casimir import LambdaFamily, family_check
 import biham.exactalg.poly as poly_module
-from biham.exactalg import Poly, RationalFunction, exact_div, poly_gcd
+from biham.exactalg import Poly, RationalFunction, exact_div, parse_rational, poly_gcd
 from biham import lenard
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import flat_kronecker, make_model, open_toda, periodic_toda, sl2_shift
-from biham.poisson import BihamStructure, PoissonStructure, compatibility_check
+from biham.poisson import (BihamStructure, PoissonStructure, compatibility_check,
+                           first_nonzero_sum)
 
-from oracles import (dense_compatibility_check, dense_jacobi_check, fraction_exact_div,
-                     loop_family_check, loop_hamiltonian_covector, loop_is_casimir,
-                     loop_pairing, loop_verify_chain, pairwise_bracket,
+from oracles import (dense_compatibility_check, dense_jacobi_check, first_nonzero_sum_loop,
+                     fraction_exact_div, loop_family_check, loop_hamiltonian_covector,
+                     loop_is_casimir, loop_pairing, loop_verify_chain, pairwise_bracket,
                      pairwise_involution_check, prs_gcd, schoolbook_product)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -413,6 +416,80 @@ def test_polynomial_pairing_runs_at_most_one_gcd(monkeypatch):
     monkeypatch.setattr(poly_module, "poly_gcd", counting)
     b.p1.pairing(covector, grad)
     assert len(calls) <= 1
+
+
+def _cross_group(c):
+    """c/(x*y) * x - c/y * 1: zero, but only across the denominators x*y and y."""
+    return [(parse_rational(f"{c}/(x*y)", V), parse_rational("x", V)),
+            (parse_rational(f"-{c}/y", V), RationalFunction.constant(1, V))]
+
+
+@st.composite
+def residual_groups(draw):
+    """(key, products) groups for ``first_nonzero_sum``.
+
+    Factors are drawn from small pools, so one object recurs within and
+    across groups.  A group is empty; polynomial; rational (over x*y or a
+    1 + c*x_i); at the packed field bound, which widens the field of every
+    group; a group with the negative of each product, zero in every part;
+    or ``_cross_group``.
+    """
+    poly_pool = [RationalFunction(draw(polys(V, max_terms=3))) for _ in range(3)]
+    dens = [_linear_denominator(draw, V), Poly(V, {(1, 1, 0): Fraction(1)})]
+    rational_pool = poly_pool + [RationalFunction(draw(polys(V)), draw(st.sampled_from(dens)))
+                                 for _ in range(3)]
+    pools = {"poly": poly_pool, "rational": rational_pool,
+             "edge": [RationalFunction(draw(edge_polys(V))) for _ in range(2)]}
+    groups = []
+    for key in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["empty", "poly", "rational", "edge", "negated", "cross"]))
+        if kind == "empty":
+            products = []
+        elif kind == "cross":
+            products = _cross_group(draw(st.sampled_from(["1", "-2", "3/4"])))
+        else:
+            pool = pools["rational" if kind == "negated" else kind]
+            products = [(draw(st.sampled_from(pool)), draw(st.sampled_from(pool)))
+                        for _ in range(draw(st.integers(1, 3)))]
+            if kind == "negated":
+                products += [(-u, v) for u, v in products]
+        groups.append((key, products))
+    return groups
+
+
+@given(residual_groups())
+@settings(max_examples=150, deadline=None)
+def test_first_nonzero_sum_matches_the_group_loop(groups):
+    want = first_nonzero_sum_loop(groups, V)
+    got = first_nonzero_sum(((key, iter(products)) for key, products in groups), V)
+    assert got == want
+    # every group left out sums to zero; a polynomial group is left out only then
+    listed = RationalFunction.nonzero_groups([products for _, products in groups], V)
+    assert listed == sorted(set(listed))
+    for i, (_, products) in enumerate(groups):
+        total = RationalFunction.sum_of_products(products, V)
+        if i not in listed:
+            assert total.is_zero()
+        elif all(u.is_polynomial() and v.is_polynomial() for u, v in products):
+            assert not total.is_zero()
+
+
+def test_a_group_that_cancels_across_denominators_is_summed_and_found_zero():
+    x = parse_rational("x", V)
+    groups = [("cross", _cross_group("1")), ("after", [(x, x)])]
+    assert RationalFunction.nonzero_groups([products for _, products in groups], V) == [0, 1]
+    assert first_nonzero_sum(groups, V) == ("after", parse_rational("x^2", V))
+    assert first_nonzero_sum(groups[:1], V) is None
+
+
+def test_one_wide_factor_widens_the_field_of_every_group():
+    # x^(2^15) needs a field wider than PACK_BITS; the other group's keys,
+    # packed at that width, must still cancel exactly
+    wide = RationalFunction(Poly(V, {(BOUND, 0, 0): Fraction(1)}))
+    y, z = parse_rational("y", V), parse_rational("z", V)
+    groups = [(0, [(y, z), (-y, z)]), (1, [(wide, wide)])]
+    assert RationalFunction.nonzero_groups([products for _, products in groups], V) == [1]
+    assert first_nonzero_sum(groups, V) == (1, RationalFunction(Poly(V, {(2 * BOUND, 0, 0): 1})))
 
 
 @given(polys(V, max_terms=4, max_deg=3), polys(V, max_terms=4, max_deg=3),

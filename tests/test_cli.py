@@ -276,6 +276,33 @@ def test_cli_analyze_with_a_failing_family_reports_and_exits_1(tmp_path, capsys)
     assert main(["check", "family", str(path)]) == 1
 
 
+def test_markdown_failure_lines_carry_the_certificate_detail(tmp_path, capsys):
+    # a perturbed family's markdown line is the line `biham check family`
+    # prints, and its chain's ends with the chain certificate's detail, in
+    # the analysis and when a stored report is re-emitted
+    data = export_model(open_toda(2))
+    data["families"][0]["coeffs"][0] += " + v1"
+    data.pop("expectations", None)
+    path = tmp_path / "perturbed_family.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", "family", str(path)]) == 1
+    family_line = "- " + capsys.readouterr().out.strip()
+    assert main(["analyze", str(path), "--samples", "2"]) == 1
+    stored = capsys.readouterr().out
+    chain = json.loads(stored)["chains"][0]
+    assert not chain["certificate"]["ok"]
+    chain_line = (f"- chain '{chain['name']}' (length {chain['length']}, "
+                  f"anchored={chain['anchored']}): FAIL {chain['certificate']['detail']}")
+    report_path = tmp_path / "report.json"
+    report_path.write_text(stored)
+    for argv in (["analyze", str(path), "--samples", "2"], ["report", str(report_path)]):
+        code = main(argv + ["--format", "markdown"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == (1 if argv[0] == "analyze" else 0)
+        assert family_line.startswith("- family '") and ": FAIL lambda^" in family_line
+        assert family_line in lines and chain_line in lines
+
+
 def test_cli_decompose(tmp_path, capsys):
     path = tmp_path / "k5.json"
     path.write_text(json.dumps(kronecker_pencil(3).to_json()))

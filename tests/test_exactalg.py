@@ -229,10 +229,12 @@ def test_polynomial_and_zero_results_share_one_unit_denominator(monkeypatch):
 
 def test_certificates_build_only_explicit_zero_constants(monkeypatch):
     # fresh certificates of open_toda:k=2: Jacobi, compatibility and the
-    # family; the 8 Poly.constant calls are the explicit zeros (one shared
-    # zero per stored gradient, an empty relation sum, the family's
-    # coefficients beyond its degree).  With a new unit per polynomial
-    # result this pass made 55.
+    # family; the 5 Poly.constant calls are the explicit zeros: one shared
+    # zero per stored gradient (3 functions) and the family's coefficients
+    # at lambda^-1 and lambda^(degree+1) (2).  A group the batch zero-test
+    # finds zero, an empty one included, is never summed, so no residual
+    # builds a zero; summing every relation group made 8, and a new unit
+    # per polynomial result 55.
     from biham.casimir import family_check
     from biham.models import open_toda
     from biham.poisson import BihamStructure
@@ -240,7 +242,7 @@ def test_certificates_build_only_explicit_zero_constants(monkeypatch):
     b = BihamStructure(model.structure.p1, model.structure.p2)
     calls = _count_constant_calls(monkeypatch)
     assert b.certified() and family_check(b, model.families[0]).ok
-    assert calls == [0] * 8
+    assert calls == [0] * 5
 
 
 def test_parser_errors_have_positions():
