@@ -7,8 +7,9 @@ the point, returned as ``clear_denominators`` returns their values (the
 ints and their scale), with no ``Fraction`` per entry.  A ``RowForm`` is
 built once, independent of any point, as one row of integer polynomials:
 the numerators of its functions, then the denominator of each rational
-entry, all over one coefficient lcm L and one top degree T, each term of
-degree |e| lifted by D^(T - |e|), so that
+entry, read off their packed integer forms (``poly._packed_forms``) over one
+common coefficient denominator L and one top degree T, each term of degree
+|e| lifted by D^(T - |e|), so that
 
     p_i(X / D) = S_i / (L D^T),    S_i = sum c_e X^e D^(T - |e|).
 
@@ -25,28 +26,39 @@ from math import gcd, lcm
 
 from ..errors import PoleAtPoint
 from .matrix import clear_denominators
+from .poly import _fields, _packed_forms
 
 
 def _integer_polys(polys) -> tuple:
     """(L, T, degrees, [[(c_e, T - |e|, ((i, e_i) for e_i > 0))] per poly]) over one
-    coefficient lcm L and top degree T; ``degrees`` are the highest powers of D
-    (-1) and of each x_i that the terms read."""
-    exponents = [e for p in polys for e in p.terms]
-    ints, den = clear_denominators([c for p in polys for c in p.terms.values()])
-    sizes = [sum(e) for e in exponents]
+    coefficient denominator L and top degree T; ``degrees`` are the highest powers
+    of D (-1) and of each x_i that the terms read.
+
+    Compiled from the polys' packed forms (``_packed_forms``): one field width,
+    L the lcm of their denominators, and each exponent read off its packed key,
+    so a partial (``_Partial``) is compiled without being unpacked."""
+    if not polys:
+        return 1, 0, ((-1, 0),), []
+    width, forms = _packed_forms(polys)
+    scale = lcm(*(d for d, _ in forms))
+    fields = _fields(len(polys[0].variables), width)
+    exponents = [fields(key) for _, pairs in forms for key, _ in pairs]
+    ints = [c * (scale // d) for d, pairs in forms for _, c in pairs]
+    sizes = list(map(sum, exponents))
     top = max(sizes, default=0)
     degrees = ((-1, top), *((i, k) for i, k in enumerate(map(max, zip(*exponents))) if k))
     terms = iter([(c, top - size, tuple(compress(enumerate(e), e)))
                   for c, size, e in zip(ints, sizes, exponents)])
-    return den, top, degrees, [list(islice(terms, len(p.terms))) for p in polys]
+    return scale, top, degrees, [list(islice(terms, len(pairs))) for _, pairs in forms]
 
 
 class RowForm:
     """Functions f_1..f_m compiled once for ``PointEvaluator.row``.
 
     ``terms`` holds each numerator and ``dens`` each rational entry's
-    (index, denominator terms, denominator), all over the coefficient lcm
-    ``scale`` and top degree ``top``; a polynomial row has no ``dens``.
+    (index, denominator terms, denominator), all over the common coefficient
+    denominator ``scale`` and top degree ``top``; a polynomial row has no
+    ``dens``.  It reads packed forms, so a gradient's partials stay packed.
     """
 
     __slots__ = ("scale", "top", "terms", "dens", "degrees")

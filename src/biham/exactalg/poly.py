@@ -18,14 +18,16 @@ many groups of products, each group split into parts by denominator and
 each part keyed above the monomial fields: ``RationalFunction.sum_of_products``
 sums one group and unpacks each nonzero part once, reduced once, and
 ``RationalFunction.nonzero_groups`` zero-tests every group of a certificate
-in one pass, unpacking nothing.  ``Poly.terms`` and every other reader keep
-exponent tuples.
+in one pass, unpacking nothing.
 ``RationalFunction.partials`` differentiates a polynomial in one pass over
-its terms zipped with its packed form, and hands each nonzero partial its
-packed form with it: the key lowered by one in the partial's slot and the
-integer numerator times the exponent, at the same width and denominator.
-So no zero partial is built and no partial is packed again; ``diff``
-stays for single derivatives and as the oracle.
+its terms zipped with its packed form, and each nonzero partial is that
+packed form only (a ``_Partial``): the key lowered by one in the partial's
+slot and the integer numerator times the exponent, at the same width and
+denominator, with no exponent tuple and no ``Fraction``.  A partial's
+``terms`` are unpacked on first read; the products, the zero test and the
+point rows (``evaluate.RowForm``) read the packed form, so a certificate or
+an analysis unpacks no partial.  No zero partial is built and no partial is
+packed again; ``diff`` stays for single derivatives and as the oracle.
 ``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
 answer is proved by exact division on integers (``exact_div``); the
 primitive PRS gcd is the fallback.
@@ -315,18 +317,20 @@ def _integer_terms(terms):
 # and masking the accumulated keys recovers the exponent tuples.  A Poly
 # keeps its form at W = PACK_BITS, or at the least wider W its own
 # exponents allow (a partial at its function's W); factors of unequal W are
-# repacked at the wider one, uncached, which only a factor with an exponent
-# of 2^(PACK_BITS-1) or more, or a partial of one, ever causes.
+# widened to the wider one field by field, uncached, which only a factor
+# with an exponent of 2^(PACK_BITS-1) or more, or a partial of one, causes.
 PACK_BITS = 16
 
 
 def _pack(terms, width: int):
-    """(width, d, [(packed exponent, d*c)]) with d a common denominator of the
-    coefficients; width is raised until every exponent is below 2^(width-1).
+    """(width, d, [(packed exponent, d*c)]) with d the lcm of the coefficient
+    denominators; width is raised until every exponent is below 2^(width-1).
 
-    Packed here, d is the lcm; a partial's preset form (``_poly_partials``)
-    keeps its function's d, which may be a multiple of the lcm, and its W,
-    which may be wider than its own exponents need."""
+    It reads a Poly's exponent tuples, so it runs on a Poly built from terms,
+    never on a partial: a partial's form is preset (``_poly_partials``) with
+    its function's d, which may be a multiple of the lcm, and its W, which
+    may be wider than its own exponents need, and a form is widened from its
+    packed pairs (``_widen``)."""
     n = len(next(iter(terms), ()))
     top = max(map(max, terms), default=0) if n else 0
     width = max(width, top.bit_length() + 1)
@@ -342,42 +346,96 @@ def _packed_form(p: Poly):
     return p._packed
 
 
+def _fields(n: int, width: int):
+    """The function from a packed key on n fields of ``width`` bits to its exponents."""
+    mask = (1 << width) - 1
+    shifts = range(0, width * n, width)
+    return lambda key: [(key >> s) & mask for s in shifts]
+
+
+def _widen(form, n: int, width: int):
+    """(d, pairs) of a packed form (W, d, pairs) on n fields, repacked at a wider
+    width field by field: each field's value moves from W*i to width*i."""
+    old, den, pairs = form
+    fields = _fields(n, old)
+    shifts = range(0, width * n, width)
+    return den, [(sum(map(lshift, fields(key), shifts)), c) for key, c in pairs]
+
+
 def _packed_forms(polys):
-    """The common field width and each Poly's (d, packed terms) at that width."""
+    """The common field width and each Poly's (d, packed terms) at that width.
+
+    A form narrower than the widest is widened from its packed pairs, uncached."""
     forms = [_packed_form(p) for p in polys]
     width = max(w for w, _, _ in forms)
-    return width, [(d, t) if w == width else _pack(p.terms, width)[1:]
-                   for p, (w, d, t) in zip(polys, forms)]
+    n = len(polys[0].variables)
+    return width, [form[1:] if form[0] == width else _widen(form, n, width) for form in forms]
+
+
+def _unpack_terms(pairs, den: int, n: int, width: int) -> dict:
+    """{exponent tuple: c/den} over the (packed exponent, c) pairs with c != 0."""
+    fields = _fields(n, width)
+    return {tuple(fields(key)): Fraction(c, den) for key, c in pairs if c}
+
+
+_TERMS = Poly.terms          # the slot a ``_Partial`` fills on its first read of ``terms``
+
+
+class _Partial(Poly):
+    """A polynomial's partial derivative, held as its packed form (W, d, pairs).
+
+    ``terms`` shadows the slot: it unpacks the pairs into it on first read,
+    and after that reads it.  ``is_zero`` reads the pairs, and products,
+    ``_accumulate`` and ``RowForm`` read the packed form, so none of them
+    unpacks.  Equality and hashing read ``terms``, as an eager Poly's do."""
+
+    __slots__ = ()
+
+    def __init__(self, variables, packed):
+        self.variables = variables
+        self._hash = None
+        self._packed = packed
+
+    @property
+    def terms(self):
+        try:
+            return _TERMS.__get__(self)
+        except AttributeError:
+            width, den, pairs = self._packed
+            terms = _unpack_terms(pairs, den, len(self.variables), width)
+            _TERMS.__set__(self, terms)
+            return terms
+
+    def is_zero(self) -> bool:
+        return not self._packed[2]
+
+    def __reduce__(self):
+        # copy and pickle rebuild the packed form; the slots would set ``terms``
+        return _Partial, (self.variables, self._packed)
 
 
 def _poly_partials(p: Poly) -> dict:
-    """{i: d p / d x_i} over the nonzero partials, each with its packed form preset.
+    """{i: d p / d x_i} over the nonzero partials, each a ``_Partial``.
 
-    One pass over p's terms zipped with its packed form (W, d, pairs): a
-    term c x^e with e_i = k > 0 gives partial i the term c*k x^(e - 1_i),
-    packed as (key - 2^(W*i), d*c*k) at the same W and over the same d.
+    One pass over p's exponents zipped with its packed form (W, d, pairs): a
+    term c x^e with e_i = k > 0 gives partial i the pair (key - 2^(W*i), d*c*k)
+    at the same W and over the same d, and no exponent tuple or ``Fraction``.
     Lowering slot i is one-to-one on the terms that hold x_i, so no two
-    terms meet and nothing is summed; W still bounds every exponent, and d
-    is a common denominator of the partial's coefficients.
+    terms meet and nothing is summed or filtered; W still bounds every
+    exponent, and d is a common denominator of the partial's coefficients.
     """
     width, den, packed = _packed_form(p)
     units = [1 << s for s in range(0, width * len(p.variables), width)]
     slots: dict = {}
-    for (e, c), (key, k) in zip(p.terms.items(), packed):
+    for e, (key, k) in zip(p.terms, packed):
         for i, ei in enumerate(e):
             if ei:
-                slot = slots.get(i)
-                if slot is None:
-                    slot = slots[i] = ({}, [])
-                dc, dk = (c, k) if ei == 1 else (c * ei, k * ei)
-                slot[0][e[:i] + (ei - 1,) + e[i + 1:]] = dc
-                slot[1].append((key - units[i], dk))
-    out = {}
-    for i in sorted(slots):
-        terms, ints = slots[i]
-        d = out[i] = Poly(p.variables, terms)
-        d._packed = (width, den, ints)
-    return out
+                pairs = slots.get(i)
+                if pairs is None:
+                    pairs = slots[i] = []
+                pairs.append((key - units[i], k if ei == 1 else k * ei))
+    variables = p.variables
+    return {i: _Partial(variables, (width, den, slots[i])) for i in sorted(slots)}
 
 
 def _add_product(acc: dict, num1, num2, k: int, offset: int):
@@ -436,10 +494,7 @@ def _accumulate(groups, variables):
 
 def _unpack(acc: dict, den: int, variables, width: int) -> Poly:
     """The Poly sum (c/den) x^e over the accumulator's nonzero packed terms."""
-    mask = (1 << width) - 1
-    shifts = range(0, width * len(variables), width)
-    return Poly(variables, {tuple([(key >> s) & mask for s in shifts]): Fraction(c, den)
-                            for key, c in acc.items() if c})
+    return Poly(variables, _unpack_terms(acc.items(), den, len(variables), width))
 
 
 # -- truncated power series ------------------------------------------------
@@ -867,9 +922,10 @@ class RationalFunction:
         """{i: d self / d x_i} over the nonzero partials, in variable order.
 
         A polynomial is differentiated in one pass over its terms
-        (``_poly_partials``) and its partials keep the denominator 1; a
-        quotient goes through ``diff``, only in the variables its numerator
-        or denominator holds.  ``diff`` stays the oracle.
+        (``_poly_partials``), each partial a packed form only, over the
+        denominator 1; a quotient goes through ``diff``, only in the
+        variables its numerator or denominator holds.  ``diff`` stays the
+        oracle.
         """
         if self.den.is_constant():
             den = self.den

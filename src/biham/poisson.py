@@ -24,8 +24,9 @@ keeps its skew rows (``skew_rows``, the entries with their negatives) and a
 share), and every product reuses those objects.  Every derivative comes
 from one ``RationalFunction.partials`` call per function: a table entry's
 nonzero partials, or a gradient with one shared zero in the other slots;
-a polynomial's partials arrive with their packed forms, so no zero partial
-is built and no partial is packed again.
+a polynomial's partials are their packed forms only, so no zero partial is
+built and no partial is packed again, and none is unpacked: the products,
+the zero test and the gradient rows all read the packed form.
 
 ``first_nonzero_sum`` zero-tests every certificate residual, one (key,
 products) group by coordinate triple for Jacobi and compatibility, by

@@ -11,22 +11,29 @@ sum, must equal the one-product-at-a-time loops exactly; products on packed
 monomials must equal schoolbook Fraction products, also at exponents past
 the packed field bound; each function's ``partials`` must equal its
 ``diff`` in every variable, and a polynomial partial's preset packed form
-must multiply as a freshly packed one does; and the heuristic
+must multiply as a freshly packed one does and compile into point rows
+that equal ``RationalFunction.eval``, with no certificate or analysis
+unpacking a partial's terms; and the heuristic
 gcd and integer division must equal the primitive PRS gcd and Fraction long
 division.
 """
 
+import copy
 from fractions import Fraction
+import pickle
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from biham.casimir import LambdaFamily, family_check
+from biham.errors import PoleAtPoint
 import biham.exactalg.poly as poly_module
-from biham.exactalg import Poly, RationalFunction, exact_div, parse_rational, poly_gcd
+from biham.exactalg import (PointEvaluator, Poly, RationalFunction, RowForm,
+                            clear_denominators, exact_div, parse_rational, poly_gcd)
 from biham import lenard
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import flat_kronecker, make_model, open_toda, periodic_toda, sl2_shift
+from biham.report import run_analyze
 from biham.poisson import (BihamStructure, PoissonStructure, compatibility_check,
                            first_nonzero_sum)
 
@@ -525,19 +532,59 @@ def differentiable(draw):
     return RationalFunction(draw(polys(variables, max_terms=3, max_deg=3)), den)
 
 
-@given(differentiable())
+def _point(draw, f):
+    """A rational point; at -1, 0 and 1 only when f holds an exponent past the
+    packed field bound, since a point's power tables keep every power up to
+    the top degree (no parsed coefficient has an exponent above 64)."""
+    top = max((k for p in (f.num, f.den) for e in p.terms for k in e), default=0)
+    coords = (st.sampled_from([-1, 0, 1]) if top >= BOUND - 1
+              else st.fractions(min_value=-3, max_value=3, max_denominator=4))
+    return tuple(draw(coords) for _ in f.variables)
+
+
+def _cleared_by_eval(row, point):
+    """clear_denominators of each function's ``RationalFunction.eval``, or PoleAtPoint."""
+    try:
+        return clear_denominators([g.eval(point) for g in row])
+    except PoleAtPoint:
+        return PoleAtPoint
+
+
+def _cleared_by_row_form(row, point):
+    try:
+        return PointEvaluator(point).row(RowForm(row))
+    except PoleAtPoint:
+        return PoleAtPoint
+
+
+@given(differentiable(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_partials_match_diff_and_their_preset_packed_forms(f):
+def test_partials_match_diff_and_their_preset_packed_forms(f, data):
     variables = f.variables
     want = {i: d for i, d in ((i, f.diff(v)) for i, v in enumerate(variables))
             if not d.is_zero()}
     got = f.partials()
+    # a lazily unpacked partial hashes, then compares, as the eager Poly with
+    # its terms, and comes through copy and pickle unchanged
+    for i, d in f.partials().items():
+        assert hash(d.num) == hash(Poly(variables, want[i].num.terms))
+        assert copy.copy(d.num) == pickle.loads(pickle.dumps(d.num)) == want[i].num
     assert got == want
     assert list(got) == sorted(got)
+    # the partials' rows, and the partials with a quotient, at a point: each
+    # RowForm compiled from packed forms equals the Fraction evaluation
+    point = _point(data.draw, f)
+    rows = [list(f.partials().values())]
+    if variables:
+        quotient = RationalFunction(Poly.constant(1, variables), _linear_denominator(
+            data.draw, variables))
+        rows.append(rows[0] + [quotient] + list(quotient.partials().values()))
+    for row in rows:
+        assert _cleared_by_row_form(row, point) == _cleared_by_eval(row, point)
     if not f.is_polynomial():
         return
     # paired with 1, packed at PACK_BITS, every product reads the partial's
-    # preset form, never a repacked one
+    # preset form, never a repacked one, and sums as its eager copy does
     one = RationalFunction.constant(1, variables)
     for d in got.values():
         assert d.is_polynomial() and d.num._packed is not None
@@ -546,6 +593,27 @@ def test_partials_match_diff_and_their_preset_packed_forms(f):
             swapped = [(fresh if u is d else u, fresh if v is d else v) for u, v in pairs]
             assert (RationalFunction.sum_of_products(pairs, variables)
                     == RationalFunction.sum_of_products(swapped, variables))
+
+
+def test_narrow_forms_widen_from_their_packed_pairs():
+    # f holds x^(2^15), so f and its partials pack at W = PACK_BITS + 1, and a
+    # PACK_BITS factor beside them is widened field by field; g's partials
+    # are at PACK_BITS and are widened beside the wide one
+    f = Poly(V, {(BOUND, 1, 0): Fraction(1, 3), (1, 2, 0): Fraction(-3, 2), (0, 0, 1): 5})
+    g = Poly(V, {(2, 1, 1): Fraction(7, 5), (0, 3, 0): -1, (1, 0, 0): Fraction(1, 2)})
+    wide = poly_module._poly_partials(f)
+    narrow = poly_module._poly_partials(g)
+    assert {d._packed[0] for d in wide.values()} == {poly_module.PACK_BITS + 1}
+    assert {d._packed[0] for d in narrow.values()} == {poly_module.PACK_BITS}
+    factors = [f, g, *wide.values(), *narrow.values()]
+    width, forms = poly_module._packed_forms(factors)
+    assert width == poly_module.PACK_BITS + 1
+    eager = [Poly(V, dict(p.terms)) for p in factors]
+    for q, (d, pairs) in zip(eager, forms):
+        assert poly_module._unpack_terms(pairs, d, len(V), width) == q.terms
+    for p, q in zip(factors, eager):
+        for r, s in zip(factors, eager):
+            assert (p * r).terms == schoolbook_product(q, s)
 
 
 @pytest.mark.parametrize("variables", [(), V])
@@ -557,7 +625,7 @@ def test_partials_of_zero_and_constants_are_empty(variables):
 def test_polynomial_certificates_differentiate_each_function_once(monkeypatch):
     # open Toda is polynomial: its Jacobi, compatibility and family
     # certificates call partials once per table entry and once per family
-    # function, and no partial goes through diff or is packed again
+    # function, and no partial goes through diff, is packed again or is unpacked
     model = make_model("open_toda", k="4")
     b = BihamStructure(model.structure.p1, model.structure.p2)
     calls, packed = [], []
@@ -568,8 +636,8 @@ def test_polynomial_certificates_differentiate_each_function_once(monkeypatch):
         return partials(self)
 
     def counted_pack(terms, width):
-        packed.append(terms)          # kept alive, so no two ids coincide
-        return pack(terms, width)
+        packed.append(pack(terms, width))    # kept alive, so no two ids coincide
+        return packed[-1]
 
     def refused(*args):
         raise AssertionError("diff ran on a polynomial")
@@ -578,6 +646,7 @@ def test_polynomial_certificates_differentiate_each_function_once(monkeypatch):
     monkeypatch.setattr(poly_module, "_pack", counted_pack)
     monkeypatch.setattr(RationalFunction, "diff", refused)
     monkeypatch.setattr(Poly, "diff", refused)
+    unpacked = _count_unpacks(monkeypatch)
     assert all(b.verify().values())
     for fam in model.families:
         assert family_check(b, fam).ok
@@ -589,4 +658,48 @@ def test_polynomial_certificates_differentiate_each_function_once(monkeypatch):
     derived = [d for partials_of in b.partials() for _, derivs in partials_of
                for _, d in derivs]
     derived += [d for f in functions for d in b.gradient(f) if not d.is_zero()]
-    assert derived and not {id(d.num.terms) for d in derived} & {id(t) for t in packed}
+    # every partial keeps the form it was given, none packed from its terms
+    assert derived and all(type(d.num) is poly_module._Partial for d in derived)
+    assert not {id(d.num._packed) for d in derived} & {id(form) for form in packed}
+    assert unpacked == []
+
+
+def _count_unpacks(monkeypatch) -> list:
+    """A list that gets each ``_Partial`` whose terms are read, for this test."""
+    seen = []
+    read = poly_module._Partial.terms.fget
+
+    def counted(self):
+        seen.append(self)
+        return read(self)
+
+    monkeypatch.setattr(poly_module._Partial, "terms", property(counted))
+    return seen
+
+
+@pytest.mark.parametrize("spec", ["open_toda:k=4", "periodic_toda:k=4",
+                                  "two_family:eta=t^3", "m_f:f=x+y"])
+def test_certificates_and_analysis_unpack_no_partial(monkeypatch, spec):
+    # every certificate and every gradient row reads a partial's packed form
+    name, _, arg = spec.partition(":")
+    params = dict([arg.split("=", 1)])
+    made = []
+    init = poly_module._Partial.__init__
+
+    def counted_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(poly_module._Partial, "__init__", counted_init)
+    unpacked = _count_unpacks(monkeypatch)
+    model = make_model(name, **params)
+    b = model.structure
+    assert all(b.verify().values())
+    for fam in model.families:
+        assert family_check(b, fam).ok
+        chain = chain_from_family(b, fam)
+        assert verify_chain(chain).ok
+        assert involution_check(chain.functions, b).ok
+    report = run_analyze(make_model(name, **params), samples=4)
+    assert made and report.mismatches == []
+    assert unpacked == []
