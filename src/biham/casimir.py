@@ -44,7 +44,7 @@ class LambdaFamily:
     def coeff(self, k: int) -> RationalFunction:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
-        return RationalFunction.constant(0, self.coeffs[0].variables)
+        return RationalFunction.zero(self.coeffs[0].variables)
 
 
 def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:
@@ -52,21 +52,24 @@ def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:
 
     The lambda coefficients are the chain relations: P2 grad f_0 = 0,
     P1 grad f_{k-1} + P2 grad f_k = 0, and P1 grad f_d = 0.  The
-    certificate is proved once per structure and family coefficients, and
-    each relation once per structure (``BihamStructure.relation``).
+    certificate is proved once per structure and family coefficients.  Its
+    d + 2 relations are zero-tested in one ``first_nonzero_sum``, grouped (k,
+    coordinate) in that order, so the first failing group is the first
+    failing lambda power's first failing coordinate, and each relation it
+    decides is stored under ``BihamStructure.relation``'s key, where chains
+    and anchors read it (``BihamStructure.first_failing_relation``).
     """
     return b.certificate(("family", fam.coeffs), lambda: _prove_family(b, fam))
 
 
 def _prove_family(b: BihamStructure, fam: LambdaFamily) -> Certificate:
-    for k in range(fam.degree + 2):
-        failure = b.relation(fam.coeff(k - 1), fam.coeff(k))
-        if failure is not None:
-            j, residual = failure
-            return Certificate(
-                False, "family",
-                f"lambda^{k} coefficient fails at {b.variables[j]}: {residual}")
-    return Certificate(True, "family")
+    failure = b.first_failing_relation([(fam.coeff(k - 1), fam.coeff(k))
+                                        for k in range(fam.degree + 2)])
+    if failure is None:
+        return Certificate(True, "family")
+    k, (j, residual) = failure
+    return Certificate(False, "family",
+                       f"lambda^{k} coefficient fails at {b.variables[j]}: {residual}")
 
 
 def w1_span_dim(b: BihamStructure, families, at: PointAnalysis) -> int:
@@ -216,7 +219,7 @@ def web_flatness(b: BihamStructure):
     """
     if b.dim != 3 or not b.certified():
         return None
-    w1, w2 = ((p.coeff(1, 2), -p.coeff(0, 2), p.coeff(0, 1)) for p in (b.p1, b.p2))
+    w1, w2 = ((p.coeff(1, 2), p.coeff(2, 0), p.coeff(0, 1)) for p in (b.p1, b.p2))
     n = _cross(w1, w2)
     j = next((j for j in range(3) if not n[j].is_zero()), None)
     if j is None:
@@ -239,6 +242,6 @@ def _cross(u, v) -> tuple:
 
 
 def _curl(w) -> tuple:
-    zero = RationalFunction.constant(0, w[0].variables)
+    zero = RationalFunction.zero(w[0].variables)
     d = [c.partials() for c in w]
     return tuple(d[j].get(i, zero) - d[i].get(j, zero) for i, j in _CYCLE)

@@ -13,12 +13,14 @@ addition.  Each Poly keeps its packed integer form (a common denominator
 of its coefficients and the (packed exponent, integer numerator) pairs) in
 a lazily filled slot, so a gradient or a table entry that enters many
 products is scaled and packed once.  ``Poly.__mul__`` accumulates one
-product.  Sums of products go through ``_accumulate``, one accumulator for
-many groups of products, each group split into parts by denominator and
-each part keyed above the monomial fields: ``RationalFunction.sum_of_products``
-sums one group and unpacks each nonzero part once, reduced once, and
+product.  Sums of products go through ``_accumulate``, which packs the
+factors of many groups of products once and sums each group in its own
+accumulator, split into parts by denominator, each part keyed above the
+monomial fields: ``RationalFunction.sum_of_products`` sums one group and
+unpacks each nonzero part once, reduced once, and
 ``RationalFunction.nonzero_groups`` zero-tests every group of a certificate
-in one pass, unpacking nothing.
+in one call, unpacking nothing; no dict grows with the whole certificate,
+which on a large structure would slow every product.
 ``RationalFunction.partials`` differentiates a polynomial in one pass over
 its terms zipped with its packed form, and each nonzero partial is that
 packed form only (a ``_Partial``): the key lowered by one in the partial's
@@ -28,6 +30,12 @@ denominator, with no exponent tuple and no ``Fraction``.  A partial's
 point rows (``evaluate.RowForm``) read the packed form, so a certificate or
 an analysis unpacks no partial.  No zero partial is built and no partial is
 packed again; ``diff`` stays for single derivatives and as the oracle.
+Each partial is wrapped as built, over the polynomial's denominator 1,
+with none of ``RationalFunction.__init__``'s checks, which it meets by
+construction (``_wrapped``), and every absent partial or coefficient is the
+one zero of its variable tuple (``RationalFunction.zero``): once a
+polynomial structure's skew rows are built, a passing certificate on it
+builds no ``RationalFunction``.
 ``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
 answer is proved by exact division on integers (``exact_div``); the
 primitive PRS gcd is the fallback.
@@ -451,45 +459,48 @@ def _add_product(acc: dict, num1, num2, k: int, offset: int):
 
 
 def _accumulate(groups, variables):
-    """Every group's sum of products u*v in one integer accumulator, by part.
+    """Each group's sum of products u*v on packed monomials, by part, one group at a time.
 
     ``groups`` are lists of (u, v) pairs of RationalFunctions.  A part is a
     group's products over one denominator: u.den * v.den, with a polynomial
     factor counting as 1, so a group's polynomial products are one part.
     Whether a factor is polynomial, and its packed numerator, are read once
-    per factor object, at one field width W for all.  A product is weighted
-    so that both factors are over one integer denominator L, the lcm of
-    theirs, and a part's accumulated coefficients are L^2 times its
-    numerator products' sum.  Part i's keys are its packed monomials plus
-    i << (W*n), above every monomial field, which no carry reaches
-    (``PACK_BITS``).
+    per factor object, over all the groups, at one field width W for all.
+    A product is weighted so that both factors are over one integer
+    denominator L, the lcm of theirs, and a part's accumulated coefficients
+    are L^2 times its numerator products' sum.  Part i's keys are its packed
+    monomials plus i << (W*n), above every monomial field, which no carry
+    reaches (``PACK_BITS``).  Each group has its own accumulator, built when
+    the caller reaches it, so no dict holds more than one group's monomials.
 
-    Returns (acc, parts, W, L^2), parts[i] = (group index, denominator Poly,
-    or None for 1).
+    Returns (W, L^2, sums); sums yields (acc, dens) per group, in order,
+    dens[i] part i's denominator Poly, or None for 1.
     """
     factors = {id(f): f for pairs in groups for pair in pairs for f in pair}
-    if not factors:
-        return {}, [], PACK_BITS, 1
-    width, forms = _packed_forms([f.num for f in factors.values()])
-    scale = lcm(*(d for d, _ in forms))
-    unit = _unit(tuple(variables))
-    form = {key: (None if f.den is unit or f.den.is_constant() else f.den, scale // d, terms)
-            for key, f, (d, terms) in zip(factors, factors.values(), forms)}
+    width, scale, form = PACK_BITS, 1, {}
+    if factors:
+        width, forms = _packed_forms([f.num for f in factors.values()])
+        scale = lcm(*(d for d, _ in forms))
+        unit = _unit(tuple(variables))
+        form = {key: (None if f.den is unit or f.den.is_constant() else f.den, scale // d, terms)
+                for key, f, (d, terms) in zip(factors, factors.values(), forms)}
     shift = width * len(variables)
-    acc: dict = {}
-    parts = []
-    for g, pairs in enumerate(groups):
-        index = {}
-        for u, v in pairs:
-            du, su, tu = form[id(u)]
-            dv, sv, tv = form[id(v)]
-            den = dv if du is None else du if dv is None else du * dv
-            offset = index.get(den)
-            if offset is None:
-                offset = index[den] = len(parts) << shift
-                parts.append((g, den))
-            _add_product(acc, tu, tv, su * sv, offset)
-    return acc, parts, width, scale * scale
+
+    def sums():
+        for pairs in groups:
+            acc: dict = {}
+            index: dict = {}        # part denominator -> its offset
+            for u, v in pairs:
+                du, su, tu = form[id(u)]
+                dv, sv, tv = form[id(v)]
+                den = dv if du is None else du if dv is None else du * dv
+                offset = index.get(den)
+                if offset is None:
+                    offset = index[den] = len(index) << shift
+                _add_product(acc, tu, tv, su * sv, offset)
+            yield acc, list(index)
+
+    return width, scale * scale, sums()
 
 
 def _unpack(acc: dict, den: int, variables, width: int) -> Poly:
@@ -779,6 +790,15 @@ def _unit(variables) -> Poly:
     return Poly.constant(1, variables)
 
 
+def _wrapped(num: Poly, den: Poly) -> "RationalFunction":
+    """num/den as they stand, for a pair that is already a reduced, normalized
+    RationalFunction: none of ``RationalFunction.__init__``'s checks runs."""
+    out = object.__new__(RationalFunction)
+    out.num = num
+    out.den = den
+    return out
+
+
 class RationalFunction:
     """Reduced quotient of two Polys over a common variable tuple."""
 
@@ -812,6 +832,12 @@ class RationalFunction:
     def constant(cls, c, variables) -> "RationalFunction":
         return cls.from_poly(Poly.constant(c, variables))
 
+    @staticmethod
+    @cache
+    def zero(variables) -> "RationalFunction":
+        """The zero over the variable tuple, one shared object per tuple."""
+        return _wrapped(Poly.zero(variables), _unit(variables))
+
     @classmethod
     def sum_of_products(cls, pairs, variables) -> "RationalFunction":
         """Sum of u*v over (u, v) pairs of RationalFunctions, exactly.
@@ -823,16 +849,17 @@ class RationalFunction:
         gcd reduction per part, none for a polynomial part, instead of one
         per product.
         """
-        acc, parts, width, common = _accumulate([list(pairs)], variables)
+        width, common, sums = _accumulate([list(pairs)], variables)
+        acc, dens = next(sums)
         split = [acc]
-        if len(parts) > 1:
+        if len(dens) > 1:
             shift = width * len(variables)
             mask = (1 << shift) - 1
-            split = [{} for _ in parts]
+            split = [{} for _ in dens]
             for key, c in acc.items():
                 split[key >> shift][key & mask] = c
         total = None
-        for (_, den), terms in zip(parts, split):
+        for den, terms in zip(dens, split):
             num = _unpack(terms, common, variables, width)
             if num.is_zero():
                 continue
@@ -843,17 +870,18 @@ class RationalFunction:
     @staticmethod
     def nonzero_groups(groups, variables) -> list:
         """The indices, in order, of the groups of (u, v) pairs whose sum of
-        u*v may be nonzero, all zero-tested in one ``_accumulate`` pass.
+        u*v may be nonzero, all zero-tested in one ``_accumulate`` call.
 
-        A group left out has every part zero, so its sum, the sum of its
-        parts over their denominators, is zero.  A polynomial group is one
-        part and is listed exactly when its sum is nonzero; a rational
-        group's parts over different denominators may still cancel, which
-        only ``sum_of_products`` decides.
+        The factors are packed once for all the groups, and each group is
+        summed in its own accumulator, dropped once tested.  A group left out
+        has every part zero, so its sum, the sum of its parts over their
+        denominators, is zero.  A polynomial group is one part and is listed
+        exactly when its sum is nonzero; a rational group's parts over
+        different denominators may still cancel, which only
+        ``sum_of_products`` decides.
         """
-        acc, parts, width, _ = _accumulate(groups, variables)
-        shift = width * len(variables)
-        return sorted({parts[key >> shift][0] for key, c in acc.items() if c})
+        _, _, sums = _accumulate(groups, variables)
+        return [g for g, (acc, _) in enumerate(sums) if any(acc.values())]
 
     @property
     def variables(self):
@@ -922,15 +950,16 @@ class RationalFunction:
         """{i: d self / d x_i} over the nonzero partials, in variable order.
 
         A polynomial is differentiated in one pass over its terms
-        (``_poly_partials``), each partial a packed form only, over the
-        denominator 1; a quotient goes through ``diff``, only in the
-        variables its numerator or denominator holds.  ``diff`` stays the
-        oracle.
+        (``_poly_partials``), each partial a packed form only, wrapped as
+        built over the polynomial's own denominator 1 (``_wrapped``): a
+        partial is nonzero and over 1, so it is reduced and normalized
+        already and no check of ``__init__`` runs.  A quotient goes through
+        ``diff``, only in the variables its numerator or denominator holds.
+        ``diff`` stays the oracle.
         """
         if self.den.is_constant():
             den = self.den
-            return {i: RationalFunction(d, den, reduce=False)
-                    for i, d in _poly_partials(self.num).items()}
+            return {i: _wrapped(d, den) for i, d in _poly_partials(self.num).items()}
         held = {i for p in (self.num, self.den) for e in p.terms
                 for i, k in enumerate(e) if k}
         out = {}

@@ -18,26 +18,33 @@ their coefficient gradients are independent.  ``bivector_at`` evaluates
 each table entry with ``RationalFunction.eval``, sharing no code with
 ``pencil_at``, and stays the pencil's oracle.  Exact products read each
 factor's packed integer form, which a ``Poly`` builds once; so a structure
-keeps its skew rows (``skew_rows``, the entries with their negatives) and a
-``BihamStructure`` its gradients and its two tables' partials
-(``schouten_partials``, which its Jacobi and compatibility certificates
-share), and every product reuses those objects.  Every derivative comes
-from one ``RationalFunction.partials`` call per function: a table entry's
-nonzero partials, or a gradient with one shared zero in the other slots;
-a polynomial's partials are their packed forms only, so no zero partial is
-built and no partial is packed again, and none is unpacked: the products,
-the zero test and the gradient rows all read the packed form.
+keeps its skew rows (``skew_rows``, {i: {j: Pi^{ij}}} with both signs of
+every entry, which the Schouten terms and ``coeff`` read instead of
+negating an entry) and a ``BihamStructure`` its gradients and its two
+tables' partials (``schouten_partials``, which its Jacobi and
+compatibility certificates share), and every product reuses those
+objects.  Every derivative comes from one ``RationalFunction.partials``
+call per function: a table entry's nonzero partials, or a gradient with
+the variable tuple's shared ``RationalFunction.zero`` in the other slots;
+a polynomial's partials are their packed forms only, wrapped as built, so
+no zero partial is built and no partial is packed again, and none is
+unpacked: the products, the zero test and the gradient rows all read the
+packed form.  Once a polynomial structure's skew rows are built, a passing
+certificate on it builds no ``RationalFunction``.
 
 ``first_nonzero_sum`` zero-tests every certificate residual, one (key,
 products) group by coordinate triple for Jacobi and compatibility, by
 coordinate for the relations sum P grad f = 0 (a Casimir, a family's lambda
-coefficient, a Lenard step).  All of a certificate's groups go into one
-integer accumulator on packed monomials (``RationalFunction.nonzero_groups``),
-so a group that vanishes builds no ``RationalFunction``; only a group that
+coefficient, a Lenard step).  All of a certificate's groups are zero-tested
+on packed monomials in one ``RationalFunction.nonzero_groups`` call, so a
+group that vanishes builds no ``RationalFunction``; only a group that
 may not vanish is summed exactly by ``RationalFunction.sum_of_products``,
 which gives the residual of a failure.  A ``BihamStructure`` keeps each function's gradient and each
-relation's result, never a covector.  The stored relations are read by
-``casimir.family_check`` (one per lambda coefficient), by
+relation's result, never a covector; ``first_failing_relation`` zero-tests
+all the relations it is given that are not stored yet in one
+``first_nonzero_sum`` and stores each it decides.  The stored relations are
+written by ``casimir.family_check`` (one zero test for the family's lambda
+coefficients) and read by
 ``lenard.chain_from_family`` and ``lenard.verify_chain`` (the anchor and the
 recurrence steps) and by ``lenard.involution_check``, which skips every
 bracket the proved Lenard steps make zero by Magri's recursion and sums
@@ -132,30 +139,29 @@ class PoissonStructure:
         return coeff
 
     def coeff(self, i: int, j: int) -> RationalFunction:
-        """Pi^{ij} with the skew extension (zero on the diagonal)."""
-        entry = self.table.get((min(i, j), max(i, j)))
-        if entry is None:
-            return RationalFunction.constant(0, self.variables)
-        return entry if i < j else -entry
+        """Pi^{ij} with the skew extension, read off the skew rows (zero on the diagonal)."""
+        entry = self.skew_rows().get(i, {}).get(j)
+        return RationalFunction.zero(self.variables) if entry is None else entry
 
     def skew_rows(self) -> dict:
-        """Row i of the skew table: [(j, Pi^{ij})] over its nonzero entries.
+        """{i: {j: Pi^{ij}}} over the nonzero entries, both signs of each.
 
         Built once per structure, so every contraction and Schouten residual
-        multiplies the same entry objects, whose integer forms are cached.
+        multiplies the same entry objects, whose integer forms are cached;
+        a caller reads -Pi^{ij} as the stored Pi^{ji} and negates no entry.
         """
         if self._rows is None:
             rows: dict = {}
             for (i, j), c in self.table.items():
-                rows.setdefault(i, []).append((j, c))
-                rows.setdefault(j, []).append((i, -c))
+                rows.setdefault(i, {})[j] = c
+                rows.setdefault(j, {})[i] = -c
             self._rows = rows
         return self._rows
 
     def gradient(self, f: RationalFunction) -> tuple:
-        """(d_0 f, ..., d_{n-1} f): f's nonzero ``partials``, one shared zero elsewhere."""
+        """(d_0 f, ..., d_{n-1} f): f's nonzero ``partials``, the shared zero elsewhere."""
         partials = self._coerce(f).partials()
-        zero = RationalFunction.constant(0, self.variables)
+        zero = RationalFunction.zero(self.variables)
         return tuple(partials.get(i, zero) for i in range(self.dim))
 
     def hamiltonian_covector(self, f) -> tuple:
@@ -235,8 +241,8 @@ def _present(p: PoissonStructure, f):
 def first_nonzero_sum(groups, variables):
     """First (key, residual) of the (key, products) groups whose sum is nonzero, else None.
 
-    Every group is zero-tested in one integer accumulator
-    (``RationalFunction.nonzero_groups``), and only a group that may be
+    Every group is zero-tested in one ``RationalFunction.nonzero_groups``
+    call, and only a group that may be
     nonzero is summed, in the order given, by ``sum_of_products``, which
     decides it and gives the residual.  The loop that sums every group in
     turn stays the oracle in the tests.
@@ -261,7 +267,7 @@ def _contraction(terms, dim: int) -> list:
             continue
         for i, row in p.skew_rows().items():
             if not grad[i].is_zero():
-                for j, c in row:
+                for j, c in row.items():
                     groups[j].append((c, grad[i]))
     return groups
 
@@ -314,8 +320,11 @@ def _schouten_failure(pairs, variables):
     permutations (a, b, c) of it.  Only nonzero entries Q^{bc} (b < c),
     their nonzero derivatives and the nonzero P^{la} contribute, each once,
     as the product (+-P^{la}, d_l Q^{bc}) with the sign of (a, b, c) as a
-    permutation of the sorted triple.  [P, P] is the Jacobiator; (P1, P2)
-    with (P2, P1) is the mixed term of the pencil.
+    permutation of the sorted triple.  The odd sign's -P^{la} is P^{al},
+    read off P's ``skew_rows``, which hold both signs of every entry, so no
+    entry is negated and every factor's packed form is built once per
+    structure.  [P, P] is the Jacobiator; (P1, P2) with (P2, P1) is the
+    mixed term of the pencil.
     """
     terms: dict = {}
     for p, partials in pairs:
@@ -324,11 +333,11 @@ def _schouten_failure(pairs, variables):
             for l, dl in derivs:
                 if l not in rows:
                     continue
-                for a, pla in rows[l]:
+                for a, pla in rows[l].items():
                     if a < b:
                         key = (a, b, c)
                     elif b < a < c:
-                        key, pla = (b, a, c), -pla
+                        key, pla = (b, a, c), rows[a][l]
                     elif a > c:
                         key = (b, c, a)
                     else:
@@ -401,10 +410,58 @@ class BihamStructure:
         relation (f_d, 0) and a chain's anchor (H_0, None) share one result.
         Only the result is kept, never a covector.
         """
-        f, g = _present(self.p1, f), _present(self.p1, g)
-        return self.certificate(("relation", f, g), lambda: relation_failure(
-            ((p, None if h is None else self.gradient(h))
-             for p, h in ((self.p1, f), (self.p2, g))), self.variables))
+        key = self._relation_key(f, g)
+        if key not in self._certificates:
+            self._prove_relations([key])
+        return self._certificates[key]
+
+    def first_failing_relation(self, pairs):
+        """First (index, ``relation``) over the (f, g) pairs that fails, else None.
+
+        The relations not stored yet are proved in one zero test
+        (``_prove_relations``), so the result and the store are those of
+        ``relation`` called on the pairs in order until one fails.
+        """
+        keys = [self._relation_key(f, g) for f, g in pairs]
+        self._prove_relations(keys)
+        stored = self._certificates
+        return next(((i, stored[key]) for i, key in enumerate(keys)
+                     if stored[key] is not None), None)
+
+    def _relation_key(self, f, g) -> tuple:
+        return ("relation", _present(self.p1, f), _present(self.p1, g))
+
+    def _prove_relations(self, keys) -> None:
+        """Store the result of every relation key up to the first failing one.
+
+        The keys not stored yet, up to the first stored failure, are
+        zero-tested in one ``first_nonzero_sum``, their coordinate groups
+        keyed (index, coordinate) in that order, so the first nonzero group
+        is the first failing relation's ``relation_failure``.  Every relation
+        that call decides, each one before that failure and the failure, is
+        stored; none after it is.
+        """
+        stored = self._certificates
+        open_keys: dict = {}            # key not stored yet -> its first index
+        for i, key in enumerate(keys):
+            if key not in stored:
+                open_keys.setdefault(key, i)
+            elif stored[key] is not None:
+                break
+        if not open_keys:
+            return
+        groups = (((i, j), products) for (_, f, g), i in open_keys.items()
+                  for j, products in enumerate(_contraction(
+                      ((p, None if h is None else self.gradient(h))
+                       for p, h in ((self.p1, f), (self.p2, g))), self.dim)))
+        failure = first_nonzero_sum(groups, self.variables)
+        decided = len(keys) if failure is None else failure[0][0]
+        for key, i in open_keys.items():
+            if i < decided:
+                stored[key] = None
+        if failure is not None:
+            (i, j), residual = failure
+            stored[keys[i]] = (j, residual)
 
     def partials(self) -> tuple:
         """The two brackets' ``schouten_partials``, differentiated once per structure.

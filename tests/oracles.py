@@ -427,6 +427,19 @@ def loop_family_check(b, fam):
     return Certificate(True, "family")
 
 
+def per_relation_family_check(b, fam):
+    """The family certificate one stored ``BihamStructure.relation`` at a time,
+    each lambda power zero-tested in its own accumulator, in order."""
+    for k in range(fam.degree + 2):
+        failure = b.relation(fam.coeff(k - 1), fam.coeff(k))
+        if failure is not None:
+            j, residual = failure
+            return Certificate(
+                False, "family",
+                f"lambda^{k} coefficient fails at {b.variables[j]}: {residual}")
+    return Certificate(True, "family")
+
+
 def loop_verify_chain(chain):
     """The anchor, then P2 grad H_i + P1 grad H_{i+1} = 0 for consecutive pairs."""
     b = chain.structure

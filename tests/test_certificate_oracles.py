@@ -499,6 +499,30 @@ def test_one_wide_factor_widens_the_field_of_every_group():
     assert first_nonzero_sum(groups, V) == (1, RationalFunction(Poly(V, {(2 * BOUND, 0, 0): 1})))
 
 
+def test_groups_are_packed_once_and_summed_in_their_own_accumulators(monkeypatch):
+    # one packing pass for every factor, but no dict holds two groups'
+    # monomials, so an accumulator never grows with the whole certificate
+    x, y, z = (parse_rational(name, V) for name in V)
+    groups = [[(x, y), (-x, y)], [(y, z)], [], [(x, z), (z, x)]]
+    packed, accs = [], []
+    pack, add = poly_module._packed_forms, poly_module._add_product
+
+    def counted_pack(*args):
+        packed.append(args)
+        return pack(*args)
+
+    def recorded_add(acc, *args):
+        accs.append(acc)
+        add(acc, *args)
+
+    monkeypatch.setattr(poly_module, "_packed_forms", counted_pack)
+    monkeypatch.setattr(poly_module, "_add_product", recorded_add)
+    assert RationalFunction.nonzero_groups(groups, V) == [1, 3]
+    assert len(packed) == 1
+    ids = [id(acc) for acc in accs]
+    assert ids[0] == ids[1] and ids[3] == ids[4] and len(set(ids)) == 3
+
+
 @given(polys(V, max_terms=4, max_deg=3), polys(V, max_terms=4, max_deg=3),
        polys(V, max_terms=3, max_deg=2))
 @settings(max_examples=60, deadline=None)
@@ -703,3 +727,28 @@ def test_certificates_and_analysis_unpack_no_partial(monkeypatch, spec):
     report = run_analyze(make_model(name, **params), samples=4)
     assert made and report.mismatches == []
     assert unpacked == []
+
+
+@pytest.mark.parametrize("spec", ["open_toda:k=4", "periodic_toda:k=4", "m_f:f=x+y"])
+def test_polynomial_certificates_build_no_rational_function(monkeypatch, spec):
+    # partials are wrapped as built, absent partials and coefficients are
+    # the shared zero, Schouten signs are read off the skew rows and a
+    # passing sum builds no residual, so a fresh structure on a polynomial
+    # model's brackets proves every certificate without building one
+    name, _, arg = spec.partition(":")
+    model = make_model(name, **dict([arg.split("=", 1)]))
+    b = _fresh(model)
+    made = []
+    for method in ("__init__", "__neg__"):
+        original = getattr(RationalFunction, method)
+
+        def counted(self, *args, _original=original, _method=method, **kwargs):
+            made.append(_method)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(RationalFunction, method, counted)
+    assert all(b.verify().values())
+    for fam in model.families:
+        assert family_check(b, fam).ok
+        assert verify_chain(chain_from_family(b, fam)).ok
+    assert model.families and made == []

@@ -229,12 +229,13 @@ def test_polynomial_and_zero_results_share_one_unit_denominator(monkeypatch):
 
 def test_certificates_build_only_explicit_zero_constants(monkeypatch):
     # fresh certificates of open_toda:k=2: Jacobi, compatibility and the
-    # family; the 5 Poly.constant calls are the explicit zeros: one shared
-    # zero per stored gradient (3 functions) and the family's coefficients
-    # at lambda^-1 and lambda^(degree+1) (2).  A group the batch zero-test
-    # finds zero, an empty one included, is never summed, so no residual
-    # builds a zero; summing every relation group made 8, and a new unit
-    # per polynomial result 55.
+    # family.  The explicit zeros, a gradient's absent partials and the
+    # family's coefficients at lambda^-1 and lambda^(degree+1), are the one
+    # shared RationalFunction.zero of the variable tuple, which building the
+    # model made, so no Poly.constant call is left; a new zero each made 5.
+    # A group the batch zero-test finds zero, an empty one included, is
+    # never summed, so no residual builds a zero; summing every relation
+    # group made 8, and a new unit per polynomial result 55.
     from biham.casimir import family_check
     from biham.models import open_toda
     from biham.poisson import BihamStructure
@@ -242,7 +243,7 @@ def test_certificates_build_only_explicit_zero_constants(monkeypatch):
     b = BihamStructure(model.structure.p1, model.structure.p2)
     calls = _count_constant_calls(monkeypatch)
     assert b.certified() and family_check(b, model.families[0]).ok
-    assert calls == [0] * 5
+    assert calls == []
 
 
 def test_parser_errors_have_positions():
