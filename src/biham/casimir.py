@@ -55,9 +55,10 @@ def family_check(b: BihamStructure, fam: LambdaFamily) -> Certificate:
     certificate is proved once per structure and family coefficients.  Its
     d + 2 relations are zero-tested in one ``first_nonzero_sum``, grouped (k,
     coordinate) in that order, so the first failing group is the first
-    failing lambda power's first failing coordinate, and each relation it
-    decides is stored under ``BihamStructure.relation``'s key, where chains
-    and anchors read it (``BihamStructure.first_failing_relation``).
+    failing lambda power's first failing coordinate and no group after it
+    is summed, and each relation it decides is stored under
+    ``BihamStructure.relation``'s key, where chains and anchors read it
+    (``BihamStructure.first_failing_relation``).
     """
     return b.certificate(("family", fam.coeffs), lambda: _prove_family(b, fam))
 

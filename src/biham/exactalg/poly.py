@@ -13,14 +13,16 @@ addition.  Each Poly keeps its packed integer form (a common denominator
 of its coefficients and the (packed exponent, integer numerator) pairs) in
 a lazily filled slot, so a gradient or a table entry that enters many
 products is scaled and packed once.  ``Poly.__mul__`` accumulates one
-product.  Sums of products go through ``_accumulate``, which packs the
-factors of many groups of products once and sums each group in its own
-accumulator, split into parts by denominator, each part keyed above the
-monomial fields: ``RationalFunction.sum_of_products`` sums one group and
-unpacks each nonzero part once, reduced once, and
-``RationalFunction.nonzero_groups`` zero-tests every group of a certificate
-in one call, unpacking nothing; no dict grows with the whole certificate,
-which on a large structure would slow every product.
+product.  Every sum of products goes through one generator,
+``RationalFunction.sums_of_products``: it packs the factors of many groups
+of products once, then sums each group when the caller reaches it, in its
+own accumulator split into parts by denominator, each part keyed above the
+monomial fields, and yields the shared zero for a group whose parts all
+vanish, or else the exact sum, each nonzero part unpacked once and reduced
+once.  A certificate's zero test takes the groups' sums in order and stops
+at the first nonzero one; ``sum_of_products`` is its one-group case.  No
+dict grows with the whole certificate, which on a large structure would
+slow every product.
 ``RationalFunction.partials`` differentiates a polynomial in one pass over
 its terms zipped with its packed form, and each nonzero partial is that
 packed form only (a ``_Partial``): the key lowered by one in the partial's
@@ -32,10 +34,10 @@ an analysis unpacks no partial.  No zero partial is built and no partial is
 packed again; ``diff`` stays for single derivatives and as the oracle.
 Each partial is wrapped as built, over the polynomial's denominator 1,
 with none of ``RationalFunction.__init__``'s checks, which it meets by
-construction (``_wrapped``), and every absent partial or coefficient is the
-one zero of its variable tuple (``RationalFunction.zero``): once a
-polynomial structure's skew rows are built, a passing certificate on it
-builds no ``RationalFunction``.
+construction (``_wrapped``, as ``from_poly`` and a negation are), and
+every absent partial or coefficient is the one zero of its variable tuple
+(``RationalFunction.zero``): once a polynomial structure's skew rows are
+built, a passing certificate on it builds no ``RationalFunction``.
 ``poly_gcd`` takes its shortcuts, then the heuristic gcd GCDHEU, whose
 answer is proved by exact division on integers (``exact_div``); the
 primitive PRS gcd is the fallback.
@@ -231,22 +233,6 @@ class Poly:
             total = total + term
         return total
 
-    def subs(self, mapping) -> "Poly":
-        """Substitute polynomials (over the same variable tuple) for variables."""
-        out = Poly.zero(self.variables)
-        for e, c in self.terms.items():
-            term = Poly.constant(c, self.variables)
-            for name, p in zip(self.variables, e):
-                if p:
-                    repl = mapping.get(name)
-                    if repl is None:
-                        repl = Poly.variable(name, self.variables)
-                    elif isinstance(repl, (int, Fraction)):
-                        repl = Poly.constant(repl, self.variables)
-                    term = term * repl**p
-            out = out + term
-        return out
-
     def split_by(self, name) -> dict:
         """Decompose by powers of one variable: power -> Poly without it."""
         i = self.variables.index(name)
@@ -394,8 +380,8 @@ class _Partial(Poly):
 
     ``terms`` shadows the slot: it unpacks the pairs into it on first read,
     and after that reads it.  ``is_zero`` reads the pairs, and products,
-    ``_accumulate`` and ``RowForm`` read the packed form, so none of them
-    unpacks.  Equality and hashing read ``terms``, as an eager Poly's do."""
+    ``sums_of_products`` and ``RowForm`` read the packed form, so none of
+    them unpacks.  Equality and hashing read ``terms``, as an eager Poly's do."""
 
     __slots__ = ()
 
@@ -456,51 +442,6 @@ def _add_product(acc: dict, num1, num2, k: int, offset: int):
         for e2, c2 in num2:
             e = e1 + e2
             acc[e] = get(e, 0) + c1 * c2
-
-
-def _accumulate(groups, variables):
-    """Each group's sum of products u*v on packed monomials, by part, one group at a time.
-
-    ``groups`` are lists of (u, v) pairs of RationalFunctions.  A part is a
-    group's products over one denominator: u.den * v.den, with a polynomial
-    factor counting as 1, so a group's polynomial products are one part.
-    Whether a factor is polynomial, and its packed numerator, are read once
-    per factor object, over all the groups, at one field width W for all.
-    A product is weighted so that both factors are over one integer
-    denominator L, the lcm of theirs, and a part's accumulated coefficients
-    are L^2 times its numerator products' sum.  Part i's keys are its packed
-    monomials plus i << (W*n), above every monomial field, which no carry
-    reaches (``PACK_BITS``).  Each group has its own accumulator, built when
-    the caller reaches it, so no dict holds more than one group's monomials.
-
-    Returns (W, L^2, sums); sums yields (acc, dens) per group, in order,
-    dens[i] part i's denominator Poly, or None for 1.
-    """
-    factors = {id(f): f for pairs in groups for pair in pairs for f in pair}
-    width, scale, form = PACK_BITS, 1, {}
-    if factors:
-        width, forms = _packed_forms([f.num for f in factors.values()])
-        scale = lcm(*(d for d, _ in forms))
-        unit = _unit(tuple(variables))
-        form = {key: (None if f.den is unit or f.den.is_constant() else f.den, scale // d, terms)
-                for key, f, (d, terms) in zip(factors, factors.values(), forms)}
-    shift = width * len(variables)
-
-    def sums():
-        for pairs in groups:
-            acc: dict = {}
-            index: dict = {}        # part denominator -> its offset
-            for u, v in pairs:
-                du, su, tu = form[id(u)]
-                dv, sv, tv = form[id(v)]
-                den = dv if du is None else du if dv is None else du * dv
-                offset = index.get(den)
-                if offset is None:
-                    offset = index[den] = len(index) << shift
-                _add_product(acc, tu, tv, su * sv, offset)
-            yield acc, list(index)
-
-    return width, scale * scale, sums()
 
 
 def _unpack(acc: dict, den: int, variables, width: int) -> Poly:
@@ -804,7 +745,7 @@ class RationalFunction:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Poly | None = None, reduce: bool = True):
+    def __init__(self, num: Poly, den: Poly | None = None):
         if den is None:
             den = _unit(num.variables)
         if den.is_zero():
@@ -812,7 +753,7 @@ class RationalFunction:
         num._check(den)
         if num.is_zero():
             den = _unit(num.variables)
-        elif reduce and not den.is_constant():
+        elif not den.is_constant():
             g = poly_gcd(num, den)
             if not (g.is_constant() and g.constant_value() == 1):
                 num = exact_div(num, g)
@@ -826,7 +767,7 @@ class RationalFunction:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "RationalFunction":
-        return cls(p, None, reduce=False)
+        return _wrapped(p, _unit(p.variables))
 
     @classmethod
     def constant(cls, c, variables) -> "RationalFunction":
@@ -840,48 +781,67 @@ class RationalFunction:
 
     @classmethod
     def sum_of_products(cls, pairs, variables) -> "RationalFunction":
-        """Sum of u*v over (u, v) pairs of RationalFunctions, exactly.
+        """Sum of u*v over (u, v) pairs of RationalFunctions, exactly: one
+        group of ``sums_of_products``."""
+        return next(cls.sums_of_products([list(pairs)], variables))
 
-        The products are split into parts by the product of their two
-        denominators (every polynomial pair falls into one part) and summed
-        as integers on packed exponents in one accumulator (``_accumulate``).
-        Each nonzero part is unpacked once into one RationalFunction: one
-        gcd reduction per part, none for a polynomial part, instead of one
-        per product.
+    @classmethod
+    def sums_of_products(cls, groups, variables):
+        """Each group's exact sum of u*v over its (u, v) pairs of RationalFunctions, in order.
+
+        ``groups`` is a list of lists of pairs.  On the first ``next`` every
+        factor object of every group is read once: whether it is
+        polynomial, and its packed numerator, at one field width W for all
+        the groups and scaled to one integer denominator L, the lcm of
+        theirs.  Each group is summed only when the caller reaches it, in
+        its own accumulator, split into parts by u.den * v.den (a polynomial
+        factor counts as 1, so polynomial products are one part); part i's
+        keys are its packed monomials plus i << (W*n), above every monomial
+        field, which no carry reaches (``PACK_BITS``), and its coefficients
+        are L^2 times its numerator products' sum.  A group whose parts all
+        vanish, or cancel across denominators, yields the shared ``zero``;
+        otherwise each nonzero part is unpacked once into one
+        RationalFunction, one gcd reduction per part and none for a
+        polynomial part.
         """
-        width, common, sums = _accumulate([list(pairs)], variables)
-        acc, dens = next(sums)
-        split = [acc]
-        if len(dens) > 1:
-            shift = width * len(variables)
-            mask = (1 << shift) - 1
-            split = [{} for _ in dens]
-            for key, c in acc.items():
-                split[key >> shift][key & mask] = c
-        total = None
-        for den, terms in zip(dens, split):
-            num = _unpack(terms, common, variables, width)
-            if num.is_zero():
+        variables = tuple(variables)
+        factors = {id(f): f for pairs in groups for pair in pairs for f in pair}
+        width, scale, form = PACK_BITS, 1, {}
+        if factors:
+            width, forms = _packed_forms([f.num for f in factors.values()])
+            scale = lcm(*(d for d, _ in forms))
+            unit = _unit(variables)
+            form = {key: (None if f.den is unit or f.den.is_constant() else f.den, scale // d, terms)
+                    for key, f, (d, terms) in zip(factors, factors.values(), forms)}
+        shift = width * len(variables)
+        mask = (1 << shift) - 1
+        zero = cls.zero(variables)
+        for pairs in groups:
+            acc: dict = {}
+            index: dict = {}        # part denominator -> its offset
+            for u, v in pairs:
+                du, su, tu = form[id(u)]
+                dv, sv, tv = form[id(v)]
+                den = dv if du is None else du if dv is None else du * dv
+                offset = index.get(den)
+                if offset is None:
+                    offset = index[den] = len(index) << shift
+                _add_product(acc, tu, tv, su * sv, offset)
+            if not any(acc.values()):
+                yield zero
                 continue
-            part = cls(num, den)
-            total = part if total is None else total + part
-        return total if total is not None else cls(Poly.zero(variables))
-
-    @staticmethod
-    def nonzero_groups(groups, variables) -> list:
-        """The indices, in order, of the groups of (u, v) pairs whose sum of
-        u*v may be nonzero, all zero-tested in one ``_accumulate`` call.
-
-        The factors are packed once for all the groups, and each group is
-        summed in its own accumulator, dropped once tested.  A group left out
-        has every part zero, so its sum, the sum of its parts over their
-        denominators, is zero.  A polynomial group is one part and is listed
-        exactly when its sum is nonzero; a rational group's parts over
-        different denominators may still cancel, which only
-        ``sum_of_products`` decides.
-        """
-        _, _, sums = _accumulate(groups, variables)
-        return [g for g, (acc, _) in enumerate(sums) if any(acc.values())]
+            split = [acc]
+            if len(index) > 1:
+                split = [{} for _ in index]
+                for key, c in acc.items():
+                    split[key >> shift][key & mask] = c
+            total = None
+            for den, terms in zip(index, split):
+                num = _unpack(terms, scale * scale, variables, width)
+                if not num.is_zero():
+                    part = cls(num, den)
+                    total = part if total is None else total + part
+            yield zero if total.is_zero() else total
 
     @property
     def variables(self):
@@ -926,7 +886,7 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, reduce=False)
+        return _wrapped(-self.num, self.den)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))

@@ -92,10 +92,10 @@ def involution_check(funcs, b: BihamStructure) -> Certificate:
     Each row keeps the first row of the chained run that ends there.  A row
     is contracted under P_k only when a group (a, c, k) is left, and only
     those groups, the ones that cross a run boundary, go to
-    ``first_nonzero_sum``, which zero-tests them all in one pass.  Every
-    skipped group is zero, so the first nonzero group is the one the
-    all-pairs loop would find; on a chained list the check reads the stored
-    relations and sums nothing.
+    ``first_nonzero_sum``, which sums them in order and stops at the first
+    nonzero one.  Every skipped group is zero, so the first nonzero group is
+    the one the all-pairs loop would find; on a chained list the check reads
+    the stored relations and sums nothing.
     """
     funcs = list(funcs)
     grads = [b.gradient(f) for f in funcs]

@@ -35,11 +35,12 @@ certificate on it builds no ``RationalFunction``.
 ``first_nonzero_sum`` zero-tests every certificate residual, one (key,
 products) group by coordinate triple for Jacobi and compatibility, by
 coordinate for the relations sum P grad f = 0 (a Casimir, a family's lambda
-coefficient, a Lenard step).  All of a certificate's groups are zero-tested
-on packed monomials in one ``RationalFunction.nonzero_groups`` call, so a
-group that vanishes builds no ``RationalFunction``; only a group that
-may not vanish is summed exactly by ``RationalFunction.sum_of_products``,
-which gives the residual of a failure.  A ``BihamStructure`` keeps each function's gradient and each
+coefficient, a Lenard step).  A certificate's groups are summed in order by
+one ``RationalFunction.sums_of_products`` call, which packs their factors
+once and sums each group on packed monomials in its own accumulator, so a
+group that vanishes builds no ``RationalFunction``, a nonzero group is
+summed once, exactly, giving the residual of a failure, and no group after
+it is summed.  A ``BihamStructure`` keeps each function's gradient and each
 relation's result, never a covector; ``first_failing_relation`` zero-tests
 all the relations it is given that are not stored yet in one
 ``first_nonzero_sum`` and stores each it decides.  The stored relations are
@@ -241,19 +242,16 @@ def _present(p: PoissonStructure, f):
 def first_nonzero_sum(groups, variables):
     """First (key, residual) of the (key, products) groups whose sum is nonzero, else None.
 
-    Every group is zero-tested in one ``RationalFunction.nonzero_groups``
-    call, and only a group that may be
-    nonzero is summed, in the order given, by ``sum_of_products``, which
-    decides it and gives the residual.  The loop that sums every group in
-    turn stays the oracle in the tests.
+    The groups' sums come from one ``RationalFunction.sums_of_products``
+    call, which packs every factor once and sums each group exactly in
+    its own accumulator when it is reached, so the search stops at the
+    first nonzero group and sums none after it.  The loop that sums every
+    group in turn stays the oracle in the tests.
     """
     groups = [(key, list(products)) for key, products in groups]
-    for i in RationalFunction.nonzero_groups([products for _, products in groups], variables):
-        key, products = groups[i]
-        residual = RationalFunction.sum_of_products(products, variables)
-        if not residual.is_zero():
-            return key, residual
-    return None
+    sums = RationalFunction.sums_of_products([products for _, products in groups], variables)
+    return next(((key, residual) for (key, _), residual in zip(groups, sums)
+                 if not residual.is_zero()), None)
 
 
 def _contraction(terms, dim: int) -> list:

@@ -472,14 +472,25 @@ def loop_is_casimir(p, f):
 
 # -- one group at a time -------------------------------------------------------
 #
-# The residual loop that poisson.first_nonzero_sum's one-pass zero test
-# replaced: every group summed exactly, in order, until one is nonzero.
+# The residual loop that poisson.first_nonzero_sum replaced: every group
+# summed exactly, in order, until one is nonzero, each product a reduced
+# RationalFunction added to the running sum, so it shares no code with
+# RationalFunction.sums_of_products.
+
+
+def running_sum(products, variables):
+    """Sum of u*v over the (u, v) products, one product added at a time."""
+    total = RationalFunction.constant(0, variables)
+    for u, v in products:
+        total = total + u * v
+    return total
 
 
 def first_nonzero_sum_loop(groups, variables):
-    """First (key, residual) of the (key, products) groups whose sum is nonzero, else None."""
+    """First (key, residual) of the (key, products) groups whose ``running_sum``
+    is nonzero, else None."""
     for key, products in groups:
-        residual = RationalFunction.sum_of_products(products, variables)
+        residual = running_sum(products, variables)
         if not residual.is_zero():
             return key, residual
     return None
@@ -525,6 +536,28 @@ def schoolbook_product(p, q):
             else:
                 terms[e] = s
     return terms
+
+
+# -- substitution --------------------------------------------------------------
+#
+# The full substitution that exactalg.compose truncates after every product.
+
+
+def subs(p, mapping):
+    """p with polynomials (over p's variable tuple) or numbers substituted for variables."""
+    out = Poly.zero(p.variables)
+    for e, c in p.terms.items():
+        term = Poly.constant(c, p.variables)
+        for name, k in zip(p.variables, e):
+            if k:
+                repl = mapping.get(name)
+                if repl is None:
+                    repl = Poly.variable(name, p.variables)
+                elif isinstance(repl, (int, Fraction)):
+                    repl = Poly.constant(repl, p.variables)
+                term = term * repl**k
+        out = out + term
+    return out
 
 
 # -- Smith-form Jordan part --------------------------------------------------

@@ -4,10 +4,12 @@ Each certificate must agree with its coordinate-by-coordinate form in
 ``oracles`` on the verdict and, byte for byte, on the failure detail.  The
 family, chain and Casimir certificates, which share one relation routine
 and one stored result per relation, are compared with the three loops that
-routine replaced.  ``first_nonzero_sum``, which zero-tests every group in
-one accumulator, must return the key and residual of the loop that sums
-each group in turn.  Covectors and pairings, summed in one accumulator per
-sum, must equal the one-product-at-a-time loops exactly; products on packed
+routine replaced.  ``first_nonzero_sum`` must return the key and residual
+of the loop that sums each group in turn, each sum ``sums_of_products``
+yields must equal the group's running sum, and a failing certificate must
+sum no group after its first nonzero one.  Covectors and pairings, summed
+in one accumulator per sum, must equal the one-product-at-a-time loops
+exactly; products on packed
 monomials must equal schoolbook Fraction products, also at exponents past
 the packed field bound; each function's ``partials`` must equal its
 ``diff`` in every variable, and a polynomial partial's preset packed form
@@ -30,7 +32,7 @@ from biham.errors import PoleAtPoint
 import biham.exactalg.poly as poly_module
 from biham.exactalg import (PointEvaluator, Poly, RationalFunction, RowForm,
                             clear_denominators, exact_div, parse_rational, poly_gcd)
-from biham import lenard
+from biham import lenard, poisson
 from biham.lenard import LenardChain, chain_from_family, involution_check, verify_chain
 from biham.models import flat_kronecker, make_model, open_toda, periodic_toda, sl2_shift
 from biham.report import run_analyze
@@ -40,7 +42,7 @@ from biham.poisson import (BihamStructure, PoissonStructure, compatibility_check
 from oracles import (dense_compatibility_check, dense_jacobi_check, first_nonzero_sum_loop,
                      fraction_exact_div, loop_family_check, loop_hamiltonian_covector,
                      loop_is_casimir, loop_pairing, loop_verify_chain, pairwise_bracket,
-                     pairwise_involution_check, prs_gcd, schoolbook_product)
+                     pairwise_involution_check, prs_gcd, running_sum, schoolbook_product)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -470,21 +472,21 @@ def test_first_nonzero_sum_matches_the_group_loop(groups):
     want = first_nonzero_sum_loop(groups, V)
     got = first_nonzero_sum(((key, iter(products)) for key, products in groups), V)
     assert got == want
-    # every group left out sums to zero; a polynomial group is left out only then
-    listed = RationalFunction.nonzero_groups([products for _, products in groups], V)
-    assert listed == sorted(set(listed))
-    for i, (_, products) in enumerate(groups):
-        total = RationalFunction.sum_of_products(products, V)
-        if i not in listed:
-            assert total.is_zero()
-        elif all(u.is_polynomial() and v.is_polynomial() for u, v in products):
-            assert not total.is_zero()
+    # every group's sum is its running sum, and a vanishing group is the shared zero
+    sums = list(RationalFunction.sums_of_products([products for _, products in groups], V))
+    assert len(sums) == len(groups)
+    for (_, products), total in zip(groups, sums):
+        assert total == running_sum(products, V)
+        if total.is_zero():
+            assert total is RationalFunction.zero(V)
 
 
 def test_a_group_that_cancels_across_denominators_is_summed_and_found_zero():
     x = parse_rational("x", V)
     groups = [("cross", _cross_group("1")), ("after", [(x, x)])]
-    assert RationalFunction.nonzero_groups([products for _, products in groups], V) == [0, 1]
+    cross, after = RationalFunction.sums_of_products([products for _, products in groups], V)
+    assert cross is RationalFunction.zero(V)
+    assert after == parse_rational("x^2", V)
     assert first_nonzero_sum(groups, V) == ("after", parse_rational("x^2", V))
     assert first_nonzero_sum(groups[:1], V) is None
 
@@ -495,8 +497,10 @@ def test_one_wide_factor_widens_the_field_of_every_group():
     wide = RationalFunction(Poly(V, {(BOUND, 0, 0): Fraction(1)}))
     y, z = parse_rational("y", V), parse_rational("z", V)
     groups = [(0, [(y, z), (-y, z)]), (1, [(wide, wide)])]
-    assert RationalFunction.nonzero_groups([products for _, products in groups], V) == [1]
-    assert first_nonzero_sum(groups, V) == (1, RationalFunction(Poly(V, {(2 * BOUND, 0, 0): 1})))
+    square = RationalFunction(Poly(V, {(2 * BOUND, 0, 0): 1}))
+    sums = list(RationalFunction.sums_of_products([products for _, products in groups], V))
+    assert sums[0] is RationalFunction.zero(V) and sums[1] == square
+    assert first_nonzero_sum(groups, V) == (1, square)
 
 
 def test_groups_are_packed_once_and_summed_in_their_own_accumulators(monkeypatch):
@@ -504,6 +508,8 @@ def test_groups_are_packed_once_and_summed_in_their_own_accumulators(monkeypatch
     # monomials, so an accumulator never grows with the whole certificate
     x, y, z = (parse_rational(name, V) for name in V)
     groups = [[(x, y), (-x, y)], [(y, z)], [], [(x, z), (z, x)]]
+    zero = RationalFunction.zero(V)
+    want = [zero, y * z, zero, 2 * x * z]
     packed, accs = [], []
     pack, add = poly_module._packed_forms, poly_module._add_product
 
@@ -517,10 +523,71 @@ def test_groups_are_packed_once_and_summed_in_their_own_accumulators(monkeypatch
 
     monkeypatch.setattr(poly_module, "_packed_forms", counted_pack)
     monkeypatch.setattr(poly_module, "_add_product", recorded_add)
-    assert RationalFunction.nonzero_groups(groups, V) == [1, 3]
+    sums = list(RationalFunction.sums_of_products(groups, V))
+    assert sums == want and sums[0] is zero and sums[2] is zero
     assert len(packed) == 1
     ids = [id(acc) for acc in accs]
     assert ids[0] == ids[1] and ids[3] == ids[4] and len(set(ids)) == 3
+
+
+V4 = ("x", "y", "z", "w")
+
+
+def _incompatible_pairs():
+    # the benchmark's pair: {x,y}_1 = a x and {y,z}_2 = b y have the mixed
+    # Jacobiator -ab x; {z,w}_1 = z*w on a fourth coordinate adds triples
+    # after the failing one
+    out = []
+    for a, b in ((1, 1), (2, 5)):
+        p1, p2 = {(0, 1): f"{a}*x"}, {(1, 2): f"{b}*y"}
+        out.append(BihamStructure(PoissonStructure(("x", "y", "z"), p1),
+                                  PoissonStructure(("x", "y", "z"), p2)))
+        out.append(BihamStructure(PoissonStructure(V4, {**p1, (2, 3): "z*w"}),
+                                  PoissonStructure(V4, p2)))
+    return out
+
+
+def _non_casimir_families():
+    # the benchmark's control: flat K5's Casimir family x0 + lam x2 + lam^2 x4
+    # with c x_j added to its lambda^0 coefficient, for every c and j it draws
+    flat = flat_kronecker(3)
+    coeffs = flat.families[0].coeffs
+    return [LambdaFamily((parse_rational(f"x0 + {c}*x{j}", flat.structure.variables),)
+                         + coeffs[1:]) for c in range(1, 6) for j in range(1, 5)]
+
+
+def test_a_failing_certificate_sums_no_group_after_its_first_nonzero_one(monkeypatch):
+    # each first_nonzero_sum builds one accumulator per nonempty group up to
+    # and including the first nonzero one, and none after it
+    calls, accs = [], []
+    search, add = poisson.first_nonzero_sum, poly_module._add_product
+
+    def recorded_search(groups, variables):
+        groups = [(key, list(products)) for key, products in groups]
+        start = len(accs)
+        got = search(groups, variables)
+        calls.append((groups, variables, {id(acc) for acc in accs[start:]}, got))
+        return got
+
+    def recorded_add(acc, *args):
+        accs.append(acc)            # held, so no two accumulators share an id
+        add(acc, *args)
+
+    monkeypatch.setattr(poisson, "first_nonzero_sum", recorded_search)
+    monkeypatch.setattr(poly_module, "_add_product", recorded_add)
+    for b in _incompatible_pairs():
+        assert not b.verify()["compatibility"].ok
+    flat = flat_kronecker(3).structure
+    for fam in _non_casimir_families():
+        assert not family_check(BihamStructure(flat.p1, flat.p2), fam).ok
+    skipped = 0
+    for groups, variables, built, got in calls:
+        want = first_nonzero_sum_loop(groups, variables)
+        assert got == want
+        stop = len(groups) if want is None else [key for key, _ in groups].index(want[0]) + 1
+        assert len(built) == sum(1 for _, products in groups[:stop] if products)
+        skipped += sum(1 for _, products in groups[stop:] if products)
+    assert skipped > 0
 
 
 @given(polys(V, max_terms=4, max_deg=3), polys(V, max_terms=4, max_deg=3),

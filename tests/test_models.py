@@ -16,8 +16,8 @@ from biham.models import (catalog_names, flat_kronecker, jordan_model,
 from biham.pencil import decompose
 
 from oracles import (SingularODE, T, cofactor_det, is_generic, mf_casimir_numeric,
-                     run_polynomials, s_generic, scaling_equivalent, two_family_curvature,
-                     two_family_flatness, univariate, web_curvature)
+                     run_polynomials, s_generic, scaling_equivalent, subs,
+                     two_family_curvature, two_family_flatness, univariate, web_curvature)
 
 
 def _pt(*vals):
@@ -225,7 +225,7 @@ def test_periodic_monodromy_leading_coefficient():
     from biham.models import _monodromy_trace_shifted
     ext = tuple(f"v{i}" for i in range(6)) + ("lam",)
     plus = _monodromy_trace_shifted(ext, 3)
-    minus = plus.subs({"lam": -Poly.variable("lam", ext)})
+    minus = subs(plus, {"lam": -Poly.variable("lam", ext)})
     parts = minus.split_by("lam")
     assert parts[3].is_constant() and parts[3].constant_value() == 1
 
