@@ -2,14 +2,16 @@
 
 Subcommands: ``catalog list``, ``catalog show``, ``analyze``, ``check
 {poisson|compatible|casimir|family|chain}``, ``decompose``, ``normalform``,
-``report``.  Exit codes: 0 = all verdicts as expected, 1 = a verdict or
-certificate mismatch, 2 = input error, 3 = internal inconsistency or any
-other internal error (a bug, not bad input: an exception that is neither
-a ``BihamError`` nor an ``OSError`` prints one ``error: internal error:``
-line instead of a traceback; when the failure carries the pencil it failed
-on, that pencil follows the error on stderr as one JSON line that
-``SkewPencil.from_json`` loads).  BIHAM_SEED provides the default sampling
-seed; a value that is not an integer is an input error.
+``report``.  ``check chain`` checks the chains an input lists, or else one
+chain per family, as ``analyze`` derives them.  Exit codes: 0 = all
+verdicts as expected, 1 = a verdict or certificate mismatch, 2 = input
+error, 3 = internal inconsistency or any other internal error (a bug, not
+bad input: an exception that is neither a ``BihamError`` nor an
+``OSError`` prints one ``error: internal error:`` line instead of a
+traceback; when the failure carries the pencil it failed on, that pencil
+follows the error on stderr as one JSON line that ``SkewPencil.from_json``
+loads).  BIHAM_SEED provides the default sampling seed; a value that is
+not an integer is an input error.
 """
 
 import argparse
@@ -19,9 +21,10 @@ import sys
 
 from .casimir import LambdaFamily, family_check, web_flatness
 from .errors import BihamError, InternalInconsistency, ValidationError
-from .exactalg import is_json_int, load_json, parse_int, parse_poly, parse_rational, rat
+from .exactalg import (dump_json, is_json_int, load_json, parse_int, parse_poly,
+                       parse_rational, rat)
 from .exactalg.parser import NAME
-from .lenard import LenardChain, verify_chain
+from .lenard import LenardChain, chain_from_family, verify_chain
 from .models import (ModelSpec, catalog_names, m_f, make_model, normal_form_phi,
                      DEFAULT_TRUNCATION, MAX_GERM_DEGREE)
 from .pencil import SkewPencil, decompose
@@ -292,7 +295,7 @@ def _dispatch(args) -> int:
                 print(name)
             return 0
         model = resolve_target(args.target)
-        print(json.dumps(export_model(model), sort_keys=True, indent=2))
+        print(dump_json(export_model(model)))
         return 0
 
     if args.command == "analyze":
@@ -315,8 +318,7 @@ def _dispatch(args) -> int:
         if args.format == "json":
             blocks = [{"kind": b.kind, "k": b.k, "label": b.label()}
                       for b in sorted(ptype.blocks, key=lambda b: b.sort_key())]
-            print(json.dumps({"n": ptype.n, "type": ptype.label(),
-                              "blocks": blocks}, sort_keys=True, indent=2))
+            print(dump_json({"n": ptype.n, "type": ptype.label(), "blocks": blocks}))
         else:
             print(f"pencil of dimension {ptype.n}: {ptype.label()}")
         return 0
@@ -387,9 +389,12 @@ def _check(args) -> int:
             print(f"family '{fam.name}' (degree {fam.degree}): {cert}")
             ok = ok and cert.ok
     elif args.what == "chain":
-        if not model.chains:
-            raise ValidationError("no chains in the input")
-        for i, chain in enumerate(model.chains):
+        # an input that lists no chains is checked on its families' chains,
+        # one per family in order, as analyze derives them
+        chains = model.chains or [chain_from_family(b, fam) for fam in model.families]
+        if not chains:
+            raise ValidationError("no chains and no families in the input")
+        for i, chain in enumerate(chains):
             cert = verify_chain(chain)
             print(f"chain {i} (anchored={chain.anchored}): {cert}")
             ok = ok and cert.ok

@@ -17,8 +17,10 @@ sum cannot expand into millions of terms.  Input beyond any limit raises
 
 ``load_json`` is the one reader of JSON input text (structures, families,
 chains, pencils, reports), with the same contract: malformed or too deeply
-nested text raises ``ValidationError``; ``is_json_int`` is the one test
-for an integer field of what it read.  ``Record`` is the one writer of
+nested text, and a number that is not finite, raise ``ValidationError``;
+``is_json_int`` is the one test for an integer field of what it read.
+``dump_json`` is the one writer of indented JSON text (reports, catalog
+exports, ``decompose`` output).  ``Record`` is the one writer of
 result records (certificates, verdicts, the analysis report): its
 ``to_json`` gives the fields under their own names.
 """
@@ -39,16 +41,86 @@ NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 _TOKEN = re.compile(rf"\s*(?:(\d+)|({NAME.pattern})|([()+\-*/^]))")
 
 
+# float.__repr__ of the values that are not JSON numbers (RFC 8259)
+_NOT_FINITE = ("inf", "-inf", "nan")
+
+
+def _refuse_constant(name: str):
+    raise ValidationError(f"JSON has no number {name}")
+
+
+def _finite_float(text: str):
+    """A number with a fraction or exponent, as json reads it, unless it overflows.
+
+    The package makes no float of its own: json reads the literal, and the
+    hook only refuses the infinity an overflowing literal becomes.
+    """
+    value = json.loads(text)
+    if float.__repr__(value) in _NOT_FINITE:
+        raise ValidationError(f"JSON number {text} overflows to infinity")
+    return value
+
+
 def load_json(text: str):
-    """json.loads with every malformed text reported as a ValidationError."""
+    """json.loads with every malformed text reported as a ValidationError.
+
+    ``NaN``, ``Infinity``, ``-Infinity`` and a number that overflows to
+    infinity are not JSON, and are refused as malformed.
+    """
     try:
-        return json.loads(text)
+        return json.loads(text, parse_constant=_refuse_constant, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ValidationError(
             f"JSON syntax error at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}") from exc
     except RecursionError as exc:
         raise ValidationError("JSON nested too deeply") from exc
+
+
+_escape = json.encoder.encode_basestring_ascii
+
+
+def dump_json(value) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)``, byte for byte, faster.
+
+    With ``indent`` the standard library leaves its C encoder for a chain of
+    Python generators; this writes each container with one sort and one
+    join, and escapes strings with the C escaper ``json.dumps`` itself uses.
+    It takes dicts with str keys, lists, tuples, str, int, finite float,
+    bool and None, each of exactly that type; anything else raises.
+    """
+    return _dump(value, "\n")
+
+
+def _dump(value, newline: str) -> str:
+    kind = type(value)
+    if kind is str:
+        return _escape(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_escape(k) + ": " + _dump(value[k], inner) for k in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([_dump(v, inner) for v in value]) + newline + "]"
+    if kind is int:
+        return int.__repr__(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if kind is float:
+        text = float.__repr__(value)
+        if text in _NOT_FINITE:
+            raise ValueError(f"{text} is not a JSON number")
+        return text
+    raise TypeError(f"{kind.__name__} {value!r} is not JSON")
 
 
 def is_json_int(x) -> bool:

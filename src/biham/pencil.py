@@ -87,6 +87,7 @@ oracles in ``tests/oracles.py``.
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import factorial, gcd
 
@@ -245,7 +246,9 @@ class PencilType:
     fills it once from the blocks: each K block has corank 1 at every lam
     and each J block corank 2 at the root of its divisor, so every entry is
     r plus 2 for each J block whose root is that key (an integer in 0..n,
-    or infinity).  Equality compares the blocks only.
+    or infinity).  Equality compares the blocks only.  The label is built on
+    its first read and kept, so a type read at many points sorts its blocks
+    once, and ``decompose`` builds none.
     """
 
     n: int
@@ -269,6 +272,10 @@ class PencilType:
         return tuple(sorted((2 * b.k - 1 for b in self.kronecker_blocks()), reverse=True))
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
         return "{" + ", ".join(b.label() for b in
                                sorted(self.blocks, key=Block.sort_key)) + "}"
 

@@ -10,14 +10,13 @@ Every record in a report, the certificates, the verdicts and
 fields, so a report field's name is its JSON key.
 """
 
-import json
 from collections import Counter
 from dataclasses import MISSING, dataclass, field, fields
 
 from . import __version__
 from .casimir import family_check, kronecker_criterion, lax_check
 from .errors import PoleAtPoint, ValidationError
-from .exactalg import Record, is_json_int, load_json, rat, rat_str
+from .exactalg import Record, dump_json, is_json_int, load_json, rat, rat_str
 from .lenard import chain_from_family, integrability_verdict, verify_chain
 from .models import ModelSpec
 from .pencil import INF
@@ -263,7 +262,7 @@ def emit_report(report: AnalysisReport, fmt: str = "json") -> str:
     """Deterministic serialization; markdown carries the per-point table
     and the provenance of every verdict."""
     if fmt == "json":
-        return json.dumps(report.to_json(), sort_keys=True, indent=2) + "\n"
+        return dump_json(report.to_json()) + "\n"
     if fmt != "markdown":
         raise ValidationError(f"unknown report format {fmt!r}")
     lines = [f"# Analysis: {report.structure}", ""]

@@ -16,6 +16,7 @@ import biham.poisson as poisson_module
 from biham.cli import export_model, main, parse_structure_file, resolve_target
 from biham.errors import InternalInconsistency, NotSkewCanonical, ValidationError
 from biham.exactalg import parse_poly
+from biham.lenard import chain_from_family
 from biham.models import (MAX_FLAT_KRONECKER_K, MAX_GERM_DEGREE, MAX_JORDAN_K, MAX_OPEN_TODA_K,
                           MAX_PERIODIC_TODA_K, catalog_names, flat_kronecker, m_f,
                           make_model, open_toda)
@@ -224,7 +225,6 @@ def test_cli_check_commands(tmp_path, capsys):
 
 
 def test_cli_check_chain(tmp_path):
-    from biham.lenard import chain_from_family
     model = open_toda(1)
     model.chains.append(chain_from_family(model.structure, model.families[0]))
     data = export_model(model)
@@ -234,6 +234,26 @@ def test_cli_check_chain(tmp_path):
     data["chains"] = [{"anchored": True, "functions": ["v0", "v1"]}]
     path.write_text(json.dumps(data))
     assert main(["check", "chain", str(path)]) == 1
+
+
+@pytest.mark.parametrize("spec", [spec for spec in PINNED_SPECS
+                                  if resolve_target(spec).families])
+def test_cli_check_chain_derives_a_chain_per_family(spec, capsys):
+    # a catalog spec lists no chains; each family's is checked, as analyze derives it
+    model = resolve_target(spec)
+    assert not model.chains
+    assert main(["check", "chain", spec]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [f"chain {i} (anchored={chain_from_family(model.structure, fam).anchored}): "
+                     "pass" for i, fam in enumerate(model.families)]
+
+
+def test_cli_check_chain_without_chains_or_families_is_exit_2(capsys):
+    assert not resolve_target("jordan_model:k=1,mu=2").families
+    assert main(["check", "chain", "jordan_model:k=1,mu=2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: no chains and no families in the input\n"
 
 
 @pytest.mark.parametrize("chain,message", [
@@ -676,6 +696,41 @@ def test_cli_malformed_input_file_is_exit_2(tmp_path, capsys, command, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def _with_literal(data, literal: str) -> str:
+    """JSON text of data with its one "@" string replaced by a raw literal."""
+    return json.dumps(data).replace('"@"', literal)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400", "-1.5e999"])
+@pytest.mark.parametrize("command", ["analyze", "report", "decompose"])
+def test_cli_non_finite_number_is_exit_2(tmp_path, capsys, command, literal):
+    # RFC 8259 has no NaN or infinity: a structure's expectations, copied
+    # into the report and the export as they stand, would print them
+    if command == "analyze":
+        data = export_model(open_toda(1))
+        data["expectations"] = {"deep": [1.5, {"big": "@"}]}
+    elif command == "report":
+        data = json.loads(emit_report(run_analyze(open_toda(1), samples=1, seed=0)))
+        data["expectations"] = {"deep": ["@"]}
+    else:
+        data = {"n": 2, "A": [[0, "@"], [-1, 0]], "B": [[0, 0], [0, 0]]}
+    path = tmp_path / "input.json"
+    path.write_text(_with_literal(data, literal))
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: JSON ") and literal in captured.err
+
+
+def test_cli_finite_float_expectations_are_kept(tmp_path, capsys):
+    data = export_model(open_toda(1))
+    data["expectations"] = {"deep": [1.5, {"big": 1e300}]}
+    path = tmp_path / "floats.json"
+    path.write_text(json.dumps(data))
+    assert main(["analyze", str(path), "--samples", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["expectations"] == data["expectations"]
 
 
 @pytest.mark.parametrize("spec", ["sl2_shift:alpha=1e99999999;1;0",

@@ -491,6 +491,16 @@ def test_jordan_pencil_catalog_labels():
             assert b.mu_label() == (mu if mu == "inf" else Fraction(mu))
 
 
+def test_decompose_builds_no_label_and_a_type_builds_it_once():
+    # congruence_decompose times decompose and reads the label untimed
+    p = kronecker_pencil(2).direct_sum(jordan_pencil(1, 2))
+    t = decompose(p)
+    assert "_label" not in vars(t)
+    assert t.label() == "{K3, J2(mu=2)}" and t.label() is t.label()
+    assert t == decompose(p) and hash(t) == hash(decompose(p))
+    assert "_label" not in vars(decompose(p))
+
+
 def test_jordan_odd_multiplicity_rejected():
     # genuine skew input always pairs its divisors; the guard fires only on
     # corrupted input that skipped validation, simulated here by building

@@ -4,6 +4,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import MISSING, fields, replace
+from functools import cached_property
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,25 @@ def test_analyze_decomposes_each_point_once(monkeypatch):
         relations |= {("relation", f, g) for f, g in zip(sides, sides[1:])}
     assert set(b._certificates) == ({"jacobi1", "jacobi2", "compatibility"}
                                     | families | relations)
+
+
+def test_analyze_labels_each_pencil_type_once(monkeypatch):
+    # the record, the criterion's cross-check and the integrability verdict
+    # each read a point's label; the type builds it on the first read only
+    built = []
+    build = vars(pencil.PencilType)["_label"].func
+
+    def counted(ptype):
+        built.append(ptype)
+        return build(ptype)
+
+    label = cached_property(counted)
+    label.__set_name__(pencil.PencilType, "_label")
+    monkeypatch.setattr(pencil.PencilType, "_label", label)
+    report = run_analyze(open_toda(2), samples=5, seed=0)
+    assert report.matched and all(r["criterion"] and r["integrability"] for r in report.points)
+    assert len(built) == len({id(t) for t in built}) == 5
+    assert [r["pencil_type"] for r in report.points] == [t.label() for t in built]
 
 
 def test_analyze_decomposes_each_distinct_pencil_once_per_call(monkeypatch):
